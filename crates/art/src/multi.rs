@@ -1,561 +1,160 @@
 //! Batched, software-pipelined ART operations (memory-level parallelism).
 //!
-//! Same execution model as the B+-tree's batched engine: a batch of keys
-//! is processed as a group of in-flight state machines advanced
-//! round-robin, each turn moving one operation one tree level and ending
-//! right after prefetching the node it will touch next, so one group keeps
-//! up to `GROUP` cache misses outstanding instead of one.
+//! Same execution model as the B+-tree's batched entry points: the tree's
+//! descent steps (`ArtTree::read_step` / `ArtTree::write_step` — the
+//! same functions the scalar entry points loop on) are handed to the
+//! shared group scheduler, [`optiql::olc::run_grouped`], and every turn
+//! ends right after prefetching the node the descent enters next, so one
+//! group keeps up to `GROUP` cache misses outstanding instead of one.
 //!
-//! Each in-flight descent is the scalar OLC protocol re-expressed as a
-//! state machine over [`OptimisticGuard`]s: read-guard the child, then
-//! validate the parent guard behind it. ART adds one wrinkle the B+-tree
-//! does not have — tagged KV-leaf children. Reading `kv.key` is itself a
-//! potential cache miss, so a chosen KV child gets its own pipeline state:
-//! the turn that discovers it prefetches the leaf line and yields; the
-//! next turn reads the key/value and validates.
+//! ART adds one wrinkle the B+-tree does not have — tagged KV-leaf
+//! children. Comparing `kv.key` is itself a potential cache miss, and the
+//! step enters a leaf like any other child: the turn that chooses it
+//! prefetches the leaf line and parks, the next one compares and
+//! validates. Byte-string keys get one more turn than `u64`: their key
+//! payload lives behind a pointer in the leaf, so a parked leaf edge first
+//! spends a turn prefetching that payload line.
 //!
-//! Structural cases (prefix splits, node growth — both need the parent
-//! held) and repeatedly-failing ops fall back to the scalar path against
-//! cache-warm nodes. Lazy expansion and same-key overwrite only need the
-//! current node and are handled inline. Pessimistic lock configurations
-//! bypass pipelining: their reads hold real shared locks, which must not
-//! be parked across turns.
+//! What the pipeline does not do itself — prefix splits and node growth
+//! (both need the parent exclusively), operations that keep failing
+//! validation, repeated keys — the scheduler completes through the scalar
+//! driver, against cache-warm nodes.
 //!
-//! The engine is key-generic like the scalar paths. Radix digits are
-//! encoded once per group into a flat reusable buffer (one `encode_into`
-//! per key, zero steady-state allocation) and each turn slices its own
-//! digits out of it. Byte-string keys get one more pipeline stage than
-//! `u64`: their KV-leaf key payload lives behind a pointer, so the `Kv`
-//! turn prefetches that payload line and yields (`KvWarm`) before the
-//! compare-and-validate turn touches it.
+//! Each turn needs its key's radix digits. Inline keys re-derive them on
+//! the stack (a byte swap); byte strings, whose escape coding is a pass
+//! over the key, are encoded once per batch into one flat buffer that
+//! every turn slices (see `Digits`).
 
 use std::sync::atomic::Ordering;
 
-use optiql::olc::OptimisticGuard;
-use optiql::stats::{self, Event};
+use optiql::olc::{run_grouped, Step};
 use optiql::IndexLock;
 use optiql_index_api::IndexKey;
 
-use crate::node::{as_kv, is_kv, prefetch_child, ArtNode, KvLeaf};
-use crate::tree::{alloc_chain, digit, ArtTree};
+use crate::node::{as_kv, is_kv, prefetch_child};
+use crate::tree::{ArtTree, Edge, WriteOp};
 
-/// Operations interleaved per pipeline group (see the B+-tree engine for
-/// the sizing rationale).
-pub(crate) const GROUP: usize = 8;
+/// A parked descent, and whether everything its next step compares is
+/// already in flight (false only for a pointer-slot key about to be
+/// compared with a KV leaf's out-of-line key).
+type Parked<'t, L> = (Edge<'t, L>, bool);
 
-/// Pipelined restarts per op before completing it on the scalar path.
-const PIPELINE_ATTEMPTS: u32 = 3;
-
-/// One in-flight operation. `Enter`: `child` (an inner node) was chosen
-/// under `parent` and prefetched; next turn guards it. `Kv`: `child` (a
-/// tagged KV leaf) was chosen and its line prefetched; next turn reads it.
-/// `KvWarm` (pointer-slot keys only): the leaf header has been read far
-/// enough to prefetch the out-of-line key payload; next turn compares.
-enum OpSt<'t, L: IndexLock> {
-    Start,
-    Enter {
-        parent: OptimisticGuard<'t, L>,
-        child: *mut ArtNode<L>,
-        depth: usize,
-    },
-    Kv {
-        node: &'t ArtNode<L>,
-        guard: OptimisticGuard<'t, L>,
-        child: *mut ArtNode<L>,
-        byte: u8,
-        depth: usize,
-    },
-    KvWarm {
-        node: &'t ArtNode<L>,
-        guard: OptimisticGuard<'t, L>,
-        child: *mut ArtNode<L>,
-        byte: u8,
-        depth: usize,
-    },
-    Done(Option<u64>),
+/// The radix digits of a batch of pointer-slot keys, encoded back to back
+/// in `flat`; `ends[i]` is where key `i`'s digits end. Empty for inline
+/// keys.
+struct Digits {
+    flat: Vec<u8>,
+    ends: Vec<usize>,
 }
 
-/// Outcome of one turn of an in-flight op.
-enum Turn<'t, L: IndexLock> {
-    Next(OpSt<'t, L>),
-    Restart,
+impl Digits {
+    fn encode<'k, K: IndexKey>(keys: impl ExactSizeIterator<Item = &'k K>) -> Self {
+        let mut d = Digits {
+            flat: Vec::new(),
+            ends: Vec::new(),
+        };
+        if !K::INLINE {
+            d.ends.reserve_exact(keys.len());
+            for key in keys {
+                key.encode_into(&mut d.flat);
+                d.ends.push(d.flat.len());
+            }
+        }
+        d
+    }
+
+    /// Run `f` on the digits of `key`, the `i`-th key of the batch.
+    #[inline]
+    fn with<K: IndexKey, R>(&self, key: &K, i: usize, f: impl FnOnce(&[u8]) -> R) -> R {
+        if K::INLINE {
+            f(key.encode().as_ref())
+        } else {
+            let start = if i == 0 { 0 } else { self.ends[i - 1] };
+            f(&self.flat[start..self.ends[i]])
+        }
+    }
 }
 
 impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
     /// Batched point lookups; `result[i] == lookup(keys[i])`, order
     /// preserved. Pipelines `GROUP` descents with interleaved prefetch.
     pub fn multi_lookup(&self, keys: &[K]) -> Vec<Option<u64>> {
-        stats::record(Event::BatchIssued);
-        if L::PESSIMISTIC || keys.len() < 2 {
-            return keys.iter().map(|k| self.lookup(k.clone())).collect();
-        }
         let _g = self.collector.pin();
-        let mut out = Vec::with_capacity(keys.len());
-        let mut restarts = 0u64;
-        // Flat per-group digit buffer: one `encode_into` per key up front,
-        // every turn slices its digits instead of re-encoding.
-        let mut digits: Vec<u8> = Vec::new();
-        for group in keys.chunks(GROUP) {
-            digits.clear();
-            let mut offs = [0usize; GROUP + 1];
-            for (j, key) in group.iter().enumerate() {
-                key.encode_into(&mut digits);
-                offs[j + 1] = digits.len();
-            }
-            let mut st: [OpSt<'_, L>; GROUP] = std::array::from_fn(|_| OpSt::Start);
-            let mut attempts = [0u32; GROUP];
-            let mut pending = group.len();
-            while pending > 0 {
-                stats::record(Event::BatchPrefetchRound);
-                for (i, key) in group.iter().enumerate() {
-                    if let OpSt::Done(_) = st[i] {
-                        continue;
-                    }
-                    let kb = &digits[offs[i]..offs[i + 1]];
-                    let turn = match std::mem::replace(&mut st[i], OpSt::Start) {
-                        OpSt::Start => {
-                            if attempts[i] >= PIPELINE_ATTEMPTS {
-                                Turn::Next(OpSt::Done(self.lookup_impl(key)))
-                            } else {
-                                self.lk_start(kb)
-                            }
-                        }
-                        OpSt::Enter {
-                            parent,
-                            child,
-                            depth,
-                        } => self.lk_enter(kb, parent, child, depth),
-                        OpSt::Kv {
-                            node,
-                            guard,
-                            child,
-                            byte,
-                            depth,
-                        } => {
-                            if K::INLINE {
-                                self.lk_kv(key, guard, child)
-                            } else {
-                                unsafe { as_kv::<L, K>(child) }.key.prefetch_payload();
-                                Turn::Next(OpSt::KvWarm {
-                                    node,
-                                    guard,
-                                    child,
-                                    byte,
-                                    depth,
-                                })
-                            }
-                        }
-                        OpSt::KvWarm { guard, child, .. } => self.lk_kv(key, guard, child),
-                        OpSt::Done(_) => unreachable!(),
-                    };
-                    match turn {
-                        Turn::Next(next) => {
-                            if let OpSt::Done(_) = next {
-                                pending -= 1;
-                            }
-                            st[i] = next;
-                        }
-                        Turn::Restart => {
-                            attempts[i] += 1;
-                            restarts += 1;
-                            stats::record(Event::BatchOpRestart);
-                        }
-                    }
-                }
-            }
-            for s in st.iter().take(group.len()) {
-                match s {
-                    OpSt::Done(r) => out.push(*r),
-                    _ => unreachable!("pipeline drained with op not Done"),
-                }
-            }
-        }
-        self.index_stats.record_ops(keys.len() as u64);
-        self.index_stats.record_restarts(restarts);
-        out
+        let digits = Digits::encode(keys.iter());
+        run_grouped::<L, _, _>(
+            &self.index_stats,
+            keys.len(),
+            |_, _| false,
+            |i, parked| {
+                let key = &keys[i];
+                digits.with(key, i, |kb| {
+                    self.turn(parked, |e| self.read_step(key, kb, e))
+                })
+            },
+            |i| digits.with(&keys[i], i, |kb| self.lookup_impl(&keys[i], kb)),
+        )
     }
 
     /// Batched inserts, equivalent to applying `pairs` in order (a
     /// duplicate key later in the batch observes the earlier write).
     pub fn multi_insert(&self, pairs: &[(K, u64)]) -> Vec<Option<u64>> {
-        stats::record(Event::BatchIssued);
-        if L::PESSIMISTIC || pairs.len() < 2 {
-            return pairs
-                .iter()
-                .map(|(k, v)| self.insert(k.clone(), *v))
-                .collect();
-        }
-        let _g = self.collector.pin();
-        let mut out = Vec::with_capacity(pairs.len());
-        let mut restarts = 0u64;
-        let mut digits: Vec<u8> = Vec::new();
-        for group in pairs.chunks(GROUP) {
-            digits.clear();
-            let mut offs = [0usize; GROUP + 1];
-            for (j, (key, _)) in group.iter().enumerate() {
-                key.encode_into(&mut digits);
-                offs[j + 1] = digits.len();
-            }
-            let mut st: [OpSt<'_, L>; GROUP] = std::array::from_fn(|_| OpSt::Start);
-            let mut attempts = [0u32; GROUP];
-            // Ops whose key already occurs earlier in this group run
-            // scalar, in order, after the group drains — preserving the
-            // in-order batch semantics. (Groups are sequential, so only
-            // intra-group duplicates can race.)
-            let mut deferred = [false; GROUP];
-            let mut pending = 0usize;
-            for (j, (k, _)) in group.iter().enumerate() {
-                deferred[j] = group[..j].iter().any(|(e, _)| e == k);
-                pending += usize::from(!deferred[j]);
-            }
-            while pending > 0 {
-                stats::record(Event::BatchPrefetchRound);
-                for (i, (key, val)) in group.iter().enumerate() {
-                    let val = *val;
-                    if deferred[i] {
-                        continue;
-                    }
-                    if let OpSt::Done(_) = st[i] {
-                        continue;
-                    }
-                    let kb = &digits[offs[i]..offs[i + 1]];
-                    let turn = match std::mem::replace(&mut st[i], OpSt::Start) {
-                        OpSt::Start => {
-                            if attempts[i] >= PIPELINE_ATTEMPTS {
-                                Turn::Next(OpSt::Done(self.insert_optimistic(key.clone(), val)))
-                            } else {
-                                self.in_start(key, kb, val)
-                            }
-                        }
-                        OpSt::Enter {
-                            parent,
-                            child,
-                            depth,
-                        } => self.in_enter(key, kb, val, parent, child, depth),
-                        OpSt::Kv {
-                            node,
-                            guard,
-                            child,
-                            byte,
-                            depth,
-                        } => {
-                            if K::INLINE {
-                                self.in_kv(key, kb, val, node, guard, child, byte, depth)
-                            } else {
-                                unsafe { as_kv::<L, K>(child) }.key.prefetch_payload();
-                                Turn::Next(OpSt::KvWarm {
-                                    node,
-                                    guard,
-                                    child,
-                                    byte,
-                                    depth,
-                                })
-                            }
-                        }
-                        OpSt::KvWarm {
-                            node,
-                            guard,
-                            child,
-                            byte,
-                            depth,
-                        } => self.in_kv(key, kb, val, node, guard, child, byte, depth),
-                        OpSt::Done(_) => unreachable!(),
-                    };
-                    match turn {
-                        Turn::Next(next) => {
-                            if let OpSt::Done(_) = next {
-                                pending -= 1;
-                            }
-                            st[i] = next;
-                        }
-                        Turn::Restart => {
-                            attempts[i] += 1;
-                            restarts += 1;
-                            stats::record(Event::BatchOpRestart);
-                        }
-                    }
-                }
-            }
-            for (j, (k, v)) in group.iter().enumerate() {
-                if deferred[j] {
-                    st[j] = OpSt::Done(self.insert_optimistic(k.clone(), *v));
-                }
-            }
-            for s in st.iter().take(group.len()) {
-                match s {
-                    OpSt::Done(r) => out.push(*r),
-                    _ => unreachable!("pipeline drained with op not Done"),
-                }
-            }
-        }
+        let g = self.collector.pin();
+        let digits = Digits::encode(pairs.iter().map(|(k, _)| k));
+        let out = run_grouped::<L, _, _>(
+            &self.index_stats,
+            pairs.len(),
+            |e, i| pairs[e].0 == pairs[i].0,
+            |i, parked| {
+                let (key, val) = &pairs[i];
+                digits.with(key, i, |kb| {
+                    self.turn(parked, |e| {
+                        // Restructuring above a node is the scalar
+                        // driver's job; nothing is held (optimistic reads
+                        // only), so hand over.
+                        self.write_step(key, kb, WriteOp::Insert(*val), None, e, &g)
+                            .unwrap_or_else(|_smo| Step::Done(self.insert_impl(key, kb, *val)))
+                    })
+                })
+            },
+            |i| {
+                let (key, val) = &pairs[i];
+                digits.with(key, i, |kb| self.insert_impl(key, kb, *val))
+            },
+        );
         let added = out.iter().filter(|r| r.is_none()).count();
         if added > 0 {
             self.size.fetch_add(added, Ordering::Relaxed);
         }
-        self.index_stats.record_ops(pairs.len() as u64);
-        self.index_stats.record_restarts(restarts);
         out
     }
 
-    // --- lookup turns -----------------------------------------------------
-
-    /// First turn: guard the root (never replaced, always cache-hot) and
-    /// advance one level.
+    /// One turn of a parked descent: `step` over its edge, then prefetch
+    /// what the new edge leads to. A descent not yet warm instead spends
+    /// the turn prefetching the key payload of the leaf it is about to
+    /// compare (the leaf line itself arrived during the last round).
     #[inline]
-    fn lk_start(&self, kb: &[u8]) -> Turn<'_, L> {
-        let node = self.root();
-        let Some(g) = OptimisticGuard::read(&node.lock) else {
-            return Turn::Restart;
-        };
-        self.lk_advance(kb, node, g, 0)
-    }
-
-    /// Later turns: guard the prefetched child, validate the parent guard
-    /// behind it (the OLC coupling step), and advance one more level.
-    #[inline]
-    fn lk_enter<'t>(
+    fn turn<'t, R>(
         &'t self,
-        kb: &[u8],
-        parent: OptimisticGuard<'t, L>,
-        child: *mut ArtNode<L>,
-        depth: usize,
-    ) -> Turn<'t, L> {
-        let ci = unsafe { &*child };
-        let Some(cg) = OptimisticGuard::read(&ci.lock) else {
-            parent.abandon();
-            return Turn::Restart;
-        };
-        if !parent.validate() {
-            cg.abandon();
-            return Turn::Restart;
-        }
-        self.lk_advance(kb, ci, cg, depth)
-    }
-
-    /// KV turn: the leaf line was prefetched last turn; read it and
-    /// validate the node it was found under.
-    #[inline]
-    fn lk_kv<'t>(
-        &self,
-        key: &K,
-        guard: OptimisticGuard<'t, L>,
-        child: *mut ArtNode<L>,
-    ) -> Turn<'t, L> {
-        let kv = unsafe { as_kv::<L, K>(child) };
-        let (hit, val) = (kv.key == *key, kv.value());
-        if !guard.validate() {
-            return Turn::Restart;
-        }
-        Turn::Next(OpSt::Done(hit.then_some(val)))
-    }
-
-    /// One descent step at `(node, g, depth)`: mirrors one iteration of
-    /// the scalar `lookup` loop, but yields after prefetching the chosen
-    /// child instead of entering it.
-    #[inline]
-    fn lk_advance<'t>(
-        &self,
-        kb: &[u8],
-        node: &'t ArtNode<L>,
-        g: OptimisticGuard<'t, L>,
-        mut depth: usize,
-    ) -> Turn<'t, L> {
-        let pl = node.prefix_len();
-        if pl > 0 {
-            let m = node.prefix_match_len(kb, depth);
-            if m < pl {
-                if !g.validate() {
-                    return Turn::Restart;
-                }
-                return Turn::Next(OpSt::Done(None));
+        parked: Option<Parked<'t, L>>,
+        step: impl FnOnce(Edge<'t, L>) -> Step<Edge<'t, L>, R>,
+    ) -> Step<Parked<'t, L>, R> {
+        let edge = match parked {
+            // The root is never replaced and always cache-hot.
+            None => self.root_edge(),
+            Some((edge, true)) => edge,
+            Some((edge, false)) => {
+                unsafe { as_kv::<L, K>(edge.child) }.key.prefetch_payload();
+                return Step::Next((edge, true));
             }
-            depth += pl;
-        }
-        let b = digit(kb, depth);
-        let child = node.find_child(b);
-        if !g.recheck() {
-            g.abandon();
-            return Turn::Restart;
-        }
-        if child.is_null() {
-            if !g.validate() {
-                return Turn::Restart;
-            }
-            return Turn::Next(OpSt::Done(None));
-        }
-        prefetch_child(child);
-        if is_kv(child) {
-            return Turn::Next(OpSt::Kv {
-                node,
-                guard: g,
-                child,
-                byte: b,
-                depth,
-            });
-        }
-        Turn::Next(OpSt::Enter {
-            parent: g,
-            child,
-            depth: depth + 1,
-        })
-    }
-
-    // --- insert turns -----------------------------------------------------
-
-    /// First insert turn: guard the root and advance.
-    #[inline]
-    fn in_start(&self, key: &K, kb: &[u8], val: u64) -> Turn<'_, L> {
-        let node = self.root();
-        let Some(g) = OptimisticGuard::read(&node.lock) else {
-            return Turn::Restart;
         };
-        self.in_advance(key, kb, val, node, g, 0)
-    }
-
-    /// Later insert turns: guard the prefetched inner child, validate the
-    /// parent guard behind it, and advance. The parent validation is
-    /// load-bearing, not just the lookup protocol copied over: during the
-    /// yield since `find_child`, a prefix split may relocate the child one
-    /// level down and shorten its prefix — the child guard would then be
-    /// taken on the *post-split* version, so no later check would catch
-    /// the now-stale `depth`. Validating the parent pins the child's
-    /// position as of the moment its guard was acquired.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    fn in_enter<'t>(
-        &'t self,
-        key: &K,
-        kb: &[u8],
-        val: u64,
-        parent: OptimisticGuard<'t, L>,
-        child: *mut ArtNode<L>,
-        depth: usize,
-    ) -> Turn<'t, L> {
-        let ci = unsafe { &*child };
-        let Some(cg) = OptimisticGuard::read(&ci.lock) else {
-            parent.abandon();
-            return Turn::Restart;
-        };
-        if !parent.validate() {
-            cg.abandon();
-            return Turn::Restart;
-        }
-        self.in_advance(key, kb, val, ci, cg, depth)
-    }
-
-    /// KV turn of an insert: overwrite on a key match, otherwise perform
-    /// the lazy-expansion split inline (it only needs the current node
-    /// exclusively, like the scalar path).
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    fn in_kv<'t>(
-        &self,
-        key: &K,
-        kb: &[u8],
-        val: u64,
-        node: &'t ArtNode<L>,
-        guard: OptimisticGuard<'t, L>,
-        child: *mut ArtNode<L>,
-        byte: u8,
-        depth: usize,
-    ) -> Turn<'t, L> {
-        let kv = unsafe { as_kv::<L, K>(child) };
-        if kv.key == *key {
-            let Some(t) = guard.try_upgrade() else {
-                return Turn::Restart;
-            };
-            let old = kv.set_value(val);
-            node.lock.x_unlock(t);
-            return Turn::Next(OpSt::Done(Some(old)));
-        }
-        // Lazy-expansion split: push both keys below a fresh chain.
-        let oenc = kv.key.encode();
-        let okb = oenc.as_ref();
-        let mut d = depth + 1;
-        let lim = okb.len().min(kb.len());
-        while d < lim && okb[d] == kb[d] {
-            d += 1;
-        }
-        // Path-consistent prefix-free keys diverge inside both encodings;
-        // hitting an end means the captured state went stale (the upgrade
-        // below would fail anyway) — restart instead of indexing past it.
-        if d >= okb.len() || d >= kb.len() {
-            guard.abandon();
-            return Turn::Restart;
-        }
-        let Some(t) = guard.try_upgrade() else {
-            return Turn::Restart;
-        };
-        self.note_lazy_expansion();
-        let new_leaf = KvLeaf::alloc::<L>(key.clone(), val);
-        let mut kids = [(digit(okb, d), child), (digit(kb, d), new_leaf)];
-        kids.sort_by_key(|&(b, _)| b);
-        let chain = alloc_chain::<L>(&kb[depth + 1..d], &kids);
-        node.replace_child(byte, chain);
-        node.lock.x_unlock(t);
-        Turn::Next(OpSt::Done(None))
-    }
-
-    /// One insert descent step. Cases needing the parent exclusively
-    /// (prefix split, node growth) complete on the scalar path; the
-    /// empty-slot insert happens inline on this already-prefetched node.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    fn in_advance<'t>(
-        &self,
-        key: &K,
-        kb: &[u8],
-        val: u64,
-        node: &'t ArtNode<L>,
-        g: OptimisticGuard<'t, L>,
-        mut depth: usize,
-    ) -> Turn<'t, L> {
-        let pl = node.prefix_len();
-        if pl > 0 {
-            let m = node.prefix_match_len(kb, depth);
-            if m < pl {
-                // Prefix split needs the parent held; scalar handles it.
-                g.abandon();
-                return Turn::Next(OpSt::Done(self.insert_optimistic(key.clone(), val)));
+        match step(edge) {
+            Step::Next(edge) => {
+                prefetch_child(edge.child);
+                let warm = K::INLINE || !is_kv(edge.child);
+                Step::Next((edge, warm))
             }
-            depth += pl;
+            Step::Done(r) => Step::Done(r),
+            Step::Restart => Step::Restart,
         }
-        let b = digit(kb, depth);
-        let child = node.find_child(b);
-        // Fill level read inside the validated window (see the scalar
-        // path for why it must precede the recheck).
-        let full = node.is_full();
-        if !g.recheck() {
-            g.abandon();
-            return Turn::Restart;
-        }
-        if child.is_null() {
-            if full {
-                // Growing replaces the node in its parent; scalar handles.
-                g.abandon();
-                return Turn::Next(OpSt::Done(self.insert_optimistic(key.clone(), val)));
-            }
-            let Some(t) = g.try_upgrade() else {
-                return Turn::Restart;
-            };
-            node.insert_child(b, KvLeaf::alloc::<L>(key.clone(), val));
-            node.lock.x_unlock(t);
-            return Turn::Next(OpSt::Done(None));
-        }
-        prefetch_child(child);
-        if is_kv(child) {
-            return Turn::Next(OpSt::Kv {
-                node,
-                guard: g,
-                child,
-                byte: b,
-                depth,
-            });
-        }
-        Turn::Next(OpSt::Enter {
-            parent: g,
-            child,
-            depth: depth + 1,
-        })
     }
 }

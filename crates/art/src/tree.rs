@@ -2,7 +2,22 @@
 //!
 //! All nodes carry the same lock type `L` (unlike the B+-tree, ART cannot
 //! split lock types by level because a node's role — inner vs. last-level —
-//! is only known after reading it). The write paths adapt to `L::STRATEGY`:
+//! is only known after reading it).
+//!
+//! # One descent, two drivers
+//!
+//! The optimistic descent is written once, as two resumable step
+//! functions that each move one level along an `Edge`:
+//! `ArtTree::read_step` and `ArtTree::write_step`. The scalar entry
+//! points loop on a step without yielding (the batch of one);
+//! `multi_lookup` / `multi_insert` hand the same step to
+//! `optiql::olc::run_grouped`, which parks its `Edge` between turns after
+//! a prefetch (see [`crate::multi`]). Inserts that must restructure above
+//! the node they reached — prefix split, node growth — are a step outcome
+//! (`Smo`) carried out by the scalar driver.
+//!
+//! How the write step takes a node adapts to `L::STRATEGY` in one
+//! function, `acquire`:
 //!
 //! * Optimistic locks (`OptLock`, `OptiQL*`) use the **upgrade** interface:
 //!   a reader that located its target CASes the version it observed into an
@@ -15,8 +30,10 @@
 //!   probabilistically bump a per-node contention counter; past a threshold
 //!   the lazily-expanded leaf is materialized into a real last-level node so
 //!   subsequent updates can use the direct path (§6.2, Figure 5).
-//! * Pessimistic locks use lock coupling: shared on the way down for reads,
-//!   exclusive coupling for writes.
+//! * Pessimistic locks use lock coupling: the read step with real shared
+//!   locks on the way down, and for writes a protocol of their own
+//!   (exclusive coupling, `*_pessimistic`) that shares only the
+//!   structural helpers.
 //!
 //! The root is a `Node256` that is never replaced, removing root-swap races.
 //!
@@ -36,9 +53,9 @@ use std::cell::Cell;
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-use optiql::olc::{IndexStats, OptimisticGuard, RestartLoop, SharedIndexStats};
+use optiql::olc::{IndexStats, OptimisticGuard, RestartLoop, SharedIndexStats, Step};
 use optiql::stats::Event;
-use optiql::{IndexLock, WriteStrategy};
+use optiql::{IndexLock, WriteStrategy, WriteToken};
 use optiql_index_api::{bounds_nonempty, key_above_start, key_below_end, IndexKey, RangeIter};
 use optiql_reclaim::{Collector, Guard};
 
@@ -180,6 +197,80 @@ pub(crate) fn alloc_chain<L: IndexLock>(
     np
 }
 
+/// An inner node under an open (not yet validated) read, and the digit a
+/// descent left it by.
+pub(crate) struct Link<'t, L: IndexLock> {
+    node: &'t ArtNode<L>,
+    guard: OptimisticGuard<'t, L>,
+    byte: u8,
+}
+
+/// Where a descent stands between two steps: `child` (at `depth`) was
+/// chosen under the open read of `via` (`None`: it is the root) and is
+/// entered by the next step. This is the state the batched driver parks.
+pub(crate) struct Edge<'t, L: IndexLock> {
+    via: Option<Link<'t, L>>,
+    pub(crate) child: *mut ArtNode<L>,
+    depth: usize,
+}
+
+/// What is left of a link once a descent has moved past it: the node, the
+/// version its read validated at (still good for an upgrade), the digit
+/// taken. The scalar write driver remembers the one above [`Edge::via`] for
+/// the path collapse after a remove.
+pub(crate) type Above<'t, L> = Option<(&'t ArtNode<L>, u64, u8)>;
+
+impl<'t, L: IndexLock> Edge<'t, L> {
+    /// The link this edge hangs under, as the next edge's [`Above`].
+    #[inline]
+    fn above(&self) -> Above<'t, L> {
+        self.via
+            .as_ref()
+            .map(|l| (l.node, l.guard.version(), l.byte))
+    }
+}
+
+/// The structural outcome of the write step: an insert must restructure
+/// above `node`, i.e. needs its `parent` exclusively as well. Both reads
+/// are still open.
+pub(crate) struct Smo<'t, L: IndexLock> {
+    parent: Link<'t, L>,
+    node: &'t ArtNode<L>,
+    guard: OptimisticGuard<'t, L>,
+    kind: SmoKind,
+}
+
+enum SmoKind {
+    /// `node`'s compressed path (compared from `depth`) matches the key
+    /// for only `matched` bytes.
+    SplitPrefix { matched: usize, depth: usize },
+    /// `node` is full and has no child under `byte`.
+    Grow { byte: u8 },
+}
+
+/// What the write step does once it has found the key's place.
+#[derive(Clone, Copy)]
+pub(crate) enum WriteOp {
+    Insert(u64),
+    Update(u64),
+    Remove,
+}
+
+/// First digit position ≥ `from` where two encoded keys differ. Keys that
+/// share the path down to `from` are prefix-free, so they diverge inside
+/// both; `None` means the caller's view of that path was stale.
+#[inline]
+fn fork_depth(a: &[u8], b: &[u8], from: usize) -> Option<usize> {
+    (from..a.len().min(b.len())).find(|&d| a[d] != b[d])
+}
+
+/// After a remove: a Node4 left with at most one child is worth folding
+/// into its parent.
+#[inline]
+fn collapsible<L: IndexLock>(node: &ArtNode<L>) -> bool {
+    node.node_type() == NodeType::N4 && node.count() <= 1
+}
+
 /// Adaptive radix tree mapping `K` keys (default `u64`) to `u64` payloads.
 pub struct ArtTree<L: IndexLock, K: IndexKey = u64> {
     root: *mut ArtNode<L>,
@@ -202,6 +293,13 @@ impl<L: IndexLock, K: IndexKey> Default for ArtTree<L, K> {
 }
 
 impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
+    /// `L` queues its writers, so Algorithm 4's direct acquisition applies
+    /// (see [`acquire`](Self::acquire)).
+    const DIRECT: bool = matches!(
+        L::STRATEGY,
+        WriteStrategy::DirectLock | WriteStrategy::DirectLockAor
+    );
+
     /// Create an empty tree with default contention-expansion parameters.
     pub fn new() -> Self {
         Self::with_expansion(DEFAULT_EXPANSION_THRESHOLD, DEFAULT_SAMPLE_INV)
@@ -279,13 +377,6 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
         unsafe { &*self.root }
     }
 
-    /// Count one lazy-expansion split (the batched engine performs them
-    /// inline, outside this module).
-    #[inline]
-    pub(crate) fn note_lazy_expansion(&self) {
-        self.count_stat(&self.stats.lazy_expansions);
-    }
-
     /// Retire an inner node through the epoch collector.
     fn retire_inner(&self, g: &Guard, p: *mut ArtNode<L>) {
         debug_assert!(!is_kv(p));
@@ -300,212 +391,520 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
         g.defer(move || unsafe { drop(Box::from_raw(raw as *mut KvLeaf<K>)) });
     }
 
-    // --- lookup -----------------------------------------------------------
+    // --- the descent step and its scalar drivers ----------------------------
+    //
+    // The pieces of a step are `inline(always)`: a step has to fuse into
+    // each driver's loop so the edge it returns never leaves registers (as
+    // an out-of-line call it cost scalar writes up to 2x).
 
-    /// Point lookup.
-    pub fn lookup(&self, key: K) -> Option<u64> {
-        self.index_stats.record_op();
-        self.lookup_impl(&key)
+    /// Where every descent starts: the root (never replaced), no parent.
+    #[inline(always)]
+    pub(crate) fn root_edge(&self) -> Edge<'_, L> {
+        Edge {
+            via: None,
+            child: self.root,
+            depth: 0,
+        }
     }
 
-    /// Lookup body without the per-op accounting: shared by the scalar
-    /// entry point and the batched engine's fallback path (which accounts
-    /// once per batch).
-    pub(crate) fn lookup_impl(&self, key: &K) -> Option<u64> {
-        let enc = EncodedDigits::new(key);
-        let kb = enc.as_ref();
+    /// The read step: enter `edge.child` — compare a KV leaf, or read an
+    /// inner node, couple with its parent, match its compressed path and
+    /// choose the next child. `lookup` and `multi_lookup` are the two
+    /// drivers of this function.
+    #[inline(always)]
+    pub(crate) fn read_step<'t>(
+        &'t self,
+        key: &K,
+        kb: &[u8],
+        edge: Edge<'t, L>,
+    ) -> Step<Edge<'t, L>, Option<u64>> {
+        let Edge {
+            via,
+            child,
+            mut depth,
+        } = edge;
+        if is_kv(child) {
+            let link = via.expect("the root is an inner node");
+            let kv = unsafe { as_kv::<L, K>(child) };
+            let (hit, val) = (kv.key == *key, kv.value());
+            return link.guard.done(hit.then_some(val));
+        }
+        let node = unsafe { &*child };
+        let Some(g) = OptimisticGuard::read(&node.lock) else {
+            if let Some(link) = via {
+                link.guard.abandon();
+            }
+            return Step::Restart;
+        };
+        if via.is_some_and(|link| !link.guard.validate()) {
+            g.abandon();
+            return Step::Restart;
+        }
+        let pl = node.prefix_len();
+        if pl > 0 {
+            if node.prefix_match_len(kb, depth) < pl {
+                return g.done(None);
+            }
+            depth += pl;
+        }
+        let byte = digit(kb, depth);
+        let child = node.find_child(byte);
+        if !g.recheck() {
+            g.abandon();
+            return Step::Restart;
+        }
+        if child.is_null() {
+            return g.done(None);
+        }
+        Step::Next(Edge {
+            via: Some(Link {
+                node,
+                guard: g,
+                byte,
+            }),
+            child,
+            depth: depth + 1,
+        })
+    }
+
+    /// Paper Algorithm 4 as adapted to ART (§6.2) — the one place a node
+    /// is acquired for writing. With a queue-based lock and a node known
+    /// to be the last level (`direct`), lock it directly and validate the
+    /// `parent` read afterwards; otherwise upgrade the read `g`, which for
+    /// OptiQL leaves the writer queue intact. `None`: restart.
+    #[inline(always)]
+    fn acquire(
+        node: &ArtNode<L>,
+        g: OptimisticGuard<'_, L>,
+        parent: Option<&Link<'_, L>>,
+        direct: bool,
+    ) -> Option<WriteToken> {
+        if !direct {
+            return g.try_upgrade();
+        }
+        let t = node.lock.x_lock_adjustable();
+        if parent.is_some_and(|p| !p.guard.recheck()) {
+            node.lock.x_unlock(t);
+            return None;
+        }
+        Some(t)
+    }
+
+    /// The write step of the optimistic protocols: as
+    /// [`read_step`](Self::read_step) down to the node that holds (or
+    /// would hold) the key, then the write itself. Inserts that must
+    /// restructure *above* that node — split its compressed path, grow it
+    /// — return as `Err` for the scalar driver
+    /// ([`restructure`](Self::restructure)). `up` is what that driver
+    /// remembers of the link above `edge.via` (see [`Above`]).
+    #[inline(always)]
+    pub(crate) fn write_step<'t>(
+        &'t self,
+        key: &K,
+        kb: &[u8],
+        op: WriteOp,
+        up: Above<'t, L>,
+        edge: Edge<'t, L>,
+        g: &Guard,
+    ) -> Result<Step<Edge<'t, L>, Option<u64>>, Smo<'t, L>> {
+        let Edge {
+            via,
+            child,
+            mut depth,
+        } = edge;
+        if is_kv(child) {
+            let link = via.expect("the root is an inner node");
+            return Ok(self.write_kv(key, kb, op, up, link, child, depth, g));
+        }
+        let node = unsafe { &*child };
+        let Some(ng) = OptimisticGuard::read(&node.lock) else {
+            return Ok(Step::Restart);
+        };
+        // OLC coupling: re-validate the parent *after* reading the child.
+        // Between choosing `child` and this read, a concurrent prefix split
+        // may relocate `node` one level down (shortening its prefix); `ng`
+        // was taken post-split, so nothing later would catch the stale
+        // `depth`.
+        #[cfg(not(feature = "bug-pr4-revert"))]
+        if via.as_ref().is_some_and(|link| !link.guard.recheck()) {
+            return Ok(Step::Restart);
+        }
+        let pl = node.prefix_len();
+        if pl > 0 {
+            let matched = node.prefix_match_len(kb, depth);
+            if matched < pl {
+                let WriteOp::Insert(_) = op else {
+                    return Ok(ng.done(None));
+                };
+                return Err(Smo {
+                    parent: via.expect("root has an empty prefix, mismatch implies parent"),
+                    node,
+                    guard: ng,
+                    kind: SmoKind::SplitPrefix { matched, depth },
+                });
+            }
+            depth += pl;
+        }
+        let byte = digit(kb, depth);
+
+        if let WriteOp::Update(val) = op {
+            if Self::DIRECT && depth + 1 == kb.len() {
+                // Known last level: the remaining digit is the key's final
+                // encoded byte, and prefix-freedom makes every child under
+                // it a leaf.
+                let Some(t) = Self::acquire(node, ng, via.as_ref(), true) else {
+                    return Ok(Step::Restart);
+                };
+                let child = node.find_child(byte);
+                let mut old = None;
+                if !child.is_null() && is_kv(child) {
+                    let kv = unsafe { as_kv::<L, K>(child) };
+                    if kv.key == *key {
+                        node.lock.x_finish_adjustable(t);
+                        old = Some(kv.set_value(val));
+                    }
+                }
+                node.lock.x_unlock(t);
+                return Ok(Step::Done(old));
+            }
+        }
+
+        let child = node.find_child(byte);
+        // Read the fill level *before* validating: after the recheck a
+        // concurrent writer may fill the node, and a stale `is_full`
+        // combined with the validated-null `child` would send the root (a
+        // never-full Node256) down the grow path. Inside the validated
+        // window the two reads are consistent: a full Node256 has no null
+        // slot.
+        let full = node.is_full();
+        if !ng.recheck() {
+            return Ok(Step::Restart);
+        }
+        if child.is_null() {
+            let WriteOp::Insert(val) = op else {
+                return Ok(ng.done(None));
+            };
+            if full {
+                return Err(Smo {
+                    parent: via.expect("root Node256 never grows"),
+                    node,
+                    guard: ng,
+                    kind: SmoKind::Grow { byte },
+                });
+            }
+            let Some(t) = Self::acquire(node, ng, None, false) else {
+                return Ok(Step::Restart);
+            };
+            node.insert_child(byte, KvLeaf::alloc::<L>(key.clone(), val));
+            node.lock.x_unlock(t);
+            return Ok(Step::Done(None));
+        }
+        Ok(Step::Next(Edge {
+            via: Some(Link {
+                node,
+                guard: ng,
+                byte,
+            }),
+            child,
+            depth: depth + 1,
+        }))
+    }
+
+    /// KV half of the write step: `child` is the tagged leaf under
+    /// `link.byte` of `link.node` (`depth` is the leaf's own).
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn write_kv<'t>(
+        &self,
+        key: &K,
+        kb: &[u8],
+        op: WriteOp,
+        up: Above<'t, L>,
+        link: Link<'t, L>,
+        child: *mut ArtNode<L>,
+        depth: usize,
+        g: &Guard,
+    ) -> Step<Edge<'t, L>, Option<u64>> {
+        let Link { node, guard, byte } = link;
+        let kv = unsafe { as_kv::<L, K>(child) };
+        if kv.key != *key {
+            let WriteOp::Insert(val) = op else {
+                return guard.done(None);
+            };
+            // Lazy-expansion split: needs only this node.
+            let oenc = kv.key.encode();
+            let Some(fork) = fork_depth(oenc.as_ref(), kb, depth) else {
+                // Path-consistent prefix-free keys diverge inside both
+                // encodings; hitting an end means the parked state went
+                // stale (the upgrade below would fail anyway).
+                return Step::Restart;
+            };
+            let Some(t) = Self::acquire(node, guard, None, false) else {
+                return Step::Restart;
+            };
+            self.expand_lazily(node, byte, child, oenc.as_ref(), kb, depth, fork, key, val);
+            node.lock.x_unlock(t);
+            return Step::Done(None);
+        }
+        let Some(t) = Self::acquire(node, guard, None, false) else {
+            return Step::Restart;
+        };
+        let old = match op {
+            WriteOp::Insert(val) => kv.set_value(val),
+            WriteOp::Update(val) => {
+                let old = kv.set_value(val);
+                // Contention expansion (§6.2): this write used an upgrade
+                // because the node is lazily expanded or sits at the end of
+                // a compressed path. Under contention, materialize the last
+                // level so future updates can lock directly.
+                if Self::DIRECT
+                    && self.expansion_threshold > 0
+                    && depth < kb.len()
+                    && sample(self.sample_inv)
+                    && node.bump_contention() > self.expansion_threshold
+                {
+                    self.count_stat(&self.stats.contention_expansions);
+                    self.materialize_leaf(node, byte, child, depth - 1);
+                    node.reset_contention();
+                }
+                old
+            }
+            WriteOp::Remove => {
+                let old = kv.value();
+                node.remove_child(byte);
+                self.retire_kv(g, child);
+                // Opportunistic path collapse, if the parent can be had.
+                if let (true, Some((p, pv, pb))) = (collapsible(node), up) {
+                    if let Some(pt) = p.lock.try_upgrade(pv) {
+                        self.collapse(p, pb, node, g);
+                        p.lock.x_unlock(pt);
+                    }
+                }
+                old
+            }
+        };
+        node.lock.x_unlock(t);
+        Step::Done(Some(old))
+    }
+
+    /// Scalar read driver behind [`lookup`](Self::lookup): the batch of
+    /// one — re-enter the step at once instead of parking — without the
+    /// per-op accounting (the batched driver's fallback accounts once per
+    /// batch).
+    pub(crate) fn lookup_impl(&self, key: &K, kb: &[u8]) -> Option<u64> {
         let _g = self.collector.pin();
         let mut rs = self.restart_loop();
         'restart: loop {
             rs.pause();
-            let mut node = self.root();
-            let Some(mut g) = OptimisticGuard::read(&node.lock) else {
-                continue 'restart;
-            };
-            let mut depth = 0usize;
+            let mut edge = self.root_edge();
             loop {
-                let pl = node.prefix_len();
-                if pl > 0 {
-                    let m = node.prefix_match_len(kb, depth);
-                    if m < pl {
-                        if !g.validate() {
-                            continue 'restart;
-                        }
-                        return None;
-                    }
-                    depth += pl;
+                match self.read_step(key, kb, edge) {
+                    Step::Next(next) => edge = next,
+                    Step::Done(res) => return res,
+                    Step::Restart => continue 'restart,
                 }
-                let b = digit(kb, depth);
-                let child = node.find_child(b);
-                if !g.recheck() {
-                    continue 'restart;
-                }
-                if child.is_null() {
-                    if !g.validate() {
-                        continue 'restart;
-                    }
-                    return None;
-                }
-                if is_kv(child) {
-                    let kv = unsafe { as_kv::<L, K>(child) };
-                    let (hit, val) = (kv.key == *key, kv.value());
-                    if !g.validate() {
-                        continue 'restart;
-                    }
-                    return hit.then_some(val);
-                }
-                let ci = unsafe { &*child };
-                let Some(cg) = OptimisticGuard::read(&ci.lock) else {
-                    g.abandon();
-                    continue 'restart;
-                };
-                if !g.validate() {
-                    cg.abandon();
-                    continue 'restart;
-                }
-                node = ci;
-                g = cg;
-                depth += 1;
             }
         }
     }
 
-    // --- update -----------------------------------------------------------
+    /// Scalar write driver of the optimistic protocols: the batch of one,
+    /// and the one place the step's structural outcomes are carried out.
+    #[inline(always)]
+    fn write(&self, key: &K, kb: &[u8], op: WriteOp) -> Option<u64> {
+        let g = self.collector.pin();
+        let mut rs = self.restart_loop();
+        'restart: loop {
+            rs.pause();
+            let (mut up, mut edge) = (None, self.root_edge());
+            loop {
+                let via = edge.above();
+                match self.write_step(key, kb, op, up, edge, &g) {
+                    Ok(Step::Next(next)) => (up, edge) = (via, next),
+                    Ok(Step::Done(old)) => return old,
+                    Ok(Step::Restart) => continue 'restart,
+                    Err(smo) => match op {
+                        WriteOp::Insert(val) if self.restructure(smo, key, kb, val, &g) => {
+                            return None;
+                        }
+                        _ => continue 'restart,
+                    },
+                }
+            }
+        }
+    }
+
+    /// Insert body without op or size accounting (shared with the batched
+    /// driver's fallback).
+    pub(crate) fn insert_impl(&self, key: &K, kb: &[u8], val: u64) -> Option<u64> {
+        if L::PESSIMISTIC {
+            self.insert_pessimistic(key, kb, val)
+        } else {
+            self.write(key, kb, WriteOp::Insert(val))
+        }
+    }
+
+    /// Point lookup.
+    pub fn lookup(&self, key: K) -> Option<u64> {
+        self.index_stats.record_op();
+        self.lookup_impl(&key, EncodedDigits::new(&key).as_ref())
+    }
 
     /// Replace the value of an existing key; `None` if absent.
     pub fn update(&self, key: K, val: u64) -> Option<u64> {
         self.index_stats.record_op();
-        if L::PESSIMISTIC {
-            return self.update_pessimistic(&key, val);
-        }
         let enc = EncodedDigits::new(&key);
-        let kb = enc.as_ref();
-        let g = self.collector.pin();
-        let mut rs = self.restart_loop();
-        let direct = matches!(
-            L::STRATEGY,
-            WriteStrategy::DirectLock | WriteStrategy::DirectLockAor
-        );
-        'restart: loop {
-            rs.pause();
-            let mut parent: Option<(&ArtNode<L>, u64)> = None;
-            let mut node = self.root();
-            let Some(mut v) = node.lock.r_lock() else {
-                continue 'restart;
-            };
-            let mut depth = 0usize;
-            loop {
-                let pl = node.prefix_len();
-                if pl > 0 {
-                    let m = node.prefix_match_len(kb, depth);
-                    if m < pl {
-                        if !node.lock.r_unlock(v) {
-                            continue 'restart;
-                        }
-                        return None;
-                    }
-                    depth += pl;
-                }
-
-                if direct && depth + 1 == kb.len() {
-                    // Known last level: the remaining digit is the key's
-                    // final encoded byte, and prefix-freedom makes every
-                    // child under it a leaf — acquire the queue-based lock
-                    // directly (Algorithm 4 adapted to ART) and validate
-                    // the parent afterwards.
-                    let t = node.lock.x_lock_adjustable();
-                    if let Some((p, pv)) = parent {
-                        if !p.lock.recheck(pv) {
-                            node.lock.x_unlock(t);
-                            continue 'restart;
-                        }
-                    }
-                    let child = node.find_child(digit(kb, depth));
-                    let out = if !child.is_null() && is_kv(child) {
-                        let kv = unsafe { as_kv::<L, K>(child) };
-                        if kv.key == key {
-                            node.lock.x_finish_adjustable(t);
-                            Some(kv.set_value(val))
-                        } else {
-                            None
-                        }
-                    } else {
-                        None
-                    };
-                    node.lock.x_unlock(t);
-                    return out;
-                }
-
-                let b = digit(kb, depth);
-                let child = node.find_child(b);
-                if !node.lock.recheck(v) {
-                    continue 'restart;
-                }
-                if child.is_null() {
-                    if !node.lock.r_unlock(v) {
-                        continue 'restart;
-                    }
-                    return None;
-                }
-                if is_kv(child) {
-                    let kv = unsafe { as_kv::<L, K>(child) };
-                    if kv.key != key {
-                        if !node.lock.r_unlock(v) {
-                            continue 'restart;
-                        }
-                        return None;
-                    }
-                    // Upgrade-based exclusive acquisition.
-                    let Some(t) = node.lock.try_upgrade(v) else {
-                        continue 'restart;
-                    };
-                    let old = kv.set_value(val);
-                    // Contention expansion (§6.2): this write used an
-                    // upgrade because the node is lazily expanded or sits
-                    // at the end of a compressed path. Under contention,
-                    // materialize the last level so future updates can
-                    // lock directly.
-                    if direct
-                        && self.expansion_threshold > 0
-                        && depth + 1 < kb.len()
-                        && sample(self.sample_inv)
-                        && node.bump_contention() > self.expansion_threshold
-                    {
-                        self.count_stat(&self.stats.contention_expansions);
-                        self.materialize_leaf(&g, node, b, child, depth);
-                        node.reset_contention();
-                    }
-                    node.lock.x_unlock(t);
-                    return Some(old);
-                }
-                let ci = unsafe { &*child };
-                let Some(cv) = ci.lock.r_lock() else {
-                    continue 'restart;
-                };
-                // OLC coupling: re-validate the parent after locking the
-                // child (see `insert_optimistic` for the relocation race).
-                #[cfg(not(feature = "bug-pr4-revert"))]
-                if !node.lock.recheck(v) {
-                    continue 'restart;
-                }
-                parent = Some((node, v));
-                node = ci;
-                v = cv;
-                depth += 1;
-            }
+        if L::PESSIMISTIC {
+            self.update_pessimistic(&key, enc.as_ref(), val)
+        } else {
+            self.write(&key, enc.as_ref(), WriteOp::Update(val))
         }
     }
 
-    /// Replace a lazily-expanded leaf with a materialized last-level node
-    /// (caller holds `node` exclusively; `child` is the KV at byte `b`).
-    fn materialize_leaf(
+    /// Insert or overwrite; returns the previous value if the key existed.
+    pub fn insert(&self, key: K, val: u64) -> Option<u64> {
+        self.index_stats.record_op();
+        let old = self.insert_impl(&key, EncodedDigits::new(&key).as_ref(), val);
+        if old.is_none() {
+            self.size.fetch_add(1, Ordering::Relaxed);
+        }
+        old
+    }
+
+    /// Remove a key; returns the removed value.
+    pub fn remove(&self, key: K) -> Option<u64> {
+        self.index_stats.record_op();
+        let enc = EncodedDigits::new(&key);
+        let old = if L::PESSIMISTIC {
+            self.remove_pessimistic(&key, enc.as_ref())
+        } else {
+            self.write(&key, enc.as_ref(), WriteOp::Remove)
+        };
+        if old.is_some() {
+            self.size.fetch_sub(1, Ordering::Relaxed);
+        }
+        old
+    }
+
+    // --- structural modifications ---------------------------------------------
+    //
+    // Each helper runs with every node it names held exclusively, whichever
+    // protocol (optimistic upgrade, pessimistic coupling) got them.
+
+    /// Scalar-driver half of an insert's [`Smo`]: upgrade the two reads it
+    /// carries (parent, then node) and restructure. `false`: restart.
+    fn restructure(&self, smo: Smo<'_, L>, key: &K, kb: &[u8], val: u64, g: &Guard) -> bool {
+        let Link {
+            node: p,
+            guard: pg,
+            byte: pb,
+        } = smo.parent;
+        let Some(pt) = pg.try_upgrade() else {
+            return false;
+        };
+        let Some(nt) = smo.guard.try_upgrade() else {
+            p.lock.x_unlock(pt);
+            return false;
+        };
+        let leaf = KvLeaf::alloc::<L>(key.clone(), val);
+        match smo.kind {
+            SmoKind::SplitPrefix { matched, depth } => {
+                self.split_prefix(p, pb, smo.node, matched, digit(kb, depth + matched), leaf)
+            }
+            SmoKind::Grow { byte } => self.grow_insert(p, pb, smo.node, byte, leaf, g),
+        }
+        smo.node.lock.x_unlock(nt);
+        p.lock.x_unlock(pt);
+        true
+    }
+
+    /// Prefix mismatch after `matched` bytes: split `node`'s compressed
+    /// path (Figure 5) under a fresh Node4 that takes its place at `pb` of
+    /// `p` and holds `node` plus `leaf` (under `byte`).
+    fn split_prefix(
         &self,
-        _g: &Guard,
+        p: &ArtNode<L>,
+        pb: u8,
         node: &ArtNode<L>,
-        b: u8,
-        child: *mut ArtNode<L>,
-        depth: usize,
+        matched: usize,
+        byte: u8,
+        leaf: *mut ArtNode<L>,
     ) {
+        self.count_stat(&self.stats.prefix_splits);
+        // Collect the old path bytes before overwriting.
+        let full: Vec<u8> = (0..node.prefix_len())
+            .map(|i| node.prefix_byte(i))
+            .collect();
+        let new4p = ArtNode::<L>::alloc(NodeType::N4);
+        let new4 = unsafe { &*new4p };
+        new4.set_prefix(&full[..matched]);
+        new4.insert_child(full[matched], node as *const ArtNode<L> as *mut ArtNode<L>);
+        new4.insert_child(byte, leaf);
+        node.set_prefix(&full[matched + 1..]);
+        p.replace_child(pb, new4p);
+    }
+
+    /// Replace full `node` at `pb` of `p` by the next node size with
+    /// `leaf` added under `byte` (the root Node256 is never full).
+    fn grow_insert(
+        &self,
+        p: &ArtNode<L>,
+        pb: u8,
+        node: &ArtNode<L>,
+        byte: u8,
+        leaf: *mut ArtNode<L>,
+        g: &Guard,
+    ) {
+        self.count_stat(&self.stats.grows);
+        let bigger = node.grow();
+        unsafe { &*bigger }.insert_child(byte, leaf);
+        p.replace_child(pb, bigger);
+        self.retire_inner(g, node as *const ArtNode<L> as *mut ArtNode<L>);
+    }
+
+    /// Lazy-expansion split: `old` (digits `okb`) sits under `byte` of
+    /// `node` where `key` (digits `kb`) wants to go; push both below a
+    /// fresh chain spelling out their shared digits `depth..fork`.
+    #[allow(clippy::too_many_arguments)]
+    fn expand_lazily(
+        &self,
+        node: &ArtNode<L>,
+        byte: u8,
+        old: *mut ArtNode<L>,
+        okb: &[u8],
+        kb: &[u8],
+        depth: usize,
+        fork: usize,
+        key: &K,
+        val: u64,
+    ) {
+        self.count_stat(&self.stats.lazy_expansions);
+        let leaf = KvLeaf::alloc::<L>(key.clone(), val);
+        let mut kids = [(okb[fork], old), (kb[fork], leaf)];
+        kids.sort_by_key(|&(b, _)| b);
+        node.replace_child(byte, alloc_chain::<L>(&kb[depth..fork], &kids));
+    }
+
+    /// Fold [`collapsible`] `node` into its parent `p` (at `pb`): a lone KV
+    /// child takes its place (undoing lazy expansion), a drained node is
+    /// unlinked.
+    fn collapse(&self, p: &ArtNode<L>, pb: u8, node: &ArtNode<L>, g: &Guard) {
+        if node.count() == 1 {
+            let (_, rc) = node.only_child();
+            if !is_kv(rc) {
+                return;
+            }
+            p.replace_child(pb, rc);
+        } else {
+            p.remove_child(pb);
+        }
+        self.count_stat(&self.stats.collapses);
+        self.retire_inner(g, node as *const ArtNode<L> as *mut ArtNode<L>);
+    }
+
+    /// Replace a lazily-expanded leaf with a materialized last-level node
+    /// (caller holds `node` exclusively; `child` is the KV at byte `b`,
+    /// itself a digit at `depth`).
+    fn materialize_leaf(&self, node: &ArtNode<L>, b: u8, child: *mut ArtNode<L>, depth: usize) {
         let kv = unsafe { as_kv::<L, K>(child) };
         let oenc = kv.key.encode();
         let okb = oenc.as_ref();
@@ -521,31 +920,29 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
         node.replace_child(b, chain);
     }
 
-    fn update_pessimistic(&self, key: &K, val: u64) -> Option<u64> {
-        let enc = EncodedDigits::new(key);
-        let kb = enc.as_ref();
+    // --- pessimistic lock coupling (the paper's baseline) ------------------
+    //
+    // A different protocol from the optimistic step — exclusive locks
+    // top-down, no versions, no upgrade — sharing only the helpers above.
+
+    fn update_pessimistic(&self, key: &K, kb: &[u8], val: u64) -> Option<u64> {
         let _g = self.collector.pin();
         let mut node = self.root();
         let mut t = node.lock.x_lock();
         let mut depth = 0usize;
         loop {
             let pl = node.prefix_len();
-            if pl > 0 {
-                let m = node.prefix_match_len(kb, depth);
-                if m < pl {
-                    node.lock.x_unlock(t);
-                    return None;
-                }
+            let child = if node.prefix_match_len(kb, depth) < pl {
+                std::ptr::null_mut()
+            } else {
                 depth += pl;
-            }
-            let child = node.find_child(digit(kb, depth));
-            if child.is_null() {
-                node.lock.x_unlock(t);
-                return None;
-            }
-            if is_kv(child) {
-                let kv = unsafe { as_kv::<L, K>(child) };
-                let out = (kv.key == *key).then(|| kv.set_value(val));
+                node.find_child(digit(kb, depth))
+            };
+            if child.is_null() || is_kv(child) {
+                let out = (!child.is_null())
+                    .then(|| unsafe { as_kv::<L, K>(child) })
+                    .filter(|kv| kv.key == *key)
+                    .map(|kv| kv.set_value(val));
                 node.lock.x_unlock(t);
                 return out;
             }
@@ -558,250 +955,55 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
         }
     }
 
-    // --- insert -----------------------------------------------------------
-
-    /// Insert or overwrite; returns the previous value if the key existed.
-    pub fn insert(&self, key: K, val: u64) -> Option<u64> {
-        self.index_stats.record_op();
-        let old = if L::PESSIMISTIC {
-            self.insert_pessimistic(key, val)
-        } else {
-            self.insert_optimistic(key, val)
-        };
-        if old.is_none() {
-            self.size.fetch_add(1, Ordering::Relaxed);
-        }
-        old
-    }
-
-    pub(crate) fn insert_optimistic(&self, key: K, val: u64) -> Option<u64> {
-        let enc = EncodedDigits::new(&key);
-        let kb = enc.as_ref();
-        let g = self.collector.pin();
-        let mut rs = self.restart_loop();
-        'restart: loop {
-            rs.pause();
-            let mut parent: Option<(&ArtNode<L>, u64, u8)> = None;
-            let mut node = self.root();
-            let Some(mut v) = node.lock.r_lock() else {
-                continue 'restart;
-            };
-            let mut depth = 0usize;
-            loop {
-                let pl = node.prefix_len();
-                if pl > 0 {
-                    let m = node.prefix_match_len(kb, depth);
-                    if m < pl {
-                        // Prefix mismatch: split the compressed path
-                        // (Figure 5). Requires parent + node exclusively.
-                        let (p, pv, pb) =
-                            parent.expect("root has an empty prefix, mismatch implies parent");
-                        let Some(pt) = p.lock.try_upgrade(pv) else {
-                            continue 'restart;
-                        };
-                        let Some(nt) = node.lock.try_upgrade(v) else {
-                            p.lock.x_unlock(pt);
-                            continue 'restart;
-                        };
-                        // Collect the old path bytes before overwriting.
-                        self.count_stat(&self.stats.prefix_splits);
-                        let full: Vec<u8> = (0..pl).map(|i| node.prefix_byte(i)).collect();
-                        let new4p = ArtNode::<L>::alloc(NodeType::N4);
-                        let new4 = unsafe { &*new4p };
-                        new4.set_prefix(&full[..m]);
-                        new4.insert_child(full[m], node as *const ArtNode<L> as *mut ArtNode<L>);
-                        new4.insert_child(
-                            digit(kb, depth + m),
-                            KvLeaf::alloc::<L>(key.clone(), val),
-                        );
-                        node.set_prefix(&full[m + 1..]);
-                        p.replace_child(pb, new4p);
-                        node.lock.x_unlock(nt);
-                        p.lock.x_unlock(pt);
-                        return None;
-                    }
-                    depth += pl;
-                }
-                let b = digit(kb, depth);
-                let child = node.find_child(b);
-                // Read the fill level *before* validating: after the
-                // recheck a concurrent writer may fill the node, and a
-                // stale `is_full` combined with the validated-null `child`
-                // would send the root (a never-full Node256) down the grow
-                // path. Inside the validated window the two reads are
-                // consistent: a full Node256 has no null slot.
-                let full = node.is_full();
-                if !node.lock.recheck(v) {
-                    continue 'restart;
-                }
-
-                if child.is_null() {
-                    if full {
-                        // Grow into the next node size (replaces the node
-                        // in its parent; the root Node256 is never full).
-                        let (p, pv, pb) = parent.expect("root Node256 never grows");
-                        let Some(pt) = p.lock.try_upgrade(pv) else {
-                            continue 'restart;
-                        };
-                        let Some(nt) = node.lock.try_upgrade(v) else {
-                            p.lock.x_unlock(pt);
-                            continue 'restart;
-                        };
-                        self.count_stat(&self.stats.grows);
-                        let bigger = node.grow();
-                        unsafe { &*bigger }.insert_child(b, KvLeaf::alloc::<L>(key.clone(), val));
-                        p.replace_child(pb, bigger);
-                        node.lock.x_unlock(nt);
-                        p.lock.x_unlock(pt);
-                        self.retire_inner(&g, node as *const ArtNode<L> as *mut ArtNode<L>);
-                        return None;
-                    }
-                    let Some(nt) = node.lock.try_upgrade(v) else {
-                        continue 'restart;
-                    };
-                    node.insert_child(b, KvLeaf::alloc::<L>(key.clone(), val));
-                    node.lock.x_unlock(nt);
-                    return None;
-                }
-
-                if is_kv(child) {
-                    let kv = unsafe { as_kv::<L, K>(child) };
-                    if kv.key == key {
-                        let Some(nt) = node.lock.try_upgrade(v) else {
-                            continue 'restart;
-                        };
-                        let old = kv.set_value(val);
-                        node.lock.x_unlock(nt);
-                        return Some(old);
-                    }
-                    // Lazy-expansion split: push both keys one (or more)
-                    // levels down under a fresh chain.
-                    let oenc = kv.key.encode();
-                    let okb = oenc.as_ref();
-                    let mut d = depth + 1;
-                    let lim = okb.len().min(kb.len());
-                    while d < lim && okb[d] == kb[d] {
-                        d += 1;
-                    }
-                    debug_assert!(
-                        d < okb.len() && d < kb.len(),
-                        "prefix-free keys must diverge within both"
-                    );
-                    let Some(nt) = node.lock.try_upgrade(v) else {
-                        continue 'restart;
-                    };
-                    self.count_stat(&self.stats.lazy_expansions);
-                    let new_leaf = KvLeaf::alloc::<L>(key.clone(), val);
-                    let (da, db) = (digit(okb, d), digit(kb, d));
-                    let mut kids = [(da, child), (db, new_leaf)];
-                    kids.sort_by_key(|&(b, _)| b);
-                    let chain = alloc_chain::<L>(&kb[depth + 1..d], &kids);
-                    node.replace_child(b, chain);
-                    node.lock.x_unlock(nt);
-                    return None;
-                }
-
-                let ci = unsafe { &*child };
-                let Some(cv) = ci.lock.r_lock() else {
-                    continue 'restart;
-                };
-                // OLC coupling: re-validate the parent *after* locking the
-                // child. Between the recheck above and the child r_lock, a
-                // concurrent prefix split may relocate `ci` one level down
-                // (shortening its prefix); `cv` was read post-split, so
-                // nothing later would catch the stale `depth`.
-                #[cfg(not(feature = "bug-pr4-revert"))]
-                if !node.lock.recheck(v) {
-                    continue 'restart;
-                }
-                parent = Some((node, v, b));
-                node = ci;
-                v = cv;
-                depth += 1;
-            }
-        }
-    }
-
-    fn insert_pessimistic(&self, key: K, val: u64) -> Option<u64> {
-        let enc = EncodedDigits::new(&key);
-        let kb = enc.as_ref();
+    fn insert_pessimistic(&self, key: &K, kb: &[u8], val: u64) -> Option<u64> {
         let g = self.collector.pin();
         // Couple exclusively, holding (parent, node) so any SMO has both.
-        let mut pstate: Option<(&ArtNode<L>, optiql::WriteToken, u8)> = None;
+        let mut pstate: Option<(&ArtNode<L>, WriteToken, u8)> = None;
         let mut node = self.root();
         let mut t = node.lock.x_lock();
         let mut depth = 0usize;
         loop {
             let pl = node.prefix_len();
-            if pl > 0 {
-                let m = node.prefix_match_len(kb, depth);
-                if m < pl {
-                    let (p, pt, pb) = pstate.expect("root prefix is empty");
-                    self.count_stat(&self.stats.prefix_splits);
-                    let full: Vec<u8> = (0..pl).map(|i| node.prefix_byte(i)).collect();
-                    let new4p = ArtNode::<L>::alloc(NodeType::N4);
-                    let new4 = unsafe { &*new4p };
-                    new4.set_prefix(&full[..m]);
-                    new4.insert_child(full[m], node as *const ArtNode<L> as *mut ArtNode<L>);
-                    new4.insert_child(digit(kb, depth + m), KvLeaf::alloc::<L>(key.clone(), val));
-                    node.set_prefix(&full[m + 1..]);
-                    p.replace_child(pb, new4p);
-                    node.lock.x_unlock(t);
-                    p.lock.x_unlock(pt);
-                    return None;
-                }
-                depth += pl;
-            }
-            let b = digit(kb, depth);
-            let child = node.find_child(b);
-
-            if child.is_null() {
-                if node.is_full() {
-                    let (p, pt, pb) = pstate.expect("root Node256 never grows");
-                    self.count_stat(&self.stats.grows);
-                    let bigger = node.grow();
-                    unsafe { &*bigger }.insert_child(b, KvLeaf::alloc::<L>(key.clone(), val));
-                    p.replace_child(pb, bigger);
-                    node.lock.x_unlock(t);
-                    p.lock.x_unlock(pt);
-                    self.retire_inner(&g, node as *const ArtNode<L> as *mut ArtNode<L>);
-                    return None;
-                }
-                node.insert_child(b, KvLeaf::alloc::<L>(key.clone(), val));
-                node.lock.x_unlock(t);
-                if let Some((p, pt, _)) = pstate {
-                    p.lock.x_unlock(pt);
-                }
-                return None;
-            }
-
-            if is_kv(child) {
-                let kv = unsafe { as_kv::<L, K>(child) };
-                let out = if kv.key == key {
-                    Some(kv.set_value(val))
-                } else {
-                    let oenc = kv.key.encode();
-                    let okb = oenc.as_ref();
-                    let mut d = depth + 1;
-                    let lim = okb.len().min(kb.len());
-                    while d < lim && okb[d] == kb[d] {
-                        d += 1;
+            let matched = node.prefix_match_len(kb, depth);
+            let b = digit(kb, depth + pl);
+            let child = if matched < pl {
+                std::ptr::null_mut()
+            } else {
+                node.find_child(b)
+            };
+            if child.is_null() || is_kv(child) {
+                let mut old = None;
+                if matched < pl {
+                    let (p, _, pb) = pstate.expect("root prefix is empty");
+                    let leaf = KvLeaf::alloc::<L>(key.clone(), val);
+                    self.split_prefix(p, pb, node, matched, digit(kb, depth + matched), leaf);
+                } else if child.is_null() {
+                    let leaf = KvLeaf::alloc::<L>(key.clone(), val);
+                    if node.is_full() {
+                        let (p, _, pb) = pstate.expect("root Node256 never grows");
+                        self.grow_insert(p, pb, node, b, leaf, &g);
+                    } else {
+                        node.insert_child(b, leaf);
                     }
-                    self.count_stat(&self.stats.lazy_expansions);
-                    let new_leaf = KvLeaf::alloc::<L>(key.clone(), val);
-                    let mut kids = [(digit(okb, d), child), (digit(kb, d), new_leaf)];
-                    kids.sort_by_key(|&(b, _)| b);
-                    let chain = alloc_chain::<L>(&kb[depth + 1..d], &kids);
-                    node.replace_child(b, chain);
-                    None
-                };
+                } else {
+                    let kv = unsafe { as_kv::<L, K>(child) };
+                    if kv.key == *key {
+                        old = Some(kv.set_value(val));
+                    } else {
+                        let oenc = kv.key.encode();
+                        let okb = oenc.as_ref();
+                        let at = depth + pl + 1;
+                        let fork = fork_depth(okb, kb, at)
+                            .expect("prefix-free keys must diverge within both");
+                        self.expand_lazily(node, b, child, okb, kb, at, fork, key, val);
+                    }
+                }
                 node.lock.x_unlock(t);
                 if let Some((p, pt, _)) = pstate {
                     p.lock.x_unlock(pt);
                 }
-                return out;
+                return old;
             }
-
             // Descend: release the grandparent, keep (node, child) locked.
             if let Some((p, pt, _)) = pstate.take() {
                 p.lock.x_unlock(pt);
@@ -811,193 +1013,42 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
             pstate = Some((node, t, b));
             node = ci;
             t = ct;
-            depth += 1;
+            depth += pl + 1;
         }
     }
 
-    // --- remove -----------------------------------------------------------
-
-    /// Remove a key; returns the removed value.
-    pub fn remove(&self, key: K) -> Option<u64> {
-        self.index_stats.record_op();
-        let old = if L::PESSIMISTIC {
-            self.remove_pessimistic(&key)
-        } else {
-            self.remove_optimistic(&key)
-        };
-        if old.is_some() {
-            self.size.fetch_sub(1, Ordering::Relaxed);
-        }
-        old
-    }
-
-    fn remove_optimistic(&self, key: &K) -> Option<u64> {
-        let enc = EncodedDigits::new(key);
-        let kb = enc.as_ref();
+    fn remove_pessimistic(&self, key: &K, kb: &[u8]) -> Option<u64> {
         let g = self.collector.pin();
-        let mut rs = self.restart_loop();
-        'restart: loop {
-            rs.pause();
-            let mut parent: Option<(&ArtNode<L>, u64, u8)> = None;
-            let mut node = self.root();
-            let Some(mut v) = node.lock.r_lock() else {
-                continue 'restart;
-            };
-            let mut depth = 0usize;
-            loop {
-                let pl = node.prefix_len();
-                if pl > 0 {
-                    let m = node.prefix_match_len(kb, depth);
-                    if m < pl {
-                        if !node.lock.r_unlock(v) {
-                            continue 'restart;
-                        }
-                        return None;
-                    }
-                    depth += pl;
-                }
-                let b = digit(kb, depth);
-                let child = node.find_child(b);
-                if !node.lock.recheck(v) {
-                    continue 'restart;
-                }
-                if child.is_null() {
-                    if !node.lock.r_unlock(v) {
-                        continue 'restart;
-                    }
-                    return None;
-                }
-                if is_kv(child) {
-                    let kv = unsafe { as_kv::<L, K>(child) };
-                    if kv.key != *key {
-                        if !node.lock.r_unlock(v) {
-                            continue 'restart;
-                        }
-                        return None;
-                    }
-                    let Some(nt) = node.lock.try_upgrade(v) else {
-                        continue 'restart;
-                    };
-                    let old = kv.value();
-                    node.remove_child(b);
-                    self.retire_kv(&g, child);
-                    // Opportunistic path collapse: a Node4 left with a
-                    // single KV child is replaced by that child in the
-                    // parent (undoing lazy expansion).
-                    if node.node_type() == NodeType::N4 && node.count() <= 1 {
-                        if let Some((p, pv, pb)) = parent {
-                            if let Some(pt) = p.lock.try_upgrade(pv) {
-                                if node.count() == 1 {
-                                    let (_, rc) = node.only_child();
-                                    if is_kv(rc) {
-                                        self.count_stat(&self.stats.collapses);
-                                        p.replace_child(pb, rc);
-                                        self.retire_inner(
-                                            &g,
-                                            node as *const ArtNode<L> as *mut ArtNode<L>,
-                                        );
-                                    }
-                                } else {
-                                    // Node drained entirely: unlink it.
-                                    self.count_stat(&self.stats.collapses);
-                                    p.remove_child(pb);
-                                    self.retire_inner(
-                                        &g,
-                                        node as *const ArtNode<L> as *mut ArtNode<L>,
-                                    );
-                                }
-                                p.lock.x_unlock(pt);
-                            }
-                        }
-                    }
-                    node.lock.x_unlock(nt);
-                    return Some(old);
-                }
-                let ci = unsafe { &*child };
-                let Some(cv) = ci.lock.r_lock() else {
-                    continue 'restart;
-                };
-                // OLC coupling: re-validate the parent *after* locking the
-                // child. Between the recheck above and the child r_lock, a
-                // concurrent prefix split may relocate `ci` one level down
-                // (shortening its prefix); `cv` was read post-split, so
-                // nothing later would catch the stale `depth`.
-                #[cfg(not(feature = "bug-pr4-revert"))]
-                if !node.lock.recheck(v) {
-                    continue 'restart;
-                }
-                parent = Some((node, v, b));
-                node = ci;
-                v = cv;
-                depth += 1;
-            }
-        }
-    }
-
-    fn remove_pessimistic(&self, key: &K) -> Option<u64> {
-        let enc = EncodedDigits::new(key);
-        let kb = enc.as_ref();
-        let g = self.collector.pin();
-        let mut pstate: Option<(&ArtNode<L>, optiql::WriteToken, u8)> = None;
+        let mut pstate: Option<(&ArtNode<L>, WriteToken, u8)> = None;
         let mut node = self.root();
         let mut t = node.lock.x_lock();
         let mut depth = 0usize;
         loop {
             let pl = node.prefix_len();
-            if pl > 0 {
-                let m = node.prefix_match_len(kb, depth);
-                if m < pl {
-                    node.lock.x_unlock(t);
-                    if let Some((p, pt, _)) = pstate {
-                        p.lock.x_unlock(pt);
-                    }
-                    return None;
-                }
-                depth += pl;
-            }
-            let b = digit(kb, depth);
-            let child = node.find_child(b);
-            if child.is_null() {
-                node.lock.x_unlock(t);
-                if let Some((p, pt, _)) = pstate {
-                    p.lock.x_unlock(pt);
-                }
-                return None;
-            }
-            if is_kv(child) {
-                let kv = unsafe { as_kv::<L, K>(child) };
-                let out = if kv.key == *key {
-                    let old = kv.value();
-                    node.remove_child(b);
-                    self.retire_kv(&g, child);
-                    if node.node_type() == NodeType::N4 && node.count() <= 1 {
-                        if let Some((p, _, pb)) = pstate {
-                            if node.count() == 1 {
-                                let (_, rc) = node.only_child();
-                                if is_kv(rc) {
-                                    self.count_stat(&self.stats.collapses);
-                                    p.replace_child(pb, rc);
-                                    self.retire_inner(
-                                        &g,
-                                        node as *const ArtNode<L> as *mut ArtNode<L>,
-                                    );
-                                }
-                            } else {
-                                self.count_stat(&self.stats.collapses);
-                                p.remove_child(pb);
-                                self.retire_inner(&g, node as *const ArtNode<L> as *mut ArtNode<L>);
-                            }
+            let b = digit(kb, depth + pl);
+            let child = if node.prefix_match_len(kb, depth) < pl {
+                std::ptr::null_mut()
+            } else {
+                node.find_child(b)
+            };
+            if child.is_null() || is_kv(child) {
+                let mut old = None;
+                if !child.is_null() {
+                    let kv = unsafe { as_kv::<L, K>(child) };
+                    if kv.key == *key {
+                        old = Some(kv.value());
+                        node.remove_child(b);
+                        self.retire_kv(&g, child);
+                        if let (true, Some((p, _, pb))) = (collapsible(node), pstate) {
+                            self.collapse(p, pb, node, &g);
                         }
                     }
-                    Some(old)
-                } else {
-                    None
-                };
+                }
                 node.lock.x_unlock(t);
                 if let Some((p, pt, _)) = pstate {
                     p.lock.x_unlock(pt);
                 }
-                return out;
+                return old;
             }
             if let Some((p, pt, _)) = pstate.take() {
                 p.lock.x_unlock(pt);
@@ -1007,7 +1058,7 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
             pstate = Some((node, t, b));
             node = ci;
             t = ct;
-            depth += 1;
+            depth += pl + 1;
         }
     }
 

@@ -4,84 +4,39 @@
 //! A single OLC descent is a pointer chase: each level's node must arrive
 //! from memory before the next child pointer can even be computed, so the
 //! core stalls on one cache miss at a time while the memory system idles.
-//! `multi_lookup`/`multi_insert` break that serialization by processing a
-//! batch of keys as a group of in-flight state machines, executed
-//! round-robin: each turn advances one operation by exactly one tree level
-//! and ends right after issuing a prefetch for the node it will touch
-//! next. By the time the round-robin comes back to it (≈`GROUP - 1` other
-//! descent steps later) the prefetch has landed, so a group keeps up to
-//! `GROUP` misses outstanding instead of one.
+//! `multi_lookup`/`multi_insert` break that serialization by handing the
+//! tree's descent steps (`BPlusTree::read_step` /
+//! `BPlusTree::write_step` — the same functions the scalar entry points
+//! loop on) to the shared group scheduler, [`optiql::olc::run_grouped`]:
+//! each turn advances one operation by exactly one tree level and ends
+//! right after issuing a prefetch for the node it will enter next, so a
+//! group keeps up to `GROUP` misses outstanding instead of one.
 //!
-//! The state machines reuse the scalar OLC protocol unchanged — lock the
-//! child, then validate the parent — so correctness is exactly the scalar
-//! argument; only the schedule differs. Everything rare or structural
-//! (root-leaf trees, full nodes needing splits, operations that keep
-//! failing validation) falls back to the scalar path, which by then runs
-//! against cache-warm nodes. Pessimistic lock configurations bypass
-//! pipelining entirely: their "reads" hold real shared locks, which must
-//! not be parked across turns.
+//! Only the schedule differs from the scalar path, so correctness is the
+//! scalar argument. What the pipeline does not do itself — full inner
+//! nodes, operations that keep failing validation, repeated keys — the
+//! scheduler completes through the scalar driver, which by then runs
+//! against cache-warm nodes.
 //!
 //! Per-op fixed costs are amortized across the batch: one reclamation-epoch
 //! pin, and one `record_ops`/`record_restarts` pair on the shared stats.
 
 use std::sync::atomic::Ordering;
 
-use optiql::stats::{self, Event};
-use optiql::{IndexLock, WriteStrategy};
+use optiql::olc::{run_grouped, Step};
+use optiql::IndexLock;
 use optiql_index_api::IndexKey;
 
-use crate::node::{as_inner, as_leaf, is_leaf, prefetch_node_rest, NodeBase};
-use crate::tree::BPlusTree;
+use crate::node::{as_inner, as_leaf, is_leaf, prefetch_node_rest};
+use crate::tree::{BPlusTree, Edge, Stepped, WriteOp};
 
-/// Number of operations interleaved per pipeline group. Eight in-flight
-/// misses is in the range today's cores can keep outstanding (10+ line
-/// fill buffers); larger groups mostly add register/stack pressure.
-pub(crate) const GROUP: usize = 8;
-
-/// Pipelined restarts per op before giving up and completing it on the
-/// scalar path (which has the full free→spin→backoff→yield ladder).
-const PIPELINE_ATTEMPTS: u32 = 3;
-
-/// One in-flight operation. `Enter` means: the parent was searched and
-/// validated at version `pv`, `child` was chosen and prefetched; the next
-/// turn locks `child` and advances one level.
-///
-/// The `Warm*` states exist only for pointer-slot keys (`!K::INLINE`):
-/// after a node's cache lines arrive, its slot *words* are readable, but
-/// the search still chases each compared slot's heap blob. Warming reads
-/// the cheap words and prefetches the blobs of the node prefix and the
-/// first binary probes, then yields a turn so those fetches overlap the
-/// rest of the group instead of stalling the search.
-#[derive(Clone, Copy)]
-enum OpSt {
-    Start,
-    Enter {
-        parent: *mut NodeBase,
-        pv: u64,
-        child: *mut NodeBase,
-    },
-    /// `node` is read-locked at `v`, its probe blobs are in flight; the
-    /// next turn runs the search (lookup descent, or insert inner step).
-    WarmRead {
-        node: *mut NodeBase,
-        v: u64,
-    },
-    /// Insert only: `child` is the chosen leaf (not yet locked, parent
-    /// validation pending), its probe blobs are in flight; the next turn
-    /// performs the leaf write protocol.
-    WarmLeaf {
-        parent: *mut NodeBase,
-        pv: u64,
-        child: *mut NodeBase,
-    },
-    Done(Option<u64>),
-}
-
-/// Outcome of one turn of an in-flight op.
-enum Turn {
-    Next(OpSt),
-    Restart,
-}
+/// A parked descent, and whether its next node's probe blobs are already
+/// in flight. Only pointer-slot keys (`!K::INLINE`) are ever not warm:
+/// once a node's cache lines arrive its slot *words* are readable, but the
+/// search still chases each compared slot's heap blob, so such a descent
+/// spends one more turn on the edge prefetching the blobs of the node
+/// prefix and the first binary probes.
+type Parked<'t, IL, const IC: usize, K> = (Edge<'t, IL, IC, K>, bool);
 
 impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey>
     BPlusTree<IL, LL, IC, LC, K>
@@ -89,368 +44,81 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
     /// Batched point lookups; `result[i] == lookup(keys[i])`, order
     /// preserved. Pipelines `GROUP` descents with interleaved prefetch.
     pub fn multi_lookup(&self, keys: &[K]) -> Vec<Option<u64>> {
-        stats::record(Event::BatchIssued);
-        if IL::PESSIMISTIC || LL::PESSIMISTIC || keys.len() < 2 {
-            return keys.iter().map(|k| self.lookup(k.clone())).collect();
-        }
         let _g = self.collector.pin();
-        let mut out = Vec::with_capacity(keys.len());
-        let mut restarts = 0u64;
-        for group in keys.chunks(GROUP) {
-            let mut st = [OpSt::Start; GROUP];
-            let mut attempts = [0u32; GROUP];
-            let mut pending = group.len();
-            while pending > 0 {
-                stats::record(Event::BatchPrefetchRound);
-                for (i, key) in group.iter().enumerate() {
-                    if let OpSt::Done(_) = st[i] {
-                        continue;
-                    }
-                    let turn = match st[i] {
-                        OpSt::Start => {
-                            if attempts[i] >= PIPELINE_ATTEMPTS {
-                                Turn::Next(OpSt::Done(self.lookup_impl(key)))
-                            } else {
-                                self.lk_start(key)
-                            }
-                        }
-                        OpSt::Enter { parent, pv, child } => self.lk_enter(key, parent, pv, child),
-                        OpSt::WarmRead { node, v } => self.lk_advance(key, node, v),
-                        OpSt::WarmLeaf { .. } => unreachable!("lookups never warm a leaf write"),
-                        OpSt::Done(_) => unreachable!(),
-                    };
-                    match turn {
-                        Turn::Next(next) => {
-                            if let OpSt::Done(_) = next {
-                                pending -= 1;
-                            }
-                            st[i] = next;
-                        }
-                        Turn::Restart => {
-                            st[i] = OpSt::Start;
-                            attempts[i] += 1;
-                            restarts += 1;
-                            stats::record(Event::BatchOpRestart);
-                        }
-                    }
-                }
-            }
-            for s in st.iter().take(group.len()) {
-                match s {
-                    OpSt::Done(r) => out.push(*r),
-                    _ => unreachable!("pipeline drained with op not Done"),
-                }
-            }
-        }
-        self.index_stats.record_ops(keys.len() as u64);
-        self.index_stats.record_restarts(restarts);
-        out
+        run_grouped::<LL, _, _>(
+            &self.index_stats,
+            keys.len(),
+            |_, _| false,
+            |i, parked| {
+                let key = &keys[i];
+                self.turn(parked, |e| {
+                    self.read_step(e, |n| n.find_child(key), |l| l.lookup(key))
+                })
+            },
+            |i| self.lookup_impl(&keys[i]),
+        )
     }
 
     /// Batched inserts, equivalent to applying `pairs` in order (a
     /// duplicate key later in the batch observes the earlier write).
     pub fn multi_insert(&self, pairs: &[(K, u64)]) -> Vec<Option<u64>> {
-        stats::record(Event::BatchIssued);
-        if IL::PESSIMISTIC || LL::PESSIMISTIC || pairs.len() < 2 {
-            return pairs
-                .iter()
-                .map(|(k, v)| self.insert(k.clone(), *v))
-                .collect();
-        }
-        let _g = self.collector.pin();
-        let mut out = Vec::with_capacity(pairs.len());
-        let mut restarts = 0u64;
-        for group in pairs.chunks(GROUP) {
-            let mut st = [OpSt::Start; GROUP];
-            let mut attempts = [0u32; GROUP];
-            // Ops whose key already occurs earlier in this group must not
-            // race it through the pipeline: they run scalar, in order,
-            // after the group drains, preserving in-order semantics.
-            // (Groups are sequential, so only intra-group dups matter.)
-            let mut deferred = [false; GROUP];
-            let mut pending = 0usize;
-            for (j, (k, _)) in group.iter().enumerate() {
-                deferred[j] = group[..j].iter().any(|(e, _)| e == k);
-                pending += usize::from(!deferred[j]);
-            }
-            while pending > 0 {
-                stats::record(Event::BatchPrefetchRound);
-                for (i, (key, val)) in group.iter().enumerate() {
-                    let val = *val;
-                    if deferred[i] {
-                        continue;
-                    }
-                    if let OpSt::Done(_) = st[i] {
-                        continue;
-                    }
-                    let turn = match st[i] {
-                        OpSt::Start => {
-                            if attempts[i] >= PIPELINE_ATTEMPTS {
-                                Turn::Next(OpSt::Done(self.insert_optimistic(key, val)))
-                            } else {
-                                self.in_start(key, val)
-                            }
-                        }
-                        OpSt::Enter { parent, pv, child } => {
-                            self.in_enter(key, val, parent, pv, child)
-                        }
-                        OpSt::WarmRead { node, v } => self.in_step(key, val, node, v),
-                        OpSt::WarmLeaf { parent, pv, child } => {
-                            self.in_leaf(key, val, unsafe { as_inner(parent) }, pv, child)
-                        }
-                        OpSt::Done(_) => unreachable!(),
-                    };
-                    match turn {
-                        Turn::Next(next) => {
-                            if let OpSt::Done(_) = next {
-                                pending -= 1;
-                            }
-                            st[i] = next;
-                        }
-                        Turn::Restart => {
-                            st[i] = OpSt::Start;
-                            attempts[i] += 1;
-                            restarts += 1;
-                            stats::record(Event::BatchOpRestart);
-                        }
-                    }
-                }
-            }
-            for (j, (k, v)) in group.iter().enumerate() {
-                if deferred[j] {
-                    st[j] = OpSt::Done(self.insert_optimistic(k, *v));
-                }
-            }
-            for s in st.iter().take(group.len()) {
-                match s {
-                    OpSt::Done(r) => out.push(*r),
-                    _ => unreachable!("pipeline drained with op not Done"),
-                }
-            }
-        }
+        let g = self.collector.pin();
+        let out = run_grouped::<LL, _, _>(
+            &self.index_stats,
+            pairs.len(),
+            |e, i| pairs[e].0 == pairs[i].0,
+            |i, parked| {
+                let (key, val) = &pairs[i];
+                self.turn(parked, |e| {
+                    // A full inner node is the scalar driver's to split;
+                    // nothing is held (optimistic reads only), so hand over.
+                    self.write_step(key, WriteOp::Insert(*val), e, &g)
+                        .unwrap_or_else(|_full| Step::Done(self.insert_impl(key, *val)))
+                })
+            },
+            |i| self.insert_impl(&pairs[i].0, pairs[i].1),
+        );
         let added = out.iter().filter(|r| r.is_none()).count();
         if added > 0 {
             self.size.fetch_add(added, Ordering::Relaxed);
         }
-        self.index_stats.record_ops(pairs.len() as u64);
-        self.index_stats.record_restarts(restarts);
         out
     }
 
-    // --- lookup turns -----------------------------------------------------
-
-    /// First turn: read-lock the root (always cache-hot, so the root's
-    /// search runs in the same turn) and advance one level.
+    /// One turn of a parked descent: `step` over its edge, then prefetch
+    /// the node the new edge leads to. The step's choice of child fetched
+    /// that node's first two lines; a parked descent has a whole round
+    /// before it touches the node, so it can afford the rest too. A descent
+    /// not yet warm instead spends the turn prefetching its node's probe
+    /// blobs (a pure hint, so it may run before the node is read-locked).
     #[inline]
-    fn lk_start(&self, key: &K) -> Turn {
-        let node = self.root.load(Ordering::Acquire);
-        let Some(v) = (unsafe { self.node_r_lock(node) }) else {
-            return Turn::Restart;
-        };
-        if self.root.load(Ordering::Acquire) != node {
-            unsafe { self.node_abandon(node, v) };
-            return Turn::Restart;
-        }
-        self.lk_advance(key, node, v)
-    }
-
-    /// Later turns: lock the prefetched child, validate the parent behind
-    /// it (the OLC coupling step), and advance one more level.
-    #[inline]
-    fn lk_enter(&self, key: &K, parent: *mut NodeBase, pv: u64, child: *mut NodeBase) -> Turn {
-        let Some(cv) = (unsafe { self.node_r_lock(child) }) else {
-            unsafe { self.node_abandon(parent, pv) };
-            return Turn::Restart;
-        };
-        if !unsafe { self.node_r_unlock(parent, pv) } {
-            unsafe { self.node_abandon(child, cv) };
-            return Turn::Restart;
-        }
-        if !K::INLINE {
-            self.warm_node(child);
-            return Turn::Next(OpSt::WarmRead { node: child, v: cv });
-        }
-        self.lk_advance(key, child, cv)
-    }
-
-    /// Issue the probe-blob prefetches for `node` (either kind).
-    #[inline]
-    fn warm_node(&self, node: *mut NodeBase) {
-        unsafe {
-            if is_leaf(node) {
-                as_leaf::<LL, LC, K>(node).prefetch_probe_slots();
-            } else {
-                as_inner::<IL, IC, K>(node).prefetch_probe_slots();
-            }
-        }
-    }
-
-    /// One descent step at `(node, v)`: answer from a leaf, or choose and
-    /// prefetch the next child. Mirrors one iteration of the scalar
-    /// `lookup` loop.
-    #[inline]
-    fn lk_advance(&self, key: &K, node: *mut NodeBase, v: u64) -> Turn {
-        if unsafe { is_leaf(node) } {
-            let leaf = unsafe { as_leaf::<LL, LC, K>(node) };
-            let res = leaf.lookup(key);
-            if !leaf.lock.r_unlock(v) {
-                return Turn::Restart;
-            }
-            return Turn::Next(OpSt::Done(res));
-        }
-        let inner = unsafe { as_inner::<IL, IC, K>(node) };
-        // `find_child` prefetches the chosen child's first two lines; the
-        // batched path can afford the rest of the node too.
-        let child = inner.find_child(key);
-        if child.is_null() {
-            unsafe { self.node_abandon(node, v) };
-            return Turn::Restart;
-        }
-        if !inner.lock.recheck(v) {
-            return Turn::Restart;
-        }
-        prefetch_node_rest(child);
-        Turn::Next(OpSt::Enter {
-            parent: node,
-            pv: v,
-            child,
-        })
-    }
-
-    // --- insert turns -----------------------------------------------------
-
-    /// First insert turn. Root-leaf trees and full roots are rare and
-    /// structural — complete those ops via the scalar path immediately.
-    #[inline]
-    fn in_start(&self, key: &K, val: u64) -> Turn {
-        let node = self.root.load(Ordering::Acquire);
-        let Some(v) = (unsafe { self.node_r_lock(node) }) else {
-            return Turn::Restart;
-        };
-        if self.root.load(Ordering::Acquire) != node {
-            unsafe { self.node_abandon(node, v) };
-            return Turn::Restart;
-        }
-        if unsafe { is_leaf(node) } {
-            // Tiny tree; nothing is held (optimistic read), hand over.
-            return Turn::Next(OpSt::Done(self.insert_optimistic(key, val)));
-        }
-        self.in_step(key, val, node, v)
-    }
-
-    /// Search-and-choose step at inner `(node, v)`: full nodes bail to the
-    /// scalar path (which performs the eager split), otherwise pick the
-    /// child, validate, prefetch, yield.
-    #[inline]
-    fn in_step(&self, key: &K, val: u64, node: *mut NodeBase, v: u64) -> Turn {
-        let inner = unsafe { as_inner::<IL, IC, K>(node) };
-        if inner.is_full() {
-            return Turn::Next(OpSt::Done(self.insert_optimistic(key, val)));
-        }
-        let child = inner.find_child(key);
-        if child.is_null() {
-            return Turn::Restart;
-        }
-        if !inner.lock.recheck(v) {
-            return Turn::Restart;
-        }
-        prefetch_node_rest(child);
-        Turn::Next(OpSt::Enter {
-            parent: node,
-            pv: v,
-            child,
-        })
-    }
-
-    /// Later insert turns: write the prefetched leaf, or couple one level
-    /// deeper through a prefetched inner node.
-    #[inline]
-    fn in_enter(
-        &self,
-        key: &K,
-        val: u64,
-        parent: *mut NodeBase,
-        pv: u64,
-        child: *mut NodeBase,
-    ) -> Turn {
-        let inner = unsafe { as_inner::<IL, IC, K>(parent) };
-        if unsafe { is_leaf(child) } {
-            if !K::INLINE {
-                self.warm_node(child);
-                return Turn::Next(OpSt::WarmLeaf { parent, pv, child });
-            }
-            return self.in_leaf(key, val, inner, pv, child);
-        }
-        let ci = unsafe { as_inner::<IL, IC, K>(child) };
-        let Some(cv) = ci.lock.r_lock() else {
-            return Turn::Restart;
-        };
-        if ci.is_full() {
-            // Needs an eager split against `parent`; scalar handles it
-            // (nothing is held — optimistic reads only).
-            return Turn::Next(OpSt::Done(self.insert_optimistic(key, val)));
-        }
-        // Release the grandparent-equivalent: validate the parent now that
-        // the child is pinned by its own version.
-        if !inner.lock.r_unlock(pv) {
-            return Turn::Restart;
-        }
-        if !K::INLINE {
-            self.warm_node(child);
-            return Turn::Next(OpSt::WarmRead { node: child, v: cv });
-        }
-        self.in_step(key, val, child, cv)
-    }
-
-    /// Leaf write, mirroring the scalar strategy dispatch for the common
-    /// non-full case; full leaves (need a split) go scalar.
-    #[inline]
-    fn in_leaf(
-        &self,
-        key: &K,
-        val: u64,
-        inner: &crate::node::Inner<IL, IC, K>,
-        pv: u64,
-        child: *mut NodeBase,
-    ) -> Turn {
-        let leaf = unsafe { as_leaf::<LL, LC, K>(child) };
-        // Nested pin (the batch entry point holds the outer one): cheap,
-        // and gives the slot writes below their epoch guard.
-        let g = self.collector.pin();
-        match LL::STRATEGY {
-            WriteStrategy::Upgrade => {
-                let Some(lv) = leaf.lock.r_lock() else {
-                    return Turn::Restart;
-                };
-                if leaf.is_full() {
-                    return Turn::Next(OpSt::Done(self.insert_optimistic(key, val)));
+    fn turn<'t, R>(
+        &'t self,
+        parked: Option<Parked<'t, IL, IC, K>>,
+        step: impl FnOnce(Edge<'t, IL, IC, K>) -> Stepped<'t, IL, IC, K, R>,
+    ) -> Step<Parked<'t, IL, IC, K>, R> {
+        let edge = match parked {
+            // The root is always cache-hot.
+            None => self.root_edge(),
+            Some((edge, true)) => edge,
+            Some((edge, false)) => {
+                unsafe {
+                    if is_leaf(edge.child) {
+                        as_leaf::<LL, LC, K>(edge.child).prefetch_probe_slots();
+                    } else {
+                        as_inner::<IL, IC, K>(edge.child).prefetch_probe_slots();
+                    }
                 }
-                if !inner.lock.r_unlock(pv) {
-                    return Turn::Restart;
-                }
-                let Some(lt) = leaf.lock.try_upgrade(lv) else {
-                    return Turn::Restart;
-                };
-                let old = leaf.insert(key, val, &g);
-                leaf.lock.x_unlock(lt);
-                Turn::Next(OpSt::Done(old))
+                return Step::Next((edge, true));
             }
-            WriteStrategy::DirectLock | WriteStrategy::DirectLockAor => {
-                let lt = leaf.lock.x_lock_adjustable();
-                if !inner.lock.recheck(pv) {
-                    leaf.lock.x_unlock(lt);
-                    return Turn::Restart;
-                }
-                if leaf.is_full() {
-                    leaf.lock.x_unlock(lt);
-                    return Turn::Next(OpSt::Done(self.insert_optimistic(key, val)));
-                }
-                leaf.lock.x_finish_adjustable(lt);
-                let old = leaf.insert(key, val, &g);
-                leaf.lock.x_unlock(lt);
-                Turn::Next(OpSt::Done(old))
+        };
+        match step(edge) {
+            Step::Next(edge) => {
+                prefetch_node_rest(edge.child);
+                Step::Next((edge, K::INLINE))
             }
-            WriteStrategy::Pessimistic => unreachable!("pessimistic configs bypass the pipeline"),
+            Step::Done(r) => Step::Done(r),
+            Step::Restart => Step::Restart,
         }
     }
 }

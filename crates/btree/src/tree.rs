@@ -15,19 +15,34 @@
 //! remove paths enforce by retiring every dropped slot through the
 //! tree's epoch collector).
 //!
-//! The write paths dispatch on `LL::STRATEGY`:
+//! # One descent, two drivers
 //!
-//! * [`WriteStrategy::Upgrade`] — classic OLC (Figure 2c): validate the
-//!   leaf version, then CAS-upgrade it; restart from the root on failure.
-//! * [`WriteStrategy::DirectLock`] — the paper's Algorithm 4: acquire the
-//!   leaf lock directly (blocking, FIFO-queued), then validate the parent;
-//!   avoids the retry-and-re-search of a failed upgrade.
-//! * [`WriteStrategy::DirectLockAor`] — Algorithm 4 plus adjustable
-//!   opportunistic read: readers keep being admitted while the writer
-//!   locates its target slot (§5.3, §7.4).
-//! * [`WriteStrategy::Pessimistic`] — traditional lock coupling: shared
-//!   locks on the descent, exclusive at the write target; inserts take
-//!   exclusive locks top-down and split eagerly.
+//! The descent is written once, as two resumable step functions that each
+//! move one level along an `Edge`: `BPlusTree::read_step` (lookups and
+//! the range refill) and `BPlusTree::write_step` (update, remove, and
+//! the optimistic insert). The scalar entry points loop on a step without
+//! yielding (the batch of one); `multi_lookup` / `multi_insert` hand the
+//! same step to `optiql::olc::run_grouped`, which parks its `Edge` between
+//! turns after a prefetch (see [`crate::multi`]). A full inner node met by
+//! an insert is a step outcome (`FullInner`) carried out by the scalar
+//! driver.
+//!
+//! How the write step takes the leaf is the one thing a lock changes
+//! (paper §6.1). It lives in one function, `acquire_leaf`, which
+//! dispatches on `LL::STRATEGY`, a [`WriteStrategy`]:
+//!
+//! * `Upgrade` — classic OLC (Figure 2c): validate the leaf version, then
+//!   CAS-upgrade it; restart from the root on failure.
+//! * `DirectLock` — the paper's Algorithm 4: acquire the leaf lock
+//!   directly (blocking, FIFO-queued), then validate the parent; avoids
+//!   the retry-and-re-search of a failed upgrade.
+//! * `DirectLockAor` — Algorithm 4 plus adjustable opportunistic read:
+//!   readers keep being admitted while the writer locates its target slot
+//!   (§5.3, §7.4).
+//! * `Pessimistic` — traditional lock coupling: the same steps with
+//!   shared locks on the descent and an exclusive one at the write
+//!   target. Inserts are the exception: they follow their own protocol
+//!   (`insert_pessimistic`: exclusive locks top-down, eager splits).
 //!
 //! Structural modifications are eager (BTreeOLC \[29\] style): a full node is
 //! split while descending, which guarantees the parent always has room for
@@ -51,9 +66,9 @@
 use std::ops::Bound;
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 
-use optiql::olc::{IndexStats, RestartLoop, SharedIndexStats};
+use optiql::olc::{IndexStats, OptimisticGuard, RestartLoop, SharedIndexStats, Step};
 use optiql::stats::Event;
-use optiql::{IndexLock, WriteStrategy};
+use optiql::{IndexLock, WriteStrategy, WriteToken};
 use optiql_index_api::{bounds_nonempty, key_above_start, key_below_end, IndexKey, RangeIter};
 use optiql_reclaim::{Collector, Guard};
 
@@ -90,6 +105,62 @@ pub struct TreeStats {
     pub leaf_unlinks: u64,
     /// Root collapses (tree shrank one level).
     pub root_collapses: u64,
+}
+
+/// An inner node under an open (not yet validated) read.
+type InnerRef<'t, IL, const IC: usize, K> = (&'t Inner<IL, IC, K>, OptimisticGuard<'t, IL>);
+
+/// Where a descent stands between two steps: `child` was chosen under the
+/// open read of `parent` (`None`: it is the root pointer, just loaded) and
+/// is entered by the next step. This is the state the batched driver parks.
+pub(crate) struct Edge<'t, IL: IndexLock, const IC: usize, K: IndexKey> {
+    parent: Option<InnerRef<'t, IL, IC, K>>,
+    pub(crate) child: *mut NodeBase,
+}
+
+/// What a step reports: one level down (`Next`), finished, or restart.
+pub(crate) type Stepped<'t, IL, const IC: usize, K, R> = Step<Edge<'t, IL, IC, K>, R>;
+
+/// The structural outcome of the write step: an insert met full inner
+/// `node` (at `ptr`), which must be split under `parent` (`None`: it is the
+/// root) before the descent can go on. Both reads are still open.
+pub(crate) struct FullInner<'t, IL: IndexLock, const IC: usize, K: IndexKey> {
+    parent: Option<InnerRef<'t, IL, IC, K>>,
+    node: InnerRef<'t, IL, IC, K>,
+    ptr: *mut NodeBase,
+}
+
+/// What the write step does at the leaf.
+#[derive(Clone, Copy)]
+pub(crate) enum WriteOp {
+    Insert(u64),
+    Update(u64),
+    Remove,
+}
+
+/// Drop a parent read on a path that does not validate it: free for
+/// optimistic locks, releases the shared lock of pessimistic ones.
+#[inline]
+fn abandon<IL: IndexLock, const IC: usize, K: IndexKey>(parent: Option<InnerRef<'_, IL, IC, K>>) {
+    if let Some((_, pg)) = parent {
+        pg.abandon();
+    }
+}
+
+/// A parent held exclusively for a split (`None`: the split node is the
+/// root and has none).
+type HeldParent<'t, IL, const IC: usize, K> = Option<(&'t Inner<IL, IC, K>, WriteToken)>;
+
+/// Turn the parent read a split needs into exclusive ownership. The outer
+/// `None` means the upgrade lost a race: the read is gone, restart.
+#[inline]
+fn upgrade<'t, IL: IndexLock, const IC: usize, K: IndexKey>(
+    parent: Option<InnerRef<'t, IL, IC, K>>,
+) -> Option<HeldParent<'t, IL, IC, K>> {
+    match parent {
+        None => Some(None),
+        Some((p, pg)) => pg.try_upgrade().map(|pt| Some((p, pt))),
+    }
 }
 
 /// Concurrent B+-tree mapping `K` keys to `u64` payloads (the paper's
@@ -133,14 +204,26 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
     BPlusTree<IL, LL, IC, LC, K>
 {
     /// Create an empty tree.
+    ///
+    /// Inner and leaf locks must come from the same family — both
+    /// optimistic or both pessimistic. A descent couples them: a mixed
+    /// pair would park real shared locks behind version checks (or upgrade
+    /// locks that cannot be upgraded), so it does not compile:
+    ///
+    /// ```compile_fail
+    /// use optiql::{McsRwLock, OptLock};
+    /// use optiql_btree::BPlusTree;
+    /// let _ = BPlusTree::<OptLock, McsRwLock, 16, 15>::new();
+    /// ```
     pub fn new() -> Self {
+        const {
+            assert!(
+                IL::PESSIMISTIC == LL::PESSIMISTIC,
+                "inner and leaf locks must agree on coupling style"
+            )
+        };
         assert!(LC >= 2, "leaf capacity must be at least 2");
         assert!(IC >= 4, "inner capacity must be at least 4");
-        assert_eq!(
-            IL::PESSIMISTIC,
-            LL::PESSIMISTIC,
-            "inner and leaf locks must agree on coupling style"
-        );
         BPlusTree {
             root: AtomicPtr::new(Leaf::<LL, LC, K>::alloc()),
             size: AtomicUsize::new(0),
@@ -203,58 +286,295 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
         c.fetch_add(1, Ordering::Relaxed);
     }
 
-    // --- lock-type dispatch on type-erased node pointers -----------------
+    // --- the descent step and its scalar drivers ----------------------------
+    //
+    // The pieces of a step are `inline(always)`: a step has to fuse into
+    // each driver's loop so the edge it returns never leaves registers.
+    // Left to the inliner's judgement (it declined once the scalar write
+    // driver had three callers), the out-of-line call cost scalar writes
+    // up to 2x.
 
-    #[inline]
-    pub(crate) unsafe fn node_r_lock(&self, p: *mut NodeBase) -> Option<u64> {
-        unsafe {
-            if is_leaf(p) {
-                as_leaf::<LL, LC, K>(p).lock.r_lock()
-            } else {
-                as_inner::<IL, IC, K>(p).lock.r_lock()
-            }
+    /// Where every descent starts: the root pointer, no parent.
+    #[inline(always)]
+    pub(crate) fn root_edge(&self) -> Edge<'_, IL, IC, K> {
+        Edge {
+            parent: None,
+            child: self.root.load(Ordering::Acquire),
         }
     }
 
-    #[inline]
-    pub(crate) unsafe fn node_r_unlock(&self, p: *mut NodeBase, v: u64) -> bool {
-        unsafe {
-            if is_leaf(p) {
-                as_leaf::<LL, LC, K>(p).lock.r_unlock(v)
-            } else {
-                as_inner::<IL, IC, K>(p).lock.r_unlock(v)
-            }
+    /// Is `child` still where the descent found it — unchanged `parent`,
+    /// or still the root when there is none? Does not end the parent read.
+    #[inline(always)]
+    fn placed(&self, parent: &Option<InnerRef<'_, IL, IC, K>>, child: *mut NodeBase) -> bool {
+        match parent {
+            Some((_, pg)) => pg.recheck(),
+            None => self.root.load(Ordering::Acquire) == child,
         }
     }
 
-    /// Release an abandoned read on a restart path. Free for optimistic
-    /// locks; releases the shared lock for pessimistic ones.
-    #[inline]
-    pub(crate) unsafe fn node_abandon(&self, p: *mut NodeBase, v: u64) {
-        if IL::PESSIMISTIC {
-            unsafe {
-                self.node_r_unlock(p, v);
-            }
-        }
+    /// The OLC coupling step, entered once `child` is under a read of its
+    /// own: check it is still [`placed`](Self::placed), then end the
+    /// parent read (which releases the shared lock of a pessimistic one).
+    #[inline(always)]
+    fn couple(&self, parent: Option<InnerRef<'_, IL, IC, K>>, child: *mut NodeBase) -> bool {
+        let ok = self.placed(&parent, child);
+        abandon(parent);
+        ok
     }
 
-    /// Read-lock the current root, restarting internally until the locked
-    /// node is still the root. Returns `(node, version)`.
-    #[inline]
-    unsafe fn lock_root_shared(&self, rs: &mut RestartLoop<'_>) -> (*mut NodeBase, u64) {
-        loop {
-            let node = self.root.load(Ordering::Acquire);
-            if let Some(v) = unsafe { self.node_r_lock(node) } {
-                if self.root.load(Ordering::Acquire) == node {
-                    return (node, v);
+    /// Second half of a step on an inner node: choose the child covering
+    /// the probe (`pick` prefetches it) under the open read `ig`.
+    #[inline(always)]
+    fn choose<'t, R>(
+        inner: &'t Inner<IL, IC, K>,
+        ig: OptimisticGuard<'t, IL>,
+        pick: impl FnOnce(&Inner<IL, IC, K>) -> *mut NodeBase,
+    ) -> Stepped<'t, IL, IC, K, R> {
+        let child = pick(inner);
+        if child.is_null() || !ig.recheck() {
+            ig.abandon();
+            return Step::Restart;
+        }
+        Step::Next(Edge {
+            parent: Some((inner, ig)),
+            child,
+        })
+    }
+
+    /// The read step: enter `edge.child` (read it, couple with the
+    /// parent), then answer from a leaf via `at_leaf` or choose the next
+    /// child via `pick`. Every read-only descent — `lookup`,
+    /// `multi_lookup`, the range refill — is a driver of this function.
+    #[inline(always)]
+    pub(crate) fn read_step<'t, R>(
+        &'t self,
+        edge: Edge<'t, IL, IC, K>,
+        pick: impl FnOnce(&Inner<IL, IC, K>) -> *mut NodeBase,
+        at_leaf: impl FnOnce(&Leaf<LL, LC, K>) -> R,
+    ) -> Stepped<'t, IL, IC, K, R> {
+        let Edge { parent, child } = edge;
+        if unsafe { is_leaf(child) } {
+            let leaf = unsafe { as_leaf::<LL, LC, K>(child) };
+            let Some(lg) = OptimisticGuard::read(&leaf.lock) else {
+                abandon(parent);
+                return Step::Restart;
+            };
+            if !self.couple(parent, child) {
+                lg.abandon();
+                return Step::Restart;
+            }
+            let res = at_leaf(leaf);
+            return lg.done(res);
+        }
+        let inner = unsafe { as_inner::<IL, IC, K>(child) };
+        let Some(ig) = OptimisticGuard::read(&inner.lock) else {
+            abandon(parent);
+            return Step::Restart;
+        };
+        if !self.couple(parent, child) {
+            ig.abandon();
+            return Step::Restart;
+        }
+        Self::choose(inner, ig, pick)
+    }
+
+    /// The write step: as [`read_step`](Self::read_step) through inner
+    /// nodes, Algorithm 4 plus the write itself at the leaf. An insert
+    /// that meets a full inner node returns it as `Err`: splitting it is
+    /// the scalar driver's job ([`split_full`](Self::split_full)).
+    #[inline(always)]
+    pub(crate) fn write_step<'t>(
+        &'t self,
+        key: &K,
+        op: WriteOp,
+        edge: Edge<'t, IL, IC, K>,
+        g: &Guard,
+    ) -> Result<Stepped<'t, IL, IC, K, Option<u64>>, FullInner<'t, IL, IC, K>> {
+        let Edge { parent, child } = edge;
+        if unsafe { is_leaf(child) } {
+            return Ok(self.write_leaf(key, op, parent, child, g));
+        }
+        let inner = unsafe { as_inner::<IL, IC, K>(child) };
+        let Some(ig) = OptimisticGuard::read(&inner.lock) else {
+            abandon(parent);
+            return Ok(Step::Restart);
+        };
+        if !self.placed(&parent, child) {
+            ig.abandon();
+            abandon(parent);
+            return Ok(Step::Restart);
+        }
+        // Eager split (BTreeOLC): a full node is split on the way down, so
+        // a parent always has room for one more separator. The parent read
+        // stays open for the split to upgrade.
+        if matches!(op, WriteOp::Insert(_)) && inner.is_full() {
+            return Err(FullInner {
+                parent,
+                node: (inner, ig),
+                ptr: child,
+            });
+        }
+        abandon(parent);
+        Ok(Self::choose(inner, ig, |n| n.find_child(key)))
+    }
+
+    /// Paper Algorithm 4 — the one place a leaf is acquired for writing.
+    /// `parent` is the open read under which `leaf` was chosen (`None`:
+    /// it is the root). Returns the exclusive token plus the result of
+    /// searching `key`, when the strategy searched while readers were
+    /// still admitted; `None` means restart, with nothing held.
+    #[inline(always)]
+    fn acquire_leaf(
+        &self,
+        parent: &Option<InnerRef<'_, IL, IC, K>>,
+        ptr: *mut NodeBase,
+        leaf: &Leaf<LL, LC, K>,
+        key: &K,
+    ) -> Option<(WriteToken, Option<Option<usize>>)> {
+        match LL::STRATEGY {
+            // Original OLC: read the leaf version, validate the parent,
+            // search optimistically, then upgrade.
+            WriteStrategy::Upgrade => {
+                let lg = OptimisticGuard::read(&leaf.lock)?;
+                if !self.placed(parent, ptr) {
+                    return None;
                 }
-                unsafe { self.node_abandon(node, v) };
+                let idx = leaf.search(key);
+                Some((lg.try_upgrade()?, Some(idx)))
             }
-            rs.pause();
+            // Lock the leaf directly (blocking, FIFO-queued), then validate
+            // the parent, whose release_sh is pure validation. A
+            // pessimistic parent is held shared, so the leaf cannot change
+            // identity and the same check trivially passes.
+            WriteStrategy::DirectLock | WriteStrategy::Pessimistic => {
+                let t = leaf.lock.x_lock();
+                if !self.placed(parent, ptr) {
+                    leaf.lock.x_unlock(t);
+                    return None;
+                }
+                Some((t, None))
+            }
+            // As above, but keep admitting readers while we search.
+            WriteStrategy::DirectLockAor => {
+                let t = leaf.lock.x_lock_adjustable();
+                if !self.placed(parent, ptr) {
+                    leaf.lock.x_unlock(t);
+                    return None;
+                }
+                let idx = leaf.search(key);
+                leaf.lock.x_finish_adjustable(t);
+                Some((t, Some(idx)))
+            }
         }
     }
 
-    // --- lookup -----------------------------------------------------------
+    /// Leaf half of the write step: acquire, apply, and run the SMO the
+    /// write calls for against the still-open parent read.
+    #[inline(always)]
+    fn write_leaf(
+        &self,
+        key: &K,
+        op: WriteOp,
+        parent: Option<InnerRef<'_, IL, IC, K>>,
+        ptr: *mut NodeBase,
+        g: &Guard,
+    ) -> Stepped<'_, IL, IC, K, Option<u64>> {
+        let leaf = unsafe { as_leaf::<LL, LC, K>(ptr) };
+        let Some((t, searched)) = self.acquire_leaf(&parent, ptr, leaf, key) else {
+            abandon(parent);
+            return Step::Restart;
+        };
+        let old = match op {
+            WriteOp::Insert(val) if leaf.is_full() => {
+                // Split needs the parent exclusively too.
+                let Some(held) = upgrade(parent) else {
+                    leaf.lock.x_unlock(t);
+                    return Step::Restart;
+                };
+                let old = self.split_leaf_insert(held.map(|(p, _)| p), ptr, leaf, key, val, g);
+                leaf.lock.x_unlock(t);
+                if let Some((p, pt)) = held {
+                    p.lock.x_unlock(pt);
+                }
+                return Step::Done(old);
+            }
+            WriteOp::Insert(val) => leaf.insert(key, val, g),
+            // The search ran while readers were admitted and missed.
+            _ if searched == Some(None) => None,
+            WriteOp::Update(val) => leaf.update(key, val),
+            WriteOp::Remove => leaf.remove(key).map(|(slot, old)| {
+                // Safety: the slot was just unlinked under the leaf's
+                // exclusive lock; pinned readers may still compare against it.
+                unsafe { K::slot_retire(slot, g) };
+                old
+            }),
+        };
+        match parent {
+            // Deletion SMOs: unlink an emptied leaf / merge an
+            // under-quarter leaf into its right sibling.
+            Some((p, pg)) if matches!(op, WriteOp::Remove) && old.is_some() && !LL::PESSIMISTIC => {
+                self.try_shrink(p, pg, ptr, leaf, g)
+            }
+            parent => abandon(parent),
+        }
+        leaf.lock.x_unlock(t);
+        Step::Done(old)
+    }
+
+    /// Scalar read driver behind [`lookup`](Self::lookup): the batch of
+    /// one — re-enter the step at once instead of parking — without the
+    /// per-op accounting (the batched driver's fallback accounts once per
+    /// batch).
+    pub(crate) fn lookup_impl(&self, key: &K) -> Option<u64> {
+        let _g = self.collector.pin();
+        let mut rs = self.restart_loop();
+        'restart: loop {
+            rs.pause();
+            let mut edge = self.root_edge();
+            loop {
+                match self.read_step(edge, |n| n.find_child(key), |l| l.lookup(key)) {
+                    Step::Next(next) => edge = next,
+                    Step::Done(res) => return res,
+                    Step::Restart => continue 'restart,
+                }
+            }
+        }
+    }
+
+    /// Scalar write driver behind `update`, `remove` and the optimistic
+    /// `insert`: the batch of one, and the one place full inner nodes
+    /// are split.
+    #[inline(always)]
+    fn write(&self, key: &K, op: WriteOp) -> Option<u64> {
+        let g = self.collector.pin();
+        let mut rs = self.restart_loop();
+        'restart: loop {
+            rs.pause();
+            let mut edge = self.root_edge();
+            loop {
+                match self.write_step(key, op, edge, &g) {
+                    Ok(Step::Next(next)) => edge = next,
+                    Ok(Step::Done(old)) => return old,
+                    Ok(Step::Restart) => continue 'restart,
+                    Err(full) => {
+                        self.split_full(full, key, &g);
+                        continue 'restart;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Insert body without op or size accounting (shared with the batched
+    /// driver's fallback).
+    pub(crate) fn insert_impl(&self, key: &K, val: u64) -> Option<u64> {
+        if LL::PESSIMISTIC {
+            self.insert_pessimistic(key, val)
+        } else {
+            self.write(key, WriteOp::Insert(val))
+        }
+    }
 
     /// Point lookup.
     pub fn lookup(&self, key: K) -> Option<u64> {
@@ -262,207 +582,126 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
         self.lookup_impl(&key)
     }
 
-    /// Lookup body without the per-op accounting: shared by the scalar
-    /// entry point and the batched engine's fallback path (which accounts
-    /// once per batch).
-    pub(crate) fn lookup_impl(&self, key: &K) -> Option<u64> {
-        let mut rs = self.restart_loop();
-        let _g = self.collector.pin();
-        'restart: loop {
-            rs.pause();
-            let (mut node, mut v) = unsafe { self.lock_root_shared(&mut rs) };
-            loop {
-                if unsafe { is_leaf(node) } {
-                    let leaf = unsafe { as_leaf::<LL, LC, K>(node) };
-                    let res = leaf.lookup(key);
-                    if !leaf.lock.r_unlock(v) {
-                        continue 'restart;
-                    }
-                    return res;
-                }
-                let inner = unsafe { as_inner::<IL, IC, K>(node) };
-                let child = inner.find_child(key);
-                if child.is_null() {
-                    unsafe { self.node_abandon(node, v) };
-                    continue 'restart;
-                }
-                if !inner.lock.recheck(v) {
-                    continue 'restart;
-                }
-                let Some(cv) = (unsafe { self.node_r_lock(child) }) else {
-                    unsafe { self.node_abandon(node, v) };
-                    continue 'restart;
-                };
-                if !inner.lock.r_unlock(v) {
-                    unsafe { self.node_abandon(child, cv) };
-                    continue 'restart;
-                }
-                node = child;
-                v = cv;
-            }
-        }
-    }
-
-    // --- update (paper Algorithm 4) ----------------------------------------
-
     /// Replace the value of an existing key; returns the previous value or
     /// `None` if the key is absent.
     pub fn update(&self, key: K, val: u64) -> Option<u64> {
-        self.write_existing(&key, Some(val))
+        self.index_stats.record_op();
+        self.write(&key, WriteOp::Update(val))
     }
 
     /// Remove a key; returns the removed value.
     pub fn remove(&self, key: K) -> Option<u64> {
-        let old = self.write_existing(&key, None);
+        self.index_stats.record_op();
+        let old = self.write(&key, WriteOp::Remove);
         if old.is_some() {
             self.size.fetch_sub(1, Ordering::Relaxed);
         }
         old
     }
 
-    /// Shared descent for update (`val = Some`) and remove (`val = None`).
-    fn write_existing(&self, key: &K, val: Option<u64>) -> Option<u64> {
+    /// Insert or overwrite; returns the previous value if the key existed.
+    pub fn insert(&self, key: K, val: u64) -> Option<u64> {
         self.index_stats.record_op();
-        let mut rs = self.restart_loop();
-        let g = self.collector.pin();
-        'restart: loop {
-            rs.pause();
-            let (mut node, mut v) = unsafe { self.lock_root_shared(&mut rs) };
+        let old = self.insert_impl(&key, val);
+        if old.is_none() {
+            self.size.fetch_add(1, Ordering::Relaxed);
+        }
+        old
+    }
 
-            // Root is a leaf: lock it directly, re-verifying root identity.
-            if unsafe { is_leaf(node) } {
-                let leaf = unsafe { as_leaf::<LL, LC, K>(node) };
-                match LL::STRATEGY {
-                    WriteStrategy::Upgrade => {
-                        let Some(t) = leaf.lock.try_upgrade(v) else {
-                            continue 'restart;
-                        };
-                        // Upgrade success ⇒ unchanged since `v` ⇒ still root.
-                        let old = apply_leaf(leaf, key, val, &g);
-                        leaf.lock.x_unlock(t);
-                        return old;
-                    }
-                    WriteStrategy::DirectLock | WriteStrategy::DirectLockAor => {
-                        let t = leaf.lock.x_lock_adjustable();
-                        if self.root.load(Ordering::Acquire) != node {
-                            leaf.lock.x_unlock(t);
-                            continue 'restart;
-                        }
-                        leaf.lock.x_finish_adjustable(t);
-                        let old = apply_leaf(leaf, key, val, &g);
-                        leaf.lock.x_unlock(t);
-                        return old;
-                    }
-                    WriteStrategy::Pessimistic => {
-                        // Trade the shared lock for an exclusive one.
-                        leaf.lock.r_unlock(v);
-                        let t = leaf.lock.x_lock();
-                        if self.root.load(Ordering::Acquire) != node {
-                            leaf.lock.x_unlock(t);
-                            continue 'restart;
-                        }
-                        let old = apply_leaf(leaf, key, val, &g);
-                        leaf.lock.x_unlock(t);
-                        return old;
-                    }
-                }
+    // --- structural modifications ---------------------------------------------
+
+    /// Hook `right`, freshly split off `left` at `sep`, into `parent` (held
+    /// exclusively, like `left`) — or, when `left` was the root, grow the
+    /// tree by one level. `kind` is the split counter for the non-root case.
+    fn install_split(
+        &self,
+        parent: Option<&Inner<IL, IC, K>>,
+        left: *mut NodeBase,
+        sep: K,
+        right: *mut NodeBase,
+        kind: &AtomicU64,
+        g: &Guard,
+    ) {
+        match parent {
+            Some(p) => {
+                self.count_stat(kind);
+                p.insert_child(&sep, right, g);
             }
-
-            // Drill down until the child is a leaf (Alg 4 lines 9-26).
-            loop {
-                let inner = unsafe { as_inner::<IL, IC, K>(node) };
-                let child = inner.find_child(key);
-                if child.is_null() {
-                    unsafe { self.node_abandon(node, v) };
-                    continue 'restart;
-                }
-                if !inner.lock.recheck(v) {
-                    continue 'restart;
-                }
-                if unsafe { is_leaf(child) } {
-                    let leaf = unsafe { as_leaf::<LL, LC, K>(child) };
-                    let (token, searched) = match LL::STRATEGY {
-                        WriteStrategy::Upgrade => {
-                            // Original OLC: read leaf version, validate
-                            // parent, search optimistically, then upgrade.
-                            let Some(lv) = leaf.lock.r_lock() else {
-                                continue 'restart;
-                            };
-                            if !inner.lock.r_unlock(v) {
-                                continue 'restart;
-                            }
-                            let idx = leaf.search(key);
-                            let Some(t) = leaf.lock.try_upgrade(lv) else {
-                                continue 'restart;
-                            };
-                            (t, Some(idx))
-                        }
-                        WriteStrategy::DirectLock => {
-                            // Alg 4: lock the leaf directly, then validate
-                            // the parent (its release_sh is pure validation).
-                            let t = leaf.lock.x_lock();
-                            if !inner.lock.recheck(v) {
-                                leaf.lock.x_unlock(t);
-                                continue 'restart;
-                            }
-                            (t, None)
-                        }
-                        WriteStrategy::DirectLockAor => {
-                            // Keep admitting readers while we search.
-                            let t = leaf.lock.x_lock_adjustable();
-                            if !inner.lock.recheck(v) {
-                                leaf.lock.x_unlock(t);
-                                continue 'restart;
-                            }
-                            let idx = leaf.search(key);
-                            leaf.lock.x_finish_adjustable(t);
-                            (t, Some(idx))
-                        }
-                        WriteStrategy::Pessimistic => {
-                            // We hold the parent shared: the leaf cannot
-                            // change identity. Couple: leaf X, release parent.
-                            let t = leaf.lock.x_lock();
-                            inner.lock.r_unlock(v);
-                            (t, None)
-                        }
-                    };
-
-                    let old = match searched {
-                        Some(idx) => apply_leaf_at(leaf, idx, key, val, &g),
-                        None => apply_leaf(leaf, key, val, &g),
-                    };
-
-                    // Deletion SMOs: unlink an emptied leaf / merge an
-                    // under-quarter leaf into its right sibling.
-                    if val.is_none() && old.is_some() && !LL::PESSIMISTIC {
-                        self.try_shrink(inner, v, child, leaf, &g);
-                    }
-                    leaf.lock.x_unlock(token);
-                    return old;
-                }
-                // Child is an inner node: couple downwards.
-                let ci = unsafe { as_inner::<IL, IC, K>(child) };
-                let Some(cv) = ci.lock.r_lock() else {
-                    unsafe { self.node_abandon(node, v) };
-                    continue 'restart;
-                };
-                if !inner.lock.r_unlock(v) {
-                    unsafe { self.node_abandon(child, cv) };
-                    continue 'restart;
-                }
-                node = child;
-                v = cv;
+            None => {
+                self.count_stat(&self.stats.root_splits);
+                let new_root = Inner::<IL, IC, K>::alloc();
+                unsafe { as_inner::<IL, IC, K>(new_root) }.init_root(sep, left, right);
+                self.root.store(new_root, Ordering::Release);
             }
         }
     }
 
+    /// The one leaf split-and-insert: split full `leaf` (held exclusively,
+    /// as is `parent`; `None` when the leaf is the root), put the entry
+    /// into the proper half, then publish the new sibling.
+    fn split_leaf_insert(
+        &self,
+        parent: Option<&Inner<IL, IC, K>>,
+        ptr: *mut NodeBase,
+        leaf: &Leaf<LL, LC, K>,
+        key: &K,
+        val: u64,
+        g: &Guard,
+    ) -> Option<u64> {
+        let (sep, right) = leaf.split(g);
+        let half = if *key >= sep {
+            unsafe { as_leaf::<LL, LC, K>(right) }
+        } else {
+            leaf
+        };
+        let old = half.insert(key, val, g);
+        self.install_split(parent, ptr, sep, right, &self.stats.leaf_splits, g);
+        old
+    }
+
+    /// Split full `inner` (held exclusively, as is `parent`; `None` when
+    /// it is the root). Returns the new right sibling when `key` now
+    /// belongs there.
+    fn split_inner(
+        &self,
+        parent: Option<&Inner<IL, IC, K>>,
+        ptr: *mut NodeBase,
+        inner: &Inner<IL, IC, K>,
+        key: &K,
+        g: &Guard,
+    ) -> Option<*mut NodeBase> {
+        let (sep, right) = inner.split(g);
+        let moved = (*key >= sep).then_some(right);
+        self.install_split(parent, ptr, sep, right, &self.stats.inner_splits, g);
+        moved
+    }
+
+    /// Scalar-driver half of the eager split: upgrade the two reads a
+    /// [`FullInner`] carries (parent, then node) and split. Best effort —
+    /// the caller restarts either way.
+    fn split_full(&self, full: FullInner<'_, IL, IC, K>, key: &K, g: &Guard) {
+        let FullInner { parent, node, ptr } = full;
+        let Some(held) = upgrade(parent) else {
+            return;
+        };
+        let (inner, ig) = node;
+        if let Some(t) = ig.try_upgrade() {
+            self.split_inner(held.map(|(p, _)| p), ptr, inner, key, g);
+            inner.lock.x_unlock(t);
+        }
+        if let Some((p, pt)) = held {
+            p.lock.x_unlock(pt);
+        }
+    }
+
     /// Best-effort structural shrinking after a delete. Caller holds the
-    /// leaf exclusively; `pv` is the optimistic parent version observed
-    /// when the leaf was located.
+    /// leaf exclusively; `pg` is the parent read under which the leaf was
+    /// located.
     fn try_shrink(
         &self,
         parent: &Inner<IL, IC, K>,
-        pv: u64,
+        pg: OptimisticGuard<'_, IL>,
         leaf_ptr: *mut NodeBase,
         leaf: &Leaf<LL, LC, K>,
         g: &Guard,
@@ -473,7 +712,7 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
         }
         // Exclusive on the parent via upgrade; abandoning on failure keeps
         // the delete itself correct (the shrink is opportunistic).
-        let Some(pt) = parent.lock.try_upgrade(pv) else {
+        let Some(pt) = pg.try_upgrade() else {
             return;
         };
         let Some(idx) = parent.position_of(leaf_ptr) else {
@@ -529,219 +768,28 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
             return;
         }
         let inner = unsafe { as_inner::<IL, IC, K>(root) };
-        let Some(v) = inner.lock.r_lock() else { return };
+        let Some(ig) = OptimisticGuard::read(&inner.lock) else {
+            return;
+        };
         if self.root.load(Ordering::Acquire) != root || inner.count() != 0 {
-            return;
+            return ig.abandon();
         }
-        let Some(t) = inner.lock.try_upgrade(v) else {
+        // Upgrade ⇒ unchanged since the read ⇒ still the root (replacing a
+        // root bumps the old root's version first).
+        let Some(t) = ig.try_upgrade() else {
             return;
         };
-        if self.root.load(Ordering::Acquire) == root {
-            self.count_stat(&self.stats.root_collapses);
-            let child = inner.child(0);
-            self.root.store(child, Ordering::Release);
-            inner.lock.x_unlock(t);
-            // A collapsing root has count 0: no separator slots to free.
-            unsafe { g.retire_ptr(root as *mut Inner<IL, IC, K>) };
-        } else {
-            inner.lock.x_unlock(t);
-        }
+        self.count_stat(&self.stats.root_collapses);
+        self.root.store(inner.child(0), Ordering::Release);
+        inner.lock.x_unlock(t);
+        // A collapsing root has count 0: no separator slots to free.
+        unsafe { g.retire_ptr(root as *mut Inner<IL, IC, K>) };
     }
 
-    // --- insert -------------------------------------------------------------
-
-    /// Insert or overwrite; returns the previous value if the key existed.
-    pub fn insert(&self, key: K, val: u64) -> Option<u64> {
-        self.index_stats.record_op();
-        let old = if LL::PESSIMISTIC {
-            self.insert_pessimistic(&key, val)
-        } else {
-            self.insert_optimistic(&key, val)
-        };
-        if old.is_none() {
-            self.size.fetch_add(1, Ordering::Relaxed);
-        }
-        old
-    }
-
-    pub(crate) fn insert_optimistic(&self, key: &K, val: u64) -> Option<u64> {
-        let mut rs = self.restart_loop();
-        let g = self.collector.pin();
-        'restart: loop {
-            rs.pause();
-            let (mut node, mut v) = unsafe { self.lock_root_shared(&mut rs) };
-            let mut parent: Option<(*mut NodeBase, u64)> = None;
-
-            loop {
-                if unsafe { is_leaf(node) } {
-                    // Only reachable when the root itself is a leaf.
-                    debug_assert!(parent.is_none());
-                    let leaf = unsafe { as_leaf::<LL, LC, K>(node) };
-                    let Some(t) = leaf.lock.try_upgrade(v) else {
-                        continue 'restart;
-                    };
-                    // Upgrade ⇒ unchanged ⇒ still root.
-                    if leaf.is_full() {
-                        self.count_stat(&self.stats.root_splits);
-                        let (sep, right) = leaf.split(&g);
-                        let go_right = *key >= sep;
-                        let new_root = Inner::<IL, IC, K>::alloc();
-                        unsafe { as_inner::<IL, IC, K>(new_root) }.init_root(sep, node, right);
-                        // Insert into the proper half before publishing.
-                        let old = if go_right {
-                            unsafe { as_leaf::<LL, LC, K>(right) }.insert(key, val, &g)
-                        } else {
-                            leaf.insert(key, val, &g)
-                        };
-                        self.root.store(new_root, Ordering::Release);
-                        leaf.lock.x_unlock(t);
-                        return old;
-                    }
-                    let old = leaf.insert(key, val, &g);
-                    leaf.lock.x_unlock(t);
-                    return old;
-                }
-
-                let inner = unsafe { as_inner::<IL, IC, K>(node) };
-                if inner.is_full() {
-                    // Eager split (BTreeOLC): lock parent then node.
-                    match parent {
-                        Some((p, pv)) => {
-                            let pi = unsafe { as_inner::<IL, IC, K>(p) };
-                            let Some(pt) = pi.lock.try_upgrade(pv) else {
-                                continue 'restart;
-                            };
-                            let Some(nt) = inner.lock.try_upgrade(v) else {
-                                pi.lock.x_unlock(pt);
-                                continue 'restart;
-                            };
-                            self.count_stat(&self.stats.inner_splits);
-                            let (sep, right) = inner.split(&g);
-                            pi.insert_child(&sep, right, &g);
-                            inner.lock.x_unlock(nt);
-                            pi.lock.x_unlock(pt);
-                        }
-                        None => {
-                            let Some(nt) = inner.lock.try_upgrade(v) else {
-                                continue 'restart;
-                            };
-                            // Upgrade ⇒ still root (root replacement bumps
-                            // the old root's version first).
-                            self.count_stat(&self.stats.root_splits);
-                            let (sep, right) = inner.split(&g);
-                            let new_root = Inner::<IL, IC, K>::alloc();
-                            unsafe { as_inner::<IL, IC, K>(new_root) }.init_root(sep, node, right);
-                            self.root.store(new_root, Ordering::Release);
-                            inner.lock.x_unlock(nt);
-                        }
-                    }
-                    continue 'restart;
-                }
-
-                // Release the grandparent before descending further.
-                if let Some((p, pv)) = parent.take() {
-                    let pi = unsafe { as_inner::<IL, IC, K>(p) };
-                    if !pi.lock.r_unlock(pv) {
-                        continue 'restart;
-                    }
-                }
-
-                let child = inner.find_child(key);
-                if child.is_null() {
-                    continue 'restart;
-                }
-                if !inner.lock.recheck(v) {
-                    continue 'restart;
-                }
-
-                if unsafe { is_leaf(child) } {
-                    let leaf = unsafe { as_leaf::<LL, LC, K>(child) };
-                    match LL::STRATEGY {
-                        WriteStrategy::Upgrade => {
-                            let Some(lv) = leaf.lock.r_lock() else {
-                                continue 'restart;
-                            };
-                            if leaf.is_full() {
-                                // Split: parent then leaf.
-                                let Some(pt) = inner.lock.try_upgrade(v) else {
-                                    continue 'restart;
-                                };
-                                let Some(lt) = leaf.lock.try_upgrade(lv) else {
-                                    inner.lock.x_unlock(pt);
-                                    continue 'restart;
-                                };
-                                self.count_stat(&self.stats.leaf_splits);
-                                let (sep, right) = leaf.split(&g);
-                                let go_right = *key >= sep;
-                                inner.insert_child(&sep, right, &g);
-                                let old = if go_right {
-                                    unsafe { as_leaf::<LL, LC, K>(right) }.insert(key, val, &g)
-                                } else {
-                                    leaf.insert(key, val, &g)
-                                };
-                                leaf.lock.x_unlock(lt);
-                                inner.lock.x_unlock(pt);
-                                return old;
-                            }
-                            if !inner.lock.r_unlock(v) {
-                                continue 'restart;
-                            }
-                            let Some(lt) = leaf.lock.try_upgrade(lv) else {
-                                continue 'restart;
-                            };
-                            let old = leaf.insert(key, val, &g);
-                            leaf.lock.x_unlock(lt);
-                            return old;
-                        }
-                        WriteStrategy::DirectLock | WriteStrategy::DirectLockAor => {
-                            // Alg 4 adapted for inserts: lock the leaf
-                            // directly, validate the parent, split in place
-                            // if needed (parent upgrade subsumes recheck).
-                            let lt = leaf.lock.x_lock_adjustable();
-                            if !inner.lock.recheck(v) {
-                                leaf.lock.x_unlock(lt);
-                                continue 'restart;
-                            }
-                            if leaf.is_full() {
-                                let Some(pt) = inner.lock.try_upgrade(v) else {
-                                    leaf.lock.x_unlock(lt);
-                                    continue 'restart;
-                                };
-                                leaf.lock.x_finish_adjustable(lt);
-                                self.count_stat(&self.stats.leaf_splits);
-                                let (sep, right) = leaf.split(&g);
-                                let go_right = *key >= sep;
-                                inner.insert_child(&sep, right, &g);
-                                let old = if go_right {
-                                    unsafe { as_leaf::<LL, LC, K>(right) }.insert(key, val, &g)
-                                } else {
-                                    leaf.insert(key, val, &g)
-                                };
-                                leaf.lock.x_unlock(lt);
-                                inner.lock.x_unlock(pt);
-                                return old;
-                            }
-                            leaf.lock.x_finish_adjustable(lt);
-                            let old = leaf.insert(key, val, &g);
-                            leaf.lock.x_unlock(lt);
-                            return old;
-                        }
-                        WriteStrategy::Pessimistic => unreachable!("dispatched earlier"),
-                    }
-                }
-
-                // Child is inner: continue coupling.
-                let ci = unsafe { as_inner::<IL, IC, K>(child) };
-                let Some(cv) = ci.lock.r_lock() else {
-                    continue 'restart;
-                };
-                parent = Some((node, v));
-                node = child;
-                v = cv;
-            }
-        }
-    }
-
+    /// Traditional lock coupling (the paper's pessimistic baseline):
+    /// exclusive locks top-down, the parent released once the child is
+    /// safe (not full). A different protocol from the optimistic step —
+    /// no versions, no upgrade — sharing only the split helpers.
     fn insert_pessimistic(&self, key: &K, val: u64) -> Option<u64> {
         let mut rs = self.restart_loop();
         let g = self.collector.pin();
@@ -756,22 +804,11 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
                     leaf.lock.x_unlock(t);
                     continue 'restart;
                 }
-                if leaf.is_full() {
-                    self.count_stat(&self.stats.root_splits);
-                    let (sep, right) = leaf.split(&g);
-                    let go_right = *key >= sep;
-                    let new_root = Inner::<IL, IC, K>::alloc();
-                    unsafe { as_inner::<IL, IC, K>(new_root) }.init_root(sep, node, right);
-                    let old = if go_right {
-                        unsafe { as_leaf::<LL, LC, K>(right) }.insert(key, val, &g)
-                    } else {
-                        leaf.insert(key, val, &g)
-                    };
-                    self.root.store(new_root, Ordering::Release);
-                    leaf.lock.x_unlock(t);
-                    return old;
-                }
-                let old = leaf.insert(key, val, &g);
+                let old = if leaf.is_full() {
+                    self.split_leaf_insert(None, node, leaf, key, val, &g)
+                } else {
+                    leaf.insert(key, val, &g)
+                };
                 leaf.lock.x_unlock(t);
                 return old;
             }
@@ -783,44 +820,27 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
                 continue 'restart;
             }
             if inner.is_full() {
-                self.count_stat(&self.stats.root_splits);
-                let (sep, right) = inner.split(&g);
-                let new_root = Inner::<IL, IC, K>::alloc();
-                unsafe { as_inner::<IL, IC, K>(new_root) }.init_root(sep, node, right);
-                self.root.store(new_root, Ordering::Release);
+                self.split_inner(None, node, inner, key, &g);
                 inner.lock.x_unlock(t);
                 continue 'restart;
             }
 
-            // X-couple down; the parent is released once the child is safe
-            // (i.e. not full).
             let mut parent = inner;
             let mut ptoken = t;
             loop {
-                let mut child = parent.find_child(key);
+                let child = parent.find_child(key);
                 debug_assert!(!child.is_null());
                 if unsafe { is_leaf(child) } {
-                    let mut leaf = unsafe { as_leaf::<LL, LC, K>(child) };
-                    let mut lt = leaf.lock.x_lock();
-                    if leaf.is_full() {
-                        self.count_stat(&self.stats.leaf_splits);
-                        let (sep, right) = leaf.split(&g);
-                        let go_right = *key >= sep;
-                        parent.insert_child(&sep, right, &g);
-                        if go_right {
-                            let rl = unsafe { as_leaf::<LL, LC, K>(right) };
-                            let rt = rl.lock.x_lock();
-                            leaf.lock.x_unlock(lt);
-                            leaf = rl;
-                            lt = rt;
-                        }
+                    let leaf = unsafe { as_leaf::<LL, LC, K>(child) };
+                    let lt = leaf.lock.x_lock();
+                    let old = if leaf.is_full() {
+                        let old = self.split_leaf_insert(Some(parent), child, leaf, key, val, &g);
                         parent.lock.x_unlock(ptoken);
-                        let old = leaf.insert(key, val, &g);
-                        leaf.lock.x_unlock(lt);
-                        return old;
-                    }
-                    parent.lock.x_unlock(ptoken);
-                    let old = leaf.insert(key, val, &g);
+                        old
+                    } else {
+                        parent.lock.x_unlock(ptoken);
+                        leaf.insert(key, val, &g)
+                    };
                     leaf.lock.x_unlock(lt);
                     return old;
                 }
@@ -828,20 +848,14 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
                 let mut ci = unsafe { as_inner::<IL, IC, K>(child) };
                 let mut ct = ci.lock.x_lock();
                 if ci.is_full() {
-                    self.count_stat(&self.stats.inner_splits);
-                    let (sep, right) = ci.split(&g);
-                    let go_right = *key >= sep;
-                    parent.insert_child(&sep, right, &g);
-                    if go_right {
+                    if let Some(right) = self.split_inner(Some(parent), child, ci, key, &g) {
                         let ri = unsafe { as_inner::<IL, IC, K>(right) };
                         let rt = ri.lock.x_lock();
                         ci.lock.x_unlock(ct);
                         ci = ri;
                         ct = rt;
-                        child = right;
                     }
                 }
-                let _ = child;
                 parent.lock.x_unlock(ptoken);
                 parent = ci;
                 ptoken = ct;
@@ -871,41 +885,29 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
         'restart: loop {
             rs.pause();
             out.clear();
-            let (mut node, mut v) = unsafe { self.lock_root_shared(&mut rs) };
-            let mut upper: Option<K> = None;
+            // Tightest upper separator on the path so far: an owned
+            // reconstruction, kept only once its node validated.
+            let mut upper = None;
+            let mut edge = self.root_edge();
             loop {
-                if unsafe { is_leaf(node) } {
-                    let leaf = unsafe { as_leaf::<LL, LC, K>(node) };
-                    leaf.collect_from(from, limit, out);
-                    if !leaf.lock.r_unlock(v) {
-                        continue 'restart;
+                let mut seen = None;
+                let step = self.read_step(
+                    edge,
+                    |n| {
+                        let (child, up) = n.find_child_from(from);
+                        seen = up;
+                        child
+                    },
+                    |l| l.collect_from(from, limit, out),
+                );
+                match step {
+                    Step::Next(next) => {
+                        upper = seen.or(upper);
+                        edge = next;
                     }
-                    // `upper` is an owned reconstruction of the tightest
-                    // separator, captured only after its node revalidated.
-                    return upper;
+                    Step::Done(()) => return upper,
+                    Step::Restart => continue 'restart,
                 }
-                let inner = unsafe { as_inner::<IL, IC, K>(node) };
-                let (child, up) = inner.find_child_from(from);
-                if child.is_null() {
-                    unsafe { self.node_abandon(node, v) };
-                    continue 'restart;
-                }
-                if !inner.lock.recheck(v) {
-                    continue 'restart;
-                }
-                if let Some(u) = up {
-                    upper = Some(u);
-                }
-                let Some(cv) = (unsafe { self.node_r_lock(child) }) else {
-                    unsafe { self.node_abandon(node, v) };
-                    continue 'restart;
-                };
-                if !inner.lock.r_unlock(v) {
-                    unsafe { self.node_abandon(child, cv) };
-                    continue 'restart;
-                }
-                node = child;
-                v = cv;
             }
         }
     }
@@ -1069,42 +1071,6 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
             self.pending = upper.filter(|u| key_below_end(u, &self.end)).map(Some);
             self.buf = batch.into_iter();
         }
-    }
-}
-
-/// Apply an update (`Some(val)`) or removal (`None`) to a locked leaf. A
-/// removal's key slot is retired through `g`.
-#[inline]
-fn apply_leaf<LL: IndexLock, const LC: usize, K: IndexKey>(
-    leaf: &Leaf<LL, LC, K>,
-    key: &K,
-    val: Option<u64>,
-    g: &Guard,
-) -> Option<u64> {
-    match val {
-        Some(v) => leaf.update(key, v),
-        None => leaf.remove(key).map(|(slot, old)| {
-            // Safety: the slot was just unlinked under the leaf's
-            // exclusive lock; pinned readers may still compare against it.
-            unsafe { K::slot_retire(slot, g) };
-            old
-        }),
-    }
-}
-
-/// As [`apply_leaf`], but with a pre-computed search result (the slot was
-/// located while readers were still admitted — Upgrade / AOR paths).
-#[inline]
-fn apply_leaf_at<LL: IndexLock, const LC: usize, K: IndexKey>(
-    leaf: &Leaf<LL, LC, K>,
-    idx: Option<usize>,
-    key: &K,
-    val: Option<u64>,
-    g: &Guard,
-) -> Option<u64> {
-    match idx {
-        None => None,
-        Some(_) => apply_leaf(leaf, key, val, g),
     }
 }
 

@@ -21,12 +21,28 @@
 //!   accounting (operations, restarts, scheduler escalations) shared by
 //!   every index, so benchmarks print one consistent restart column no
 //!   matter which structure is underneath.
+//! * [`Step`] and its two drivers. Each tree writes its descent once, as
+//!   a resumable step function that moves one level and reports where it
+//!   stands; *who calls it* decides the schedule. A scalar entry point
+//!   is the batch of one: a [`RestartLoop`] around a loop that re-enters
+//!   the step at once. [`run_grouped`] is the batched driver: it parks the
+//!   step's state between turns so a group keeps [`GROUP`] cache misses in
+//!   flight.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::backoff::Backoff;
 use crate::stats::Event;
 use crate::traits::{IndexLock, WriteToken};
+
+/// Operations interleaved per pipeline group of [`run_grouped`]. Eight
+/// in-flight misses is in the range today's cores can keep outstanding
+/// (10+ line fill buffers); larger groups mostly add register/stack
+/// pressure.
+pub const GROUP: usize = 8;
+/// Pipelined restarts per operation before [`run_grouped`] completes it
+/// on the scalar path (which has the full free→spin→backoff→yield ladder).
+pub const PIPELINE_ATTEMPTS: u32 = 3;
 
 /// Pauses (attempts) that are free: the operation's first try never
 /// waits or counts as a restart.
@@ -263,6 +279,115 @@ impl<'a> RestartLoop<'a> {
     }
 }
 
+/// Outcome of one resumable descent step.
+pub enum Step<S, R> {
+    /// Moved one level; `S` is where the descent now stands. A scalar
+    /// driver re-enters at once, the batched driver parks `S` until the
+    /// operation's next turn.
+    Next(S),
+    /// The operation finished with this result.
+    Done(R),
+    /// Validation failed: begin again from the root.
+    Restart,
+}
+
+/// Where one operation of a group stands between turns.
+enum Slot<S, R> {
+    /// In the pipeline: parked at `at` (`None`: about to start from the
+    /// root) after `attempts` pipelined restarts.
+    Run {
+        at: Option<S>,
+        attempts: u32,
+    },
+    /// Repeats the key of an earlier operation in its group: runs scalar,
+    /// in order, once the group has drained.
+    Deferred,
+    Done(R),
+}
+
+/// The batched driver: run operations `0..n` as groups of [`GROUP`]
+/// in-flight descents advanced round-robin, and return their results in
+/// input order.
+///
+/// `turn(i, at)` advances operation `i` from its parked state (`None`: from
+/// the root) and reports a [`Step`]; it should end a turn by prefetching
+/// what the next one touches and returning [`Step::Next`], so that by the
+/// time the round-robin comes back (≈`GROUP - 1` other turns later) the
+/// line has landed. `scalar(i)` completes operation `i` on the scalar
+/// driver without accounting it; it serves operations that restarted
+/// [`PIPELINE_ATTEMPTS`] times and operations for which `same_key(e, i)`
+/// holds for an earlier `e` of their group (they must observe `e`'s write,
+/// so they run after the group drains — groups are sequential, so only
+/// intra-group repeats can race). Batches of one and pessimistic locks
+/// (whose reads hold real shared locks, which must not be parked across
+/// turns) run `scalar` throughout.
+///
+/// Accounts the batch on `stats` once: `n` operations plus the pipelined
+/// restarts (scalar completions count their own restarts).
+pub fn run_grouped<L: IndexLock, S, R>(
+    stats: &SharedIndexStats,
+    n: usize,
+    same_key: impl Fn(usize, usize) -> bool,
+    mut turn: impl FnMut(usize, Option<S>) -> Step<S, R>,
+    mut scalar: impl FnMut(usize) -> R,
+) -> Vec<R> {
+    crate::stats::record(Event::BatchIssued);
+    stats.record_ops(n as u64);
+    if L::PESSIMISTIC || n < 2 {
+        return (0..n).map(scalar).collect();
+    }
+    let mut out = Vec::with_capacity(n);
+    let mut restarts = 0u64;
+    for base in (0..n).step_by(GROUP) {
+        let len = GROUP.min(n - base);
+        let mut slots: [Slot<S, R>; GROUP] = std::array::from_fn(|j| {
+            if j < len && (base..base + j).any(|e| same_key(e, base + j)) {
+                Slot::Deferred
+            } else {
+                Slot::Run {
+                    at: None,
+                    attempts: 0,
+                }
+            }
+        });
+        let in_flight = |s: &&Slot<S, R>| matches!(s, Slot::Run { .. });
+        let mut pending = slots[..len].iter().filter(in_flight).count();
+        while pending > 0 {
+            crate::stats::record(Event::BatchPrefetchRound);
+            for (j, slot) in slots[..len].iter_mut().enumerate() {
+                let Slot::Run { at, attempts } = slot else {
+                    continue;
+                };
+                let step = match at.take() {
+                    None if *attempts >= PIPELINE_ATTEMPTS => Step::Done(scalar(base + j)),
+                    parked => turn(base + j, parked),
+                };
+                match step {
+                    Step::Next(next) => *at = Some(next),
+                    Step::Done(r) => {
+                        *slot = Slot::Done(r);
+                        pending -= 1;
+                    }
+                    Step::Restart => {
+                        *attempts += 1;
+                        restarts += 1;
+                        crate::stats::record(Event::BatchOpRestart);
+                    }
+                }
+            }
+        }
+        for (j, slot) in slots.into_iter().take(len).enumerate() {
+            out.push(match slot {
+                Slot::Done(r) => r,
+                Slot::Deferred => scalar(base + j),
+                Slot::Run { .. } => unreachable!("group drained with an operation in flight"),
+            });
+        }
+    }
+    stats.record_restarts(restarts);
+    out
+}
+
 /// An optimistic (or pessimistic-shared) read of one [`IndexLock`],
 /// carrying the version snapshot the validation discipline needs.
 ///
@@ -310,6 +435,17 @@ impl<'a, L: IndexLock> OptimisticGuard<'a, L> {
     #[inline]
     pub fn validate(self) -> bool {
         self.lock.r_unlock(self.version)
+    }
+
+    /// End the read with the operation's answer: [`Step::Done`] if the
+    /// data it was computed from validates, [`Step::Restart`] otherwise.
+    #[inline]
+    pub fn done<S, R>(self, res: R) -> Step<S, R> {
+        if self.validate() {
+            Step::Done(res)
+        } else {
+            Step::Restart
+        }
     }
 
     /// Abandon the read on a restart path. Free for optimistic locks;
@@ -407,6 +543,76 @@ mod tests {
         }
         assert_eq!(stats.snapshot().ops, 10);
         assert_eq!(stats.snapshot().restarts, 0);
+    }
+
+    /// A fake step over a map: op `i` inserts `(key, i)` and answers the
+    /// key's previous value. It takes `key % 4` parked turns to get there
+    /// (so a group finishes out of order); key 13 never passes validation.
+    #[test]
+    fn run_grouped_orders_defers_and_falls_back() {
+        use std::cell::RefCell;
+        use std::collections::HashMap;
+        const CURSED: u64 = 13;
+        let keys: Vec<u64> = vec![7, 2, 7, 13, 5, 2, 9, 4, 7, 13, 1];
+        let map = RefCell::new(HashMap::new());
+        let scalar_calls = RefCell::new(vec![0u32; keys.len()]);
+        let turns_on_cursed = RefCell::new(0u32);
+        let stats = SharedIndexStats::new();
+        let out = run_grouped::<OptLock, u64, Option<usize>>(
+            &stats,
+            keys.len(),
+            |e, i| keys[e] == keys[i],
+            |i, parked| match parked.unwrap_or(keys[i] % 4) {
+                _ if keys[i] == CURSED => {
+                    *turns_on_cursed.borrow_mut() += 1;
+                    Step::Restart
+                }
+                0 => Step::Done(map.borrow_mut().insert(keys[i], i)),
+                levels => Step::Next(levels - 1),
+            },
+            |i| {
+                scalar_calls.borrow_mut()[i] += 1;
+                map.borrow_mut().insert(keys[i], i)
+            },
+        );
+        // Results are those of applying the ops in input order: each
+        // answers the index of the previous op on its key. In particular
+        // the repeats inside the first group of eight (ops 2 and 5) waited
+        // for, and observed, the earlier write.
+        let expect = [
+            None,
+            None,
+            Some(0),
+            None,
+            None,
+            Some(1),
+            None,
+            None,
+            Some(2),
+            Some(3),
+            None,
+        ];
+        assert_eq!(out, expect);
+        // Deferred repeats and the cursed key went scalar, exactly once
+        // each; nothing else did. (Op 8 repeats a key of the *previous*
+        // group, which had drained: no deferral needed.)
+        assert_eq!(*scalar_calls.borrow(), [0, 0, 1, 1, 0, 1, 0, 0, 0, 1, 0]);
+        assert_eq!(*turns_on_cursed.borrow(), 2 * PIPELINE_ATTEMPTS);
+        let s = stats.snapshot();
+        assert_eq!(s.ops, keys.len() as u64);
+        assert_eq!(s.restarts, 2 * PIPELINE_ATTEMPTS as u64);
+    }
+
+    /// Pessimistic locks and batches of one never enter the pipeline.
+    #[test]
+    fn run_grouped_bypasses_the_pipeline_when_it_cannot_help() {
+        let stats = SharedIndexStats::new();
+        let no_turn = |_, _: Option<()>| -> Step<(), usize> { panic!("pipelined") };
+        let out = run_grouped::<PthreadRwLock, _, _>(&stats, 3, |_, _| false, no_turn, |i| i);
+        assert_eq!(out, [0, 1, 2]);
+        let out = run_grouped::<OptLock, _, _>(&stats, 1, |_, _| false, no_turn, |i| i);
+        assert_eq!(out, [0]);
+        assert_eq!(stats.snapshot().ops, 4);
     }
 
     #[test]

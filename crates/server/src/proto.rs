@@ -17,9 +17,6 @@
 //!   SCAN_COUNT 0x05 | start:u64 | limit:u32
 //!   SHUTDOWN   0x06 | (empty)
 //!   SCAN       0x07 | start:u64 | count:u32
-//!   CAS        0x08 | key:u64 | expected:u64 | new:u64   (reserved)
-//!   INCR       0x09 | key:u64 | delta:u64                (reserved)
-//!   TTL        0x0A | key:u64 | ttl_ms:u64               (reserved)
 //!
 //! response := len:u32 | opcode:u8 | body
 //!   VALUE      0x81 | found:u8 | value:u64          (GET)
@@ -45,14 +42,6 @@
 //! boundary is at most one part away. Parts of one SCAN are contiguous
 //! and in order on the connection (workers execute a connection's
 //! requests serially), so continuation needs no sequence numbers.
-//!
-//! ## Reserved opcodes
-//!
-//! CAS, INCR and TTL have fixed body layouts (validated like any other
-//! frame) but no implementation yet. The server answers each with a
-//! clean ERR *without* closing the connection — reserving the opcode
-//! space while keeping "ERR then close" as the signature of an actual
-//! protocol violation.
 //!
 //! The codec is symmetric: [`FrameDecoder`] incrementally reassembles
 //! frames from arbitrary byte chunks (partial reads, frames split across
@@ -96,13 +85,6 @@ pub mod op {
     /// Stream up to count entries with key ≥ start (SCAN_PART × n,
     /// then SCAN_END).
     pub const SCAN: u8 = 0x07;
-    /// Reserved: compare-and-swap. Decodes; the server rejects it with
-    /// ERR without closing the connection.
-    pub const CAS: u8 = 0x08;
-    /// Reserved: atomic increment. Decodes; rejected like CAS.
-    pub const INCR: u8 = 0x09;
-    /// Reserved: per-key expiry. Decodes; rejected like CAS.
-    pub const TTL: u8 = 0x0A;
 }
 
 /// Response opcodes (the `0x8*` space, plus ERR).
@@ -122,9 +104,8 @@ pub mod resp {
     pub const SCAN_PART: u8 = 0x87;
     /// End of a SCAN stream; carries the total entry count.
     pub const SCAN_END: u8 = 0x88;
-    /// Protocol or server error. After a *protocol violation* the
-    /// sender closes the connection; after a reserved-opcode rejection
-    /// it stays open.
+    /// Protocol or server error; the sender closes the connection after
+    /// emitting it for a protocol violation.
     pub const ERR: u8 = 0xEE;
 }
 
@@ -170,29 +151,6 @@ pub enum Request {
         /// Entry cap (≤ [`MAX_SCAN`]).
         count: u32,
     },
-    /// Reserved (not implemented): compare-and-swap.
-    Cas {
-        /// Key to compare.
-        key: u64,
-        /// Value the swap requires.
-        expected: u64,
-        /// Replacement value.
-        new: u64,
-    },
-    /// Reserved (not implemented): atomic increment.
-    Incr {
-        /// Key to bump.
-        key: u64,
-        /// Amount to add.
-        delta: u64,
-    },
-    /// Reserved (not implemented): per-key expiry.
-    Ttl {
-        /// Key to expire.
-        key: u64,
-        /// Lifetime in milliseconds.
-        ttl_ms: u64,
-    },
 }
 
 /// One decoded server response.
@@ -217,8 +175,7 @@ pub enum Response {
         total: u32,
     },
     /// Protocol or server error. The sender closes the connection after
-    /// emitting this for a protocol violation; a reserved-opcode
-    /// rejection leaves the connection open.
+    /// emitting this for a protocol violation.
     Error(String),
 }
 
@@ -307,19 +264,6 @@ impl Request {
             Request::Scan { start, count } => frame(out, op::SCAN, |b| {
                 put_u64(b, *start);
                 put_u32(b, *count);
-            }),
-            Request::Cas { key, expected, new } => frame(out, op::CAS, |b| {
-                put_u64(b, *key);
-                put_u64(b, *expected);
-                put_u64(b, *new);
-            }),
-            Request::Incr { key, delta } => frame(out, op::INCR, |b| {
-                put_u64(b, *key);
-                put_u64(b, *delta);
-            }),
-            Request::Ttl { key, ttl_ms } => frame(out, op::TTL, |b| {
-                put_u64(b, *key);
-                put_u64(b, *ttl_ms);
             }),
         }
     }
@@ -455,19 +399,6 @@ impl Request {
                 }
                 Request::Scan { start, count }
             }
-            op::CAS => Request::Cas {
-                key: b.u64()?,
-                expected: b.u64()?,
-                new: b.u64()?,
-            },
-            op::INCR => Request::Incr {
-                key: b.u64()?,
-                delta: b.u64()?,
-            },
-            op::TTL => Request::Ttl {
-                key: b.u64()?,
-                ttl_ms: b.u64()?,
-            },
             other => return Err(ProtoError::BadOpcode(other)),
         };
         b.finish()?;
@@ -647,13 +578,6 @@ mod tests {
                 start: 3,
                 count: MAX_SCAN,
             },
-            Request::Cas {
-                key: 1,
-                expected: 2,
-                new: 3,
-            },
-            Request::Incr { key: 4, delta: 5 },
-            Request::Ttl { key: 6, ttl_ms: 7 },
         ];
         let mut wire = Vec::new();
         for r in &reqs {
@@ -733,11 +657,13 @@ mod tests {
 
     #[test]
     fn structural_garbage_is_rejected() {
-        // Unknown opcode.
-        let mut dec = FrameDecoder::new();
-        dec.feed(&3u32.to_le_bytes());
-        dec.feed(&[0x77, 0, 0]);
-        assert_eq!(dec.next_request(), Err(ProtoError::BadOpcode(0x77)));
+        // Unknown opcode (0x08–0x0A were once reserved for CAS/INCR/TTL).
+        for opcode in [0x77, 0x08, 0x09, 0x0A] {
+            let mut dec = FrameDecoder::new();
+            dec.feed(&3u32.to_le_bytes());
+            dec.feed(&[opcode, 0, 0]);
+            assert_eq!(dec.next_request(), Err(ProtoError::BadOpcode(opcode)));
+        }
 
         // Truncated body.
         let mut dec = FrameDecoder::new();
@@ -775,14 +701,6 @@ mod tests {
         dec.feed(&9u32.to_le_bytes());
         dec.feed(&[op::SCAN]);
         dec.feed(&0u64.to_le_bytes());
-        assert_eq!(dec.next_request(), Err(ProtoError::Truncated));
-
-        // Reserved CAS with a short body is still structurally checked.
-        let mut dec = FrameDecoder::new();
-        dec.feed(&17u32.to_le_bytes());
-        dec.feed(&[op::CAS]);
-        dec.feed(&1u64.to_le_bytes());
-        dec.feed(&2u64.to_le_bytes());
         assert_eq!(dec.next_request(), Err(ProtoError::Truncated));
 
         // SCAN_PART claiming more entries than the frame bound allows.

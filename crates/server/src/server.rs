@@ -741,18 +741,6 @@ impl Worker {
                     .index_ops
                     .fetch_add(u64::from(total).max(1), Ordering::Relaxed);
             }
-            // Reserved opcodes: well-formed on the wire, unimplemented in
-            // the engine. Clean ERR, connection stays open — only actual
-            // protocol violations cost the client its connection.
-            Request::Cas { .. } => {
-                Response::Error("CAS (0x08) is reserved, not implemented".into()).encode(out);
-            }
-            Request::Incr { .. } => {
-                Response::Error("INCR (0x09) is reserved, not implemented".into()).encode(out);
-            }
-            Request::Ttl { .. } => {
-                Response::Error("TTL (0x0a) is reserved, not implemented".into()).encode(out);
-            }
         }
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
     }

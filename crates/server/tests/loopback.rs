@@ -189,16 +189,20 @@ fn garbage_bytes_close_only_that_connection() {
     let mut good = C::connect(h.addr());
     assert_eq!(good.call(Request::Get { key: 1 }), Response::Value(Some(2)));
 
-    // A hostile connection: structural garbage (valid length prefix,
-    // unknown opcode). The server must answer ERR, then close.
-    let mut bad = C::connect(h.addr());
-    bad.s.write_all(&3u32.to_le_bytes()).unwrap();
-    bad.s.write_all(&[0x99, 0xAA, 0xBB]).unwrap();
-    match bad.recv() {
-        Some(Response::Error(msg)) => assert!(msg.contains("opcode"), "got: {msg}"),
-        other => panic!("expected ERR frame, got {other:?}"),
+    // Hostile connections: structural garbage (valid length prefix,
+    // unknown opcode) — 0x99, and the once-reserved CAS/INCR/TTL space
+    // 0x08–0x0A, which is unknown like any other now. The server must
+    // answer ERR, then close.
+    for opcode in [0x99, 0x08, 0x09, 0x0A] {
+        let mut bad = C::connect(h.addr());
+        bad.s.write_all(&3u32.to_le_bytes()).unwrap();
+        bad.s.write_all(&[opcode, 0xAA, 0xBB]).unwrap();
+        match bad.recv() {
+            Some(Response::Error(msg)) => assert!(msg.contains("opcode"), "got: {msg}"),
+            other => panic!("expected ERR frame for {opcode:#04x}, got {other:?}"),
+        }
+        assert_eq!(bad.recv(), None, "connection must close after ERR");
     }
-    assert_eq!(bad.recv(), None, "connection must close after ERR");
 
     // A second hostile connection: an oversized length prefix.
     let mut huge = C::connect(h.addr());
@@ -219,7 +223,7 @@ fn garbage_bytes_close_only_that_connection() {
     );
 
     let stats = h.shutdown();
-    assert_eq!(stats.proto_errors, 2);
+    assert_eq!(stats.proto_errors, 5);
 }
 
 /// Drain one whole SCAN reply: parts until SCAN_END, asserting every
@@ -305,44 +309,6 @@ fn scan_streams_bounded_frames_in_order() {
         let stats = h.shutdown();
         assert_eq!(stats.proto_errors, 0);
     }
-}
-
-#[test]
-fn reserved_opcodes_reject_without_closing() {
-    let h = serve(BackendKind::Btree, Dispatch::Grouped, 10);
-    let mut c = C::connect(h.addr());
-    for (req, name) in [
-        (
-            Request::Cas {
-                key: 1,
-                expected: 2,
-                new: 3,
-            },
-            "CAS",
-        ),
-        (Request::Incr { key: 1, delta: 1 }, "INCR"),
-        (
-            Request::Ttl {
-                key: 1,
-                ttl_ms: 1000,
-            },
-            "TTL",
-        ),
-    ] {
-        match c.call(req) {
-            Response::Error(msg) => {
-                assert!(msg.contains(name) && msg.contains("reserved"), "got: {msg}");
-            }
-            other => panic!("expected ERR for {name}, got {other:?}"),
-        }
-        // Same connection keeps serving after each rejection.
-        assert_eq!(c.call(Request::Get { key: 1 }), Response::Value(Some(2)));
-    }
-    let stats = h.shutdown();
-    assert_eq!(
-        stats.proto_errors, 0,
-        "reserved opcodes are not protocol errors"
-    );
 }
 
 #[test]

@@ -18,13 +18,6 @@ fn any_request() -> impl Strategy<Value = Request> {
         (any::<u64>(), any::<u32>()).prop_map(|(start, limit)| Request::ScanCount { start, limit }),
         Just(Request::Shutdown),
         (any::<u64>(), 0..=MAX_SCAN).prop_map(|(start, count)| Request::Scan { start, count }),
-        (any::<u64>(), any::<u64>(), any::<u64>()).prop_map(|(key, expected, new)| Request::Cas {
-            key,
-            expected,
-            new
-        }),
-        (any::<u64>(), any::<u64>()).prop_map(|(key, delta)| Request::Incr { key, delta }),
-        (any::<u64>(), any::<u64>()).prop_map(|(key, ttl_ms)| Request::Ttl { key, ttl_ms }),
     ]
 }
 
