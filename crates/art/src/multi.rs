@@ -109,9 +109,11 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
                 digits.with(key, i, |kb| {
                     self.turn(parked, |e| {
                         // Restructuring above a node is the scalar
-                        // driver's job; nothing is held (optimistic reads
-                        // only), so hand over.
-                        self.write_step(key, kb, WriteOp::Insert(*val), None, e, &g)
+                        // driver's job; nothing is held (the pipeline runs
+                        // optimistic locks only), so hand over — and for
+                        // the same reason the link the step leaves in `up`
+                        // for a remove's collapse can simply be dropped.
+                        self.write_step(key, kb, WriteOp::Insert(*val), &mut None, e, &g)
                             .unwrap_or_else(|_smo| Step::Done(self.insert_impl(key, kb, *val)))
                     })
                 })

@@ -6,7 +6,7 @@
 //!
 //! # One descent, two drivers
 //!
-//! The optimistic descent is written once, as two resumable step
+//! The descent is written once, as two resumable step
 //! functions that each move one level along an `Edge`:
 //! `ArtTree::read_step` and `ArtTree::write_step`. The scalar entry
 //! points loop on a step without yielding (the batch of one);
@@ -30,10 +30,10 @@
 //!   probabilistically bump a per-node contention counter; past a threshold
 //!   the lazily-expanded leaf is materialized into a real last-level node so
 //!   subsequent updates can use the direct path (§6.2, Figure 5).
-//! * Pessimistic locks use lock coupling: the read step with real shared
-//!   locks on the way down, and for writes a protocol of their own
-//!   (exclusive coupling, `*_pessimistic`) that shares only the
-//!   structural helpers.
+//! * Pessimistic locks use lock coupling — the same two steps, whose
+//!   guards are then real holds: shared ones down a read, and exclusive
+//!   ones down a write, which enters every node with write intent (any
+//!   node on the path may be the one written or restructured).
 //!
 //! The root is a `Node256` that is never replaced, removing root-swap races.
 //!
@@ -197,12 +197,21 @@ pub(crate) fn alloc_chain<L: IndexLock>(
     np
 }
 
-/// An inner node under an open (not yet validated) read, and the digit a
+/// An inner node under an open (not yet validated) guard, and the digit a
 /// descent left it by.
 pub(crate) struct Link<'t, L: IndexLock> {
     node: &'t ArtNode<L>,
     guard: OptimisticGuard<'t, L>,
     byte: u8,
+}
+
+/// Drop a link on a path that does not validate it: free for optimistic
+/// locks, releases the hold of pessimistic ones.
+#[inline]
+fn release<L: IndexLock>(link: Option<Link<'_, L>>) {
+    if let Some(link) = link {
+        link.guard.abandon();
+    }
 }
 
 /// Where a descent stands between two steps: `child` (at `depth`) was
@@ -214,24 +223,8 @@ pub(crate) struct Edge<'t, L: IndexLock> {
     depth: usize,
 }
 
-/// What is left of a link once a descent has moved past it: the node, the
-/// version its read validated at (still good for an upgrade), the digit
-/// taken. The scalar write driver remembers the one above [`Edge::via`] for
-/// the path collapse after a remove.
-pub(crate) type Above<'t, L> = Option<(&'t ArtNode<L>, u64, u8)>;
-
-impl<'t, L: IndexLock> Edge<'t, L> {
-    /// The link this edge hangs under, as the next edge's [`Above`].
-    #[inline]
-    fn above(&self) -> Above<'t, L> {
-        self.via
-            .as_ref()
-            .map(|l| (l.node, l.guard.version(), l.byte))
-    }
-}
-
 /// The structural outcome of the write step: an insert must restructure
-/// above `node`, i.e. needs its `parent` exclusively as well. Both reads
+/// above `node`, i.e. needs its `parent` exclusively as well. Both guards
 /// are still open.
 pub(crate) struct Smo<'t, L: IndexLock> {
     parent: Link<'t, L>,
@@ -372,11 +365,6 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
         c.fetch_add(1, Ordering::Relaxed);
     }
 
-    #[inline]
-    pub(crate) fn root(&self) -> &ArtNode<L> {
-        unsafe { &*self.root }
-    }
-
     /// Retire an inner node through the epoch collector.
     fn retire_inner(&self, g: &Guard, p: *mut ArtNode<L>) {
         debug_assert!(!is_kv(p));
@@ -431,9 +419,7 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
         }
         let node = unsafe { &*child };
         let Some(g) = OptimisticGuard::read(&node.lock) else {
-            if let Some(link) = via {
-                link.guard.abandon();
-            }
+            release(via);
             return Step::Restart;
         };
         if via.is_some_and(|link| !link.guard.validate()) {
@@ -470,8 +456,9 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
     /// Paper Algorithm 4 as adapted to ART (§6.2) — the one place a node
     /// is acquired for writing. With a queue-based lock and a node known
     /// to be the last level (`direct`), lock it directly and validate the
-    /// `parent` read afterwards; otherwise upgrade the read `g`, which for
-    /// OptiQL leaves the writer queue intact. `None`: restart.
+    /// `parent` guard afterwards; otherwise upgrade the guard `g`, which
+    /// for OptiQL leaves the writer queue intact and for an exclusive hold
+    /// is the token it already has. `None`: restart.
     #[inline(always)]
     fn acquire(
         node: &ArtNode<L>,
@@ -482,6 +469,7 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
         if !direct {
             return g.try_upgrade();
         }
+        g.abandon();
         let t = node.lock.x_lock_adjustable();
         if parent.is_some_and(|p| !p.guard.recheck()) {
             node.lock.x_unlock(t);
@@ -490,20 +478,23 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
         Some(t)
     }
 
-    /// The write step of the optimistic protocols: as
-    /// [`read_step`](Self::read_step) down to the node that holds (or
-    /// would hold) the key, then the write itself. Inserts that must
-    /// restructure *above* that node — split its compressed path, grow it
+    /// The write step: as [`read_step`](Self::read_step) down to the node
+    /// that holds (or would hold) the key, then the write itself. Every
+    /// node is entered with write intent, so under a pessimistic lock the
+    /// step is exclusive lock coupling. Inserts that must restructure
+    /// *above* the node they reached — split its compressed path, grow it
     /// — return as `Err` for the scalar driver
-    /// ([`restructure`](Self::restructure)). `up` is what that driver
-    /// remembers of the link above `edge.via` (see [`Above`]).
+    /// ([`restructure`](Self::restructure)). `up` is the link above
+    /// `edge.via`, still open: the step keeps it for the one level a
+    /// remove's path collapse can need it, and leaves `None` behind
+    /// whenever it does not return [`Step::Next`].
     #[inline(always)]
     pub(crate) fn write_step<'t>(
         &'t self,
         key: &K,
         kb: &[u8],
         op: WriteOp,
-        up: Above<'t, L>,
+        up: &mut Option<Link<'t, L>>,
         edge: Edge<'t, L>,
         g: &Guard,
     ) -> Result<Step<Edge<'t, L>, Option<u64>>, Smo<'t, L>> {
@@ -514,10 +505,14 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
         } = edge;
         if is_kv(child) {
             let link = via.expect("the root is an inner node");
-            return Ok(self.write_kv(key, kb, op, up, link, child, depth, g));
+            return Ok(self.write_kv(key, kb, op, up.take(), link, child, depth, g));
         }
+        // Only the node right above a KV leaf is ever folded into its
+        // parent: two levels up has served.
+        release(up.take());
         let node = unsafe { &*child };
-        let Some(ng) = OptimisticGuard::read(&node.lock) else {
+        let Some(ng) = OptimisticGuard::read_for_write(&node.lock, true) else {
+            release(via);
             return Ok(Step::Restart);
         };
         // OLC coupling: re-validate the parent *after* reading the child.
@@ -527,6 +522,8 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
         // `depth`.
         #[cfg(not(feature = "bug-pr4-revert"))]
         if via.as_ref().is_some_and(|link| !link.guard.recheck()) {
+            ng.abandon();
+            release(via);
             return Ok(Step::Restart);
         }
         let pl = node.prefix_len();
@@ -534,6 +531,7 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
             let matched = node.prefix_match_len(kb, depth);
             if matched < pl {
                 let WriteOp::Insert(_) = op else {
+                    release(via);
                     return Ok(ng.done(None));
                 };
                 return Err(Smo {
@@ -552,7 +550,9 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
                 // Known last level: the remaining digit is the key's final
                 // encoded byte, and prefix-freedom makes every child under
                 // it a leaf.
-                let Some(t) = Self::acquire(node, ng, via.as_ref(), true) else {
+                let t = Self::acquire(node, ng, via.as_ref(), true);
+                release(via);
+                let Some(mut t) = t else {
                     return Ok(Step::Restart);
                 };
                 let child = node.find_child(byte);
@@ -560,7 +560,7 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
                 if !child.is_null() && is_kv(child) {
                     let kv = unsafe { as_kv::<L, K>(child) };
                     if kv.key == *key {
-                        node.lock.x_finish_adjustable(t);
+                        t = node.lock.x_finish_adjustable(t);
                         old = Some(kv.set_value(val));
                     }
                 }
@@ -578,10 +578,13 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
         // slot.
         let full = node.is_full();
         if !ng.recheck() {
+            ng.abandon();
+            release(via);
             return Ok(Step::Restart);
         }
         if child.is_null() {
             let WriteOp::Insert(val) = op else {
+                release(via);
                 return Ok(ng.done(None));
             };
             if full {
@@ -592,6 +595,7 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
                     kind: SmoKind::Grow { byte },
                 });
             }
+            release(via);
             let Some(t) = Self::acquire(node, ng, None, false) else {
                 return Ok(Step::Restart);
             };
@@ -599,6 +603,7 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
             node.lock.x_unlock(t);
             return Ok(Step::Done(None));
         }
+        *up = via;
         Ok(Step::Next(Edge {
             via: Some(Link {
                 node,
@@ -611,7 +616,8 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
     }
 
     /// KV half of the write step: `child` is the tagged leaf under
-    /// `link.byte` of `link.node` (`depth` is the leaf's own).
+    /// `link.byte` of `link.node` (`depth` is the leaf's own), `up` the
+    /// link above it.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
     fn write_kv<'t>(
@@ -619,7 +625,7 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
         key: &K,
         kb: &[u8],
         op: WriteOp,
-        up: Above<'t, L>,
+        up: Option<Link<'t, L>>,
         link: Link<'t, L>,
         child: *mut ArtNode<L>,
         depth: usize,
@@ -628,6 +634,7 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
         let Link { node, guard, byte } = link;
         let kv = unsafe { as_kv::<L, K>(child) };
         if kv.key != *key {
+            release(up);
             let WriteOp::Insert(val) = op else {
                 return guard.done(None);
             };
@@ -637,6 +644,7 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
                 // Path-consistent prefix-free keys diverge inside both
                 // encodings; hitting an end means the parked state went
                 // stale (the upgrade below would fail anyway).
+                guard.abandon();
                 return Step::Restart;
             };
             let Some(t) = Self::acquire(node, guard, None, false) else {
@@ -647,6 +655,7 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
             return Step::Done(None);
         }
         let Some(t) = Self::acquire(node, guard, None, false) else {
+            release(up);
             return Step::Restart;
         };
         let old = match op {
@@ -673,16 +682,23 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
                 let old = kv.value();
                 node.remove_child(byte);
                 self.retire_kv(g, child);
-                // Opportunistic path collapse, if the parent can be had.
-                if let (true, Some((p, pv, pb))) = (collapsible(node), up) {
-                    if let Some(pt) = p.lock.try_upgrade(pv) {
-                        self.collapse(p, pb, node, g);
-                        p.lock.x_unlock(pt);
-                    }
-                }
                 old
             }
         };
+        match up {
+            // Opportunistic path collapse, if the parent can be had.
+            Some(Link {
+                node: p,
+                guard: pg,
+                byte: pb,
+            }) if matches!(op, WriteOp::Remove) && collapsible(node) => {
+                if let Some(pt) = pg.try_upgrade() {
+                    self.collapse(p, pb, node, g);
+                    p.lock.x_unlock(pt);
+                }
+            }
+            up => release(up),
+        }
         node.lock.x_unlock(t);
         Step::Done(Some(old))
     }
@@ -707,8 +723,9 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
         }
     }
 
-    /// Scalar write driver of the optimistic protocols: the batch of one,
-    /// and the one place the step's structural outcomes are carried out.
+    /// Scalar write driver behind `insert`, `update` and `remove`: the
+    /// batch of one, and the one place the step's structural outcomes are
+    /// carried out.
     #[inline(always)]
     fn write(&self, key: &K, kb: &[u8], op: WriteOp) -> Option<u64> {
         let g = self.collector.pin();
@@ -717,9 +734,8 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
             rs.pause();
             let (mut up, mut edge) = (None, self.root_edge());
             loop {
-                let via = edge.above();
-                match self.write_step(key, kb, op, up, edge, &g) {
-                    Ok(Step::Next(next)) => (up, edge) = (via, next),
+                match self.write_step(key, kb, op, &mut up, edge, &g) {
+                    Ok(Step::Next(next)) => edge = next,
                     Ok(Step::Done(old)) => return old,
                     Ok(Step::Restart) => continue 'restart,
                     Err(smo) => match op {
@@ -736,11 +752,7 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
     /// Insert body without op or size accounting (shared with the batched
     /// driver's fallback).
     pub(crate) fn insert_impl(&self, key: &K, kb: &[u8], val: u64) -> Option<u64> {
-        if L::PESSIMISTIC {
-            self.insert_pessimistic(key, kb, val)
-        } else {
-            self.write(key, kb, WriteOp::Insert(val))
-        }
+        self.write(key, kb, WriteOp::Insert(val))
     }
 
     /// Point lookup.
@@ -753,11 +765,7 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
     pub fn update(&self, key: K, val: u64) -> Option<u64> {
         self.index_stats.record_op();
         let enc = EncodedDigits::new(&key);
-        if L::PESSIMISTIC {
-            self.update_pessimistic(&key, enc.as_ref(), val)
-        } else {
-            self.write(&key, enc.as_ref(), WriteOp::Update(val))
-        }
+        self.write(&key, enc.as_ref(), WriteOp::Update(val))
     }
 
     /// Insert or overwrite; returns the previous value if the key existed.
@@ -774,11 +782,7 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
     pub fn remove(&self, key: K) -> Option<u64> {
         self.index_stats.record_op();
         let enc = EncodedDigits::new(&key);
-        let old = if L::PESSIMISTIC {
-            self.remove_pessimistic(&key, enc.as_ref())
-        } else {
-            self.write(&key, enc.as_ref(), WriteOp::Remove)
-        };
+        let old = self.write(&key, enc.as_ref(), WriteOp::Remove);
         if old.is_some() {
             self.size.fetch_sub(1, Ordering::Relaxed);
         }
@@ -788,9 +792,9 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
     // --- structural modifications ---------------------------------------------
     //
     // Each helper runs with every node it names held exclusively, whichever
-    // protocol (optimistic upgrade, pessimistic coupling) got them.
+    // way (optimistic upgrade, pessimistic coupling) its guard got there.
 
-    /// Scalar-driver half of an insert's [`Smo`]: upgrade the two reads it
+    /// Scalar-driver half of an insert's [`Smo`]: upgrade the two guards it
     /// carries (parent, then node) and restructure. `false`: restart.
     fn restructure(&self, smo: Smo<'_, L>, key: &K, kb: &[u8], val: u64, g: &Guard) -> bool {
         let Link {
@@ -799,6 +803,7 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
             byte: pb,
         } = smo.parent;
         let Some(pt) = pg.try_upgrade() else {
+            smo.guard.abandon();
             return false;
         };
         let Some(nt) = smo.guard.try_upgrade() else {
@@ -920,148 +925,6 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
         node.replace_child(b, chain);
     }
 
-    // --- pessimistic lock coupling (the paper's baseline) ------------------
-    //
-    // A different protocol from the optimistic step — exclusive locks
-    // top-down, no versions, no upgrade — sharing only the helpers above.
-
-    fn update_pessimistic(&self, key: &K, kb: &[u8], val: u64) -> Option<u64> {
-        let _g = self.collector.pin();
-        let mut node = self.root();
-        let mut t = node.lock.x_lock();
-        let mut depth = 0usize;
-        loop {
-            let pl = node.prefix_len();
-            let child = if node.prefix_match_len(kb, depth) < pl {
-                std::ptr::null_mut()
-            } else {
-                depth += pl;
-                node.find_child(digit(kb, depth))
-            };
-            if child.is_null() || is_kv(child) {
-                let out = (!child.is_null())
-                    .then(|| unsafe { as_kv::<L, K>(child) })
-                    .filter(|kv| kv.key == *key)
-                    .map(|kv| kv.set_value(val));
-                node.lock.x_unlock(t);
-                return out;
-            }
-            let ci = unsafe { &*child };
-            let ct = ci.lock.x_lock();
-            node.lock.x_unlock(t);
-            node = ci;
-            t = ct;
-            depth += 1;
-        }
-    }
-
-    fn insert_pessimistic(&self, key: &K, kb: &[u8], val: u64) -> Option<u64> {
-        let g = self.collector.pin();
-        // Couple exclusively, holding (parent, node) so any SMO has both.
-        let mut pstate: Option<(&ArtNode<L>, WriteToken, u8)> = None;
-        let mut node = self.root();
-        let mut t = node.lock.x_lock();
-        let mut depth = 0usize;
-        loop {
-            let pl = node.prefix_len();
-            let matched = node.prefix_match_len(kb, depth);
-            let b = digit(kb, depth + pl);
-            let child = if matched < pl {
-                std::ptr::null_mut()
-            } else {
-                node.find_child(b)
-            };
-            if child.is_null() || is_kv(child) {
-                let mut old = None;
-                if matched < pl {
-                    let (p, _, pb) = pstate.expect("root prefix is empty");
-                    let leaf = KvLeaf::alloc::<L>(key.clone(), val);
-                    self.split_prefix(p, pb, node, matched, digit(kb, depth + matched), leaf);
-                } else if child.is_null() {
-                    let leaf = KvLeaf::alloc::<L>(key.clone(), val);
-                    if node.is_full() {
-                        let (p, _, pb) = pstate.expect("root Node256 never grows");
-                        self.grow_insert(p, pb, node, b, leaf, &g);
-                    } else {
-                        node.insert_child(b, leaf);
-                    }
-                } else {
-                    let kv = unsafe { as_kv::<L, K>(child) };
-                    if kv.key == *key {
-                        old = Some(kv.set_value(val));
-                    } else {
-                        let oenc = kv.key.encode();
-                        let okb = oenc.as_ref();
-                        let at = depth + pl + 1;
-                        let fork = fork_depth(okb, kb, at)
-                            .expect("prefix-free keys must diverge within both");
-                        self.expand_lazily(node, b, child, okb, kb, at, fork, key, val);
-                    }
-                }
-                node.lock.x_unlock(t);
-                if let Some((p, pt, _)) = pstate {
-                    p.lock.x_unlock(pt);
-                }
-                return old;
-            }
-            // Descend: release the grandparent, keep (node, child) locked.
-            if let Some((p, pt, _)) = pstate.take() {
-                p.lock.x_unlock(pt);
-            }
-            let ci = unsafe { &*child };
-            let ct = ci.lock.x_lock();
-            pstate = Some((node, t, b));
-            node = ci;
-            t = ct;
-            depth += pl + 1;
-        }
-    }
-
-    fn remove_pessimistic(&self, key: &K, kb: &[u8]) -> Option<u64> {
-        let g = self.collector.pin();
-        let mut pstate: Option<(&ArtNode<L>, WriteToken, u8)> = None;
-        let mut node = self.root();
-        let mut t = node.lock.x_lock();
-        let mut depth = 0usize;
-        loop {
-            let pl = node.prefix_len();
-            let b = digit(kb, depth + pl);
-            let child = if node.prefix_match_len(kb, depth) < pl {
-                std::ptr::null_mut()
-            } else {
-                node.find_child(b)
-            };
-            if child.is_null() || is_kv(child) {
-                let mut old = None;
-                if !child.is_null() {
-                    let kv = unsafe { as_kv::<L, K>(child) };
-                    if kv.key == *key {
-                        old = Some(kv.value());
-                        node.remove_child(b);
-                        self.retire_kv(&g, child);
-                        if let (true, Some((p, _, pb))) = (collapsible(node), pstate) {
-                            self.collapse(p, pb, node, &g);
-                        }
-                    }
-                }
-                node.lock.x_unlock(t);
-                if let Some((p, pt, _)) = pstate {
-                    p.lock.x_unlock(pt);
-                }
-                return old;
-            }
-            if let Some((p, pt, _)) = pstate.take() {
-                p.lock.x_unlock(pt);
-            }
-            let ci = unsafe { &*child };
-            let ct = ci.lock.x_lock();
-            pstate = Some((node, t, b));
-            node = ci;
-            t = ct;
-            depth += pl + 1;
-        }
-    }
-
     // --- range scan -----------------------------------------------------------
 
     /// Collect up to `limit` entries with keys ≥ `start` in ascending key
@@ -1109,10 +972,13 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
 
     /// DFS collector; `bounded` is true while the subtree may still contain
     /// keys below `start` (i.e. we are on the lower-bound path). The scan
-    /// couples: after locking a node, the parent's version is re-validated
+    /// couples: after reading a node, the `parent` guard is re-validated
     /// so a concurrent prefix split (which shifts the child's effective
-    /// depth) forces a restart instead of misinterpreting bounds. Returns
-    /// false when validation failed and the whole scan should restart.
+    /// depth) forces a restart instead of misinterpreting bounds. A node's
+    /// guard stays open while its subtree is visited — for a pessimistic
+    /// lock that is the shared hold — and this is the one place it ends.
+    /// Returns false when validation failed and the whole scan should
+    /// restart.
     #[allow(clippy::too_many_arguments)]
     fn scan_node(
         &self,
@@ -1123,17 +989,15 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
         bounded: bool,
         limit: usize,
         out: &mut Vec<(K, u64)>,
-        parent: Option<(&ArtNode<L>, u64)>,
+        parent: Option<&OptimisticGuard<'_, L>>,
     ) -> bool {
         if is_kv(p) {
             let kv = unsafe { as_kv::<L, K>(p) };
             let (k, v) = (kv.key.clone(), kv.value());
             // The pointer snapshot was validated by the caller; re-validate
             // the parent so the value read pairs with a live membership.
-            if let Some((pn, pv)) = parent {
-                if !pn.lock.recheck(pv) {
-                    return false;
-                }
+            if parent.is_some_and(|pg| !pg.recheck()) {
+                return false;
             }
             if !bounded || start.map_or(true, |s| k >= *s) {
                 out.push((k, v));
@@ -1141,130 +1005,82 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
             return true;
         }
         let node = unsafe { &*p };
-        // Snapshot prefix + children under version validation; retry this
-        // node a few times before restarting the whole scan.
-        for _ in 0..8 {
-            let Some(ver) = node.lock.r_lock() else {
-                std::thread::yield_now();
-                continue;
-            };
-            // Couple with the parent: if it changed since its children were
-            // snapshotted, this node may have been relocated (prefix split
-            // or growth) and `depth` is no longer its effective depth.
-            if let Some((pn, pv)) = parent {
-                if !pn.lock.recheck(pv) {
-                    if L::PESSIMISTIC {
-                        node.lock.r_unlock(ver);
-                    }
-                    return false;
-                }
-            }
-            let pl = node.prefix_len();
-            let mut prefix_cmp = std::cmp::Ordering::Equal;
-            if bounded {
-                for i in 0..pl {
-                    if depth + i >= sb.len() {
-                        // The start key is a strict prefix of this path:
-                        // every key below extends it, hence sorts above.
-                        prefix_cmp = std::cmp::Ordering::Greater;
-                        break;
-                    }
-                    match node.prefix_byte(i).cmp(&sb[depth + i]) {
-                        std::cmp::Ordering::Equal => continue,
-                        other => {
-                            prefix_cmp = other;
-                            break;
-                        }
-                    }
-                }
-            }
-            let mut kids = Vec::with_capacity(node.count());
-            node.for_each_child(|b, c| kids.push((b, c)));
-            if !node.lock.recheck(ver) {
-                continue;
-            }
-            // Pessimistic r_lock takes a real shared hold (and a queue
-            // node); every exit below must pair it with r_unlock or the
-            // next writer blocks forever. Optimistic locks hold nothing —
-            // their validation stays recheck-based.
-            match (bounded, prefix_cmp) {
-                (true, std::cmp::Ordering::Less) => {
-                    // Whole subtree < start.
-                    if L::PESSIMISTIC {
-                        node.lock.r_unlock(ver);
-                    }
-                    return true;
-                }
-                (true, std::cmp::Ordering::Greater) => {
-                    // Whole subtree > start: collect unbounded.
-                    let ok = self.scan_children(
-                        &kids,
-                        start,
-                        sb,
-                        depth + pl,
-                        false,
-                        limit,
-                        out,
-                        (node, ver),
-                    );
-                    if L::PESSIMISTIC {
-                        node.lock.r_unlock(ver);
-                    }
-                    return ok;
-                }
-                _ => {
-                    let next_depth = depth + pl;
-                    let pivot = if bounded { digit(sb, next_depth) } else { 0 };
-                    let mut ok = true;
-                    for &(b, c) in &kids {
-                        if out.len() >= limit {
-                            break;
-                        }
-                        if bounded && b < pivot {
-                            continue;
-                        }
-                        let child_bounded = bounded && b == pivot;
-                        ok = self.scan_node(
-                            c,
-                            start,
-                            sb,
-                            next_depth + 1,
-                            child_bounded,
-                            limit,
-                            out,
-                            Some((node, ver)),
-                        );
-                        if !ok {
-                            break;
-                        }
-                    }
-                    if L::PESSIMISTIC {
-                        node.lock.r_unlock(ver);
-                    }
-                    return ok;
-                }
-            }
-        }
-        false
+        let Some(ng) = OptimisticGuard::read(&node.lock) else {
+            return false;
+        };
+        // Couple with the parent: if it changed since its children were
+        // snapshotted, this node may have been relocated (prefix split or
+        // growth) and `depth` is no longer its effective depth.
+        let ok = parent.map_or(true, |pg| pg.recheck())
+            && self.scan_children(node, &ng, start, sb, depth, bounded, limit, out);
+        ng.abandon();
+        ok
     }
 
+    /// The subtree of `node`, entered at `depth` under the open guard `ng`.
     #[allow(clippy::too_many_arguments)]
     fn scan_children(
         &self,
-        kids: &[(u8, *mut ArtNode<L>)],
+        node: &ArtNode<L>,
+        ng: &OptimisticGuard<'_, L>,
         start: Option<&K>,
         sb: &[u8],
         depth: usize,
         bounded: bool,
         limit: usize,
         out: &mut Vec<(K, u64)>,
-        parent: (&ArtNode<L>, u64),
     ) -> bool {
-        for &(_, c) in kids {
+        let pl = node.prefix_len();
+        let mut prefix_cmp = std::cmp::Ordering::Equal;
+        if bounded {
+            for i in 0..pl {
+                if depth + i >= sb.len() {
+                    // The start key is a strict prefix of this path:
+                    // every key below extends it, hence sorts above.
+                    prefix_cmp = std::cmp::Ordering::Greater;
+                    break;
+                }
+                match node.prefix_byte(i).cmp(&sb[depth + i]) {
+                    std::cmp::Ordering::Equal => continue,
+                    other => {
+                        prefix_cmp = other;
+                        break;
+                    }
+                }
+            }
+        }
+        // Snapshot prefix + children under version validation.
+        let mut kids = Vec::with_capacity(node.count());
+        node.for_each_child(|b, c| kids.push((b, c)));
+        if !ng.recheck() {
+            return false;
+        }
+        if bounded && prefix_cmp == std::cmp::Ordering::Less {
+            // Whole subtree < start.
+            return true;
+        }
+        // Whole subtree > start: collect it unbounded.
+        let bounded = bounded && prefix_cmp == std::cmp::Ordering::Equal;
+        let next_depth = depth + pl;
+        let pivot = if bounded { digit(sb, next_depth) } else { 0 };
+        for &(b, c) in &kids {
             if out.len() >= limit {
                 break;
             }
-            if !self.scan_node(c, start, sb, depth + 1, bounded, limit, out, Some(parent)) {
+            if b < pivot {
+                continue;
+            }
+            let child_bounded = bounded && b == pivot;
+            if !self.scan_node(
+                c,
+                start,
+                sb,
+                next_depth + 1,
+                child_bounded,
+                limit,
+                out,
+                Some(ng),
+            ) {
                 return false;
             }
         }
@@ -1293,7 +1109,8 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
 
     // --- validation (test support) -----------------------------------------
 
-    /// Single-threaded structural check; returns the entry count.
+    /// Single-threaded structural check, including that no operation left
+    /// a node locked; returns the entry count.
     pub fn check_invariants(&self) -> usize {
         fn walk<L: IndexLock, K: IndexKey>(p: *mut ArtNode<L>, path: &mut Vec<u8>) -> usize {
             if is_kv(p) {
@@ -1308,6 +1125,7 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
                 return 1;
             }
             let n = unsafe { &*p };
+            assert!(!n.lock.is_locked_ex(), "node left locked");
             let cap_ok = match n.node_type() {
                 NodeType::N4 => n.count() <= 4,
                 NodeType::N16 => n.count() <= 16,

@@ -112,6 +112,8 @@ fn hot_key_updates<L: optiql::IndexLock>(tree: Arc<ArtTree<L>>) {
         h.join().unwrap();
     }
     assert_eq!(tree.len(), HOT as usize);
+    // Includes: no update left a node locked.
+    assert_eq!(tree.check_invariants(), HOT as usize);
 }
 
 fn churn<L: optiql::IndexLock>(tree: Arc<ArtTree<L>>) {

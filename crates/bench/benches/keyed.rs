@@ -3,27 +3,23 @@
 //!
 //! Three index shapes (B+-tree, ART, and the B+-tree behind the
 //! 8-shard facade) run each workload at batch 1 (scalar descents) and
-//! batch 8 (software-pipelined `multi_lookup`). Every configuration is
-//! measured twice in-run:
+//! batch 8 (software-pipelined `multi_lookup`) over [`Bytes`] keys:
+//! short suffixes inlined into slot words, per-node prefix truncation in
+//! the B+-tree, payload prefetch in the batched engines.
 //!
-//! * **bytes** — the [`Bytes`] fast path: short suffixes inlined into
-//!   slot words, per-node prefix truncation in the B+-tree, payload
-//!   prefetch in the batched engines;
-//! * **boxed** — the [`BoxedBytes`] baseline, the PR 8 representation
-//!   that boxes every key behind one pointer slot per node entry —
-//!   what the fast path is claimed to beat.
-//!
-//! A `speedup` series reports bytes/boxed per point, and a `YCSB-C/u64`
-//! anchor row per index pins integer-key point throughput so the byte
-//! path cannot regress it unnoticed. Everything lands in
-//! `results/BENCH_keyed.json`.
+//! A `YCSB-C/u64` anchor row per index pins integer-key point throughput
+//! so the byte path cannot regress it unnoticed. Everything lands in
+//! `results/BENCH_keyed.json`; the checked-in copy also keeps the rows of
+//! the boxed-slot representation this one replaced (PR 8, measured in the
+//! same run at the time), which is what the fast path's speedup is quoted
+//! against.
 
 use optiql_bench::{banner, header, mops, r2, row_extra};
 use optiql_harness::{
     env, preload, preload_keyed, run, run_keyed, user_key, ConcurrentIndex, KeyDist, Mix, ScanMode,
     WorkloadConfig,
 };
-use optiql_index_api::{BoxedBytes, Bytes, IndexKey};
+use optiql_index_api::Bytes;
 use optiql_sharded::ShardedIndex;
 
 const SCAN_MAX: u32 = 100;
@@ -53,64 +49,27 @@ fn cfg(mix: Mix, keys: u64, batch: usize) -> WorkloadConfig {
     c
 }
 
-/// YCSB-C at each batch size plus a YCSB-E streaming row, one keyed
-/// index. Returns the YCSB-C Mops/s per batch size for speedup rows.
-fn sweep<K: IndexKey, I: ConcurrentIndex<K>>(
-    index: &I,
-    name: &str,
-    keytype: &str,
-    keys: u64,
-    keyfn: impl Fn(u64) -> K + Sync + Copy,
-) -> [f64; BATCHES.len()] {
-    let mut c_mops = [0.0; BATCHES.len()];
-    for (bi, batch) in BATCHES.into_iter().enumerate() {
-        let (r, _) = run_keyed(index, &cfg(Mix::YCSB_C, keys, batch), keyfn);
-        let m = mops(r.throughput());
-        c_mops[bi] = m;
+/// YCSB-C at each batch size plus a YCSB-E streaming row over `Bytes`
+/// keys.
+fn sweep<I: ConcurrentIndex<Bytes>>(index: &I, name: &str, keys: u64) {
+    for batch in BATCHES {
+        let (r, _) = run_keyed(index, &cfg(Mix::YCSB_C, keys, batch), user_key);
         row_extra(
             "keyed",
             &format!("{name}/b{batch}"),
-            format!("YCSB-C/{keytype}"),
-            r2(m),
+            "YCSB-C/bytes",
+            r2(mops(r.throughput())),
             r.lookup_hits,
         );
     }
-    let (r, _) = run_keyed(index, &cfg(Mix::YCSB_E, keys, 1), keyfn);
+    let (r, _) = run_keyed(index, &cfg(Mix::YCSB_E, keys, 1), user_key);
     row_extra(
         "keyed",
         &format!("{name}/stream"),
-        format!("YCSB-E/{keytype}"),
+        "YCSB-E/bytes",
         r2(mops(r.throughput())),
         r.scanned_entries,
     );
-    c_mops
-}
-
-/// The in-run comparison: the same index shape over `Bytes` (fast path)
-/// and `BoxedBytes` (PR 8 pointer-slot baseline), plus speedup rows.
-fn compare<IB, IX>(bytes_index: &IB, boxed_index: &IX, name: &str, keys: u64)
-where
-    IB: ConcurrentIndex<Bytes>,
-    IX: ConcurrentIndex<BoxedBytes>,
-{
-    let fast = sweep(bytes_index, name, "bytes", keys, user_key);
-    let base = sweep(boxed_index, name, "boxed", keys, |i| {
-        BoxedBytes(user_key(i))
-    });
-    for (bi, batch) in BATCHES.into_iter().enumerate() {
-        let speedup = if base[bi] > 0.0 {
-            fast[bi] / base[bi]
-        } else {
-            0.0
-        };
-        row_extra(
-            "keyed",
-            &format!("{name}/b{batch}"),
-            "speedup/bytes-vs-boxed",
-            r2(speedup),
-            format!("{}/{} Mops", r2(fast[bi]), r2(base[bi])),
-        );
-    }
 }
 
 /// Integer-key anchor: YCSB-C batch 1 on the same index shape over
@@ -129,7 +88,7 @@ fn anchor_u64<I: ConcurrentIndex>(index: &I, name: &str, keys: u64) {
 fn main() {
     banner(
         "keyed",
-        "YCSB-C/E over user### byte keys: inline+truncated fast path vs boxed baseline",
+        "YCSB-C/E over user### byte keys (inline + truncated slots), with u64 anchors",
     );
     header(&["figure", "index/batch", "workload/keys", "Mops/s", "extra"]);
     let keys = env::preload_keys().min(1_000_000);
@@ -137,26 +96,15 @@ fn main() {
 
     let btree_b: BTreeK<Bytes> = optiql_btree::BPlusTree::new();
     preload_keyed(&btree_b, &load, user_key);
-    let btree_x: BTreeK<BoxedBytes> = optiql_btree::BPlusTree::new();
-    preload_keyed(&btree_x, &load, |i| BoxedBytes(user_key(i)));
-    compare(&btree_b, &btree_x, "B+-tree", keys);
+    sweep(&btree_b, "B+-tree", keys);
 
     let art_b: ArtK<Bytes> = optiql_art::ArtTree::new();
     preload_keyed(&art_b, &load, user_key);
-    let art_x: ArtK<BoxedBytes> = optiql_art::ArtTree::new();
-    preload_keyed(&art_x, &load, |i| BoxedBytes(user_key(i)));
-    compare(&art_b, &art_x, "ART", keys);
+    sweep(&art_b, "ART", keys);
 
     let shard_b: ShardedIndex<BTreeK<Bytes>> = ShardedIndex::new(SHARDS);
     preload_keyed(&shard_b, &load, user_key);
-    let shard_x: ShardedIndex<BTreeK<BoxedBytes>> = ShardedIndex::new(SHARDS);
-    preload_keyed(&shard_x, &load, |i| BoxedBytes(user_key(i)));
-    compare(
-        &shard_b,
-        &shard_x,
-        &format!("sharded{SHARDS}-B+-tree"),
-        keys,
-    );
+    sweep(&shard_b, &format!("sharded{SHARDS}-B+-tree"), keys);
 
     // u64 anchors on the same shapes.
     let tree: optiql_btree::BTreeOptiQL = optiql_btree::BTreeOptiQL::new();

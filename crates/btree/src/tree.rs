@@ -19,8 +19,8 @@
 //!
 //! The descent is written once, as two resumable step functions that each
 //! move one level along an `Edge`: `BPlusTree::read_step` (lookups and
-//! the range refill) and `BPlusTree::write_step` (update, remove, and
-//! the optimistic insert). The scalar entry points loop on a step without
+//! the range refill) and `BPlusTree::write_step` (insert, update and
+//! remove). The scalar entry points loop on a step without
 //! yielding (the batch of one); `multi_lookup` / `multi_insert` hand the
 //! same step to `optiql::olc::run_grouped`, which parks its `Edge` between
 //! turns after a prefetch (see [`crate::multi`]). A full inner node met by
@@ -39,10 +39,11 @@
 //! * `DirectLockAor` — Algorithm 4 plus adjustable opportunistic read:
 //!   readers keep being admitted while the writer locates its target slot
 //!   (§5.3, §7.4).
-//! * `Pessimistic` — traditional lock coupling: the same steps with
-//!   shared locks on the descent and an exclusive one at the write
-//!   target. Inserts are the exception: they follow their own protocol
-//!   (`insert_pessimistic`: exclusive locks top-down, eager splits).
+//! * `Pessimistic` — traditional lock coupling: the same steps, whose
+//!   guards are then real holds. Updates and removes couple shared locks
+//!   down to an exclusive leaf; an insert, which may split any node on
+//!   its path, enters every node with write intent and so couples
+//!   exclusive locks top-down.
 //!
 //! Structural modifications are eager (BTreeOLC \[29\] style): a full node is
 //! split while descending, which guarantees the parent always has room for
@@ -123,7 +124,7 @@ pub(crate) type Stepped<'t, IL, const IC: usize, K, R> = Step<Edge<'t, IL, IC, K
 
 /// The structural outcome of the write step: an insert met full inner
 /// `node` (at `ptr`), which must be split under `parent` (`None`: it is the
-/// root) before the descent can go on. Both reads are still open.
+/// root) before the descent can go on. Both guards are still open.
 pub(crate) struct FullInner<'t, IL: IndexLock, const IC: usize, K: IndexKey> {
     parent: Option<InnerRef<'t, IL, IC, K>>,
     node: InnerRef<'t, IL, IC, K>,
@@ -138,8 +139,8 @@ pub(crate) enum WriteOp {
     Remove,
 }
 
-/// Drop a parent read on a path that does not validate it: free for
-/// optimistic locks, releases the shared lock of pessimistic ones.
+/// Drop a parent guard on a path that does not validate it: free for
+/// optimistic locks, releases the hold of pessimistic ones.
 #[inline]
 fn abandon<IL: IndexLock, const IC: usize, K: IndexKey>(parent: Option<InnerRef<'_, IL, IC, K>>) {
     if let Some((_, pg)) = parent {
@@ -151,8 +152,8 @@ fn abandon<IL: IndexLock, const IC: usize, K: IndexKey>(parent: Option<InnerRef<
 /// root and has none).
 type HeldParent<'t, IL, const IC: usize, K> = Option<(&'t Inner<IL, IC, K>, WriteToken)>;
 
-/// Turn the parent read a split needs into exclusive ownership. The outer
-/// `None` means the upgrade lost a race: the read is gone, restart.
+/// Turn the parent guard a split needs into exclusive ownership. The outer
+/// `None` means the upgrade lost a race: the guard is gone, restart.
 #[inline]
 fn upgrade<'t, IL: IndexLock, const IC: usize, K: IndexKey>(
     parent: Option<InnerRef<'t, IL, IC, K>>,
@@ -382,7 +383,9 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
     /// The write step: as [`read_step`](Self::read_step) through inner
     /// nodes, Algorithm 4 plus the write itself at the leaf. An insert
     /// that meets a full inner node returns it as `Err`: splitting it is
-    /// the scalar driver's job ([`split_full`](Self::split_full)).
+    /// the scalar driver's job ([`split_full`](Self::split_full)). Only an
+    /// insert writes above the leaf, so only an insert enters inner nodes
+    /// with write intent.
     #[inline(always)]
     pub(crate) fn write_step<'t>(
         &'t self,
@@ -396,7 +399,8 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
             return Ok(self.write_leaf(key, op, parent, child, g));
         }
         let inner = unsafe { as_inner::<IL, IC, K>(child) };
-        let Some(ig) = OptimisticGuard::read(&inner.lock) else {
+        let intent = matches!(op, WriteOp::Insert(_));
+        let Some(ig) = OptimisticGuard::read_for_write(&inner.lock, intent) else {
             abandon(parent);
             return Ok(Step::Restart);
         };
@@ -406,9 +410,9 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
             return Ok(Step::Restart);
         }
         // Eager split (BTreeOLC): a full node is split on the way down, so
-        // a parent always has room for one more separator. The parent read
+        // a parent always has room for one more separator. The parent guard
         // stays open for the split to upgrade.
-        if matches!(op, WriteOp::Insert(_)) && inner.is_full() {
+        if intent && inner.is_full() {
             return Err(FullInner {
                 parent,
                 node: (inner, ig),
@@ -420,7 +424,7 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
     }
 
     /// Paper Algorithm 4 — the one place a leaf is acquired for writing.
-    /// `parent` is the open read under which `leaf` was chosen (`None`:
+    /// `parent` is the open guard under which `leaf` was chosen (`None`:
     /// it is the root). Returns the exclusive token plus the result of
     /// searching `key`, when the strategy searched while readers were
     /// still admitted; `None` means restart, with nothing held.
@@ -445,7 +449,7 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
             }
             // Lock the leaf directly (blocking, FIFO-queued), then validate
             // the parent, whose release_sh is pure validation. A
-            // pessimistic parent is held shared, so the leaf cannot change
+            // pessimistic parent is held, so the leaf cannot change
             // identity and the same check trivially passes.
             WriteStrategy::DirectLock | WriteStrategy::Pessimistic => {
                 let t = leaf.lock.x_lock();
@@ -463,14 +467,13 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
                     return None;
                 }
                 let idx = leaf.search(key);
-                leaf.lock.x_finish_adjustable(t);
-                Some((t, Some(idx)))
+                Some((leaf.lock.x_finish_adjustable(t), Some(idx)))
             }
         }
     }
 
     /// Leaf half of the write step: acquire, apply, and run the SMO the
-    /// write calls for against the still-open parent read.
+    /// write calls for against the still-open parent guard.
     #[inline(always)]
     fn write_leaf(
         &self,
@@ -513,7 +516,7 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
         match parent {
             // Deletion SMOs: unlink an emptied leaf / merge an
             // under-quarter leaf into its right sibling.
-            Some((p, pg)) if matches!(op, WriteOp::Remove) && old.is_some() && !LL::PESSIMISTIC => {
+            Some((p, pg)) if matches!(op, WriteOp::Remove) && old.is_some() => {
                 self.try_shrink(p, pg, ptr, leaf, g)
             }
             parent => abandon(parent),
@@ -542,9 +545,8 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
         }
     }
 
-    /// Scalar write driver behind `update`, `remove` and the optimistic
-    /// `insert`: the batch of one, and the one place full inner nodes
-    /// are split.
+    /// Scalar write driver behind `insert`, `update` and `remove`: the
+    /// batch of one, and the one place full inner nodes are split.
     #[inline(always)]
     fn write(&self, key: &K, op: WriteOp) -> Option<u64> {
         let g = self.collector.pin();
@@ -558,7 +560,7 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
                     Ok(Step::Done(old)) => return old,
                     Ok(Step::Restart) => continue 'restart,
                     Err(full) => {
-                        self.split_full(full, key, &g);
+                        self.split_full(full, &g);
                         continue 'restart;
                     }
                 }
@@ -569,11 +571,7 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
     /// Insert body without op or size accounting (shared with the batched
     /// driver's fallback).
     pub(crate) fn insert_impl(&self, key: &K, val: u64) -> Option<u64> {
-        if LL::PESSIMISTIC {
-            self.insert_pessimistic(key, val)
-        } else {
-            self.write(key, WriteOp::Insert(val))
-        }
+        self.write(key, WriteOp::Insert(val))
     }
 
     /// Point lookup.
@@ -660,34 +658,22 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
         old
     }
 
-    /// Split full `inner` (held exclusively, as is `parent`; `None` when
-    /// it is the root). Returns the new right sibling when `key` now
-    /// belongs there.
-    fn split_inner(
-        &self,
-        parent: Option<&Inner<IL, IC, K>>,
-        ptr: *mut NodeBase,
-        inner: &Inner<IL, IC, K>,
-        key: &K,
-        g: &Guard,
-    ) -> Option<*mut NodeBase> {
-        let (sep, right) = inner.split(g);
-        let moved = (*key >= sep).then_some(right);
-        self.install_split(parent, ptr, sep, right, &self.stats.inner_splits, g);
-        moved
-    }
-
-    /// Scalar-driver half of the eager split: upgrade the two reads a
+    /// Scalar-driver half of the eager split: upgrade the two guards a
     /// [`FullInner`] carries (parent, then node) and split. Best effort —
     /// the caller restarts either way.
-    fn split_full(&self, full: FullInner<'_, IL, IC, K>, key: &K, g: &Guard) {
-        let FullInner { parent, node, ptr } = full;
+    fn split_full(&self, full: FullInner<'_, IL, IC, K>, g: &Guard) {
+        let FullInner {
+            parent,
+            node: (inner, ig),
+            ptr,
+        } = full;
         let Some(held) = upgrade(parent) else {
-            return;
+            return ig.abandon();
         };
-        let (inner, ig) = node;
         if let Some(t) = ig.try_upgrade() {
-            self.split_inner(held.map(|(p, _)| p), ptr, inner, key, g);
+            let (sep, right) = inner.split(g);
+            let splits = &self.stats.inner_splits;
+            self.install_split(held.map(|(p, _)| p), ptr, sep, right, splits, g);
             inner.lock.x_unlock(t);
         }
         if let Some((p, pt)) = held {
@@ -696,8 +682,9 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
     }
 
     /// Best-effort structural shrinking after a delete. Caller holds the
-    /// leaf exclusively; `pg` is the parent read under which the leaf was
-    /// located.
+    /// leaf exclusively; `pg` is the parent guard under which the leaf was
+    /// located. A pessimistic remove holds it shared, which cannot be
+    /// upgraded: those trees never shrink.
     fn try_shrink(
         &self,
         parent: &Inner<IL, IC, K>,
@@ -708,7 +695,7 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
     ) {
         let n = leaf.count();
         if n >= LC / 4 && n != 0 {
-            return;
+            return pg.abandon();
         }
         // Exclusive on the parent via upgrade; abandoning on failure keeps
         // the delete itself correct (the shrink is opportunistic).
@@ -784,83 +771,6 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
         inner.lock.x_unlock(t);
         // A collapsing root has count 0: no separator slots to free.
         unsafe { g.retire_ptr(root as *mut Inner<IL, IC, K>) };
-    }
-
-    /// Traditional lock coupling (the paper's pessimistic baseline):
-    /// exclusive locks top-down, the parent released once the child is
-    /// safe (not full). A different protocol from the optimistic step —
-    /// no versions, no upgrade — sharing only the split helpers.
-    fn insert_pessimistic(&self, key: &K, val: u64) -> Option<u64> {
-        let mut rs = self.restart_loop();
-        let g = self.collector.pin();
-        'restart: loop {
-            rs.pause();
-            // Lock the root exclusively (type-dispatched), re-verifying.
-            let node = self.root.load(Ordering::Acquire);
-            if unsafe { is_leaf(node) } {
-                let leaf = unsafe { as_leaf::<LL, LC, K>(node) };
-                let t = leaf.lock.x_lock();
-                if self.root.load(Ordering::Acquire) != node {
-                    leaf.lock.x_unlock(t);
-                    continue 'restart;
-                }
-                let old = if leaf.is_full() {
-                    self.split_leaf_insert(None, node, leaf, key, val, &g)
-                } else {
-                    leaf.insert(key, val, &g)
-                };
-                leaf.lock.x_unlock(t);
-                return old;
-            }
-
-            let inner = unsafe { as_inner::<IL, IC, K>(node) };
-            let t = inner.lock.x_lock();
-            if self.root.load(Ordering::Acquire) != node {
-                inner.lock.x_unlock(t);
-                continue 'restart;
-            }
-            if inner.is_full() {
-                self.split_inner(None, node, inner, key, &g);
-                inner.lock.x_unlock(t);
-                continue 'restart;
-            }
-
-            let mut parent = inner;
-            let mut ptoken = t;
-            loop {
-                let child = parent.find_child(key);
-                debug_assert!(!child.is_null());
-                if unsafe { is_leaf(child) } {
-                    let leaf = unsafe { as_leaf::<LL, LC, K>(child) };
-                    let lt = leaf.lock.x_lock();
-                    let old = if leaf.is_full() {
-                        let old = self.split_leaf_insert(Some(parent), child, leaf, key, val, &g);
-                        parent.lock.x_unlock(ptoken);
-                        old
-                    } else {
-                        parent.lock.x_unlock(ptoken);
-                        leaf.insert(key, val, &g)
-                    };
-                    leaf.lock.x_unlock(lt);
-                    return old;
-                }
-
-                let mut ci = unsafe { as_inner::<IL, IC, K>(child) };
-                let mut ct = ci.lock.x_lock();
-                if ci.is_full() {
-                    if let Some(right) = self.split_inner(Some(parent), child, ci, key, &g) {
-                        let ri = unsafe { as_inner::<IL, IC, K>(right) };
-                        let rt = ri.lock.x_lock();
-                        ci.lock.x_unlock(ct);
-                        ci = ri;
-                        ct = rt;
-                    }
-                }
-                parent.lock.x_unlock(ptoken);
-                parent = ci;
-                ptoken = ct;
-            }
-        }
     }
 
     // --- range scan -----------------------------------------------------------
@@ -955,7 +865,8 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
     // --- validation (test support) ---------------------------------------------
 
     /// Walk the tree single-threadedly and assert every structural
-    /// invariant; returns the entry count. Panics on violation.
+    /// invariant, and that no operation left a node locked; returns the
+    /// entry count. Panics on violation.
     pub fn check_invariants(&self) -> usize {
         // Keys are reconstructed through the node's own prefix (identity
         // under `!K::TRUNCATE`): the walk is single-threaded, so every
@@ -974,6 +885,7 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
                         None => *leaf_depth = Some(depth),
                     }
                     let l = as_leaf::<LL, LC, K>(p);
+                    assert!(!l.lock.is_locked_ex(), "leaf left locked");
                     let n = l.count();
                     let mut prev: Option<K> = None;
                     for i in 0..n {
@@ -992,6 +904,7 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
                     n
                 } else {
                     let node = as_inner::<IL, IC, K>(p);
+                    assert!(!node.lock.is_locked_ex(), "inner node left locked");
                     let n = node.count();
                     let mut total = 0;
                     let seps: Vec<K> = (0..n).map(|i| node.sep_key_at(i)).collect();

@@ -70,6 +70,8 @@ where
     for k in 0..HOT {
         assert!(tree.lookup(k).is_some());
     }
+    // Includes: no update left a node locked.
+    assert_eq!(tree.check(), HOT as usize);
 }
 
 /// Readers run against concurrent inserts and must only ever observe

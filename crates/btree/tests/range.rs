@@ -12,7 +12,7 @@ use proptest::prelude::*;
 
 use optiql::{IndexLock, OptLock, OptiQL};
 use optiql_btree::BPlusTree;
-use optiql_index_api::{key_above_start, key_below_end, BoxedBytes, Bytes};
+use optiql_index_api::{key_above_start, key_below_end, Bytes};
 
 /// Tiny nodes: every handful of inserts splits, every handful of removes
 /// collapses — the structural cases dominate instead of hiding.
@@ -146,48 +146,36 @@ fn boundary_key() -> impl Strategy<Value = Vec<u8>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Differential over the inline/pointer boundary: the same key set
-    /// through the `Bytes` fast path (inline slots + prefix truncation)
-    /// and the `BoxedBytes` baseline (pointer slots only) must both
-    /// match the `BTreeMap` model — lookups, full ordered streams, and
-    /// removals alike.
+    /// Differential over the inline/pointer boundary: a key set dense in
+    /// 6/7/8-byte keys through the `Bytes` slots (inline words + prefix
+    /// truncation on one side of the boundary, heap blobs on the other)
+    /// must match the `BTreeMap` model — lookups, full ordered streams,
+    /// and removals alike.
     #[test]
     fn inline_and_pointer_representations_agree(
         raw_list in proptest::collection::vec(boundary_key(), 0..100),
     ) {
         let fast: BPlusTree<OptLock, OptiQL, 4, 4, Bytes> = BPlusTree::new();
-        let base: BPlusTree<OptLock, OptiQL, 4, 4, BoxedBytes> = BPlusTree::new();
         let mut model: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
         for (i, r) in raw_list.iter().enumerate() {
             let v = i as u64;
-            prop_assert_eq!(fast.insert(Bytes::from(&r[..]), v), model.get(r).copied());
-            prop_assert_eq!(base.insert(BoxedBytes::from(&r[..]), v), model.insert(r.clone(), v));
+            prop_assert_eq!(fast.insert(Bytes::from(&r[..]), v), model.insert(r.clone(), v));
         }
         for r in &raw_list {
-            let want = model.get(r).copied();
-            prop_assert_eq!(fast.lookup(Bytes::from(&r[..])), want);
-            prop_assert_eq!(base.lookup(BoxedBytes::from(&r[..])), want);
+            prop_assert_eq!(fast.lookup(Bytes::from(&r[..])), model.get(r).copied());
         }
         let want: Vec<(Vec<u8>, u64)> = model.iter().map(|(k, v)| (k.clone(), *v)).collect();
         let got_fast: Vec<(Vec<u8>, u64)> = fast
             .range(Bound::Unbounded, Bound::Unbounded)
             .map(|(k, v)| (k.as_bytes().to_vec(), v))
             .collect();
-        let got_base: Vec<(Vec<u8>, u64)> = base
-            .range(Bound::Unbounded, Bound::Unbounded)
-            .map(|(k, v)| (k.0.as_bytes().to_vec(), v))
-            .collect();
-        prop_assert_eq!(&got_fast, &want, "fast path stream order");
-        prop_assert_eq!(&got_base, &want, "baseline stream order");
-        // Remove every other key through both representations.
+        prop_assert_eq!(&got_fast, &want, "stream order");
+        // Remove every other key.
         for r in raw_list.iter().step_by(2) {
-            let want = model.remove(r);
-            prop_assert_eq!(fast.remove(Bytes::from(&r[..])), want);
-            prop_assert_eq!(base.remove(BoxedBytes::from(&r[..])), want);
+            prop_assert_eq!(fast.remove(Bytes::from(&r[..])), model.remove(r));
         }
         prop_assert_eq!(fast.check_invariants(), model.len());
         prop_assert_eq!(fast.len(), model.len());
-        prop_assert_eq!(base.len(), model.len());
     }
 }
 

@@ -197,7 +197,7 @@ impl<L: IndexLock> OptRegister<L> {
             .present
             .load(Ordering::Relaxed)
             .then(|| s.value.load(Ordering::Relaxed));
-        s.lock.x_finish_adjustable(t);
+        let t = s.lock.x_finish_adjustable(t);
         f(s, prev);
         s.lock.x_unlock(t);
         prev

@@ -90,5 +90,5 @@ pub use crate::optiql::{OptiQL, OptiQLAor, OptiQLCore, OptiQLNor};
 pub use crate::optlock::{OptLock, OptLockBackoff};
 pub use crate::pthread::PthreadRwLock;
 pub use crate::ticket::{TicketLock, TicketLockSplit};
-pub use crate::traits::{AdjustableOpRead, ExclusiveLock, IndexLock, WriteStrategy, WriteToken};
+pub use crate::traits::{ExclusiveLock, IndexLock, WriteStrategy, WriteToken};
 pub use crate::tts::{TtsBackoff, TtsLock};

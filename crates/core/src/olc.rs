@@ -388,26 +388,40 @@ pub fn run_grouped<L: IndexLock, S, R>(
     out
 }
 
-/// An optimistic (or pessimistic-shared) read of one [`IndexLock`],
-/// carrying the version snapshot the validation discipline needs.
+/// A hold on one [`IndexLock`], of whichever kind the lock family and the
+/// caller's intent make it, carrying the one word that kind needs:
+///
+/// * an **optimistic snapshot** — the version read at `r_lock`; holds
+///   nothing, validated at the end;
+/// * a **pessimistic shared** hold — a real shared lock (the word is the
+///   reader's queue node);
+/// * a **pessimistic exclusive** hold — taken by
+///   [`read_for_write`](OptimisticGuard::read_for_write) when the descent
+///   means to write: the word is the [`WriteToken`], tagged [`HELD_EX`].
+///   This is what turns an index's one write descent into exclusive lock
+///   coupling under MCS-RW / pthread.
 ///
 /// The guard is deliberately a plain value, not RAII: optimistic reads
 /// have no cleanup on the happy path, and the lock-coupling protocols
 /// need precise control over *when* validation happens. The consuming
-/// methods make the state machine explicit:
+/// methods make the state machine explicit, and each releases whatever
+/// kind of hold the guard is:
 ///
-/// * [`validate`](OptimisticGuard::validate) — end the read and report
-///   whether the data read under it is consistent (`r_unlock`);
-/// * [`abandon`](OptimisticGuard::abandon) — drop the read on a restart
-///   path (free for optimistic locks, releases the shared lock for
-///   pessimistic ones);
-/// * [`try_upgrade`](OptimisticGuard::try_upgrade) — convert the read
-///   into exclusive ownership; on failure the read is abandoned.
-#[must_use = "an optimistic read must be validated or abandoned"]
+/// * [`validate`](OptimisticGuard::validate) — end the hold and report
+///   whether the data read under it is consistent;
+/// * [`abandon`](OptimisticGuard::abandon) — drop the hold on a path that
+///   does not need that answer (free for optimistic locks);
+/// * [`try_upgrade`](OptimisticGuard::try_upgrade) — convert the hold
+///   into exclusive ownership; on failure it is abandoned.
+#[must_use = "a hold must be validated, abandoned or upgraded"]
 pub struct OptimisticGuard<'a, L: IndexLock> {
     lock: &'a L,
     version: u64,
 }
+
+/// Tag on the guard's word: it is a pessimistic exclusive hold and the
+/// remaining bits are its [`WriteToken`] (queue node ids are 16 bits).
+const HELD_EX: u64 = 1 << 63;
 
 impl<'a, L: IndexLock> OptimisticGuard<'a, L> {
     /// Begin a read (`acquire_sh`). `None` tells the caller to restart;
@@ -418,26 +432,49 @@ impl<'a, L: IndexLock> OptimisticGuard<'a, L> {
         Some(OptimisticGuard { lock, version })
     }
 
-    /// The version snapshot taken at [`read`](OptimisticGuard::read).
+    /// Enter a node on a descent that will write below it. With
+    /// `exclusive` intent a pessimistic lock is taken exclusively
+    /// (blocking); for every optimistic lock, and without the intent, this
+    /// is [`read`](OptimisticGuard::read).
     #[inline]
-    pub fn version(&self) -> u64 {
-        self.version
+    pub fn read_for_write(lock: &'a L, exclusive: bool) -> Option<Self> {
+        if L::PESSIMISTIC && exclusive {
+            let WriteToken(token) = lock.x_lock();
+            debug_assert_eq!(token & HELD_EX, 0);
+            let version = token | HELD_EX;
+            return Some(OptimisticGuard { lock, version });
+        }
+        Self::read(lock)
+    }
+
+    /// The token of a pessimistic exclusive hold, if this is one.
+    #[inline]
+    fn held_ex(&self) -> Option<WriteToken> {
+        (L::PESSIMISTIC && self.version & HELD_EX != 0)
+            .then_some(WriteToken(self.version & !HELD_EX))
     }
 
     /// Re-validate mid-read without ending it (Algorithm 4 line 13).
+    /// Trivially true for a pessimistic hold of either kind.
     #[inline]
     pub fn recheck(&self) -> bool {
         self.lock.recheck(self.version)
     }
 
-    /// End the read: validate the snapshot (optimistic) or release the
-    /// shared lock (pessimistic, always `true`).
+    /// End the hold: validate the snapshot (optimistic) or release the
+    /// lock (pessimistic, always `true`).
     #[inline]
     pub fn validate(self) -> bool {
-        self.lock.r_unlock(self.version)
+        match self.held_ex() {
+            Some(token) => {
+                self.lock.x_unlock(token);
+                true
+            }
+            None => self.lock.r_unlock(self.version),
+        }
     }
 
-    /// End the read with the operation's answer: [`Step::Done`] if the
+    /// End the hold with the operation's answer: [`Step::Done`] if the
     /// data it was computed from validates, [`Step::Restart`] otherwise.
     #[inline]
     pub fn done<S, R>(self, res: R) -> Step<S, R> {
@@ -448,20 +485,23 @@ impl<'a, L: IndexLock> OptimisticGuard<'a, L> {
         }
     }
 
-    /// Abandon the read on a restart path. Free for optimistic locks;
-    /// releases the shared lock for pessimistic ones.
+    /// Drop the hold without asking whether it validated. Free for
+    /// optimistic locks; releases the lock for pessimistic ones.
     #[inline]
     pub fn abandon(self) {
         if L::PESSIMISTIC {
-            self.lock.r_unlock(self.version);
+            self.validate();
         }
     }
 
-    /// Try to convert the read into exclusive ownership (§6.2). On
-    /// success the read is transferred into the write; on failure the
-    /// read is abandoned and the caller restarts.
+    /// Convert the hold into exclusive ownership (§6.2): an exclusive
+    /// hold hands back the token it already has, a snapshot is upgraded.
+    /// On failure the hold is abandoned and the caller restarts.
     #[inline]
     pub fn try_upgrade(self) -> Option<WriteToken> {
+        if let Some(token) = self.held_ex() {
+            return Some(token);
+        }
         match self.lock.try_upgrade(self.version) {
             Some(t) => Some(t),
             None => {
@@ -477,7 +517,7 @@ mod tests {
     use super::*;
     use crate::optlock::OptLock;
     use crate::pthread::PthreadRwLock;
-    use crate::ExclusiveLock;
+    use crate::{ExclusiveLock, McsRwLock, OptiQL};
 
     #[test]
     fn ladder_escalates_free_spin_backoff_yield() {
@@ -655,5 +695,66 @@ mod tests {
         // If abandon leaked the shared lock this x_lock would deadlock.
         let t = lock.x_lock();
         lock.x_unlock(t);
+    }
+
+    /// One of the four ways a guard ends.
+    fn end<L: IndexLock>(way: usize, g: OptimisticGuard<'_, L>, lock: &L) {
+        match way {
+            0 => g.abandon(),
+            1 => assert!(g.validate()),
+            2 => assert!(matches!(g.done::<(), u8>(7), Step::Done(7))),
+            _ => {
+                let t = g.try_upgrade().expect("nothing intervened");
+                assert!(lock.is_locked_ex());
+                lock.x_unlock(t);
+            }
+        }
+    }
+
+    /// A write-intent guard is an exclusive hold on a pessimistic lock and
+    /// a plain read — no store — on an optimistic one; either way every
+    /// exit leaves the lock free.
+    fn write_intent_holds_are_released<L: IndexLock>() {
+        for way in 0..4 {
+            let lock = L::default();
+            let before = lock.r_lock().expect("free lock");
+            lock.r_unlock(before);
+            let g = OptimisticGuard::read_for_write(&lock, true).expect("free lock");
+            assert!(g.recheck());
+            assert_eq!(lock.is_locked_ex(), L::PESSIMISTIC);
+            end(way, g, &lock);
+            assert!(!lock.is_locked_ex(), "exit {way} leaked its hold");
+            if !L::PESSIMISTIC && way < 3 {
+                assert_eq!(lock.r_lock(), Some(before), "exit {way} stored");
+            }
+            // Would deadlock on a leaked hold of either kind.
+            let t = lock.x_lock();
+            lock.x_unlock(t);
+            // Without the intent the entry is `read` for every family: a
+            // pessimistic hold is then shared, refuses to upgrade, and is
+            // released by the refusal.
+            let g = OptimisticGuard::read_for_write(&lock, false).expect("free lock");
+            match g.try_upgrade() {
+                Some(t) => lock.x_unlock(t),
+                None => assert!(L::PESSIMISTIC),
+            }
+            assert!(!lock.is_locked_ex());
+        }
+    }
+
+    #[test]
+    fn write_intent_guard_releases_on_every_exit() {
+        write_intent_holds_are_released::<PthreadRwLock>();
+        write_intent_holds_are_released::<McsRwLock>();
+        write_intent_holds_are_released::<OptLock>();
+        write_intent_holds_are_released::<OptiQL>();
+    }
+
+    /// The guard is what the batched driver parks: it must stay two words
+    /// whatever it learns to hold.
+    #[test]
+    fn guard_is_two_words() {
+        assert_eq!(std::mem::size_of::<OptimisticGuard<'_, OptiQL>>(), 16);
+        assert_eq!(std::mem::size_of::<OptimisticGuard<'_, McsRwLock>>(), 16);
     }
 }

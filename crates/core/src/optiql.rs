@@ -21,16 +21,18 @@
 //!
 //! [`OptiQL`] enables opportunistic read; [`OptiQLNor`] (paper
 //! "OptiQL-NOR") disables it, saving two atomics per handover at the cost
-//! of starving readers whenever writers queue. [`OptiQL`] additionally
-//! implements [`AdjustableOpRead`] ("AOR", §5.3): the caller may keep the
+//! of starving readers whenever writers queue. Adjustable opportunistic
+//! read ("AOR", §5.3) is [`IndexLock::x_lock_adjustable`] /
+//! [`IndexLock::x_finish_adjustable`]: the caller may keep the
 //! reader-admission window open until it has located its write target.
+//! [`OptiQLAor`] is the same lock with that as its index write strategy.
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
 use crate::qnode::{self, QNode};
 use crate::spin::Spinner;
 use crate::stats::{record, Event};
-use crate::traits::{AdjustableOpRead, ExclusiveLock, IndexLock, WriteStrategy, WriteToken};
+use crate::traits::{ExclusiveLock, IndexLock, WriteStrategy, WriteToken};
 use crate::word::{
     bump_version, is_locked, locked_word, readable, word_id, word_version, INVALID_VERSION, OPREAD,
     VERSION_MASK,
@@ -40,8 +42,9 @@ use crate::word::{
 /// closed (with a `FETCH_AND`) before data modification / release.
 const AOR_PENDING: u64 = 1 << 32;
 
-/// Shared implementation; `OPPORTUNISTIC` selects OptiQL vs OptiQL-NOR.
-pub struct OptiQLCore<const OPPORTUNISTIC: bool> {
+/// Shared implementation; `OPPORTUNISTIC` selects OptiQL vs OptiQL-NOR,
+/// `AOR` which [`WriteStrategy`] index write paths follow with it.
+pub struct OptiQLCore<const OPPORTUNISTIC: bool, const AOR: bool = false> {
     word: AtomicU64,
 }
 
@@ -49,14 +52,18 @@ pub struct OptiQLCore<const OPPORTUNISTIC: bool> {
 pub type OptiQL = OptiQLCore<true>;
 /// OptiQL without opportunistic read (paper "OptiQL-NOR").
 pub type OptiQLNor = OptiQLCore<false>;
+/// OptiQL with the adjustable-opportunistic-read *index strategy*
+/// ("OptiQL-AOR", §7.4): identical lock, but index write paths keep the
+/// reader-admission window open while they search for their target slot.
+pub type OptiQLAor = OptiQLCore<true, true>;
 
-impl<const OPPORTUNISTIC: bool> Default for OptiQLCore<OPPORTUNISTIC> {
+impl<const OPPORTUNISTIC: bool, const AOR: bool> Default for OptiQLCore<OPPORTUNISTIC, AOR> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<const OPPORTUNISTIC: bool> OptiQLCore<OPPORTUNISTIC> {
+impl<const OPPORTUNISTIC: bool, const AOR: bool> OptiQLCore<OPPORTUNISTIC, AOR> {
     /// New, unlocked, version 0.
     pub const fn new() -> Self {
         OptiQLCore {
@@ -225,11 +232,11 @@ impl<const OPPORTUNISTIC: bool> OptiQLCore<OPPORTUNISTIC> {
     }
 }
 
-impl<const OPPORTUNISTIC: bool> ExclusiveLock for OptiQLCore<OPPORTUNISTIC> {
-    const NAME: &'static str = if OPPORTUNISTIC {
-        "OptiQL"
-    } else {
-        "OptiQL-NOR"
+impl<const OPPORTUNISTIC: bool, const AOR: bool> ExclusiveLock for OptiQLCore<OPPORTUNISTIC, AOR> {
+    const NAME: &'static str = match (OPPORTUNISTIC, AOR) {
+        (true, true) => "OptiQL-AOR",
+        (true, false) => "OptiQL",
+        (false, _) => "OptiQL-NOR",
     };
 
     #[inline]
@@ -255,9 +262,13 @@ impl<const OPPORTUNISTIC: bool> ExclusiveLock for OptiQLCore<OPPORTUNISTIC> {
     }
 }
 
-impl<const OPPORTUNISTIC: bool> IndexLock for OptiQLCore<OPPORTUNISTIC> {
+impl<const OPPORTUNISTIC: bool, const AOR: bool> IndexLock for OptiQLCore<OPPORTUNISTIC, AOR> {
     const PESSIMISTIC: bool = false;
-    const STRATEGY: WriteStrategy = WriteStrategy::DirectLock;
+    const STRATEGY: WriteStrategy = if AOR {
+        WriteStrategy::DirectLockAor
+    } else {
+        WriteStrategy::DirectLock
+    };
 
     #[inline]
     fn r_lock(&self) -> Option<u64> {
@@ -313,113 +324,11 @@ impl<const OPPORTUNISTIC: bool> IndexLock for OptiQLCore<OPPORTUNISTIC> {
     }
 
     #[inline]
-    fn x_finish_adjustable(&self, token: WriteToken) {
+    fn x_finish_adjustable(&self, token: WriteToken) -> WriteToken {
         if OPPORTUNISTIC && token.0 & AOR_PENDING != 0 {
             self.close_opread_window();
         }
-    }
-}
-
-/// OptiQL with the adjustable-opportunistic-read *index strategy*
-/// ("OptiQL-AOR", §7.4): identical lock, but index write paths keep the
-/// reader-admission window open while they search for their target slot.
-#[derive(Default)]
-pub struct OptiQLAor {
-    inner: OptiQL,
-}
-
-impl OptiQLAor {
-    /// New, unlocked, version 0.
-    pub const fn new() -> Self {
-        OptiQLAor {
-            inner: OptiQL::new(),
-        }
-    }
-}
-
-impl ExclusiveLock for OptiQLAor {
-    const NAME: &'static str = "OptiQL-AOR";
-
-    #[inline]
-    fn x_lock(&self) -> WriteToken {
-        self.inner.x_lock()
-    }
-
-    #[inline]
-    fn x_unlock(&self, t: WriteToken) {
-        self.inner.x_unlock(t)
-    }
-}
-
-impl IndexLock for OptiQLAor {
-    const PESSIMISTIC: bool = false;
-    const STRATEGY: WriteStrategy = WriteStrategy::DirectLockAor;
-
-    #[inline]
-    fn r_lock(&self) -> Option<u64> {
-        self.inner.r_lock()
-    }
-
-    #[inline]
-    fn r_unlock(&self, v: u64) -> bool {
-        self.inner.r_unlock(v)
-    }
-
-    #[inline]
-    fn recheck(&self, v: u64) -> bool {
-        self.inner.recheck(v)
-    }
-
-    #[inline]
-    fn try_upgrade(&self, v: u64) -> Option<WriteToken> {
-        self.inner.try_upgrade(v)
-    }
-
-    #[inline]
-    fn is_locked_ex(&self) -> bool {
-        self.inner.is_locked_ex()
-    }
-
-    #[inline]
-    fn x_lock_adjustable(&self) -> WriteToken {
-        self.inner.x_lock_adjustable()
-    }
-
-    #[inline]
-    fn x_finish_adjustable(&self, token: WriteToken) {
-        self.inner.x_finish_adjustable(token)
-    }
-}
-
-impl AdjustableOpRead for OptiQL {
-    #[inline]
-    fn x_lock_aor(&self) -> WriteToken {
-        let id = qnode::alloc();
-        let queued = self.acquire_ex_with(id, qnode::to_ptr(id));
-        if queued {
-            // Leave the opportunistic-read window open; the caller closes
-            // it with `x_finish_aor` once it has found its write target.
-            WriteToken(id as u64 | AOR_PENDING)
-        } else {
-            WriteToken::from_qnode(id)
-        }
-    }
-
-    #[inline]
-    fn x_finish_aor(&self, token: WriteToken) {
-        if token.0 & AOR_PENDING != 0 {
-            self.close_opread_window();
-        }
-    }
-}
-
-impl OptiQL {
-    /// Unlock a token obtained from [`AdjustableOpRead::x_lock_aor`],
-    /// closing the window first if the caller aborted without finishing.
-    #[inline]
-    pub fn x_unlock_aor(&self, token: WriteToken) {
-        self.x_finish_aor(token);
-        self.x_unlock(WriteToken::from_qnode(token.qnode_id()));
+        WriteToken(token.0 & !AOR_PENDING)
     }
 }
 
@@ -626,13 +535,13 @@ mod tests {
         std::thread::scope(|s| {
             let l2 = &l;
             s.spawn(move || {
-                let t = l2.x_lock_aor();
+                let t = l2.x_lock_adjustable();
                 // Window must still be open right after a queued AOR grant.
                 let snap = l2.acquire_sh().expect("AOR leaves the window open");
                 assert!(l2.release_sh(snap));
-                l2.x_finish_aor(t);
+                let t = l2.x_finish_adjustable(t);
                 assert!(l2.acquire_sh().is_none(), "finish closes the window");
-                l2.x_unlock(WriteToken::from_qnode(t.qnode_id()));
+                l2.x_unlock(t);
             });
             // Give the AOR thread time to queue, then hand over.
             std::thread::sleep(std::time::Duration::from_millis(30));
@@ -644,14 +553,14 @@ mod tests {
 
     #[test]
     fn aor_abort_path_unlocks_cleanly() {
-        // x_lock_aor followed by x_unlock_aor without finish (the Alg 4
+        // x_lock_adjustable followed by x_unlock without finish (the Alg 4
         // "parent changed, release before retry" path) must not wedge.
         let l = Arc::new(OptiQL::new());
         let t0 = l.x_lock();
         let l2 = Arc::clone(&l);
         let h = std::thread::spawn(move || {
-            let t = l2.x_lock_aor(); // queued: AOR window will be open
-            l2.x_unlock_aor(t); // abort without x_finish_aor
+            let t = l2.x_lock_adjustable(); // queued: AOR window will be open
+            l2.x_unlock(t); // abort without x_finish_adjustable
         });
         std::thread::sleep(std::time::Duration::from_millis(20));
         l.x_unlock(t0);

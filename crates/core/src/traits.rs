@@ -9,9 +9,12 @@
 //! * [`IndexLock`] — adds the optimistic/shared read interface of paper
 //!   §4.1 and the upgrade interface of §6.2. Pessimistic reader-writer locks
 //!   implement the same interface by making `r_lock` blocking and
-//!   `r_unlock` an actual release (validation trivially succeeds), which
-//!   turns the same index traversal code into classic lock coupling —
-//!   exactly how the paper runs its pessimistic baselines.
+//!   `r_unlock` an actual release (validation trivially succeeds). Index
+//!   code holds nodes through [`OptimisticGuard`](crate::olc::OptimisticGuard),
+//!   which for these locks takes a node exclusively where the descent
+//!   means to write — so the same traversal code, reads and writes alike,
+//!   is classic lock coupling: exactly how the paper runs its pessimistic
+//!   baselines.
 
 /// Token returned by `x_lock`, to be passed back to `x_unlock`.
 ///
@@ -120,23 +123,16 @@ pub trait IndexLock: ExclusiveLock {
     }
 
     /// Close the reader-admission window opened by
-    /// [`IndexLock::x_lock_adjustable`]. Must run before the holder
-    /// modifies protected data. No-op for locks without AOR.
+    /// [`IndexLock::x_lock_adjustable`] and return the token to unlock
+    /// with (the caller rebinds: the old one still says the window is
+    /// open). Must run before the holder modifies protected data;
+    /// `x_unlock` closes a window the holder abandoned without finishing.
+    /// Identity for locks without AOR.
     #[inline]
-    fn x_finish_adjustable(&self, _token: WriteToken) {}
-}
-
-/// Adjustable opportunistic read (paper §5.3): split exclusive acquisition
-/// so the caller decides when to stop admitting opportunistic readers.
-pub trait AdjustableOpRead: IndexLock {
-    /// Acquire the lock in exclusive mode but leave opportunistic read
-    /// enabled. Readers keep being admitted (and will fail validation later
-    /// if they overlap the writer's modification window).
-    fn x_lock_aor(&self) -> WriteToken;
-
-    /// Close the opportunistic-read window. Must be called before the
-    /// holder modifies protected data.
-    fn x_finish_aor(&self, token: WriteToken);
+    #[must_use = "unlock with the returned token"]
+    fn x_finish_adjustable(&self, token: WriteToken) -> WriteToken {
+        token
+    }
 }
 
 #[cfg(test)]

@@ -4,13 +4,14 @@
 //! The in-crate guard tests cover the happy paths; these integration
 //! tests pin down the corner cases the index write protocols rely on:
 //! early drops, drop-after-upgrade, and the AOR window staying open
-//! until `x_finish_aor` — including the abort path where a writer
+//! until `x_finish_adjustable` — including the abort path where a writer
 //! unlocks without ever finishing.
 
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex};
 
+use optiql::stats::{self, Event};
 use optiql::word::{is_locked, is_opread};
-use optiql::{AdjustableOpRead, IndexLock, OptLock, OptiQL, OptiQLAor, OptiQLNor, XGuard};
+use optiql::{ExclusiveLock, IndexLock, OptLock, OptiQL, OptiQLAor, OptiQLNor, XGuard};
 
 #[test]
 fn early_drop_releases_before_scope_end() {
@@ -70,27 +71,43 @@ fn guard_composes_with_every_lock_drop_path() {
 
 #[test]
 fn aor_fast_path_token_needs_no_window_close() {
-    // Uncontended x_lock_aor takes the fast path: no handover happened,
-    // so there is no window and x_finish_aor is a no-op.
+    // Uncontended x_lock_adjustable takes the fast path: no handover
+    // happened, so there is no window and x_finish_adjustable is a no-op.
     let l = OptiQL::new();
-    let t = l.x_lock_aor();
+    let t = l.x_lock_adjustable();
     assert!(l.is_locked_ex());
     assert!(
         l.r_lock().is_none(),
         "fast-path AOR write admits no readers"
     );
-    l.x_finish_aor(t);
+    let t = l.x_finish_adjustable(t);
     assert!(l.r_lock().is_none(), "finish changes nothing on fast path");
-    l.x_unlock_aor(t);
+    l.x_unlock(t);
     assert!(!l.is_locked_ex());
     assert_eq!(l.r_lock().unwrap(), 1);
 }
 
+/// The two queued-handover tests below count window closes in the
+/// process-wide `stats` registry (when it is compiled in), so they must
+/// not overlap.
+static QUEUED: Mutex<()> = Mutex::new(());
+
+/// A queued AOR acquisition closes its window exactly once — at finish,
+/// or at unlock when it never finished — never at both.
+fn assert_one_window_close(before: u64) {
+    if stats::ENABLED {
+        let closes = stats::snapshot().get(Event::OpReadWindowClose) - before;
+        assert_eq!(closes, 1, "one queued write, one window close");
+    }
+}
+
 /// Queued AOR path, barrier-sequenced: the granted writer's window must
-/// stay open across the grant until it calls `x_finish_aor`, and close at
-/// exactly that point.
+/// stay open across the grant until it calls `x_finish_adjustable`, and
+/// close at exactly that point.
 #[test]
 fn aor_window_stays_open_until_finish() {
+    let _serial = QUEUED.lock().unwrap();
+    let closes = stats::snapshot().get(Event::OpReadWindowClose);
     let l = Arc::new(OptiQL::new());
     let id1 = optiql::qnode::alloc();
     let qn1 = optiql::qnode::to_ptr(id1);
@@ -109,13 +126,13 @@ fn aor_window_stays_open_until_finish() {
             Arc::clone(&drained),
         );
         std::thread::spawn(move || {
-            let t = l.x_lock_aor(); // queues behind main, grant opens window
+            let t = l.x_lock_adjustable(); // queues behind main, grant opens window
             granted.wait();
             observed.wait(); // main sampled the open window
-            l.x_finish_aor(t); // AOR search done: close the window
+            let t = l.x_finish_adjustable(t); // AOR search done: close the window
             finished.wait();
             drained.wait(); // main confirmed the closed state
-            l.x_unlock_aor(t);
+            l.x_unlock(t);
         })
     };
 
@@ -137,7 +154,7 @@ fn aor_window_stays_open_until_finish() {
     assert!(l.release_sh(snap), "reader inside the AOR window validates");
     observed.wait();
     finished.wait();
-    // Window closed by x_finish_aor; T2 still holds the lock.
+    // Window closed by x_finish_adjustable; T2 still holds the lock.
     assert!(
         l.acquire_sh().is_none(),
         "closed AOR window rejects readers"
@@ -146,14 +163,17 @@ fn aor_window_stays_open_until_finish() {
     drained.wait();
     t2.join().unwrap();
     assert_eq!(l.acquire_sh().unwrap(), 2, "two completed write rounds");
+    assert_one_window_close(closes);
 }
 
 #[test]
 fn aor_abort_path_unlock_without_finish_closes_window() {
-    // A writer that aborts its AOR search calls x_unlock_aor directly;
+    // A writer that aborts its AOR search calls x_unlock directly;
     // the abandoned window must be closed before release so later readers
     // cannot validate against the stale handover state. Single-threaded
     // fast path cannot open a window, so enact the queued state manually.
+    let _serial = QUEUED.lock().unwrap();
+    let closes = stats::snapshot().get(Event::OpReadWindowClose);
     let l = Arc::new(OptiQL::new());
     let id1 = optiql::qnode::alloc();
     let qn1 = optiql::qnode::to_ptr(id1);
@@ -164,10 +184,10 @@ fn aor_abort_path_unlock_without_finish_closes_window() {
         let l = Arc::clone(&l);
         let granted = Arc::clone(&granted);
         std::thread::spawn(move || {
-            let t = l.x_lock_aor();
+            let t = l.x_lock_adjustable();
             granted.wait();
-            // Abort: never call x_finish_aor.
-            l.x_unlock_aor(t);
+            // Abort: never call x_finish_adjustable.
+            l.x_unlock(t);
         })
     };
     loop {
@@ -186,4 +206,5 @@ fn aor_abort_path_unlock_without_finish_closes_window() {
     let v = l.acquire_sh().expect("free after aborted AOR unlock");
     assert_eq!(v, 2);
     assert!(l.release_sh(v));
+    assert_one_window_close(closes);
 }

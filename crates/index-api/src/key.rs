@@ -13,13 +13,12 @@
 //!   prefix-free escape encoding in [`enc`].
 //!
 //! [`IndexKey`] carries both views plus the routing hint the sharded
-//! facade partitions by. Three implementations exist: `u64` (inline
+//! facade partitions by. Two implementations exist: `u64` (inline
 //! slots, fixed 8-byte digits, `Relaxed` slot ordering — the
-//! monomorphized tree code is byte-for-byte the pre-generic code),
+//! monomorphized tree code is byte-for-byte the pre-generic code) and
 //! [`Bytes`] (the [`bslot`] fast path: short keys inline in the word,
 //! long keys in single-allocation heap blobs, published with
-//! `Release`/`Acquire`), and [`BoxedBytes`] (the PR 8 boxed-slot
-//! representation, kept as an in-run benchmark baseline).
+//! `Release`/`Acquire`).
 
 use std::cmp::Ordering;
 use std::sync::atomic::Ordering as MemOrd;
@@ -400,12 +399,13 @@ pub mod bslot {
 ///   `into_slot`, so concurrent readers racing a release (but protected
 ///   by the epoch the retire went through) always observe a fully
 ///   initialized, immutable key;
-/// * `SLOT_LOAD`/`SLOT_STORE` must be strong enough that a reader which
-///   loads a slot word published by another thread's store observes the
-///   pointee's initialization (`Relaxed` is only sound for inline keys);
-/// * if [`TRUNCATE`](Self::TRUNCATE) is true, every slot word must use
-///   the [`bslot`] representation (the B+-tree then stores per-node key
-///   *suffixes* and manipulates them through `bslot` directly), and
+/// * [`INLINE`](Self::INLINE) is the one constant an implementation
+///   sets; it must be true only when the slot word *is* the key (nothing
+///   owned, nothing to publish). Everything else about how slots are
+///   stored follows from it and must not be overridden;
+/// * if `INLINE` is false, every slot word must use the [`bslot`]
+///   representation (the B+-tree then stores per-node key *suffixes*
+///   and manipulates them through `bslot` directly), and
 ///   [`raw_bytes`](Self::raw_bytes) / [`from_raw`](Self::from_raw) /
 ///   [`probe_word`](Self::probe_word) must be implemented and mutually
 ///   consistent.
@@ -416,20 +416,27 @@ pub unsafe trait IndexKey:
     /// pointer chase; the tree's fixed-width fast path).
     const INLINE: bool;
 
-    /// True when the B+-tree should store this key type through the
-    /// [`bslot`] representation with per-node common-prefix truncation
-    /// (node slots hold suffixes; short suffixes pack inline). See the
-    /// trait-level safety contract.
-    const TRUNCATE: bool = false;
+    /// Derived: every key that is not inline is stored by the B+-tree
+    /// through the [`bslot`] representation with per-node common-prefix
+    /// truncation (node slots hold suffixes; short suffixes pack inline).
+    const TRUNCATE: bool = !Self::INLINE;
 
-    /// Memory ordering for loads of key-slot words. `Relaxed` for
-    /// inline keys; `Acquire` for pointer slots so the pointee's bytes
-    /// are visible.
-    const SLOT_LOAD: MemOrd;
+    /// Derived: memory ordering for loads of key-slot words. `Relaxed`
+    /// for inline keys; `Acquire` for pointer slots so the pointee's
+    /// bytes are visible.
+    const SLOT_LOAD: MemOrd = if Self::INLINE {
+        MemOrd::Relaxed
+    } else {
+        MemOrd::Acquire
+    };
 
-    /// Memory ordering for stores of key-slot words. `Relaxed` for
-    /// inline keys; `Release` for pointer slots.
-    const SLOT_STORE: MemOrd;
+    /// Derived: memory ordering for stores of key-slot words. `Relaxed`
+    /// for inline keys; `Release` for pointer slots.
+    const SLOT_STORE: MemOrd = if Self::INLINE {
+        MemOrd::Relaxed
+    } else {
+        MemOrd::Release
+    };
 
     /// The digit-string view: what [`encode`](Self::encode) yields.
     type Enc: AsRef<[u8]>;
@@ -462,23 +469,23 @@ pub unsafe trait IndexKey:
     /// byte-shuffling loop.
     fn route_hint(&self) -> u64;
 
-    /// The raw byte view behind the [`bslot`] representation. Only
-    /// called when [`TRUNCATE`](Self::TRUNCATE) is true.
+    /// The raw byte view behind the [`bslot`] representation. Never
+    /// called on an [`INLINE`](Self::INLINE) key, which has none.
     fn raw_bytes(&self) -> &[u8] {
-        unimplemented!("raw_bytes is only available for TRUNCATE keys")
+        unreachable!("inline keys have no byte view")
     }
 
-    /// Rebuild a key from its raw bytes. Only called when
-    /// [`TRUNCATE`](Self::TRUNCATE) is true.
+    /// Rebuild a key from its raw bytes (never called for an
+    /// [`INLINE`](Self::INLINE) key).
     fn from_raw(_raw: &[u8]) -> Self {
-        unimplemented!("from_raw is only available for TRUNCATE keys")
+        unreachable!("inline keys have no byte view")
     }
 
     /// The precomputed [`bslot::sort_word`] of
-    /// [`raw_bytes`](Self::raw_bytes). Only called when
-    /// [`TRUNCATE`](Self::TRUNCATE) is true.
+    /// [`raw_bytes`](Self::raw_bytes) (never called on an
+    /// [`INLINE`](Self::INLINE) key).
     fn probe_word(&self) -> u64 {
-        unimplemented!("probe_word is only available for TRUNCATE keys")
+        unreachable!("inline keys have no byte view")
     }
 
     /// Hint the CPU to pull any heap payload an equality or ordering
@@ -544,8 +551,6 @@ pub unsafe trait IndexKey:
 // `Relaxed` suffices because no pointee exists to publish.
 unsafe impl IndexKey for u64 {
     const INLINE: bool = true;
-    const SLOT_LOAD: MemOrd = MemOrd::Relaxed;
-    const SLOT_STORE: MemOrd = MemOrd::Relaxed;
 
     type Enc = [u8; 8];
 
@@ -701,12 +706,9 @@ impl std::fmt::Debug for Bytes {
 // nothing, pointer slots own one immutable blob whose publication is
 // ordered by `Release`/`Acquire` and whose free is epoch-deferred.
 // `raw_bytes`/`from_raw`/`probe_word` are mutually consistent views of
-// the same byte string, so TRUNCATE = true is sound.
+// the same byte string, so INLINE = false is sound.
 unsafe impl IndexKey for Bytes {
     const INLINE: bool = false;
-    const TRUNCATE: bool = true;
-    const SLOT_LOAD: MemOrd = MemOrd::Acquire;
-    const SLOT_STORE: MemOrd = MemOrd::Release;
 
     type Enc = Vec<u8>;
 
@@ -771,104 +773,6 @@ unsafe impl IndexKey for Bytes {
     }
     unsafe fn slot_cmp_slot(a: u64, b: u64) -> Ordering {
         bslot::cmp_slots(a, b)
-    }
-}
-
-/// The PR 8 boxed-slot byte key, kept as the **benchmark baseline** for
-/// the [`bslot`] fast path: every slot word is a `Box` pointer (two
-/// dependent loads per comparison — box, then the byte buffer), no
-/// inlining, no per-node prefix truncation (`TRUNCATE` = false), and
-/// `route_hint` is the original leading-8-raw-bytes projection.
-///
-/// The `keyed` benchmark runs the same workload over [`Bytes`] and
-/// `BoxedBytes` trees to report the fast path's speedup in-run. Not
-/// intended for production indexes.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Debug)]
-pub struct BoxedBytes(pub Bytes);
-
-impl From<&[u8]> for BoxedBytes {
-    fn from(b: &[u8]) -> BoxedBytes {
-        BoxedBytes(Bytes::from(b))
-    }
-}
-
-impl From<&str> for BoxedBytes {
-    fn from(s: &str) -> BoxedBytes {
-        BoxedBytes(Bytes::from(s))
-    }
-}
-
-impl BoxedBytes {
-    #[inline]
-    unsafe fn slot_ref<'a>(slot: u64) -> &'a BoxedBytes {
-        debug_assert!(slot != 0, "null byte-key slot dereferenced");
-        &*(slot as usize as *const BoxedBytes)
-    }
-}
-
-// SAFETY: the slot word is a `Box::into_raw` pointer to an immutable
-// `BoxedBytes`; ownership moves with the word, `Release`/`Acquire`
-// publish the pointee, and epoch retirement defers the free past pinned
-// readers.
-unsafe impl IndexKey for BoxedBytes {
-    const INLINE: bool = false;
-    const SLOT_LOAD: MemOrd = MemOrd::Acquire;
-    const SLOT_STORE: MemOrd = MemOrd::Release;
-
-    type Enc = Vec<u8>;
-
-    fn encode(&self) -> Vec<u8> {
-        self.0.encode()
-    }
-
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.0.encode_into(out);
-    }
-
-    fn from_encoded(encoded: &[u8]) -> BoxedBytes {
-        BoxedBytes(Bytes::from_encoded(encoded))
-    }
-
-    fn route_hint(&self) -> u64 {
-        let raw = self.0.as_bytes();
-        let mut b = [0u8; 8];
-        let n = raw.len().min(8);
-        b[..n].copy_from_slice(&raw[..n]);
-        u64::from_be_bytes(b)
-    }
-
-    #[inline]
-    fn prefetch_payload(&self) {
-        self.0.prefetch_payload();
-    }
-
-    fn into_slot(self) -> u64 {
-        Box::into_raw(Box::new(self)) as usize as u64
-    }
-    unsafe fn slot_key(slot: u64) -> BoxedBytes {
-        BoxedBytes::slot_ref(slot).clone()
-    }
-    unsafe fn slot_clone(slot: u64) -> u64 {
-        BoxedBytes::slot_ref(slot).clone().into_slot()
-    }
-    unsafe fn slot_free(slot: u64) {
-        drop(Box::from_raw(slot as usize as *mut BoxedBytes));
-    }
-    unsafe fn slot_retire(slot: u64, g: &Guard) {
-        g.retire_ptr(slot as usize as *mut BoxedBytes);
-    }
-    unsafe fn cmp_slot(&self, slot: u64) -> Ordering {
-        // Byte-wise compare after the double chase — the PR 8 cost
-        // model this type exists to preserve.
-        self.0
-            .as_bytes()
-            .cmp(BoxedBytes::slot_ref(slot).0.as_bytes())
-    }
-    unsafe fn slot_cmp_slot(a: u64, b: u64) -> Ordering {
-        BoxedBytes::slot_ref(a)
-            .0
-            .as_bytes()
-            .cmp(BoxedBytes::slot_ref(b).0.as_bytes())
     }
 }
 
@@ -1135,35 +1039,6 @@ mod tests {
             Bytes::from("user0000").route_hint(),
             Bytes::from("item0000").route_hint()
         );
-    }
-
-    #[test]
-    fn boxed_bytes_baseline_matches_bytes_semantics() {
-        let a = BoxedBytes::from("alpha");
-        let b = BoxedBytes::from("beta, much longer than one word");
-        assert_eq!(
-            BoxedBytes::from_encoded(a.encode().as_ref()),
-            a,
-            "encode round trip"
-        );
-        assert_eq!(
-            a.route_hint(),
-            u64::from_be_bytes(*b"alpha\0\0\0"),
-            "PR 8 leading-8-raw-bytes hint"
-        );
-        let sa = a.clone().into_slot();
-        let sb = b.clone().into_slot();
-        unsafe {
-            assert_eq!(BoxedBytes::slot_key(sa), a);
-            assert_eq!(b.cmp_slot(sa), Ordering::Greater);
-            assert_eq!(BoxedBytes::slot_cmp_slot(sa, sb), Ordering::Less);
-            let sc = BoxedBytes::slot_clone(sa);
-            assert_ne!(sc, sa, "boxed clone must own fresh storage");
-            assert_eq!(BoxedBytes::slot_cmp_slot(sc, sa), Ordering::Equal);
-            BoxedBytes::slot_free(sa);
-            BoxedBytes::slot_free(sb);
-            BoxedBytes::slot_free(sc);
-        }
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub mod key;
 
 use std::ops::Bound;
 
-pub use key::{bslot, BoxedBytes, Bytes, IndexKey};
+pub use key::{bslot, Bytes, IndexKey};
 pub use optiql::olc::IndexStats;
 pub use optiql_reclaim::Handle as ReclaimHandle;
 

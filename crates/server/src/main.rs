@@ -24,7 +24,9 @@ fn usage() -> ! {
         "usage: optiql-server [--addr HOST:PORT] [--backend btree|art|sharded-btree|sharded-art]\n\
          \x20                    [--shards N] [--workers N] [--dispatch grouped|per-op]\n\
          \x20                    [--preload N] [--max-group N]\n\
-         \x20                    [--wal-dir DIR] [--fsync always|group|none]"
+         \x20                    [--wal-dir DIR] [--fsync always|group|none]\n\
+         \x20 --dispatch per-op is the bench baseline (one scalar operation per\n\
+         \x20 request, no burst pin), not a serving mode"
     );
     std::process::exit(2);
 }

@@ -17,9 +17,10 @@
 //! descent — under **one** epoch pin per burst (the per-op pins inside
 //! become nested no-fence increments). Responses are written back in
 //! arrival order; runs are contiguous, so order preservation is
-//! structural, not bookkeeping. [`Dispatch::PerOp`] executes the same
-//! queue one scalar operation at a time — it exists so the `server`
-//! bench can measure exactly what grouping buys end-to-end.
+//! structural, not bookkeeping. [`Dispatch::PerOp`] is the same executor
+//! with runs capped at one request and no burst pin — not a serving
+//! mode: it exists so the `server` bench can measure exactly what
+//! grouping buys end-to-end.
 //!
 //! Robustness: a malformed or oversized frame poisons only its own
 //! connection — the worker answers with [`Response::Error`], flushes,
@@ -91,8 +92,10 @@ pub enum Dispatch {
     /// batched engines under one epoch pin per burst.
     #[default]
     Grouped,
-    /// One scalar index operation per request (the baseline the bench
-    /// compares against).
+    /// The bench baseline, not a serving mode: the same executor with
+    /// every run capped at one request and no burst pin, so each request
+    /// is one scalar index operation (`benches/server.rs` measures what
+    /// grouping buys against it).
     PerOp,
 }
 
@@ -639,10 +642,7 @@ impl Worker {
         // Execute.
         if !conn.pending.is_empty() {
             progressed = true;
-            match self.dispatch {
-                Dispatch::Grouped => self.execute_grouped(conn),
-                Dispatch::PerOp => self.execute_per_op(conn),
-            }
+            self.execute(conn);
             conn.pending.clear();
         }
         progressed
@@ -683,33 +683,46 @@ impl Worker {
         progressed
     }
 
+    /// Account one run: `requests` frames costing `ops` index operations,
+    /// through a batched engine or not.
+    fn account(&self, requests: usize, ops: usize, batched: bool) {
+        let stats = &self.stats;
+        stats.requests.fetch_add(requests as u64, Ordering::Relaxed);
+        stats.index_ops.fetch_add(ops as u64, Ordering::Relaxed);
+        if batched {
+            stats.batched_ops.fetch_add(ops as u64, Ordering::Relaxed);
+        }
+    }
+
     fn execute_one(&self, req: &Request, out: &mut Vec<u8>) {
-        match req {
+        let ops = match req {
             Request::Get { key } => {
                 Response::Value(self.index.lookup(*key)).encode(out);
-                self.stats.index_ops.fetch_add(1, Ordering::Relaxed);
+                1
             }
             Request::Set { key, value } => {
                 Response::Old(self.index.insert(*key, *value)).encode(out);
-                self.stats.index_ops.fetch_add(1, Ordering::Relaxed);
+                1
             }
             Request::Del { key } => {
                 Response::Old(self.index.remove(*key)).encode(out);
-                self.stats.index_ops.fetch_add(1, Ordering::Relaxed);
+                1
             }
             Request::MGet { keys } => {
                 let vs: Vec<Option<u64>> = keys.iter().map(|&k| self.index.lookup(k)).collect();
-                self.stats
-                    .index_ops
-                    .fetch_add(keys.len() as u64, Ordering::Relaxed);
                 Response::MValues(vs).encode(out);
+                keys.len()
             }
             Request::ScanCount { start, limit } => {
                 let n = self.index.scan_count(*start, *limit as usize);
-                self.stats.index_ops.fetch_add(1, Ordering::Relaxed);
                 Response::Count(n as u64).encode(out);
+                1
             }
-            Request::Shutdown => self.ack_shutdown(out),
+            Request::Shutdown => {
+                Response::Ok.encode(out);
+                self.stop.store(true, Ordering::Release);
+                0
+            }
             Request::Scan { start, count } => {
                 // Stream straight off the lazy range iterator: each
                 // SCAN_PART is encoded (and its buffer retired) before
@@ -737,106 +750,78 @@ impl Worker {
                     Response::ScanPart(part).encode(out);
                 }
                 Response::ScanEnd { total }.encode(out);
-                self.stats
-                    .index_ops
-                    .fetch_add(u64::from(total).max(1), Ordering::Relaxed);
+                total.max(1) as usize
             }
-        }
-        self.stats.requests.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn ack_shutdown(&self, out: &mut Vec<u8>) {
-        Response::Ok.encode(out);
-        self.stop.store(true, Ordering::Release);
-    }
-
-    fn execute_per_op(&self, conn: &mut Conn) {
-        let reqs = std::mem::take(&mut conn.pending);
-        for req in &reqs {
-            self.execute_one(req, &mut conn.outbuf);
-            if matches!(req, Request::Shutdown) {
-                conn.close_after_flush = true;
-            }
-        }
-        conn.pending = reqs;
+        };
+        self.account(1, ops, false);
     }
 
     /// Execute a burst: maximal same-opcode runs go through the batched
     /// engines; each `max_group` slice runs under one epoch pin over
-    /// this worker's owned domains.
-    fn execute_grouped(&self, conn: &mut Conn) {
+    /// this worker's owned domains. [`Dispatch::PerOp`] caps a run at one
+    /// request and takes no burst pin, so nothing reaches a batched
+    /// engine.
+    fn execute(&self, conn: &mut Conn) {
+        let grouped = self.dispatch == Dispatch::Grouped;
+        let run_cap = if grouped { usize::MAX } else { 1 };
         let reqs = std::mem::take(&mut conn.pending);
         let mut gets: Vec<u64> = Vec::new();
         let mut sets: Vec<(u64, u64)> = Vec::new();
         for chunk in reqs.chunks(self.max_group) {
             // One pin per burst over the owned domains: every per-op pin
             // the engines take inside is a nested depth increment.
-            let _pins: Vec<_> = self.owned.iter().map(|h| h.pin()).collect();
-            self.stats.groups.fetch_add(1, Ordering::Relaxed);
+            let _pins: Vec<_> = if grouped {
+                self.stats.groups.fetch_add(1, Ordering::Relaxed);
+                self.owned.iter().map(|h| h.pin()).collect()
+            } else {
+                Vec::new()
+            };
             let mut i = 0;
             while i < chunk.len() {
                 match &chunk[i] {
                     Request::Get { .. } => {
                         gets.clear();
-                        while let Some(Request::Get { key }) = chunk.get(i) {
+                        while gets.len() < run_cap {
+                            let Some(Request::Get { key }) = chunk.get(i) else {
+                                break;
+                            };
                             gets.push(*key);
                             i += 1;
                         }
                         if gets.len() == 1 {
                             Response::Value(self.index.lookup(gets[0])).encode(&mut conn.outbuf);
-                            self.stats.index_ops.fetch_add(1, Ordering::Relaxed);
                         } else {
                             for v in self.index.multi_lookup(&gets) {
                                 Response::Value(v).encode(&mut conn.outbuf);
                             }
-                            self.stats
-                                .index_ops
-                                .fetch_add(gets.len() as u64, Ordering::Relaxed);
-                            self.stats
-                                .batched_ops
-                                .fetch_add(gets.len() as u64, Ordering::Relaxed);
                         }
-                        self.stats
-                            .requests
-                            .fetch_add(gets.len() as u64, Ordering::Relaxed);
+                        self.account(gets.len(), gets.len(), gets.len() > 1);
                     }
                     Request::Set { .. } => {
                         sets.clear();
-                        while let Some(Request::Set { key, value }) = chunk.get(i) {
+                        while sets.len() < run_cap {
+                            let Some(Request::Set { key, value }) = chunk.get(i) else {
+                                break;
+                            };
                             sets.push((*key, *value));
                             i += 1;
                         }
                         if sets.len() == 1 {
                             Response::Old(self.index.insert(sets[0].0, sets[0].1))
                                 .encode(&mut conn.outbuf);
-                            self.stats.index_ops.fetch_add(1, Ordering::Relaxed);
                         } else {
                             for v in self.index.multi_insert(&sets) {
                                 Response::Old(v).encode(&mut conn.outbuf);
                             }
-                            self.stats
-                                .index_ops
-                                .fetch_add(sets.len() as u64, Ordering::Relaxed);
-                            self.stats
-                                .batched_ops
-                                .fetch_add(sets.len() as u64, Ordering::Relaxed);
                         }
-                        self.stats
-                            .requests
-                            .fetch_add(sets.len() as u64, Ordering::Relaxed);
+                        self.account(sets.len(), sets.len(), sets.len() > 1);
                     }
-                    Request::MGet { keys } => {
+                    Request::MGet { keys } if grouped => {
                         // An MGET is already a batch: straight through
                         // the pipelined engine.
                         let vs = self.index.multi_lookup(keys);
-                        self.stats
-                            .index_ops
-                            .fetch_add(keys.len() as u64, Ordering::Relaxed);
-                        self.stats
-                            .batched_ops
-                            .fetch_add(keys.len() as u64, Ordering::Relaxed);
-                        self.stats.requests.fetch_add(1, Ordering::Relaxed);
                         Response::MValues(vs).encode(&mut conn.outbuf);
+                        self.account(1, keys.len(), true);
                         i += 1;
                     }
                     req => {

@@ -2,7 +2,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use optiql::{AdjustableOpRead, ExclusiveLock, IndexLock, OptiQL};
+use optiql::{ExclusiveLock, IndexLock, OptiQL};
 use optiql_art::ArtOptiQL;
 use optiql_btree::BTreeOptiQL;
 
@@ -32,9 +32,9 @@ fn main() {
 
     // Adjustable opportunistic read (§5.3): keep admitting readers until
     // the writer locates its target, then close the window.
-    let token = lock.x_lock_aor();
+    let token = lock.x_lock_adjustable();
     // ... search for the write target while readers sneak in ...
-    lock.x_finish_aor(token);
+    let token = lock.x_finish_adjustable(token);
     // ... modify ...
     lock.x_unlock(token);
     println!("lock: adjustable opportunistic read OK");
