@@ -18,9 +18,11 @@
 //!
 //! The fan-in axis matters because a group commit's cost model is
 //! `work/(work + fsync)` per worker round: the device's sync latency
-//! (~150 µs on this host's virtio disk, unmovable — preallocation
-//! doesn't dent it) is a fixed toll per round, so the ratio to the
-//! no-fsync bound improves with every writer that shares the flush.
+//! (55–70 µs on this host's virtio disk for a write into the log's
+//! zero-filled, synced region; a log grown by its appends paid
+//! 105–165 µs, `fallocate` alone 105–110 µs — DESIGN §10.3) is a fixed
+//! toll per round, so the ratio to the no-fsync bound improves with
+//! every writer that shares the flush.
 //! One conn at depth 8 amortizes over 8 writes; eight conns at depth
 //! 32 amortize over 256, which is where durability gets cheap. Rows
 //! land in `BENCH_wal.json` with the shared tail-latency columns.

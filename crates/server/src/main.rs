@@ -103,8 +103,8 @@ fn main() {
     );
     if let Some(w) = wal_stats {
         println!(
-            "# wal: records={} bytes={} fsyncs={}",
-            w.records, w.bytes, w.fsyncs
+            "# wal: records={} bytes={} fsyncs={} extends={} prealloc_bytes={} extend_failures={}",
+            w.records, w.bytes, w.fsyncs, w.extends, w.prealloc_bytes, w.extend_failures
         );
     }
 }

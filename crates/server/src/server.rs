@@ -340,6 +340,15 @@ impl ServerHandle {
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
+        // Trim the logs now that nothing appends: callers hold clones
+        // of the `Arc<Wal>` (and of the index over it), so waiting for
+        // the last one to drop would leave the prepared region in the
+        // files for as long as they like.
+        if let Some(wal) = self.wal.take() {
+            if let Err(e) = wal.close() {
+                eprintln!("# wal: trimming the logs failed: {e}");
+            }
+        }
     }
 }
 
@@ -380,11 +389,29 @@ pub fn start(cfg: &ServerConfig) -> std::io::Result<ServerHandle> {
     // Preload through the serving index: with a wal mounted the dense
     // keys are logged like any client write, so a later recovery
     // reproduces preload + traffic together.
-    for i in 0..cfg.preload {
-        serve_index.insert(i, i.wrapping_add(1));
-    }
-    if let Some(w) = &wal {
-        w.commit_dirty();
+    match &wal {
+        // One log write per batch instead of one per key (1 M syscalls
+        // for 1 M keys otherwise).
+        Some(w) => {
+            let step = cfg.max_group.max(1);
+            let mut batch = Vec::with_capacity(step);
+            for lo in (0..cfg.preload).step_by(step) {
+                batch.clear();
+                batch.extend(
+                    (lo..cfg.preload.min(lo + step as u64)).map(|i| (i, i.wrapping_add(1))),
+                );
+                serve_index.multi_insert(&batch);
+            }
+            w.commit_dirty();
+        }
+        // Without a log there is nothing to batch for: on dense
+        // ascending keys the batched descent measured 12 % slower than
+        // this loop (`serve-get` set-up 0.55 s -> 0.62 s).
+        None => {
+            for i in 0..cfg.preload {
+                serve_index.insert(i, i.wrapping_add(1));
+            }
+        }
     }
 
     let listener = TcpListener::bind(&cfg.addr)?;

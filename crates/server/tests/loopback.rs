@@ -345,3 +345,55 @@ fn shutdown_opcode_acks_and_stops_the_server() {
     let stats = h.join();
     assert!(stats.requests >= 1);
 }
+
+#[test]
+fn shutdown_trims_the_logs_under_a_living_wal_clone() {
+    let dir = std::env::temp_dir().join(format!("optiql-loopback-trim-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        backend: BackendKind::ShardedBtree { shards: 2 },
+        workers: 1,
+        // Not a multiple of `max_group`: the batched preload's last
+        // chunk is a short one.
+        preload: 1000,
+        max_group: 64,
+        wal_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    };
+    let h = start(&cfg).expect("server start");
+    let mut c = C::connect(h.addr());
+    for k in 5000..5100u64 {
+        assert_eq!(
+            c.call(Request::Set { key: k, value: k }),
+            Response::Old(None)
+        );
+    }
+    // What the benches do: keep the wal (and the index over it) past
+    // the handle. Neither may keep the prepared region in the files.
+    let wal = std::sync::Arc::clone(h.wal().expect("wal is mounted"));
+    let index = std::sync::Arc::clone(h.index());
+    h.shutdown();
+    let on_disk: u64 = (0..wal.shard_count())
+        .map(|i| std::fs::metadata(wal.shard(i).path()).unwrap().len())
+        .sum();
+    let counted = wal.stats();
+    assert_eq!(counted.records, 1100);
+    assert_eq!(on_disk, counted.bytes, "log files hold more than the log");
+    assert!(counted.prealloc_bytes > counted.bytes, "{counted:?}");
+    drop((wal, index));
+
+    let h = start(&ServerConfig { preload: 0, ..cfg }).expect("restart");
+    assert_eq!(h.recovery().expect("wal is mounted").applied(), 1100);
+    let mut c = C::connect(h.addr());
+    assert_eq!(
+        c.call(Request::Get { key: 999 }),
+        Response::Value(Some(1000))
+    );
+    assert_eq!(
+        c.call(Request::Get { key: 5099 }),
+        Response::Value(Some(5099))
+    );
+    h.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}

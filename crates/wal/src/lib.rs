@@ -13,12 +13,22 @@
 //!   is deferred and amortized. Under [`FsyncPolicy::Group`] the server
 //!   issues one `commit_dirty` per worker round — one fsync covers an
 //!   entire pipelined burst, and acks are released only after it.
+//! * **Extend-ahead.** That fsync should pay for a data flush and
+//!   nothing else, so a log never grows by its appends: each shard
+//!   writes at a cursor into a region it zero-filled and synced
+//!   beforehand, [`shard::EXTEND_CHUNK`] bytes at a time. A log file is
+//!   therefore longer than its log until [`Wal::close`] trims it.
 //! * **Checkpoint-by-scan.** A checkpoint is one streaming `range()`
 //!   scan of the live index written to per-shard sidecar files
 //!   ([`checkpoint`]); it bounds replay without stalling writers.
-//! * **Recovery.** [`Wal::open`] truncates torn tails; `recover_into`
-//!   loads the newest valid checkpoint per shard and replays the log
-//!   tail, in parallel across shards ([`recover`]).
+//! * **Recovery.** [`Wal::open`] finds the end of each log by frame CRC
+//!   and LSN continuity (a zero tail is a clean end, anything else a
+//!   torn one, which it cuts off); `recover_into` loads the newest
+//!   valid checkpoint per shard and replays the log tail, in parallel
+//!   across shards ([`recover`]).
+//!
+//! Unix only: the extend-ahead uses positioned writes
+//! (`std::os::unix::fs::FileExt`).
 //!
 //! [`DurableIndex`] wraps any [`ConcurrentIndex`] with the logging
 //! discipline; the server mounts it when `--wal-dir` is given.
@@ -118,11 +128,12 @@ impl WalConfig {
 pub struct ShardMount {
     /// Shard index.
     pub shard: usize,
-    /// Valid log bytes after torn-tail truncation.
+    /// Valid log bytes: where the shard's cursor was put.
     pub log_bytes: u64,
     /// Last LSN in the valid prefix (0 if the log is empty).
     pub last_lsn: u64,
-    /// The torn tail that was truncated away, if any.
+    /// The torn tail that was cut off, if any. The zero-filled region a
+    /// crash leaves behind the last frame is not one.
     pub torn: Option<TornTail>,
 }
 
@@ -144,30 +155,12 @@ pub(crate) fn ckpt_path(dir: &Path, shard: usize) -> PathBuf {
     dir.join(format!("shard-{shard}.ckpt"))
 }
 
-/// Scan an opened log file: return (valid byte length, last LSN seen,
-/// torn tail if the file does not end on a frame boundary).
-fn scan_log(file: &mut File) -> std::io::Result<(u64, u64, Option<TornTail>)> {
-    let mut bytes = Vec::new();
-    file.read_to_end(&mut bytes)?;
-    let mut cur = FrameCursor::new(&bytes);
-    let mut last_lsn = 0u64;
-    loop {
-        match cur.next_frame() {
-            Ok(Some(rec)) => {
-                if let Some(lsn) = rec.lsn() {
-                    last_lsn = lsn;
-                }
-            }
-            Ok(None) => return Ok((cur.offset(), last_lsn, None)),
-            Err(torn) => return Ok((torn.offset, last_lsn, Some(torn))),
-        }
-    }
-}
-
 impl Wal {
-    /// Open (creating as needed) the per-shard logs under `cfg.dir`,
-    /// truncating any torn tail found in each. Does **not** replay —
-    /// call [`Wal::recover_into`] before mounting an index on top.
+    /// Open (creating as needed) the per-shard logs under `cfg.dir`:
+    /// find the end of each log, cut off a torn tail if there is one,
+    /// put the shard's cursor there and prepare a zero-filled region
+    /// ahead of it. Does **not** replay — call [`Wal::recover_into`]
+    /// before mounting an index on top.
     pub fn open(cfg: WalConfig) -> std::io::Result<Wal> {
         assert!(
             cfg.shards.is_power_of_two(),
@@ -180,32 +173,40 @@ impl Wal {
         let mut mount = Vec::with_capacity(cfg.shards);
         for i in 0..cfg.shards {
             let path = log_path(&cfg.dir, i);
+            // Not O_APPEND: appends go to the shard's cursor, which
+            // stays short of the end of the file.
             let mut file = OpenOptions::new()
                 .create(true)
+                .truncate(false)
                 .read(true)
-                .append(true)
+                .write(true)
                 .open(&path)?;
-            let (valid_len, last_lsn, torn) = scan_log(&mut file)?;
-            if torn.is_some() {
-                // Drop the torn tail so future appends extend a valid
-                // prefix. (With O_APPEND the next write lands at the new
-                // EOF regardless of the read cursor.)
-                file.set_len(valid_len)?;
+            let mut bytes = Vec::new();
+            file.read_to_end(&mut bytes)?;
+            let end = recover::scan_log(&bytes, |_, _| {});
+            if end.torn.is_some() {
+                // Cut the tail off rather than append over it: see
+                // "Where a log ends" in `recover`.
+                file.set_len(end.valid_len)?;
             }
             mount.push(ShardMount {
                 shard: i,
-                log_bytes: valid_len,
-                last_lsn,
-                torn,
+                log_bytes: end.valid_len,
+                last_lsn: end.last_lsn,
+                torn: end.torn,
             });
             shards.push(Arc::new(LogShard::new(
                 i,
                 path,
                 file,
-                last_lsn + 1,
+                end.valid_len,
+                end.last_lsn + 1,
                 Arc::clone(&stats),
             )?));
         }
+        // A log may have just been created, and records fsynced into a
+        // file are only as durable as its directory entry.
+        File::open(&cfg.dir)?.sync_all()?;
         Ok(Wal {
             shards,
             router: Router::new(cfg.shards, cfg.block_bits),
@@ -251,6 +252,16 @@ impl Wal {
         }
     }
 
+    /// Trim every log to its valid length: after this the `*.log` files
+    /// hold exactly the frames appended, with no prepared region behind
+    /// them. Dropping the `Wal` does the same, but a mount point that
+    /// hands out `Arc<Wal>` clones cannot wait for the last of them to
+    /// go — the server calls this once its workers have stopped.
+    /// Appends afterwards are allowed (they prepare a new region).
+    pub fn close(&self) -> std::io::Result<()> {
+        self.shards.iter().try_for_each(|s| s.close())
+    }
+
     /// Per-shard findings from [`Wal::open`] (torn tails, last LSNs).
     pub fn mount_report(&self) -> &[ShardMount] {
         &self.mount
@@ -283,6 +294,13 @@ impl Wal {
         I: ConcurrentIndex<K> + ?Sized,
     {
         checkpoint::checkpoint(self, index)
+    }
+}
+
+impl Drop for Wal {
+    fn drop(&mut self) {
+        // Best effort; call `close` to see the error.
+        let _ = self.close();
     }
 }
 
@@ -331,7 +349,7 @@ mod tests {
     }
 
     #[test]
-    fn torn_tail_is_truncated_on_open() {
+    fn torn_tail_is_cut_off_on_open() {
         let dir = tempdir("torn");
         {
             let wal = Wal::open(WalConfig::new(&dir)).unwrap();
@@ -354,12 +372,13 @@ mod tests {
             assert_eq!(m.last_lsn, 1);
             assert_eq!(m.log_bytes, valid_len);
             assert!(m.torn.is_some(), "torn tail must be reported");
-            assert_eq!(std::fs::metadata(&path).unwrap().len(), valid_len);
             // Recovery sees exactly the valid prefix.
             let model = ModelIndex::new();
             let rep = wal.recover_into::<u64, _>(&model).unwrap();
             assert_eq!(rep.applied(), 1);
             assert_eq!(model.lookup(1), Some(10));
+            wal.close().unwrap();
+            assert_eq!(std::fs::metadata(&path).unwrap().len(), valid_len);
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

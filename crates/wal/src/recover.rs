@@ -9,10 +9,23 @@
 //!    `.ckpt`, but torn bytes can still happen) rejects the whole file:
 //!    the shard falls back to full log replay and the report flags it.
 //! 2. Apply the checkpoint entries (plain inserts into an empty index).
-//! 3. Replay the log in file order, applying `Set`→`insert` and
-//!    `Del`→`remove` for records with `lsn >= start_lsn`; older records
-//!    are already reflected in the checkpoint and are skipped. Replay
-//!    is last-writer-wins, so re-running recovery is harmless.
+//! 3. Replay the log in file order up to its end (below), applying
+//!    `Set`→`insert` and `Del`→`remove` for records with
+//!    `lsn >= start_lsn`; older records are already reflected in the
+//!    checkpoint and are skipped. Replay is last-writer-wins, so
+//!    re-running recovery is harmless.
+//!
+//! **Where a log ends.** A log file is longer than its log: the shard
+//! writes into a zero-filled region prepared ahead of its cursor
+//! ([`shard`](crate::shard)), and only a clean close trims it. So the
+//! end is found, not read off the file size ([`scan_log`], shared by
+//! mount and replay): the log is the longest prefix of whole frames
+//! with valid CRCs whose LSNs continue the dense sequence. If nothing
+//! but zeros follows, that is a *clean* end. Anything else — a partial
+//! frame, a CRC mismatch, a well-formed frame with the wrong LSN — is a
+//! torn tail, and [`Wal::open`] cuts it off before the first append:
+//! left in place, a stale frame could line up behind a newer, equally
+//! long one and be replayed after it.
 //!
 //! Shards are independent (disjoint key sets by routing), so they
 //! recover in parallel — one thread per shard, the same layout the
@@ -28,6 +41,54 @@ use optiql_index_api::{ConcurrentIndex, IndexKey};
 
 use crate::record::{FrameCursor, Record, TornTail};
 use crate::Wal;
+
+/// Where [`scan_log`] found the end of a log image.
+pub(crate) struct LogEnd {
+    /// Length of the valid prefix.
+    pub valid_len: u64,
+    /// Last LSN in it (0 if it holds no redo record).
+    pub last_lsn: u64,
+    /// Set unless the prefix is followed by nothing or only zeros.
+    pub torn: Option<TornTail>,
+}
+
+/// Walk the image of a log file, handing each redo record of the valid
+/// prefix to `visit` in order, and say where that prefix ends (module
+/// docs: "Where a log ends").
+pub(crate) fn scan_log(bytes: &[u8], mut visit: impl FnMut(u64, Record)) -> LogEnd {
+    let mut cur = FrameCursor::new(bytes);
+    let mut last_lsn = 0u64;
+    let torn = loop {
+        let at = cur.offset();
+        match cur.next_frame() {
+            Ok(Some(rec)) => {
+                let Some(lsn) = rec.lsn() else {
+                    continue; // checkpoint record in a log: ignore
+                };
+                // The first LSN is taken as found: a log whose head was
+                // truncated behind a checkpoint does not start at 1.
+                if last_lsn != 0 && lsn != last_lsn + 1 {
+                    break Some(TornTail {
+                        offset: at,
+                        reason: format!("lsn {lsn} does not follow lsn {last_lsn}"),
+                    });
+                }
+                last_lsn = lsn;
+                visit(lsn, rec);
+            }
+            Ok(None) => break None,
+            Err(torn) => {
+                let zeros = bytes[torn.offset as usize..].iter().all(|&b| b == 0);
+                break (!zeros).then_some(torn);
+            }
+        }
+    };
+    LogEnd {
+        valid_len: torn.as_ref().map_or(cur.offset(), |t| t.offset),
+        last_lsn,
+        torn,
+    }
+}
 
 /// Per-shard recovery outcome.
 #[derive(Debug, Clone)]
@@ -48,8 +109,7 @@ pub struct ShardRecovery {
     /// Highest LSN seen in the log.
     pub last_lsn: u64,
     /// Torn tail encountered while reading the log (only possible when
-    /// reading a directory not opened through [`Wal::open`], which
-    /// truncates tails first).
+    /// the file changed after [`Wal::open`], which cuts tails off).
     pub torn: Option<TornTail>,
 }
 
@@ -166,37 +226,24 @@ where
 
     let mut bytes = Vec::new();
     std::fs::File::open(crate::log_path(wal.dir(), shard))?.read_to_end(&mut bytes)?;
-    let mut cur = FrameCursor::new(&bytes);
-    loop {
-        match cur.next_frame() {
-            Ok(Some(rec)) => {
-                let lsn = match rec.lsn() {
-                    Some(lsn) => lsn,
-                    None => continue, // checkpoint record in a log: ignore
-                };
-                rep.last_lsn = lsn;
-                if lsn < rep.checkpoint_start_lsn {
-                    rep.skipped += 1;
-                    continue;
-                }
-                rep.replayed += 1;
-                match rec {
-                    Record::Set { key, value, .. } => {
-                        index.insert(K::from_encoded(&key), value);
-                    }
-                    Record::Del { key, .. } => {
-                        index.remove(K::from_encoded(&key));
-                    }
-                    _ => unreachable!("lsn() filtered non-redo records"),
-                }
-            }
-            Ok(None) => break,
-            Err(torn) => {
-                rep.torn = Some(torn);
-                break;
-            }
+    let end = scan_log(&bytes, |lsn, rec| {
+        if lsn < rep.checkpoint_start_lsn {
+            rep.skipped += 1;
+            return;
         }
-    }
+        rep.replayed += 1;
+        match rec {
+            Record::Set { key, value, .. } => {
+                index.insert(K::from_encoded(&key), value);
+            }
+            Record::Del { key, .. } => {
+                index.remove(K::from_encoded(&key));
+            }
+            _ => unreachable!("scan_log visits redo records only"),
+        }
+    });
+    rep.last_lsn = end.last_lsn;
+    rep.torn = end.torn;
     Ok(rep)
 }
 

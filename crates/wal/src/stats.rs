@@ -11,6 +11,9 @@ pub struct WalStats {
     records: AtomicU64,
     bytes: AtomicU64,
     fsyncs: AtomicU64,
+    extends: AtomicU64,
+    prealloc_bytes: AtomicU64,
+    extend_failures: AtomicU64,
 }
 
 impl WalStats {
@@ -23,12 +26,24 @@ impl WalStats {
         self.fsyncs.fetch_add(1, Ordering::Relaxed);
     }
 
+    pub(crate) fn on_extend(&self, bytes: u64) {
+        self.extends.fetch_add(1, Ordering::Relaxed);
+        self.prealloc_bytes.fetch_add(bytes, Ordering::Relaxed);
+    }
+
+    pub(crate) fn on_extend_failure(&self) {
+        self.extend_failures.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Snapshot the counters.
     pub fn snapshot(&self) -> WalStatsSnapshot {
         WalStatsSnapshot {
             records: self.records.load(Ordering::Relaxed),
             bytes: self.bytes.load(Ordering::Relaxed),
             fsyncs: self.fsyncs.load(Ordering::Relaxed),
+            extends: self.extends.load(Ordering::Relaxed),
+            prealloc_bytes: self.prealloc_bytes.load(Ordering::Relaxed),
+            extend_failures: self.extend_failures.load(Ordering::Relaxed),
         }
     }
 }
@@ -40,8 +55,17 @@ pub struct WalStatsSnapshot {
     pub records: u64,
     /// Frame bytes appended (headers included).
     pub bytes: u64,
-    /// `fdatasync` calls issued.
+    /// `fdatasync` calls issued by commits (the one inside each
+    /// extend-ahead is not among them).
     pub fsyncs: u64,
+    /// Extend-aheads that zero-filled and synced a region of log.
+    pub extends: u64,
+    /// Bytes those extend-aheads zero-filled. Not part of `bytes`:
+    /// a clean close trims what was never overwritten.
+    pub prealloc_bytes: u64,
+    /// Extend-aheads that failed (disk full, I/O error); the appends
+    /// that followed grew the file instead.
+    pub extend_failures: u64,
 }
 
 impl WalStatsSnapshot {
@@ -51,6 +75,9 @@ impl WalStatsSnapshot {
             records: self.records.saturating_sub(earlier.records),
             bytes: self.bytes.saturating_sub(earlier.bytes),
             fsyncs: self.fsyncs.saturating_sub(earlier.fsyncs),
+            extends: self.extends.saturating_sub(earlier.extends),
+            prealloc_bytes: self.prealloc_bytes.saturating_sub(earlier.prealloc_bytes),
+            extend_failures: self.extend_failures.saturating_sub(earlier.extend_failures),
         }
     }
 }

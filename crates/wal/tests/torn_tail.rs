@@ -2,17 +2,21 @@
 //! recovery path: random record streams, truncated at every byte offset
 //! and peppered with byte flips, must decode to exactly the valid
 //! prefix — reporting where it ends, never panicking, never inventing
-//! records.
+//! records. A log file is longer than its log (the shard writes into a
+//! zero-filled region prepared ahead of its cursor), so the same must
+//! hold with zeros or stale frames behind the cut, and mounting must
+//! put the cursor at the end of the log, not of the file.
 
 use std::collections::BTreeMap;
 use std::ops::Bound;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use optiql_index_api::model::ModelIndex;
 use optiql_index_api::{ConcurrentIndex, IndexKey};
 use optiql_wal::record::{self, FrameCursor, Record, FRAME_HEADER};
-use optiql_wal::{FsyncPolicy, Wal, WalConfig};
+use optiql_wal::{DurableIndex, FsyncPolicy, RecoveryReport, Wal, WalConfig};
 
 fn key_strategy() -> impl Strategy<Value = Vec<u8>> {
     prop::collection::vec(any::<u8>(), 0..32)
@@ -119,14 +123,14 @@ fn build_log(tag: &str, seed: u64, ops: usize) -> (std::path::PathBuf, Vec<u8>) 
     ));
     let _ = std::fs::remove_dir_all(&dir);
     {
-        let wal = std::sync::Arc::new(
+        let wal = Arc::new(
             Wal::open(WalConfig {
                 policy: FsyncPolicy::None,
                 ..WalConfig::new(&dir)
             })
             .unwrap(),
         );
-        let ix = optiql_wal::DurableIndex::new(ModelIndex::new(), wal);
+        let ix = DurableIndex::new(ModelIndex::new(), wal);
         let mut state = seed | 1;
         let mut next = move || {
             state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -173,36 +177,188 @@ fn oracle_of(buf: &[u8]) -> BTreeMap<u64, u64> {
     m
 }
 
+fn open(dir: &std::path::Path) -> Wal {
+    Wal::open(WalConfig {
+        policy: FsyncPolicy::None,
+        ..WalConfig::new(dir)
+    })
+    .expect("open never fails on torn input")
+}
+
+fn recovered_state(wal: &Wal) -> (BTreeMap<u64, u64>, RecoveryReport) {
+    let fresh = ModelIndex::new();
+    let rep = wal.recover_into::<u64, _>(&fresh).expect("recover");
+    (
+        fresh.range(Bound::Unbounded, Bound::Unbounded).collect(),
+        rep,
+    )
+}
+
 #[test]
-fn recovery_of_a_log_cut_at_any_offset_matches_the_valid_prefix() {
+fn recovery_of_a_log_cut_at_any_offset_matches_the_valid_prefix_whatever_follows() {
     let (dir, full) = build_log("cut", 0x7E57, 400);
     let log_path = dir.join("shard-0.log");
-    // Every offset is too slow end-to-end (each runs a full Wal::open);
-    // sweep a coarse stride plus every offset in the torn last frames.
-    let mut cuts: Vec<usize> = (0..full.len()).step_by(97).collect();
+    // What a crash can leave behind the cut: nothing (a log that grew by
+    // its appends), the rest of a prepared region, or — should a region
+    // ever be reused — well-formed frames of an earlier life. The first
+    // frame of this very log carries LSN 1, which continues no prefix.
+    let first_frame_end = {
+        let mut cur = FrameCursor::new(&full);
+        cur.next_frame().unwrap().unwrap();
+        cur.offset() as usize
+    };
+    let stale = [&full[..first_frame_end], &[0u8; 100]].concat();
+    let tails: [(&str, &[u8]); 3] = [("nothing", &[]), ("zeros", &[0u8; 4096]), ("stale", &stale)];
+    // Every offset is too slow end-to-end (each runs a full Wal::open,
+    // which prepares a chunk of log); sweep a coarse stride plus every
+    // offset in the torn last frames.
+    let mut cuts: Vec<usize> = (0..full.len()).step_by(193).collect();
     cuts.extend(full.len().saturating_sub(64)..=full.len());
-    for cut in cuts {
-        std::fs::write(&log_path, &full[..cut]).unwrap();
-        let wal = Wal::open(WalConfig {
-            policy: FsyncPolicy::None,
-            ..WalConfig::new(&dir)
-        })
-        .expect("open never fails on torn input");
-        let fresh = ModelIndex::new();
-        let rep = wal.recover_into::<u64, _>(&fresh).expect("recover");
-        let oracle = oracle_of(&full[..cut]);
-        let got: BTreeMap<u64, u64> = fresh.range(Bound::Unbounded, Bound::Unbounded).collect();
-        assert_eq!(got, oracle, "cut at {cut}: recovered state diverges");
-        // The mount report points at the truncation boundary.
+    for (cut, (kind, tail)) in cuts.iter().flat_map(|&c| tails.iter().map(move |t| (c, t))) {
+        if cut < first_frame_end && *kind == "stale" {
+            continue; // behind an empty prefix, LSN 1 is the log
+        }
+        std::fs::write(&log_path, [&full[..cut], tail].concat()).unwrap();
+        let wal = open(&dir);
+        let (got, rep) = recovered_state(&wal);
+        assert_eq!(
+            got,
+            oracle_of(&full[..cut]),
+            "cut at {cut} + {kind}: recovered state diverges"
+        );
+        // The mount report points at the end of the valid prefix, and
+        // calls the tail torn exactly when it is more than zeros: here,
+        // a cut inside a frame, or the stale frames.
         let m = &wal.mount_report()[0];
         assert!(m.log_bytes <= cut as u64);
         assert_eq!(
             m.torn.is_some(),
-            m.log_bytes < cut as u64,
-            "cut at {cut}: torn flag must mean bytes were dropped"
+            m.log_bytes < cut as u64 || *kind == "stale",
+            "cut at {cut} + {kind}: torn must mean more than zeros followed"
         );
-        assert_eq!(rep.shards[0].torn, None, "open already truncated");
+        assert_eq!(rep.shards[0].torn, None, "open already cut it off");
+        // And a clean close leaves the prefix, nothing else.
+        wal.close().unwrap();
+        assert_eq!(
+            std::fs::read(&log_path).unwrap(),
+            &full[..m.log_bytes as usize]
+        );
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The shard-0 log as a crash would leave it: every record appended,
+/// nothing trimmed. (`forget` keeps `Drop` — a clean close — from
+/// running; the handles leak until the test process exits.)
+fn crashed_log(tag: &str, records: u64) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("optiql-wal-torn-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let wal = Arc::new(Wal::open(WalConfig::new(&dir)).unwrap());
+    let ix = DurableIndex::new(ModelIndex::new(), Arc::clone(&wal));
+    for k in 0..records {
+        ix.insert(k, k + 1);
+    }
+    ix.commit();
+    std::mem::forget((ix, wal));
+    dir
+}
+
+#[test]
+fn mount_after_a_crash_appends_at_the_end_of_the_log_not_of_the_file() {
+    let dir = crashed_log("crash", 100);
+    let log_path = dir.join("shard-0.log");
+    let file_len = std::fs::metadata(&log_path).unwrap().len();
+    assert_eq!(file_len, optiql_wal::shard::EXTEND_CHUNK);
+    {
+        let wal = Arc::new(Wal::open(WalConfig::new(&dir)).unwrap());
+        let m = &wal.mount_report()[0];
+        assert_eq!((m.last_lsn, m.log_bytes), (100, 100 * 35));
+        assert_eq!(m.torn, None, "a zero tail is a clean end");
+        // The region the crashed process prepared is still good.
+        assert_eq!(wal.stats().extends, 0);
+        let ix = DurableIndex::new(ModelIndex::new(), Arc::clone(&wal));
+        wal.recover_into::<u64, _>(ix.inner()).unwrap();
+        for k in 100..150u64 {
+            ix.insert(k, k + 1);
+        }
+        ix.remove(0);
+        ix.commit();
+        assert_eq!(std::fs::metadata(&log_path).unwrap().len(), file_len);
+    }
+    let wal = open(&dir);
+    let (got, rep) = recovered_state(&wal);
+    assert_eq!(rep.applied(), 151);
+    assert_eq!(rep.shards[0].last_lsn, 151);
+    assert_eq!(got, (1..150u64).map(|k| (k, k + 1)).collect());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_partial_frame_in_the_prepared_region_is_torn_and_scrubbed() {
+    let dir = crashed_log("partial", 10);
+    let log_path = dir.join("shard-0.log");
+    // A crash mid-append: the head of frame 11 reached the disk.
+    let mut frame = Vec::new();
+    record::frame_set(&mut frame, 11, &10u64.to_be_bytes(), 11);
+    {
+        use std::os::unix::fs::FileExt;
+        let f = std::fs::OpenOptions::new()
+            .write(true)
+            .open(&log_path)
+            .unwrap();
+        f.write_all_at(&frame[..20], 10 * 35).unwrap();
+    }
+    let wal = open(&dir);
+    let m = &wal.mount_report()[0];
+    assert_eq!((m.last_lsn, m.log_bytes), (10, 10 * 35));
+    assert!(m.torn.is_some(), "a partial frame is not a clean end");
+    let (got, _) = recovered_state(&wal);
+    assert_eq!(got, (0..10u64).map(|k| (k, k + 1)).collect());
+    // The next append overwrites where the partial frame was.
+    wal.shard(0)
+        .append_with(|txn| txn.set(&10u64.to_be_bytes(), 11));
+    let (got, rep) = recovered_state(&wal);
+    assert_eq!(rep.shards[0].torn, None);
+    assert_eq!(got, (0..11u64).map(|k| (k, k + 1)).collect());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn clean_close_leaves_exactly_the_bytes_counted() {
+    let dir = std::env::temp_dir().join(format!("optiql-wal-torn-close-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let wal = Arc::new(
+        Wal::open(WalConfig {
+            shards: 2,
+            block_bits: 0,
+            ..WalConfig::new(&dir)
+        })
+        .unwrap(),
+    );
+    let on_disk = || -> u64 {
+        (0..2)
+            .map(|i| std::fs::metadata(wal.shard(i).path()).unwrap().len())
+            .sum()
+    };
+    let ix = DurableIndex::new(ModelIndex::new(), Arc::clone(&wal));
+    ix.multi_insert(&(0..500u64).map(|k| (k, k)).collect::<Vec<_>>());
+    ix.commit();
+    let s = wal.stats();
+    assert_eq!(
+        (s.extends, s.extend_failures),
+        (2, 0),
+        "one per shard, at mount"
+    );
+    assert_eq!(s.prealloc_bytes, on_disk());
+    wal.close().unwrap();
+    assert_eq!(on_disk(), s.bytes);
+    // Closed is not sealed: an append prepares a new region, and the
+    // next close trims that one too.
+    ix.insert(500, 500);
+    assert!(on_disk() > wal.stats().bytes);
+    wal.close().unwrap();
+    assert_eq!(on_disk(), wal.stats().bytes);
+    assert_eq!(recovered_state(&wal).1.applied(), 501);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -227,11 +383,7 @@ fn corrupt_checkpoint_falls_back_to_full_log_replay() {
     ckpt[mid] ^= 0x20;
     std::fs::write(&ckpt_path, &ckpt).unwrap();
 
-    let wal = Wal::open(WalConfig {
-        policy: FsyncPolicy::None,
-        ..WalConfig::new(&dir)
-    })
-    .unwrap();
+    let wal = open(&dir);
     let fresh = ModelIndex::new();
     let rep = wal.recover_into::<u64, _>(&fresh).expect("recover");
     assert!(
