@@ -25,14 +25,12 @@
 //! over the key, are encoded once per batch into one flat buffer that
 //! every turn slices (see `Digits`).
 
-use std::sync::atomic::Ordering;
-
 use optiql::olc::{run_grouped, Step};
 use optiql::IndexLock;
 use optiql_index_api::IndexKey;
 
 use crate::node::{as_kv, is_kv, prefetch_child};
-use crate::tree::{ArtTree, Edge, WriteOp};
+use crate::tree::{ArtTree, Edge, WriteOp, LANES, SIZE};
 
 /// A parked descent, and whether everything its next step compares is
 /// already in flight (false only for a pointer-slot key about to be
@@ -81,8 +79,8 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
     pub fn multi_lookup(&self, keys: &[K]) -> Vec<Option<u64>> {
         let _g = self.collector.pin();
         let digits = Digits::encode(keys.iter());
-        run_grouped::<L, _, _>(
-            &self.index_stats,
+        run_grouped::<L, _, _, LANES>(
+            &self.counters,
             keys.len(),
             |_, _| false,
             |i, parked| {
@@ -100,8 +98,8 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
     pub fn multi_insert(&self, pairs: &[(K, u64)]) -> Vec<Option<u64>> {
         let g = self.collector.pin();
         let digits = Digits::encode(pairs.iter().map(|(k, _)| k));
-        let out = run_grouped::<L, _, _>(
-            &self.index_stats,
+        let out = run_grouped::<L, _, _, LANES>(
+            &self.counters,
             pairs.len(),
             |e, i| pairs[e].0 == pairs[i].0,
             |i, parked| {
@@ -125,7 +123,7 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
         );
         let added = out.iter().filter(|r| r.is_none()).count();
         if added > 0 {
-            self.size.fetch_add(added, Ordering::Relaxed);
+            self.counters.add(SIZE, added as u64);
         }
         out
     }

@@ -51,9 +51,9 @@
 
 use std::cell::Cell;
 use std::ops::Bound;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-use optiql::olc::{IndexStats, OptimisticGuard, RestartLoop, SharedIndexStats, Step};
+use optiql::counters::Counters;
+use optiql::olc::{IndexStats, OptimisticGuard, RestartLoop, Step, INDEX_LANES, OPS};
 use optiql::stats::Event;
 use optiql::{IndexLock, WriteStrategy, WriteToken};
 use optiql_index_api::{bounds_nonempty, key_above_start, key_below_end, IndexKey, RangeIter};
@@ -73,15 +73,15 @@ const MAX_PREFIX: usize = KEY_LEN - 1;
 /// Entries per re-descent of the streaming [`ArtTree::range`] iterator.
 const RANGE_CHUNK: usize = 64;
 
-/// Internal atomic counters; snapshotted into [`ArtStats`].
-#[derive(Default)]
-struct StatsInner {
-    grows: AtomicU64,
-    prefix_splits: AtomicU64,
-    lazy_expansions: AtomicU64,
-    contention_expansions: AtomicU64,
-    collapses: AtomicU64,
-}
+// The tree's lanes of its counter block, after the OLC protocol's.
+/// Entries: +1 per new key, -1 per removed one (see [`ArtTree::len`]).
+pub(crate) const SIZE: usize = INDEX_LANES;
+const GROWS: usize = INDEX_LANES + 1;
+const PREFIX_SPLITS: usize = INDEX_LANES + 2;
+const LAZY_EXPANSIONS: usize = INDEX_LANES + 3;
+const CONTENTION_EXPANSIONS: usize = INDEX_LANES + 4;
+const COLLAPSES: usize = INDEX_LANES + 5;
+pub(crate) const LANES: usize = INDEX_LANES + 6;
 
 /// Snapshot of an ART's structural-event counters (relaxed, monotone).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -267,10 +267,10 @@ fn collapsible<L: IndexLock>(node: &ArtNode<L>) -> bool {
 /// Adaptive radix tree mapping `K` keys (default `u64`) to `u64` payloads.
 pub struct ArtTree<L: IndexLock, K: IndexKey = u64> {
     root: *mut ArtNode<L>,
-    pub(crate) size: AtomicUsize,
     pub(crate) collector: Collector,
-    stats: StatsInner,
-    pub(crate) index_stats: SharedIndexStats,
+    /// Every count the tree keeps, on cache lines of its own: no
+    /// operation's accounting touches the line `root` is read from.
+    pub(crate) counters: Counters<LANES>,
     expansion_threshold: u32,
     sample_inv: u32,
     _key: std::marker::PhantomData<K>,
@@ -305,10 +305,8 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
     pub fn with_expansion(threshold: u32, sample_inv: u32) -> Self {
         ArtTree {
             root: ArtNode::alloc(NodeType::N256),
-            size: AtomicUsize::new(0),
             collector: Collector::new(),
-            stats: StatsInner::default(),
-            index_stats: SharedIndexStats::new(),
+            counters: Counters::new(),
             expansion_threshold: threshold,
             sample_inv,
             _key: std::marker::PhantomData,
@@ -317,7 +315,7 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
 
     /// Number of entries (maintained counter; exact when quiescent).
     pub fn len(&self) -> usize {
-        self.size.load(Ordering::Relaxed)
+        self.counters.level(SIZE) as usize
     }
 
     /// True iff empty.
@@ -340,29 +338,25 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
 
     /// Snapshot the structural-event counters.
     pub fn stats(&self) -> ArtStats {
+        let sum = self.counters.sum();
         ArtStats {
-            index: self.index_stats(),
-            grows: self.stats.grows.load(Ordering::Relaxed),
-            prefix_splits: self.stats.prefix_splits.load(Ordering::Relaxed),
-            lazy_expansions: self.stats.lazy_expansions.load(Ordering::Relaxed),
-            contention_expansions: self.stats.contention_expansions.load(Ordering::Relaxed),
-            collapses: self.stats.collapses.load(Ordering::Relaxed),
+            index: IndexStats::of(&sum),
+            grows: sum[GROWS],
+            prefix_splits: sum[PREFIX_SPLITS],
+            lazy_expansions: sum[LAZY_EXPANSIONS],
+            contention_expansions: sum[CONTENTION_EXPANSIONS],
+            collapses: sum[COLLAPSES],
         }
     }
 
     /// Snapshot the unified operation/restart accounting.
     pub fn index_stats(&self) -> IndexStats {
-        self.index_stats.snapshot()
+        IndexStats::of(&self.counters.sum())
     }
 
     #[inline]
-    fn restart_loop(&self) -> RestartLoop<'_> {
-        RestartLoop::new(&self.index_stats, Event::IndexRestartArt)
-    }
-
-    #[inline]
-    fn count_stat(&self, c: &AtomicU64) {
-        c.fetch_add(1, Ordering::Relaxed);
+    fn restart_loop(&self) -> RestartLoop<'_, LANES> {
+        RestartLoop::new(&self.counters, Event::IndexRestartArt)
     }
 
     /// Retire an inner node through the epoch collector.
@@ -672,7 +666,7 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
                     && sample(self.sample_inv)
                     && node.bump_contention() > self.expansion_threshold
                 {
-                    self.count_stat(&self.stats.contention_expansions);
+                    self.counters.add(CONTENTION_EXPANSIONS, 1);
                     self.materialize_leaf(node, byte, child, depth - 1);
                     node.reset_contention();
                 }
@@ -757,34 +751,34 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
 
     /// Point lookup.
     pub fn lookup(&self, key: K) -> Option<u64> {
-        self.index_stats.record_op();
+        self.counters.add(OPS, 1);
         self.lookup_impl(&key, EncodedDigits::new(&key).as_ref())
     }
 
     /// Replace the value of an existing key; `None` if absent.
     pub fn update(&self, key: K, val: u64) -> Option<u64> {
-        self.index_stats.record_op();
+        self.counters.add(OPS, 1);
         let enc = EncodedDigits::new(&key);
         self.write(&key, enc.as_ref(), WriteOp::Update(val))
     }
 
     /// Insert or overwrite; returns the previous value if the key existed.
     pub fn insert(&self, key: K, val: u64) -> Option<u64> {
-        self.index_stats.record_op();
+        self.counters.add(OPS, 1);
         let old = self.insert_impl(&key, EncodedDigits::new(&key).as_ref(), val);
         if old.is_none() {
-            self.size.fetch_add(1, Ordering::Relaxed);
+            self.counters.add(SIZE, 1);
         }
         old
     }
 
     /// Remove a key; returns the removed value.
     pub fn remove(&self, key: K) -> Option<u64> {
-        self.index_stats.record_op();
+        self.counters.add(OPS, 1);
         let enc = EncodedDigits::new(&key);
         let old = self.write(&key, enc.as_ref(), WriteOp::Remove);
         if old.is_some() {
-            self.size.fetch_sub(1, Ordering::Relaxed);
+            self.counters.sub(SIZE, 1);
         }
         old
     }
@@ -834,7 +828,7 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
         byte: u8,
         leaf: *mut ArtNode<L>,
     ) {
-        self.count_stat(&self.stats.prefix_splits);
+        self.counters.add(PREFIX_SPLITS, 1);
         // Collect the old path bytes before overwriting.
         let full: Vec<u8> = (0..node.prefix_len())
             .map(|i| node.prefix_byte(i))
@@ -859,7 +853,7 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
         leaf: *mut ArtNode<L>,
         g: &Guard,
     ) {
-        self.count_stat(&self.stats.grows);
+        self.counters.add(GROWS, 1);
         let bigger = node.grow();
         unsafe { &*bigger }.insert_child(byte, leaf);
         p.replace_child(pb, bigger);
@@ -882,7 +876,7 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
         key: &K,
         val: u64,
     ) {
-        self.count_stat(&self.stats.lazy_expansions);
+        self.counters.add(LAZY_EXPANSIONS, 1);
         let leaf = KvLeaf::alloc::<L>(key.clone(), val);
         let mut kids = [(okb[fork], old), (kb[fork], leaf)];
         kids.sort_by_key(|&(b, _)| b);
@@ -902,7 +896,7 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
         } else {
             p.remove_child(pb);
         }
-        self.count_stat(&self.stats.collapses);
+        self.counters.add(COLLAPSES, 1);
         self.retire_inner(g, node as *const ArtNode<L> as *mut ArtNode<L>);
     }
 
@@ -936,7 +930,7 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
     /// as a whole is not a serializable snapshot (matching the range-query
     /// semantics index benchmarks such as YCSB-E assume).
     pub fn scan(&self, start: K, limit: usize) -> Vec<(K, u64)> {
-        self.index_stats.record_op();
+        self.counters.add(OPS, 1);
         self.scan_from(Some(&start), limit)
     }
 
@@ -1093,7 +1087,7 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
     /// resuming at the last yielded key (exclusive); a restart therefore
     /// never loses or duplicates an already-yielded entry.
     pub fn range(&self, start: Bound<K>, end: Bound<K>) -> RangeIter<'_, K> {
-        self.index_stats.record_op();
+        self.counters.add(OPS, 1);
         if !bounds_nonempty(&start, &end) {
             return RangeIter::empty();
         }

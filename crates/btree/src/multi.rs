@@ -19,16 +19,15 @@
 //! against cache-warm nodes.
 //!
 //! Per-op fixed costs are amortized across the batch: one reclamation-epoch
-//! pin, and one `record_ops`/`record_restarts` pair on the shared stats.
-
-use std::sync::atomic::Ordering;
+//! pin, and one add each to the ops and restarts lanes of the tree's
+//! counters.
 
 use optiql::olc::{run_grouped, Step};
 use optiql::IndexLock;
 use optiql_index_api::IndexKey;
 
 use crate::node::{as_inner, as_leaf, is_leaf, prefetch_node_rest};
-use crate::tree::{BPlusTree, Edge, Stepped, WriteOp};
+use crate::tree::{BPlusTree, Edge, Stepped, WriteOp, LANES, SIZE};
 
 /// A parked descent, and whether its next node's probe blobs are already
 /// in flight. Only pointer-slot keys (`!K::INLINE`) are ever not warm:
@@ -45,8 +44,8 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
     /// preserved. Pipelines `GROUP` descents with interleaved prefetch.
     pub fn multi_lookup(&self, keys: &[K]) -> Vec<Option<u64>> {
         let _g = self.collector.pin();
-        run_grouped::<LL, _, _>(
-            &self.index_stats,
+        run_grouped::<LL, _, _, LANES>(
+            &self.counters,
             keys.len(),
             |_, _| false,
             |i, parked| {
@@ -63,8 +62,8 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
     /// duplicate key later in the batch observes the earlier write).
     pub fn multi_insert(&self, pairs: &[(K, u64)]) -> Vec<Option<u64>> {
         let g = self.collector.pin();
-        let out = run_grouped::<LL, _, _>(
-            &self.index_stats,
+        let out = run_grouped::<LL, _, _, LANES>(
+            &self.counters,
             pairs.len(),
             |e, i| pairs[e].0 == pairs[i].0,
             |i, parked| {
@@ -80,7 +79,7 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
         );
         let added = out.iter().filter(|r| r.is_none()).count();
         if added > 0 {
-            self.size.fetch_add(added, Ordering::Relaxed);
+            self.counters.add(SIZE, added as u64);
         }
         out
     }

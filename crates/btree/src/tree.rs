@@ -65,9 +65,10 @@
 //! merges happened in between.
 
 use std::ops::Bound;
-use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicPtr, Ordering};
 
-use optiql::olc::{IndexStats, OptimisticGuard, RestartLoop, SharedIndexStats, Step};
+use optiql::counters::Counters;
+use optiql::olc::{IndexStats, OptimisticGuard, RestartLoop, Step, INDEX_LANES, OPS};
 use optiql::stats::Event;
 use optiql::{IndexLock, WriteStrategy, WriteToken};
 use optiql_index_api::{bounds_nonempty, key_above_start, key_below_end, IndexKey, RangeIter};
@@ -75,16 +76,16 @@ use optiql_reclaim::{Collector, Guard};
 
 use crate::node::{as_inner, as_leaf, is_leaf, Inner, Leaf, NodeBase};
 
-/// Internal atomic counters; snapshotted into [`TreeStats`].
-#[derive(Default)]
-struct StatsInner {
-    leaf_splits: AtomicU64,
-    inner_splits: AtomicU64,
-    root_splits: AtomicU64,
-    leaf_merges: AtomicU64,
-    leaf_unlinks: AtomicU64,
-    root_collapses: AtomicU64,
-}
+// The tree's lanes of its counter block, after the OLC protocol's.
+/// Entries: +1 per new key, -1 per removed one (see [`BPlusTree::len`]).
+pub(crate) const SIZE: usize = INDEX_LANES;
+const LEAF_SPLITS: usize = INDEX_LANES + 1;
+const INNER_SPLITS: usize = INDEX_LANES + 2;
+const ROOT_SPLITS: usize = INDEX_LANES + 3;
+const LEAF_MERGES: usize = INDEX_LANES + 4;
+const LEAF_UNLINKS: usize = INDEX_LANES + 5;
+const ROOT_COLLAPSES: usize = INDEX_LANES + 6;
+pub(crate) const LANES: usize = INDEX_LANES + 7;
 
 /// Snapshot of a tree's event counters. Counters are updated with relaxed
 /// atomics; under concurrency a snapshot is approximate but monotone.
@@ -177,10 +178,10 @@ pub struct BPlusTree<
     K: IndexKey = u64,
 > {
     pub(crate) root: AtomicPtr<NodeBase>,
-    pub(crate) size: AtomicUsize,
     pub(crate) collector: Collector,
-    stats: StatsInner,
-    pub(crate) index_stats: SharedIndexStats,
+    /// Every count the tree keeps, on cache lines of its own: no
+    /// operation's accounting touches the line `root` is read from.
+    pub(crate) counters: Counters<LANES>,
     _locks: std::marker::PhantomData<(IL, LL, K)>,
 }
 
@@ -227,17 +228,15 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
         assert!(IC >= 4, "inner capacity must be at least 4");
         BPlusTree {
             root: AtomicPtr::new(Leaf::<LL, LC, K>::alloc()),
-            size: AtomicUsize::new(0),
             collector: Collector::new(),
-            stats: StatsInner::default(),
-            index_stats: SharedIndexStats::new(),
+            counters: Counters::new(),
             _locks: std::marker::PhantomData,
         }
     }
 
     /// Number of entries (maintained counter; exact when quiescent).
     pub fn len(&self) -> usize {
-        self.size.load(Ordering::Relaxed)
+        self.counters.level(SIZE) as usize
     }
 
     /// True iff the tree holds no entries.
@@ -261,30 +260,26 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
 
     /// Snapshot the structural-event counters.
     pub fn stats(&self) -> TreeStats {
+        let sum = self.counters.sum();
         TreeStats {
-            index: self.index_stats(),
-            leaf_splits: self.stats.leaf_splits.load(Ordering::Relaxed),
-            inner_splits: self.stats.inner_splits.load(Ordering::Relaxed),
-            root_splits: self.stats.root_splits.load(Ordering::Relaxed),
-            leaf_merges: self.stats.leaf_merges.load(Ordering::Relaxed),
-            leaf_unlinks: self.stats.leaf_unlinks.load(Ordering::Relaxed),
-            root_collapses: self.stats.root_collapses.load(Ordering::Relaxed),
+            index: IndexStats::of(&sum),
+            leaf_splits: sum[LEAF_SPLITS],
+            inner_splits: sum[INNER_SPLITS],
+            root_splits: sum[ROOT_SPLITS],
+            leaf_merges: sum[LEAF_MERGES],
+            leaf_unlinks: sum[LEAF_UNLINKS],
+            root_collapses: sum[ROOT_COLLAPSES],
         }
     }
 
     /// Snapshot the unified operation/restart accounting.
     pub fn index_stats(&self) -> IndexStats {
-        self.index_stats.snapshot()
+        IndexStats::of(&self.counters.sum())
     }
 
     #[inline]
-    pub(crate) fn restart_loop(&self) -> RestartLoop<'_> {
-        RestartLoop::new(&self.index_stats, Event::IndexRestartBtree)
-    }
-
-    #[inline]
-    fn count_stat(&self, c: &AtomicU64) {
-        c.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn restart_loop(&self) -> RestartLoop<'_, LANES> {
+        RestartLoop::new(&self.counters, Event::IndexRestartBtree)
     }
 
     // --- the descent step and its scalar drivers ----------------------------
@@ -576,33 +571,33 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
 
     /// Point lookup.
     pub fn lookup(&self, key: K) -> Option<u64> {
-        self.index_stats.record_op();
+        self.counters.add(OPS, 1);
         self.lookup_impl(&key)
     }
 
     /// Replace the value of an existing key; returns the previous value or
     /// `None` if the key is absent.
     pub fn update(&self, key: K, val: u64) -> Option<u64> {
-        self.index_stats.record_op();
+        self.counters.add(OPS, 1);
         self.write(&key, WriteOp::Update(val))
     }
 
     /// Remove a key; returns the removed value.
     pub fn remove(&self, key: K) -> Option<u64> {
-        self.index_stats.record_op();
+        self.counters.add(OPS, 1);
         let old = self.write(&key, WriteOp::Remove);
         if old.is_some() {
-            self.size.fetch_sub(1, Ordering::Relaxed);
+            self.counters.sub(SIZE, 1);
         }
         old
     }
 
     /// Insert or overwrite; returns the previous value if the key existed.
     pub fn insert(&self, key: K, val: u64) -> Option<u64> {
-        self.index_stats.record_op();
+        self.counters.add(OPS, 1);
         let old = self.insert_impl(&key, val);
         if old.is_none() {
-            self.size.fetch_add(1, Ordering::Relaxed);
+            self.counters.add(SIZE, 1);
         }
         old
     }
@@ -611,23 +606,23 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
 
     /// Hook `right`, freshly split off `left` at `sep`, into `parent` (held
     /// exclusively, like `left`) — or, when `left` was the root, grow the
-    /// tree by one level. `kind` is the split counter for the non-root case.
+    /// tree by one level. `kind` is the split lane for the non-root case.
     fn install_split(
         &self,
         parent: Option<&Inner<IL, IC, K>>,
         left: *mut NodeBase,
         sep: K,
         right: *mut NodeBase,
-        kind: &AtomicU64,
+        kind: usize,
         g: &Guard,
     ) {
         match parent {
             Some(p) => {
-                self.count_stat(kind);
+                self.counters.add(kind, 1);
                 p.insert_child(&sep, right, g);
             }
             None => {
-                self.count_stat(&self.stats.root_splits);
+                self.counters.add(ROOT_SPLITS, 1);
                 let new_root = Inner::<IL, IC, K>::alloc();
                 unsafe { as_inner::<IL, IC, K>(new_root) }.init_root(sep, left, right);
                 self.root.store(new_root, Ordering::Release);
@@ -654,7 +649,7 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
             leaf
         };
         let old = half.insert(key, val, g);
-        self.install_split(parent, ptr, sep, right, &self.stats.leaf_splits, g);
+        self.install_split(parent, ptr, sep, right, LEAF_SPLITS, g);
         old
     }
 
@@ -672,8 +667,7 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
         };
         if let Some(t) = ig.try_upgrade() {
             let (sep, right) = inner.split(g);
-            let splits = &self.stats.inner_splits;
-            self.install_split(held.map(|(p, _)| p), ptr, sep, right, splits, g);
+            self.install_split(held.map(|(p, _)| p), ptr, sep, right, INNER_SPLITS, g);
             inner.lock.x_unlock(t);
         }
         if let Some((p, pt)) = held {
@@ -710,7 +704,7 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
             // Unlink the empty leaf entirely. The dropped separator's key
             // slot is retired: concurrent readers may still compare
             // against it until the epoch turns.
-            self.count_stat(&self.stats.leaf_unlinks);
+            self.counters.add(LEAF_UNLINKS, 1);
             let sep = parent.remove_child(idx);
             unsafe {
                 K::slot_retire(sep, g);
@@ -728,7 +722,7 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
             let sib = unsafe { as_leaf::<LL, LC, K>(sib_ptr) };
             let st = sib.lock.x_lock();
             if leaf.count() + sib.count() <= LC {
-                self.count_stat(&self.stats.leaf_merges);
+                self.counters.add(LEAF_MERGES, 1);
                 // `absorb` moves (or, under prefix truncation, re-expresses
                 // and retires) the sibling's key slots, so retiring the
                 // sibling node never touches live slots; the dropped
@@ -766,7 +760,7 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
         let Some(t) = ig.try_upgrade() else {
             return;
         };
-        self.count_stat(&self.stats.root_collapses);
+        self.counters.add(ROOT_COLLAPSES, 1);
         self.root.store(inner.child(0), Ordering::Release);
         inner.lock.x_unlock(t);
         // A collapsing root has count 0: no separator slots to free.
@@ -825,7 +819,7 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
     /// Collect up to `limit` entries with keys ≥ `start`, in ascending key
     /// order (the materializing scan behind `scan_count`).
     pub fn scan(&self, start: K, limit: usize) -> Vec<(K, u64)> {
-        self.index_stats.record_op();
+        self.counters.add(OPS, 1);
         let mut out = Vec::with_capacity(limit.min(1024));
         let mut batch = Vec::new();
         let mut from = start;
@@ -845,7 +839,7 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
     /// leaf snapshot at a time (see the module doc for the protocol and
     /// the consistency contract).
     pub fn range(&self, start: Bound<K>, end: Bound<K>) -> RangeIter<'_, K> {
-        self.index_stats.record_op();
+        self.counters.add(OPS, 1);
         if !bounds_nonempty(&start, &end) {
             return RangeIter::empty();
         }

@@ -115,3 +115,126 @@ fn contended_upgrades_restart_on_optlock() {
     assert!(t.lookup(0).is_some());
     assert_eq!(t.len(), 1);
 }
+
+mod replay {
+    //! The counters under real concurrency: four threads run mixed scalar
+    //! and batched operations, then every count must equal what the same
+    //! operations leave behind when the threads run one after another.
+    //!
+    //! That is only well defined if the SMOs do not depend on the
+    //! interleaving, so each thread does its inserts, updates and removes
+    //! on a tree of its own (a tree's structural history is then one
+    //! thread's program order) while its reads go to any of the four —
+    //! every tree's `ops` lane takes adds from all threads. In `shared`
+    //! all four insert and remove keys of their own residue class, which
+    //! puts the `size` lane's +1s and −1s on different stripes; there the
+    //! final entry count and `ops` are order-independent, the SMOs are not.
+
+    use optiql_btree::{BTreeOptiQL, TreeStats};
+    use std::sync::Barrier;
+
+    const THREADS: usize = 4;
+    const OPS: u64 = 50_000;
+    const KEYS: u64 = 4096;
+    type Tree = BTreeOptiQL<8, 8>;
+
+    fn mix(t: usize, i: u64) -> u64 {
+        let mut z = ((t as u64) << 32 | i).wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Operation `i` of thread `t`. The first half of a stream grows the
+    /// thread's tree, the second half drains it, so splits, merges and
+    /// unlinks all happen.
+    fn apply(own: &[Tree], shared: &Tree, t: usize, i: u64) {
+        let r = mix(t, i);
+        let (k, v) = ((r >> 8) % KEYS, r >> 24);
+        let any = &own[(r >> 40) as usize % THREADS];
+        let grow = i < OPS / 2;
+        let batch: [u64; 4] = std::array::from_fn(|j| (k + 97 * j as u64) % KEYS);
+        match (r % 8, grow) {
+            (0 | 1, true) | (2, false) => {
+                own[t].insert(k, v);
+            }
+            (0 | 1, false) | (2, true) => {
+                own[t].remove(k);
+            }
+            (3, _) => {
+                own[t].update(k, v);
+            }
+            (4, _) => {
+                any.lookup(k);
+            }
+            (5, _) => {
+                any.multi_lookup(&batch);
+            }
+            (6, true) => {
+                own[t].multi_insert(&batch.map(|k| (k, v)));
+            }
+            (6, false) => {
+                for k in batch {
+                    own[t].remove(k);
+                }
+            }
+            _ => {
+                let mine = k * THREADS as u64 + t as u64;
+                if r & (1 << 50) == 0 {
+                    shared.insert(mine, v);
+                } else {
+                    shared.remove(mine);
+                }
+            }
+        }
+    }
+
+    fn run(parallel: bool) -> (Vec<Tree>, Tree) {
+        let own: Vec<Tree> = (0..THREADS).map(|_| Tree::new()).collect();
+        let shared = Tree::new();
+        let start = Barrier::new(THREADS);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (own, shared, start) = (&own, &shared, &start);
+                let h = s.spawn(move || {
+                    if parallel {
+                        start.wait();
+                    }
+                    (0..OPS).for_each(|i| apply(own, shared, t, i));
+                });
+                if !parallel {
+                    h.join().expect("replay thread");
+                }
+            }
+        });
+        (own, shared)
+    }
+
+    /// Restarts and escalations are what contention adds; everything else
+    /// must not depend on it.
+    fn settled(mut s: TreeStats) -> TreeStats {
+        s.index.restarts = 0;
+        s.index.escalations = 0;
+        s
+    }
+
+    #[test]
+    fn four_threads_count_exactly_what_their_replay_counts() {
+        let (own, shared) = run(true);
+        let (own_replay, shared_replay) = run(false);
+        for (t, (a, b)) in own.iter().zip(&own_replay).enumerate() {
+            let s = settled(a.stats());
+            assert_eq!(s, settled(b.stats()), "tree {t}");
+            assert_eq!(a.len(), b.len(), "tree {t}");
+            assert_eq!(a.check_invariants(), a.len(), "tree {t}");
+            assert!(
+                s.inner_splits > 0 && s.leaf_merges > 0 && s.leaf_unlinks > 0,
+                "tree {t} saw too little to compare: {s:?}"
+            );
+        }
+        assert_eq!(shared.index_stats().ops, shared_replay.index_stats().ops);
+        assert_eq!(shared.len(), shared_replay.len());
+        assert_eq!(shared.check_invariants(), shared.len());
+        assert!(!shared.is_empty());
+    }
+}

@@ -57,7 +57,8 @@
 //! Every lock records admission, validation, queueing, handover and
 //! upgrade events through [`stats`]. In default builds the recording
 //! sites compile to no-ops; building with `--features stats` turns them
-//! into relaxed increments on thread-local counter shards, readable via
+//! into relaxed adds on the calling thread's stripe of one [`Counters`]
+//! block, readable via
 //! [`stats::snapshot`] / resettable via [`stats::reset`].
 
 #![warn(missing_docs)]
@@ -66,6 +67,7 @@
 pub mod backoff;
 pub mod chaos;
 pub mod clh;
+pub mod counters;
 pub mod guard;
 pub mod mcs;
 pub mod mcs_rw;
@@ -82,10 +84,11 @@ pub mod tts;
 pub mod word;
 
 pub use crate::clh::{OptiCLH, OptiCLHNor, OptiClhCore};
+pub use crate::counters::Counters;
 pub use crate::guard::{read_critical, try_read_critical, XGuard};
 pub use crate::mcs::McsLock;
 pub use crate::mcs_rw::McsRwLock;
-pub use crate::olc::{IndexStats, OptimisticGuard, RestartLoop, SharedIndexStats};
+pub use crate::olc::{IndexStats, OptimisticGuard, RestartLoop};
 pub use crate::optiql::{OptiQL, OptiQLAor, OptiQLCore, OptiQLNor};
 pub use crate::optlock::{OptLock, OptLockBackoff};
 pub use crate::pthread::PthreadRwLock;

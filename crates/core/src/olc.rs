@@ -12,15 +12,16 @@
 //!   and finally `thread::yield_now` so oversubscribed hosts make
 //!   progress. Each counted restart feeds the cfg-gated
 //!   [`stats`](crate::stats) event taxonomy *and* the owning index's
-//!   [`SharedIndexStats`].
+//!   [`Counters`] block.
 //! * [`OptimisticGuard`] — an RAII-free (plain-value) read guard pairing
 //!   an [`IndexLock`] with the version snapshot taken at `r_lock`,
 //!   encapsulating the validate / recheck / abandon discipline that the
 //!   lock-coupling protocols repeat at every node.
-//! * [`SharedIndexStats`] / [`IndexStats`] — the unified per-index
-//!   accounting (operations, restarts, scheduler escalations) shared by
-//!   every index, so benchmarks print one consistent restart column no
-//!   matter which structure is underneath.
+//! * [`OPS`] / [`RESTARTS`] / [`ESCALATIONS`] and [`IndexStats`] — the
+//!   unified per-index accounting: the first [`INDEX_LANES`] lanes of every
+//!   index's [`Counters`] block mean the same thing, so benchmarks print
+//!   one consistent restart column no matter which structure is
+//!   underneath. The lanes after them are the index's own.
 //! * [`Step`] and its two drivers. Each tree writes its descent once, as
 //!   a resumable step function that moves one level and reports where it
 //!   stands; *who calls it* decides the schedule. A scalar entry point
@@ -29,9 +30,8 @@
 //!   step's state between turns so a group keeps [`GROUP`] cache misses in
 //!   flight.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use crate::backoff::Backoff;
+use crate::counters::Counters;
 use crate::stats::Event;
 use crate::traits::{IndexLock, WriteToken};
 
@@ -73,67 +73,16 @@ pub enum RestartPhase {
     Yield,
 }
 
-/// Atomic per-index operation/restart accounting. Owned by each index
-/// (or index shard); snapshot with [`SharedIndexStats::snapshot`].
-#[derive(Debug, Default)]
-pub struct SharedIndexStats {
-    restarts: AtomicU64,
-    ops: AtomicU64,
-    escalations: AtomicU64,
-}
-
-impl SharedIndexStats {
-    /// A zeroed accounting block.
-    pub const fn new() -> Self {
-        SharedIndexStats {
-            restarts: AtomicU64::new(0),
-            ops: AtomicU64::new(0),
-            escalations: AtomicU64::new(0),
-        }
-    }
-
-    /// Count one completed index operation (lookup/insert/update/remove/
-    /// scan). Relaxed; call once per public entry point.
-    #[inline]
-    pub fn record_op(&self) {
-        self.ops.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count `n` completed index operations at once. Batched (`multi_*`)
-    /// entry points use this to amortize accounting to one atomic RMW per
-    /// batch instead of one per key.
-    #[inline]
-    pub fn record_ops(&self, n: u64) {
-        self.ops.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Count `n` restarts at once. The pipelined batch engines track
-    /// restarts in a local counter while ops are in flight and publish the
-    /// total here when the batch drains.
-    #[inline]
-    pub fn record_restarts(&self, n: u64) {
-        self.restarts.fetch_add(n, Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn record_restart(&self) {
-        self.restarts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn record_escalation(&self) {
-        self.escalations.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Approximate (relaxed, monotone) snapshot.
-    pub fn snapshot(&self) -> IndexStats {
-        IndexStats {
-            restarts: self.restarts.load(Ordering::Relaxed),
-            ops: self.ops.load(Ordering::Relaxed),
-            escalations: self.escalations.load(Ordering::Relaxed),
-        }
-    }
-}
+/// Lane of an index's [`Counters`] block: completed operations (all
+/// kinds), one add per public entry point, one per batch for `multi_*`.
+pub const OPS: usize = 0;
+/// Lane: traversal restarts, counted by [`RestartLoop::pause`] and, for a
+/// pipelined batch, once when the batch drains.
+pub const RESTARTS: usize = 1;
+/// Lane: restart pauses that escalated to a scheduler yield.
+pub const ESCALATIONS: usize = 2;
+/// Lanes this protocol owns; an index's own lanes start here.
+pub const INDEX_LANES: usize = 3;
 
 /// Snapshot of the unified index accounting: one struct for every index
 /// type, replacing per-tree restart counters.
@@ -149,6 +98,15 @@ pub struct IndexStats {
 }
 
 impl IndexStats {
+    /// The view of an index's summed [`Counters`] block.
+    pub fn of(lanes: &[u64]) -> IndexStats {
+        IndexStats {
+            restarts: lanes[RESTARTS],
+            ops: lanes[OPS],
+            escalations: lanes[ESCALATIONS],
+        }
+    }
+
     /// Accumulate another snapshot (e.g. summing shards of a partitioned
     /// index).
     pub fn merge(&mut self, other: IndexStats) {
@@ -177,33 +135,27 @@ impl IndexStats {
     }
 }
 
-impl std::ops::Add for IndexStats {
-    type Output = IndexStats;
-    fn add(mut self, rhs: IndexStats) -> IndexStats {
-        self.merge(rhs);
-        self
-    }
-}
-
 /// Restart pacing for one index operation.
 ///
 /// Create one per operation, call [`pause`](RestartLoop::pause) at the
 /// top of the `'restart:` loop, and the ladder takes care of the rest:
 /// the first pause is free, subsequent pauses spin, back off, and
-/// finally yield, while feeding both the owning index's
-/// [`SharedIndexStats`] and the cfg-gated [`stats`](crate::stats) event
-/// given at construction.
-pub struct RestartLoop<'a> {
+/// finally yield, while feeding both the owning index's [`Counters`]
+/// block and the cfg-gated [`stats`](crate::stats) event given at
+/// construction.
+pub struct RestartLoop<'a, const N: usize> {
     attempts: u32,
     backoff: Backoff,
-    stats: &'a SharedIndexStats,
+    stats: &'a Counters<N>,
     event: Event,
 }
 
-impl<'a> RestartLoop<'a> {
-    /// A fresh loop reporting restarts to `stats` and recording `event`
-    /// (e.g. [`Event::IndexRestartBtree`]) per counted restart.
-    pub fn new(stats: &'a SharedIndexStats, event: Event) -> Self {
+impl<'a, const N: usize> RestartLoop<'a, N> {
+    /// A fresh loop reporting restarts to the [`RESTARTS`] and
+    /// [`ESCALATIONS`] lanes of `stats` and recording `event` (e.g.
+    /// [`Event::IndexRestartBtree`]) per counted restart.
+    pub fn new(stats: &'a Counters<N>, event: Event) -> Self {
+        const { assert!(N >= INDEX_LANES) };
         RestartLoop {
             attempts: 0,
             backoff: Backoff::new(BACKOFF_MIN, BACKOFF_MAX),
@@ -266,7 +218,7 @@ impl<'a> RestartLoop<'a> {
             }
             RestartPhase::Yield => {
                 self.count_restart();
-                self.stats.record_escalation();
+                self.stats.add(ESCALATIONS, 1);
                 std::thread::yield_now();
             }
         }
@@ -274,7 +226,7 @@ impl<'a> RestartLoop<'a> {
 
     #[inline]
     fn count_restart(&self) {
-        self.stats.record_restart();
+        self.stats.add(RESTARTS, 1);
         crate::stats::record(self.event);
     }
 }
@@ -324,15 +276,15 @@ enum Slot<S, R> {
 ///
 /// Accounts the batch on `stats` once: `n` operations plus the pipelined
 /// restarts (scalar completions count their own restarts).
-pub fn run_grouped<L: IndexLock, S, R>(
-    stats: &SharedIndexStats,
+pub fn run_grouped<L: IndexLock, S, R, const N: usize>(
+    stats: &Counters<N>,
     n: usize,
     same_key: impl Fn(usize, usize) -> bool,
     mut turn: impl FnMut(usize, Option<S>) -> Step<S, R>,
     mut scalar: impl FnMut(usize) -> R,
 ) -> Vec<R> {
     crate::stats::record(Event::BatchIssued);
-    stats.record_ops(n as u64);
+    stats.add(OPS, n as u64);
     if L::PESSIMISTIC || n < 2 {
         return (0..n).map(scalar).collect();
     }
@@ -384,7 +336,7 @@ pub fn run_grouped<L: IndexLock, S, R>(
             });
         }
     }
-    stats.record_restarts(restarts);
+    stats.add(RESTARTS, restarts);
     out
 }
 
@@ -521,12 +473,16 @@ mod tests {
 
     #[test]
     fn ladder_escalates_free_spin_backoff_yield() {
-        let stats = SharedIndexStats::new();
+        let stats = Counters::<INDEX_LANES>::new();
         let mut rs = RestartLoop::new(&stats, Event::IndexRestartBtree);
         assert_eq!(rs.phase(), RestartPhase::Free);
         rs.pause(); // first try: free
         assert_eq!(rs.phase(), RestartPhase::Free);
-        assert_eq!(stats.snapshot().restarts, 0, "first attempt is free");
+        assert_eq!(
+            IndexStats::of(&stats.sum()).restarts,
+            0,
+            "first attempt is free"
+        );
         rs.pause();
         assert_eq!(rs.phase(), RestartPhase::Spin);
         rs.pause();
@@ -535,7 +491,7 @@ mod tests {
         assert_eq!(rs.phase(), RestartPhase::Yield);
         rs.pause();
         assert_eq!(rs.phase(), RestartPhase::Yield, "yield is terminal");
-        let s = stats.snapshot();
+        let s = IndexStats::of(&stats.sum());
         assert_eq!(rs.attempts(), 5);
         assert_eq!(s.restarts, 4, "every pause after the first counts");
         assert_eq!(s.escalations, 2, "two pauses yielded");
@@ -562,7 +518,8 @@ mod tests {
             ops: 50,
             escalations: 0,
         };
-        let sum = a + b;
+        let mut sum = a;
+        sum.merge(b);
         assert_eq!(sum.restarts, 7);
         assert_eq!(sum.ops, 150);
         assert_eq!(sum.escalations, 1);
@@ -573,16 +530,6 @@ mod tests {
         assert_eq!(b.since(&sum).ops, 0);
         assert!((a.restarts_per_op() - 0.05).abs() < 1e-12);
         assert_eq!(IndexStats::default().restarts_per_op(), 0.0);
-    }
-
-    #[test]
-    fn ops_accounting_is_relaxed_and_monotone() {
-        let stats = SharedIndexStats::new();
-        for _ in 0..10 {
-            stats.record_op();
-        }
-        assert_eq!(stats.snapshot().ops, 10);
-        assert_eq!(stats.snapshot().restarts, 0);
     }
 
     /// A fake step over a map: op `i` inserts `(key, i)` and answers the
@@ -597,8 +544,8 @@ mod tests {
         let map = RefCell::new(HashMap::new());
         let scalar_calls = RefCell::new(vec![0u32; keys.len()]);
         let turns_on_cursed = RefCell::new(0u32);
-        let stats = SharedIndexStats::new();
-        let out = run_grouped::<OptLock, u64, Option<usize>>(
+        let stats = Counters::<INDEX_LANES>::new();
+        let out = run_grouped::<OptLock, u64, Option<usize>, INDEX_LANES>(
             &stats,
             keys.len(),
             |e, i| keys[e] == keys[i],
@@ -638,7 +585,7 @@ mod tests {
         // group, which had drained: no deferral needed.)
         assert_eq!(*scalar_calls.borrow(), [0, 0, 1, 1, 0, 1, 0, 0, 0, 1, 0]);
         assert_eq!(*turns_on_cursed.borrow(), 2 * PIPELINE_ATTEMPTS);
-        let s = stats.snapshot();
+        let s = IndexStats::of(&stats.sum());
         assert_eq!(s.ops, keys.len() as u64);
         assert_eq!(s.restarts, 2 * PIPELINE_ATTEMPTS as u64);
     }
@@ -646,13 +593,20 @@ mod tests {
     /// Pessimistic locks and batches of one never enter the pipeline.
     #[test]
     fn run_grouped_bypasses_the_pipeline_when_it_cannot_help() {
-        let stats = SharedIndexStats::new();
+        let stats = Counters::<INDEX_LANES>::new();
         let no_turn = |_, _: Option<()>| -> Step<(), usize> { panic!("pipelined") };
-        let out = run_grouped::<PthreadRwLock, _, _>(&stats, 3, |_, _| false, no_turn, |i| i);
+        let out = run_grouped::<PthreadRwLock, _, _, INDEX_LANES>(
+            &stats,
+            3,
+            |_, _| false,
+            no_turn,
+            |i| i,
+        );
         assert_eq!(out, [0, 1, 2]);
-        let out = run_grouped::<OptLock, _, _>(&stats, 1, |_, _| false, no_turn, |i| i);
+        let out =
+            run_grouped::<OptLock, _, _, INDEX_LANES>(&stats, 1, |_, _| false, no_turn, |i| i);
         assert_eq!(out, [0]);
-        assert_eq!(stats.snapshot().ops, 4);
+        assert_eq!(IndexStats::of(&stats.sum()).ops, 4);
     }
 
     #[test]

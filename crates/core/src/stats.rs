@@ -1,4 +1,4 @@
-//! Lock-event observability: cfg-gated, thread-local sharded counters.
+//! Lock-event observability: cfg-gated counters, one lane per event.
 //!
 //! The paper's evaluation (§7, Table 1) explains throughput differences
 //! through *event* rates — how often readers are admitted or rejected,
@@ -10,13 +10,13 @@
 //!   [`record`] is an empty `#[inline(always)]` function, so every
 //!   recording site compiles away entirely and the lock hot paths are
 //!   byte-identical to an uninstrumented build.
-//! * With `stats` **enabled**, each thread owns a cache-line-friendly
-//!   shard of relaxed atomic counters registered in a global registry;
-//!   recording is one relaxed `fetch_add` on thread-local memory, so the
-//!   probe effect stays small even under heavy contention.
+//! * With `stats` **enabled**, the events are the lanes of one static
+//!   [`Counters`](crate::counters::Counters) block; recording is one
+//!   relaxed `fetch_add` on the calling thread's stripe, so the probe
+//!   effect stays small even under heavy contention.
 //!
-//! [`snapshot`] sums all shards (including those of exited threads);
-//! [`reset`] zeroes them. Harness code brackets a benchmark run with
+//! [`snapshot`] sums the stripes (what exited threads recorded stays in
+//! them); [`reset`] zeroes them. Harness code brackets a benchmark run with
 //! `reset()` … `snapshot()` and derives e.g. Table 1's reader-success
 //! rates from real counters instead of ad-hoc bookkeeping.
 
@@ -206,70 +206,9 @@ impl std::fmt::Display for Snapshot {
 }
 
 #[cfg(feature = "stats")]
-mod imp {
-    use super::{Snapshot, EVENT_COUNT};
-    use parking_lot::Mutex;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::{Arc, OnceLock};
+static EVENTS: crate::counters::Counters<EVENT_COUNT> = crate::counters::Counters::new();
 
-    pub(super) struct Shard {
-        counts: [AtomicU64; EVENT_COUNT],
-    }
-
-    impl Shard {
-        fn new() -> Self {
-            Shard {
-                counts: std::array::from_fn(|_| AtomicU64::new(0)),
-            }
-        }
-    }
-
-    fn registry() -> &'static Mutex<Vec<Arc<Shard>>> {
-        static REGISTRY: OnceLock<Mutex<Vec<Arc<Shard>>>> = OnceLock::new();
-        REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
-    }
-
-    thread_local! {
-        static SHARD: Arc<Shard> = {
-            let s = Arc::new(Shard::new());
-            registry().lock().push(Arc::clone(&s));
-            s
-        };
-    }
-
-    #[inline]
-    pub(super) fn record(e: super::Event) {
-        // try_with: recording from a thread whose TLS is being torn down
-        // (e.g. a lock release inside another thread-local's Drop) simply
-        // drops the event rather than panicking.
-        let _ = SHARD.try_with(|s| s.counts[e as usize].fetch_add(1, Ordering::Relaxed));
-    }
-
-    pub(super) fn snapshot() -> Snapshot {
-        let mut snap = Snapshot::default();
-        for shard in registry().lock().iter() {
-            for (i, c) in shard.counts.iter().enumerate() {
-                snap.counts[i] += c.load(Ordering::Relaxed);
-            }
-        }
-        snap
-    }
-
-    pub(super) fn reset() {
-        let mut reg = registry().lock();
-        // Shards of exited threads are only kept alive by the registry;
-        // dropping them here keeps the registry from growing without
-        // bound across many short-lived benchmark threads.
-        reg.retain(|s| Arc::strong_count(s) > 1);
-        for shard in reg.iter() {
-            for c in &shard.counts {
-                c.store(0, Ordering::Relaxed);
-            }
-        }
-    }
-}
-
-/// Record one event on the calling thread's shard.
+/// Record one event on the calling thread's stripe.
 ///
 /// Compiles to nothing when the `stats` feature is disabled. With the
 /// `chaos` feature the same call sites double as schedule-perturbation
@@ -278,19 +217,21 @@ mod imp {
 #[inline(always)]
 pub fn record(e: Event) {
     #[cfg(feature = "stats")]
-    imp::record(e);
+    EVENTS.add(e as usize, 1);
     #[cfg(feature = "chaos")]
     crate::chaos::perturb(e);
     #[cfg(not(any(feature = "stats", feature = "chaos")))]
     let _ = e;
 }
 
-/// Sum all shards into a [`Snapshot`]. Always `Snapshot::default()` when
+/// Sum the stripes into a [`Snapshot`]. Always `Snapshot::default()` when
 /// the `stats` feature is disabled.
 pub fn snapshot() -> Snapshot {
     #[cfg(feature = "stats")]
     {
-        imp::snapshot()
+        Snapshot {
+            counts: EVENTS.sum(),
+        }
     }
     #[cfg(not(feature = "stats"))]
     {
@@ -298,11 +239,10 @@ pub fn snapshot() -> Snapshot {
     }
 }
 
-/// Zero every shard (and drop shards of exited threads). No-op when the
-/// `stats` feature is disabled.
+/// Zero every counter. No-op when the `stats` feature is disabled.
 pub fn reset() {
     #[cfg(feature = "stats")]
-    imp::reset();
+    EVENTS.reset();
 }
 
 #[cfg(test)]
@@ -365,7 +305,7 @@ mod tests {
 
     #[cfg(feature = "stats")]
     #[test]
-    fn shards_of_exited_threads_survive_until_reset() {
+    fn counts_of_exited_threads_survive_until_reset() {
         reset();
         std::thread::spawn(|| {
             for _ in 0..5 {

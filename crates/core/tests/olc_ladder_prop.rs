@@ -10,14 +10,14 @@
 //! * escalation is **monotone** between resets — the ladder never steps
 //!   down on its own;
 //! * `reset` restores the bottom rung exactly (attempts 0, phase Free);
-//! * the [`SharedIndexStats`] accounting matches the model: every pause
+//! * the accounting in the index's [`Counters`] block matches the model: every pause
 //!   beyond the free attempt counts one restart, every yield-phase pause
 //!   counts one scheduler escalation, and `reset` never erases history.
 
 use proptest::prelude::*;
 
-use optiql::olc::{RestartPhase, SharedIndexStats, BACKOFF_BUDGET, FREE_ATTEMPTS, SPIN_BUDGET};
-use optiql::{stats::Event, RestartLoop};
+use optiql::olc::{RestartPhase, BACKOFF_BUDGET, FREE_ATTEMPTS, INDEX_LANES, SPIN_BUDGET};
+use optiql::{stats::Event, Counters, IndexStats, RestartLoop};
 
 #[derive(Debug, Clone, Copy)]
 enum Cmd {
@@ -58,7 +58,7 @@ fn expected_phase(attempts: u32) -> RestartPhase {
 proptest! {
     #[test]
     fn ladder_matches_shadow_model(cmds in proptest::collection::vec(cmd_strategy(), 1..200)) {
-        let stats = SharedIndexStats::new();
+        let stats = Counters::<INDEX_LANES>::new();
         let mut rs = RestartLoop::new(&stats, Event::IndexRestartBtree);
 
         let mut attempts: u32 = 0; // since last reset
@@ -99,7 +99,7 @@ proptest! {
                 }
             }
             prop_assert_eq!(rs.attempts(), attempts);
-            let snap = stats.snapshot();
+            let snap = IndexStats::of(&stats.sum());
             prop_assert_eq!(snap.restarts, restarts);
             prop_assert_eq!(snap.escalations, escalations);
         }
@@ -126,18 +126,22 @@ proptest! {
 /// reset it, and require the next pause to behave like a fresh loop's.
 #[test]
 fn reset_restores_fresh_loop_pacing() {
-    let stats = SharedIndexStats::new();
+    let stats = Counters::<INDEX_LANES>::new();
     let mut rs = RestartLoop::new(&stats, Event::IndexRestartBtree);
     for _ in 0..16 {
         rs.pause();
     }
     assert_eq!(rs.phase(), RestartPhase::Yield);
-    let deep = stats.snapshot();
+    let deep = IndexStats::of(&stats.sum());
 
     rs.reset();
     assert_eq!(rs.attempts(), 0);
     assert_eq!(rs.phase(), RestartPhase::Free);
-    assert_eq!(stats.snapshot(), deep, "reset must not rewrite history");
+    assert_eq!(
+        IndexStats::of(&stats.sum()),
+        deep,
+        "reset must not rewrite history"
+    );
 
     rs.pause();
     assert_eq!(
@@ -146,7 +150,7 @@ fn reset_restores_fresh_loop_pacing() {
         "first post-reset try is free"
     );
     assert_eq!(
-        stats.snapshot().restarts,
+        IndexStats::of(&stats.sum()).restarts,
         deep.restarts,
         "free attempt after reset must not count a restart"
     );

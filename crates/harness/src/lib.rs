@@ -21,7 +21,7 @@
 //! * [`mod@env`] — environment-variable knobs that let the bench binaries
 //!   scale to the host (`OPTIQL_BENCH_THREADS`, `OPTIQL_BENCH_SECS`,
 //!   `OPTIQL_BENCH_KEYS`, `OPTIQL_BENCH_FULL`);
-//! * [`stats`] — re-export of the lock-event counter registry
+//! * [`stats`] — re-export of the lock-event counters
 //!   (`optiql::stats`): bench binaries bracket a run with
 //!   [`stats::reset`] … [`stats::snapshot`] and derive e.g. Table 1's
 //!   reader-success rates from real counters. Counters only record when

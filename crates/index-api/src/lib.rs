@@ -39,6 +39,7 @@ pub mod key;
 use std::ops::Bound;
 
 pub use key::{bslot, Bytes, IndexKey};
+pub use optiql::counters::Counters;
 pub use optiql::olc::IndexStats;
 pub use optiql_reclaim::Handle as ReclaimHandle;
 

@@ -76,6 +76,16 @@ fn main() {
     if let Some(rep) = handle.recovery() {
         println!("# recovery: {rep}");
     }
+    // Bytes the mount cut off a log never reach the replay report above;
+    // they are lost writes (or garbage) and must not go unsaid.
+    for m in handle.wal().iter().flat_map(|w| w.mount_report()) {
+        if let Some(torn) = &m.torn {
+            println!(
+                "# wal: shard {} torn tail cut at {}: {}",
+                m.shard, torn.offset, torn.reason
+            );
+        }
+    }
     println!("listening on {}", handle.addr());
     println!(
         "# backend={backend_name} shards={shards} workers={} dispatch={:?} preload={}",

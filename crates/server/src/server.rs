@@ -29,11 +29,11 @@
 use std::io::{ErrorKind, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-use optiql_index_api::{ConcurrentIndex, ReclaimHandle};
+use optiql_index_api::{ConcurrentIndex, Counters, ReclaimHandle};
 use optiql_sharded::{ShardAffinity, ShardedIndex};
 use optiql_wal::{DurableIndex, FsyncPolicy, RecoveryReport, Wal, WalConfig, WalStatsSnapshot};
 
@@ -156,50 +156,44 @@ impl Default for ServerConfig {
     }
 }
 
-/// Monotonic counters the server publishes; cheap enough to keep
-/// always-on (a handful of `Relaxed` adds per burst).
-#[derive(Debug, Default)]
-pub struct ServerStats {
-    /// Connections accepted.
-    pub connections: AtomicU64,
-    /// Requests executed (an MGET counts once).
-    pub requests: AtomicU64,
-    /// Index operations executed (an MGET of k keys counts k).
-    pub index_ops: AtomicU64,
-    /// Bursts executed under one pin (grouped mode only).
-    pub groups: AtomicU64,
-    /// Operations that went through `multi_lookup`/`multi_insert`.
-    pub batched_ops: AtomicU64,
-    /// Connections closed for protocol violations.
-    pub proto_errors: AtomicU64,
-}
+// The server's always-on counters: one lane per [`StatsSnapshot`] field,
+// in one striped block every worker and the acceptor add to — a handful of
+// adds per run, each on the adding thread's own cache lines.
+const CONNECTIONS: usize = 0;
+const REQUESTS: usize = 1;
+const INDEX_OPS: usize = 2;
+const GROUPS: usize = 3;
+const BATCHED_OPS: usize = 4;
+const PROTO_ERRORS: usize = 5;
+type ServerCounters = Counters<6>;
 
-/// A point-in-time copy of [`ServerStats`].
+/// A point-in-time copy of the server's counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
     /// Connections accepted.
     pub connections: u64,
-    /// Requests executed.
+    /// Requests executed (an MGET counts once).
     pub requests: u64,
-    /// Index operations executed.
+    /// Index operations executed (an MGET of k keys counts k).
     pub index_ops: u64,
-    /// Bursts executed under one pin.
+    /// Bursts executed under one pin (grouped mode only).
     pub groups: u64,
-    /// Operations dispatched through the batched engines.
+    /// Operations that went through `multi_lookup`/`multi_insert`.
     pub batched_ops: u64,
     /// Connections closed for protocol violations.
     pub proto_errors: u64,
 }
 
-impl ServerStats {
-    fn snapshot(&self) -> StatsSnapshot {
+impl StatsSnapshot {
+    fn of(counters: &ServerCounters) -> StatsSnapshot {
+        let sum = counters.sum();
         StatsSnapshot {
-            connections: self.connections.load(Ordering::Relaxed),
-            requests: self.requests.load(Ordering::Relaxed),
-            index_ops: self.index_ops.load(Ordering::Relaxed),
-            groups: self.groups.load(Ordering::Relaxed),
-            batched_ops: self.batched_ops.load(Ordering::Relaxed),
-            proto_errors: self.proto_errors.load(Ordering::Relaxed),
+            connections: sum[CONNECTIONS],
+            requests: sum[REQUESTS],
+            index_ops: sum[INDEX_OPS],
+            groups: sum[GROUPS],
+            batched_ops: sum[BATCHED_OPS],
+            proto_errors: sum[PROTO_ERRORS],
         }
     }
 }
@@ -270,7 +264,7 @@ pub struct ServerHandle {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     threads: Vec<std::thread::JoinHandle<()>>,
-    stats: Arc<ServerStats>,
+    stats: Arc<ServerCounters>,
     index: Arc<dyn ConcurrentIndex>,
     wal: Option<Arc<Wal>>,
     recovery: Option<RecoveryReport>,
@@ -285,7 +279,7 @@ impl ServerHandle {
 
     /// Counter snapshot.
     pub fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
+        StatsSnapshot::of(&self.stats)
     }
 
     /// The served index (tests inspect it directly). With a wal mounted
@@ -323,7 +317,7 @@ impl ServerHandle {
     pub fn shutdown(mut self) -> StatsSnapshot {
         self.stop.store(true, Ordering::Release);
         self.join_threads();
-        self.stats.snapshot()
+        StatsSnapshot::of(&self.stats)
     }
 
     /// Wait until something else stops the server (a SHUTDOWN frame),
@@ -333,7 +327,7 @@ impl ServerHandle {
             std::thread::sleep(Duration::from_millis(20));
         }
         self.join_threads();
-        self.stats.snapshot()
+        StatsSnapshot::of(&self.stats)
     }
 
     fn join_threads(&mut self) {
@@ -426,7 +420,7 @@ pub fn start(cfg: &ServerConfig) -> std::io::Result<ServerHandle> {
         cfg.workers
     };
     let stop = Arc::new(AtomicBool::new(false));
-    let stats = Arc::new(ServerStats::default());
+    let stats = Arc::new(ServerCounters::new());
     let worker_affinity = ShardAffinity::probe(workers);
 
     let mut threads = Vec::with_capacity(workers + 1);
@@ -486,7 +480,7 @@ fn accept_loop(
     listener: TcpListener,
     senders: Vec<mpsc::Sender<TcpStream>>,
     stop: Arc<AtomicBool>,
-    stats: Arc<ServerStats>,
+    stats: Arc<ServerCounters>,
 ) {
     let mut next = 0usize;
     while !stop.load(Ordering::Acquire) {
@@ -496,7 +490,7 @@ fn accept_loop(
                 if stream.set_nonblocking(true).is_err() {
                     continue;
                 }
-                stats.connections.fetch_add(1, Ordering::Relaxed);
+                stats.add(CONNECTIONS, 1);
                 // Round-robin deal; a worker whose channel died (worker
                 // exited) just drops the connection.
                 let _ = senders[next % senders.len()].send(stream);
@@ -554,7 +548,7 @@ struct Worker {
     /// dirty shard covers every ack the round releases.
     group_wal: Option<Arc<Wal>>,
     stop: Arc<AtomicBool>,
-    stats: Arc<ServerStats>,
+    stats: Arc<ServerCounters>,
 }
 
 impl Worker {
@@ -656,7 +650,7 @@ impl Worker {
                         // Malformed frame: answer, then close only this
                         // connection. The queue decoded so far still
                         // executes — those frames were well-formed.
-                        self.stats.proto_errors.fetch_add(1, Ordering::Relaxed);
+                        self.stats.add(PROTO_ERRORS, 1);
                         Response::Error(format!("bad frame: {e}")).encode(&mut conn.outbuf);
                         conn.close_after_flush = true;
                         progressed = true;
@@ -713,11 +707,10 @@ impl Worker {
     /// Account one run: `requests` frames costing `ops` index operations,
     /// through a batched engine or not.
     fn account(&self, requests: usize, ops: usize, batched: bool) {
-        let stats = &self.stats;
-        stats.requests.fetch_add(requests as u64, Ordering::Relaxed);
-        stats.index_ops.fetch_add(ops as u64, Ordering::Relaxed);
+        self.stats.add(REQUESTS, requests as u64);
+        self.stats.add(INDEX_OPS, ops as u64);
         if batched {
-            stats.batched_ops.fetch_add(ops as u64, Ordering::Relaxed);
+            self.stats.add(BATCHED_OPS, ops as u64);
         }
     }
 
@@ -798,7 +791,7 @@ impl Worker {
             // One pin per burst over the owned domains: every per-op pin
             // the engines take inside is a nested depth increment.
             let _pins: Vec<_> = if grouped {
-                self.stats.groups.fetch_add(1, Ordering::Relaxed);
+                self.stats.add(GROUPS, 1);
                 self.owned.iter().map(|h| h.pin()).collect()
             } else {
                 Vec::new()

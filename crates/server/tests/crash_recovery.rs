@@ -50,10 +50,12 @@ fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A spawned `optiql-server` with its parsed listen address.
+/// A spawned `optiql-server` with its parsed listen address and what it
+/// printed before the banner (the recovery and mount reports).
 struct Server {
     child: Child,
     addr: SocketAddr,
+    preamble: Vec<String>,
 }
 
 impl Server {
@@ -81,6 +83,7 @@ impl Server {
             .expect("spawn optiql-server");
         let stdout = child.stdout.take().expect("piped stdout");
         let mut lines = BufReader::new(stdout).lines();
+        let mut preamble = Vec::new();
         let addr = loop {
             let line = lines
                 .next()
@@ -89,10 +92,15 @@ impl Server {
             if let Some(rest) = line.strip_prefix("listening on ") {
                 break rest.trim().parse().expect("parse listen addr");
             }
+            preamble.push(line);
         };
         // Keep draining stdout so the child never blocks on a full pipe.
         std::thread::spawn(move || for _ in lines {});
-        Server { child, addr }
+        Server {
+            child,
+            addr,
+            preamble,
+        }
     }
 
     fn kill(&mut self) {
@@ -359,6 +367,49 @@ fn clean_shutdown_preserves_everything() {
 
     let survivor = Server::spawn(&dir);
     verify_recovered(survivor.addr, LOAD, LOAD, seed);
+    shutdown(survivor.addr);
+    drop(survivor);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Bytes behind the last valid frame of a log are cut off when the wal is
+/// mounted. They never reach the replay report, so the server must say so
+/// itself: one start-up line per affected shard, none for a clean log.
+#[test]
+fn torn_tail_cut_at_mount_is_reported_at_startup() {
+    let dir = tempdir("torn-report");
+
+    let mut first = Server::spawn(&dir);
+    let (acked, _) = load_until(&mut first, None);
+    assert_eq!(acked, LOAD);
+    shutdown(first.addr);
+    assert!(first.child.wait().expect("wait server").success());
+
+    // A clean shutdown trimmed the log to its valid length.
+    let log = dir.join("shard-2.log");
+    let valid = std::fs::metadata(&log).expect("shard 2 log").len();
+    std::fs::OpenOptions::new()
+        .append(true)
+        .open(&log)
+        .and_then(|mut f| f.write_all(&[0xAB; 37]))
+        .expect("append garbage");
+
+    let survivor = Server::spawn(&dir);
+    let reported: Vec<&String> = survivor
+        .preamble
+        .iter()
+        .filter(|l| l.contains("torn tail"))
+        .collect();
+    assert_eq!(reported.len(), 1, "preamble: {:?}", survivor.preamble);
+    let want = format!("# wal: shard 2 torn tail cut at {valid}: ");
+    assert!(reported[0].starts_with(&want), "{:?}", reported[0]);
+    assert!(
+        first.preamble.iter().all(|l| !l.contains("torn tail")),
+        "a fresh directory has nothing to cut: {:?}",
+        first.preamble
+    );
+    // Nothing valid went with the garbage.
+    verify_recovered(survivor.addr, LOAD, LOAD, 0x7041);
     shutdown(survivor.addr);
     drop(survivor);
     let _ = std::fs::remove_dir_all(&dir);

@@ -181,6 +181,68 @@ fn pipelined_burst_is_answered_in_order_and_batched() {
     assert!(stats.groups > 0);
 }
 
+/// Two workers, four connections sending concurrently: the counters are
+/// striped per thread, and their sum must still be exactly what was sent.
+#[test]
+fn two_workers_count_exactly_what_four_clients_sent() {
+    const BURSTS: u64 = 200;
+    let h = start(&ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        backend: BackendKind::ShardedBtree { shards: 4 },
+        workers: 2,
+        max_group: 64,
+        ..ServerConfig::default()
+    })
+    .expect("server start");
+    let addr = h.addr();
+    let start_line = std::sync::Barrier::new(4);
+    std::thread::scope(|s| {
+        for t in 0..4u64 {
+            let start_line = &start_line;
+            s.spawn(move || {
+                let mut c = C::connect(addr);
+                start_line.wait();
+                for b in 0..BURSTS {
+                    let key = (b * 4 + t) * 8;
+                    // 3 SETs, 2 GETs, one MGET of 5, one DEL: 7 requests,
+                    // 11 index operations.
+                    let burst = [
+                        Request::Set { key, value: b },
+                        Request::Set {
+                            key: key + 1,
+                            value: b,
+                        },
+                        Request::Set {
+                            key: key + 2,
+                            value: b,
+                        },
+                        Request::Get { key },
+                        Request::Get { key: key + 1 },
+                        Request::MGet {
+                            keys: (key..key + 5).collect(),
+                        },
+                        Request::Del { key: key + 2 },
+                    ];
+                    c.send(&burst);
+                    for _ in &burst {
+                        assert!(!matches!(c.recv(), None | Some(Response::Error(_))));
+                    }
+                }
+            });
+        }
+    });
+    let index_ops = h.index().index_stats().ops;
+    let stats = h.shutdown();
+    assert_eq!(stats.connections, 4);
+    assert_eq!(stats.requests, 4 * BURSTS * 7);
+    assert_eq!(stats.index_ops, 4 * BURSTS * 11);
+    assert_eq!(stats.proto_errors, 0);
+    assert!(stats.groups >= stats.requests / 64, "{stats:?}");
+    assert!(stats.batched_ops <= stats.index_ops, "{stats:?}");
+    // The trees below counted the same operations, shard by shard.
+    assert_eq!(index_ops, stats.index_ops);
+}
+
 #[test]
 fn garbage_bytes_close_only_that_connection() {
     let h = serve(BackendKind::Btree, Dispatch::Grouped, 100);

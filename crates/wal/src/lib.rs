@@ -54,7 +54,7 @@ pub use durable::DurableIndex;
 pub use record::{FrameCursor, Record, TornTail};
 pub use recover::{RecoveryReport, ShardRecovery};
 pub use shard::LogShard;
-pub use stats::{WalStats, WalStatsSnapshot};
+pub use stats::WalStatsSnapshot;
 
 /// When acknowledged writes reach stable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -142,7 +142,7 @@ pub struct Wal {
     shards: Vec<Arc<LogShard>>,
     router: Router,
     policy: FsyncPolicy,
-    stats: Arc<WalStats>,
+    stats: Arc<stats::WalCounters>,
     dir: PathBuf,
     mount: Vec<ShardMount>,
 }
@@ -168,7 +168,7 @@ impl Wal {
             cfg.shards
         );
         std::fs::create_dir_all(&cfg.dir)?;
-        let stats = Arc::new(WalStats::default());
+        let stats = Arc::new(stats::WalCounters::new());
         let mut shards = Vec::with_capacity(cfg.shards);
         let mut mount = Vec::with_capacity(cfg.shards);
         for i in 0..cfg.shards {
@@ -269,7 +269,7 @@ impl Wal {
 
     /// Counter snapshot (records/bytes/fsyncs across all shards).
     pub fn stats(&self) -> WalStatsSnapshot {
-        self.stats.snapshot()
+        WalStatsSnapshot::of(&self.stats)
     }
 
     /// Rebuild index state: per shard, load the newest valid checkpoint

@@ -34,7 +34,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::stats::WalStats;
+use crate::stats::{WalCounters, BYTES, EXTENDS, EXTEND_FAILURES, FSYNCS, PREALLOC_BYTES, RECORDS};
 
 /// How far ahead of the cursor the log is zero-filled and synced in one
 /// go. Filling 16 MiB takes 10–20 ms on the reference host, under the
@@ -78,7 +78,7 @@ pub struct LogShard {
     /// Group-commit gate: whoever holds it performs the fsync that
     /// covers everyone queued behind.
     gate: Mutex<()>,
-    stats: Arc<WalStats>,
+    stats: Arc<WalCounters>,
     id: usize,
 }
 
@@ -123,7 +123,7 @@ impl Appender {
     /// attempt is a chunk away. Whatever part of the fill did land is
     /// zeros beyond the cursor, which the appends overwrite and
     /// [`LogShard::close`] trims.
-    fn extend_ahead(&mut self, need: u64, stats: &WalStats) {
+    fn extend_ahead(&mut self, need: u64, stats: &WalCounters) {
         if self.len + need <= self.prepared {
             return;
         }
@@ -138,8 +138,11 @@ impl Appender {
             self.file.sync_data()
         };
         match fill() {
-            Ok(()) => stats.on_extend(upto - self.prepared),
-            Err(_) => stats.on_extend_failure(),
+            Ok(()) => {
+                stats.add(EXTENDS, 1);
+                stats.add(PREALLOC_BYTES, upto - self.prepared);
+            }
+            Err(_) => stats.add(EXTEND_FAILURES, 1),
         }
         self.prepared = upto;
     }
@@ -157,7 +160,7 @@ impl LogShard {
         mut file: File,
         len: u64,
         next_lsn: u64,
-        stats: Arc<WalStats>,
+        stats: Arc<WalCounters>,
     ) -> std::io::Result<Self> {
         // Opened, not cloned: the kernel reports a write-back error once
         // per open file, and the sync inside `extend_ahead`, which shrugs
@@ -236,7 +239,8 @@ impl LogShard {
         inner.len += bytes;
         let last = inner.next_lsn - 1;
         self.appended.store(last, Ordering::Release);
-        self.stats.on_append(records, bytes);
+        self.stats.add(RECORDS, records);
+        self.stats.add(BYTES, bytes);
         (out, last)
     }
 
@@ -270,7 +274,7 @@ impl LogShard {
             .sync_data()
             .unwrap_or_else(|e| panic!("wal shard {}: fsync failed: {e}", self.id));
         self.durable.store(cover, Ordering::Release);
-        self.stats.on_fsync();
+        self.stats.add(FSYNCS, 1);
     }
 
     /// Fsync iff there are appends not yet covered by one.
@@ -297,7 +301,7 @@ mod tests {
             .write(true)
             .open(&path)
             .unwrap();
-        LogShard::new(0, path, file, 0, 1, Arc::new(WalStats::default())).unwrap()
+        LogShard::new(0, path, file, 0, 1, Arc::new(WalCounters::new())).unwrap()
     }
 
     fn tempdir(tag: &str) -> PathBuf {
@@ -351,7 +355,7 @@ mod tests {
         assert_eq!((v, last), (42, 0));
         assert_eq!(shard.appended_lsn(), 0);
         shard.commit(); // nothing to cover — must not fsync
-        assert_eq!(shard.stats.snapshot().fsyncs, 0);
+        assert_eq!(crate::WalStatsSnapshot::of(&shard.stats).fsyncs, 0);
         shard.close().unwrap();
         assert_eq!(std::fs::metadata(shard.path()).unwrap().len(), 0);
         let _ = std::fs::remove_dir_all(&dir);
@@ -379,7 +383,7 @@ mod tests {
             txn.set(&7u64.to_be_bytes(), 70);
         });
         shard.ensure_durable(last);
-        let s = shard.stats.snapshot();
+        let s = crate::WalStatsSnapshot::of(&shard.stats);
         assert_eq!((s.extends, s.extend_failures), (1, 1), "{s:?}");
         assert_eq!(s.prealloc_bytes, EXTEND_CHUNK, "the one at mount");
         assert_eq!(std::fs::metadata(&shard.path).unwrap().len(), s.bytes);

@@ -1,54 +1,22 @@
-//! Cheap WAL counters, shared by every shard of a [`Wal`](crate::Wal).
+//! The WAL's counters: the lanes of the one [`Counters`] block every shard
+//! of a [`Wal`](crate::Wal) adds to, and the snapshot view of it.
 //!
-//! Relaxed atomics: these feed benchmarks and the server's shutdown
-//! line, not correctness decisions.
+//! They feed benchmarks and the server's shutdown line, not correctness
+//! decisions.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use optiql_index_api::Counters;
 
-/// Live counters (one instance per [`Wal`](crate::Wal), all shards).
-#[derive(Debug, Default)]
-pub struct WalStats {
-    records: AtomicU64,
-    bytes: AtomicU64,
-    fsyncs: AtomicU64,
-    extends: AtomicU64,
-    prealloc_bytes: AtomicU64,
-    extend_failures: AtomicU64,
-}
+// Lanes, in [`WalStatsSnapshot`] field order.
+pub(crate) const RECORDS: usize = 0;
+pub(crate) const BYTES: usize = 1;
+pub(crate) const FSYNCS: usize = 2;
+pub(crate) const EXTENDS: usize = 3;
+pub(crate) const PREALLOC_BYTES: usize = 4;
+pub(crate) const EXTEND_FAILURES: usize = 5;
+/// The block all shards of one wal share.
+pub(crate) type WalCounters = Counters<6>;
 
-impl WalStats {
-    pub(crate) fn on_append(&self, records: u64, bytes: u64) {
-        self.records.fetch_add(records, Ordering::Relaxed);
-        self.bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    pub(crate) fn on_fsync(&self) {
-        self.fsyncs.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn on_extend(&self, bytes: u64) {
-        self.extends.fetch_add(1, Ordering::Relaxed);
-        self.prealloc_bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    pub(crate) fn on_extend_failure(&self) {
-        self.extend_failures.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Snapshot the counters.
-    pub fn snapshot(&self) -> WalStatsSnapshot {
-        WalStatsSnapshot {
-            records: self.records.load(Ordering::Relaxed),
-            bytes: self.bytes.load(Ordering::Relaxed),
-            fsyncs: self.fsyncs.load(Ordering::Relaxed),
-            extends: self.extends.load(Ordering::Relaxed),
-            prealloc_bytes: self.prealloc_bytes.load(Ordering::Relaxed),
-            extend_failures: self.extend_failures.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Point-in-time view of [`WalStats`].
+/// Point-in-time view of a wal's counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WalStatsSnapshot {
     /// Redo records appended (across all shards).
@@ -69,6 +37,18 @@ pub struct WalStatsSnapshot {
 }
 
 impl WalStatsSnapshot {
+    pub(crate) fn of(counters: &WalCounters) -> WalStatsSnapshot {
+        let sum = counters.sum();
+        WalStatsSnapshot {
+            records: sum[RECORDS],
+            bytes: sum[BYTES],
+            fsyncs: sum[FSYNCS],
+            extends: sum[EXTENDS],
+            prealloc_bytes: sum[PREALLOC_BYTES],
+            extend_failures: sum[EXTEND_FAILURES],
+        }
+    }
+
     /// Counter-wise difference versus an earlier snapshot.
     pub fn since(&self, earlier: &WalStatsSnapshot) -> WalStatsSnapshot {
         WalStatsSnapshot {

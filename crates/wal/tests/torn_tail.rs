@@ -362,6 +362,57 @@ fn clean_close_leaves_exactly_the_bytes_counted() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The benchmark's restart invariant with the appends coming from four
+/// threads at once: what the wal counted is what its two logs hold,
+/// record for record and byte for byte.
+#[test]
+fn concurrent_appends_are_counted_exactly_as_logged() {
+    let dir = std::env::temp_dir().join(format!("optiql-wal-torn-count-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let wal = Arc::new(
+        Wal::open(WalConfig {
+            shards: 2,
+            block_bits: 0,
+            policy: FsyncPolicy::None,
+            ..WalConfig::new(&dir)
+        })
+        .unwrap(),
+    );
+    let ix = DurableIndex::new(ModelIndex::new(), Arc::clone(&wal));
+    let start = std::sync::Barrier::new(4);
+    std::thread::scope(|s| {
+        for t in 0..4u64 {
+            let (ix, start) = (&ix, &start);
+            s.spawn(move || {
+                start.wait();
+                for i in 0..2_000u64 {
+                    let k = i * 4 + t;
+                    match i % 4 {
+                        0 => drop(ix.multi_insert(&[(k, k), (k + 4, k)])),
+                        1 => drop(ix.remove(k - 4)),
+                        _ => drop(ix.insert(k, i)),
+                    }
+                }
+            });
+        }
+    });
+    wal.close().unwrap();
+    let counted = wal.stats();
+    let (mut records, mut bytes) = (0, 0);
+    for i in 0..2 {
+        let log = std::fs::read(wal.shard(i).path()).unwrap();
+        let (recs, valid) = decode_prefix(&log);
+        assert_eq!(valid, log.len() as u64, "shard {i} has a tail");
+        records += recs.len() as u64;
+        bytes += valid;
+    }
+    // Per thread and round of four: two SETs, one DEL that hits, two SETs.
+    assert_eq!(records, 4 * 500 * 5);
+    assert_eq!((counted.records, counted.bytes), (records, bytes));
+    assert_eq!(counted.fsyncs, 0, "policy none");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn corrupt_checkpoint_falls_back_to_full_log_replay() {
     let (dir, full) = build_log("ckpt", 0xBADC_0DE5, 300);
