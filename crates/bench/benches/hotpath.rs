@@ -4,18 +4,23 @@
 //!
 //! Groups:
 //!
-//! * `pin_unpin` — epoch-reclamation pin/unpin round-trip (1 thread, plus
-//!   a re-entrant pin with an outer guard held);
+//! * `pin_unpin` — the two epoch-reclamation pins the benchmark's ledger
+//!   does not report: a re-entrant pin with an outer guard held, and a pin
+//!   through the collector (the plain handle pin/unpin round-trip is the
+//!   ledger's `reclaim.pin_unpin_ns`);
 //! * `qnode` — queue-node pool acquire/release (1 thread and 8 threads);
 //! * `node_search` — single-level B+-tree in-node search: inner
 //!   `child_index` at child capacities 16/64/256 and leaf `lower_bound`
 //!   at the matching leaf capacities;
 //! * `x_lock` — uncontended exclusive acquire/release cycle for every
-//!   lock in the crate.
+//!   lock in the crate (the ledger tracks the OptiQL row's trend as
+//!   `core.optiql_xlock_ns`; the comparison across locks lives here).
 //!
-//! Results go to stdout (tab-separated) and to
-//! `results/BENCH_hotpath.json` via [`optiql_harness::report`]. Tag runs
-//! with `OPTIQL_BENCH_REV=<tag>` to compare revisions in one file.
+//! Rows go to stdout and to `results/BENCH_hotpath.json` in the shape
+//! every bench shares: `series` is `<group>/<config>`, `x` the thread
+//! count, `value` Mops/s, `extra` mean ns per op, then percentiles. A run
+//! replaces the file; every row carries `OPTIQL_BENCH_REV` (see
+//! [`optiql_harness::report`]).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -25,8 +30,10 @@ use optiql::{
     qnode, ExclusiveLock, McsLock, McsRwLock, OptLock, OptLockBackoff, OptiCLH, OptiCLHNor, OptiQL,
     OptiQLAor, OptiQLNor, PthreadRwLock, TicketLock, TicketLockSplit, TtsBackoff, TtsLock,
 };
+use optiql_bench::{banner, header, mops, r2, row_latency};
 use optiql_btree::node::{as_inner, as_leaf, Inner, Leaf};
-use optiql_harness::{BenchJson, BenchRecord, Histogram};
+use optiql_harness::report::LatencySummary;
+use optiql_harness::Histogram;
 use optiql_reclaim::Collector;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use std::hint::black_box;
@@ -37,8 +44,7 @@ const BATCH: u64 = 256;
 
 struct Timed {
     ops_per_sec: f64,
-    p50_ns: f64,
-    p99_ns: f64,
+    hist: Histogram,
 }
 
 /// Time `f` in batches for `dur`, collecting per-op latency (batch mean).
@@ -64,8 +70,7 @@ fn time_loop(dur: Duration, mut f: impl FnMut()) -> Timed {
     let secs = start.elapsed().as_secs_f64();
     Timed {
         ops_per_sec: ops as f64 / secs,
-        p50_ns: hist.quantile(0.5) as f64,
-        p99_ns: hist.quantile(0.99) as f64,
+        hist,
     }
 }
 
@@ -102,48 +107,32 @@ fn time_threads(threads: usize, dur: Duration, f: impl Fn(usize) + Sync) -> Time
         stop.store(true, Ordering::Relaxed);
     });
     let secs = start.elapsed().as_secs_f64();
-    let g = merged.lock().unwrap();
+    let (ops, hist) = merged.into_inner().unwrap();
     Timed {
-        ops_per_sec: g.0 as f64 / secs,
-        p50_ns: g.1.quantile(0.5) as f64,
-        p99_ns: g.1.quantile(0.99) as f64,
+        ops_per_sec: ops as f64 / secs,
+        hist,
     }
 }
 
-struct Reporter {
-    json: BenchJson,
-    rev: String,
-}
-
-impl Reporter {
-    fn emit(&mut self, bench: &str, config: &str, threads: usize, t: &Timed) {
-        println!(
-            "hotpath\t{bench}/{config}\t{threads}\t{:.2} Mops/s\tp50={:.0}ns p99={:.0}ns",
-            t.ops_per_sec / 1e6,
-            t.p50_ns,
-            t.p99_ns
-        );
-        self.json.record(&BenchRecord {
-            bench: bench.into(),
-            config: config.into(),
-            rev: self.rev.clone(),
-            threads,
-            ops_per_sec: t.ops_per_sec,
-            p50_ns: Some(t.p50_ns),
-            p99_ns: Some(t.p99_ns),
-        });
-    }
+/// One row: throughput over all threads, one thread's mean time per
+/// operation (what the ledger's `*_ns` metrics report), and percentiles
+/// of the per-batch means.
+fn emit(group: &str, config: &str, threads: usize, t: &Timed) {
+    row_latency(
+        "hotpath",
+        &format!("{group}/{config}"),
+        threads,
+        r2(mops(t.ops_per_sec)),
+        r2(threads as f64 * 1e9 / t.ops_per_sec),
+        LatencySummary::from_histogram(&t.hist).as_ref(),
+    );
 }
 
 // --- group: reclamation pin/unpin ----------------------------------------
 
-fn bench_pin_unpin(rep: &mut Reporter, dur: Duration) {
+fn bench_pin_unpin(dur: Duration) {
     let collector = optiql_reclaim::Collector::new();
     let handle = collector.handle();
-    let t = time_loop(dur, || {
-        drop(black_box(handle.pin()));
-    });
-    rep.emit("pin_unpin", "handle", 1, &t);
 
     // Re-entrant pin with an outer guard held: the depth>0 fast path.
     let outer = handle.pin();
@@ -151,23 +140,23 @@ fn bench_pin_unpin(rep: &mut Reporter, dur: Duration) {
         drop(black_box(handle.pin()));
     });
     drop(outer);
-    rep.emit("pin_unpin", "nested", 1, &t);
+    emit("pin_unpin", "nested", 1, &t);
 
     let t = time_loop(dur, || {
         drop(black_box(collector.pin()));
     });
-    rep.emit("pin_unpin", "collector", 1, &t);
+    emit("pin_unpin", "collector", 1, &t);
 }
 
 // --- group: queue-node pool ----------------------------------------------
 
-fn bench_qnode(rep: &mut Reporter, dur: Duration) {
+fn bench_qnode(dur: Duration) {
     let t = time_loop(dur, || {
         let id = qnode::alloc();
         black_box(id);
         qnode::free(id);
     });
-    rep.emit("qnode", "acquire_release", 1, &t);
+    emit("qnode", "acquire_release", 1, &t);
 
     // Hold two (the B+-tree merge case) so the TLS cache cycles.
     let t = time_loop(dur, || {
@@ -176,7 +165,7 @@ fn bench_qnode(rep: &mut Reporter, dur: Duration) {
         qnode::free(black_box(a));
         qnode::free(black_box(b));
     });
-    rep.emit("qnode", "acquire_release_pair", 1, &t);
+    emit("qnode", "acquire_release_pair", 1, &t);
 
     for threads in [8usize, 16] {
         let t = time_threads(threads, dur, |_| {
@@ -184,13 +173,13 @@ fn bench_qnode(rep: &mut Reporter, dur: Duration) {
             black_box(id);
             qnode::free(id);
         });
-        rep.emit("qnode", "acquire_release", threads, &t);
+        emit("qnode", "acquire_release", threads, &t);
     }
 }
 
 // --- group: in-node search ------------------------------------------------
 
-fn bench_node_search<const IC: usize>(rep: &mut Reporter, dur: Duration) {
+fn bench_node_search<const IC: usize>(dur: Duration) {
     // A full inner node of IC-1 separators routing to one shared dummy
     // child, searched with uniformly random keys over the covered range.
     let child = Leaf::<OptLock, 4>::alloc();
@@ -213,7 +202,7 @@ fn bench_node_search<const IC: usize>(rep: &mut Reporter, dur: Duration) {
         i = (i + 1) & 0xFFFF;
         black_box(inner.child_index(black_box(&keys[i])));
     });
-    rep.emit("node_search", &format!("child_index_{IC}"), 1, &t);
+    emit("node_search", &format!("child_index_{IC}"), 1, &t);
 
     // Matching leaf: LC = IC entries, lower_bound over the same keys.
     let lp = Leaf::<OptLock, IC>::alloc();
@@ -226,7 +215,7 @@ fn bench_node_search<const IC: usize>(rep: &mut Reporter, dur: Duration) {
         i = (i + 1) & 0xFFFF;
         black_box(leaf.lower_bound(black_box(&keys[i])));
     });
-    rep.emit("node_search", &format!("lower_bound_{IC}"), 1, &t);
+    emit("node_search", &format!("lower_bound_{IC}"), 1, &t);
 
     // Safety: pointers originate from the matching `alloc` calls above and
     // are dropped exactly once, after their last use.
@@ -239,52 +228,49 @@ fn bench_node_search<const IC: usize>(rep: &mut Reporter, dur: Duration) {
 
 // --- group: uncontended exclusive acquire ---------------------------------
 
-fn bench_x_lock<L: ExclusiveLock>(rep: &mut Reporter, dur: Duration) {
+fn bench_x_lock<L: ExclusiveLock>(dur: Duration) {
     let lock = L::default();
     let t = time_loop(dur, || {
         let tok = lock.x_lock();
         black_box(&lock);
         lock.x_unlock(tok);
     });
-    rep.emit("x_lock", L::NAME, 1, &t);
+    emit("x_lock", L::NAME, 1, &t);
 }
 
 fn main() {
     let dur = optiql_harness::env::duration();
-    let rev = BenchRecord::rev_from_env();
-    println!("# ===================================================================");
-    println!("# hotpath: substrate fast-path microbenchmarks (rev={rev})");
-    println!(
-        "# host_cpus={} secs_per_point={:.2}",
-        optiql_harness::pin::num_cpus(),
-        dur.as_secs_f64()
-    );
-    println!("# ===================================================================");
-    let mut rep = Reporter {
-        json: BenchJson::new("hotpath"),
-        rev,
-    };
+    banner("hotpath", "substrate fast-path microbenchmarks");
+    header(&[
+        "figure",
+        "group/config",
+        "threads",
+        "Mops/s",
+        "mean_ns",
+        "p50_ns",
+        "p95_ns",
+        "p99_ns",
+        "p999_ns",
+    ]);
 
-    bench_pin_unpin(&mut rep, dur);
-    bench_qnode(&mut rep, dur);
-    bench_node_search::<16>(&mut rep, dur);
-    bench_node_search::<64>(&mut rep, dur);
-    bench_node_search::<256>(&mut rep, dur);
+    bench_pin_unpin(dur);
+    bench_qnode(dur);
+    bench_node_search::<16>(dur);
+    bench_node_search::<64>(dur);
+    bench_node_search::<256>(dur);
 
-    bench_x_lock::<TtsLock>(&mut rep, dur);
-    bench_x_lock::<TtsBackoff>(&mut rep, dur);
-    bench_x_lock::<TicketLock>(&mut rep, dur);
-    bench_x_lock::<TicketLockSplit>(&mut rep, dur);
-    bench_x_lock::<McsLock>(&mut rep, dur);
-    bench_x_lock::<McsRwLock>(&mut rep, dur);
-    bench_x_lock::<OptLock>(&mut rep, dur);
-    bench_x_lock::<OptLockBackoff>(&mut rep, dur);
-    bench_x_lock::<OptiQL>(&mut rep, dur);
-    bench_x_lock::<OptiQLNor>(&mut rep, dur);
-    bench_x_lock::<OptiQLAor>(&mut rep, dur);
-    bench_x_lock::<OptiCLH>(&mut rep, dur);
-    bench_x_lock::<OptiCLHNor>(&mut rep, dur);
-    bench_x_lock::<PthreadRwLock>(&mut rep, dur);
-
-    println!("# report: {}", rep.json.path().display());
+    bench_x_lock::<TtsLock>(dur);
+    bench_x_lock::<TtsBackoff>(dur);
+    bench_x_lock::<TicketLock>(dur);
+    bench_x_lock::<TicketLockSplit>(dur);
+    bench_x_lock::<McsLock>(dur);
+    bench_x_lock::<McsRwLock>(dur);
+    bench_x_lock::<OptLock>(dur);
+    bench_x_lock::<OptLockBackoff>(dur);
+    bench_x_lock::<OptiQL>(dur);
+    bench_x_lock::<OptiQLNor>(dur);
+    bench_x_lock::<OptiQLAor>(dur);
+    bench_x_lock::<OptiCLH>(dur);
+    bench_x_lock::<OptiCLHNor>(dur);
+    bench_x_lock::<PthreadRwLock>(dur);
 }

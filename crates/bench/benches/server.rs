@@ -19,10 +19,9 @@
 
 use std::collections::HashMap;
 
-use optiql_bench::{banner, header, mops, r2, row_latency};
-use optiql_harness::loadgen::{self, LoadgenConfig};
+use optiql_bench::{banner, closed_loop, header, mops, r2, row_latency};
+use optiql_harness::env;
 use optiql_harness::report::LatencySummary;
-use optiql_harness::{env, KeyDist};
 use optiql_server::server::{start, BackendKind, Dispatch, ServerConfig};
 
 const DEPTHS: [usize; 3] = [1, 8, 32];
@@ -80,31 +79,14 @@ fn main() {
 
             // Unmeasured warmup: fault in the touched pages and let the
             // TCP stacks settle before the first recorded point.
-            let _ = loadgen::run(&LoadgenConfig {
-                addr: addr.clone(),
-                connections: 2,
-                pipeline: 8,
-                ops_per_conn: 5_000,
-                read_pct: 100,
-                keys,
-                ..LoadgenConfig::default()
-            });
+            let _ = closed_loop(&addr, 2, 8, 5_000, 100, keys, 0);
 
             for conns in CONNS {
                 for depth in DEPTHS {
                     let before = h.stats();
-                    let r = loadgen::run(&LoadgenConfig {
-                        addr: addr.clone(),
-                        connections: conns,
-                        pipeline: depth,
-                        ops_per_conn,
-                        read_pct: 100,
-                        dist: KeyDist::Uniform,
-                        keys,
-                        seed: 0xBE7C_u64 + depth as u64,
-                        ..LoadgenConfig::default()
-                    })
-                    .expect("loadgen run");
+                    let seed = 0xBE7C + depth as u64;
+                    let r = closed_loop(&addr, conns, depth, ops_per_conn, 100, keys, seed)
+                        .expect("closed loop");
                     assert_eq!(r.errors, 0, "error responses during {bname} bench");
                     let after = h.stats();
                     let ops_delta = after.index_ops.saturating_sub(before.index_ops);

@@ -29,10 +29,9 @@
 
 use std::collections::HashMap;
 
-use optiql_bench::{banner, header, mops, r2, row_latency};
-use optiql_harness::loadgen::{self, LoadgenConfig};
+use optiql_bench::{banner, closed_loop, header, mops, r2, row_latency};
+use optiql_harness::env;
 use optiql_harness::report::LatencySummary;
-use optiql_harness::{env, KeyDist};
 use optiql_server::server::{start, BackendKind, ServerConfig};
 use optiql_server::FsyncPolicy;
 
@@ -90,42 +89,22 @@ fn main() {
         };
 
         // Unmeasured warmup: page in the log files and settle TCP.
-        let _ = loadgen::run(&LoadgenConfig {
-            addr: addr.clone(),
-            connections: 2,
-            pipeline: 8,
-            ops_per_conn: if policy == FsyncPolicy::Always {
-                500
-            } else {
-                5_000
-            },
-            read_pct: 0,
-            keys,
-            ..LoadgenConfig::default()
-        });
+        let warmup = if policy == FsyncPolicy::Always {
+            500
+        } else {
+            5_000
+        };
+        let _ = closed_loop(&addr, 2, 8, warmup, 0, keys, 0);
 
         for conns in CONNS {
             for depth in DEPTHS {
                 let before = wal.stats();
-                let r = loadgen::run(&LoadgenConfig {
-                    addr: addr.clone(),
-                    connections: conns,
-                    pipeline: depth,
-                    ops_per_conn,
-                    read_pct: 0,
-                    dist: KeyDist::Uniform,
-                    keys,
-                    seed: 0x5A1_u64 + depth as u64,
-                    ..LoadgenConfig::default()
-                })
-                .expect("loadgen run");
+                let seed = 0x5A1 + depth as u64;
+                let r = closed_loop(&addr, conns, depth, ops_per_conn, 0, keys, seed)
+                    .expect("closed loop");
                 assert_eq!(r.errors, 0, "error responses during wal/{pname} bench");
                 let delta = wal.stats().since(&before);
-                let fsync_per_req = if r.requests > 0 {
-                    delta.fsyncs as f64 / r.requests as f64
-                } else {
-                    0.0
-                };
+                let fsync_per_req = delta.fsyncs as f64 / r.ops.max(1) as f64;
                 measured.insert((pname, conns, depth), r.throughput());
                 row_latency(
                     "wal",

@@ -11,14 +11,23 @@
 //! Output scale is controlled by the environment knobs in
 //! [`optiql_harness::env`]; see EXPERIMENTS.md for the mapping from each
 //! target to the paper's figure.
+//!
+//! The two targets that measure a served index (`server`, `wal`) drive it
+//! with [`closed_loop`], over the server crate's own [`Client`].
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 use std::fmt::Display;
+use std::io;
 use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 use optiql_harness::report::{BenchJson, JsonValue, LatencySummary};
+use optiql_harness::Histogram;
+use optiql_server::{Client, Request, Response};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 /// JSON report mirroring the rows printed by [`row`]/[`row_extra`].
 /// Initialized by [`banner`] from the figure name, so every bench target
@@ -148,4 +157,140 @@ pub fn mops(ops_per_sec: f64) -> f64 {
 /// Round to two decimals for stable-looking output.
 pub fn r2(v: f64) -> f64 {
     (v * 100.0).round() / 100.0
+}
+
+/// What [`closed_loop`] measured, summed over its connections.
+#[derive(Debug, Clone, Default)]
+pub struct LoopResult {
+    /// Requests answered (one index operation each).
+    pub ops: u64,
+    /// GETs that found their key.
+    pub hits: u64,
+    /// Responses of the wrong kind for their request (`VALUE` answers a
+    /// GET, `OLD` a SET), ERR frames included.
+    pub errors: u64,
+    /// Wall-clock time of the slowest connection.
+    pub elapsed: Duration,
+    /// Per-request latency in nanoseconds, from the write of a request's
+    /// window to the read of its response.
+    pub hist: Histogram,
+}
+
+impl LoopResult {
+    /// Operations per second.
+    pub fn throughput(&self) -> f64 {
+        self.ops as f64 / self.elapsed.as_secs_f64().max(f64::MIN_POSITIVE)
+    }
+}
+
+/// A closed loop of `conns` connections (one thread each) against the
+/// server at `addr`: each writes a window of `depth` requests as one
+/// burst, reads the `depth` responses, and only then sends the next
+/// window, `ops_per_conn` requests in all. A request is a GET with
+/// probability `read_pct` %, else a SET of a random value; keys are
+/// uniform over the dense range `0..keys` (the server's preload, so every
+/// GET hits). Each connection derives its own stream from `seed`.
+pub fn closed_loop(
+    addr: &str,
+    conns: usize,
+    depth: usize,
+    ops_per_conn: u64,
+    read_pct: u32,
+    keys: u64,
+    seed: u64,
+) -> io::Result<LoopResult> {
+    let one = |conn: u64| -> io::Result<LoopResult> {
+        let mut client = Client::connect(addr)?;
+        let mut rng = SmallRng::seed_from_u64(seed ^ ((conn + 1) << 32));
+        let mut out = LoopResult::default();
+        let mut window = Vec::with_capacity(depth);
+        let started = Instant::now();
+        while out.ops < ops_per_conn {
+            window.clear();
+            // `max(1)`: a depth of 0 would never finish.
+            for _ in 0..(depth.max(1) as u64).min(ops_per_conn - out.ops) {
+                let key = rng.random_range(0..keys);
+                window.push(if rng.random_range(0u32..100) < read_pct {
+                    Request::Get { key }
+                } else {
+                    let value = rng.random();
+                    Request::Set { key, value }
+                });
+            }
+            let sent = Instant::now();
+            client.send(&window)?;
+            for req in &window {
+                let resp = client.recv()?.ok_or(io::ErrorKind::UnexpectedEof)?;
+                out.hist.record(sent.elapsed().as_nanos() as u64);
+                match (req, resp) {
+                    (Request::Get { .. }, Response::Value(v)) => out.hits += u64::from(v.is_some()),
+                    (Request::Set { .. }, Response::Old(_)) => {}
+                    _ => out.errors += 1,
+                }
+            }
+            out.ops += window.len() as u64;
+        }
+        out.elapsed = started.elapsed();
+        Ok(out)
+    };
+    std::thread::scope(|s| {
+        let one = &one;
+        let handles: Vec<_> = (0..conns as u64).map(|c| s.spawn(move || one(c))).collect();
+        let mut total = LoopResult::default();
+        for h in handles {
+            let r = h.join().expect("closed_loop connection panicked")?;
+            total.ops += r.ops;
+            total.hits += r.hits;
+            total.errors += r.errors;
+            total.elapsed = total.elapsed.max(r.elapsed);
+            total.hist.merge(&r.hist);
+        }
+        Ok(total)
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use optiql_server::{start, BackendKind, ServerConfig, ServerHandle};
+
+    fn serve(preload: u64) -> ServerHandle {
+        start(&ServerConfig {
+            backend: BackendKind::Btree,
+            workers: 1,
+            preload,
+            max_group: 64,
+            ..ServerConfig::default()
+        })
+        .expect("server start")
+    }
+
+    #[test]
+    fn pipelined_read_load_hits_every_preloaded_key() {
+        let preload = 10_000;
+        let h = serve(preload);
+        // A dense preload: every uniform key hits.
+        let r = closed_loop(&h.addr().to_string(), 2, 8, 2_000, 100, preload, 0x10AD)
+            .expect("closed loop");
+        assert_eq!((r.ops, r.hits, r.errors), (4_000, 4_000, 0));
+        assert_eq!(r.hist.count(), 4_000);
+        assert!(r.throughput() > 0.0);
+        let stats = h.shutdown();
+        assert!(stats.requests >= 4_000);
+        assert!(
+            stats.batched_ops > 0,
+            "depth-8 windows must reach the batch engines: {stats:?}"
+        );
+    }
+
+    #[test]
+    fn write_load_is_acked_with_old_values() {
+        let h = serve(1_000);
+        // 1 001 is not a multiple of the depth: the last window is short.
+        let r = closed_loop(&h.addr().to_string(), 2, 16, 1_001, 0, 1_000, 7).expect("closed loop");
+        // No response was anything but OLD: a VALUE or an ERR is an error.
+        assert_eq!((r.ops, r.hits, r.errors), (2_002, 0, 0));
+        assert_eq!(r.hist.count(), 2_002);
+        assert_eq!(h.shutdown().proto_errors, 0);
+    }
 }

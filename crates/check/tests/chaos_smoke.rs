@@ -2,7 +2,17 @@
 //! runs on every `cargo test` (the full matrix is the binary's job; CI
 //! runs it with more seeds in the chaos-smoke workflow job).
 
+use std::sync::{Mutex, MutexGuard};
+
 use optiql_check::{run_target, sweep, targets, CheckConfig, SweepEvent};
+
+/// The chaos switch is process-global and `sweep_without_chaos_is_clean`
+/// asserts on it after its run, so the tests of this file run one at a
+/// time (the driver's own gate covers a run, not what a test does after).
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn smoke_cfg() -> CheckConfig {
     CheckConfig {
@@ -17,6 +27,7 @@ fn smoke_cfg() -> CheckConfig {
 /// One target per family, two seeds each, checked in-process.
 #[test]
 fn representative_targets_linearize_under_chaos() {
+    let _serial = serial();
     let picks = [
         "btree-optiql",
         "btree-mcs-rw",
@@ -52,6 +63,7 @@ fn representative_targets_linearize_under_chaos() {
 /// collapsing; both trees must stay linearizable under it.
 #[test]
 fn clustered_keys_linearize_on_both_trees() {
+    let _serial = serial();
     let cfg = CheckConfig {
         clustered: true,
         ..smoke_cfg()
@@ -75,6 +87,7 @@ fn clustered_keys_linearize_on_both_trees() {
 /// churning).
 #[test]
 fn sharded_affine_targets_linearize_under_chaos() {
+    let _serial = serial();
     let all = targets();
     for name in ["sharded-btree-affine", "sharded-art-affine"] {
         let t = all.iter().find(|t| t.name == name).unwrap();
@@ -98,6 +111,7 @@ fn sharded_affine_targets_linearize_under_chaos() {
 /// layer disabled for whoever runs next.
 #[test]
 fn sweep_without_chaos_is_clean() {
+    let _serial = serial();
     let cfg = CheckConfig {
         chaos: false,
         ..smoke_cfg()

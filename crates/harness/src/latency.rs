@@ -61,7 +61,8 @@ impl Histogram {
         (bucket * SUB + sub).min(BUCKETS * SUB - 1)
     }
 
-    /// Representative (upper-bound) value of an index.
+    /// Largest value that lands in bucket `idx`, so a reported quantile
+    /// is never below a sample that was recorded at that rank.
     fn value_of(idx: usize) -> u64 {
         let bucket = idx / SUB;
         let sub = (idx % SUB) as u64;
@@ -69,7 +70,7 @@ impl Histogram {
             return sub;
         }
         let shift = bucket as u32 - 1;
-        ((SUB as u64) + sub) << shift
+        (((SUB as u64) + sub + 1) << shift) - 1
     }
 
     /// Record one value.
@@ -188,6 +189,7 @@ mod tests {
             let approx = h.quantile(q);
             let err = (approx as f64 - exact as f64).abs() / exact as f64;
             assert!(err < 0.05, "q={q}: approx {approx} vs exact {exact}");
+            assert!(approx >= exact, "q={q}: {approx} under-reports {exact}");
         }
     }
 

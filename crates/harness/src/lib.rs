@@ -12,9 +12,6 @@
 //! * [`affine`] — a thread-per-core driver for the sharded facade
 //!   (workers own shards, pin to cores, and amortize reclaim pins over
 //!   operation groups; extension, not in the paper);
-//! * [`loadgen`] — a closed-loop, multi-connection, pipelined network
-//!   load generator for `optiql-server` (also the `optiql-loadgen`
-//!   binary; extension, not in the paper);
 //! * [`pin`] — best-effort thread pinning;
 //! * [`report`] — machine-readable `BENCH_<name>.json` reports shared by
 //!   every bench target, so PRs can diff performance mechanically;
@@ -33,7 +30,6 @@
 pub mod affine;
 pub mod dist;
 pub mod latency;
-pub mod loadgen;
 pub mod micro;
 pub mod pin;
 pub mod report;
@@ -42,10 +38,9 @@ pub mod workload;
 pub use affine::{run_affine, AffineReport};
 pub use dist::{KeyDist, KeySpace, Sampler};
 pub use latency::Histogram;
-pub use loadgen::{LoadgenConfig, LoadgenResult};
 pub use micro::{cs_work, run_exclusive, run_mixed, Contention, MicroConfig, MicroResult};
 pub use optiql::stats;
-pub use report::{BenchJson, BenchRecord, JsonValue, LatencySummary};
+pub use report::{BenchJson, JsonValue, LatencySummary};
 pub use workload::{
     preload, preload_keyed, run, run_keyed, user_key, ConcurrentIndex, Mix, ScanMode,
     WorkloadConfig, WorkloadResult,

@@ -1,8 +1,9 @@
 //! Thread pinning (paper §7.1: "threads are pinned to hardware
 //! hyperthreads to avoid migrations by the OS scheduler").
 //!
-//! On Linux this uses `sched_setaffinity`; elsewhere (or when the host has
-//! a single CPU) it is a no-op. Benchmarks call it best-effort.
+//! The affinity call itself is `optiql_sharded::affinity::pin_to_core`
+//! (Linux only; a no-op elsewhere, and here when the host has a single
+//! CPU). Benchmarks call it best-effort.
 
 /// Number of logical CPUs visible to this process.
 pub fn num_cpus() -> usize {
@@ -13,24 +14,9 @@ pub fn num_cpus() -> usize {
 
 /// Pin the calling thread to `core % num_cpus()`. Returns `true` when the
 /// affinity call succeeded.
-#[cfg(target_os = "linux")]
 pub fn pin_thread(core: usize) -> bool {
     let ncpu = num_cpus();
-    if ncpu <= 1 {
-        return false;
-    }
-    let target = core % ncpu;
-    unsafe {
-        let mut set: libc::cpu_set_t = std::mem::zeroed();
-        libc::CPU_SET(target, &mut set);
-        libc::sched_setaffinity(0, std::mem::size_of::<libc::cpu_set_t>(), &set) == 0
-    }
-}
-
-/// Non-Linux fallback: no-op.
-#[cfg(not(target_os = "linux"))]
-pub fn pin_thread(_core: usize) -> bool {
-    false
+    ncpu > 1 && optiql_sharded::affinity::pin_to_core(core % ncpu)
 }
 
 #[cfg(test)]

@@ -1,58 +1,26 @@
 //! Machine-readable benchmark reports (`BENCH_<name>.json`).
 //!
-//! Every bench target appends structured records to one JSON-lines file per
-//! target so successive PRs can diff performance mechanically instead of
-//! eyeballing stdout. Each line is a self-contained JSON object:
+//! Every bench target writes one JSON-lines file, one self-contained
+//! object per data point, all in one row shape:
 //!
 //! ```json
-//! {"bench":"hotpath","config":"pin_unpin","threads":1,"ops_per_sec":5.2e7,"p50_ns":18.9,"p99_ns":22.4}
+//! {"bench":"wal","series":"group/depth32","x":8,"value":0.84,"extra":0.009,"p50_ns":253952,"p95_ns":null,"p99_ns":null,"p999_ns":null,"rev":"dev","host_cpus":2}
 //! ```
 //!
 //! The file lands in the repository's `results/` directory by default
 //! (resolved relative to this crate's manifest, so it works from any
 //! working directory); set `OPTIQL_BENCH_OUT` to redirect, e.g. to a CI
-//! artifact directory. Opening a [`BenchJson`] truncates the target file, so
-//! a run always produces a complete, consistent report; records within the
-//! run are appended as they are produced.
+//! artifact directory.
+//!
+//! **One file per run.** Opening a [`BenchJson`] truncates the target
+//! file, so a file always holds exactly one complete run, and every row
+//! carries that run's `rev` (`OPTIQL_BENCH_REV`, default `"dev"`) and
+//! `host_cpus`. To compare two revisions, point `OPTIQL_BENCH_OUT` at a
+//! directory per revision and compare the directories.
 
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
-use std::path::PathBuf;
-
-/// One structured benchmark data point.
-///
-/// `config` is free-form (series name, lock name, node size, ...). The
-/// latency percentiles are optional: throughput-only benches leave them
-/// `None` and the fields are emitted as JSON `null`.
-#[derive(Debug, Clone)]
-pub struct BenchRecord {
-    /// Benchmark group within the target (e.g. `"pin_unpin"`).
-    pub bench: String,
-    /// Configuration label (series, lock, size, ...).
-    pub config: String,
-    /// Code revision tag the numbers were measured at (see
-    /// [`BenchRecord::rev_from_env`]); lets one report file carry
-    /// before/after numbers for a perf PR.
-    pub rev: String,
-    /// Number of worker threads used for this point.
-    pub threads: usize,
-    /// Throughput in operations per second.
-    pub ops_per_sec: f64,
-    /// Median per-operation latency in nanoseconds, if measured.
-    pub p50_ns: Option<f64>,
-    /// 99th-percentile per-operation latency in nanoseconds, if measured.
-    pub p99_ns: Option<f64>,
-}
-
-impl BenchRecord {
-    /// Revision tag for this run: `OPTIQL_BENCH_REV` when set, else `"dev"`.
-    pub fn rev_from_env() -> String {
-        std::env::var("OPTIQL_BENCH_REV")
-            .ok()
-            .filter(|s| !s.trim().is_empty())
-            .unwrap_or_else(|| "dev".into())
-    }
-}
+use std::path::{Path, PathBuf};
 
 /// Directory where `BENCH_<name>.json` files are written.
 ///
@@ -71,7 +39,8 @@ pub fn out_dir() -> PathBuf {
 /// Writer for one `BENCH_<name>.json` report file (JSON lines).
 pub struct BenchJson {
     file: Option<File>,
-    path: PathBuf,
+    /// What ends every row: `"rev":…,"host_cpus":…}` and a newline.
+    tail: String,
 }
 
 impl BenchJson {
@@ -81,9 +50,12 @@ impl BenchJson {
     /// once on stderr and then ignored: a bench must never fail because the
     /// report file is unwritable.
     pub fn new(name: &str) -> Self {
-        let dir = out_dir();
+        Self::create(&out_dir(), name)
+    }
+
+    fn create(dir: &Path, name: &str) -> Self {
         let path = dir.join(format!("BENCH_{name}.json"));
-        let _ = std::fs::create_dir_all(&dir);
+        let _ = std::fs::create_dir_all(dir);
         let file = match OpenOptions::new()
             .write(true)
             .create(true)
@@ -96,42 +68,28 @@ impl BenchJson {
                 None
             }
         };
-        BenchJson { file, path }
-    }
-
-    /// Path of the report file.
-    pub fn path(&self) -> &std::path::Path {
-        &self.path
-    }
-
-    /// Append one structured record.
-    pub fn record(&mut self, r: &BenchRecord) {
-        let line = format!(
-            "{{\"bench\":{},\"config\":{},\"rev\":{},\"threads\":{},\"ops_per_sec\":{},\"p50_ns\":{},\"p99_ns\":{}}}\n",
-            json_str(&r.bench),
-            json_str(&r.config),
-            json_str(&r.rev),
-            r.threads,
-            json_num(r.ops_per_sec),
-            r.p50_ns.map_or("null".into(), json_num),
-            r.p99_ns.map_or("null".into(), json_num),
+        let rev = std::env::var("OPTIQL_BENCH_REV")
+            .ok()
+            .filter(|s| !s.trim().is_empty())
+            .unwrap_or_else(|| "dev".into());
+        let tail = format!(
+            "\"rev\":{},\"host_cpus\":{}}}\n",
+            json_str(&rev),
+            crate::pin::num_cpus()
         );
-        self.write_line(&line);
+        BenchJson { file, tail }
     }
 
-    /// Append one free-form record from key/value pairs (used by the
-    /// figure benches, whose row shapes vary per figure).
+    /// Append one row: `fields`, then the run's `rev` and `host_cpus`.
     pub fn record_kv(&mut self, fields: &[(&str, JsonValue)]) {
         let mut line = String::from("{");
-        for (i, (k, v)) in fields.iter().enumerate() {
-            if i > 0 {
-                line.push(',');
-            }
+        for (k, v) in fields {
             line.push_str(&json_str(k));
             line.push(':');
             line.push_str(&v.render());
+            line.push(',');
         }
-        line.push_str("}\n");
+        line.push_str(&self.tail);
         self.write_line(&line);
     }
 
@@ -198,8 +156,6 @@ pub enum JsonValue {
     Str(String),
     /// A finite (or not: mapped to `null`) floating-point value.
     Num(f64),
-    /// An integer value.
-    Int(i64),
 }
 
 impl JsonValue {
@@ -207,7 +163,6 @@ impl JsonValue {
         match self {
             JsonValue::Str(s) => json_str(s),
             JsonValue::Num(v) => json_num(*v),
-            JsonValue::Int(v) => v.to_string(),
         }
     }
 }
@@ -242,38 +197,51 @@ fn json_num(v: f64) -> String {
 mod tests {
     use super::*;
 
+    fn temp(tag: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("optiql_report_{tag}_{}", std::process::id()))
+    }
+
+    fn lines_of(dir: &Path, name: &str) -> Vec<String> {
+        let text = std::fs::read_to_string(dir.join(format!("BENCH_{name}.json"))).unwrap();
+        text.lines().map(str::to_owned).collect()
+    }
+
     #[test]
     fn record_lines_are_valid_shape() {
-        // Checked before touching OPTIQL_BENCH_OUT (same-process env var):
-        // the default output directory is the workspace results/ dir.
+        // The default output directory is the workspace results/ dir.
         assert!(out_dir().ends_with("results"));
-        let dir = std::env::temp_dir().join(format!("optiql_report_test_{}", std::process::id()));
-        std::env::set_var("OPTIQL_BENCH_OUT", &dir);
-        let mut rep = BenchJson::new("selftest");
-        rep.record(&BenchRecord {
-            bench: "b".into(),
-            config: "c\"x".into(),
-            rev: BenchRecord::rev_from_env(),
-            threads: 4,
-            ops_per_sec: 1.5e6,
-            p50_ns: Some(10.0),
-            p99_ns: None,
-        });
+        let dir = temp("shape");
+        let mut rep = BenchJson::create(&dir, "selftest");
         rep.record_kv(&[
             ("bench", JsonValue::Str("fig".into())),
-            ("x", JsonValue::Int(8)),
+            ("series", JsonValue::Str("c\"x".into())),
+            ("x", JsonValue::Num(8.0)),
             ("value", JsonValue::Num(2.25)),
+            ("p99_ns", JsonValue::Num(f64::NAN)),
         ]);
-        std::env::remove_var("OPTIQL_BENCH_OUT");
-        let text = std::fs::read_to_string(rep.path()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].contains("\"config\":\"c\\\"x\""));
-        assert!(lines[0].contains("\"p99_ns\":null"));
-        assert!(lines[1].contains("\"value\":2.25"));
-        for l in &lines {
-            assert!(l.starts_with('{') && l.ends_with('}'));
-        }
+        let lines = lines_of(&dir, "selftest");
+        assert_eq!(lines.len(), 1);
+        assert!(lines[0].starts_with("{\"bench\":\"fig\",\"series\":\"c\\\"x\",\"x\":8,"));
+        assert!(lines[0].contains("\"value\":2.25,\"p99_ns\":null,\"rev\":\""));
+        assert!(lines[0].ends_with(&format!("\"host_cpus\":{}}}", crate::pin::num_cpus())));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// One file per run: the second run's file holds nothing of the first,
+    /// and every row says which run and what host it came from.
+    #[test]
+    fn a_second_run_replaces_the_first_and_every_row_is_tagged() {
+        let dir = temp("rerun");
+        let mut first = BenchJson::create(&dir, "x");
+        first.record_kv(&[("series", JsonValue::Str("first".into()))]);
+        first.record_kv(&[("series", JsonValue::Str("first".into()))]);
+        drop(first);
+        let mut second = BenchJson::create(&dir, "x");
+        second.record_kv(&[("series", JsonValue::Str("second".into()))]);
+        let lines = lines_of(&dir, "x");
+        assert_eq!(lines.len(), 1, "{lines:?}");
+        assert!(lines[0].contains("\"second\"") && lines[0].ends_with(second.tail.trim_end()));
+        assert!(second.tail.starts_with("\"rev\":\"") && second.tail.contains("\",\"host_cpus\":"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -8,27 +8,30 @@
 //! TCP server speaking a pipelined length-prefixed binary protocol
 //! ([`proto`]) whose workers turn each connection's in-flight request
 //! window into exactly the dense operation batches the engines want
-//! ([`server`]).
+//! ([`server`]), and the one blocking client that speaks it
+//! ([`client`]).
 //!
-//! Layering: `optiql-server` sits beside the harness, *above* the
-//! index crates —
+//! Layering: `optiql-server` sits *above* the index crates and beside
+//! the harness, which does not know it —
 //!
 //! ```text
-//! optiql-index-api ── optiql-btree / optiql-art / optiql-sharded
-//!         └── optiql-server (this crate: proto + thread-per-core server)
-//!                 └── optiql-harness::loadgen (client), optiql-bench (sweeps)
+//! optiql-index-api ── optiql-btree / optiql-art / optiql-sharded ── optiql-wal
+//!         └── optiql-server (this crate: proto + server + client)
+//!                 └── optiql-bench (`closed_loop` over `Client`: server, wal sweeps)
 //! ```
 //!
 //! The binary lives at `src/main.rs` (`cargo run -p optiql-server --
-//! --help`); the closed-loop load generator is
-//! `optiql_harness::loadgen` / the `optiql-loadgen` binary.
+//! --help`). End-to-end numbers come from `benchmark/`, which carries
+//! its own wire reader so the instrument does not move with the program.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod client;
 pub mod proto;
 pub mod server;
 
+pub use client::Client;
 pub use proto::{FrameDecoder, ProtoError, Request, Response};
 pub use server::{start, BackendKind, Dispatch, ServerConfig, ServerHandle, StatsSnapshot};
 // Re-exported so server embedders configure durability without naming

@@ -13,8 +13,8 @@
 //! covering fsync (per `--fsync`; default `group`).
 //!
 //! Prints `listening on <addr>` once ready (scripts wait for that
-//! line), then serves until a client sends the SHUTDOWN opcode (the
-//! `optiql-loadgen --shutdown` flag), and exits 0 after printing a
+//! line), then serves until a client sends the SHUTDOWN opcode
+//! (`Client::call(&Request::Shutdown)`), and exits 0 after printing a
 //! stats summary.
 
 use optiql_server::{start, BackendKind, Dispatch, FsyncPolicy, ServerConfig};

@@ -123,8 +123,8 @@ pub struct ServerConfig {
     /// Burst execution mode.
     pub dispatch: Dispatch,
     /// Keys preloaded before the listener opens: dense keys
-    /// `0..preload`, value `key + 1` (the harness convention, so
-    /// loadgen lookups hit).
+    /// `0..preload`, value `key + 1` (the harness convention, so a
+    /// uniform read load over `0..preload` always hits).
     pub preload: u64,
     /// Largest burst executed under one pin (and one `multi_*` call).
     pub max_group: usize,
@@ -592,7 +592,7 @@ impl Worker {
                 idle_rounds += 1;
                 if idle_rounds < 64 {
                     // Share the core with clients (this matters on
-                    // single-core hosts, where the loadgen and the
+                    // single-core hosts, where the clients and the
                     // worker time-slice one CPU).
                     std::thread::yield_now();
                 } else {

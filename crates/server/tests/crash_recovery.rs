@@ -1,5 +1,7 @@
-//! Kill-during-load crash recovery: the durable-prefix property, end to
-//! end, against a real subprocess server.
+//! The process boundary: the real `optiql-server` binary as a
+//! subprocess, driven over TCP. Mostly kill-during-load crash recovery —
+//! the durable-prefix property, end to end — plus the plain two-process
+//! smoke (no wal: every opcode, a pipelined burst, SHUTDOWN, exit 0).
 //!
 //! A client floods SETs at a wal-mounted server (`--fsync group`). At a
 //! seeded random ack count the server process is SIGKILLed mid-load; a
@@ -24,14 +26,17 @@
 //! truncation, replay); the torn-tail proptests in `optiql-wal` cover
 //! physical corruption below the OS.
 
-use std::io::{BufRead as _, BufReader, Read as _, Write as _};
-use std::net::{SocketAddr, TcpStream};
+mod common;
+
+use std::io::{BufRead as _, BufReader, Write as _};
+use std::net::SocketAddr;
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
-use optiql_server::proto::{FrameDecoder, Request, Response};
+use common::{call, connect, exercise_all_ops};
+use optiql_server::proto::{Request, Response};
 
 /// Keys are offset away from anything a preload could produce.
 const BASE: u64 = 1 << 32;
@@ -59,24 +64,13 @@ struct Server {
 }
 
 impl Server {
-    /// Spawn the real binary on a fresh port over `wal_dir` and wait
-    /// for its banner.
-    fn spawn(wal_dir: &std::path::Path) -> Server {
+    /// Spawn the real binary on a fresh port with `args` (4-shard
+    /// B+-tree backend) and wait for its banner.
+    fn spawn(args: &[&str]) -> Server {
         let mut child = Command::new(env!("CARGO_BIN_EXE_optiql-server"))
-            .args([
-                "--addr",
-                "127.0.0.1:0",
-                "--backend",
-                "sharded-btree",
-                "--shards",
-                "4",
-                "--workers",
-                "1",
-                "--fsync",
-                "group",
-                "--wal-dir",
-            ])
-            .arg(wal_dir)
+            .args(["--addr", "127.0.0.1:0"])
+            .args(["--backend", "sharded-btree", "--shards", "4"])
+            .args(args)
             .stdout(Stdio::piped())
             .stderr(Stdio::null())
             .spawn()
@@ -103,6 +97,22 @@ impl Server {
         }
     }
 
+    /// One worker, group commit, logs in `wal_dir`.
+    fn durable(wal_dir: &Path) -> Server {
+        let dir = wal_dir.to_str().expect("temp dir is UTF-8");
+        Server::spawn(&["--workers", "1", "--fsync", "group", "--wal-dir", dir])
+    }
+
+    /// Send SHUTDOWN and require the process to exit 0.
+    fn shutdown(mut self) {
+        assert_eq!(
+            call(&mut connect(self.addr), Request::Shutdown),
+            Response::Ok
+        );
+        let status = self.child.wait().expect("wait server");
+        assert!(status.success(), "clean shutdown must exit 0: {status:?}");
+    }
+
     fn kill(&mut self) {
         // std's kill is SIGKILL on unix: no handlers, no flushes.
         let _ = self.child.kill();
@@ -113,50 +123,6 @@ impl Server {
 impl Drop for Server {
     fn drop(&mut self) {
         self.kill();
-    }
-}
-
-struct Client {
-    s: TcpStream,
-    dec: FrameDecoder,
-}
-
-impl Client {
-    fn connect(addr: SocketAddr) -> Client {
-        let s = TcpStream::connect(addr).expect("connect");
-        s.set_nodelay(true).unwrap();
-        s.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
-        Client {
-            s,
-            dec: FrameDecoder::new(),
-        }
-    }
-
-    fn send(&mut self, reqs: &[Request]) {
-        let mut wire = Vec::new();
-        for r in reqs {
-            r.encode(&mut wire);
-        }
-        self.s.write_all(&wire).expect("write");
-    }
-
-    fn recv(&mut self) -> Option<Response> {
-        let mut buf = [0u8; 16 * 1024];
-        loop {
-            if let Some(r) = self.dec.next_response().expect("well-formed response") {
-                return Some(r);
-            }
-            let n = self.s.read(&mut buf).expect("read");
-            if n == 0 {
-                return None;
-            }
-            self.dec.feed(&buf[..n]);
-        }
-    }
-
-    fn call(&mut self, req: Request) -> Response {
-        self.send(std::slice::from_ref(&req));
-        self.recv().expect("response before EOF")
     }
 }
 
@@ -171,8 +137,8 @@ fn tempdir(tag: &str) -> std::path::PathBuf {
 /// reached, SIGKILL the server. Returns (acked, sent).
 fn load_until(server: &mut Server, kill_at: Option<u64>) -> (u64, u64) {
     let sent = Arc::new(AtomicU64::new(0));
-    let mut rx = Client::connect(server.addr);
-    let tx = rx.s.try_clone().expect("clone stream");
+    let mut rx = connect(server.addr);
+    let tx = rx.stream().try_clone().expect("clone stream");
     let sender = {
         let sent = Arc::clone(&sent);
         std::thread::spawn(move || {
@@ -199,45 +165,20 @@ fn load_until(server: &mut Server, kill_at: Option<u64>) -> (u64, u64) {
         })
     };
 
+    // Count acks until all are in or the connection ends. After the
+    // kill the loop keeps reading: whatever was already in flight is a
+    // response the server released post-fsync.
     let mut acked = 0u64;
-    let mut buf = [0u8; 16 * 1024];
-    'recv: loop {
-        while let Ok(Some(resp)) = rx.dec.next_response() {
-            match resp {
-                Response::Old(_) => acked += 1,
-                other => panic!("unexpected response during load: {other:?}"),
-            }
-            if acked == LOAD {
-                break 'recv;
-            }
-            if let Some(at) = kill_at {
-                if acked >= at {
-                    server.kill();
-                    break 'recv;
-                }
-            }
+    let mut killed = false;
+    while acked < LOAD {
+        match rx.recv() {
+            Ok(Some(Response::Old(_))) => acked += 1,
+            Ok(Some(other)) => panic!("unexpected response during load: {other:?}"),
+            Ok(None) | Err(_) => break,
         }
-        match rx.s.read(&mut buf) {
-            Ok(0) | Err(_) => break,
-            Ok(n) => rx.dec.feed(&buf[..n]),
-        }
-    }
-    // Drain whatever acks were already in flight when we decided to
-    // stop: each is a response the server released post-fsync.
-    if kill_at.is_some() {
-        while let Ok(Some(Response::Old(_))) = rx.dec.next_response() {
-            acked += 1;
-        }
-        while acked < LOAD {
-            match rx.s.read(&mut buf) {
-                Ok(0) | Err(_) => break,
-                Ok(n) => {
-                    rx.dec.feed(&buf[..n]);
-                    while let Ok(Some(Response::Old(_))) = rx.dec.next_response() {
-                        acked += 1;
-                    }
-                }
-            }
+        if !killed && kill_at.is_some_and(|at| acked >= at) {
+            server.kill();
+            killed = true;
         }
     }
     sender.join().expect("sender thread");
@@ -247,13 +188,13 @@ fn load_until(server: &mut Server, kill_at: Option<u64>) -> (u64, u64) {
 /// Assert the recovered server satisfies the durable-prefix property
 /// for a trial that acked `acked` of `sent` sequential SETs.
 fn verify_recovered(addr: SocketAddr, acked: u64, sent: u64, seed: u64) {
-    let mut c = Client::connect(addr);
+    let mut c = connect(addr);
 
     // 1. Every acked write is present with its exact value.
     for chunk_base in (0..acked).step_by(512) {
         let n = 512.min(acked - chunk_base);
         let keys: Vec<u64> = (chunk_base..chunk_base + n).map(|i| BASE + i).collect();
-        match c.call(Request::MGet { keys }) {
+        match call(&mut c, Request::MGet { keys }) {
             Response::MValues(vs) => {
                 for (j, v) in vs.into_iter().enumerate() {
                     let i = chunk_base + j as u64;
@@ -274,10 +215,11 @@ fn verify_recovered(addr: SocketAddr, acked: u64, sent: u64, seed: u64) {
     c.send(&[Request::Scan {
         start: BASE,
         count: (LOAD + 16) as u32,
-    }]);
+    }])
+    .expect("send scan");
     let mut found = 0u64;
     loop {
-        match c.recv().expect("scan response") {
+        match c.recv().expect("read").expect("scan response") {
             Response::ScanPart(part) => {
                 for (k, v) in part {
                     let i = k.checked_sub(BASE).unwrap_or_else(|| {
@@ -308,14 +250,6 @@ fn verify_recovered(addr: SocketAddr, acked: u64, sent: u64, seed: u64) {
     );
 }
 
-fn shutdown(addr: SocketAddr) {
-    let mut c = Client::connect(addr);
-    match c.call(Request::Shutdown) {
-        Response::Ok => {}
-        other => panic!("shutdown answered {other:?}"),
-    }
-}
-
 fn trial_seeds() -> Vec<u64> {
     match std::env::var("OPTIQL_CRASH_SEEDS") {
         Ok(s) => s
@@ -335,7 +269,7 @@ fn sigkill_mid_load_preserves_the_acked_prefix() {
         // Crash somewhere in the middle half of the load.
         let kill_at = LOAD / 4 + splitmix(&mut rng) % (LOAD / 2);
 
-        let mut victim = Server::spawn(&dir);
+        let mut victim = Server::durable(&dir);
         let (acked, sent) = load_until(&mut victim, Some(kill_at));
         victim.kill();
         assert!(
@@ -344,10 +278,9 @@ fn sigkill_mid_load_preserves_the_acked_prefix() {
         );
         assert!(acked <= sent, "seed {seed:#x}: acks outran sends");
 
-        let survivor = Server::spawn(&dir);
+        let survivor = Server::durable(&dir);
         verify_recovered(survivor.addr, acked, sent, seed);
-        shutdown(survivor.addr);
-        drop(survivor);
+        survivor.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -357,18 +290,15 @@ fn clean_shutdown_preserves_everything() {
     let seed = 0x5D0_0D1E;
     let dir = tempdir("clean");
 
-    let mut first = Server::spawn(&dir);
+    let mut first = Server::durable(&dir);
     let (acked, sent) = load_until(&mut first, None);
     assert_eq!(acked, LOAD, "clean run must ack every SET");
     assert_eq!(sent, LOAD);
-    shutdown(first.addr);
-    let status = first.child.wait().expect("wait server");
-    assert!(status.success(), "clean shutdown must exit 0: {status:?}");
+    first.shutdown();
 
-    let survivor = Server::spawn(&dir);
+    let survivor = Server::durable(&dir);
     verify_recovered(survivor.addr, LOAD, LOAD, seed);
-    shutdown(survivor.addr);
-    drop(survivor);
+    survivor.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -379,11 +309,15 @@ fn clean_shutdown_preserves_everything() {
 fn torn_tail_cut_at_mount_is_reported_at_startup() {
     let dir = tempdir("torn-report");
 
-    let mut first = Server::spawn(&dir);
+    let mut first = Server::durable(&dir);
     let (acked, _) = load_until(&mut first, None);
     assert_eq!(acked, LOAD);
-    shutdown(first.addr);
-    assert!(first.child.wait().expect("wait server").success());
+    assert!(
+        first.preamble.iter().all(|l| !l.contains("torn tail")),
+        "a fresh directory has nothing to cut: {:?}",
+        first.preamble
+    );
+    first.shutdown();
 
     // A clean shutdown trimmed the log to its valid length.
     let log = dir.join("shard-2.log");
@@ -394,7 +328,7 @@ fn torn_tail_cut_at_mount_is_reported_at_startup() {
         .and_then(|mut f| f.write_all(&[0xAB; 37]))
         .expect("append garbage");
 
-    let survivor = Server::spawn(&dir);
+    let survivor = Server::durable(&dir);
     let reported: Vec<&String> = survivor
         .preamble
         .iter()
@@ -403,14 +337,40 @@ fn torn_tail_cut_at_mount_is_reported_at_startup() {
     assert_eq!(reported.len(), 1, "preamble: {:?}", survivor.preamble);
     let want = format!("# wal: shard 2 torn tail cut at {valid}: ");
     assert!(reported[0].starts_with(&want), "{:?}", reported[0]);
-    assert!(
-        first.preamble.iter().all(|l| !l.contains("torn tail")),
-        "a fresh directory has nothing to cut: {:?}",
-        first.preamble
-    );
     // Nothing valid went with the garbage.
     verify_recovered(survivor.addr, LOAD, LOAD, 0x7041);
-    shutdown(survivor.addr);
-    drop(survivor);
+    survivor.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Two processes, no wal: every data opcode, then two connections each
+/// pushing depth-8 windows of GETs over the preload, then SHUTDOWN and a
+/// zero exit.
+#[test]
+fn served_binary_answers_every_opcode_and_a_pipelined_burst() {
+    const PRELOAD: u64 = 100_000;
+    const DEPTH: u64 = 8;
+    let server = Server::spawn(&["--preload", "100000"]);
+    exercise_all_ops(server.addr, PRELOAD);
+    std::thread::scope(|s| {
+        for conn in 0..2u64 {
+            let addr = server.addr;
+            s.spawn(move || {
+                let mut c = connect(addr);
+                let mut base = conn * 7919;
+                for _ in 0..2_500 {
+                    let keys: Vec<u64> = (0..DEPTH).map(|i| (base + i * 31) % PRELOAD).collect();
+                    let window: Vec<Request> =
+                        keys.iter().map(|&key| Request::Get { key }).collect();
+                    c.send(&window).expect("send window");
+                    for key in keys {
+                        let got = c.recv().expect("read");
+                        assert_eq!(got, Some(Response::Value(Some(key + 1))));
+                    }
+                    base = (base + 104_729) % PRELOAD;
+                }
+            });
+        }
+    });
+    server.shutdown();
 }

@@ -4,60 +4,12 @@
 //! connection, while every other connection (and the worker itself)
 //! keeps running.
 
-use std::io::{Read as _, Write as _};
-use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+mod common;
 
-use optiql_server::proto::{FrameDecoder, Request, Response};
+use common::{call, connect, exercise_all_ops, get};
+use optiql_server::proto::{Request, Response};
 use optiql_server::server::{start, BackendKind, Dispatch, ServerConfig, ServerHandle};
-
-/// Minimal synchronous test client (the harness's richer `Client` lives
-/// above this crate in the dependency graph, so the tests carry their
-/// own ten-liner).
-struct C {
-    s: TcpStream,
-    dec: FrameDecoder,
-}
-
-impl C {
-    fn connect(addr: SocketAddr) -> C {
-        let s = TcpStream::connect(addr).expect("connect");
-        s.set_nodelay(true).unwrap();
-        s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-        C {
-            s,
-            dec: FrameDecoder::new(),
-        }
-    }
-
-    fn send(&mut self, reqs: &[Request]) {
-        let mut wire = Vec::new();
-        for r in reqs {
-            r.encode(&mut wire);
-        }
-        self.s.write_all(&wire).expect("write");
-    }
-
-    /// Next response; `None` on clean EOF.
-    fn recv(&mut self) -> Option<Response> {
-        let mut buf = [0u8; 4096];
-        loop {
-            if let Some(r) = self.dec.next_response().expect("well-formed response") {
-                return Some(r);
-            }
-            let n = self.s.read(&mut buf).expect("read");
-            if n == 0 {
-                return None;
-            }
-            self.dec.feed(&buf[..n]);
-        }
-    }
-
-    fn call(&mut self, req: Request) -> Response {
-        self.send(std::slice::from_ref(&req));
-        self.recv().expect("response before EOF")
-    }
-}
+use optiql_server::Client;
 
 fn serve(backend: BackendKind, dispatch: Dispatch, preload: u64) -> ServerHandle {
     start(&ServerConfig {
@@ -70,49 +22,6 @@ fn serve(backend: BackendKind, dispatch: Dispatch, preload: u64) -> ServerHandle
         ..ServerConfig::default()
     })
     .expect("server start")
-}
-
-/// Scripted pass over every opcode against a preloaded server
-/// (preload: key k → k + 1 for k in 0..n).
-fn exercise_all_ops(addr: SocketAddr, preload: u64) {
-    let mut c = C::connect(addr);
-    assert_eq!(c.call(Request::Get { key: 3 }), Response::Value(Some(4)));
-    assert_eq!(
-        c.call(Request::Get { key: preload + 9 }),
-        Response::Value(None)
-    );
-    assert_eq!(
-        c.call(Request::Set {
-            key: preload + 9,
-            value: 77
-        }),
-        Response::Old(None)
-    );
-    assert_eq!(
-        c.call(Request::Set {
-            key: preload + 9,
-            value: 78
-        }),
-        Response::Old(Some(77))
-    );
-    assert_eq!(
-        c.call(Request::MGet {
-            keys: vec![0, preload + 9, preload + 100, 1]
-        }),
-        Response::MValues(vec![Some(1), Some(78), None, Some(2)])
-    );
-    assert_eq!(
-        c.call(Request::ScanCount { start: 0, limit: 5 }),
-        Response::Count(5)
-    );
-    assert_eq!(
-        c.call(Request::Del { key: preload + 9 }),
-        Response::Old(Some(78))
-    );
-    assert_eq!(
-        c.call(Request::Get { key: preload + 9 }),
-        Response::Value(None)
-    );
 }
 
 #[test]
@@ -140,15 +49,15 @@ fn every_opcode_round_trips_per_op_and_sharded() {
 fn pipelined_burst_is_answered_in_order_and_batched() {
     let n: u64 = 256;
     let h = serve(BackendKind::Btree, Dispatch::Grouped, n);
-    let mut c = C::connect(h.addr());
+    let mut c = connect(h.addr());
 
     // One write carrying a deep pipeline of GETs: the server drains the
     // burst, routes it through multi_lookup, and answers in arrival
     // order.
     let reqs: Vec<Request> = (0..n).map(|key| Request::Get { key }).collect();
-    c.send(&reqs);
+    c.send(&reqs).unwrap();
     for key in 0..n {
-        assert_eq!(c.recv(), Some(Response::Value(Some(key + 1))));
+        assert_eq!(c.recv().unwrap(), Some(Response::Value(Some(key + 1))));
     }
 
     // Mixed burst: SET run, GET run, MGET — still positional.
@@ -161,15 +70,15 @@ fn pipelined_burst_is_answered_in_order_and_batched() {
     mixed.push(Request::MGet {
         keys: vec![3, 2, 1],
     });
-    c.send(&mixed);
-    assert_eq!(c.recv(), Some(Response::Old(Some(2))));
-    assert_eq!(c.recv(), Some(Response::Old(Some(3))));
-    assert_eq!(c.recv(), Some(Response::Old(Some(4))));
-    assert_eq!(c.recv(), Some(Response::Value(Some(100))));
-    assert_eq!(c.recv(), Some(Response::Value(Some(200))));
-    assert_eq!(c.recv(), Some(Response::Value(Some(300))));
+    c.send(&mixed).unwrap();
+    assert_eq!(c.recv().unwrap(), Some(Response::Old(Some(2))));
+    assert_eq!(c.recv().unwrap(), Some(Response::Old(Some(3))));
+    assert_eq!(c.recv().unwrap(), Some(Response::Old(Some(4))));
+    assert_eq!(c.recv().unwrap(), Some(Response::Value(Some(100))));
+    assert_eq!(c.recv().unwrap(), Some(Response::Value(Some(200))));
+    assert_eq!(c.recv().unwrap(), Some(Response::Value(Some(300))));
     assert_eq!(
-        c.recv(),
+        c.recv().unwrap(),
         Some(Response::MValues(vec![Some(300), Some(200), Some(100)]))
     );
 
@@ -200,7 +109,7 @@ fn two_workers_count_exactly_what_four_clients_sent() {
         for t in 0..4u64 {
             let start_line = &start_line;
             s.spawn(move || {
-                let mut c = C::connect(addr);
+                let mut c = connect(addr);
                 start_line.wait();
                 for b in 0..BURSTS {
                     let key = (b * 4 + t) * 8;
@@ -223,9 +132,12 @@ fn two_workers_count_exactly_what_four_clients_sent() {
                         },
                         Request::Del { key: key + 2 },
                     ];
-                    c.send(&burst);
+                    c.send(&burst).unwrap();
                     for _ in &burst {
-                        assert!(!matches!(c.recv(), None | Some(Response::Error(_))));
+                        assert!(!matches!(
+                            c.recv().unwrap(),
+                            None | Some(Response::Error(_))
+                        ));
                     }
                 }
             });
@@ -248,41 +160,38 @@ fn garbage_bytes_close_only_that_connection() {
     let h = serve(BackendKind::Btree, Dispatch::Grouped, 100);
 
     // A healthy connection, opened first and kept alive throughout.
-    let mut good = C::connect(h.addr());
-    assert_eq!(good.call(Request::Get { key: 1 }), Response::Value(Some(2)));
+    let mut good = connect(h.addr());
+    assert_eq!(get(&mut good, 1), Some(2));
 
     // Hostile connections: structural garbage (valid length prefix,
     // unknown opcode) — 0x99, and the once-reserved CAS/INCR/TTL space
     // 0x08–0x0A, which is unknown like any other now. The server must
     // answer ERR, then close.
     for opcode in [0x99, 0x08, 0x09, 0x0A] {
-        let mut bad = C::connect(h.addr());
-        bad.s.write_all(&3u32.to_le_bytes()).unwrap();
-        bad.s.write_all(&[opcode, 0xAA, 0xBB]).unwrap();
-        match bad.recv() {
+        let mut bad = connect(h.addr());
+        bad.send_raw(&3u32.to_le_bytes()).unwrap();
+        bad.send_raw(&[opcode, 0xAA, 0xBB]).unwrap();
+        match bad.recv().unwrap() {
             Some(Response::Error(msg)) => assert!(msg.contains("opcode"), "got: {msg}"),
             other => panic!("expected ERR frame for {opcode:#04x}, got {other:?}"),
         }
-        assert_eq!(bad.recv(), None, "connection must close after ERR");
+        assert_eq!(bad.recv().unwrap(), None, "connection must close after ERR");
     }
 
     // A second hostile connection: an oversized length prefix.
-    let mut huge = C::connect(h.addr());
-    huge.s.write_all(&u32::MAX.to_le_bytes()).unwrap();
-    match huge.recv() {
+    let mut huge = connect(h.addr());
+    huge.send_raw(&u32::MAX.to_le_bytes()).unwrap();
+    match huge.recv().unwrap() {
         Some(Response::Error(_)) => {}
         other => panic!("expected ERR frame, got {other:?}"),
     }
-    assert_eq!(huge.recv(), None);
+    assert_eq!(huge.recv().unwrap(), None);
 
     // The worker survived: the old connection still answers, and so
     // does a brand-new one.
-    assert_eq!(good.call(Request::Get { key: 2 }), Response::Value(Some(3)));
-    let mut fresh = C::connect(h.addr());
-    assert_eq!(
-        fresh.call(Request::Get { key: 3 }),
-        Response::Value(Some(4))
-    );
+    assert_eq!(get(&mut good, 2), Some(3));
+    let mut fresh = connect(h.addr());
+    assert_eq!(get(&mut fresh, 3), Some(4));
 
     let stats = h.shutdown();
     assert_eq!(stats.proto_errors, 5);
@@ -290,10 +199,10 @@ fn garbage_bytes_close_only_that_connection() {
 
 /// Drain one whole SCAN reply: parts until SCAN_END, asserting every
 /// part respects the frame bound and keys ascend across the stream.
-fn recv_scan(c: &mut C) -> (Vec<(u64, u64)>, u32) {
+fn recv_scan(c: &mut Client) -> (Vec<(u64, u64)>, u32) {
     let mut entries: Vec<(u64, u64)> = Vec::new();
     loop {
-        match c.recv().expect("scan stream ended early") {
+        match c.recv().unwrap().expect("scan stream ended early") {
             Response::ScanPart(part) => {
                 assert!(
                     part.len() <= optiql_server::proto::SCAN_PART_MAX,
@@ -319,13 +228,14 @@ fn scan_streams_bounded_frames_in_order() {
     let n: u64 = 1000;
     for backend in [BackendKind::Art, BackendKind::ShardedBtree { shards: 2 }] {
         let h = serve(backend, Dispatch::Grouped, n);
-        let mut c = C::connect(h.addr());
+        let mut c = connect(h.addr());
 
         // 300 entries => parts of 128 + 128 + 44, then SCAN_END(300).
         c.send(&[Request::Scan {
             start: 5,
             count: 300,
-        }]);
+        }])
+        .unwrap();
         let (entries, total) = recv_scan(&mut c);
         assert_eq!(total, 300);
         let want: Vec<(u64, u64)> = (5..305).map(|k| (k, k + 1)).collect();
@@ -335,19 +245,21 @@ fn scan_streams_bounded_frames_in_order() {
         c.send(&[Request::Scan {
             start: n + 50,
             count: 10,
-        }]);
+        }])
+        .unwrap();
         let (entries, total) = recv_scan(&mut c);
         assert_eq!((entries.len(), total), (0, 0));
 
         // count 0: also just the terminator.
-        c.send(&[Request::Scan { start: 0, count: 0 }]);
+        c.send(&[Request::Scan { start: 0, count: 0 }]).unwrap();
         assert_eq!((recv_scan(&mut c).1), 0);
 
         // Asking past the end caps at what exists.
         c.send(&[Request::Scan {
             start: n - 3,
             count: 500,
-        }]);
+        }])
+        .unwrap();
         let (entries, total) = recv_scan(&mut c);
         assert_eq!(total, 3);
         assert_eq!(entries, vec![(n - 3, n - 2), (n - 2, n - 1), (n - 1, n)]);
@@ -361,12 +273,13 @@ fn scan_streams_bounded_frames_in_order() {
                 count: 130,
             },
             Request::Get { key: 2 },
-        ]);
-        assert_eq!(c.recv(), Some(Response::Value(Some(2))));
+        ])
+        .unwrap();
+        assert_eq!(c.recv().unwrap(), Some(Response::Value(Some(2))));
         let (entries, total) = recv_scan(&mut c);
         assert_eq!(total, 130);
         assert_eq!(entries.len(), 130);
-        assert_eq!(c.recv(), Some(Response::Value(Some(3))));
+        assert_eq!(c.recv().unwrap(), Some(Response::Value(Some(3))));
 
         let stats = h.shutdown();
         assert_eq!(stats.proto_errors, 0);
@@ -376,24 +289,24 @@ fn scan_streams_bounded_frames_in_order() {
 #[test]
 fn malformed_scan_closes_only_that_connection() {
     let h = serve(BackendKind::Btree, Dispatch::Grouped, 100);
-    let mut good = C::connect(h.addr());
-    assert_eq!(good.call(Request::Get { key: 1 }), Response::Value(Some(2)));
+    let mut good = connect(h.addr());
+    assert_eq!(get(&mut good, 1), Some(2));
 
     // A SCAN frame whose count exceeds MAX_SCAN: structurally invalid,
     // so this connection gets ERR-then-close.
-    let mut bad = C::connect(h.addr());
-    bad.s.write_all(&13u32.to_le_bytes()).unwrap();
-    bad.s.write_all(&[0x07]).unwrap();
-    bad.s.write_all(&0u64.to_le_bytes()).unwrap();
-    bad.s.write_all(&u32::MAX.to_le_bytes()).unwrap();
-    match bad.recv() {
+    let mut bad = connect(h.addr());
+    bad.send_raw(&13u32.to_le_bytes()).unwrap();
+    bad.send_raw(&[0x07]).unwrap();
+    bad.send_raw(&0u64.to_le_bytes()).unwrap();
+    bad.send_raw(&u32::MAX.to_le_bytes()).unwrap();
+    match bad.recv().unwrap() {
         Some(Response::Error(msg)) => assert!(msg.contains("count"), "got: {msg}"),
         other => panic!("expected ERR frame, got {other:?}"),
     }
-    assert_eq!(bad.recv(), None, "connection must close after ERR");
+    assert_eq!(bad.recv().unwrap(), None, "connection must close after ERR");
 
     // Everyone else is unaffected.
-    assert_eq!(good.call(Request::Get { key: 2 }), Response::Value(Some(3)));
+    assert_eq!(get(&mut good, 2), Some(3));
     let stats = h.shutdown();
     assert_eq!(stats.proto_errors, 1);
 }
@@ -401,8 +314,8 @@ fn malformed_scan_closes_only_that_connection() {
 #[test]
 fn shutdown_opcode_acks_and_stops_the_server() {
     let h = serve(BackendKind::Art, Dispatch::Grouped, 10);
-    let mut c = C::connect(h.addr());
-    assert_eq!(c.call(Request::Shutdown), Response::Ok);
+    let mut c = connect(h.addr());
+    assert_eq!(call(&mut c, Request::Shutdown), Response::Ok);
     // join() returns because the SHUTDOWN raised the stop flag.
     let stats = h.join();
     assert!(stats.requests >= 1);
@@ -424,10 +337,10 @@ fn shutdown_trims_the_logs_under_a_living_wal_clone() {
         ..ServerConfig::default()
     };
     let h = start(&cfg).expect("server start");
-    let mut c = C::connect(h.addr());
+    let mut c = connect(h.addr());
     for k in 5000..5100u64 {
         assert_eq!(
-            c.call(Request::Set { key: k, value: k }),
+            call(&mut c, Request::Set { key: k, value: k }),
             Response::Old(None)
         );
     }
@@ -447,15 +360,9 @@ fn shutdown_trims_the_logs_under_a_living_wal_clone() {
 
     let h = start(&ServerConfig { preload: 0, ..cfg }).expect("restart");
     assert_eq!(h.recovery().expect("wal is mounted").applied(), 1100);
-    let mut c = C::connect(h.addr());
-    assert_eq!(
-        c.call(Request::Get { key: 999 }),
-        Response::Value(Some(1000))
-    );
-    assert_eq!(
-        c.call(Request::Get { key: 5099 }),
-        Response::Value(Some(5099))
-    );
+    let mut c = connect(h.addr());
+    assert_eq!(get(&mut c, 999), Some(1000));
+    assert_eq!(get(&mut c, 5099), Some(5099));
     h.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -89,8 +89,10 @@ impl ShardAffinity {
     }
 }
 
+/// Pin the calling thread to logical CPU `core`; `false` if the call is
+/// refused, and always on a platform without an affinity syscall.
 #[cfg(target_os = "linux")]
-fn pin_to_core(core: usize) -> bool {
+pub fn pin_to_core(core: usize) -> bool {
     unsafe {
         let mut set: libc::cpu_set_t = std::mem::zeroed();
         libc::CPU_SET(core, &mut set);
@@ -98,8 +100,9 @@ fn pin_to_core(core: usize) -> bool {
     }
 }
 
+/// Pin the calling thread to logical CPU `core`: not on this platform.
 #[cfg(not(target_os = "linux"))]
-fn pin_to_core(_core: usize) -> bool {
+pub fn pin_to_core(_core: usize) -> bool {
     false
 }
 

@@ -56,7 +56,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-mod affinity;
+pub mod affinity;
 mod route;
 
 pub use affinity::ShardAffinity;
