@@ -760,8 +760,7 @@ fn run_crash_target(t: &Target, seed: u64, cfg: &CheckConfig) -> Result<RunRepor
     ));
     let _ = std::fs::remove_dir_all(&dir);
     let wal_cfg = || WalConfig {
-        shards: 4,
-        block_bits: SHARD_BLOCK_BITS,
+        router: optiql_sharded::Router::new(4, SHARD_BLOCK_BITS),
         policy: FsyncPolicy::Group,
         ..WalConfig::new(&dir)
     };

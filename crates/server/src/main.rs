@@ -10,7 +10,9 @@
 //! With `--wal-dir` the server recovers the directory's logs before
 //! binding (a `# recovery: ...` line reports what replayed), serves a
 //! write-ahead-logged index, and acknowledges SET/DEL only after the
-//! covering fsync (per `--fsync`; default `group`).
+//! covering fsync (per `--fsync`; default `group`). `--backend` and
+//! `--shards` are fixed for the life of a `--wal-dir`: started over logs
+//! written under another geometry, the server says so and exits 1.
 //!
 //! Prints `listening on <addr>` once ready (scripts wait for that
 //! line), then serves until a client sends the SHUTDOWN opcode
@@ -67,7 +69,9 @@ fn main() {
     let handle = match start(&cfg) {
         Ok(h) => h,
         Err(e) => {
-            eprintln!("optiql-server: cannot start on {}: {e}", cfg.addr);
+            // The error names what it is about: the listen address, or
+            // the wal directory and the geometry it was written with.
+            eprintln!("optiql-server: {e}");
             std::process::exit(1);
         }
     };

@@ -34,7 +34,7 @@ use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use optiql_index_api::{ConcurrentIndex, Counters, ReclaimHandle};
-use optiql_sharded::{ShardAffinity, ShardedIndex};
+use optiql_sharded::{Router, ShardAffinity, ShardedIndex, DEFAULT_BLOCK_BITS};
 use optiql_wal::{DurableIndex, FsyncPolicy, RecoveryReport, Wal, WalConfig, WalStatsSnapshot};
 
 use crate::proto::{FrameDecoder, Request, Response, SCAN_PART_MAX};
@@ -69,19 +69,6 @@ impl BackendKind {
             "sharded-art" => BackendKind::ShardedArt { shards },
             _ => return None,
         })
-    }
-
-    /// The number of wal shards matching this backend's routing: the
-    /// sharded facades get one log per index shard (same power-of-two
-    /// rounding `ShardedIndex::new` applies, same block bits), plain
-    /// trees get a single log.
-    fn wal_shards(&self) -> usize {
-        match *self {
-            BackendKind::Btree | BackendKind::Art => 1,
-            BackendKind::ShardedBtree { shards } | BackendKind::ShardedArt { shards } => {
-                shards.max(1).next_power_of_two()
-            }
-        }
     }
 }
 
@@ -201,6 +188,9 @@ impl StatsSnapshot {
 /// The backend seen by workers: the index plus its reclamation topology.
 struct Backend {
     index: Arc<dyn ConcurrentIndex>,
+    /// How `index` spreads keys over its shards. The log is mounted with
+    /// this same value, so a key's log is its index shard's log.
+    router: Router,
     /// One handle per reclamation domain, in shard order (plain trees
     /// have exactly one domain).
     domains: Vec<ReclaimHandle>,
@@ -214,6 +204,7 @@ fn sharded_backend<I: ConcurrentIndex + Default + 'static>(shards: usize) -> Bac
     s.for_each_shard(|_, sh| domains.extend(sh.reclaim_handle()));
     let shard_affinity = s.affinity();
     Backend {
+        router: s.router(),
         index: Arc::new(s),
         domains,
         shard_affinity,
@@ -225,6 +216,7 @@ fn plain_backend<I: ConcurrentIndex + Default + 'static>() -> Backend {
     let domains = t.reclaim_handle().into_iter().collect();
     Backend {
         index: Arc::new(t),
+        router: Router::new(1, DEFAULT_BLOCK_BITS),
         domains,
         shard_affinity: ShardAffinity::probe(1),
     }
@@ -366,8 +358,7 @@ pub fn start(cfg: &ServerConfig) -> std::io::Result<ServerHandle> {
         Some(dir) => {
             let wal = Arc::new(Wal::open(WalConfig {
                 dir: dir.clone(),
-                shards: cfg.backend.wal_shards(),
-                block_bits: optiql_sharded::DEFAULT_BLOCK_BITS,
+                router: backend.router,
                 policy: cfg.fsync,
             })?);
             let report = wal.recover_into::<u64, _>(&*backend.index)?;
@@ -408,7 +399,9 @@ pub fn start(cfg: &ServerConfig) -> std::io::Result<ServerHandle> {
         }
     }
 
-    let listener = TcpListener::bind(&cfg.addr)?;
+    let listener = TcpListener::bind(&cfg.addr).map_err(|e| {
+        std::io::Error::new(e.kind(), format!("cannot listen on {}: {e}", cfg.addr))
+    })?;
     let addr = listener.local_addr()?;
     listener.set_nonblocking(true)?;
 

@@ -1,6 +1,7 @@
 //! The process boundary: the real `optiql-server` binary as a
 //! subprocess, driven over TCP. Mostly kill-during-load crash recovery —
-//! the durable-prefix property, end to end — plus the plain two-process
+//! the durable-prefix property, end to end — plus a restart under
+//! another `--shards` (refused, harmless) and the plain two-process
 //! smoke (no wal: every opcode, a pipelined burst, SHUTDOWN, exit 0).
 //!
 //! A client floods SETs at a wal-mounted server (`--fsync group`). At a
@@ -28,12 +29,13 @@
 
 mod common;
 
-use std::io::{BufRead as _, BufReader, Write as _};
+use std::io::{BufRead as _, BufReader, Read as _, Write as _};
 use std::net::SocketAddr;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use common::{call, connect, exercise_all_ops};
 use optiql_server::proto::{Request, Response};
@@ -126,7 +128,7 @@ impl Drop for Server {
     }
 }
 
-fn tempdir(tag: &str) -> std::path::PathBuf {
+fn tempdir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("optiql-crash-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&d);
     std::fs::create_dir_all(&d).unwrap();
@@ -339,6 +341,74 @@ fn torn_tail_cut_at_mount_is_reported_at_startup() {
     assert!(reported[0].starts_with(&want), "{:?}", reported[0]);
     // Nothing valid went with the garbage.
     verify_recovered(survivor.addr, LOAD, LOAD, 0x7041);
+    survivor.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every `*.log` file under `dir` with its content.
+fn log_files(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut logs: Vec<_> = std::fs::read_dir(dir)
+        .expect("read wal dir")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "log"))
+        .map(|p| {
+            let bytes = std::fs::read(&p).expect("read log");
+            (p, bytes)
+        })
+        .collect();
+    logs.sort();
+    logs
+}
+
+/// A wal directory belongs to the `--backend`/`--shards` it was created
+/// with. Restarted with another shard count the server would look for
+/// half the keys in logs it never opens; it must say so and exit before
+/// it touches a log or binds, and the same directory must still come
+/// back whole under the original flags.
+#[test]
+fn restart_with_another_shard_count_is_refused_and_harmless() {
+    let dir = tempdir("geometry");
+    let mut first = Server::durable(&dir);
+    let (acked, _) = load_until(&mut first, None);
+    assert_eq!(acked, LOAD);
+    first.shutdown();
+    let before = log_files(&dir);
+    assert_eq!(before.len(), 4, "one log per shard");
+
+    // Later flags win, so this is `--shards 2` over the 4-shard logs.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_optiql-server"))
+        .args(["--addr", "127.0.0.1:0", "--backend", "sharded-btree"])
+        .args(["--shards", "2", "--workers", "1", "--wal-dir"])
+        .arg(&dir)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn optiql-server");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll server") {
+            break status;
+        }
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            panic!("the server serves 2 shards over a log written with 4");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert_eq!(status.code(), Some(1), "refusal is exit 1: {status:?}");
+    let mut stderr = String::new();
+    let mut pipe = child.stderr.take().expect("piped stderr");
+    pipe.read_to_string(&mut stderr).expect("read stderr");
+    let want = format!(
+        "optiql-server: {}: log written with shards=4 block_bits=16, \
+         started with shards=2 block_bits=16",
+        dir.display()
+    );
+    assert!(stderr.contains(&want), "stderr: {stderr:?}");
+    assert!(log_files(&dir) == before, "a refused start changed a log");
+
+    let survivor = Server::durable(&dir);
+    verify_recovered(survivor.addr, LOAD, LOAD, 0x6E0);
     survivor.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

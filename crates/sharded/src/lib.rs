@@ -21,10 +21,10 @@
 //! * each shard owns its private epoch-reclamation domain — both tree
 //!   crates embed a `Collector` per instance, so per-shard domains fall
 //!   out of the composition: retirement in one shard never delays
-//!   reclamation in another. Batched operations amortize the domain
-//!   pins: each shard's sub-batch runs under **one** outer pin (via
-//!   [`ConcurrentIndex::reclaim_handle`]), making the per-op pins inside
-//!   nested no-fence increments;
+//!   reclamation in another. The facade itself never pins: each tree's
+//!   `multi_*` engine pins its own domain once per (sub-)batch, and a
+//!   driver that wants one pin per burst takes the shards' handles
+//!   ([`ConcurrentIndex::reclaim_handle`]) and pins them itself;
 //! * opt-in [`ShardAffinity`] places shards on cores (topology probed,
 //!   gracefully degrading) so thread-per-core drivers can pin workers to
 //!   the shards they own;
@@ -33,11 +33,14 @@
 //!   and `sharded(N)` variants.
 //!
 //! Point operations touch exactly one shard. `multi_lookup` /
-//! `multi_insert` **partition-then-pipeline**: one counting pass buckets
-//! the batch into per-shard sub-batches (flat buffers, batch order
-//! preserved within each shard), each shard runs its software-pipelined
-//! engine over a dense sub-batch under a single reclaim pin, and results
-//! scatter back to their original positions. `scan_count` fans out:
+//! `multi_insert` **partition-then-pipeline**, and the partition is not
+//! written here: the key→shard decision — for one key and for a batch —
+//! lives in [`Router`], and each batched op is one [`Router::fan_out`]
+//! call (one counting pass into flat buffers, batch order preserved
+//! within each shard, each touched shard's software-pipelined engine run
+//! over a dense sub-batch, results scattered back to their original
+//! positions). The write-ahead log splits its batches with the same
+//! function over the same `Router` value. `scan_count` fans out:
 //! hash partitioning destroys global key order, so each shard reports
 //! its own count of keys ≥ `start` (each capped at `limit`) and the sum
 //! is capped at `limit` — equal to the count an unpartitioned index
@@ -138,24 +141,19 @@ impl<I> ShardedIndex<I> {
         self.router.route(key)
     }
 
-    /// The shard number a generic key maps to: routing happens on the
-    /// key's [`IndexKey::route_hint`], so for `u64` this is exactly
-    /// [`shard_of`](Self::shard_of) and for byte strings the hint's
-    /// leading raw bytes keep lexicographic neighbours in one block.
-    #[inline]
-    pub fn shard_of_key<K: IndexKey>(&self, key: &K) -> usize {
-        self.router.route(key.route_hint())
-    }
-
     /// Direct access to shard `i` (affine drivers address the shards
     /// they own; panics when out of range).
     pub fn shard_at(&self, i: usize) -> &I {
         &self.shards[i]
     }
 
+    /// The shard owning a generic key: routing happens on the key's
+    /// [`IndexKey::route_hint`], so for `u64` this is exactly
+    /// [`shard_of`](Self::shard_of) and for byte strings the hint's
+    /// leading raw bytes keep lexicographic neighbours in one block.
     #[inline]
     fn shard<K: IndexKey>(&self, key: &K) -> &I {
-        &self.shards[self.shard_of_key(key)]
+        &self.shards[self.router.route(key.route_hint())]
     }
 
     /// Visit every shard (maintenance hooks: reclamation flushes,
@@ -165,39 +163,6 @@ impl<I> ShardedIndex<I> {
             f(i, s);
         }
     }
-
-    /// Bucket a batch into per-shard sub-batches using one counting pass
-    /// and flat buffers: `hints` are the batch keys' route hints, in
-    /// batch order. Returns `(offsets, positions)` where shard `s`'s
-    /// sub-batch is described by `positions[offsets[s] .. offsets[s + 1]]`
-    /// — each entry the index of one of its keys in the original batch.
-    /// Batch order is preserved within each shard (the scatter pass walks
-    /// the batch in order), which is what keeps duplicate-key in-order
-    /// semantics intact across the partition.
-    fn partition(&self, hints: impl ExactSizeIterator<Item = u64> + Clone) -> PartitionedBatch {
-        let n = self.shards.len();
-        let mut offsets = vec![0usize; n + 1];
-        for h in hints.clone() {
-            offsets[self.router.route(h) + 1] += 1;
-        }
-        for s in 0..n {
-            offsets[s + 1] += offsets[s];
-        }
-        let mut cursor = offsets.clone();
-        let mut positions = vec![0usize; hints.len()];
-        for (i, h) in hints.enumerate() {
-            let c = &mut cursor[self.router.route(h)];
-            positions[*c] = i;
-            *c += 1;
-        }
-        PartitionedBatch { offsets, positions }
-    }
-}
-
-/// Output of [`ShardedIndex::partition`].
-struct PartitionedBatch {
-    offsets: Vec<usize>,
-    positions: Vec<usize>,
 }
 
 /// The k-way merge behind the facade's [`ConcurrentIndex::range`]: one
@@ -287,73 +252,23 @@ impl<K: IndexKey, I: ConcurrentIndex<K>> ConcurrentIndex<K> for ShardedIndex<I> 
         }
         total
     }
-    /// Partition the batch by shard, dispatch one sub-batch per shard (so
-    /// each shard's pipelined engine sees a dense batch) under one
-    /// amortized reclaim pin per shard, and scatter the results back to
-    /// their original positions.
+    /// One [`Router::fan_out`]: each touched shard's pipelined engine sees
+    /// a dense sub-batch, and the answers come back in batch order.
     fn multi_lookup(&self, keys: &[K]) -> Vec<Option<u64>> {
-        if self.shards.len() == 1 {
-            return self.shards[0].multi_lookup(keys);
-        }
-        if let [k] = keys {
-            // A one-key batch routes like a point op; the partition's
-            // flat buffers would cost more than the lookup.
-            return vec![self.shard(k).lookup(k.clone())];
-        }
-        let part = self.partition(keys.iter().map(|k| k.route_hint()));
-        let mut out = vec![None; keys.len()];
-        let mut sub: Vec<K> = Vec::new();
-        for (s, shard) in self.shards.iter().enumerate() {
-            let range = part.offsets[s]..part.offsets[s + 1];
-            if range.is_empty() {
-                continue;
-            }
-            sub.clear();
-            sub.extend(
-                part.positions[range.clone()]
-                    .iter()
-                    .map(|&i| keys[i].clone()),
-            );
-            let _pin = shard.reclaim_handle().map(|h| h.pin());
-            let res = shard.multi_lookup(&sub);
-            for (&i, r) in part.positions[range].iter().zip(res) {
-                out[i] = r;
-            }
-        }
-        out
+        self.router.fan_out(keys, K::route_hint, |s, sub| {
+            self.shards[s].multi_lookup(sub)
+        })
     }
     /// As [`multi_lookup`](ConcurrentIndex::multi_lookup), for inserts.
     /// Order within each shard's sub-batch follows batch order, and equal
     /// keys always route to the same shard, so the in-order semantics of
-    /// duplicate keys are preserved across the partition.
+    /// duplicate keys are preserved across the split.
     fn multi_insert(&self, pairs: &[(K, u64)]) -> Vec<Option<u64>> {
-        if self.shards.len() == 1 {
-            return self.shards[0].multi_insert(pairs);
-        }
-        if let [(k, v)] = pairs {
-            return vec![self.shard(k).insert(k.clone(), *v)];
-        }
-        let part = self.partition(pairs.iter().map(|(k, _)| k.route_hint()));
-        let mut out = vec![None; pairs.len()];
-        let mut sub: Vec<(K, u64)> = Vec::new();
-        for (s, shard) in self.shards.iter().enumerate() {
-            let range = part.offsets[s]..part.offsets[s + 1];
-            if range.is_empty() {
-                continue;
-            }
-            sub.clear();
-            sub.extend(
-                part.positions[range.clone()]
-                    .iter()
-                    .map(|&i| pairs[i].clone()),
-            );
-            let _pin = shard.reclaim_handle().map(|h| h.pin());
-            let res = shard.multi_insert(&sub);
-            for (&i, r) in part.positions[range].iter().zip(res) {
-                out[i] = r;
-            }
-        }
-        out
+        self.router.fan_out(
+            pairs,
+            |(k, _)| k.route_hint(),
+            |s, sub| self.shards[s].multi_insert(sub),
+        )
     }
 }
 

@@ -1,4 +1,5 @@
-//! Shard routing: which shard owns a key.
+//! Shard routing: which shard owns a key, and how a batch is split
+//! over shards ([`Router::fan_out`]) — the one place either is decided.
 //!
 //! The first facade routed every key through a Fibonacci multiplicative
 //! hash, which *maximally* scatters adjacent keys — key `k` and `k+1`
@@ -98,11 +99,134 @@ impl Router {
             (self.block_of(key).wrapping_mul(FIB) >> self.shift) as usize
         }
     }
+
+    /// Split a batch over the shards its items route to, run every
+    /// touched shard's sub-batch, and hand the answers back in batch
+    /// order. `hint` is an item's route hint; `run(s, sub)` executes the
+    /// items owned by shard `s` and returns one answer per item of `sub`.
+    ///
+    /// One counting pass buckets the batch into flat buffers (count →
+    /// prefix sum → ordered scatter), so batch order is preserved inside
+    /// each sub-batch — equal keys share a shard, which keeps the
+    /// in-order semantics of in-batch duplicates intact across the
+    /// split. Untouched shards are skipped. A batch that needs no
+    /// splitting (one shard, or one item) goes to `run` as the caller's
+    /// own slice: the buffers would cost more than the operation.
+    pub fn fan_out<T: Clone, R: Clone + Default>(
+        &self,
+        items: &[T],
+        hint: impl Fn(&T) -> u64,
+        mut run: impl FnMut(usize, &[T]) -> Vec<R>,
+    ) -> Vec<R> {
+        if self.shards == 1 {
+            return run(0, items);
+        }
+        if let [one] = items {
+            return run(self.route(hint(one)), items);
+        }
+        let mut offsets = vec![0usize; self.shards + 1];
+        for t in items {
+            offsets[self.route(hint(t)) + 1] += 1;
+        }
+        for s in 0..self.shards {
+            offsets[s + 1] += offsets[s];
+        }
+        let mut cursor = offsets.clone();
+        let mut positions = vec![0usize; items.len()];
+        for (i, t) in items.iter().enumerate() {
+            let c = &mut cursor[self.route(hint(t))];
+            positions[*c] = i;
+            *c += 1;
+        }
+        let mut out = vec![R::default(); items.len()];
+        let mut sub: Vec<T> = Vec::new();
+        for s in 0..self.shards {
+            let owned = &positions[offsets[s]..offsets[s + 1]];
+            if owned.is_empty() {
+                continue;
+            }
+            sub.clear();
+            sub.extend(owned.iter().map(|&i| items[i].clone()));
+            for (&i, r) in owned.iter().zip(run(s, &sub)) {
+                out[i] = r;
+            }
+        }
+        out
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // `fan_out` against its contract, for every router shape the
+        // stack builds: each sub-batch holds only keys of its shard, in
+        // batch order, and the answers come back in batch order. Keys
+        // are drawn from 48 values, so batches carry duplicates.
+        #[test]
+        fn fan_out_splits_by_route_and_keeps_batch_order(
+            draws in prop::collection::vec(0u64..48, 0..96),
+        ) {
+            // (key, position): the position tells equal keys apart.
+            let items: Vec<(u64, usize)> = draws
+                .iter()
+                .enumerate()
+                .map(|(i, k)| (k.wrapping_mul(FIB), i))
+                .collect();
+            for shards in [1usize, 2, 4, 8] {
+                for block_bits in [0u32, 2, 16] {
+                    let r = Router::new(shards, block_bits);
+                    let mut seen = Vec::new();
+                    let out = r.fan_out(&items, |t| t.0, |s, sub| {
+                        seen.push(s);
+                        assert!(sub.iter().all(|t| r.route(t.0) == s), "stray key in shard {s}");
+                        assert!(sub.windows(2).all(|w| w[0].1 < w[1].1), "batch order lost");
+                        sub.iter().map(|t| (s, *t)).collect()
+                    });
+                    let want: Vec<_> = items.iter().map(|t| (r.route(t.0), *t)).collect();
+                    prop_assert_eq!(out, want, "shards={} block_bits={}", shards, block_bits);
+                    let mut touched: Vec<usize> = items.iter().map(|t| r.route(t.0)).collect();
+                    touched.sort_unstable();
+                    touched.dedup();
+                    if shards == 1 {
+                        touched = vec![0]; // one shard is handed even an empty batch
+                    }
+                    prop_assert_eq!(seen, touched, "one `run` per touched shard, in shard order");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fan_out_hands_an_unsplit_batch_over_as_is() {
+        // Returns how often `run` was called, and whether every call saw
+        // the caller's own slice rather than a gathered copy.
+        fn calls(r: Router, items: &[u64]) -> (usize, bool) {
+            let (mut n, mut own) = (0, true);
+            let out = r.fan_out(
+                items,
+                |&k| k,
+                |s, sub| {
+                    n += 1;
+                    own &= std::ptr::eq(sub, items);
+                    sub.iter().map(|&k| (s, k)).collect()
+                },
+            );
+            assert_eq!(out.len(), items.len());
+            (n, own)
+        }
+        let wide: Vec<u64> = (0..32u64).map(|k| k.wrapping_mul(FIB)).collect();
+        assert_eq!(calls(Router::new(8, 0), &[]), (0, true), "empty batch");
+        assert_eq!(calls(Router::new(8, 0), &wide[..1]), (1, true), "one item");
+        assert_eq!(calls(Router::new(1, 0), &wide), (1, true), "one shard");
+        assert_eq!(calls(Router::new(1, 0), &[]), (1, true), "one shard, empty");
+        let (n, own) = calls(Router::new(8, 0), &wide);
+        assert!(n > 1 && !own, "32 scattered keys must split: {n} calls");
+    }
 
     #[test]
     fn route_is_stable_and_in_range() {

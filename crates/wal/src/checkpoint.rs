@@ -124,7 +124,7 @@ where
 
     let mut keybuf = Vec::new();
     for (k, v) in index.range(Bound::Unbounded, Bound::Unbounded) {
-        let w = &mut writers[wal.shard_for_hint(k.route_hint())];
+        let w = &mut writers[wal.router().route(k.route_hint())];
         keybuf.clear();
         k.encode_into(&mut keybuf);
         frame_ckpt_entry(&mut w.buf, &keybuf, v);

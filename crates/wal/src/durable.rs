@@ -2,11 +2,14 @@
 //! discipline.
 //!
 //! Every successful mutation routes to a wal shard by the key's
-//! `route_hint()` — the same mapping the sharded index uses, so when the
-//! shard counts match, a wal shard's append mutex only serializes
-//! writers that already serialize on the index shard underneath. The
-//! mutation is applied *inside* [`LogShard::append_with`], making
-//! apply order equal log order per shard (the recovery invariant).
+//! `route_hint()` through [`Wal::router`] — the index's own `Router`
+//! value, handed over in `WalConfig` — so a wal shard's append mutex only
+//! serializes writers that already serialize on the index shard
+//! underneath. The mutation is applied *inside*
+//! [`LogShard::append_with`], making apply order equal log order per
+//! shard (the recovery invariant). Scalar ops share one `logged` helper;
+//! a batch is one `Router::fan_out`, the function the sharded facade
+//! splits its own batches with.
 //!
 //! Conditional logging: `update` and `remove` log nothing when they
 //! didn't change anything (key absent), so replaying the log can never
@@ -30,6 +33,7 @@ use std::sync::Arc;
 
 use optiql_index_api::{ConcurrentIndex, IndexKey, IndexStats, RangeIter, ReclaimHandle};
 
+use crate::shard::Txn;
 use crate::{FsyncPolicy, Wal};
 
 /// A write-ahead-logged wrapper around an index. See the module docs.
@@ -81,6 +85,21 @@ where
     fn always(&self) -> bool {
         matches!(self.wal.policy(), FsyncPolicy::Always)
     }
+
+    /// One logged scalar mutation. `apply` gets the key, the owning
+    /// log's open append and the key's encoding: it applies the mutation
+    /// to `inner` *inside* the append (apply order = log order) and
+    /// stages a record only for what it changed. Under `Always` the
+    /// record is synced before the answer is returned.
+    fn logged<R>(&self, k: K, apply: impl FnOnce(K, &mut Txn<'_>, &[u8]) -> R) -> R {
+        let enc = k.encode();
+        let shard = self.wal.shard(self.wal.router().route(k.route_hint()));
+        let (res, last) = shard.append_with(|txn| apply(k, txn, enc.as_ref()));
+        if self.always() {
+            shard.ensure_durable(last); // no-op when nothing was staged
+        }
+        res
+    }
 }
 
 impl<I, K> ConcurrentIndex<K> for DurableIndex<I, K>
@@ -89,33 +108,21 @@ where
     I: ConcurrentIndex<K>,
 {
     fn insert(&self, k: K, v: u64) -> Option<u64> {
-        let enc = k.encode();
-        let shard = self.wal.shard(self.wal.shard_for_hint(k.route_hint()));
-        let (old, last) = shard.append_with(|txn| {
+        self.logged(k, |k, txn, enc| {
             let old = self.inner.insert(k, v);
-            txn.set(enc.as_ref(), v);
+            txn.set(enc, v);
             old
-        });
-        if self.always() {
-            shard.ensure_durable(last);
-        }
-        old
+        })
     }
 
     fn update(&self, k: K, v: u64) -> Option<u64> {
-        let enc = k.encode();
-        let shard = self.wal.shard(self.wal.shard_for_hint(k.route_hint()));
-        let (old, last) = shard.append_with(|txn| {
+        self.logged(k, |k, txn, enc| {
             let old = self.inner.update(k, v);
             if old.is_some() {
-                txn.set(enc.as_ref(), v);
+                txn.set(enc, v);
             }
             old
-        });
-        if self.always() {
-            shard.ensure_durable(last); // no-op when nothing was logged
-        }
-        old
+        })
     }
 
     fn lookup(&self, k: K) -> Option<u64> {
@@ -123,19 +130,13 @@ where
     }
 
     fn remove(&self, k: K) -> Option<u64> {
-        let enc = k.encode();
-        let shard = self.wal.shard(self.wal.shard_for_hint(k.route_hint()));
-        let (old, last) = shard.append_with(|txn| {
+        self.logged(k, |k, txn, enc| {
             let old = self.inner.remove(k);
             if old.is_some() {
-                txn.del(enc.as_ref());
+                txn.del(enc);
             }
             old
-        });
-        if self.always() {
-            shard.ensure_durable(last);
-        }
-        old
+        })
     }
 
     fn scan_count(&self, start: K, limit: usize) -> usize {
@@ -158,12 +159,14 @@ where
         self.inner.multi_lookup(keys)
     }
 
-    /// Batched insert with batched logging. The batch is partitioned by
-    /// wal shard with relative order preserved; per-key operation order
-    /// is therefore unchanged (equal keys share a route hint, hence a
-    /// shard), which is all the in-order duplicate-visibility contract
-    /// depends on. One `append_with` per touched shard keeps log order
-    /// equal to apply order within each shard.
+    /// Batched insert with batched logging: one [`Router::fan_out`] over
+    /// the wal's router, one `append_with` per touched log. Relative
+    /// order is preserved inside each log's sub-batch, so per-key
+    /// operation order is unchanged (equal keys share a route hint, hence
+    /// a log) — all the in-order duplicate-visibility contract depends on
+    /// — and log order equals apply order within each log.
+    ///
+    /// [`Router::fan_out`]: optiql_sharded::Router::fan_out
     fn multi_insert(&self, pairs: &[(K, u64)]) -> Vec<Option<u64>> {
         if self.always() {
             // Per-op durability: the scalar loop, one fsync per element.
@@ -172,48 +175,23 @@ where
                 .map(|(k, v)| self.insert(k.clone(), *v))
                 .collect();
         }
-        let shards = self.wal.shard_count();
         let mut keybuf = Vec::new();
-        if shards == 1 {
-            let shard = self.wal.shard(0);
-            let (res, _) = shard.append_with(|txn| {
-                let res = self.inner.multi_insert(pairs);
-                for (k, v) in pairs {
-                    keybuf.clear();
-                    k.encode_into(&mut keybuf);
-                    txn.set(&keybuf, *v);
-                }
-                res
-            });
-            return res;
-        }
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); shards];
-        for (i, (k, _)) in pairs.iter().enumerate() {
-            by_shard[self.wal.shard_for_hint(k.route_hint())].push(i);
-        }
-        let mut out = vec![None; pairs.len()];
-        let mut sub: Vec<(K, u64)> = Vec::with_capacity(pairs.len());
-        for (sid, idxs) in by_shard.iter().enumerate() {
-            if idxs.is_empty() {
-                continue;
-            }
-            sub.clear();
-            sub.extend(idxs.iter().map(|&i| pairs[i].clone()));
-            let shard = self.wal.shard(sid);
-            let (res, _) = shard.append_with(|txn| {
-                let res = self.inner.multi_insert(&sub);
-                for (k, v) in &sub {
-                    keybuf.clear();
-                    k.encode_into(&mut keybuf);
-                    txn.set(&keybuf, *v);
-                }
-                res
-            });
-            for (&i, r) in idxs.iter().zip(res) {
-                out[i] = r;
-            }
-        }
-        out
+        self.wal.router().fan_out(
+            pairs,
+            |(k, _)| k.route_hint(),
+            |log, sub| {
+                let append = |txn: &mut Txn<'_>| {
+                    let res = self.inner.multi_insert(sub);
+                    for (k, v) in sub {
+                        keybuf.clear();
+                        k.encode_into(&mut keybuf);
+                        txn.set(&keybuf, *v);
+                    }
+                    res
+                };
+                self.wal.shard(log).append_with(append).0
+            },
+        )
     }
 
     fn reclaim_handle(&self) -> Option<ReclaimHandle> {

@@ -9,6 +9,13 @@
 //!   CRC32-framed record ([`record`]) to a per-shard log. Log order
 //!   equals apply order per shard ([`shard`]), so replaying a log start
 //!   to finish reproduces the shard's final state.
+//! * **One router, recorded.** Which log a key's records go to is not
+//!   decided here: [`WalConfig::router`] is the index's own
+//!   [`Router`], so log `i` holds exactly index shard `i`'s keys. The
+//!   directory remembers it (a `GEOMETRY` file written at first open),
+//!   and [`Wal::open`] refuses to mount the logs under any other map —
+//!   replayed under fewer logs acknowledged writes vanish, under more a
+//!   stale value can win.
 //! * **Group commit.** Appends land in the OS immediately; `fdatasync`
 //!   is deferred and amortized. Under [`FsyncPolicy::Group`] the server
 //!   issues one `commit_dirty` per worker round — one fsync covers an
@@ -34,12 +41,12 @@
 //! discipline; the server mounts it when `--wal-dir` is given.
 
 use std::fs::{File, OpenOptions};
-use std::io::Read;
+use std::io::{ErrorKind, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use optiql_index_api::{ConcurrentIndex, IndexKey};
-use optiql_sharded::Router;
+use optiql_sharded::{Router, DEFAULT_BLOCK_BITS};
 
 pub mod checkpoint;
 pub mod crc;
@@ -100,13 +107,12 @@ pub struct WalConfig {
     /// Directory holding `shard-<i>.log` / `shard-<i>.ckpt` files
     /// (created if absent).
     pub dir: PathBuf,
-    /// Number of log shards; must be a power of two. Match the index's
-    /// shard count so a wal shard mutex only ever serializes writers
-    /// that already contend on the same index shard.
-    pub shards: usize,
-    /// Router block bits — use the same value as the index router so
-    /// wal shard == index shard for every key.
-    pub block_bits: u32,
+    /// The key→log map: one log per shard of this router. Hand over the
+    /// index's own (`ShardedIndex::router()`), so wal shard == index
+    /// shard for every key and a log's append mutex only ever serializes
+    /// writers that already contend on the same index shard. Fixed for
+    /// the life of `dir` (see [`Wal::open`]).
+    pub router: Router,
     /// Fsync discipline for [`DurableIndex`] mounts.
     pub policy: FsyncPolicy,
 }
@@ -116,8 +122,7 @@ impl WalConfig {
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         WalConfig {
             dir: dir.into(),
-            shards: 1,
-            block_bits: optiql_sharded::DEFAULT_BLOCK_BITS,
+            router: Router::new(1, DEFAULT_BLOCK_BITS),
             policy: FsyncPolicy::Group,
         }
     }
@@ -155,23 +160,70 @@ pub(crate) fn ckpt_path(dir: &Path, shard: usize) -> PathBuf {
     dir.join(format!("shard-{shard}.ckpt"))
 }
 
+/// The file in a wal directory recording the router its logs were
+/// written under, as `shards=<n> block_bits=<b>`.
+const GEOMETRY: &str = "GEOMETRY";
+
+/// Hold `dir` to the router it was created with; a fresh directory
+/// records `router`. Per-shard "log order = apply order" only survives a
+/// restart if every key is looked for in the log it was written to, so
+/// another shard count — or, with several logs, another block size — is
+/// refused before any log is opened. A directory older than the
+/// `GEOMETRY` file is adopted (under the caller's `block_bits`) when its
+/// logs are exactly `shard-0 .. shard-<shards - 1>`; builds that old
+/// always created `shard-0` upwards, so counting from 0 finds them all.
+fn check_geometry(dir: &Path, router: Router) -> std::io::Result<()> {
+    let path = dir.join(GEOMETRY);
+    let (shards, block_bits) = (router.shards(), router.block_bits());
+    let ours = format!("shards={shards} block_bits={block_bits}");
+    let written = match std::fs::read_to_string(&path) {
+        Ok(text) => text.trim().to_owned(),
+        Err(e) if e.kind() == ErrorKind::NotFound => {
+            let logs = (0..).take_while(|&i| log_path(dir, i).exists()).count();
+            if logs == 0 || logs == shards {
+                // Renamed into place whole, and before the first log
+                // exists: a crash leaves no `GEOMETRY`, or a complete one.
+                let tmp = path.with_extension("tmp");
+                let mut file = File::create(&tmp)?;
+                writeln!(file, "{ours}")?;
+                file.sync_all()?;
+                return std::fs::rename(&tmp, &path);
+            }
+            format!("shards={logs} and no {GEOMETRY} file")
+        }
+        Err(e) => return Err(e),
+    };
+    // One log has no granularity to disagree about.
+    if written == ours || (shards == 1 && written.starts_with("shards=1 ")) {
+        return Ok(());
+    }
+    let dir = dir.display();
+    Err(std::io::Error::new(
+        ErrorKind::InvalidInput,
+        format!("{dir}: log written with {written}, started with {ours}"),
+    ))
+}
+
 impl Wal {
     /// Open (creating as needed) the per-shard logs under `cfg.dir`:
     /// find the end of each log, cut off a torn tail if there is one,
     /// put the shard's cursor there and prepare a zero-filled region
     /// ahead of it. Does **not** replay — call [`Wal::recover_into`]
     /// before mounting an index on top.
+    ///
+    /// The first open of a directory records `cfg.router` in its
+    /// `GEOMETRY` file. Every later open under a router that would look
+    /// for some key in another log fails with
+    /// [`ErrorKind::InvalidInput`], naming the directory and both
+    /// geometries, having created, truncated and replayed nothing.
     pub fn open(cfg: WalConfig) -> std::io::Result<Wal> {
-        assert!(
-            cfg.shards.is_power_of_two(),
-            "wal shard count must be a power of two, got {}",
-            cfg.shards
-        );
         std::fs::create_dir_all(&cfg.dir)?;
+        check_geometry(&cfg.dir, cfg.router)?;
+        let n = cfg.router.shards();
         let stats = Arc::new(stats::WalCounters::new());
-        let mut shards = Vec::with_capacity(cfg.shards);
-        let mut mount = Vec::with_capacity(cfg.shards);
-        for i in 0..cfg.shards {
+        let mut shards = Vec::with_capacity(n);
+        let mut mount = Vec::with_capacity(n);
+        for i in 0..n {
             let path = log_path(&cfg.dir, i);
             // Not O_APPEND: appends go to the shard's cursor, which
             // stays short of the end of the file.
@@ -204,12 +256,12 @@ impl Wal {
                 Arc::clone(&stats),
             )?));
         }
-        // A log may have just been created, and records fsynced into a
-        // file are only as durable as its directory entry.
+        // A log (or `GEOMETRY`) may have just been created, and records
+        // fsynced into a file are only as durable as its directory entry.
         File::open(&cfg.dir)?.sync_all()?;
         Ok(Wal {
             shards,
-            router: Router::new(cfg.shards, cfg.block_bits),
+            router: cfg.router,
             policy: cfg.policy,
             stats,
             dir: cfg.dir,
@@ -232,10 +284,9 @@ impl Wal {
         self.shards.len()
     }
 
-    /// The shard a route hint maps to (identical to the index router's
-    /// mapping when `shards`/`block_bits` match).
-    pub fn shard_for_hint(&self, hint: u64) -> usize {
-        self.router.route(hint)
+    /// The key→log map this wal was opened with (the index's router).
+    pub fn router(&self) -> Router {
+        self.router
     }
 
     /// Access one shard's log.
@@ -381,15 +432,5 @@ mod tests {
             assert_eq!(std::fs::metadata(&path).unwrap().len(), valid_len);
         }
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn non_pow2_shards_rejected() {
-        let dir = tempdir("pow2");
-        let _ = Wal::open(WalConfig {
-            shards: 3,
-            ..WalConfig::new(&dir)
-        });
     }
 }

@@ -18,6 +18,7 @@ use std::sync::Arc;
 
 use optiql_btree::BTreeOptiQL;
 use optiql_index_api::ConcurrentIndex;
+use optiql_sharded::Router;
 use optiql_wal::{DurableIndex, FsyncPolicy, Wal, WalConfig};
 
 const WRITERS: u64 = 4;
@@ -39,10 +40,9 @@ fn checkpoint_under_churn_recovers_exactly() {
 
     let wal = Arc::new(
         Wal::open(WalConfig {
-            shards: 4,
             // Per-key scatter: small keys must still spread over all
             // four logs, or the test only exercises one shard.
-            block_bits: 0,
+            router: Router::new(4, 0),
             policy: FsyncPolicy::Group,
             ..WalConfig::new(&dir)
         })
@@ -108,8 +108,7 @@ fn checkpoint_under_churn_recovers_exactly() {
 
     // Recover into a fresh tree and diff against the merged mirrors.
     let wal2 = Wal::open(WalConfig {
-        shards: 4,
-        block_bits: 0,
+        router: Router::new(4, 0),
         policy: FsyncPolicy::Group,
         ..WalConfig::new(&dir)
     })

@@ -15,6 +15,7 @@ use proptest::prelude::*;
 
 use optiql_index_api::model::ModelIndex;
 use optiql_index_api::{ConcurrentIndex, IndexKey};
+use optiql_sharded::Router;
 use optiql_wal::record::{self, FrameCursor, Record, FRAME_HEADER};
 use optiql_wal::{DurableIndex, FsyncPolicy, RecoveryReport, Wal, WalConfig};
 
@@ -329,8 +330,7 @@ fn clean_close_leaves_exactly_the_bytes_counted() {
     let _ = std::fs::remove_dir_all(&dir);
     let wal = Arc::new(
         Wal::open(WalConfig {
-            shards: 2,
-            block_bits: 0,
+            router: Router::new(2, 0),
             ..WalConfig::new(&dir)
         })
         .unwrap(),
@@ -371,8 +371,7 @@ fn concurrent_appends_are_counted_exactly_as_logged() {
     let _ = std::fs::remove_dir_all(&dir);
     let wal = Arc::new(
         Wal::open(WalConfig {
-            shards: 2,
-            block_bits: 0,
+            router: Router::new(2, 0),
             policy: FsyncPolicy::None,
             ..WalConfig::new(&dir)
         })
