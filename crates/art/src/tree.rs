@@ -50,13 +50,12 @@
 //! chain of single-child `Node4`s ([`alloc_chain`]).
 
 use std::cell::Cell;
-use std::ops::Bound;
 
 use optiql::counters::Counters;
 use optiql::olc::{IndexStats, OptimisticGuard, RestartLoop, Step, INDEX_LANES, OPS};
 use optiql::stats::Event;
 use optiql::{IndexLock, WriteStrategy, WriteToken};
-use optiql_index_api::{bounds_nonempty, key_above_start, key_below_end, IndexKey, RangeIter};
+use optiql_index_api::IndexKey;
 use optiql_reclaim::{Collector, Guard};
 
 use crate::node::{as_kv, is_kv, kv_raw, ArtNode, KvLeaf, NodeType, KEY_LEN};
@@ -69,9 +68,6 @@ pub const DEFAULT_SAMPLE_INV: u32 = 10;
 
 /// Longest compressed path a single node header can hold.
 const MAX_PREFIX: usize = KEY_LEN - 1;
-
-/// Entries per re-descent of the streaming [`ArtTree::range`] iterator.
-const RANGE_CHUNK: usize = 64;
 
 // The tree's lanes of its counter block, after the OLC protocol's.
 /// Entries: +1 per new key, -1 per removed one (see [`ArtTree::len`]).
@@ -921,44 +917,33 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
 
     // --- range scan -----------------------------------------------------------
 
-    /// Collect up to `limit` entries with keys ≥ `start` in ascending key
-    /// order.
+    /// One scan chunk (`ConcurrentIndex::scan_chunk`): up to `limit`
+    /// entries with keys ≥ `from` (`None`: from the leftmost key), in
+    /// ascending key order, and the key to resume from — the first key
+    /// the chunk left behind, read in the same snapshot; `None` once the
+    /// tree is drained.
     ///
     /// Each node's children are snapshotted under version validation, so
     /// every returned pair existed in the tree at some point during the
-    /// scan; like other optimistically-synchronized range scans, the scan
+    /// chunk; like other optimistically-synchronized range scans, the scan
     /// as a whole is not a serializable snapshot (matching the range-query
     /// semantics index benchmarks such as YCSB-E assume).
-    pub fn scan(&self, start: K, limit: usize) -> Vec<(K, u64)> {
+    pub fn scan_chunk(&self, from: Option<&K>, limit: usize, out: &mut Vec<(K, u64)>) -> Option<K> {
         self.counters.add(OPS, 1);
-        self.scan_from(Some(&start), limit)
-    }
-
-    /// Scan body: `start = None` collects from the leftmost key. Shared by
-    /// [`scan`](Self::scan) and the streaming [`range`](Self::range)
-    /// refills (which account once per range).
-    pub(crate) fn scan_from(&self, start: Option<&K>, limit: usize) -> Vec<(K, u64)> {
-        let mut out = Vec::new();
-        if limit == 0 {
-            return out;
-        }
         let _g = self.collector.pin();
-        let enc = start.map(|s| s.encode());
+        let enc = from.map(|s| s.encode());
         let sb: &[u8] = enc.as_ref().map(|e| e.as_ref()).unwrap_or(&[]);
+        // One entry past the chunk: the resume key.
+        let want = limit.saturating_add(1);
         let mut rs = self.restart_loop();
         loop {
             out.clear();
-            if self.scan_node(
-                self.root,
-                start,
-                sb,
-                0,
-                start.is_some(),
-                limit,
-                &mut out,
-                None,
-            ) {
-                return out;
+            if self.scan_node(self.root, from, sb, 0, from.is_some(), want, out, None) {
+                return if out.len() == want {
+                    out.pop().map(|(k, _)| k)
+                } else {
+                    None
+                };
             }
             rs.pause();
         }
@@ -1081,26 +1066,6 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
         true
     }
 
-    /// Stream the entries within `start..end` in ascending key order.
-    ///
-    /// The iterator re-descends in [`RANGE_CHUNK`]-sized validated chunks,
-    /// resuming at the last yielded key (exclusive); a restart therefore
-    /// never loses or duplicates an already-yielded entry.
-    pub fn range(&self, start: Bound<K>, end: Bound<K>) -> RangeIter<'_, K> {
-        self.counters.add(OPS, 1);
-        if !bounds_nonempty(&start, &end) {
-            return RangeIter::empty();
-        }
-        RangeIter::new(ArtRange {
-            tree: self,
-            cursor: None,
-            buf: Vec::new().into_iter(),
-            exhausted: false,
-            start,
-            end,
-        })
-    }
-
     // --- validation (test support) -----------------------------------------
 
     /// Single-threaded structural check, including that no operation left
@@ -1155,62 +1120,6 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
         }
         let mut path = Vec::new();
         walk::<L, K>(self.root, &mut path)
-    }
-}
-
-/// The streaming iterator behind [`ArtTree::range`]: drains a chunked
-/// validated scan, then re-descends from the last yielded key. Keys are
-/// globally unique and chunks ascend, so dropping entries ≤ the cursor on
-/// refill removes exactly the one overlapping boundary key.
-struct ArtRange<'a, L: IndexLock, K: IndexKey> {
-    tree: &'a ArtTree<L, K>,
-    /// Last yielded key; the next refill starts here (then skips it).
-    cursor: Option<K>,
-    buf: std::vec::IntoIter<(K, u64)>,
-    /// A refill returned a short chunk: the tree is drained past `cursor`.
-    exhausted: bool,
-    start: Bound<K>,
-    end: Bound<K>,
-}
-
-impl<L: IndexLock, K: IndexKey> Iterator for ArtRange<'_, L, K> {
-    type Item = (K, u64);
-
-    fn next(&mut self) -> Option<(K, u64)> {
-        loop {
-            for (k, v) in self.buf.by_ref() {
-                if let Some(c) = &self.cursor {
-                    if k <= *c {
-                        continue;
-                    }
-                }
-                if !key_above_start(&k, &self.start) {
-                    continue;
-                }
-                if !key_below_end(&k, &self.end) {
-                    self.exhausted = true;
-                    self.buf = Vec::new().into_iter();
-                    return None;
-                }
-                self.cursor = Some(k.clone());
-                return Some((k, v));
-            }
-            if self.exhausted {
-                return None;
-            }
-            let from = self.cursor.clone().or_else(|| match &self.start {
-                Bound::Included(s) | Bound::Excluded(s) => Some(s.clone()),
-                Bound::Unbounded => None,
-            });
-            let batch = self.tree.scan_from(from.as_ref(), RANGE_CHUNK);
-            if batch.len() < RANGE_CHUNK {
-                self.exhausted = true;
-            }
-            if batch.is_empty() {
-                return None;
-            }
-            self.buf = batch.into_iter();
-        }
     }
 }
 

@@ -13,7 +13,7 @@ use proptest::prelude::*;
 
 use optiql::IndexLock;
 use optiql_art::{ArtMcsRw, ArtOptLock, ArtOptiQL, ArtTree};
-use optiql_index_api::{key_above_start, key_below_end, Bytes};
+use optiql_index_api::{key_above_start, key_below_end, Bytes, ConcurrentIndex};
 
 fn bound_strategy(key_space: u64) -> impl Strategy<Value = Bound<u64>> {
     prop_oneof![

@@ -1,12 +1,22 @@
 //! ART ordered range scan tests (including concurrent-mutation safety).
 
+use std::ops::Bound;
+
 use optiql_art::{ArtOptLock, ArtOptiQL};
+use optiql_index_api::ConcurrentIndex;
+
+/// The first `n` entries at or above `from`.
+fn scan(tree: &impl ConcurrentIndex, from: u64, n: usize) -> Vec<(u64, u64)> {
+    tree.range(Bound::Included(from), Bound::Unbounded)
+        .take(n)
+        .collect()
+}
 
 #[test]
 fn scan_empty_tree() {
     let t: ArtOptiQL = ArtOptiQL::new();
-    assert!(t.scan(0, 10).is_empty());
-    assert!(t.scan(u64::MAX, 10).is_empty());
+    assert!(scan(&t, 0, 10).is_empty());
+    assert!(scan(&t, u64::MAX, 10).is_empty());
 }
 
 #[test]
@@ -15,25 +25,25 @@ fn scan_returns_sorted_entries_from_start() {
     for k in (0..1_000u64).map(|i| i * 3) {
         t.insert(k, k + 1);
     }
-    let all = t.scan(0, usize::MAX);
+    let all = scan(&t, 0, usize::MAX);
     assert_eq!(all.len(), 1_000);
     assert!(all.windows(2).all(|w| w[0].0 < w[1].0), "ascending");
     assert!(all.iter().all(|&(k, v)| v == k + 1));
 
     // Start between keys.
-    let part = t.scan(301, 5);
+    let part = scan(&t, 301, 5);
     assert_eq!(part.len(), 5);
     assert_eq!(part[0].0, 303);
     assert_eq!(part[4].0, 315);
 
     // Start exactly on a key.
-    let part = t.scan(300, 2);
+    let part = scan(&t, 300, 2);
     assert_eq!(part[0].0, 300);
 
     // Past the end.
-    assert!(t.scan(3_000, 5).is_empty());
+    assert!(scan(&t, 3_000, 5).is_empty());
     // Limit zero.
-    assert!(t.scan(0, 0).is_empty());
+    assert!(scan(&t, 0, 0).is_empty());
 }
 
 #[test]
@@ -47,7 +57,7 @@ fn scan_spans_sparse_structure() {
     }
     keys.sort_unstable();
     let mid = keys[1_500];
-    let got = t.scan(mid, 100);
+    let got = scan(&t, mid, 100);
     let expect: Vec<(u64, u64)> = keys[1_500..1_600].iter().map(|&k| (k, !k)).collect();
     assert_eq!(got, expect);
 }
@@ -67,7 +77,7 @@ fn scan_agrees_with_model_across_boundaries() {
     }
     for start in [0u64, 1, 100, 499, 500, (1 << 63) - 1, 1 << 63, u64::MAX] {
         for limit in [1usize, 7, 100] {
-            let got = t.scan(start, limit);
+            let got = scan(&t, start, limit);
             let expect: Vec<(u64, u64)> = model
                 .range(start..)
                 .take(limit)
@@ -98,7 +108,7 @@ fn scan_survives_concurrent_inserts() {
         })
     };
     for _ in 0..200 {
-        let got = t.scan(1_000, 50);
+        let got = scan(&t, 1_000, 50);
         assert!(got.len() <= 50);
         assert!(
             got.windows(2).all(|w| w[0].0 < w[1].0),

@@ -5,9 +5,8 @@
 //!
 //! * **index** — B+-tree, ART, and both behind the sharded facade (the
 //!   facade's k-way merge iterator is what YCSB-E actually measures);
-//! * **scan mode** — `stream` (lazy per-leaf OLC iterator), `materialize`
-//!   (same iterator collected into a `Vec` first), `count` (the
-//!   pre-streaming `scan_count` baseline);
+//! * **scan mode** — the two drivers of `scan_chunk`: `stream` (the lazy
+//!   `range` iterator) and `count` (`scan_count`);
 //! * **key type** — `u64` and byte-string `user################` keys
 //!   through the same driver via `run_keyed`.
 //!
@@ -34,13 +33,9 @@ fn ycsb_e_cfg(keys: u64) -> WorkloadConfig {
     cfg
 }
 
-/// YCSB-E in every scan mode plus the YCSB-C anchor row, `u64` keys.
+/// YCSB-E in both scan modes plus the YCSB-C anchor row, `u64` keys.
 fn sweep_u64<I: ConcurrentIndex>(index: &I, name: &str, keys: u64) {
-    for (mode_name, mode) in [
-        ("stream", ScanMode::Stream),
-        ("materialize", ScanMode::Materialize),
-        ("count", ScanMode::Count),
-    ] {
+    for (mode_name, mode) in [("stream", ScanMode::Stream), ("count", ScanMode::Count)] {
         let mut cfg = ycsb_e_cfg(keys);
         cfg.scan_mode = mode;
         let (r, _) = run(index, &cfg);
@@ -91,7 +86,7 @@ fn sweep_bytes<I: ConcurrentIndex<Bytes>>(index: &I, name: &str, keys: u64) {
 fn main() {
     banner(
         "scan",
-        "YCSB-E scans 1..=100, Zipfian(0.99) starts, stream vs materialize vs count",
+        "YCSB-E scans 1..=100, Zipfian(0.99) starts, stream vs count",
     );
     header(&["figure", "index/mode", "workload/keys", "Mops/s", "extra"]);
     let keys = env::preload_keys().min(2_000_000);

@@ -995,39 +995,42 @@ impl<LL: IndexLock, const LC: usize, K: IndexKey> Leaf<LL, LC, K> {
         }
     }
 
-    /// Copy entries with key ≥ `from` (every entry when `from` is `None`)
-    /// into `out`, up to `limit` items. Keys are owned clones (prefix
-    /// reattached once per node for truncated leaves): the caller may
-    /// keep them past validation.
-    pub fn collect_from(&self, from: Option<&K>, limit: usize, out: &mut Vec<(K, u64)>) {
+    /// Append the entries with key ≥ `from` (every entry when `from` is
+    /// `None`) to `out`, at most `limit` of them, and return the first
+    /// key left behind when `limit` cut the leaf short. Keys are owned
+    /// clones (prefix reattached once per node for truncated leaves): the
+    /// caller may keep them past validation.
+    pub fn collect_from(
+        &self,
+        from: Option<&K>,
+        limit: usize,
+        out: &mut Vec<(K, u64)>,
+    ) -> Option<K> {
         let n = self.count();
         let start = match from {
             Some(k) => self.lower_bound(k),
             None => 0,
         };
+        let end = start + limit.min(n.saturating_sub(start));
         if K::TRUNCATE {
             let mut buf = Vec::new();
             // Safety: caller pinned; prefix slot readable.
             unsafe { bslot::append_to(self.prefix.load(K::SLOT_LOAD), &mut buf) };
             let plen = buf.len();
-            for i in start..n {
-                if out.len() >= limit {
-                    break;
-                }
+            for i in start..end {
                 buf.truncate(plen);
                 // Safety: published slot below count, caller pinned.
                 unsafe { bslot::append_to(self.keys[i].load(K::SLOT_LOAD), &mut buf) };
                 out.push((K::from_raw(&buf), self.vals[i].load(R)));
             }
         } else {
-            for i in start..n {
-                if out.len() >= limit {
-                    break;
-                }
+            for i in start..end {
                 // Safety: published slot below count, caller pinned.
                 out.push((unsafe { self.key_at(i) }, self.vals[i].load(R)));
             }
         }
+        // Safety: published slot below count, caller pinned.
+        (end < n).then(|| unsafe { self.key_at(end) })
     }
 
     /// Free the key slots this node owns (`[0, count)`), plus the prefix
@@ -1161,10 +1164,11 @@ mod tests {
             l.insert(&k, k, &g);
         }
         let mut out = Vec::new();
-        l.collect_from(Some(&4), 2, &mut out);
+        let left_behind = l.collect_from(Some(&4), 2, &mut out);
         assert_eq!(out, vec![(4, 4), (6, 6)]);
+        assert_eq!(left_behind, Some(8), "a cut leaf names its next key");
         out.clear();
-        l.collect_from(None, 8, &mut out);
+        assert_eq!(l.collect_from(None, 8, &mut out), None);
         assert_eq!(out.len(), 4, "None = no lower bound");
         free_leaf(p);
     }
@@ -1259,7 +1263,7 @@ mod tests {
         assert_eq!(l.lookup(&Bytes::from("user1")), Some(100));
         // Full keys reconstruct with the prefix reattached.
         let mut out = Vec::new();
-        l.collect_from(None, 16, &mut out);
+        assert_eq!(l.collect_from(None, 16, &mut out), None);
         assert_eq!(out.len(), 6);
         assert_eq!(out[0].0, Bytes::from("user0000000000000003"));
         assert_eq!(out[5].0, Bytes::from("user1"));

@@ -54,24 +54,23 @@
 //!
 //! # Range scans
 //!
-//! [`BPlusTree::fill_from`] is the per-leaf scan primitive: descend to the
-//! leaf covering the cursor under optimistic reads, snapshot its matching
-//! entries, validate, and report the tightest upper separator on the path
-//! as the next cursor. Both the materializing [`scan`](BPlusTree::scan)
-//! and the streaming [`range`](BPlusTree::range) iterate it. Continuation
-//! is loss- and duplicate-free because a leaf's keys are strictly below
-//! the separator above it: restarting the descent at the separator
+//! [`BPlusTree::scan_chunk`] is the tree's one scan function: descend to
+//! the leaf covering the cursor under optimistic reads, snapshot its
+//! matching entries, validate, and report the tightest upper separator on
+//! the path as the next cursor. `ConcurrentIndex::range` and `scan_count`
+//! are drivers of it, written once in `optiql-index-api`. Continuation is
+//! loss- and duplicate-free because a leaf's keys are strictly below the
+//! separator above it: restarting the descent at the separator
 //! (inclusive) lands on the next leaf's first key, whatever splits or
 //! merges happened in between.
 
-use std::ops::Bound;
 use std::sync::atomic::{AtomicPtr, Ordering};
 
 use optiql::counters::Counters;
 use optiql::olc::{IndexStats, OptimisticGuard, RestartLoop, Step, INDEX_LANES, OPS};
 use optiql::stats::Event;
 use optiql::{IndexLock, WriteStrategy, WriteToken};
-use optiql_index_api::{bounds_nonempty, key_above_start, key_below_end, IndexKey, RangeIter};
+use optiql_index_api::IndexKey;
 use optiql_reclaim::{Collector, Guard};
 
 use crate::node::{as_inner, as_leaf, is_leaf, Inner, Leaf, NodeBase};
@@ -769,21 +768,18 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
 
     // --- range scan -----------------------------------------------------------
 
-    /// One streaming-scan step: snapshot the entries of the leaf covering
-    /// `from` (keys ≥ `from`; the leftmost leaf when `None`) into `out`
-    /// under a validated optimistic read, and return the tightest upper
-    /// separator on the descent path — the inclusive cursor for the next
-    /// step, `None` at the rightmost leaf. `out` is cleared on entry and
-    /// on every internal restart, so a validation failure never leaks a
-    /// torn snapshot.
-    pub(crate) fn fill_from(
-        &self,
-        from: Option<&K>,
-        limit: usize,
-        out: &mut Vec<(K, u64)>,
-    ) -> Option<K> {
+    /// One scan chunk (`ConcurrentIndex::scan_chunk`): snapshot up to
+    /// `limit` entries of the leaf covering `from` (keys ≥ `from`; the
+    /// leftmost leaf when `None`) into `out` under a validated optimistic
+    /// read, and return the inclusive cursor for the next chunk — the
+    /// first key a full chunk left behind in the leaf, otherwise the
+    /// tightest upper separator on the descent path, `None` at the
+    /// rightmost leaf. `out` is cleared on entry and on every internal
+    /// restart, so a validation failure never leaks a torn snapshot.
+    pub fn scan_chunk(&self, from: Option<&K>, limit: usize, out: &mut Vec<(K, u64)>) -> Option<K> {
+        self.counters.add(OPS, 1);
         let _g = self.collector.pin();
-        // Fresh ladder per leaf: a restart storm on one leaf must not
+        // Fresh ladder per chunk: a restart storm on one leaf must not
         // leave the loop escalated for the rest of the range.
         let mut rs = self.restart_loop();
         'restart: loop {
@@ -809,51 +805,11 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
                         upper = seen.or(upper);
                         edge = next;
                     }
-                    Step::Done(()) => return upper,
+                    Step::Done(left_behind) => return left_behind.or(upper),
                     Step::Restart => continue 'restart,
                 }
             }
         }
-    }
-
-    /// Collect up to `limit` entries with keys ≥ `start`, in ascending key
-    /// order (the materializing scan behind `scan_count`).
-    pub fn scan(&self, start: K, limit: usize) -> Vec<(K, u64)> {
-        self.counters.add(OPS, 1);
-        let mut out = Vec::with_capacity(limit.min(1024));
-        let mut batch = Vec::new();
-        let mut from = start;
-        let _g = self.collector.pin();
-        while out.len() < limit {
-            let upper = self.fill_from(Some(&from), limit - out.len(), &mut batch);
-            out.append(&mut batch);
-            match upper {
-                Some(u) => from = u,
-                None => break,
-            }
-        }
-        out
-    }
-
-    /// Stream the entries within `start..end` in ascending key order, one
-    /// leaf snapshot at a time (see the module doc for the protocol and
-    /// the consistency contract).
-    pub fn range(&self, start: Bound<K>, end: Bound<K>) -> RangeIter<'_, K> {
-        self.counters.add(OPS, 1);
-        if !bounds_nonempty(&start, &end) {
-            return RangeIter::empty();
-        }
-        let cursor = match &start {
-            Bound::Included(s) | Bound::Excluded(s) => Some(s.clone()),
-            Bound::Unbounded => None,
-        };
-        RangeIter::new(TreeRange {
-            tree: self,
-            pending: Some(cursor),
-            buf: Vec::new().into_iter(),
-            start,
-            end,
-        })
     }
 
     // --- validation (test support) ---------------------------------------------
@@ -933,51 +889,6 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
             0,
             &mut leaf_depth,
         )
-    }
-}
-
-/// The streaming iterator behind [`BPlusTree::range`]: drains one leaf
-/// snapshot, then re-descends from the remembered separator. Bound checks
-/// run on every yielded key (keys ascend, so a failed end-bound check
-/// terminates the whole scan), and the refill stops early once the next
-/// cursor already lies past the end bound.
-struct TreeRange<'a, IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey> {
-    tree: &'a BPlusTree<IL, LL, IC, LC, K>,
-    /// `None` — exhausted; `Some(cursor)` — next refill starts at `cursor`
-    /// (inclusive), with `Some(None)` meaning the leftmost leaf.
-    pending: Option<Option<K>>,
-    buf: std::vec::IntoIter<(K, u64)>,
-    start: Bound<K>,
-    end: Bound<K>,
-}
-
-impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey> Iterator
-    for TreeRange<'_, IL, LL, IC, LC, K>
-{
-    type Item = (K, u64);
-
-    fn next(&mut self) -> Option<(K, u64)> {
-        loop {
-            for (k, v) in self.buf.by_ref() {
-                if !key_above_start(&k, &self.start) {
-                    // Only the excluded start key itself lands here.
-                    continue;
-                }
-                if !key_below_end(&k, &self.end) {
-                    self.pending = None;
-                    self.buf = Vec::new().into_iter();
-                    return None;
-                }
-                return Some((k, v));
-            }
-            let from = self.pending.take()?;
-            let mut batch = Vec::new();
-            let upper = self.tree.fill_from(from.as_ref(), usize::MAX, &mut batch);
-            // Keys in later leaves are ≥ the separator: once it passes the
-            // end bound, nothing further can qualify.
-            self.pending = upper.filter(|u| key_below_end(u, &self.end)).map(Some);
-            self.buf = batch.into_iter();
-        }
     }
 }
 

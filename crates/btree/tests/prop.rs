@@ -4,10 +4,19 @@
 //! covers the structural state space — splits, merges, root collapse).
 
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
 use proptest::prelude::*;
 
 use optiql_btree::{BTreeOptLock, BTreeOptiQL, BTreeOptiQLNor};
+use optiql_index_api::ConcurrentIndex;
+
+/// The first `n` entries at or above `from`.
+fn scan(tree: &impl ConcurrentIndex, from: u64, n: usize) -> Vec<(u64, u64)> {
+    tree.range(Bound::Included(from), Bound::Unbounded)
+        .take(n)
+        .collect()
+}
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -52,7 +61,7 @@ fn run_model<IL, LL, const IC: usize, const LC: usize>(
                 assert_eq!(tree.lookup(k), model.get(&k).copied(), "lookup {k}");
             }
             Op::Scan(k, n) => {
-                let got = tree.scan(k, n);
+                let got = scan(tree, k, n);
                 let expect: Vec<(u64, u64)> =
                     model.range(k..).take(n).map(|(a, b)| (*a, *b)).collect();
                 assert_eq!(got, expect, "scan from {k} limit {n}");

@@ -12,7 +12,7 @@ use proptest::prelude::*;
 
 use optiql::{IndexLock, OptLock, OptiQL};
 use optiql_btree::BPlusTree;
-use optiql_index_api::{key_above_start, key_below_end, Bytes};
+use optiql_index_api::{key_above_start, key_below_end, Bytes, ConcurrentIndex};
 
 /// Tiny nodes: every handful of inserts splits, every handful of removes
 /// collapses — the structural cases dominate instead of hiding.
@@ -52,23 +52,38 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 
-    /// The iterator must agree with the materializing scan it supersedes.
+    /// `range`, `scan_count` and a hand-written chunk loop are three
+    /// readings of the one primitive: they must agree, whatever size the
+    /// loop asks its chunks in.
     #[test]
-    fn range_agrees_with_scan(
+    fn range_count_and_chunk_loop_agree(
         keys in proptest::collection::vec(0..500u64, 0..120),
         from in 0..500u64,
         limit in 0..64usize,
+        chunk_len in 1..9usize,
     ) {
         let tree = TinyTree::new();
         for &k in &keys {
             tree.insert(k, k + 1);
         }
-        let scanned = tree.scan(from, limit);
         let streamed: Vec<(u64, u64)> = tree
             .range(Bound::Included(from), Bound::Unbounded)
             .take(limit)
             .collect();
-        prop_assert_eq!(scanned, streamed);
+        let mut by_hand = Vec::new();
+        let mut chunk = Vec::new();
+        let mut cursor = from;
+        while by_hand.len() < limit {
+            let want = chunk_len.min(limit - by_hand.len());
+            let resume = tree.scan_chunk(Some(&cursor), want, &mut chunk);
+            by_hand.append(&mut chunk);
+            match resume {
+                Some(k) => cursor = k,
+                None => break,
+            }
+        }
+        prop_assert_eq!(&by_hand, &streamed);
+        prop_assert_eq!(tree.scan_count(from, limit), streamed.len());
     }
 }
 

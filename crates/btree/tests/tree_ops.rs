@@ -1,5 +1,7 @@
 //! Functional tests for every B+-tree lock configuration.
 
+use std::ops::Bound;
+
 use optiql_btree::{
     BTreeMcsRw, BTreeOptLock, BTreeOptiClh, BTreeOptiQL, BTreeOptiQLAor, BTreeOptiQLNor,
     BTreePthread,
@@ -183,7 +185,10 @@ where
         optiql_btree::BPlusTree::remove(self, k)
     }
     fn scan(&self, from: u64, limit: usize) -> Vec<(u64, u64)> {
-        optiql_btree::BPlusTree::scan(self, from, limit)
+        use optiql_index_api::ConcurrentIndex;
+        self.range(Bound::Included(from), Bound::Unbounded)
+            .take(limit)
+            .collect()
     }
     fn len(&self) -> usize {
         optiql_btree::BPlusTree::len(self)

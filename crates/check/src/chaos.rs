@@ -74,10 +74,9 @@ impl<K: IndexKey, I: ConcurrentIndex<K>> ConcurrentIndex<K> for ChaosIndex<I> {
     fn remove(&self, k: K) -> Option<u64> {
         self.around(k.route_hint().wrapping_add(4), |i| i.remove(k))
     }
-    fn scan_count(&self, start: K, limit: usize) -> usize {
-        self.around(start.route_hint().wrapping_add(5), |i| {
-            i.scan_count(start, limit)
-        })
+    fn scan_chunk(&self, from: Option<&K>, limit: usize, out: &mut Vec<(K, u64)>) -> Option<K> {
+        let class = from.map_or(0, K::route_hint).wrapping_add(5);
+        self.around(class, |i| i.scan_chunk(from, limit, out))
     }
     /// Streaming chaos: jitter when the iterator is opened, then once per
     /// yielded entry — stretching the windows *between* per-chunk

@@ -32,11 +32,10 @@
 //! its seed — [`Failure`] carries exactly that, and [`sweep`] re-runs a
 //! failing seed verbatim to demonstrate replay.
 
-use std::ops::Bound;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 
-use optiql_index_api::{Bytes, ConcurrentIndex, RangeIter};
+use optiql_index_api::{Bytes, ConcurrentIndex};
 use optiql_wal::{DurableIndex, FsyncPolicy, Wal, WalConfig};
 
 use crate::chaos::ChaosIndex;
@@ -186,20 +185,18 @@ impl<I: ConcurrentIndex<Bytes>> ConcurrentIndex for ByteKeyed<I> {
     fn remove(&self, k: u64) -> Option<u64> {
         self.0.remove(byte_key(k))
     }
-    fn scan_count(&self, start: u64, limit: usize) -> usize {
-        self.0.scan_count(byte_key(start), limit)
-    }
-    fn range(&self, start: Bound<u64>, end: Bound<u64>) -> RangeIter<'_, u64> {
-        let m = |b: Bound<u64>| match b {
-            Bound::Included(k) => Bound::Included(byte_key(k)),
-            Bound::Excluded(k) => Bound::Excluded(byte_key(k)),
-            Bound::Unbounded => Bound::Unbounded,
-        };
-        RangeIter::new(
-            self.0
-                .range(m(start), m(end))
-                .map(|(k, v)| (decode_byte_key(&k), v)),
-        )
+    fn scan_chunk(
+        &self,
+        from: Option<&u64>,
+        limit: usize,
+        out: &mut Vec<(u64, u64)>,
+    ) -> Option<u64> {
+        let mut chunk = Vec::new();
+        let from = from.map(|&k| byte_key(k));
+        let resume = self.0.scan_chunk(from.as_ref(), limit, &mut chunk);
+        out.clear();
+        out.extend(chunk.iter().map(|(k, v)| (decode_byte_key(k), *v)));
+        resume.as_ref().map(decode_byte_key)
     }
     fn len(&self) -> usize {
         self.0.len()

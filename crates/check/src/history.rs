@@ -171,10 +171,15 @@ impl<I: ConcurrentIndex> ConcurrentIndex for ThreadRecorder<I> {
         self.run_one(k, Op::Remove, |i| i.remove(k))
     }
     /// Not recorded (not a per-key register op); still forwarded.
-    fn scan_count(&self, start: u64, limit: usize) -> usize {
-        self.inner.scan_count(start, limit)
+    fn scan_chunk(
+        &self,
+        from: Option<&u64>,
+        limit: usize,
+        out: &mut Vec<(u64, u64)>,
+    ) -> Option<u64> {
+        self.inner.scan_chunk(from, limit, out)
     }
-    /// Not recorded, like `scan_count`: the per-key checker cannot judge
+    /// Not recorded, like `scan_chunk`: the per-key checker cannot judge
     /// multi-key reads, and the differential range tests cover them. The
     /// stream still executes — and still perturbs the schedule — when a
     /// chaos workload drives it.

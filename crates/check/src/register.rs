@@ -61,36 +61,17 @@ macro_rules! register_common {
             &self.slots[k as usize]
         }
 
-        fn count_from(&self, start: u64, limit: usize) -> usize {
-            // Unlocked relaxed sweep: scan_count is covered by the
-            // dedicated bounds tests, not the per-key checker.
-            self.slots
-                .iter()
-                .skip(start as usize)
-                .filter(|s| s.present.load(Ordering::Relaxed))
-                .take(limit)
-                .count()
-        }
-
-        fn range_items(
-            &self,
-            start: ::std::ops::Bound<u64>,
-            end: ::std::ops::Bound<u64>,
-        ) -> Vec<(u64, u64)> {
-            // Same relaxed sweep as `count_from`, materialized: registers
-            // exist to check per-key lock protocols, not scan protocols,
-            // so their "stream" is one ascending pass over the array.
+        /// Present entries from key `from` on (`None`: from 0), ascending.
+        /// An unlocked relaxed sweep: registers exist to check per-key
+        /// lock protocols, not scan protocols (the dedicated bounds tests
+        /// cover those), so a scan is one pass over the array.
+        fn entries_from(&self, from: Option<&u64>) -> impl Iterator<Item = (u64, u64)> + '_ {
             self.slots
                 .iter()
                 .enumerate()
-                .map(|(i, s)| (i as u64, s))
-                .filter(|(k, _)| {
-                    optiql_index_api::key_above_start(k, &start)
-                        && optiql_index_api::key_below_end(k, &end)
-                })
+                .skip(from.map_or(0, |&k| k as usize))
                 .filter(|(_, s)| s.present.load(Ordering::Relaxed))
-                .map(|(k, s)| (k, s.value.load(Ordering::Relaxed)))
-                .collect()
+                .map(|(k, s)| (k as u64, s.value.load(Ordering::Relaxed)))
         }
     };
 }
@@ -156,18 +137,16 @@ impl<L: ExclusiveLock> ConcurrentIndex for LockRegister<L> {
             prev
         })
     }
-    fn scan_count(&self, start: u64, limit: usize) -> usize {
-        self.count_from(start, limit)
-    }
-    fn range(
+    fn scan_chunk(
         &self,
-        start: std::ops::Bound<u64>,
-        end: std::ops::Bound<u64>,
-    ) -> optiql_index_api::RangeIter<'_> {
-        optiql_index_api::RangeIter::new(self.range_items(start, end).into_iter())
+        from: Option<&u64>,
+        limit: usize,
+        out: &mut Vec<(u64, u64)>,
+    ) -> Option<u64> {
+        optiql_index_api::chunk_of(self.entries_from(from), limit, out)
     }
     fn len(&self) -> usize {
-        self.count_from(0, usize::MAX)
+        self.entries_from(None).count()
     }
 }
 
@@ -237,18 +216,16 @@ impl<L: IndexLock> ConcurrentIndex for OptRegister<L> {
             s.present.store(false, Ordering::Relaxed);
         })
     }
-    fn scan_count(&self, start: u64, limit: usize) -> usize {
-        self.count_from(start, limit)
-    }
-    fn range(
+    fn scan_chunk(
         &self,
-        start: std::ops::Bound<u64>,
-        end: std::ops::Bound<u64>,
-    ) -> optiql_index_api::RangeIter<'_> {
-        optiql_index_api::RangeIter::new(self.range_items(start, end).into_iter())
+        from: Option<&u64>,
+        limit: usize,
+        out: &mut Vec<(u64, u64)>,
+    ) -> Option<u64> {
+        optiql_index_api::chunk_of(self.entries_from(from), limit, out)
     }
     fn len(&self) -> usize {
-        self.count_from(0, usize::MAX)
+        self.entries_from(None).count()
     }
 }
 

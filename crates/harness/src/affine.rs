@@ -41,7 +41,7 @@ use rand::{Rng, SeedableRng};
 use optiql_sharded::ShardedIndex;
 
 use crate::latency::Histogram;
-use crate::workload::{ConcurrentIndex, ScanMode, WorkloadConfig, WorkloadResult};
+use crate::workload::{ConcurrentIndex, WorkloadConfig, WorkloadResult};
 
 /// Operations between group-pin refreshes. Large enough that the pin
 /// publish + fence amortizes to noise, small enough that a shard's epoch
@@ -201,26 +201,7 @@ pub fn run_affine<I: ConcurrentIndex>(
                         } else {
                             let k = next_key(&mut cursor);
                             let len = cfg.scan_max.max(1) as usize;
-                            out.scanned_entries += match cfg.scan_mode {
-                                ScanMode::Count => sharded.scan_count(k, len) as u64,
-                                // Stream and Materialize both drive the
-                                // merged cross-shard iterator; affine mode
-                                // has no reason to collect, so both stream.
-                                ScanMode::Stream | ScanMode::Materialize => {
-                                    let mut n = 0u64;
-                                    for kv in sharded
-                                        .range(
-                                            std::ops::Bound::Included(k),
-                                            std::ops::Bound::Unbounded,
-                                        )
-                                        .take(len)
-                                    {
-                                        std::hint::black_box(kv);
-                                        n += 1;
-                                    }
-                                    n
-                                }
-                            };
+                            out.scanned_entries += cfg.scan_mode.scan(sharded, k, len);
                             out.scans += 1;
                             group_ops += 1;
                         }

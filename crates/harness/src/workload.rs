@@ -31,22 +31,46 @@ use optiql_index_api::{Bytes, IndexKey};
 // `workload::ConcurrentIndex` imports keep working.
 pub use optiql_index_api::ConcurrentIndex;
 
-/// How the scan share of a mix executes.
+/// How the scan share of a mix executes: the index's two range drivers,
+/// which the server exposes as SCAN (0x07) and SCAN_COUNT (0x05).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScanMode {
     /// Consume the streaming `range` iterator entry by entry without
     /// materializing — the scan path YCSB-E measures.
     #[default]
     Stream,
-    /// Collect the same stream into a result buffer first (what a scan
-    /// API that returns its results must do); the copy-out-cost baseline
-    /// the scan bench compares [`Stream`](ScanMode::Stream) against. The
-    /// buffer is reused across scans, so the measured overhead is the
-    /// per-entry copy (for byte keys, a key clone), not container churn.
-    Materialize,
-    /// `scan_count` only — touches the same leaves but returns a count
-    /// (the pre-streaming behavior, kept for comparability).
+    /// `scan_count` only — touches the same leaves but returns a count.
     Count,
+}
+
+impl ScanMode {
+    /// Run one scan of up to `len` entries from `start`; returns the
+    /// number of entries it saw.
+    pub fn scan<K: IndexKey, I: ConcurrentIndex<K> + ?Sized>(
+        self,
+        index: &I,
+        start: K,
+        len: usize,
+    ) -> u64 {
+        match self {
+            ScanMode::Stream => {
+                // Lazy consumption: entries are folded as they stream,
+                // nothing is collected.
+                let mut n = 0u64;
+                let mut acc = 0u64;
+                for (_, v) in index
+                    .range(Bound::Included(start), Bound::Unbounded)
+                    .take(len)
+                {
+                    n += 1;
+                    acc ^= v;
+                }
+                std::hint::black_box(acc);
+                n
+            }
+            ScanMode::Count => index.scan_count(start, len) as u64,
+        }
+    }
 }
 
 /// The YCSB string-key convention: `user` + zero-padded decimal index.
@@ -295,11 +319,6 @@ where
                         cfg.preload + tid as u64 * (u64::MAX / 1024 / cfg.threads as u64);
                     let mut op_counter = 0u32;
                     let mut batch_buf: Vec<K> = Vec::with_capacity(cfg.batch.max(1));
-                    // Reused materialize-scan scratch: the container is
-                    // hoisted out of the hot loop (entry copies still
-                    // pay their own key-clone cost, which is the point
-                    // of the mode).
-                    let mut scan_buf: Vec<(K, u64)> = Vec::new();
                     barrier.wait();
                     while !stop.load(Ordering::Relaxed) {
                         let die = rng.random_range(0..100);
@@ -343,32 +362,7 @@ where
                         } else {
                             let k = keyfn(sampler.sample(&mut rng));
                             let len = rng.random_range(0..cfg.scan_max.max(1)) as usize + 1;
-                            out.scanned_entries += match cfg.scan_mode {
-                                ScanMode::Stream => {
-                                    // Lazy consumption: entries are
-                                    // folded as they stream, nothing is
-                                    // collected.
-                                    let mut n = 0u64;
-                                    let mut acc = 0u64;
-                                    for (_, v) in
-                                        index.range(Bound::Included(k), Bound::Unbounded).take(len)
-                                    {
-                                        n += 1;
-                                        acc ^= v;
-                                    }
-                                    std::hint::black_box(acc);
-                                    n
-                                }
-                                ScanMode::Materialize => {
-                                    scan_buf.clear();
-                                    scan_buf.extend(
-                                        index.range(Bound::Included(k), Bound::Unbounded).take(len),
-                                    );
-                                    std::hint::black_box(&scan_buf);
-                                    scan_buf.len() as u64
-                                }
-                                ScanMode::Count => index.scan_count(k, len) as u64,
-                            };
+                            out.scanned_entries += cfg.scan_mode.scan(index, k, len);
                             out.scans += 1;
                         }
                         if let Some(t0) = t0 {
@@ -577,9 +571,9 @@ mod tests {
 
     #[test]
     fn scan_modes_agree_on_quiescent_counts() {
-        // Same config, no writers: Stream, Materialize, and Count must
-        // all report full-length scans over a dense preload.
-        for mode in [ScanMode::Stream, ScanMode::Materialize, ScanMode::Count] {
+        // Same config, no writers: Stream and Count must both report
+        // full-length scans over a dense preload.
+        for mode in [ScanMode::Stream, ScanMode::Count] {
             let tree: BTreeOptiQL = BTreeOptiQL::new();
             let mut cfg = quick_cfg(Mix::with_scan(0, 0, 0, 0, 100));
             cfg.scan_mode = mode;

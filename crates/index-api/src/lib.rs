@@ -10,11 +10,14 @@
 //! `u64` as the default parameter (so `dyn ConcurrentIndex` and every
 //! pre-existing `I: ConcurrentIndex` bound still mean the fixed-width
 //! integer index) and [`Bytes`] as the variable-length byte-string key
-//! real workloads use. Range access is a **streaming** iterator
-//! ([`ConcurrentIndex::range`]): implementations snapshot one leaf (or
-//! node chunk) per refill under a validated optimistic read and re-descend
-//! through the restart ladder on version conflicts, so a scan never holds
-//! a lock while its consumer runs.
+//! real workloads use. Range access has **one primitive an index writes**,
+//! [`ConcurrentIndex::scan_chunk`]: copy out a bounded run of entries (a
+//! B+-tree leaf, an ART subtree slice) under a validated optimistic read
+//! and name the key to resume from. The two things callers do with a
+//! range — stream it ([`ConcurrentIndex::range`]) and count it
+//! ([`ConcurrentIndex::scan_count`]) — are drivers of that primitive,
+//! written once here, so a scan never holds a lock while its consumer
+//! runs and a version conflict costs one chunk's re-read.
 //!
 //! The workspace layering is strictly one-directional:
 //!
@@ -27,8 +30,8 @@
 //! ```
 //!
 //! Index crates implement the trait with [`impl_concurrent_index!`], which
-//! delegates every method to the inherent methods of the same names —
-//! keeping the two impl blocks from drifting apart, as the previous
+//! delegates every required method to the inherent method of the same
+//! name — keeping the two impl blocks from drifting apart, as the previous
 //! hand-rolled copies in the harness did.
 
 #![warn(missing_docs)]
@@ -52,13 +55,11 @@ pub type BoxedRangeIter<'a, K> = Box<dyn Iterator<Item = RangeItem<K>> + Send + 
 
 /// A streaming range scan over an index, in ascending key order.
 ///
-/// Entries are produced lazily: each implementation snapshots a bounded
-/// chunk (a B+-tree leaf, an ART subtree slice, one head per shard)
-/// under a validated optimistic read, yields it, and re-descends for the
-/// next chunk — so no lock is held while the consumer runs, and a
-/// version conflict costs one chunk's re-read, not the whole scan.
+/// Entries are produced lazily, one [`ConcurrentIndex::scan_chunk`] at a
+/// time — so no lock is held while the consumer runs, and a version
+/// conflict costs one chunk's re-read, not the whole scan.
 ///
-/// Consistency contract (see DESIGN.md): within one yielded chunk the
+/// Consistency contract (see DESIGN.md §9.2): within one chunk the
 /// entries are an atomic snapshot; across chunks the scan is a
 /// lock-free traversal — every key present for the whole scan is
 /// yielded exactly once, keys inserted or removed concurrently may or
@@ -125,6 +126,78 @@ pub fn key_below_end<K: Ord>(k: &K, end: &Bound<K>) -> bool {
     }
 }
 
+/// [`ConcurrentIndex::scan_chunk`] for an index that can already walk its
+/// entries in key order (a model, a register array, a merge of streams):
+/// the chunk is the next `limit` entries of `ascending`, the resume key
+/// the one after them.
+pub fn chunk_of<K>(
+    mut ascending: impl Iterator<Item = (K, u64)>,
+    limit: usize,
+    out: &mut Vec<(K, u64)>,
+) -> Option<K> {
+    out.clear();
+    out.extend(ascending.by_ref().take(limit));
+    ascending.next().map(|(k, _)| k)
+}
+
+/// Entries a stream asks [`ConcurrentIndex::scan_chunk`] for at a time.
+/// It cannot know when its consumer will stop, so the chunk stays small:
+/// an ART chunk this size validates under contention and over-reads
+/// little, and a default-sized B+-tree leaf is never cut.
+const SCAN_CHUNK: usize = 64;
+
+/// Entries a count asks for at a time. It knows exactly how many it still
+/// needs, so a larger chunk never over-reads (and a facade that re-opens
+/// its shards per chunk does so once per typical scan); the cap is what
+/// keeps a counting scan at a few KiB whatever its `limit`.
+const COUNT_CHUNK: usize = 4 * SCAN_CHUNK;
+
+/// The iterator behind the provided [`ConcurrentIndex::range`]: drains
+/// one chunk, then asks the index for the next at the resume key. One
+/// buffer serves the whole scan.
+struct Chunks<'a, K, I: ?Sized> {
+    index: &'a I,
+    /// The current chunk, **descending**: `pop` hands entries out in key
+    /// order without shifting, and the next fill reuses the allocation.
+    chunk: Vec<(K, u64)>,
+    /// `Some(from)` — another chunk may follow, read at `from` (`None`:
+    /// the smallest key); `None` — the scan ends when `chunk` drains.
+    next: Option<Option<K>>,
+    start: Bound<K>,
+    end: Bound<K>,
+}
+
+impl<K: IndexKey, I: ConcurrentIndex<K> + ?Sized> Iterator for Chunks<'_, K, I> {
+    type Item = (K, u64);
+
+    fn next(&mut self) -> Option<(K, u64)> {
+        loop {
+            if let Some(entry) = self.chunk.pop() {
+                return Some(entry);
+            }
+            let from = self.next.take()?;
+            let resume = self
+                .index
+                .scan_chunk(from.as_ref(), SCAN_CHUNK, &mut self.chunk);
+            // Keys ascend, so the end bound cuts a suffix of one chunk and
+            // ends the scan there; so does a resume key already past it.
+            let keep = self
+                .chunk
+                .partition_point(|(k, _)| key_below_end(k, &self.end));
+            if keep == self.chunk.len() {
+                self.next = resume.filter(|k| key_below_end(k, &self.end)).map(Some);
+            }
+            self.chunk.truncate(keep);
+            self.chunk.reverse();
+            // Chunks start at the start key: only an excluded start key
+            // itself can sit below the bound, and only in front.
+            if matches!(self.chunk.last(), Some((k, _)) if !key_above_start(k, &self.start)) {
+                self.chunk.pop();
+            }
+        }
+    }
+}
+
 /// A concurrent ordered index from keys `K` to `u64` values: the
 /// interface both paper indexes (and any facade over them) expose. The
 /// default key type is `u64`, so `ConcurrentIndex` written without a
@@ -132,14 +205,16 @@ pub fn key_below_end<K: Ord>(k: &K, end: &Bound<K>) -> bool {
 /// is the fixed-width integer index.
 ///
 /// All methods take `&self`: implementations synchronize internally (the
-/// whole point of the lock protocols underneath). `scan_count` is
+/// whole point of the lock protocols underneath). [`scan_chunk`] is
 /// **required** — an index without range support must say so explicitly
 /// instead of silently reporting zero, which previously made YCSB-E
-/// numbers look plausible while scanning nothing. [`range`] is the
-/// streaming successor: `scan_count` answers "how many", `range` yields
-/// the entries without materializing them.
+/// numbers look plausible while scanning nothing — and it is the only
+/// range code an index writes: [`range`] and [`scan_count`] are its two
+/// drivers, provided here.
 ///
+/// [`scan_chunk`]: ConcurrentIndex::scan_chunk
 /// [`range`]: ConcurrentIndex::range
+/// [`scan_count`]: ConcurrentIndex::scan_count
 pub trait ConcurrentIndex<K: IndexKey = u64>: Send + Sync {
     /// Insert or overwrite a key; returns the previous value if present.
     fn insert(&self, k: K, v: u64) -> Option<u64>;
@@ -154,14 +229,67 @@ pub trait ConcurrentIndex<K: IndexKey = u64>: Send + Sync {
     /// Remove a key; returns the removed value.
     fn remove(&self, k: K) -> Option<u64>;
 
+    /// The range primitive: replace the contents of `out` with up to
+    /// `limit` entries whose keys are ≥ `from` (`None`: from the smallest
+    /// key), and return the key to resume from, `None` once nothing lies
+    /// beyond the chunk. The contract every caller may rely on:
+    ///
+    /// * a chunk ascends and is **one validated read**: a tree takes it
+    ///   under one optimistic descent (a B+-tree leaf is an atomic
+    ///   snapshot) and `out` is cleared on entry and on every internal
+    ///   restart, so a failed validation never leaks a torn chunk; a
+    ///   facade's chunk is a slice of its merge of such chunks;
+    /// * an index may deliver fewer than `limit` entries — even none —
+    ///   and still name a resume key (its natural unit, a leaf, ended);
+    /// * the resume key is **above every key delivered and at or below
+    ///   every key still to come**, so calling again with it neither
+    ///   loses nor repeats an entry and always advances. In particular a
+    ///   chunk cut short by `limit` resumes at the first key it left
+    ///   behind, not at the end of the leaf it was reading.
+    ///
+    /// Across chunks the scan is a lock-free traversal (see
+    /// [`RangeIter`]). One chunk is one descent and counts as one
+    /// operation in [`index_stats`](ConcurrentIndex::index_stats).
+    fn scan_chunk(&self, from: Option<&K>, limit: usize, out: &mut Vec<(K, u64)>) -> Option<K>;
+
     /// Range scan: number of entries with keys ≥ `start`, up to `limit`
-    /// (YCSB-E style).
-    fn scan_count(&self, start: K, limit: usize) -> usize;
+    /// (YCSB-E style). Holds one chunk, whatever `limit` is.
+    fn scan_count(&self, start: K, limit: usize) -> usize {
+        let mut chunk = Vec::new();
+        let mut from = start;
+        let mut n = 0;
+        while n < limit {
+            let next = self.scan_chunk(Some(&from), (limit - n).min(COUNT_CHUNK), &mut chunk);
+            n += chunk.len();
+            match next {
+                Some(k) => from = k,
+                None => break,
+            }
+        }
+        n
+    }
 
     /// Stream the entries whose keys fall within `start..end`, in
     /// ascending key order, without materializing the result set. See
-    /// [`RangeIter`] for the concurrency contract.
-    fn range(&self, start: Bound<K>, end: Bound<K>) -> RangeIter<'_, K>;
+    /// [`RangeIter`] for the concurrency contract. A wrapper forwards
+    /// this only when it changes the stream or sits above an index that
+    /// overrides it.
+    fn range(&self, start: Bound<K>, end: Bound<K>) -> RangeIter<'_, K> {
+        if !bounds_nonempty(&start, &end) {
+            return RangeIter::empty();
+        }
+        let first = match &start {
+            Bound::Included(s) | Bound::Excluded(s) => Some(s.clone()),
+            Bound::Unbounded => None,
+        };
+        RangeIter::new(Chunks {
+            index: self,
+            chunk: Vec::new(),
+            next: Some(first),
+            start,
+            end,
+        })
+    }
 
     /// Number of entries (maintained counter; exact when quiescent).
     fn len(&self) -> usize;
@@ -221,13 +349,9 @@ pub trait ConcurrentIndex<K: IndexKey = u64>: Send + Sync {
 }
 
 /// Implement [`ConcurrentIndex`] for an index type by delegating to its
-/// inherent methods (`insert`, `update`, `lookup`, `remove`, `scan`,
-/// `range`, `len`, `index_stats`).
-///
-/// `scan_count` delegates to the inherent `scan(start, limit)` returning
-/// `Vec<(K, u64)>` — both trees materialize those entries, so the count
-/// is honest by construction. `range` delegates to the inherent
-/// streaming implementation.
+/// inherent methods (`insert`, `update`, `lookup`, `remove`,
+/// `scan_chunk`, `len`, `index_stats`, `multi_*`, `reclaim_handle`).
+/// `range` and `scan_count` are the trait's provided drivers.
 ///
 /// ```ignore
 /// optiql_index_api::impl_concurrent_index! {
@@ -256,16 +380,13 @@ macro_rules! impl_concurrent_index {
                 <$ty>::remove(self, k)
             }
             #[inline]
-            fn scan_count(&self, start: $k, limit: usize) -> usize {
-                <$ty>::scan(self, start, limit).len()
-            }
-            #[inline]
-            fn range(
+            fn scan_chunk(
                 &self,
-                start: ::std::ops::Bound<$k>,
-                end: ::std::ops::Bound<$k>,
-            ) -> $crate::RangeIter<'_, $k> {
-                <$ty>::range(self, start, end)
+                from: Option<&$k>,
+                limit: usize,
+                out: &mut Vec<($k, u64)>,
+            ) -> Option<$k> {
+                <$ty>::scan_chunk(self, from, limit, out)
             }
             #[inline]
             fn len(&self) -> usize {
@@ -316,8 +437,13 @@ macro_rules! impl_deref_index {
                 (**self).remove(k)
             }
             #[inline]
-            fn scan_count(&self, start: K, limit: usize) -> usize {
-                (**self).scan_count(start, limit)
+            fn scan_chunk(
+                &self,
+                from: Option<&K>,
+                limit: usize,
+                out: &mut Vec<(K, u64)>,
+            ) -> Option<K> {
+                (**self).scan_chunk(from, limit, out)
             }
             #[inline]
             fn range(&self, start: Bound<K>, end: Bound<K>) -> RangeIter<'_, K> {
@@ -369,7 +495,7 @@ impl_deref_index! {
 /// `BTreeMap`. Sequentially consistent, obviously correct, slow — exactly
 /// what a differential test wants on the other side of the diff.
 pub mod model {
-    use super::{bounds_nonempty, ConcurrentIndex, IndexKey, RangeIter};
+    use super::{bounds_nonempty, chunk_of, ConcurrentIndex, IndexKey};
     use std::collections::BTreeMap;
     use std::ops::Bound;
     use std::sync::Mutex;
@@ -407,7 +533,8 @@ pub mod model {
         }
 
         /// Atomic snapshot of the entries within `start..end`, in key
-        /// order (the model-side answer `range` is diffed against).
+        /// order (the model-side answer a real index's `range` is diffed
+        /// against).
         pub fn scan_bounds(&self, start: Bound<K>, end: Bound<K>) -> Vec<(K, u64)> {
             if !bounds_nonempty(&start, &end) {
                 return Vec::new();
@@ -435,15 +562,13 @@ pub mod model {
         fn remove(&self, k: K) -> Option<u64> {
             self.map.lock().unwrap().remove(&k)
         }
-        fn scan_count(&self, start: K, limit: usize) -> usize {
-            self.scan(start, limit).len()
-        }
-        /// The model "streams" an atomic snapshot: simplest correct
-        /// behavior, and the strongest consistency the contract allows —
-        /// a real tree's chunked iteration must produce the same entries
-        /// whenever the index is quiescent.
-        fn range(&self, start: Bound<K>, end: Bound<K>) -> RangeIter<'_, K> {
-            RangeIter::new(self.scan_bounds(start, end).into_iter())
+        /// Exactly `limit` entries while that many remain, resuming at
+        /// the next key in the map: the contract at its tightest.
+        fn scan_chunk(&self, from: Option<&K>, limit: usize, out: &mut Vec<(K, u64)>) -> Option<K> {
+            let lower = from.map_or(Bound::Unbounded, Bound::Included);
+            let map = self.map.lock().unwrap();
+            let rest = map.range::<K, _>((lower, Bound::Unbounded));
+            chunk_of(rest.map(|(k, v)| (k.clone(), *v)), limit, out)
         }
         fn len(&self) -> usize {
             self.map.lock().unwrap().len()

@@ -709,13 +709,8 @@ impl Worker {
 
     fn execute_one(&self, req: &Request, out: &mut Vec<u8>) {
         let ops = match req {
-            Request::Get { key } => {
-                Response::Value(self.index.lookup(*key)).encode(out);
-                1
-            }
-            Request::Set { key, value } => {
-                Response::Old(self.index.insert(*key, *value)).encode(out);
-                1
+            Request::Get { .. } | Request::Set { .. } => {
+                unreachable!("`execute` runs every GET and SET itself, in both dispatch modes")
             }
             Request::Del { key } => {
                 Response::Old(self.index.remove(*key)).encode(out);

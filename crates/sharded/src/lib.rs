@@ -40,15 +40,13 @@
 //! within each shard, each touched shard's software-pipelined engine run
 //! over a dense sub-batch, results scattered back to their original
 //! positions). The write-ahead log splits its batches with the same
-//! function over the same `Router` value. `scan_count` fans out:
-//! hash partitioning destroys global key order, so each shard reports
-//! its own count of keys ≥ `start` (each capped at `limit`) and the sum
-//! is capped at `limit` — equal to the count an unpartitioned index
-//! would report whenever the index is quiescent (see the method docs for
-//! why the per-shard caps keep that equality exact). `range` restores
-//! global key order: every shard opens its own streaming iterator over
-//! the same bounds and the facade k-way-merges the heads, so consumers
-//! see one ascending, shard-transparent stream.
+//! function over the same `Router` value. `range` restores the global
+//! key order routing destroyed: every shard opens its own streaming
+//! iterator over the same bounds and the facade k-way-merges the heads,
+//! so consumers see one ascending, shard-transparent stream. That merge
+//! is the facade's only range code: `scan_chunk` is a slice of it, and
+//! `scan_count` is the trait's count loop over those slices — exact by
+//! construction, and `limit` + shards work rather than shards × `limit`.
 //!
 //! The facade is key-generic like everything above it: routing uses
 //! [`IndexKey::route_hint`] (the key itself for `u64`; for byte strings
@@ -68,7 +66,9 @@ pub use route::{Router, DEFAULT_BLOCK_BITS};
 use std::ops::Bound;
 
 use crossbeam_utils::CachePadded;
-use optiql_index_api::{bounds_nonempty, ConcurrentIndex, IndexKey, IndexStats, RangeIter};
+use optiql_index_api::{
+    bounds_nonempty, chunk_of, ConcurrentIndex, IndexKey, IndexStats, RangeIter,
+};
 
 /// Default shard count: enough to split hot leaves apart without
 /// multiplying memory overhead needlessly.
@@ -208,24 +208,12 @@ impl<K: IndexKey, I: ConcurrentIndex<K>> ConcurrentIndex<K> for ShardedIndex<I> 
     fn remove(&self, k: K) -> Option<u64> {
         self.shard(&k).remove(k)
     }
-    /// Fan the count out and merge **as if counted in global key order**:
-    /// each shard reports how many of its keys are ≥ `start`, capped at
-    /// `limit`, and the sum is capped at `limit`. The caps cost no
-    /// precision: if the true global count `T` is below `limit` no shard
-    /// hits its cap, so the sum is exactly `T`; if `T ≥ limit` the sum of
-    /// (possibly capped) per-shard counts is still ≥ `limit` — routing
-    /// only partitions the matching keys — so the capped result is
-    /// exactly `limit`. Either way the answer equals what an
-    /// unpartitioned index would report for the first `limit` matching
-    /// keys in ascending order, whenever the index is quiescent. The
-    /// shard-boundary regression tests pin this down for starts that sit
-    /// exactly on, just below, and just above router block edges.
-    fn scan_count(&self, start: K, limit: usize) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.scan_count(start.clone(), limit))
-            .sum::<usize>()
-            .min(limit)
+    /// The next `limit` entries of the merged stream, and the entry after
+    /// them as the resume key. Each shard's share is its own validated
+    /// chunks; the slice as a whole is as atomic as the merge, i.e. not.
+    fn scan_chunk(&self, from: Option<&K>, limit: usize, out: &mut Vec<(K, u64)>) -> Option<K> {
+        let start = from.map_or(Bound::Unbounded, |k| Bound::Included(k.clone()));
+        chunk_of(self.range(start, Bound::Unbounded), limit, out)
     }
     /// Open one streaming iterator per shard over the same bounds and
     /// k-way-merge the heads, restoring the global ascending key order

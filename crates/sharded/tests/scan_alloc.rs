@@ -1,0 +1,78 @@
+//! `scan_count` holds one chunk, whatever its `limit`: SCAN_COUNT (opcode
+//! 0x05) carries an uncapped `limit`, so a count that materialised its
+//! result would let one small frame allocate 16 bytes per key in the
+//! index. Counted with a `#[global_allocator]`, which is why this is its
+//! own test binary with a single test: the counters are process-wide.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use optiql::{OptLock, OptiQL};
+use optiql_art::ArtTree;
+use optiql_btree::{BPlusTree, DEFAULT_IC, DEFAULT_LC};
+use optiql_index_api::{Bytes, ConcurrentIndex, IndexKey};
+use optiql_sharded::ShardedIndex;
+
+struct Counting;
+
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every call is forwarded to `System` unchanged; the counters
+// only observe sizes.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let live = LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
+        PEAK.fetch_max(live, Ordering::Relaxed);
+        // SAFETY: the caller's contract, passed through.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        // SAFETY: the caller's contract, passed through.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+const KEYS: u64 = 200_000;
+/// The parent's count built one `Vec` of every entry: ≥ 3 MB here.
+const BOUND: usize = 64 << 10;
+
+fn count_holds_one_chunk<K: IndexKey>(
+    name: &str,
+    index: &impl ConcurrentIndex<K>,
+    key: fn(u64) -> K,
+) {
+    for k in 0..KEYS {
+        index.insert(key(k), k);
+    }
+    // First use of a thread's epoch slot and scratch buffers is not the
+    // scan's footprint.
+    assert_eq!(index.scan_count(key(0), 1), 1);
+    let first = key(0);
+    let baseline = LIVE.load(Ordering::Relaxed);
+    PEAK.store(baseline, Ordering::Relaxed);
+    let n = index.scan_count(first, usize::MAX);
+    let peak = PEAK.load(Ordering::Relaxed) - baseline;
+    assert_eq!(n, KEYS as usize, "{name}: every key counted");
+    assert!(peak < BOUND, "{name}: counting {n} keys held {peak} bytes");
+}
+
+fn user_key(k: u64) -> Bytes {
+    Bytes::from(format!("user{k:016}").as_bytes())
+}
+
+#[test]
+fn scan_count_peak_allocation_is_independent_of_the_result() {
+    type Tree<K> = BPlusTree<OptLock, OptiQL, DEFAULT_IC, DEFAULT_LC, K>;
+    count_holds_one_chunk("btree", &Tree::<u64>::new(), |k| k);
+    count_holds_one_chunk("art", &ArtTree::<OptiQL>::new(), |k| k);
+    count_holds_one_chunk("btree-bytes", &Tree::<Bytes>::new(), user_key);
+    count_holds_one_chunk("art-bytes", &ArtTree::<OptiQL, Bytes>::new(), user_key);
+    // 256-key blocks: every shard owns a share of any run of keys.
+    let sharded = ShardedIndex::<Tree<u64>>::with_block_bits(4, 8);
+    count_holds_one_chunk("sharded4-btree", &sharded, |k| k);
+}

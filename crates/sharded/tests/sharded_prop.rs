@@ -182,6 +182,26 @@ fn scan_count_fanout_matches_model_under_churn() {
     }
 }
 
+/// A count reads the merged stream: about `limit` / leaf chunks plus one
+/// per shard each time the merge is opened — not every shard scanned to
+/// `limit`, which is what a per-shard fan-out costs (8 shards × 1 000
+/// entries over leaves of ≤ 14 is above 570 chunks even with full
+/// leaves, above 1 100 with the half-full ones ascending inserts leave).
+/// One chunk is one `ops` count, which is what makes this observable.
+#[test]
+fn scan_count_does_limit_plus_shards_work() {
+    // 1 024-key blocks: each shard owns ~8 blocks of the 64 Ki keys, so
+    // every shard holds far more than `limit` keys above the start.
+    let s: ShardedIndex<BTreeOptiQL> = ShardedIndex::with_block_bits(8, 10);
+    for k in 0..(64u64 << 10) {
+        s.insert(k, k);
+    }
+    let before = s.index_stats().ops;
+    assert_eq!(s.scan_count(3, 1_000), 1_000);
+    let chunks = s.index_stats().ops - before;
+    assert!(chunks < 400, "counting 1 000 keys took {chunks} chunks");
+}
+
 #[test]
 fn concurrent_disjoint_writers_and_readers() {
     use std::sync::atomic::{AtomicBool, Ordering};

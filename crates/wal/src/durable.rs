@@ -139,10 +139,11 @@ where
         })
     }
 
-    fn scan_count(&self, start: K, limit: usize) -> usize {
-        self.inner.scan_count(start, limit)
+    fn scan_chunk(&self, from: Option<&K>, limit: usize, out: &mut Vec<(K, u64)>) -> Option<K> {
+        self.inner.scan_chunk(from, limit, out)
     }
 
+    /// Forwarded, not inherited: `inner` may be a facade with its own.
     fn range(&self, start: Bound<K>, end: Bound<K>) -> RangeIter<'_, K> {
         self.inner.range(start, end)
     }

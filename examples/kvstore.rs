@@ -7,11 +7,13 @@
 //!
 //! Run with: `cargo run --release --example kvstore`
 
+use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use optiql_btree::BTreeOptiQL;
+use optiql_index_api::ConcurrentIndex;
 
 /// String-ish record store: values are fixed-point "balances".
 struct Bank {
@@ -51,7 +53,10 @@ impl Bank {
     }
 
     fn statement(&self, from: u64, n: usize) -> Vec<(u64, u64)> {
-        self.accounts.scan(from, n)
+        self.accounts
+            .range(Bound::Included(from), Bound::Unbounded)
+            .take(n)
+            .collect()
     }
 }
 

@@ -5,6 +5,7 @@
 use optiql::{ExclusiveLock, IndexLock, OptiQL};
 use optiql_art::ArtOptiQL;
 use optiql_btree::BTreeOptiQL;
+use optiql_index_api::ConcurrentIndex;
 
 fn main() {
     // --- 1. The lock itself -------------------------------------------------
@@ -46,7 +47,7 @@ fn main() {
     }
     assert_eq!(tree.lookup(721), Some(1442));
     assert_eq!(tree.update(721, 7), Some(1442));
-    assert_eq!(tree.scan(990, 5).len(), 5);
+    assert_eq!(tree.scan_count(990, 5), 5);
     assert_eq!(tree.remove(721), Some(7));
     println!("b+-tree: {} keys after CRUD", tree.len());
 

@@ -3,9 +3,11 @@
 //! growth, merges and collapses all fire constantly. Post-conditions are
 //! exact.
 
+use std::ops::Bound;
 use std::sync::Arc;
 
 use optiql_btree::BPlusTree;
+use optiql_index_api::ConcurrentIndex;
 
 type TinyOptiQL = BPlusTree<optiql::OptLock, optiql::OptiQL, 4, 4>;
 type TinyOptLock = BPlusTree<optiql::OptLock, optiql::OptLock, 4, 4>;
@@ -152,7 +154,10 @@ fn btree_scan_during_smo_storm_stays_ordered() {
         })
         .collect();
     for _ in 0..300 {
-        let got = tree.scan(500, 40);
+        let got: Vec<(u64, u64)> = tree
+            .range(Bound::Included(500), Bound::Unbounded)
+            .take(40)
+            .collect();
         assert!(got.windows(2).all(|w| w[0].0 < w[1].0), "ordered");
         // Stable keys (evens ≤ 3998) in range must be complete.
         let evens: Vec<u64> = got
