@@ -6,9 +6,9 @@
 //! `BENCH_batched.json` shows `multi_lookup` beating scalar lookups
 //! ~4× at batch 8 on the raw index; here the same engines sit behind a
 //! socket, a frame codec and a worker loop, and the comparison is
-//! grouped dispatch (drain a connection's pipelined burst into
-//! `multi_lookup`/`multi_insert` under one epoch pin) against per-op
-//! scalar dispatch of the very same request stream. At pipeline depth 1
+//! grouped dispatch (gather a connection's pipelined burst into runs as
+//! it is decoded, drain them into `multi_lookup`/`multi_insert`) against
+//! per-op scalar dispatch of the very same request stream. At pipeline depth 1
 //! the two are identical by construction; the win must appear at
 //! depth ≥ 8.
 //!

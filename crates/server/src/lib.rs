@@ -3,13 +3,13 @@
 //! The workspace's indexes got fast in layers: software-pipelined
 //! `multi_lookup`/`multi_insert` descents (3.9× B+-tree / 1.9× ART over
 //! scalar at batch 8), a block-routed sharded facade with per-shard
-//! reclamation domains, core affinity and amortized epoch pins. This
-//! crate is the layer that lets network traffic reach all of that: a
-//! TCP server speaking a pipelined length-prefixed binary protocol
-//! ([`proto`]) whose workers turn each connection's in-flight request
-//! window into exactly the dense operation batches the engines want
-//! ([`server`]), and the one blocking client that speaks it
-//! ([`client`]).
+//! reclamation domains, and core affinity. This crate is the layer that
+//! lets network traffic reach all of that: a TCP server speaking a
+//! pipelined length-prefixed binary protocol
+//! ([`proto`]) whose workers execute each frame where they decode it,
+//! gathering a connection's in-flight request window into exactly the
+//! dense operation batches the engines want ([`server`]), and the one
+//! blocking client that speaks it ([`client`]).
 //!
 //! Layering: `optiql-server` sits *above* the index crates and beside
 //! the harness, which does not know it —

@@ -27,8 +27,8 @@ fn usage() -> ! {
          \x20                    [--shards N] [--workers N] [--dispatch grouped|per-op]\n\
          \x20                    [--preload N] [--max-group N]\n\
          \x20                    [--wal-dir DIR] [--fsync always|group|none]\n\
-         \x20 --dispatch per-op is the bench baseline (one scalar operation per\n\
-         \x20 request, no burst pin), not a serving mode"
+         \x20 --dispatch per-op is the bench baseline (every run ended after one\n\
+         \x20 request: one scalar operation each), not a serving mode"
     );
     std::process::exit(2);
 }

@@ -14,7 +14,7 @@
 //!   SET        0x02 | key:u64 | value:u64
 //!   DEL        0x03 | key:u64
 //!   MGET       0x04 | count:u32 | key:u64 × count
-//!   SCAN_COUNT 0x05 | start:u64 | limit:u32
+//!   SCAN_COUNT 0x05 | start:u64 | limit:u32        (limit ≤ MAX_SCAN)
 //!   SHUTDOWN   0x06 | (empty)
 //!   SCAN       0x07 | start:u64 | count:u32
 //!
@@ -59,9 +59,11 @@ pub const MAX_FRAME: usize = 4 + 8 * MAX_MGET as usize + 16;
 /// server allocate unboundedly.
 pub const MAX_MGET: u32 = 64 * 1024;
 
-/// Upper bound on entries one SCAN may request. The reply streams in
-/// [`SCAN_PART_MAX`]-entry frames, so this bounds iterator work per
-/// request, not any single allocation.
+/// Upper bound on entries one SCAN may request and one SCAN_COUNT may
+/// count. A SCAN's reply streams in [`SCAN_PART_MAX`]-entry frames and a
+/// count holds one chunk, so this bounds the time one frame can keep a
+/// worker (and every other connection it serves) busy, not any single
+/// allocation.
 pub const MAX_SCAN: u32 = 64 * 1024;
 
 /// Most entries one SCAN_PART frame may carry (2 KiB of payload): the
@@ -78,7 +80,8 @@ pub mod op {
     pub const DEL: u8 = 0x03;
     /// Batched point lookups.
     pub const MGET: u8 = 0x04;
-    /// Count entries with key ≥ start, capped at limit.
+    /// Count entries with key ≥ start, capped at limit (itself capped
+    /// at [`super::MAX_SCAN`], like SCAN's count).
     pub const SCAN_COUNT: u8 = 0x05;
     /// Ask the server to shut down cleanly (acked with OK).
     pub const SHUTDOWN: u8 = 0x06;
@@ -138,7 +141,7 @@ pub enum Request {
     ScanCount {
         /// Inclusive lower bound.
         start: u64,
-        /// Result cap.
+        /// Result cap (≤ [`MAX_SCAN`]).
         limit: u32,
     },
     /// Clean server shutdown.
@@ -193,8 +196,9 @@ pub enum ProtoError {
     Truncated,
     /// Body longer than the opcode's fixed layout allows.
     TrailingBytes,
-    /// A count field (MGET keys, SCAN entries, SCAN_PART entries)
-    /// exceeds its opcode's bound or disagrees with the body length.
+    /// A count field (MGET keys, SCAN entries, SCAN_COUNT limit,
+    /// SCAN_PART entries) exceeds its opcode's bound or disagrees with
+    /// the body length.
     BadCount(u32),
     /// ERR payload is not UTF-8.
     BadUtf8,
@@ -208,7 +212,7 @@ impl fmt::Display for ProtoError {
             ProtoError::BadOpcode(b) => write!(f, "unknown opcode {b:#04x}"),
             ProtoError::Truncated => write!(f, "body shorter than the opcode requires"),
             ProtoError::TrailingBytes => write!(f, "body longer than the opcode allows"),
-            ProtoError::BadCount(n) => write!(f, "bad MGET count {n}"),
+            ProtoError::BadCount(n) => write!(f, "count {n} exceeds its opcode's bound"),
             ProtoError::BadUtf8 => write!(f, "error message is not UTF-8"),
         }
     }
@@ -386,18 +390,21 @@ impl Request {
                 }
                 Request::MGet { keys }
             }
-            op::SCAN_COUNT => Request::ScanCount {
-                start: b.u64()?,
-                limit: b.u32()?,
-            },
             op::SHUTDOWN => Request::Shutdown,
-            op::SCAN => {
+            op::SCAN_COUNT | op::SCAN => {
                 let start = b.u64()?;
                 let count = b.u32()?;
                 if count > MAX_SCAN {
                     return Err(ProtoError::BadCount(count));
                 }
-                Request::Scan { start, count }
+                if opcode == op::SCAN {
+                    Request::Scan { start, count }
+                } else {
+                    Request::ScanCount {
+                        start,
+                        limit: count,
+                    }
+                }
             }
             other => return Err(ProtoError::BadOpcode(other)),
         };
@@ -453,9 +460,10 @@ impl Response {
 
 /// Incremental frame reassembler.
 ///
-/// Feed it whatever byte chunks the socket produced; pull complete
-/// payloads out with [`next_payload`](Self::next_payload) (or typed
-/// frames with the `next_request` / `next_response` wrappers). The
+/// Feed it whatever byte chunks the socket produced; pull typed frames
+/// out with [`next_request`](Self::next_request) /
+/// [`next_response`](Self::next_response), which decode each payload in
+/// place — where it was received, without copying it out first. The
 /// decoder validates the length prefix *before* buffering a body, so a
 /// garbage length can never make it allocate [`MAX_FRAME`]-scale memory
 /// on behalf of a broken peer. Decode errors are sticky: a connection
@@ -494,13 +502,16 @@ impl FrameDecoder {
         self.buf.len() - self.pos
     }
 
-    /// Pull the next complete frame payload, if one is fully buffered.
+    /// The one frame reader: validate the length prefix, hand `decode`
+    /// the payload where it sits in the buffer, and step past the frame.
     ///
-    /// `Ok(None)` means "need more bytes". An `Err` poisons the decoder:
-    /// every later call returns the same structural failure mode
-    /// (`FrameTooLarge` here; opcode/body errors surface from the typed
-    /// wrappers).
-    pub fn next_payload(&mut self) -> Result<Option<Vec<u8>>, ProtoError> {
+    /// `Ok(None)` means "need more bytes". Any `Err` — an oversized
+    /// prefix here, an opcode/body error from `decode` — poisons the
+    /// decoder: every later call fails (as `FrameTooLarge(0)`).
+    fn next_frame<T>(
+        &mut self,
+        decode: impl FnOnce(&[u8]) -> Result<T, ProtoError>,
+    ) -> Result<Option<T>, ProtoError> {
         if self.poisoned {
             return Err(ProtoError::FrameTooLarge(0));
         }
@@ -509,46 +520,31 @@ impl FrameDecoder {
             return Ok(None);
         }
         let len = u32::from_le_bytes(avail[..4].try_into().unwrap()) as usize;
-        if len > MAX_FRAME {
-            self.poisoned = true;
-            return Err(ProtoError::FrameTooLarge(len));
-        }
-        if avail.len() < 4 + len {
+        let frame = if len > MAX_FRAME {
+            Err(ProtoError::FrameTooLarge(len))
+        } else if avail.len() < 4 + len {
             return Ok(None);
+        } else {
+            decode(&avail[4..4 + len])
+        };
+        if frame.is_ok() {
+            self.pos += 4 + len;
+        } else {
+            self.poisoned = true;
         }
-        let payload = avail[4..4 + len].to_vec();
-        self.pos += 4 + len;
-        Ok(Some(payload))
+        frame.map(Some)
     }
 
     /// Pull the next complete [`Request`], if one is fully buffered.
     /// Decode errors poison the decoder.
     pub fn next_request(&mut self) -> Result<Option<Request>, ProtoError> {
-        match self.next_payload()? {
-            None => Ok(None),
-            Some(p) => match Request::decode(&p) {
-                Ok(r) => Ok(Some(r)),
-                Err(e) => {
-                    self.poisoned = true;
-                    Err(e)
-                }
-            },
-        }
+        self.next_frame(Request::decode)
     }
 
     /// Pull the next complete [`Response`], if one is fully buffered.
     /// Decode errors poison the decoder.
     pub fn next_response(&mut self) -> Result<Option<Response>, ProtoError> {
-        match self.next_payload()? {
-            None => Ok(None),
-            Some(p) => match Response::decode(&p) {
-                Ok(r) => Ok(Some(r)),
-                Err(e) => {
-                    self.poisoned = true;
-                    Err(e)
-                }
-            },
-        }
+        self.next_frame(Response::decode)
     }
 }
 
@@ -694,6 +690,17 @@ mod tests {
         dec.feed(&[op::SCAN]);
         dec.feed(&0u64.to_le_bytes());
         dec.feed(&(MAX_SCAN + 1).to_le_bytes());
+        assert_eq!(dec.next_request(), Err(ProtoError::BadCount(MAX_SCAN + 1)));
+
+        // SCAN_COUNT is bounded like SCAN.
+        let mut dec = FrameDecoder::new();
+        let mut wire = Vec::new();
+        Request::ScanCount {
+            start: 0,
+            limit: MAX_SCAN + 1,
+        }
+        .encode(&mut wire);
+        dec.feed(&wire);
         assert_eq!(dec.next_request(), Err(ProtoError::BadCount(MAX_SCAN + 1)));
 
         // Truncated SCAN body (count field cut short).

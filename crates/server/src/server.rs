@@ -2,29 +2,36 @@
 //!
 //! One acceptor thread owns the listener and deals accepted connections
 //! out to worker threads round-robin. Each worker owns a core
-//! (best-effort pin), a set of reclamation domains (the shards dealt to
-//! it by [`ShardAffinity::shards_of_worker`]) and the connections it was
-//! handed; it multiplexes them with non-blocking reads, so one slow
-//! client never stalls the others.
+//! (best-effort pin) and the connections it was handed — not shards and
+//! not reclamation domains: connections are dealt by arrival, not by
+//! key, so any worker's requests reach any shard. It multiplexes its
+//! connections with non-blocking reads, so one slow client never stalls
+//! the others.
 //!
 //! The point of the server is what happens between read and write: a
 //! pipelining client has several requests in flight, so one socket read
-//! usually drains a *burst* of frames. In [`Dispatch::Grouped`] mode the
-//! worker carves each burst into maximal same-opcode runs and dispatches
-//! every GET-run through `multi_lookup` and every SET-run through
-//! `multi_insert` — the software-pipelined group-prefetch engines the
+//! usually drains a *burst* of frames. The worker executes a frame where
+//! it decodes it: in [`Dispatch::Grouped`] mode consecutive GETs (or
+//! consecutive SETs) of a burst are gathered into one run as they are
+//! decoded, and the run — ended by an opcode change, a `max_group` slice
+//! boundary or the end of the burst — goes through `multi_lookup` /
+//! `multi_insert`, the software-pipelined group-prefetch engines the
 //! batched benches measured at 3.9× (B+-tree) / 1.9× (ART) over scalar
-//! descent — under **one** epoch pin per burst (the per-op pins inside
-//! become nested no-fence increments). Responses are written back in
-//! arrival order; runs are contiguous, so order preservation is
-//! structural, not bookkeeping. [`Dispatch::PerOp`] is the same executor
-//! with runs capped at one request and no burst pin — not a serving
-//! mode: it exists so the `server` bench can measure exactly what
-//! grouping buys end-to-end.
+//! descent; every other opcode ends the run and is answered on the spot.
+//! A reply is therefore encoded before the next frame is looked at:
+//! arrival order is structural, not bookkeeping. [`Dispatch::PerOp`] is
+//! the same executor with every run ended after one request — not a
+//! serving mode: it exists so the `server` bench can measure exactly
+//! what grouping buys end-to-end.
 //!
 //! Robustness: a malformed or oversized frame poisons only its own
 //! connection — the worker answers with [`Response::Error`], flushes,
 //! and closes that socket. Worker threads never panic on client bytes.
+//! Two ordering rules follow from executing at decode: the ERR for a
+//! malformed frame is sent *after* the replies to every frame that
+//! arrived ahead of it (a positional client never reads it as the answer
+//! to an earlier request), and nothing behind a malformed frame or a
+//! SHUTDOWN in the same burst is decoded, executed or logged.
 
 use std::io::{ErrorKind, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -33,7 +40,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-use optiql_index_api::{ConcurrentIndex, Counters, ReclaimHandle};
+use optiql_index_api::{ConcurrentIndex, Counters};
 use optiql_sharded::{Router, ShardAffinity, ShardedIndex, DEFAULT_BLOCK_BITS};
 use optiql_wal::{DurableIndex, FsyncPolicy, RecoveryReport, Wal, WalConfig, WalStatsSnapshot};
 
@@ -75,14 +82,14 @@ impl BackendKind {
 /// How a worker executes a drained burst of requests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Dispatch {
-    /// Carve bursts into same-opcode runs and dispatch them through the
-    /// batched engines under one epoch pin per burst.
+    /// Gather each burst's same-opcode runs as its frames are decoded and
+    /// dispatch them through the batched engines.
     #[default]
     Grouped,
     /// The bench baseline, not a serving mode: the same executor with
-    /// every run capped at one request and no burst pin, so each request
-    /// is one scalar index operation (`benches/server.rs` measures what
-    /// grouping buys against it).
+    /// every run ended after one request, so each request is one scalar
+    /// index operation (`benches/server.rs` measures what grouping buys
+    /// against it).
     PerOp,
 }
 
@@ -113,7 +120,8 @@ pub struct ServerConfig {
     /// `0..preload`, value `key + 1` (the harness convention, so a
     /// uniform read load over `0..preload` always hits).
     pub preload: u64,
-    /// Largest burst executed under one pin (and one `multi_*` call).
+    /// Longest slice of a connection's burst gathered into one run (and
+    /// so the most keys one `multi_*` call is handed).
     pub max_group: usize,
     /// Write-ahead-log directory. `None` (the default) serves the
     /// in-memory index exactly as before; `Some` mounts a
@@ -163,7 +171,8 @@ pub struct StatsSnapshot {
     pub requests: u64,
     /// Index operations executed (an MGET of k keys counts k).
     pub index_ops: u64,
-    /// Bursts executed under one pin (grouped mode only).
+    /// `max_group` slices of bursts executed (grouped mode only): a
+    /// burst of `n` frames counts `⌈n / max_group⌉`.
     pub groups: u64,
     /// Operations that went through `multi_lookup`/`multi_insert`.
     pub batched_ops: u64,
@@ -185,40 +194,26 @@ impl StatsSnapshot {
     }
 }
 
-/// The backend seen by workers: the index plus its reclamation topology.
+/// The index the server serves, and how it spreads keys over its shards.
 struct Backend {
     index: Arc<dyn ConcurrentIndex>,
-    /// How `index` spreads keys over its shards. The log is mounted with
-    /// this same value, so a key's log is its index shard's log.
+    /// The log is mounted with this same value, so a key's log is its
+    /// index shard's log.
     router: Router,
-    /// One handle per reclamation domain, in shard order (plain trees
-    /// have exactly one domain).
-    domains: Vec<ReclaimHandle>,
-    /// Shard → core placement used to deal domains out to workers.
-    shard_affinity: ShardAffinity,
 }
 
 fn sharded_backend<I: ConcurrentIndex + Default + 'static>(shards: usize) -> Backend {
     let s: ShardedIndex<I> = ShardedIndex::new(shards);
-    let mut domains = Vec::new();
-    s.for_each_shard(|_, sh| domains.extend(sh.reclaim_handle()));
-    let shard_affinity = s.affinity();
     Backend {
         router: s.router(),
         index: Arc::new(s),
-        domains,
-        shard_affinity,
     }
 }
 
 fn plain_backend<I: ConcurrentIndex + Default + 'static>() -> Backend {
-    let t = I::default();
-    let domains = t.reclaim_handle().into_iter().collect();
     Backend {
-        index: Arc::new(t),
+        index: Arc::new(I::default()),
         router: Router::new(1, DEFAULT_BLOCK_BITS),
-        domains,
-        shard_affinity: ShardAffinity::probe(1),
     }
 }
 
@@ -232,19 +227,6 @@ impl Backend {
             }
             BackendKind::ShardedArt { shards } => sharded_backend::<optiql_art::ArtOptiQL>(shards),
         }
-    }
-
-    /// The reclamation domains worker `tid` of `workers` owns (and pins
-    /// once per burst in grouped mode).
-    fn owned_domains(&self, tid: usize, workers: usize) -> Vec<ReclaimHandle> {
-        if self.domains.is_empty() {
-            return Vec::new();
-        }
-        self.shard_affinity
-            .shards_of_worker(tid, workers)
-            .into_iter()
-            .filter_map(|s| self.domains.get(s).cloned())
-            .collect()
     }
 }
 
@@ -348,7 +330,7 @@ impl Drop for ServerHandle {
 /// Build the backend, recover + mount the wal (if configured), preload,
 /// bind the listener and spawn the acceptor + worker threads.
 pub fn start(cfg: &ServerConfig) -> std::io::Result<ServerHandle> {
-    let backend = Arc::new(Backend::build(cfg.backend));
+    let backend = Backend::build(cfg.backend);
 
     // Mount durability first: recovery must finish before the listener
     // opens, so no client ever reads pre-recovery state. Recovery
@@ -422,10 +404,8 @@ pub fn start(cfg: &ServerConfig) -> std::io::Result<ServerHandle> {
         let (tx, rx) = mpsc::channel::<TcpStream>();
         senders.push(tx);
         let w = Worker {
-            tid,
             rx,
             index: Arc::clone(&serve_index),
-            owned: backend.owned_domains(tid, workers),
             dispatch: cfg.dispatch,
             max_group: cfg.max_group.max(1),
             // Only group commit needs the worker-round flush point:
@@ -442,7 +422,7 @@ pub fn start(cfg: &ServerConfig) -> std::io::Result<ServerHandle> {
             std::thread::Builder::new()
                 .name(format!("optiql-worker-{tid}"))
                 .spawn(move || {
-                    affinity.pin_to_shard(w.tid);
+                    affinity.pin_to_shard(tid);
                     w.run();
                 })?,
         );
@@ -501,13 +481,11 @@ fn accept_loop(
 struct Conn {
     stream: TcpStream,
     decoder: FrameDecoder,
-    /// Decoded, not yet executed.
-    pending: Vec<Request>,
     /// Encoded responses not yet written; `outpos` is the flush cursor.
     outbuf: Vec<u8>,
     outpos: usize,
     /// Flush what's buffered, then close (set on protocol errors and
-    /// after a SHUTDOWN ack).
+    /// after a SHUTDOWN ack). Nothing more is read or decoded.
     close_after_flush: bool,
     closed: bool,
 }
@@ -517,7 +495,6 @@ impl Conn {
         Conn {
             stream,
             decoder: FrameDecoder::new(),
-            pending: Vec::new(),
             outbuf: Vec::new(),
             outpos: 0,
             close_after_flush: false,
@@ -526,13 +503,18 @@ impl Conn {
     }
 }
 
+/// The run being gathered: the GETs *or* the SETs (never both) decoded
+/// since the last reply was encoded. A worker owns one for its lifetime,
+/// so a steady-state burst allocates nothing to be staged.
+#[derive(Default)]
+struct Run {
+    gets: Vec<u64>,
+    sets: Vec<(u64, u64)>,
+}
+
 struct Worker {
-    tid: usize,
     rx: mpsc::Receiver<TcpStream>,
     index: Arc<dyn ConcurrentIndex>,
-    /// Reclamation domains this worker owns; pinned once per burst in
-    /// grouped mode.
-    owned: Vec<ReclaimHandle>,
     dispatch: Dispatch,
     max_group: usize,
     /// Present iff a wal with [`FsyncPolicy::Group`] is mounted: the
@@ -548,6 +530,7 @@ impl Worker {
     fn run(&self) {
         let mut conns: Vec<Conn> = Vec::new();
         let mut scratch = vec![0u8; 64 * 1024];
+        let mut run = Run::default();
         let mut idle_rounds = 0u32;
         while !self.stop.load(Ordering::Acquire) {
             let mut progressed = false;
@@ -556,25 +539,35 @@ impl Worker {
                 progressed = true;
             }
             match &self.group_wal {
-                // Group commit: run every connection's read → decode →
-                // execute first (responses pile up in outbufs), make the
-                // whole round durable with one fsync per dirty shard,
-                // and only then let any response reach a socket. An ack
-                // a client can observe is therefore always covered by a
-                // completed fsync — the durable-prefix property the
-                // crash tests assert.
+                // Group commit: read and execute every connection first
+                // (responses pile up in outbufs), make the whole round
+                // durable with one fsync per dirty shard, and only then
+                // let any response reach a socket. An ack a client can
+                // observe is therefore always covered by a completed
+                // fsync — the durable-prefix property the crash tests
+                // assert.
                 Some(wal) => {
                     for conn in conns.iter_mut() {
-                        progressed |= self.pump_ingest(conn, &mut scratch);
+                        progressed |= self.ingest(conn, &mut scratch, &mut run);
                     }
                     wal.commit_dirty();
                     for conn in conns.iter_mut() {
-                        progressed |= self.pump_flush(conn);
+                        progressed |= self.flush(conn);
                     }
                 }
+                // Without one, a connection is flushed as soon as it has
+                // been executed, so its client builds the next burst
+                // while the worker executes the next connection. Running
+                // this round in the two-phase shape above (minus the
+                // commit) was measured and rejected: over 12 alternating
+                // pairs `serve-mixed-art` fell to ×0.83 `ops_per_s` and
+                // ×1.17 `p50_us` (behind in 11 and 12 of 12), `serve-get`
+                // to ×0.94 and ×1.11 (results/pr23/merged-round-*.json,
+                // EXPERIMENTS *One executor*).
                 None => {
                     for conn in conns.iter_mut() {
-                        progressed |= self.pump(conn, &mut scratch);
+                        progressed |= self.ingest(conn, &mut scratch, &mut run);
+                        progressed |= self.flush(conn);
                     }
                 }
             }
@@ -595,76 +588,74 @@ impl Worker {
         }
     }
 
-    /// Run one read → decode → execute → flush cycle on a connection.
-    /// Returns true if any byte or request moved.
-    fn pump(&self, conn: &mut Conn, scratch: &mut [u8]) -> bool {
-        let a = self.pump_ingest(conn, scratch);
-        let b = self.pump_flush(conn);
-        a || b
-    }
-
-    /// The front half of [`pump`](Self::pump): read, decode, execute —
-    /// responses land in `conn.outbuf` but nothing touches the socket's
-    /// write side. Under group commit the worker runs this over every
-    /// connection, fsyncs, then flushes.
-    fn pump_ingest(&self, conn: &mut Conn, scratch: &mut [u8]) -> bool {
+    /// Read what the socket has, then execute the burst frame by frame —
+    /// responses land in `conn.outbuf`, nothing touches the socket's
+    /// write side. Returns true if any byte or request moved.
+    fn ingest(&self, conn: &mut Conn, scratch: &mut [u8], run: &mut Run) -> bool {
+        if conn.close_after_flush {
+            return false;
+        }
         let mut progressed = false;
-
-        // Read everything the socket has.
-        if !conn.close_after_flush {
-            loop {
-                match conn.stream.read(scratch) {
-                    Ok(0) => {
-                        conn.closed = true;
-                        return true;
-                    }
-                    Ok(n) => {
-                        conn.decoder.feed(&scratch[..n]);
-                        progressed = true;
-                        if n < scratch.len() {
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        conn.closed = true;
-                        return true;
-                    }
+        loop {
+            match conn.stream.read(scratch) {
+                Ok(0) => {
+                    conn.closed = true;
+                    return true;
                 }
-            }
-
-            // Decode the burst.
-            loop {
-                match conn.decoder.next_request() {
-                    Ok(Some(req)) => conn.pending.push(req),
-                    Ok(None) => break,
-                    Err(e) => {
-                        // Malformed frame: answer, then close only this
-                        // connection. The queue decoded so far still
-                        // executes — those frames were well-formed.
-                        self.stats.add(PROTO_ERRORS, 1);
-                        Response::Error(format!("bad frame: {e}")).encode(&mut conn.outbuf);
-                        conn.close_after_flush = true;
-                        progressed = true;
+                Ok(n) => {
+                    conn.decoder.feed(&scratch[..n]);
+                    progressed = true;
+                    if n < scratch.len() {
                         break;
                     }
                 }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => {
+                    conn.closed = true;
+                    return true;
+                }
             }
         }
 
-        // Execute.
-        if !conn.pending.is_empty() {
-            progressed = true;
-            self.execute(conn);
-            conn.pending.clear();
+        // A run ends at every `slice` frames of the burst, whatever its
+        // opcodes: per-op dispatch is a slice of one.
+        let grouped = self.dispatch == Dispatch::Grouped;
+        let slice = if grouped { self.max_group } else { 1 };
+        let mut in_slice = 0;
+        while !conn.close_after_flush {
+            match conn.decoder.next_request() {
+                Ok(Some(req)) => {
+                    progressed = true;
+                    if grouped && in_slice == 0 {
+                        self.stats.add(GROUPS, 1);
+                    }
+                    self.execute(req, conn, run);
+                    in_slice += 1;
+                    if in_slice == slice {
+                        self.finish(run, &mut conn.outbuf);
+                        in_slice = 0;
+                    }
+                }
+                Ok(None) => break,
+                Err(e) => {
+                    // Malformed frame: answer — behind the replies to
+                    // the well-formed frames ahead of it — then close
+                    // only this connection.
+                    self.finish(run, &mut conn.outbuf);
+                    self.stats.add(PROTO_ERRORS, 1);
+                    Response::Error(format!("bad frame: {e}")).encode(&mut conn.outbuf);
+                    conn.close_after_flush = true;
+                    progressed = true;
+                }
+            }
         }
+        self.finish(run, &mut conn.outbuf);
         progressed
     }
 
-    /// The back half of [`pump`](Self::pump): write buffered responses
-    /// out, handle close-after-flush.
-    fn pump_flush(&self, conn: &mut Conn) -> bool {
+    /// Write buffered responses out, handle close-after-flush.
+    fn flush(&self, conn: &mut Conn) -> bool {
         if conn.closed {
             return false;
         }
@@ -707,45 +698,70 @@ impl Worker {
         }
     }
 
-    fn execute_one(&self, req: &Request, out: &mut Vec<u8>) {
-        let ops = match req {
-            Request::Get { .. } | Request::Set { .. } => {
-                unreachable!("`execute` runs every GET and SET itself, in both dispatch modes")
+    /// Execute one frame where it was decoded: a GET or SET joins the run
+    /// (ending it first if it holds the other opcode); anything else ends
+    /// the run and is answered on the spot.
+    fn execute(&self, req: Request, conn: &mut Conn, run: &mut Run) {
+        let out = &mut conn.outbuf;
+        let (ops, batched) = match req {
+            Request::Get { key } => {
+                if !run.sets.is_empty() {
+                    self.finish(run, out);
+                }
+                run.gets.push(key);
+                return;
+            }
+            Request::Set { key, value } => {
+                if !run.gets.is_empty() {
+                    self.finish(run, out);
+                }
+                run.sets.push((key, value));
+                return;
             }
             Request::Del { key } => {
-                Response::Old(self.index.remove(*key)).encode(out);
-                1
+                self.finish(run, out);
+                Response::Old(self.index.remove(key)).encode(out);
+                (1, false)
             }
             Request::MGet { keys } => {
-                let vs: Vec<Option<u64>> = keys.iter().map(|&k| self.index.lookup(k)).collect();
+                self.finish(run, out);
+                // An MGET is already a batch: straight through the
+                // pipelined engine, unless per-op is measuring without.
+                let grouped = self.dispatch == Dispatch::Grouped;
+                let vs = if grouped {
+                    self.index.multi_lookup(&keys)
+                } else {
+                    keys.iter().map(|&k| self.index.lookup(k)).collect()
+                };
                 Response::MValues(vs).encode(out);
-                keys.len()
+                (keys.len(), grouped)
             }
             Request::ScanCount { start, limit } => {
-                let n = self.index.scan_count(*start, *limit as usize);
+                self.finish(run, out);
+                let n = self.index.scan_count(start, limit as usize);
                 Response::Count(n as u64).encode(out);
-                1
+                (1, false)
             }
             Request::Shutdown => {
+                self.finish(run, out);
                 Response::Ok.encode(out);
                 self.stop.store(true, Ordering::Release);
-                0
+                conn.close_after_flush = true;
+                (0, false)
             }
             Request::Scan { start, count } => {
+                self.finish(run, out);
                 // Stream straight off the lazy range iterator: each
                 // SCAN_PART is encoded (and its buffer retired) before
                 // the next chunk of leaves is even visited, so a 64Ki
                 // scan costs one part's allocation, not the scan's.
                 let mut total = 0u32;
                 let mut part: Vec<(u64, u64)> =
-                    Vec::with_capacity(SCAN_PART_MAX.min(*count as usize));
+                    Vec::with_capacity(SCAN_PART_MAX.min(count as usize));
                 for kv in self
                     .index
-                    .range(
-                        std::ops::Bound::Included(*start),
-                        std::ops::Bound::Unbounded,
-                    )
-                    .take(*count as usize)
+                    .range(std::ops::Bound::Included(start), std::ops::Bound::Unbounded)
+                    .take(count as usize)
                 {
                     part.push(kv);
                     if part.len() == SCAN_PART_MAX {
@@ -758,90 +774,38 @@ impl Worker {
                     Response::ScanPart(part).encode(out);
                 }
                 Response::ScanEnd { total }.encode(out);
-                total.max(1) as usize
+                (total.max(1) as usize, false)
             }
         };
-        self.account(1, ops, false);
+        self.account(1, ops, batched);
     }
 
-    /// Execute a burst: maximal same-opcode runs go through the batched
-    /// engines; each `max_group` slice runs under one epoch pin over
-    /// this worker's owned domains. [`Dispatch::PerOp`] caps a run at one
-    /// request and takes no burst pin, so nothing reaches a batched
-    /// engine.
-    fn execute(&self, conn: &mut Conn) {
-        let grouped = self.dispatch == Dispatch::Grouped;
-        let run_cap = if grouped { usize::MAX } else { 1 };
-        let reqs = std::mem::take(&mut conn.pending);
-        let mut gets: Vec<u64> = Vec::new();
-        let mut sets: Vec<(u64, u64)> = Vec::new();
-        for chunk in reqs.chunks(self.max_group) {
-            // One pin per burst over the owned domains: every per-op pin
-            // the engines take inside is a nested depth increment.
-            let _pins: Vec<_> = if grouped {
-                self.stats.add(GROUPS, 1);
-                self.owned.iter().map(|h| h.pin()).collect()
-            } else {
-                Vec::new()
-            };
-            let mut i = 0;
-            while i < chunk.len() {
-                match &chunk[i] {
-                    Request::Get { .. } => {
-                        gets.clear();
-                        while gets.len() < run_cap {
-                            let Some(Request::Get { key }) = chunk.get(i) else {
-                                break;
-                            };
-                            gets.push(*key);
-                            i += 1;
-                        }
-                        if gets.len() == 1 {
-                            Response::Value(self.index.lookup(gets[0])).encode(&mut conn.outbuf);
-                        } else {
-                            for v in self.index.multi_lookup(&gets) {
-                                Response::Value(v).encode(&mut conn.outbuf);
-                            }
-                        }
-                        self.account(gets.len(), gets.len(), gets.len() > 1);
-                    }
-                    Request::Set { .. } => {
-                        sets.clear();
-                        while sets.len() < run_cap {
-                            let Some(Request::Set { key, value }) = chunk.get(i) else {
-                                break;
-                            };
-                            sets.push((*key, *value));
-                            i += 1;
-                        }
-                        if sets.len() == 1 {
-                            Response::Old(self.index.insert(sets[0].0, sets[0].1))
-                                .encode(&mut conn.outbuf);
-                        } else {
-                            for v in self.index.multi_insert(&sets) {
-                                Response::Old(v).encode(&mut conn.outbuf);
-                            }
-                        }
-                        self.account(sets.len(), sets.len(), sets.len() > 1);
-                    }
-                    Request::MGet { keys } if grouped => {
-                        // An MGET is already a batch: straight through
-                        // the pipelined engine.
-                        let vs = self.index.multi_lookup(keys);
-                        Response::MValues(vs).encode(&mut conn.outbuf);
-                        self.account(1, keys.len(), true);
-                        i += 1;
-                    }
-                    req => {
-                        self.execute_one(req, &mut conn.outbuf);
-                        if matches!(req, Request::Shutdown) {
-                            conn.close_after_flush = true;
-                        }
-                        i += 1;
-                    }
+    /// End the run: the only place a GET or SET reaches the index. One
+    /// key is a scalar operation, more go through the batched engine.
+    fn finish(&self, run: &mut Run, out: &mut Vec<u8>) {
+        match run.gets[..] {
+            [] => {}
+            [key] => Response::Value(self.index.lookup(key)).encode(out),
+            _ => {
+                for v in self.index.multi_lookup(&run.gets) {
+                    Response::Value(v).encode(out);
                 }
             }
         }
-        conn.pending = reqs;
+        match run.sets[..] {
+            [] => {}
+            [(key, value)] => Response::Old(self.index.insert(key, value)).encode(out),
+            _ => {
+                for v in self.index.multi_insert(&run.sets) {
+                    Response::Old(v).encode(out);
+                }
+            }
+        }
+        let n = run.gets.len() + run.sets.len();
+        if n > 0 {
+            self.account(n, n, n > 1);
+            run.gets.clear();
+            run.sets.clear();
+        }
     }
 }

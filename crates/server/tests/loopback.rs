@@ -7,7 +7,7 @@
 mod common;
 
 use common::{call, connect, exercise_all_ops, get};
-use optiql_server::proto::{Request, Response};
+use optiql_server::proto::{Request, Response, MAX_SCAN};
 use optiql_server::server::{start, BackendKind, Dispatch, ServerConfig, ServerHandle};
 use optiql_server::Client;
 
@@ -155,6 +155,181 @@ fn two_workers_count_exactly_what_four_clients_sent() {
     assert_eq!(index_ops, stats.index_ops);
 }
 
+/// What one connection of the mixed-burst test expects: a model of its
+/// own keys (no request of its reaches the other connection's range) and
+/// the index operations its requests add up to.
+#[derive(Default)]
+struct Model {
+    map: std::collections::BTreeMap<u64, u64>,
+    index_ops: u64,
+}
+
+impl Model {
+    /// Apply `req` and append the reply frame(s) it must be answered with.
+    fn answer(&mut self, req: &Request, want: &mut Vec<Response>) {
+        self.index_ops += match req {
+            Request::Get { key } => {
+                want.push(Response::Value(self.map.get(key).copied()));
+                1
+            }
+            Request::Set { key, value } => {
+                want.push(Response::Old(self.map.insert(*key, *value)));
+                1
+            }
+            Request::Del { key } => {
+                want.push(Response::Old(self.map.remove(key)));
+                1
+            }
+            Request::MGet { keys } => {
+                let vs = keys.iter().map(|k| self.map.get(k).copied()).collect();
+                want.push(Response::MValues(vs));
+                keys.len() as u64
+            }
+            Request::ScanCount { start, limit } => {
+                let n = self.map.range(start..).take(*limit as usize).count();
+                want.push(Response::Count(n as u64));
+                1
+            }
+            Request::Scan { start, count } => {
+                let entries: Vec<(u64, u64)> = (self.map.range(start..))
+                    .take(*count as usize)
+                    .map(|(k, v)| (*k, *v))
+                    .collect();
+                for part in entries.chunks(optiql_server::proto::SCAN_PART_MAX) {
+                    want.push(Response::ScanPart(part.to_vec()));
+                }
+                let total = entries.len() as u32;
+                want.push(Response::ScanEnd { total });
+                u64::from(total.max(1))
+            }
+            Request::Shutdown => unreachable!("the mixed bursts never stop the server"),
+        };
+    }
+}
+
+/// Forty frames over a 24-key working set at `base` (so reads meet
+/// earlier writes and deletes), laid out against `max_group: 8`: the GET
+/// runs at 3–9 and 20–25 and the SET runs at 12–18 and 26–33 each
+/// straddle a slice boundary (8, 16, 24, 32); a GET run follows a SET run
+/// directly (at 3, reading the key just written twice) and a SET run a
+/// GET run (at 26), the other runs are cut by DEL, MGET, SCAN_COUNT and
+/// SCAN; two SET runs write one key twice.
+fn mixed_burst(base: u64, burst: u64) -> Vec<Request> {
+    let mut x = base ^ burst;
+    let mut key = move || {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        base + (x >> 33) % 24
+    };
+    let mut reqs = Vec::with_capacity(40);
+    let twice = key();
+    for (i, key) in [twice, key(), twice].into_iter().enumerate() {
+        let value = burst * 100 + i as u64;
+        reqs.push(Request::Set { key, value });
+    }
+    reqs.push(Request::Get { key: twice });
+    reqs.extend((4..=9).map(|_| Request::Get { key: key() }));
+    reqs.push(Request::Del { key: key() });
+    reqs.push(Request::MGet {
+        keys: (0..5).map(|_| key()).collect(),
+    });
+    let twice = key();
+    reqs.extend((12..=18).map(|i| Request::Set {
+        key: if i % 3 == 0 { twice } else { key() },
+        value: burst * 100 + i,
+    }));
+    reqs.push(Request::ScanCount {
+        start: base + 5,
+        limit: 10,
+    });
+    reqs.extend((20..=25).map(|_| Request::Get { key: key() }));
+    reqs.extend((26..=33).map(|i| Request::Set {
+        key: key(),
+        value: burst * 100 + i,
+    }));
+    reqs.push(Request::Scan {
+        start: key(),
+        count: 16,
+    });
+    reqs.push(Request::Del { key: key() });
+    reqs.extend((36..=39).map(|_| Request::Get { key: key() }));
+    assert_eq!(reqs.len(), 40);
+    reqs
+}
+
+/// Two connections on one worker (so both feed the worker's one run),
+/// interleaving every opcode: each reply is checked at its position
+/// against the connection's own model, in both dispatch modes.
+#[test]
+fn every_position_of_a_mixed_burst_gets_its_own_answer() {
+    const BURSTS: u64 = 6;
+    for dispatch in [Dispatch::Grouped, Dispatch::PerOp] {
+        let h = start(&ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            backend: BackendKind::ShardedBtree { shards: 2 },
+            workers: 1,
+            dispatch,
+            max_group: 8,
+            ..ServerConfig::default()
+        })
+        .expect("server start");
+        let addr = h.addr();
+        let start_line = std::sync::Barrier::new(2);
+        let index_ops: u64 = std::thread::scope(|s| {
+            let conns: Vec<_> = (0..2u64)
+                .map(|t| {
+                    let start_line = &start_line;
+                    s.spawn(move || {
+                        // Disjoint ranges; 64 keys above the working set
+                        // that are never deleted keep every scan (≤ 16
+                        // entries) inside its connection's own range.
+                        let base = (t + 1) << 32;
+                        let floor = (0..64).map(|i| Request::Set {
+                            key: base + 1000 + i,
+                            value: i,
+                        });
+                        let mut model = Model::default();
+                        let mut c = connect(addr);
+                        start_line.wait();
+                        let bursts = (0..BURSTS).map(|b| mixed_burst(base, b));
+                        for (b, burst) in std::iter::once(floor.collect()).chain(bursts).enumerate()
+                        {
+                            let mut want = Vec::new();
+                            for req in &burst {
+                                model.answer(req, &mut want);
+                            }
+                            c.send(&burst).unwrap();
+                            for (i, want) in want.iter().enumerate() {
+                                assert_eq!(
+                                    c.recv().unwrap().as_ref(),
+                                    Some(want),
+                                    "{dispatch:?}: conn {t}, burst {b}, reply frame {i}"
+                                );
+                            }
+                        }
+                        model.index_ops
+                    })
+                })
+                .collect();
+            conns.into_iter().map(|c| c.join().unwrap()).sum()
+        });
+        let stats = h.shutdown();
+        assert_eq!(stats.requests, 2 * (64 + BURSTS * 40));
+        assert_eq!(stats.index_ops, index_ops);
+        assert_eq!(stats.proto_errors, 0);
+        match dispatch {
+            // ⌈64 / 8⌉ + BURSTS × ⌈40 / 8⌉ slices per connection; a burst
+            // the kernel delivers in two reads is cut once more.
+            Dispatch::Grouped => {
+                assert!(stats.groups >= 2 * (8 + BURSTS * 5), "{stats:?}");
+                assert!(stats.batched_ops > 0, "{stats:?}");
+            }
+            Dispatch::PerOp => assert_eq!((stats.groups, stats.batched_ops), (0, 0)),
+        }
+    }
+}
+
 #[test]
 fn garbage_bytes_close_only_that_connection() {
     let h = serve(BackendKind::Btree, Dispatch::Grouped, 100);
@@ -187,6 +362,23 @@ fn garbage_bytes_close_only_that_connection() {
     }
     assert_eq!(huge.recv().unwrap(), None);
 
+    // A third: a well-formed SCAN_COUNT frame whose limit is over
+    // MAX_SCAN. One such frame would otherwise keep the worker — and
+    // every connection it serves — busy for the whole index.
+    let mut greedy = connect(h.addr());
+    let mut frame = Vec::new();
+    Request::ScanCount {
+        start: 0,
+        limit: MAX_SCAN + 1,
+    }
+    .encode(&mut frame);
+    greedy.send_raw(&frame).unwrap();
+    match greedy.recv().unwrap() {
+        Some(Response::Error(msg)) => assert!(msg.contains("count"), "got: {msg}"),
+        other => panic!("expected ERR frame, got {other:?}"),
+    }
+    assert_eq!(greedy.recv().unwrap(), None);
+
     // The worker survived: the old connection still answers, and so
     // does a brand-new one.
     assert_eq!(get(&mut good, 2), Some(3));
@@ -194,7 +386,57 @@ fn garbage_bytes_close_only_that_connection() {
     assert_eq!(get(&mut fresh, 3), Some(4));
 
     let stats = h.shutdown();
-    assert_eq!(stats.proto_errors, 5);
+    assert_eq!(stats.proto_errors, 6);
+}
+
+/// A frame is executed where it is decoded, so what a burst's bad frame
+/// or SHUTDOWN does to the connection happens *at its position*: the
+/// frames ahead of it are answered first, the frames behind it never
+/// run.
+#[test]
+fn err_follows_the_replies_it_arrived_behind() {
+    for dispatch in [Dispatch::Grouped, Dispatch::PerOp] {
+        let h = serve(BackendKind::Btree, dispatch, 100);
+
+        let mut burst = Vec::new();
+        Request::Get { key: 1 }.encode(&mut burst);
+        Request::Get { key: 2 }.encode(&mut burst);
+        burst.extend_from_slice(&3u32.to_le_bytes());
+        burst.extend_from_slice(&[0x99, 0xAA, 0xBB]);
+        let mut c = connect(h.addr());
+        c.send_raw(&burst).unwrap();
+        assert_eq!(c.recv().unwrap(), Some(Response::Value(Some(2))));
+        assert_eq!(c.recv().unwrap(), Some(Response::Value(Some(3))));
+        match c.recv().unwrap() {
+            Some(Response::Error(msg)) => assert!(msg.contains("opcode"), "got: {msg}"),
+            other => panic!("{dispatch:?}: expected ERR in third place, got {other:?}"),
+        }
+        assert_eq!(c.recv().unwrap(), None, "connection must close after ERR");
+
+        // SHUTDOWN in mid-burst: acked in its place, and the SET behind
+        // it is neither executed nor (under a wal) logged.
+        let (k, k2) = (5000, 5001);
+        let mut c = connect(h.addr());
+        c.send(&[
+            Request::Set { key: k, value: 1 },
+            Request::Shutdown,
+            Request::Set { key: k2, value: 2 },
+        ])
+        .unwrap();
+        assert_eq!(c.recv().unwrap(), Some(Response::Old(None)));
+        assert_eq!(c.recv().unwrap(), Some(Response::Ok));
+        assert_eq!(c.recv().unwrap(), None, "connection must close after OK");
+        let index = std::sync::Arc::clone(h.index());
+        let stats = h.join();
+        assert_eq!(index.lookup(k), Some(1));
+        assert_eq!(
+            index.lookup(k2),
+            None,
+            "{dispatch:?}: a frame ran behind SHUTDOWN"
+        );
+        assert_eq!(stats.proto_errors, 1);
+        assert_eq!(stats.requests, 4, "{dispatch:?}: two GETs, SET, SHUTDOWN");
+    }
 }
 
 /// Drain one whole SCAN reply: parts until SCAN_END, asserting every

@@ -15,7 +15,7 @@ fn any_request() -> impl Strategy<Value = Request> {
         (any::<u64>(), any::<u64>()).prop_map(|(key, value)| Request::Set { key, value }),
         any::<u64>().prop_map(|key| Request::Del { key }),
         prop::collection::vec(any::<u64>(), 0..40).prop_map(|keys| Request::MGet { keys }),
-        (any::<u64>(), any::<u32>()).prop_map(|(start, limit)| Request::ScanCount { start, limit }),
+        (any::<u64>(), 0..=MAX_SCAN).prop_map(|(start, limit)| Request::ScanCount { start, limit }),
         Just(Request::Shutdown),
         (any::<u64>(), 0..=MAX_SCAN).prop_map(|(start, count)| Request::Scan { start, count }),
     ]

@@ -23,8 +23,9 @@
 //!   out of the composition: retirement in one shard never delays
 //!   reclamation in another. The facade itself never pins: each tree's
 //!   `multi_*` engine pins its own domain once per (sub-)batch, and a
-//!   driver that wants one pin per burst takes the shards' handles
-//!   ([`ConcurrentIndex::reclaim_handle`]) and pins them itself;
+//!   driver that wants one pin per burst (the affine driver) takes the
+//!   shards' handles ([`ConcurrentIndex::reclaim_handle`]) and pins them
+//!   itself;
 //! * opt-in [`ShardAffinity`] places shards on cores (topology probed,
 //!   gracefully degrading) so thread-per-core drivers can pin workers to
 //!   the shards they own;
