@@ -41,20 +41,24 @@ optiql_index_api::impl_concurrent_index! {
         ConcurrentIndex<K> for BPlusTree<IL, LL, IC, LC, K>
 }
 
-/// Capacity presets derived from target node sizes (paper §7.4 sweeps
+/// Capacity presets named after nominal node sizes (paper §7.4 sweeps
 /// 256 B – 16 KB). An entry is 16 bytes (8-byte key + 8-byte value /
-/// child pointer); roughly 16 bytes go to the header.
+/// child pointer) and the preset allows one entry's worth of header, but
+/// the header a node really has is 32 bytes (tag, lock, count, prefix):
+/// an `S256` leaf is 272 bytes (32 + 15 × 16), an `S256` inner node 288
+/// (32 + 16 × 16) — pinned by `node::tests::s256_nodes_are_272_and_288_bytes`.
 pub mod node_size {
-    /// Inner-node child capacity for a byte-sized node.
+    /// Inner-node child capacity for a nominal node size.
     pub const fn inner_cap(bytes: usize) -> usize {
         (bytes - 16) / 16 + 1
     }
-    /// Leaf entry capacity for a byte-sized node.
+    /// Leaf entry capacity for a nominal node size.
     pub const fn leaf_cap(bytes: usize) -> usize {
         (bytes - 16) / 16
     }
 
-    /// 256-byte nodes (default; fanout ≈ 15, the paper's "fanout of 14").
+    /// Nominal 256-byte nodes (default; 16 children / 15 entries, the
+    /// paper's "fanout of 14"; 288 / 272 bytes with the header).
     pub const S256: (usize, usize) = (inner_cap(256), leaf_cap(256));
     /// 512-byte nodes.
     pub const S512: (usize, usize) = (inner_cap(512), leaf_cap(512));

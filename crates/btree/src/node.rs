@@ -181,11 +181,15 @@ pub(crate) fn prefetch_node(p: *const NodeBase) {
     let _ = p;
 }
 
-/// Prefetch the *tail* of a node (lines 2 and 3 of a 256-byte node). The
-/// batched engine has a whole pipeline round between choosing a child and
-/// touching it, so it can afford to pull the entire node — key array tails
-/// and the value/child array — not just the header two lines that
-/// [`prefetch_node`] fetches on the latency-sensitive scalar path.
+/// Prefetch the *tail* of a node: lines 2 to 4, which with the two of
+/// [`prefetch_node`] are the 320 bytes that hold a default node whole (a
+/// leaf is 272 bytes, an inner node 288: 32 of header on top of the
+/// slots; whether `p` is one or the other is not known before it
+/// arrives). The batched engine has a whole pipeline round between
+/// choosing a child and touching it, so it can afford to pull the entire
+/// node — key array tails and the value/child array up to the last slot,
+/// which dense nodes do occupy — not just the header two lines fetched
+/// on the latency-sensitive scalar path.
 #[inline(always)]
 pub(crate) fn prefetch_node_rest(p: *const NodeBase) {
     #[cfg(target_arch = "x86_64")]
@@ -194,6 +198,7 @@ pub(crate) fn prefetch_node_rest(p: *const NodeBase) {
         use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
         _mm_prefetch::<_MM_HINT_T0>((p as *const i8).wrapping_add(128));
         _mm_prefetch::<_MM_HINT_T0>((p as *const i8).wrapping_add(192));
+        _mm_prefetch::<_MM_HINT_T0>((p as *const i8).wrapping_add(256));
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = p;
@@ -592,15 +597,21 @@ impl<IL: IndexLock, const IC: usize, K: IndexKey> Inner<IL, IC, K> {
         self.count.store(1, K::SLOT_STORE);
     }
 
-    /// Split in half (holder of the exclusive lock only). Returns
-    /// `(separator-to-push-up, new-right-node)`; the separator is an
-    /// owned full key, and the middle slot it came from is retired
-    /// (readers may still be comparing against it). Truncated halves
-    /// re-grow their prefixes from the surviving suffixes.
-    pub fn split(&self, g: &Guard) -> (K, *mut NodeBase) {
+    /// Split where the insert of `key` descends (holder of the exclusive
+    /// lock only). Through the last child the cut is the second-to-last
+    /// separator: this node keeps all but two children and the right node
+    /// starts with one separator and two children (never none), so an
+    /// ascending stream leaves full inner nodes behind; through any other
+    /// child the split is in half. Returns `(separator-to-push-up,
+    /// new-right-node)`; the separator is an owned full key, and the slot
+    /// it came from is retired (readers may still be comparing against
+    /// it). Truncated halves re-grow their prefixes from the surviving
+    /// suffixes.
+    pub fn split(&self, key: &K, g: &Guard) -> (K, *mut NodeBase) {
         let n = self.count.load(R) as usize;
         debug_assert!(n >= 3, "splitting a near-empty inner node");
-        let mid = n / 2;
+        let via_last = self.child_index(key) == n;
+        let mid = if via_last { n - 2 } else { n / 2 };
         // Safety: this thread holds the exclusive lock; slot is live.
         let sep = unsafe { self.sep_key_at(mid) };
         let mid_slot = self.keys[mid].load(K::SLOT_LOAD);
@@ -899,16 +910,21 @@ impl<LL: IndexLock, const LC: usize, K: IndexKey> Leaf<LL, LC, K> {
         Some((slot, old))
     }
 
-    /// Split in half (exclusive access). Returns `(separator, right node)`:
-    /// the separator is an owned copy of the smallest key of the new
-    /// right leaf (which keeps its own slot). Truncated halves re-grow
-    /// their prefixes from the surviving suffixes, so the short local
-    /// suffixes of a freshly split node usually collapse into inline
-    /// words.
-    pub fn split(&self, g: &Guard) -> (K, *mut NodeBase) {
+    /// Split where the pending insert of `key` lands (exclusive access).
+    /// A key sorting after every entry leaves this leaf `n - 1` entries
+    /// and starts the right one with the last, so an ascending stream
+    /// leaves full leaves behind, not half-empty ones; any other key
+    /// splits in half. Either way the right leaf is not empty. Returns
+    /// `(separator, right node)`: the separator is an owned copy of the
+    /// smallest key of the new right leaf (which keeps its own slot).
+    /// Truncated halves re-grow their prefixes from the surviving
+    /// suffixes, so the short local suffixes of a freshly split node
+    /// usually collapse into inline words.
+    pub fn split(&self, key: &K, g: &Guard) -> (K, *mut NodeBase) {
         let n = self.count.load(R) as usize;
         debug_assert!(n >= 2);
-        let mid = n / 2;
+        let behind_last = self.lower_bound(key) == n;
+        let mid = if behind_last { n - 1 } else { n / 2 };
         let right_ptr = Self::alloc();
         let right = unsafe { as_leaf::<LL, LC, K>(right_ptr) };
         for i in mid..n {
@@ -1123,17 +1139,37 @@ mod tests {
         let g = col.pin();
         let (l, p) = leaf();
         for k in 0..8u64 {
-            l.insert(&k, k, &g);
+            l.insert(&(2 * k), k, &g);
         }
         assert!(l.is_full());
-        let (sep, rp) = l.split(&g);
+        // The pending key lands inside the leaf: split in half.
+        let (sep, rp) = l.split(&5, &g);
         let r = unsafe { as_leaf::<OptLock, 8, u64>(rp) };
-        assert_eq!(sep, 4);
+        assert_eq!(sep, 8);
         assert_eq!(l.count(), 4);
         assert_eq!(r.count(), 4);
-        assert_eq!(l.lookup(&3), Some(3));
-        assert_eq!(l.lookup(&4), None);
-        assert_eq!(r.lookup(&4), Some(4));
+        assert_eq!(l.lookup(&6), Some(3));
+        assert_eq!(l.lookup(&8), None);
+        assert_eq!(r.lookup(&8), Some(4));
+        free_leaf(p);
+        free_leaf(rp);
+    }
+
+    #[test]
+    fn leaf_split_for_an_appended_key_moves_only_the_last_entry() {
+        let col = Collector::new();
+        let g = col.pin();
+        let (l, p) = leaf();
+        for k in 0..8u64 {
+            l.insert(&k, k, &g);
+        }
+        let (sep, rp) = l.split(&8, &g);
+        let r = unsafe { as_leaf::<OptLock, 8, u64>(rp) };
+        assert_eq!(sep, 7, "the separator is still the right leaf's first key");
+        assert_eq!((l.count(), r.count()), (7, 1));
+        assert_eq!(l.lookup(&6), Some(6));
+        assert_eq!(l.lookup(&7), None);
+        assert_eq!(r.lookup(&7), Some(7));
         free_leaf(p);
         free_leaf(rp);
     }
@@ -1203,7 +1239,7 @@ mod tests {
         assert_eq!(val, 5);
         unsafe { Bytes::slot_free(slot) };
         // Split: separator is an independently owned full key.
-        let (sep, rp) = l.split(&g);
+        let (sep, rp) = l.split(&Bytes::from("bravo"), &g);
         let r = unsafe { as_leaf::<OptLock, 8, Bytes>(rp) };
         assert_eq!(sep, unsafe { r.key_at(0) });
         unsafe {
@@ -1268,7 +1304,7 @@ mod tests {
         assert_eq!(out[0].0, Bytes::from("user0000000000000003"));
         assert_eq!(out[5].0, Bytes::from("user1"));
         // Split re-grows each half's prefix.
-        let (sep, rp) = l.split(&g);
+        let (sep, rp) = l.split(&Bytes::from("user0000000000000004"), &g);
         let r = unsafe { as_leaf::<OptLock, 8, Bytes>(rp) };
         assert_eq!(sep, unsafe { r.key_at(0) });
         for (i, (k, _)) in out.iter().enumerate().take(l.count()) {
@@ -1362,8 +1398,10 @@ mod tests {
         }
         assert!(inner.is_full() || inner.count() == 6);
         let n = inner.count();
-        let (sep, rp) = inner.split(&g);
+        // The insert descends through a middle child: split in half.
+        let (sep, rp) = inner.split(&25, &g);
         let right = unsafe { as_inner::<OptLock, 8, u64>(rp) };
+        assert_eq!(sep, 40);
         assert_eq!(inner.count() + right.count() + 1, n);
         // Separator strictly partitions the two halves.
         for i in 0..inner.count() {
@@ -1372,6 +1410,32 @@ mod tests {
         for i in 0..right.count() {
             assert!(right.key_slot(i) > sep);
         }
+        for k in kids {
+            free_leaf(k);
+        }
+        free_inner(ip);
+        free_inner(rp);
+    }
+
+    #[test]
+    fn inner_split_through_the_last_child_keeps_all_but_two_children() {
+        let col = Collector::new();
+        let g = col.pin();
+        let ip = I::alloc();
+        let inner = unsafe { as_inner::<OptLock, 8, u64>(ip) };
+        let kids: Vec<*mut NodeBase> = (0..8).map(|_| L::alloc()).collect();
+        inner.init_root(10, kids[0], kids[1]);
+        for (i, sep) in [20u64, 30, 40, 50, 60, 70].iter().enumerate() {
+            inner.insert_child(sep, kids[i + 2], &g);
+        }
+        assert!(inner.is_full());
+        let (sep, rp) = inner.split(&75, &g);
+        let right = unsafe { as_inner::<OptLock, 8, u64>(rp) };
+        assert_eq!(sep, 60);
+        assert_eq!((inner.count(), right.count()), (5, 1));
+        assert_eq!(inner.find_child(&55), kids[5]);
+        assert_eq!(right.find_child(&65), kids[6]);
+        assert_eq!(right.find_child(&75), kids[7]);
         for k in kids {
             free_leaf(k);
         }
@@ -1414,7 +1478,7 @@ mod tests {
             kids[6],
             "above prefix"
         );
-        let (sep, rp) = inner.split(&g);
+        let (sep, rp) = inner.split(&Bytes::from("key-35"), &g);
         let right = unsafe { as_inner::<OptLock, 8, Bytes>(rp) };
         assert_eq!(sep, Bytes::from("key-50"));
         for i in 0..inner.count() {
@@ -1504,6 +1568,20 @@ mod tests {
         check::<17>();
         check::<64>();
         check::<256>();
+    }
+
+    #[test]
+    fn s256_nodes_are_272_and_288_bytes() {
+        use crate::{DEFAULT_IC, DEFAULT_LC};
+        use optiql::OptiQL;
+        use std::mem::size_of;
+        // 32 bytes of header (tag, lock, count, prefix) on top of the
+        // slots: the "256-byte" preset names the slot arrays, not the node.
+        assert_eq!((DEFAULT_IC, DEFAULT_LC), (16, 15));
+        assert_eq!(size_of::<Leaf<OptiQL, DEFAULT_LC>>(), 32 + 15 * 16);
+        assert_eq!(size_of::<Leaf<OptLock, DEFAULT_LC>>(), 272);
+        assert_eq!(size_of::<Inner<OptLock, DEFAULT_IC>>(), 32 + 16 * 16);
+        assert_eq!(size_of::<Inner<OptLock, DEFAULT_IC, Bytes>>(), 288);
     }
 
     #[test]

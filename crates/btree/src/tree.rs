@@ -483,7 +483,11 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
             return Step::Restart;
         };
         let old = match op {
-            WriteOp::Insert(val) if leaf.is_full() => {
+            // Only an absent key needs room: an overwrite of a full leaf
+            // stays in place (the arm below).
+            WriteOp::Insert(val)
+                if leaf.is_full() && searched.unwrap_or_else(|| leaf.search(key)).is_none() =>
+            {
                 // Split needs the parent exclusively too.
                 let Some(held) = upgrade(parent) else {
                     leaf.lock.x_unlock(t);
@@ -554,7 +558,7 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
                     Ok(Step::Done(old)) => return old,
                     Ok(Step::Restart) => continue 'restart,
                     Err(full) => {
-                        self.split_full(full, &g);
+                        self.split_full(full, key, &g);
                         continue 'restart;
                     }
                 }
@@ -630,8 +634,9 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
     }
 
     /// The one leaf split-and-insert: split full `leaf` (held exclusively,
-    /// as is `parent`; `None` when the leaf is the root), put the entry
-    /// into the proper half, then publish the new sibling.
+    /// as is `parent`; `None` when the leaf is the root) where absent
+    /// `key` lands, put the entry into the proper half, then publish the
+    /// new sibling.
     fn split_leaf_insert(
         &self,
         parent: Option<&Inner<IL, IC, K>>,
@@ -641,7 +646,7 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
         val: u64,
         g: &Guard,
     ) -> Option<u64> {
-        let (sep, right) = leaf.split(g);
+        let (sep, right) = leaf.split(key, g);
         let half = if *key >= sep {
             unsafe { as_leaf::<LL, LC, K>(right) }
         } else {
@@ -653,9 +658,10 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
     }
 
     /// Scalar-driver half of the eager split: upgrade the two guards a
-    /// [`FullInner`] carries (parent, then node) and split. Best effort —
-    /// the caller restarts either way.
-    fn split_full(&self, full: FullInner<'_, IL, IC, K>, g: &Guard) {
+    /// [`FullInner`] carries (parent, then node) and split where the
+    /// insert of `key` was heading. Best effort — the caller restarts
+    /// either way.
+    fn split_full(&self, full: FullInner<'_, IL, IC, K>, key: &K, g: &Guard) {
         let FullInner {
             parent,
             node: (inner, ig),
@@ -665,7 +671,7 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
             return ig.abandon();
         };
         if let Some(t) = ig.try_upgrade() {
-            let (sep, right) = inner.split(g);
+            let (sep, right) = inner.split(key, g);
             self.install_split(held.map(|(p, _)| p), ptr, sep, right, INNER_SPLITS, g);
             inner.lock.x_unlock(t);
         }

@@ -1,7 +1,8 @@
 //! Structural-event counter tests: the counters must reflect exactly the
 //! SMOs a deterministic single-threaded history triggers.
 
-use optiql_btree::{BTreeOptLock, BTreeOptiQL};
+use optiql::{IndexLock, McsRwLock, OptLock, OptiQL, OptiQLAor};
+use optiql_btree::{BPlusTree, BTreeOptLock, BTreeOptiQL, DEFAULT_IC, DEFAULT_LC};
 
 #[test]
 fn fresh_tree_has_zero_stats() {
@@ -114,6 +115,56 @@ fn contended_upgrades_restart_on_optlock() {
     );
     assert!(t.lookup(0).is_some());
     assert_eq!(t.len(), 1);
+}
+
+/// An insert of a key that is already there is an update: it must not
+/// split the full leaf it finds (at the parent of PR 24 it did, before
+/// asking whether the key existed — a parent x-lock, an allocation and a
+/// half-empty sibling per overwrite, and dense leaves would have drifted
+/// back to half-full under pure SETs).
+fn overwrites_split_nothing<IL: IndexLock, LL: IndexLock>() {
+    // One full root leaf (full whatever the split rule), then a loaded
+    // tree: an ascending load leaves every leaf but the last one key short
+    // of full, and one odd key per leaf fills it to the brim.
+    for n in [DEFAULT_LC as u64, 30_000] {
+        let t: BPlusTree<IL, LL, DEFAULT_IC, DEFAULT_LC> = BPlusTree::new();
+        for k in 0..n {
+            t.insert(2 * k, k);
+        }
+        if n > DEFAULT_LC as u64 {
+            for k in (0..n).step_by(DEFAULT_LC - 1) {
+                t.insert(2 * k + 1, k);
+            }
+        }
+        let (loaded, len) = (t.stats(), t.len());
+        let leaves = loaded.leaf_splits as usize + 1 + loaded.root_splits.min(1) as usize;
+        assert!(len >= leaves * DEFAULT_LC * 99 / 100, "leaves not full");
+        for k in 0..n {
+            assert_eq!(t.insert(2 * k, k + 1), Some(k), "insert over {k}");
+        }
+        let pairs: Vec<(u64, u64)> = (0..n).map(|k| (2 * k, k + 2)).collect();
+        for batch in pairs.chunks(64) {
+            let old = t.multi_insert(batch);
+            let want: Vec<_> = batch.iter().map(|&(_, v)| Some(v - 1)).collect();
+            assert_eq!(old, want, "multi_insert over {:?}", batch[0]);
+        }
+        let s = t.stats();
+        assert_eq!(
+            (s.leaf_splits, s.inner_splits, s.root_splits),
+            (loaded.leaf_splits, loaded.inner_splits, loaded.root_splits),
+            "{n} keys: an overwrite split a node"
+        );
+        assert_eq!(t.len(), len);
+        assert_eq!(t.check_invariants(), len);
+    }
+}
+
+#[test]
+fn overwriting_every_key_of_a_full_tree_splits_nothing() {
+    overwrites_split_nothing::<OptLock, OptiQL>(); // lock, then search
+    overwrites_split_nothing::<OptLock, OptLock>(); // search, then upgrade
+    overwrites_split_nothing::<OptLock, OptiQLAor>(); // search while admitting readers
+    overwrites_split_nothing::<McsRwLock, McsRwLock>(); // lock coupling
 }
 
 mod replay {

@@ -372,8 +372,9 @@ pub fn start(cfg: &ServerConfig) -> std::io::Result<ServerHandle> {
             w.commit_dirty();
         }
         // Without a log there is nothing to batch for: on dense
-        // ascending keys the batched descent measured 12 % slower than
-        // this loop (`serve-get` set-up 0.55 s -> 0.62 s).
+        // ascending keys the batched descent measured 8 % slower than
+        // this loop (`serve-get` set-up 0.32 s -> 0.35 s, behind in 3 of
+        // 4 pairs; `results/pr24/preload-*.json`).
         None => {
             for i in 0..cfg.preload {
                 serve_index.insert(i, i.wrapping_add(1));
