@@ -30,7 +30,7 @@ pub use tree::{ArtStats, ArtTree, DEFAULT_EXPANSION_THRESHOLD, DEFAULT_SAMPLE_IN
 use optiql::{McsRwLock, OptLock, OptiQL, OptiQLNor, PthreadRwLock};
 
 optiql_index_api::impl_concurrent_index! {
-    impl [K: optiql_index_api::IndexKey, L: optiql::IndexLock] ConcurrentIndex<K> for ArtTree<L, K>
+    impl [L: optiql::IndexLock] for ArtTree<L>
 }
 
 /// ART with centralized optimistic locks (the paper's OptLock baseline).

@@ -11,114 +11,61 @@
 //! children. Comparing `kv.key` is itself a potential cache miss, and the
 //! step enters a leaf like any other child: the turn that chooses it
 //! prefetches the leaf line and parks, the next one compares and
-//! validates. Byte-string keys get one more turn than `u64`: their key
-//! payload lives behind a pointer in the leaf, so a parked leaf edge first
-//! spends a turn prefetching that payload line.
+//! validates.
 //!
 //! What the pipeline does not do itself — prefix splits and node growth
 //! (both need the parent exclusively), operations that keep failing
 //! validation, repeated keys — the scheduler completes through the scalar
-//! driver, against cache-warm nodes.
-//!
-//! Each turn needs its key's radix digits. Inline keys re-derive them on
-//! the stack (a byte swap); byte strings, whose escape coding is a pass
-//! over the key, are encoded once per batch into one flat buffer that
-//! every turn slices (see `Digits`).
+//! driver, against cache-warm nodes. Each turn re-derives its key's radix
+//! digits on the stack (a byte swap).
 
 use optiql::olc::{run_grouped, Step};
 use optiql::IndexLock;
-use optiql_index_api::IndexKey;
 
-use crate::node::{as_kv, is_kv, prefetch_child};
+use crate::node::{key_bytes, prefetch_child};
 use crate::tree::{ArtTree, Edge, WriteOp, LANES, SIZE};
 
-/// A parked descent, and whether everything its next step compares is
-/// already in flight (false only for a pointer-slot key about to be
-/// compared with a KV leaf's out-of-line key).
-type Parked<'t, L> = (Edge<'t, L>, bool);
-
-/// The radix digits of a batch of pointer-slot keys, encoded back to back
-/// in `flat`; `ends[i]` is where key `i`'s digits end. Empty for inline
-/// keys.
-struct Digits {
-    flat: Vec<u8>,
-    ends: Vec<usize>,
-}
-
-impl Digits {
-    fn encode<'k, K: IndexKey>(keys: impl ExactSizeIterator<Item = &'k K>) -> Self {
-        let mut d = Digits {
-            flat: Vec::new(),
-            ends: Vec::new(),
-        };
-        if !K::INLINE {
-            d.ends.reserve_exact(keys.len());
-            for key in keys {
-                key.encode_into(&mut d.flat);
-                d.ends.push(d.flat.len());
-            }
-        }
-        d
-    }
-
-    /// Run `f` on the digits of `key`, the `i`-th key of the batch.
-    #[inline]
-    fn with<K: IndexKey, R>(&self, key: &K, i: usize, f: impl FnOnce(&[u8]) -> R) -> R {
-        if K::INLINE {
-            f(key.encode().as_ref())
-        } else {
-            let start = if i == 0 { 0 } else { self.ends[i - 1] };
-            f(&self.flat[start..self.ends[i]])
-        }
-    }
-}
-
-impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
+impl<L: IndexLock> ArtTree<L> {
     /// Batched point lookups; `result[i] == lookup(keys[i])`, order
     /// preserved. Pipelines `GROUP` descents with interleaved prefetch.
-    pub fn multi_lookup(&self, keys: &[K]) -> Vec<Option<u64>> {
+    pub fn multi_lookup(&self, keys: &[u64]) -> Vec<Option<u64>> {
         let _g = self.collector.pin();
-        let digits = Digits::encode(keys.iter());
         run_grouped::<L, _, _, LANES>(
             &self.counters,
             keys.len(),
             |_, _| false,
             |i, parked| {
-                let key = &keys[i];
-                digits.with(key, i, |kb| {
-                    self.turn(parked, |e| self.read_step(key, kb, e))
-                })
+                let key = keys[i];
+                self.turn(parked, |e| self.read_step(key, &key_bytes(key), e))
             },
-            |i| digits.with(&keys[i], i, |kb| self.lookup_impl(&keys[i], kb)),
+            |i| self.lookup_impl(keys[i], &key_bytes(keys[i])),
         )
     }
 
     /// Batched inserts, equivalent to applying `pairs` in order (a
     /// duplicate key later in the batch observes the earlier write).
-    pub fn multi_insert(&self, pairs: &[(K, u64)]) -> Vec<Option<u64>> {
+    pub fn multi_insert(&self, pairs: &[(u64, u64)]) -> Vec<Option<u64>> {
         let g = self.collector.pin();
-        let digits = Digits::encode(pairs.iter().map(|(k, _)| k));
         let out = run_grouped::<L, _, _, LANES>(
             &self.counters,
             pairs.len(),
             |e, i| pairs[e].0 == pairs[i].0,
             |i, parked| {
-                let (key, val) = &pairs[i];
-                digits.with(key, i, |kb| {
-                    self.turn(parked, |e| {
-                        // Restructuring above a node is the scalar
-                        // driver's job; nothing is held (the pipeline runs
-                        // optimistic locks only), so hand over — and for
-                        // the same reason the link the step leaves in `up`
-                        // for a remove's collapse can simply be dropped.
-                        self.write_step(key, kb, WriteOp::Insert(*val), &mut None, e, &g)
-                            .unwrap_or_else(|_smo| Step::Done(self.insert_impl(key, kb, *val)))
-                    })
+                let (key, val) = pairs[i];
+                let kb = key_bytes(key);
+                self.turn(parked, |e| {
+                    // Restructuring above a node is the scalar driver's
+                    // job; nothing is held (the pipeline runs optimistic
+                    // locks only), so hand over — and for the same reason
+                    // the link the step leaves in `up` for a remove's
+                    // collapse can simply be dropped.
+                    self.write_step(key, &kb, WriteOp::Insert(val), &mut None, e, &g)
+                        .unwrap_or_else(|_smo| Step::Done(self.insert_impl(key, &kb, val)))
                 })
             },
             |i| {
-                let (key, val) = &pairs[i];
-                digits.with(key, i, |kb| self.insert_impl(key, kb, *val))
+                let (key, val) = pairs[i];
+                self.insert_impl(key, &key_bytes(key), val)
             },
         );
         let added = out.iter().filter(|r| r.is_none()).count();
@@ -129,32 +76,18 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
     }
 
     /// One turn of a parked descent: `step` over its edge, then prefetch
-    /// what the new edge leads to. A descent not yet warm instead spends
-    /// the turn prefetching the key payload of the leaf it is about to
-    /// compare (the leaf line itself arrived during the last round).
+    /// what the new edge leads to.
     #[inline]
     fn turn<'t, R>(
         &'t self,
-        parked: Option<Parked<'t, L>>,
+        parked: Option<Edge<'t, L>>,
         step: impl FnOnce(Edge<'t, L>) -> Step<Edge<'t, L>, R>,
-    ) -> Step<Parked<'t, L>, R> {
-        let edge = match parked {
-            // The root is never replaced and always cache-hot.
-            None => self.root_edge(),
-            Some((edge, true)) => edge,
-            Some((edge, false)) => {
-                unsafe { as_kv::<L, K>(edge.child) }.key.prefetch_payload();
-                return Step::Next((edge, true));
-            }
-        };
-        match step(edge) {
-            Step::Next(edge) => {
-                prefetch_child(edge.child);
-                let warm = K::INLINE || !is_kv(edge.child);
-                Step::Next((edge, warm))
-            }
-            Step::Done(r) => Step::Done(r),
-            Step::Restart => Step::Restart,
+    ) -> Step<Edge<'t, L>, R> {
+        // The root is never replaced and always cache-hot.
+        let step = step(parked.unwrap_or_else(|| self.root_edge()));
+        if let Step::Next(edge) = &step {
+            prefetch_child(edge.child);
         }
+        step
     }
 }

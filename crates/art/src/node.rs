@@ -13,7 +13,6 @@
 use std::sync::atomic::{AtomicPtr, AtomicU16, AtomicU32, AtomicU64, AtomicU8, Ordering};
 
 use optiql::IndexLock;
-use optiql_index_api::IndexKey;
 
 const R: Ordering = Ordering::Relaxed;
 
@@ -43,20 +42,18 @@ pub enum NodeType {
 
 /// Single-entry leaf: the full key plus the payload ("TID"). Reached via a
 /// tagged pointer; the key is immutable, the value is an atomic cell so
-/// in-place updates need no reallocation. Generic over the key type: the
-/// radix structure above stores only digit bytes, so the leaf is the only
-/// place a `K` lives.
+/// in-place updates need no reallocation.
 #[repr(C, align(8))]
-pub struct KvLeaf<K: IndexKey = u64> {
+pub struct KvLeaf {
     /// The complete key (lazy expansion means inner nodes may not spell
     /// out every byte; the leaf is the source of truth).
-    pub key: K,
+    pub key: u64,
     val: AtomicU64,
 }
 
-impl<K: IndexKey> KvLeaf<K> {
+impl KvLeaf {
     /// Allocate a leaf, returning its *tagged* child pointer.
-    pub fn alloc<L: IndexLock>(key: K, val: u64) -> *mut ArtNode<L> {
+    pub fn alloc<L: IndexLock>(key: u64, val: u64) -> *mut ArtNode<L> {
         let p = Box::into_raw(Box::new(KvLeaf {
             key,
             val: AtomicU64::new(val),
@@ -88,18 +85,18 @@ pub fn is_kv<L: IndexLock>(p: *mut ArtNode<L>) -> bool {
 /// Untag a KV leaf pointer.
 ///
 /// # Safety
-/// `p` must be a tagged pointer produced by [`KvLeaf::alloc`] **with the
-/// same key type `K`**, still live or epoch-retired.
+/// `p` must be a tagged pointer produced by [`KvLeaf::alloc`], still
+/// live or epoch-retired.
 #[inline]
-pub unsafe fn as_kv<'a, L: IndexLock, K: IndexKey>(p: *mut ArtNode<L>) -> &'a KvLeaf<K> {
+pub unsafe fn as_kv<'a, L: IndexLock>(p: *mut ArtNode<L>) -> &'a KvLeaf {
     debug_assert!(is_kv(p));
-    unsafe { &*(((p as usize) & !1) as *const KvLeaf<K>) }
+    unsafe { &*(((p as usize) & !1) as *const KvLeaf) }
 }
 
 /// Raw (untagged) KV pointer for retirement.
 #[inline]
-pub fn kv_raw<L: IndexLock, K: IndexKey>(p: *mut ArtNode<L>) -> *mut KvLeaf<K> {
-    ((p as usize) & !1) as *mut KvLeaf<K>
+pub fn kv_raw<L: IndexLock>(p: *mut ArtNode<L>) -> *mut KvLeaf {
+    ((p as usize) & !1) as *mut KvLeaf
 }
 
 /// Branchless SSE2 probe of a `Node16` key array: compare all 16 bytes
@@ -312,9 +309,9 @@ impl<L: IndexLock> ArtNode<L> {
         self.prefix_len.store(bytes.len() as u8, R);
     }
 
-    /// Compare the compressed path against `key[depth..]` (any encoded key
-    /// length). Returns the number of matching bytes, which equals
-    /// `prefix_len` on a full match; an exhausted key is a mismatch at the
+    /// Compare the compressed path against `key[depth..]`. Returns the
+    /// number of matching bytes, which equals `prefix_len` on a full match;
+    /// an exhausted key (a torn read's stale depth) is a mismatch at the
     /// point of exhaustion.
     #[inline]
     pub fn prefix_match_len(&self, key: &[u8], depth: usize) -> usize {
@@ -648,12 +645,12 @@ mod tests {
     fn kv_tagging_roundtrip() {
         let p = KvLeaf::alloc::<OptLock>(0xDEADu64, 42);
         assert!(is_kv(p));
-        let kv: &KvLeaf<u64> = unsafe { as_kv(p) };
+        let kv: &KvLeaf = unsafe { as_kv(p) };
         assert_eq!(kv.key, 0xDEAD);
         assert_eq!(kv.value(), 42);
         assert_eq!(kv.set_value(43), 42);
         assert_eq!(kv.value(), 43);
-        drop(unsafe { Box::from_raw(kv_raw::<OptLock, u64>(p)) });
+        drop(unsafe { Box::from_raw(kv_raw::<OptLock>(p)) });
     }
 
     #[test]

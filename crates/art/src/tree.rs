@@ -24,7 +24,7 @@
 //!   exclusive acquisition. For OptiQL the upgrade leaves the queue intact,
 //!   so later writers still line up instead of hammering the word (§6.2).
 //! * With a `DirectLock` strategy, updates that provably target the last
-//!   level (all encoded key bytes consumed) acquire the lock directly — the
+//!   level (all key bytes consumed) acquire the lock directly — the
 //!   queue-based path of Algorithm 4.
 //! * **Contention expansion**: upgrade-acquired exclusive locks
 //!   probabilistically bump a per-node contention counter; past a threshold
@@ -39,15 +39,13 @@
 //!
 //! # Keys
 //!
-//! The tree is generic over `K:`[`IndexKey`]. Radix digits come from
-//! `K::encode()` — big-endian bytes for `u64` (the default, preserving the
-//! pre-generic layout byte for byte) and the escape-coded prefix-free form
-//! for byte strings. Prefix-freedom is what makes variable-length keys
-//! radix-safe: no encoded key is a prefix of another, so two distinct keys
-//! always diverge at a digit position inside both, and a descent never
-//! runs off the end of its key while a sibling continues. Compressed paths
-//! longer than the 7 bytes a node header can pack are spelled out as a
-//! chain of single-child `Node4`s ([`alloc_chain`]).
+//! Keys are `u64`s and their radix digits are the 8 big-endian bytes
+//! (`key.to_be_bytes()`, order preserving). Every key has all 8 digits,
+//! so no key's digits are a prefix of another's: two distinct keys always
+//! diverge at a digit position inside both, and a descent never runs off
+//! the end of its key while a sibling continues. A compressed path that
+//! lazy expansion or contention expansion spells out is therefore at
+//! most 7 digits, which one node header packs (`alloc_n4`).
 
 use std::cell::Cell;
 
@@ -55,19 +53,15 @@ use optiql::counters::Counters;
 use optiql::olc::{IndexStats, OptimisticGuard, RestartLoop, Step, INDEX_LANES, OPS};
 use optiql::stats::Event;
 use optiql::{IndexLock, WriteStrategy, WriteToken};
-use optiql_index_api::IndexKey;
 use optiql_reclaim::{Collector, Guard};
 
-use crate::node::{as_kv, is_kv, kv_raw, ArtNode, KvLeaf, NodeType, KEY_LEN};
+use crate::node::{as_kv, is_kv, key_bytes, kv_raw, ArtNode, KvLeaf, NodeType};
 
 /// Default contention-expansion threshold (paper: 1024).
 pub const DEFAULT_EXPANSION_THRESHOLD: u32 = 1024;
 /// Default sampling denominator: the counter is bumped with probability
 /// 1/10 (paper: 0.1).
 pub const DEFAULT_SAMPLE_INV: u32 = 10;
-
-/// Longest compressed path a single node header can hold.
-const MAX_PREFIX: usize = KEY_LEN - 1;
 
 // The tree's lanes of its counter block, after the OLC protocol's.
 /// Entries: +1 per new key, -1 per removed one (see [`ArtTree::len`]).
@@ -98,48 +92,6 @@ pub struct ArtStats {
 
 thread_local! {
     static RNG: Cell<u64> = const { Cell::new(0x9E3779B97F4A7C15) };
-    /// Reusable digit buffer for pointer-slot keys: without it every
-    /// byte-key operation allocates (and frees) a fresh escape-coded
-    /// `Vec` just to walk the radix levels.
-    static ENC_SCRATCH: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
-}
-
-/// RAII holder for a key's encoded radix digits. Inline keys encode into
-/// the stack array their `Enc` type already is; pointer-slot keys borrow
-/// the thread-local scratch buffer and hand it back on drop.
-pub(crate) enum EncodedDigits<K: IndexKey> {
-    Stack(K::Enc),
-    Scratch(Vec<u8>),
-}
-
-impl<K: IndexKey> EncodedDigits<K> {
-    #[inline]
-    pub(crate) fn new(key: &K) -> Self {
-        if K::INLINE {
-            EncodedDigits::Stack(key.encode())
-        } else {
-            let mut buf = ENC_SCRATCH.take();
-            buf.clear();
-            key.encode_into(&mut buf);
-            EncodedDigits::Scratch(buf)
-        }
-    }
-
-    #[inline]
-    pub(crate) fn as_ref(&self) -> &[u8] {
-        match self {
-            EncodedDigits::Stack(e) => e.as_ref(),
-            EncodedDigits::Scratch(v) => v,
-        }
-    }
-}
-
-impl<K: IndexKey> Drop for EncodedDigits<K> {
-    fn drop(&mut self) {
-        if let EncodedDigits::Scratch(v) = self {
-            ENC_SCRATCH.set(std::mem::take(v));
-        }
-    }
 }
 
 /// Cheap thread-local xorshift for contention sampling.
@@ -161,35 +113,26 @@ fn sample(denominator: u32) -> bool {
 /// Digit at `depth`, tolerating out-of-range reads: a torn optimistic
 /// snapshot can leave `depth` past the key's end for a moment; the zero
 /// fallback keeps the descent panic-free until validation rejects it.
-/// With a consistent tree, prefix-free keys never index out of range.
+/// With a consistent tree, a descent never indexes past the 8 digits.
 #[inline]
 pub(crate) fn digit(kb: &[u8], depth: usize) -> u8 {
     *kb.get(depth).unwrap_or(&0)
 }
 
-/// Build a chain of `Node4`s spelling out `path` (any length), ending in a
-/// node holding `kids` (ascending digits). Each link packs up to
-/// [`MAX_PREFIX`] path bytes into its header and spends one more as the
-/// digit to the next link. The chain is private to the caller until
-/// published.
-pub(crate) fn alloc_chain<L: IndexLock>(
+/// Build a `Node4` whose compressed path is `path` and whose children are
+/// `kids` (ascending digits). A path is the digits between a node and a
+/// fork below it, inside one 8-digit key, so it always fits the 7 digits
+/// a header packs. The node is private to the caller until published.
+pub(crate) fn alloc_n4<L: IndexLock>(
     path: &[u8],
     kids: &[(u8, *mut ArtNode<L>)],
 ) -> *mut ArtNode<L> {
-    if path.len() <= MAX_PREFIX {
-        let np = ArtNode::<L>::alloc(NodeType::N4);
-        let n = unsafe { &*np };
-        n.set_prefix(path);
-        for &(b, c) in kids {
-            n.insert_child(b, c);
-        }
-        return np;
-    }
-    let child = alloc_chain(&path[MAX_PREFIX + 1..], kids);
     let np = ArtNode::<L>::alloc(NodeType::N4);
     let n = unsafe { &*np };
-    n.set_prefix(&path[..MAX_PREFIX]);
-    n.insert_child(path[MAX_PREFIX], child);
+    n.set_prefix(path);
+    for &(b, c) in kids {
+        n.insert_child(b, c);
+    }
     np
 }
 
@@ -245,9 +188,9 @@ pub(crate) enum WriteOp {
     Remove,
 }
 
-/// First digit position ≥ `from` where two encoded keys differ. Keys that
-/// share the path down to `from` are prefix-free, so they diverge inside
-/// both; `None` means the caller's view of that path was stale.
+/// First digit position ≥ `from` where two keys' digits differ. Distinct
+/// keys diverge inside their 8 digits; `None` means the digits agree from
+/// `from` on, i.e. the caller's view of the shared path was stale.
 #[inline]
 fn fork_depth(a: &[u8], b: &[u8], from: usize) -> Option<usize> {
     (from..a.len().min(b.len())).find(|&d| a[d] != b[d])
@@ -260,8 +203,8 @@ fn collapsible<L: IndexLock>(node: &ArtNode<L>) -> bool {
     node.node_type() == NodeType::N4 && node.count() <= 1
 }
 
-/// Adaptive radix tree mapping `K` keys (default `u64`) to `u64` payloads.
-pub struct ArtTree<L: IndexLock, K: IndexKey = u64> {
+/// Adaptive radix tree mapping `u64` keys to `u64` payloads.
+pub struct ArtTree<L: IndexLock> {
     root: *mut ArtNode<L>,
     pub(crate) collector: Collector,
     /// Every count the tree keeps, on cache lines of its own: no
@@ -269,19 +212,18 @@ pub struct ArtTree<L: IndexLock, K: IndexKey = u64> {
     pub(crate) counters: Counters<LANES>,
     expansion_threshold: u32,
     sample_inv: u32,
-    _key: std::marker::PhantomData<K>,
 }
 
-unsafe impl<L: IndexLock, K: IndexKey> Send for ArtTree<L, K> {}
-unsafe impl<L: IndexLock, K: IndexKey> Sync for ArtTree<L, K> {}
+unsafe impl<L: IndexLock> Send for ArtTree<L> {}
+unsafe impl<L: IndexLock> Sync for ArtTree<L> {}
 
-impl<L: IndexLock, K: IndexKey> Default for ArtTree<L, K> {
+impl<L: IndexLock> Default for ArtTree<L> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
+impl<L: IndexLock> ArtTree<L> {
     /// `L` queues its writers, so Algorithm 4's direct acquisition applies
     /// (see [`acquire`](Self::acquire)).
     const DIRECT: bool = matches!(
@@ -305,7 +247,6 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
             counters: Counters::new(),
             expansion_threshold: threshold,
             sample_inv,
-            _key: std::marker::PhantomData,
         }
     }
 
@@ -365,8 +306,8 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
     /// Retire a KV leaf through the epoch collector.
     fn retire_kv(&self, g: &Guard, p: *mut ArtNode<L>) {
         debug_assert!(is_kv(p));
-        let raw = kv_raw::<L, K>(p) as usize;
-        g.defer(move || unsafe { drop(Box::from_raw(raw as *mut KvLeaf<K>)) });
+        let raw = kv_raw(p) as usize;
+        g.defer(move || unsafe { drop(Box::from_raw(raw as *mut KvLeaf)) });
     }
 
     // --- the descent step and its scalar drivers ----------------------------
@@ -392,7 +333,7 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
     #[inline(always)]
     pub(crate) fn read_step<'t>(
         &'t self,
-        key: &K,
+        key: u64,
         kb: &[u8],
         edge: Edge<'t, L>,
     ) -> Step<Edge<'t, L>, Option<u64>> {
@@ -403,8 +344,8 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
         } = edge;
         if is_kv(child) {
             let link = via.expect("the root is an inner node");
-            let kv = unsafe { as_kv::<L, K>(child) };
-            let (hit, val) = (kv.key == *key, kv.value());
+            let kv = unsafe { as_kv(child) };
+            let (hit, val) = (kv.key == key, kv.value());
             return link.guard.done(hit.then_some(val));
         }
         let node = unsafe { &*child };
@@ -481,7 +422,7 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
     #[inline(always)]
     pub(crate) fn write_step<'t>(
         &'t self,
-        key: &K,
+        key: u64,
         kb: &[u8],
         op: WriteOp,
         up: &mut Option<Link<'t, L>>,
@@ -538,8 +479,8 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
         if let WriteOp::Update(val) = op {
             if Self::DIRECT && depth + 1 == kb.len() {
                 // Known last level: the remaining digit is the key's final
-                // encoded byte, and prefix-freedom makes every child under
-                // it a leaf.
+                // byte, and every key has the same 8, so every child under
+                // it is a leaf.
                 let t = Self::acquire(node, ng, via.as_ref(), true);
                 release(via);
                 let Some(mut t) = t else {
@@ -548,8 +489,8 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
                 let child = node.find_child(byte);
                 let mut old = None;
                 if !child.is_null() && is_kv(child) {
-                    let kv = unsafe { as_kv::<L, K>(child) };
-                    if kv.key == *key {
+                    let kv = unsafe { as_kv(child) };
+                    if kv.key == key {
                         t = node.lock.x_finish_adjustable(t);
                         old = Some(kv.set_value(val));
                     }
@@ -589,7 +530,7 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
             let Some(t) = Self::acquire(node, ng, None, false) else {
                 return Ok(Step::Restart);
             };
-            node.insert_child(byte, KvLeaf::alloc::<L>(key.clone(), val));
+            node.insert_child(byte, KvLeaf::alloc::<L>(key, val));
             node.lock.x_unlock(t);
             return Ok(Step::Done(None));
         }
@@ -612,7 +553,7 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
     #[allow(clippy::too_many_arguments)]
     fn write_kv<'t>(
         &self,
-        key: &K,
+        key: u64,
         kb: &[u8],
         op: WriteOp,
         up: Option<Link<'t, L>>,
@@ -622,25 +563,25 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
         g: &Guard,
     ) -> Step<Edge<'t, L>, Option<u64>> {
         let Link { node, guard, byte } = link;
-        let kv = unsafe { as_kv::<L, K>(child) };
-        if kv.key != *key {
+        let kv = unsafe { as_kv(child) };
+        if kv.key != key {
             release(up);
             let WriteOp::Insert(val) = op else {
                 return guard.done(None);
             };
             // Lazy-expansion split: needs only this node.
-            let oenc = kv.key.encode();
-            let Some(fork) = fork_depth(oenc.as_ref(), kb, depth) else {
-                // Path-consistent prefix-free keys diverge inside both
-                // encodings; hitting an end means the parked state went
-                // stale (the upgrade below would fail anyway).
+            let okb = key_bytes(kv.key);
+            let Some(fork) = fork_depth(&okb, kb, depth) else {
+                // Distinct keys that share the path down to `depth`
+                // diverge below it; equal digits there mean the parked
+                // state went stale (the upgrade below would fail anyway).
                 guard.abandon();
                 return Step::Restart;
             };
             let Some(t) = Self::acquire(node, guard, None, false) else {
                 return Step::Restart;
             };
-            self.expand_lazily(node, byte, child, oenc.as_ref(), kb, depth, fork, key, val);
+            self.expand_lazily(node, byte, child, &okb, kb, depth, fork, key, val);
             node.lock.x_unlock(t);
             return Step::Done(None);
         }
@@ -697,7 +638,7 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
     /// one — re-enter the step at once instead of parking — without the
     /// per-op accounting (the batched driver's fallback accounts once per
     /// batch).
-    pub(crate) fn lookup_impl(&self, key: &K, kb: &[u8]) -> Option<u64> {
+    pub(crate) fn lookup_impl(&self, key: u64, kb: &[u8]) -> Option<u64> {
         let _g = self.collector.pin();
         let mut rs = self.restart_loop();
         'restart: loop {
@@ -717,7 +658,7 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
     /// batch of one, and the one place the step's structural outcomes are
     /// carried out.
     #[inline(always)]
-    fn write(&self, key: &K, kb: &[u8], op: WriteOp) -> Option<u64> {
+    fn write(&self, key: u64, kb: &[u8], op: WriteOp) -> Option<u64> {
         let g = self.collector.pin();
         let mut rs = self.restart_loop();
         'restart: loop {
@@ -741,27 +682,26 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
 
     /// Insert body without op or size accounting (shared with the batched
     /// driver's fallback).
-    pub(crate) fn insert_impl(&self, key: &K, kb: &[u8], val: u64) -> Option<u64> {
+    pub(crate) fn insert_impl(&self, key: u64, kb: &[u8], val: u64) -> Option<u64> {
         self.write(key, kb, WriteOp::Insert(val))
     }
 
     /// Point lookup.
-    pub fn lookup(&self, key: K) -> Option<u64> {
+    pub fn lookup(&self, key: u64) -> Option<u64> {
         self.counters.add(OPS, 1);
-        self.lookup_impl(&key, EncodedDigits::new(&key).as_ref())
+        self.lookup_impl(key, &key_bytes(key))
     }
 
     /// Replace the value of an existing key; `None` if absent.
-    pub fn update(&self, key: K, val: u64) -> Option<u64> {
+    pub fn update(&self, key: u64, val: u64) -> Option<u64> {
         self.counters.add(OPS, 1);
-        let enc = EncodedDigits::new(&key);
-        self.write(&key, enc.as_ref(), WriteOp::Update(val))
+        self.write(key, &key_bytes(key), WriteOp::Update(val))
     }
 
     /// Insert or overwrite; returns the previous value if the key existed.
-    pub fn insert(&self, key: K, val: u64) -> Option<u64> {
+    pub fn insert(&self, key: u64, val: u64) -> Option<u64> {
         self.counters.add(OPS, 1);
-        let old = self.insert_impl(&key, EncodedDigits::new(&key).as_ref(), val);
+        let old = self.insert_impl(key, &key_bytes(key), val);
         if old.is_none() {
             self.counters.add(SIZE, 1);
         }
@@ -769,10 +709,9 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
     }
 
     /// Remove a key; returns the removed value.
-    pub fn remove(&self, key: K) -> Option<u64> {
+    pub fn remove(&self, key: u64) -> Option<u64> {
         self.counters.add(OPS, 1);
-        let enc = EncodedDigits::new(&key);
-        let old = self.write(&key, enc.as_ref(), WriteOp::Remove);
+        let old = self.write(key, &key_bytes(key), WriteOp::Remove);
         if old.is_some() {
             self.counters.sub(SIZE, 1);
         }
@@ -786,7 +725,7 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
 
     /// Scalar-driver half of an insert's [`Smo`]: upgrade the two guards it
     /// carries (parent, then node) and restructure. `false`: restart.
-    fn restructure(&self, smo: Smo<'_, L>, key: &K, kb: &[u8], val: u64, g: &Guard) -> bool {
+    fn restructure(&self, smo: Smo<'_, L>, key: u64, kb: &[u8], val: u64, g: &Guard) -> bool {
         let Link {
             node: p,
             guard: pg,
@@ -800,7 +739,7 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
             p.lock.x_unlock(pt);
             return false;
         };
-        let leaf = KvLeaf::alloc::<L>(key.clone(), val);
+        let leaf = KvLeaf::alloc::<L>(key, val);
         match smo.kind {
             SmoKind::SplitPrefix { matched, depth } => {
                 self.split_prefix(p, pb, smo.node, matched, digit(kb, depth + matched), leaf)
@@ -858,7 +797,7 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
 
     /// Lazy-expansion split: `old` (digits `okb`) sits under `byte` of
     /// `node` where `key` (digits `kb`) wants to go; push both below a
-    /// fresh chain spelling out their shared digits `depth..fork`.
+    /// fresh `Node4` whose path is their shared digits `depth..fork`.
     #[allow(clippy::too_many_arguments)]
     fn expand_lazily(
         &self,
@@ -869,14 +808,14 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
         kb: &[u8],
         depth: usize,
         fork: usize,
-        key: &K,
+        key: u64,
         val: u64,
     ) {
         self.counters.add(LAZY_EXPANSIONS, 1);
-        let leaf = KvLeaf::alloc::<L>(key.clone(), val);
+        let leaf = KvLeaf::alloc::<L>(key, val);
         let mut kids = [(okb[fork], old), (kb[fork], leaf)];
         kids.sort_by_key(|&(b, _)| b);
-        node.replace_child(byte, alloc_chain::<L>(&kb[depth..fork], &kids));
+        node.replace_child(byte, alloc_n4::<L>(&kb[depth..fork], &kids));
     }
 
     /// Fold [`collapsible`] `node` into its parent `p` (at `pb`): a lone KV
@@ -900,19 +839,17 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
     /// (caller holds `node` exclusively; `child` is the KV at byte `b`,
     /// itself a digit at `depth`).
     fn materialize_leaf(&self, node: &ArtNode<L>, b: u8, child: *mut ArtNode<L>, depth: usize) {
-        let kv = unsafe { as_kv::<L, K>(child) };
-        let oenc = kv.key.encode();
-        let okb = oenc.as_ref();
+        let okb = key_bytes(unsafe { as_kv(child) }.key);
         if depth + 1 >= okb.len() {
             // The leaf's final digit is already spelled out above it:
             // nothing left to materialize.
             return;
         }
-        // The chain spans bytes (depth+1 .. len-1) as compressed path and
-        // discriminates on the final byte.
+        // The new node spans bytes (depth+1 .. len-1) as compressed path
+        // and discriminates on the final byte.
         let last = okb.len() - 1;
-        let chain = alloc_chain::<L>(&okb[depth + 1..last], &[(okb[last], child)]);
-        node.replace_child(b, chain);
+        let n4 = alloc_n4::<L>(&okb[depth + 1..last], &[(okb[last], child)]);
+        node.replace_child(b, n4);
     }
 
     // --- range scan -----------------------------------------------------------
@@ -928,11 +865,16 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
     /// chunk; like other optimistically-synchronized range scans, the scan
     /// as a whole is not a serializable snapshot (matching the range-query
     /// semantics index benchmarks such as YCSB-E assume).
-    pub fn scan_chunk(&self, from: Option<&K>, limit: usize, out: &mut Vec<(K, u64)>) -> Option<K> {
+    pub fn scan_chunk(
+        &self,
+        from: Option<u64>,
+        limit: usize,
+        out: &mut Vec<(u64, u64)>,
+    ) -> Option<u64> {
         self.counters.add(OPS, 1);
         let _g = self.collector.pin();
-        let enc = from.map(|s| s.encode());
-        let sb: &[u8] = enc.as_ref().map(|e| e.as_ref()).unwrap_or(&[]);
+        let sb = from.map(key_bytes);
+        let sb: &[u8] = sb.as_ref().map_or(&[], |b| b);
         // One entry past the chunk: the resume key.
         let want = limit.saturating_add(1);
         let mut rs = self.restart_loop();
@@ -962,23 +904,23 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
     fn scan_node(
         &self,
         p: *mut ArtNode<L>,
-        start: Option<&K>,
+        start: Option<u64>,
         sb: &[u8],
         depth: usize,
         bounded: bool,
         limit: usize,
-        out: &mut Vec<(K, u64)>,
+        out: &mut Vec<(u64, u64)>,
         parent: Option<&OptimisticGuard<'_, L>>,
     ) -> bool {
         if is_kv(p) {
-            let kv = unsafe { as_kv::<L, K>(p) };
-            let (k, v) = (kv.key.clone(), kv.value());
+            let kv = unsafe { as_kv(p) };
+            let (k, v) = (kv.key, kv.value());
             // The pointer snapshot was validated by the caller; re-validate
             // the parent so the value read pairs with a live membership.
             if parent.is_some_and(|pg| !pg.recheck()) {
                 return false;
             }
-            if !bounded || start.map_or(true, |s| k >= *s) {
+            if !bounded || start.map_or(true, |s| k >= s) {
                 out.push((k, v));
             }
             return true;
@@ -1002,12 +944,12 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
         &self,
         node: &ArtNode<L>,
         ng: &OptimisticGuard<'_, L>,
-        start: Option<&K>,
+        start: Option<u64>,
         sb: &[u8],
         depth: usize,
         bounded: bool,
         limit: usize,
-        out: &mut Vec<(K, u64)>,
+        out: &mut Vec<(u64, u64)>,
     ) -> bool {
         let pl = node.prefix_len();
         let mut prefix_cmp = std::cmp::Ordering::Equal;
@@ -1071,12 +1013,11 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
     /// Single-threaded structural check, including that no operation left
     /// a node locked; returns the entry count.
     pub fn check_invariants(&self) -> usize {
-        fn walk<L: IndexLock, K: IndexKey>(p: *mut ArtNode<L>, path: &mut Vec<u8>) -> usize {
+        fn walk<L: IndexLock>(p: *mut ArtNode<L>, path: &mut Vec<u8>) -> usize {
             if is_kv(p) {
-                let kv = unsafe { as_kv::<L, K>(p) };
-                let enc = kv.key.encode();
+                let kv = unsafe { as_kv(p) };
                 assert!(
-                    enc.as_ref().starts_with(path),
+                    key_bytes(kv.key).starts_with(path),
                     "leaf key {:?} does not match its path {:?}",
                     kv.key,
                     path
@@ -1110,7 +1051,7 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
                 }
                 prev = Some(b);
                 path.push(b);
-                total += walk::<L, K>(c, path);
+                total += walk(c, path);
                 path.pop();
             }
             for _ in 0..n.prefix_len() {
@@ -1119,26 +1060,26 @@ impl<L: IndexLock, K: IndexKey> ArtTree<L, K> {
             total
         }
         let mut path = Vec::new();
-        walk::<L, K>(self.root, &mut path)
+        walk(self.root, &mut path)
     }
 }
 
-impl<L: IndexLock, K: IndexKey> Drop for ArtTree<L, K> {
+impl<L: IndexLock> Drop for ArtTree<L> {
     fn drop(&mut self) {
-        fn free<L: IndexLock, K: IndexKey>(p: *mut ArtNode<L>) {
+        fn free<L: IndexLock>(p: *mut ArtNode<L>) {
             if is_kv(p) {
-                drop(unsafe { Box::from_raw(kv_raw::<L, K>(p)) });
+                drop(unsafe { Box::from_raw(kv_raw(p)) });
                 return;
             }
             let n = unsafe { &*p };
             let mut kids = Vec::new();
             n.for_each_child(|_, c| kids.push(c));
             for c in kids {
-                free::<L, K>(c);
+                free(c);
             }
             unsafe { ArtNode::<L>::free(p) };
         }
-        free::<L, K>(self.root);
+        free(self.root);
         self.collector.flush();
     }
 }

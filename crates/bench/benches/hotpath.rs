@@ -34,7 +34,6 @@ use optiql_bench::{banner, header, mops, r2, row_latency};
 use optiql_btree::node::{as_inner, as_leaf, Inner, Leaf};
 use optiql_harness::report::LatencySummary;
 use optiql_harness::Histogram;
-use optiql_reclaim::Collector;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use std::hint::black_box;
 
@@ -185,12 +184,10 @@ fn bench_node_search<const IC: usize>(dur: Duration) {
     let child = Leaf::<OptLock, 4>::alloc();
     let ip = Inner::<OptLock, IC>::alloc();
     // Safety: `ip` was just allocated by `Inner::<OptLock, IC>::alloc`.
-    let inner = unsafe { as_inner::<OptLock, IC, u64>(ip) };
+    let inner = unsafe { as_inner::<OptLock, IC>(ip) };
     inner.init_root(8, child, child);
-    let col = Collector::new();
-    let g = col.pin();
     for i in 1..(IC - 1) as u64 {
-        inner.insert_child(&((i + 1) * 8), child, &g);
+        inner.insert_child((i + 1) * 8, child);
     }
     // 64Ki probe keys: long enough that the branch predictor cannot
     // memorize the probe sequence, which would flatter branchy searches.
@@ -200,20 +197,20 @@ fn bench_node_search<const IC: usize>(dur: Duration) {
     let mut i = 0usize;
     let t = time_loop(dur, || {
         i = (i + 1) & 0xFFFF;
-        black_box(inner.child_index(black_box(&keys[i])));
+        black_box(inner.child_index(black_box(keys[i])));
     });
     emit("node_search", &format!("child_index_{IC}"), 1, &t);
 
     // Matching leaf: LC = IC entries, lower_bound over the same keys.
     let lp = Leaf::<OptLock, IC>::alloc();
     // Safety: `lp` was just allocated by `Leaf::<OptLock, IC>::alloc`.
-    let leaf = unsafe { as_leaf::<OptLock, IC, u64>(lp) };
+    let leaf = unsafe { as_leaf::<OptLock, IC>(lp) };
     for k in 0..IC as u64 {
-        leaf.insert(&(k * 8), k, &g);
+        leaf.insert(k * 8, k);
     }
     let t = time_loop(dur, || {
         i = (i + 1) & 0xFFFF;
-        black_box(leaf.lower_bound(black_box(&keys[i])));
+        black_box(leaf.lower_bound(black_box(keys[i])));
     });
     emit("node_search", &format!("lower_bound_{IC}"), 1, &t);
 

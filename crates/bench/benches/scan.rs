@@ -1,25 +1,19 @@
 //! Streaming-scan bench (YCSB-E shape): 95% range scans of uniform
 //! length 1..=100 starting at Zipfian(0.99)-sampled keys, 5% inserts.
 //!
-//! Three axes, all landing in `BENCH_scan.json`:
+//! Two axes, both landing in `BENCH_scan.json`:
 //!
 //! * **index** — B+-tree, ART, and both behind the sharded facade (the
 //!   facade's k-way merge iterator is what YCSB-E actually measures);
 //! * **scan mode** — the two drivers of `scan_chunk`: `stream` (the lazy
-//!   `range` iterator) and `count` (`scan_count`);
-//! * **key type** — `u64` and byte-string `user################` keys
-//!   through the same driver via `run_keyed`.
+//!   `range` iterator) and `count` (`scan_count`).
 //!
 //! A `YCSB-C/u64` point row per index anchors cross-revision
 //! comparability: point-lookup throughput must not regress because the
 //! index grew a range API.
 
 use optiql_bench::{banner, header, mops, r2, row_extra};
-use optiql_harness::{
-    env, preload, preload_keyed, run, run_keyed, user_key, ConcurrentIndex, KeyDist, Mix, ScanMode,
-    WorkloadConfig,
-};
-use optiql_index_api::Bytes;
+use optiql_harness::{env, preload, run, ConcurrentIndex, KeyDist, Mix, ScanMode, WorkloadConfig};
 use optiql_sharded::ShardedIndex;
 
 const SCAN_MAX: u32 = 100;
@@ -59,30 +53,6 @@ fn sweep_u64<I: ConcurrentIndex>(index: &I, name: &str, keys: u64) {
     );
 }
 
-/// YCSB-E streaming + YCSB-C point over byte-string keys.
-fn sweep_bytes<I: ConcurrentIndex<Bytes>>(index: &I, name: &str, keys: u64) {
-    let mut cfg = ycsb_e_cfg(keys);
-    cfg.scan_mode = ScanMode::Stream;
-    let (r, _) = run_keyed(index, &cfg, user_key);
-    row_extra(
-        "scan",
-        &format!("{name}/stream"),
-        "YCSB-E/bytes",
-        r2(mops(r.throughput())),
-        r.scanned_entries,
-    );
-    let mut cfg = ycsb_e_cfg(keys);
-    cfg.mix = Mix::YCSB_C;
-    let (r, _) = run_keyed(index, &cfg, user_key);
-    row_extra(
-        "scan",
-        &format!("{name}/point"),
-        "YCSB-C/bytes",
-        r2(mops(r.throughput())),
-        r.lookup_hits,
-    );
-}
-
 fn main() {
     banner(
         "scan",
@@ -108,23 +78,4 @@ fn main() {
     let sharded_art: ShardedIndex<optiql_art::ArtOptiQL> = ShardedIndex::new(shards);
     preload(&sharded_art, &load);
     sweep_u64(&sharded_art, &format!("sharded{shards}-ART"), keys);
-
-    // Byte-string keys: smaller preload — every key is 20 bytes and the
-    // point of these rows is shape, not peak throughput.
-    let bkeys = keys.min(500_000);
-    let bload = WorkloadConfig::new(1, Mix::BALANCED, KeyDist::Uniform, bkeys);
-
-    let btree_b: optiql_btree::BPlusTree<
-        optiql::OptLock,
-        optiql::OptiQL,
-        { optiql_btree::DEFAULT_IC },
-        { optiql_btree::DEFAULT_LC },
-        Bytes,
-    > = optiql_btree::BPlusTree::new();
-    preload_keyed(&btree_b, &bload, user_key);
-    sweep_bytes(&btree_b, "B+-tree", bkeys);
-
-    let art_b: optiql_art::ArtTree<optiql::OptiQL, Bytes> = optiql_art::ArtTree::new();
-    preload_keyed(&art_b, &bload, user_key);
-    sweep_bytes(&art_b, "ART", bkeys);
 }

@@ -36,17 +36,16 @@ pub use tree::{BPlusTree, TreeStats};
 use optiql::{McsRwLock, OptLock, OptiCLH, OptiQL, OptiQLAor, OptiQLNor, PthreadRwLock};
 
 optiql_index_api::impl_concurrent_index! {
-    impl [K: optiql_index_api::IndexKey, IL: optiql::IndexLock, LL: optiql::IndexLock,
-          const IC: usize, const LC: usize]
-        ConcurrentIndex<K> for BPlusTree<IL, LL, IC, LC, K>
+    impl [IL: optiql::IndexLock, LL: optiql::IndexLock, const IC: usize, const LC: usize]
+        for BPlusTree<IL, LL, IC, LC>
 }
 
 /// Capacity presets named after nominal node sizes (paper §7.4 sweeps
 /// 256 B – 16 KB). An entry is 16 bytes (8-byte key + 8-byte value /
 /// child pointer) and the preset allows one entry's worth of header, but
-/// the header a node really has is 32 bytes (tag, lock, count, prefix):
-/// an `S256` leaf is 272 bytes (32 + 15 × 16), an `S256` inner node 288
-/// (32 + 16 × 16) — pinned by `node::tests::s256_nodes_are_272_and_288_bytes`.
+/// the header a node really has is 24 bytes (tag, lock, count): an
+/// `S256` leaf is 264 bytes (24 + 15 × 16), an `S256` inner node 280
+/// (24 + 16 × 16) — pinned by `node::tests::s256_nodes_are_264_and_280_bytes`.
 pub mod node_size {
     /// Inner-node child capacity for a nominal node size.
     pub const fn inner_cap(bytes: usize) -> usize {
@@ -58,7 +57,7 @@ pub mod node_size {
     }
 
     /// Nominal 256-byte nodes (default; 16 children / 15 entries, the
-    /// paper's "fanout of 14"; 288 / 272 bytes with the header).
+    /// paper's "fanout of 14"; 280 / 264 bytes with the header).
     pub const S256: (usize, usize) = (inner_cap(256), leaf_cap(256));
     /// 512-byte nodes.
     pub const S512: (usize, usize) = (inner_cap(512), leaf_cap(512));

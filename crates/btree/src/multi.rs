@@ -24,58 +24,47 @@
 
 use optiql::olc::{run_grouped, Step};
 use optiql::IndexLock;
-use optiql_index_api::IndexKey;
 
-use crate::node::{as_inner, as_leaf, is_leaf, prefetch_node_rest};
+use crate::node::prefetch_node_rest;
 use crate::tree::{BPlusTree, Edge, Stepped, WriteOp, LANES, SIZE};
 
-/// A parked descent, and whether its next node's probe blobs are already
-/// in flight. Only pointer-slot keys (`!K::INLINE`) are ever not warm:
-/// once a node's cache lines arrive its slot *words* are readable, but the
-/// search still chases each compared slot's heap blob, so such a descent
-/// spends one more turn on the edge prefetching the blobs of the node
-/// prefix and the first binary probes.
-type Parked<'t, IL, const IC: usize, K> = (Edge<'t, IL, IC, K>, bool);
-
-impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey>
-    BPlusTree<IL, LL, IC, LC, K>
-{
+impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> BPlusTree<IL, LL, IC, LC> {
     /// Batched point lookups; `result[i] == lookup(keys[i])`, order
     /// preserved. Pipelines `GROUP` descents with interleaved prefetch.
-    pub fn multi_lookup(&self, keys: &[K]) -> Vec<Option<u64>> {
+    pub fn multi_lookup(&self, keys: &[u64]) -> Vec<Option<u64>> {
         let _g = self.collector.pin();
         run_grouped::<LL, _, _, LANES>(
             &self.counters,
             keys.len(),
             |_, _| false,
             |i, parked| {
-                let key = &keys[i];
+                let key = keys[i];
                 self.turn(parked, |e| {
                     self.read_step(e, |n| n.find_child(key), |l| l.lookup(key))
                 })
             },
-            |i| self.lookup_impl(&keys[i]),
+            |i| self.lookup_impl(keys[i]),
         )
     }
 
     /// Batched inserts, equivalent to applying `pairs` in order (a
     /// duplicate key later in the batch observes the earlier write).
-    pub fn multi_insert(&self, pairs: &[(K, u64)]) -> Vec<Option<u64>> {
+    pub fn multi_insert(&self, pairs: &[(u64, u64)]) -> Vec<Option<u64>> {
         let g = self.collector.pin();
         let out = run_grouped::<LL, _, _, LANES>(
             &self.counters,
             pairs.len(),
             |e, i| pairs[e].0 == pairs[i].0,
             |i, parked| {
-                let (key, val) = &pairs[i];
+                let (key, val) = pairs[i];
                 self.turn(parked, |e| {
                     // A full inner node is the scalar driver's to split;
                     // nothing is held (optimistic reads only), so hand over.
-                    self.write_step(key, WriteOp::Insert(*val), e, &g)
-                        .unwrap_or_else(|_full| Step::Done(self.insert_impl(key, *val)))
+                    self.write_step(key, WriteOp::Insert(val), e, &g)
+                        .unwrap_or_else(|_full| Step::Done(self.insert_impl(key, val)))
                 })
             },
-            |i| self.insert_impl(&pairs[i].0, pairs[i].1),
+            |i| self.insert_impl(pairs[i].0, pairs[i].1),
         );
         let added = out.iter().filter(|r| r.is_none()).count();
         if added > 0 {
@@ -87,37 +76,18 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
     /// One turn of a parked descent: `step` over its edge, then prefetch
     /// the node the new edge leads to. The step's choice of child fetched
     /// that node's first two lines; a parked descent has a whole round
-    /// before it touches the node, so it can afford the rest too. A descent
-    /// not yet warm instead spends the turn prefetching its node's probe
-    /// blobs (a pure hint, so it may run before the node is read-locked).
+    /// before it touches the node, so it can afford the rest too.
     #[inline]
     fn turn<'t, R>(
         &'t self,
-        parked: Option<Parked<'t, IL, IC, K>>,
-        step: impl FnOnce(Edge<'t, IL, IC, K>) -> Stepped<'t, IL, IC, K, R>,
-    ) -> Step<Parked<'t, IL, IC, K>, R> {
-        let edge = match parked {
-            // The root is always cache-hot.
-            None => self.root_edge(),
-            Some((edge, true)) => edge,
-            Some((edge, false)) => {
-                unsafe {
-                    if is_leaf(edge.child) {
-                        as_leaf::<LL, LC, K>(edge.child).prefetch_probe_slots();
-                    } else {
-                        as_inner::<IL, IC, K>(edge.child).prefetch_probe_slots();
-                    }
-                }
-                return Step::Next((edge, true));
-            }
-        };
-        match step(edge) {
-            Step::Next(edge) => {
-                prefetch_node_rest(edge.child);
-                Step::Next((edge, K::INLINE))
-            }
-            Step::Done(r) => Step::Done(r),
-            Step::Restart => Step::Restart,
+        parked: Option<Edge<'t, IL, IC>>,
+        step: impl FnOnce(Edge<'t, IL, IC>) -> Stepped<'t, IL, IC, R>,
+    ) -> Stepped<'t, IL, IC, R> {
+        // The root is always cache-hot.
+        let step = step(parked.unwrap_or_else(|| self.root_edge()));
+        if let Step::Next(edge) = &step {
+            prefetch_node_rest(edge.child);
         }
+        step
     }
 }

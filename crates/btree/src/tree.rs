@@ -8,12 +8,8 @@
 //!   more expensive when uncontended (§6.1).
 //! * `LL` — the lock on **leaf** nodes, where contention concentrates.
 //!
-//! and over the key type `K:`[`IndexKey`] (default `u64`, which
-//! monomorphizes to the pre-generic fixed-width code; `Bytes` keys live
-//! behind owned pointer slots — see `node.rs` for the slot protocol and
-//! its ownership rules, which this module's structural-modification and
-//! remove paths enforce by retiring every dropped slot through the
-//! tree's epoch collector).
+//! Keys and values are `u64` (the paper's 8-byte-key / 8-byte-value
+//! configuration).
 //!
 //! # One descent, two drivers
 //!
@@ -70,7 +66,6 @@ use optiql::counters::Counters;
 use optiql::olc::{IndexStats, OptimisticGuard, RestartLoop, Step, INDEX_LANES, OPS};
 use optiql::stats::Event;
 use optiql::{IndexLock, WriteStrategy, WriteToken};
-use optiql_index_api::IndexKey;
 use optiql_reclaim::{Collector, Guard};
 
 use crate::node::{as_inner, as_leaf, is_leaf, Inner, Leaf, NodeBase};
@@ -109,25 +104,25 @@ pub struct TreeStats {
 }
 
 /// An inner node under an open (not yet validated) read.
-type InnerRef<'t, IL, const IC: usize, K> = (&'t Inner<IL, IC, K>, OptimisticGuard<'t, IL>);
+type InnerRef<'t, IL, const IC: usize> = (&'t Inner<IL, IC>, OptimisticGuard<'t, IL>);
 
 /// Where a descent stands between two steps: `child` was chosen under the
 /// open read of `parent` (`None`: it is the root pointer, just loaded) and
 /// is entered by the next step. This is the state the batched driver parks.
-pub(crate) struct Edge<'t, IL: IndexLock, const IC: usize, K: IndexKey> {
-    parent: Option<InnerRef<'t, IL, IC, K>>,
+pub(crate) struct Edge<'t, IL: IndexLock, const IC: usize> {
+    parent: Option<InnerRef<'t, IL, IC>>,
     pub(crate) child: *mut NodeBase,
 }
 
 /// What a step reports: one level down (`Next`), finished, or restart.
-pub(crate) type Stepped<'t, IL, const IC: usize, K, R> = Step<Edge<'t, IL, IC, K>, R>;
+pub(crate) type Stepped<'t, IL, const IC: usize, R> = Step<Edge<'t, IL, IC>, R>;
 
 /// The structural outcome of the write step: an insert met full inner
 /// `node` (at `ptr`), which must be split under `parent` (`None`: it is the
 /// root) before the descent can go on. Both guards are still open.
-pub(crate) struct FullInner<'t, IL: IndexLock, const IC: usize, K: IndexKey> {
-    parent: Option<InnerRef<'t, IL, IC, K>>,
-    node: InnerRef<'t, IL, IC, K>,
+pub(crate) struct FullInner<'t, IL: IndexLock, const IC: usize> {
+    parent: Option<InnerRef<'t, IL, IC>>,
+    node: InnerRef<'t, IL, IC>,
     ptr: *mut NodeBase,
 }
 
@@ -142,7 +137,7 @@ pub(crate) enum WriteOp {
 /// Drop a parent guard on a path that does not validate it: free for
 /// optimistic locks, releases the hold of pessimistic ones.
 #[inline]
-fn abandon<IL: IndexLock, const IC: usize, K: IndexKey>(parent: Option<InnerRef<'_, IL, IC, K>>) {
+fn abandon<IL: IndexLock, const IC: usize>(parent: Option<InnerRef<'_, IL, IC>>) {
     if let Some((_, pg)) = parent {
         pg.abandon();
     }
@@ -150,60 +145,52 @@ fn abandon<IL: IndexLock, const IC: usize, K: IndexKey>(parent: Option<InnerRef<
 
 /// A parent held exclusively for a split (`None`: the split node is the
 /// root and has none).
-type HeldParent<'t, IL, const IC: usize, K> = Option<(&'t Inner<IL, IC, K>, WriteToken)>;
+type HeldParent<'t, IL, const IC: usize> = Option<(&'t Inner<IL, IC>, WriteToken)>;
 
 /// Turn the parent guard a split needs into exclusive ownership. The outer
 /// `None` means the upgrade lost a race: the guard is gone, restart.
 #[inline]
-fn upgrade<'t, IL: IndexLock, const IC: usize, K: IndexKey>(
-    parent: Option<InnerRef<'t, IL, IC, K>>,
-) -> Option<HeldParent<'t, IL, IC, K>> {
+fn upgrade<'t, IL: IndexLock, const IC: usize>(
+    parent: Option<InnerRef<'t, IL, IC>>,
+) -> Option<HeldParent<'t, IL, IC>> {
     match parent {
         None => Some(None),
         Some((p, pg)) => pg.try_upgrade().map(|pt| Some((p, pt))),
     }
 }
 
-/// Concurrent B+-tree mapping `K` keys to `u64` payloads (the paper's
-/// 8-byte-key / 8-byte-value configuration when `K = u64`, the default).
+/// Concurrent B+-tree mapping `u64` keys to `u64` payloads (the paper's
+/// 8-byte-key / 8-byte-value configuration).
 ///
 /// `IC` is the inner-node child capacity, `LC` the leaf entry capacity; see
 /// [`crate::node_size`] for byte-size presets.
-pub struct BPlusTree<
-    IL: IndexLock,
-    LL: IndexLock,
-    const IC: usize,
-    const LC: usize,
-    K: IndexKey = u64,
-> {
+pub struct BPlusTree<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> {
     pub(crate) root: AtomicPtr<NodeBase>,
     pub(crate) collector: Collector,
     /// Every count the tree keeps, on cache lines of its own: no
     /// operation's accounting touches the line `root` is read from.
     pub(crate) counters: Counters<LANES>,
-    _locks: std::marker::PhantomData<(IL, LL, K)>,
+    _locks: std::marker::PhantomData<(IL, LL)>,
 }
 
-unsafe impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey> Send
-    for BPlusTree<IL, LL, IC, LC, K>
+unsafe impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> Send
+    for BPlusTree<IL, LL, IC, LC>
 {
 }
-unsafe impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey> Sync
-    for BPlusTree<IL, LL, IC, LC, K>
+unsafe impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> Sync
+    for BPlusTree<IL, LL, IC, LC>
 {
 }
 
-impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey> Default
-    for BPlusTree<IL, LL, IC, LC, K>
+impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> Default
+    for BPlusTree<IL, LL, IC, LC>
 {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey>
-    BPlusTree<IL, LL, IC, LC, K>
-{
+impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> BPlusTree<IL, LL, IC, LC> {
     /// Create an empty tree.
     ///
     /// Inner and leaf locks must come from the same family — both
@@ -226,7 +213,7 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
         assert!(LC >= 2, "leaf capacity must be at least 2");
         assert!(IC >= 4, "inner capacity must be at least 4");
         BPlusTree {
-            root: AtomicPtr::new(Leaf::<LL, LC, K>::alloc()),
+            root: AtomicPtr::new(Leaf::<LL, LC>::alloc()),
             collector: Collector::new(),
             counters: Counters::new(),
             _locks: std::marker::PhantomData,
@@ -291,7 +278,7 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
 
     /// Where every descent starts: the root pointer, no parent.
     #[inline(always)]
-    pub(crate) fn root_edge(&self) -> Edge<'_, IL, IC, K> {
+    pub(crate) fn root_edge(&self) -> Edge<'_, IL, IC> {
         Edge {
             parent: None,
             child: self.root.load(Ordering::Acquire),
@@ -301,7 +288,7 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
     /// Is `child` still where the descent found it — unchanged `parent`,
     /// or still the root when there is none? Does not end the parent read.
     #[inline(always)]
-    fn placed(&self, parent: &Option<InnerRef<'_, IL, IC, K>>, child: *mut NodeBase) -> bool {
+    fn placed(&self, parent: &Option<InnerRef<'_, IL, IC>>, child: *mut NodeBase) -> bool {
         match parent {
             Some((_, pg)) => pg.recheck(),
             None => self.root.load(Ordering::Acquire) == child,
@@ -312,7 +299,7 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
     /// own: check it is still [`placed`](Self::placed), then end the
     /// parent read (which releases the shared lock of a pessimistic one).
     #[inline(always)]
-    fn couple(&self, parent: Option<InnerRef<'_, IL, IC, K>>, child: *mut NodeBase) -> bool {
+    fn couple(&self, parent: Option<InnerRef<'_, IL, IC>>, child: *mut NodeBase) -> bool {
         let ok = self.placed(&parent, child);
         abandon(parent);
         ok
@@ -322,10 +309,10 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
     /// the probe (`pick` prefetches it) under the open read `ig`.
     #[inline(always)]
     fn choose<'t, R>(
-        inner: &'t Inner<IL, IC, K>,
+        inner: &'t Inner<IL, IC>,
         ig: OptimisticGuard<'t, IL>,
-        pick: impl FnOnce(&Inner<IL, IC, K>) -> *mut NodeBase,
-    ) -> Stepped<'t, IL, IC, K, R> {
+        pick: impl FnOnce(&Inner<IL, IC>) -> *mut NodeBase,
+    ) -> Stepped<'t, IL, IC, R> {
         let child = pick(inner);
         if child.is_null() || !ig.recheck() {
             ig.abandon();
@@ -344,13 +331,13 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
     #[inline(always)]
     pub(crate) fn read_step<'t, R>(
         &'t self,
-        edge: Edge<'t, IL, IC, K>,
-        pick: impl FnOnce(&Inner<IL, IC, K>) -> *mut NodeBase,
-        at_leaf: impl FnOnce(&Leaf<LL, LC, K>) -> R,
-    ) -> Stepped<'t, IL, IC, K, R> {
+        edge: Edge<'t, IL, IC>,
+        pick: impl FnOnce(&Inner<IL, IC>) -> *mut NodeBase,
+        at_leaf: impl FnOnce(&Leaf<LL, LC>) -> R,
+    ) -> Stepped<'t, IL, IC, R> {
         let Edge { parent, child } = edge;
         if unsafe { is_leaf(child) } {
-            let leaf = unsafe { as_leaf::<LL, LC, K>(child) };
+            let leaf = unsafe { as_leaf::<LL, LC>(child) };
             let Some(lg) = OptimisticGuard::read(&leaf.lock) else {
                 abandon(parent);
                 return Step::Restart;
@@ -362,7 +349,7 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
             let res = at_leaf(leaf);
             return lg.done(res);
         }
-        let inner = unsafe { as_inner::<IL, IC, K>(child) };
+        let inner = unsafe { as_inner::<IL, IC>(child) };
         let Some(ig) = OptimisticGuard::read(&inner.lock) else {
             abandon(parent);
             return Step::Restart;
@@ -383,16 +370,16 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
     #[inline(always)]
     pub(crate) fn write_step<'t>(
         &'t self,
-        key: &K,
+        key: u64,
         op: WriteOp,
-        edge: Edge<'t, IL, IC, K>,
+        edge: Edge<'t, IL, IC>,
         g: &Guard,
-    ) -> Result<Stepped<'t, IL, IC, K, Option<u64>>, FullInner<'t, IL, IC, K>> {
+    ) -> Result<Stepped<'t, IL, IC, Option<u64>>, FullInner<'t, IL, IC>> {
         let Edge { parent, child } = edge;
         if unsafe { is_leaf(child) } {
             return Ok(self.write_leaf(key, op, parent, child, g));
         }
-        let inner = unsafe { as_inner::<IL, IC, K>(child) };
+        let inner = unsafe { as_inner::<IL, IC>(child) };
         let intent = matches!(op, WriteOp::Insert(_));
         let Some(ig) = OptimisticGuard::read_for_write(&inner.lock, intent) else {
             abandon(parent);
@@ -425,10 +412,10 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
     #[inline(always)]
     fn acquire_leaf(
         &self,
-        parent: &Option<InnerRef<'_, IL, IC, K>>,
+        parent: &Option<InnerRef<'_, IL, IC>>,
         ptr: *mut NodeBase,
-        leaf: &Leaf<LL, LC, K>,
-        key: &K,
+        leaf: &Leaf<LL, LC>,
+        key: u64,
     ) -> Option<(WriteToken, Option<Option<usize>>)> {
         match LL::STRATEGY {
             // Original OLC: read the leaf version, validate the parent,
@@ -471,13 +458,13 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
     #[inline(always)]
     fn write_leaf(
         &self,
-        key: &K,
+        key: u64,
         op: WriteOp,
-        parent: Option<InnerRef<'_, IL, IC, K>>,
+        parent: Option<InnerRef<'_, IL, IC>>,
         ptr: *mut NodeBase,
         g: &Guard,
-    ) -> Stepped<'_, IL, IC, K, Option<u64>> {
-        let leaf = unsafe { as_leaf::<LL, LC, K>(ptr) };
+    ) -> Stepped<'_, IL, IC, Option<u64>> {
+        let leaf = unsafe { as_leaf::<LL, LC>(ptr) };
         let Some((t, searched)) = self.acquire_leaf(&parent, ptr, leaf, key) else {
             abandon(parent);
             return Step::Restart;
@@ -493,23 +480,18 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
                     leaf.lock.x_unlock(t);
                     return Step::Restart;
                 };
-                let old = self.split_leaf_insert(held.map(|(p, _)| p), ptr, leaf, key, val, g);
+                let old = self.split_leaf_insert(held.map(|(p, _)| p), ptr, leaf, key, val);
                 leaf.lock.x_unlock(t);
                 if let Some((p, pt)) = held {
                     p.lock.x_unlock(pt);
                 }
                 return Step::Done(old);
             }
-            WriteOp::Insert(val) => leaf.insert(key, val, g),
+            WriteOp::Insert(val) => leaf.insert(key, val),
             // The search ran while readers were admitted and missed.
             _ if searched == Some(None) => None,
             WriteOp::Update(val) => leaf.update(key, val),
-            WriteOp::Remove => leaf.remove(key).map(|(slot, old)| {
-                // Safety: the slot was just unlinked under the leaf's
-                // exclusive lock; pinned readers may still compare against it.
-                unsafe { K::slot_retire(slot, g) };
-                old
-            }),
+            WriteOp::Remove => leaf.remove(key),
         };
         match parent {
             // Deletion SMOs: unlink an emptied leaf / merge an
@@ -527,7 +509,7 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
     /// one — re-enter the step at once instead of parking — without the
     /// per-op accounting (the batched driver's fallback accounts once per
     /// batch).
-    pub(crate) fn lookup_impl(&self, key: &K) -> Option<u64> {
+    pub(crate) fn lookup_impl(&self, key: u64) -> Option<u64> {
         let _g = self.collector.pin();
         let mut rs = self.restart_loop();
         'restart: loop {
@@ -546,7 +528,7 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
     /// Scalar write driver behind `insert`, `update` and `remove`: the
     /// batch of one, and the one place full inner nodes are split.
     #[inline(always)]
-    fn write(&self, key: &K, op: WriteOp) -> Option<u64> {
+    fn write(&self, key: u64, op: WriteOp) -> Option<u64> {
         let g = self.collector.pin();
         let mut rs = self.restart_loop();
         'restart: loop {
@@ -558,7 +540,7 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
                     Ok(Step::Done(old)) => return old,
                     Ok(Step::Restart) => continue 'restart,
                     Err(full) => {
-                        self.split_full(full, key, &g);
+                        self.split_full(full, key);
                         continue 'restart;
                     }
                 }
@@ -568,27 +550,27 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
 
     /// Insert body without op or size accounting (shared with the batched
     /// driver's fallback).
-    pub(crate) fn insert_impl(&self, key: &K, val: u64) -> Option<u64> {
+    pub(crate) fn insert_impl(&self, key: u64, val: u64) -> Option<u64> {
         self.write(key, WriteOp::Insert(val))
     }
 
     /// Point lookup.
-    pub fn lookup(&self, key: K) -> Option<u64> {
+    pub fn lookup(&self, key: u64) -> Option<u64> {
         self.counters.add(OPS, 1);
-        self.lookup_impl(&key)
+        self.lookup_impl(key)
     }
 
     /// Replace the value of an existing key; returns the previous value or
     /// `None` if the key is absent.
-    pub fn update(&self, key: K, val: u64) -> Option<u64> {
+    pub fn update(&self, key: u64, val: u64) -> Option<u64> {
         self.counters.add(OPS, 1);
-        self.write(&key, WriteOp::Update(val))
+        self.write(key, WriteOp::Update(val))
     }
 
     /// Remove a key; returns the removed value.
-    pub fn remove(&self, key: K) -> Option<u64> {
+    pub fn remove(&self, key: u64) -> Option<u64> {
         self.counters.add(OPS, 1);
-        let old = self.write(&key, WriteOp::Remove);
+        let old = self.write(key, WriteOp::Remove);
         if old.is_some() {
             self.counters.sub(SIZE, 1);
         }
@@ -596,9 +578,9 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
     }
 
     /// Insert or overwrite; returns the previous value if the key existed.
-    pub fn insert(&self, key: K, val: u64) -> Option<u64> {
+    pub fn insert(&self, key: u64, val: u64) -> Option<u64> {
         self.counters.add(OPS, 1);
-        let old = self.insert_impl(&key, val);
+        let old = self.insert_impl(key, val);
         if old.is_none() {
             self.counters.add(SIZE, 1);
         }
@@ -612,22 +594,21 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
     /// tree by one level. `kind` is the split lane for the non-root case.
     fn install_split(
         &self,
-        parent: Option<&Inner<IL, IC, K>>,
+        parent: Option<&Inner<IL, IC>>,
         left: *mut NodeBase,
-        sep: K,
+        sep: u64,
         right: *mut NodeBase,
         kind: usize,
-        g: &Guard,
     ) {
         match parent {
             Some(p) => {
                 self.counters.add(kind, 1);
-                p.insert_child(&sep, right, g);
+                p.insert_child(sep, right);
             }
             None => {
                 self.counters.add(ROOT_SPLITS, 1);
-                let new_root = Inner::<IL, IC, K>::alloc();
-                unsafe { as_inner::<IL, IC, K>(new_root) }.init_root(sep, left, right);
+                let new_root = Inner::<IL, IC>::alloc();
+                unsafe { as_inner::<IL, IC>(new_root) }.init_root(sep, left, right);
                 self.root.store(new_root, Ordering::Release);
             }
         }
@@ -639,21 +620,20 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
     /// new sibling.
     fn split_leaf_insert(
         &self,
-        parent: Option<&Inner<IL, IC, K>>,
+        parent: Option<&Inner<IL, IC>>,
         ptr: *mut NodeBase,
-        leaf: &Leaf<LL, LC, K>,
-        key: &K,
+        leaf: &Leaf<LL, LC>,
+        key: u64,
         val: u64,
-        g: &Guard,
     ) -> Option<u64> {
-        let (sep, right) = leaf.split(key, g);
-        let half = if *key >= sep {
-            unsafe { as_leaf::<LL, LC, K>(right) }
+        let (sep, right) = leaf.split(key);
+        let half = if key >= sep {
+            unsafe { as_leaf::<LL, LC>(right) }
         } else {
             leaf
         };
-        let old = half.insert(key, val, g);
-        self.install_split(parent, ptr, sep, right, LEAF_SPLITS, g);
+        let old = half.insert(key, val);
+        self.install_split(parent, ptr, sep, right, LEAF_SPLITS);
         old
     }
 
@@ -661,7 +641,7 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
     /// [`FullInner`] carries (parent, then node) and split where the
     /// insert of `key` was heading. Best effort — the caller restarts
     /// either way.
-    fn split_full(&self, full: FullInner<'_, IL, IC, K>, key: &K, g: &Guard) {
+    fn split_full(&self, full: FullInner<'_, IL, IC>, key: u64) {
         let FullInner {
             parent,
             node: (inner, ig),
@@ -671,8 +651,8 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
             return ig.abandon();
         };
         if let Some(t) = ig.try_upgrade() {
-            let (sep, right) = inner.split(key, g);
-            self.install_split(held.map(|(p, _)| p), ptr, sep, right, INNER_SPLITS, g);
+            let (sep, right) = inner.split(key);
+            self.install_split(held.map(|(p, _)| p), ptr, sep, right, INNER_SPLITS);
             inner.lock.x_unlock(t);
         }
         if let Some((p, pt)) = held {
@@ -686,10 +666,10 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
     /// upgraded: those trees never shrink.
     fn try_shrink(
         &self,
-        parent: &Inner<IL, IC, K>,
+        parent: &Inner<IL, IC>,
         pg: OptimisticGuard<'_, IL>,
         leaf_ptr: *mut NodeBase,
-        leaf: &Leaf<LL, LC, K>,
+        leaf: &Leaf<LL, LC>,
         g: &Guard,
     ) {
         let n = leaf.count();
@@ -706,15 +686,10 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
             return;
         };
         if n == 0 && parent.count() >= 1 {
-            // Unlink the empty leaf entirely. The dropped separator's key
-            // slot is retired: concurrent readers may still compare
-            // against it until the epoch turns.
+            // Unlink the empty leaf entirely.
             self.counters.add(LEAF_UNLINKS, 1);
-            let sep = parent.remove_child(idx);
-            unsafe {
-                K::slot_retire(sep, g);
-                g.retire_ptr(leaf_ptr as *mut Leaf<LL, LC, K>);
-            }
+            parent.remove_child(idx);
+            unsafe { g.retire_ptr(leaf_ptr as *mut Leaf<LL, LC>) };
             // The caller still unlocks through its token; the node stays
             // alive until the epoch advances past every reader & the holder.
             parent.lock.x_unlock(pt);
@@ -724,21 +699,14 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
             // Merge with the right sibling if the union fits.
             let sib_ptr = parent.child(idx + 1);
             debug_assert!(unsafe { is_leaf(sib_ptr) });
-            let sib = unsafe { as_leaf::<LL, LC, K>(sib_ptr) };
+            let sib = unsafe { as_leaf::<LL, LC>(sib_ptr) };
             let st = sib.lock.x_lock();
             if leaf.count() + sib.count() <= LC {
                 self.counters.add(LEAF_MERGES, 1);
-                // `absorb` moves (or, under prefix truncation, re-expresses
-                // and retires) the sibling's key slots, so retiring the
-                // sibling node never touches live slots; the dropped
-                // separator is released here.
-                leaf.absorb(sib, g);
-                let sep = parent.remove_child(idx + 1);
+                leaf.absorb(sib);
+                parent.remove_child(idx + 1);
                 sib.lock.x_unlock(st);
-                unsafe {
-                    K::slot_retire(sep, g);
-                    g.retire_ptr(sib_ptr as *mut Leaf<LL, LC, K>);
-                }
+                unsafe { g.retire_ptr(sib_ptr as *mut Leaf<LL, LC>) };
             } else {
                 sib.lock.x_unlock(st);
             }
@@ -753,7 +721,7 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
         if unsafe { is_leaf(root) } {
             return;
         }
-        let inner = unsafe { as_inner::<IL, IC, K>(root) };
+        let inner = unsafe { as_inner::<IL, IC>(root) };
         let Some(ig) = OptimisticGuard::read(&inner.lock) else {
             return;
         };
@@ -768,8 +736,7 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
         self.counters.add(ROOT_COLLAPSES, 1);
         self.root.store(inner.child(0), Ordering::Release);
         inner.lock.x_unlock(t);
-        // A collapsing root has count 0: no separator slots to free.
-        unsafe { g.retire_ptr(root as *mut Inner<IL, IC, K>) };
+        unsafe { g.retire_ptr(root as *mut Inner<IL, IC>) };
     }
 
     // --- range scan -----------------------------------------------------------
@@ -782,7 +749,12 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
     /// tightest upper separator on the descent path, `None` at the
     /// rightmost leaf. `out` is cleared on entry and on every internal
     /// restart, so a validation failure never leaks a torn snapshot.
-    pub fn scan_chunk(&self, from: Option<&K>, limit: usize, out: &mut Vec<(K, u64)>) -> Option<K> {
+    pub fn scan_chunk(
+        &self,
+        from: Option<u64>,
+        limit: usize,
+        out: &mut Vec<(u64, u64)>,
+    ) -> Option<u64> {
         self.counters.add(OPS, 1);
         let _g = self.collector.pin();
         // Fresh ladder per chunk: a restart storm on one leaf must not
@@ -791,8 +763,8 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
         'restart: loop {
             rs.pause();
             out.clear();
-            // Tightest upper separator on the path so far: an owned
-            // reconstruction, kept only once its node validated.
+            // Tightest upper separator on the path so far, kept only once
+            // its node validated.
             let mut upper = None;
             let mut edge = self.root_edge();
             loop {
@@ -824,71 +796,56 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
     /// invariant, and that no operation left a node locked; returns the
     /// entry count. Panics on violation.
     pub fn check_invariants(&self) -> usize {
-        // Keys are reconstructed through the node's own prefix (identity
-        // under `!K::TRUNCATE`): the walk is single-threaded, so every
-        // slot and prefix it sees is live and coherent.
-        fn walk<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey>(
+        fn walk<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize>(
             p: *mut NodeBase,
-            lo: Option<&K>,
-            hi: Option<&K>,
+            lo: Option<u64>,
+            hi: Option<u64>,
             depth: usize,
             leaf_depth: &mut Option<usize>,
         ) -> usize {
+            let in_fences = |k: u64| lo.map_or(true, |lo| k >= lo) && hi.map_or(true, |hi| k < hi);
             unsafe {
                 if is_leaf(p) {
                     match leaf_depth {
                         Some(d) => assert_eq!(*d, depth, "leaves at unequal depth"),
                         None => *leaf_depth = Some(depth),
                     }
-                    let l = as_leaf::<LL, LC, K>(p);
+                    let l = as_leaf::<LL, LC>(p);
                     assert!(!l.lock.is_locked_ex(), "leaf left locked");
                     let n = l.count();
-                    let mut prev: Option<K> = None;
                     for i in 0..n {
                         let k = l.key_at(i);
-                        if let Some(prev) = &prev {
-                            assert!(*prev < k, "leaf keys out of order");
+                        if i > 0 {
+                            assert!(l.key_at(i - 1) < k, "leaf keys out of order");
                         }
-                        if let Some(lo) = lo {
-                            assert!(k >= *lo, "leaf key below lower fence");
-                        }
-                        if let Some(hi) = hi {
-                            assert!(k < *hi, "leaf key above upper fence");
-                        }
-                        prev = Some(k);
+                        assert!(in_fences(k), "leaf key {k} outside its fences");
                     }
                     n
                 } else {
-                    let node = as_inner::<IL, IC, K>(p);
+                    let node = as_inner::<IL, IC>(p);
                     assert!(!node.lock.is_locked_ex(), "inner node left locked");
                     let n = node.count();
-                    let mut total = 0;
-                    let seps: Vec<K> = (0..n).map(|i| node.sep_key_at(i)).collect();
-                    for (i, k) in seps.iter().enumerate() {
+                    for i in 0..n {
+                        let k = node.key_at(i);
                         if i > 0 {
-                            assert!(seps[i - 1] < *k, "separators out of order");
+                            assert!(node.key_at(i - 1) < k, "separators out of order");
                         }
-                        if let Some(lo) = lo {
-                            assert!(k >= lo, "separator below lower fence");
-                        }
-                        if let Some(hi) = hi {
-                            assert!(k < hi, "separator above upper fence");
-                        }
+                        assert!(in_fences(k), "separator {k} outside its fences");
                     }
+                    let mut total = 0;
                     for i in 0..=n {
-                        let c_lo = if i == 0 { lo } else { Some(&seps[i - 1]) };
-                        let c_hi = if i == n { hi } else { Some(&seps[i]) };
+                        let c_lo = if i == 0 { lo } else { Some(node.key_at(i - 1)) };
+                        let c_hi = if i == n { hi } else { Some(node.key_at(i)) };
                         let child = node.child(i);
                         assert!(!child.is_null(), "null child in inner node");
-                        total +=
-                            walk::<IL, LL, IC, LC, K>(child, c_lo, c_hi, depth + 1, leaf_depth);
+                        total += walk::<IL, LL, IC, LC>(child, c_lo, c_hi, depth + 1, leaf_depth);
                     }
                     total
                 }
             }
         }
         let mut leaf_depth = None;
-        walk::<IL, LL, IC, LC, K>(
+        walk::<IL, LL, IC, LC>(
             self.root.load(Ordering::Acquire),
             None,
             None,
@@ -898,29 +855,24 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey
     }
 }
 
-impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey> Drop
-    for BPlusTree<IL, LL, IC, LC, K>
+impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> Drop
+    for BPlusTree<IL, LL, IC, LC>
 {
     fn drop(&mut self) {
-        fn free<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey>(
-            p: *mut NodeBase,
-        ) {
+        fn free<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize>(p: *mut NodeBase) {
             unsafe {
                 if is_leaf(p) {
-                    as_leaf::<LL, LC, K>(p).free_key_slots();
-                    drop(Box::from_raw(p as *mut Leaf<LL, LC, K>));
+                    drop(Box::from_raw(p as *mut Leaf<LL, LC>));
                 } else {
-                    let inner = as_inner::<IL, IC, K>(p);
-                    let n = inner.count();
-                    for i in 0..=n {
-                        free::<IL, LL, IC, LC, K>(inner.child(i));
+                    let inner = as_inner::<IL, IC>(p);
+                    for i in 0..=inner.count() {
+                        free::<IL, LL, IC, LC>(inner.child(i));
                     }
-                    inner.free_key_slots();
-                    drop(Box::from_raw(p as *mut Inner<IL, IC, K>));
+                    drop(Box::from_raw(p as *mut Inner<IL, IC>));
                 }
             }
         }
-        free::<IL, LL, IC, LC, K>(self.root.load(Ordering::Acquire));
+        free::<IL, LL, IC, LC>(self.root.load(Ordering::Acquire));
         self.collector.flush();
     }
 }

@@ -10,19 +10,16 @@
 //! `fill = len / (leaves × LC)`. The bounds were written down before the
 //! split changed (ISSUE 24); the parent commit's value is beside each.
 
-use std::ops::Bound;
-
 use optiql::{IndexLock, OptLock, OptiQL};
 use optiql_btree::{BPlusTree, BTreeOptiQL};
-use optiql_index_api::{Bytes, ConcurrentIndex, IndexKey};
 
 const N: u64 = 200_000;
 
 /// `(leaves, inner nodes)` of a tree that only ever grew. A root split
 /// makes a new root, and — except the first, which split the root
 /// *leaf* — an inner sibling beside the old one.
-fn nodes<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey>(
-    t: &BPlusTree<IL, LL, IC, LC, K>,
+fn nodes<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize>(
+    t: &BPlusTree<IL, LL, IC, LC>,
 ) -> (u64, u64) {
     let s = t.stats();
     assert_eq!(s.leaf_merges + s.leaf_unlinks, 0, "load-only trees only");
@@ -31,16 +28,16 @@ fn nodes<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: Inde
 }
 
 /// Entries per leaf slot.
-fn fill<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey>(
-    t: &BPlusTree<IL, LL, IC, LC, K>,
+fn fill<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize>(
+    t: &BPlusTree<IL, LL, IC, LC>,
 ) -> f64 {
     let (leaves, _) = nodes(t);
     t.len() as f64 / (leaves * LC as u64) as f64
 }
 
 /// Children per inner child slot (every node but the root is a child).
-fn inner_fill<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize, K: IndexKey>(
-    t: &BPlusTree<IL, LL, IC, LC, K>,
+fn inner_fill<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize>(
+    t: &BPlusTree<IL, LL, IC, LC>,
 ) -> f64 {
     let (leaves, inner) = nodes(t);
     (leaves + inner - 1) as f64 / (inner * IC as u64) as f64
@@ -170,27 +167,4 @@ fn tiny_nodes_walk_the_edges_of_both_cuts() {
         min.insert(k, k);
     }
     assert_eq!(min.check_invariants(), 2_000);
-}
-
-#[test]
-fn ascending_byte_keys_regrow_the_prefix_of_a_two_entry_leaf() {
-    // A right leaf born with one entry plus the new key must re-grow its
-    // prefix from those two and still reconstruct whole keys.
-    let t: BPlusTree<OptLock, OptiQL, 16, 15, Bytes> = BPlusTree::new();
-    let key = |i: u64| Bytes::from(format!("user{i:016}"));
-    let n = 20_000u64;
-    for i in 0..n {
-        assert_eq!(t.insert(key(i), i), None);
-    }
-    assert_eq!(t.check_invariants(), n as usize);
-    let f = fill(&t);
-    assert!(f >= 0.90, "byte-key ascending fill {f:.3}");
-    for i in (0..n).step_by(7) {
-        assert_eq!(t.lookup(key(i)), Some(i));
-    }
-    let got: Vec<(Bytes, u64)> = t.range(Bound::Unbounded, Bound::Unbounded).collect();
-    assert_eq!(got.len(), n as usize);
-    for (i, (k, v)) in got.iter().enumerate() {
-        assert_eq!((k, *v), (&key(i as u64), i as u64));
-    }
 }

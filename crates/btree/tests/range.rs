@@ -12,7 +12,7 @@ use proptest::prelude::*;
 
 use optiql::{IndexLock, OptLock, OptiQL};
 use optiql_btree::BPlusTree;
-use optiql_index_api::{key_above_start, key_below_end, Bytes, ConcurrentIndex};
+use optiql_index_api::{key_above_start, key_below_end, ConcurrentIndex};
 
 /// Tiny nodes: every handful of inserts splits, every handful of removes
 /// collapses — the structural cases dominate instead of hiding.
@@ -75,7 +75,7 @@ proptest! {
         let mut cursor = from;
         while by_hand.len() < limit {
             let want = chunk_len.min(limit - by_hand.len());
-            let resume = tree.scan_chunk(Some(&cursor), want, &mut chunk);
+            let resume = tree.scan_chunk(Some(cursor), want, &mut chunk);
             by_hand.append(&mut chunk);
             match resume {
                 Some(k) => cursor = k,
@@ -84,113 +84,6 @@ proptest! {
         }
         prop_assert_eq!(&by_hand, &streamed);
         prop_assert_eq!(tree.scan_count(from, limit), streamed.len());
-    }
-}
-
-#[test]
-fn byte_keys_stream_in_lexicographic_order() {
-    let tree: BPlusTree<OptLock, OptiQL, 4, 4, Bytes> = BPlusTree::new();
-    let mut model: BTreeMap<Bytes, u64> = BTreeMap::new();
-    // Keys chosen to stress the encoding: escape bytes, embedded NULs,
-    // prefixes of each other, and >8-byte strings.
-    let raw: &[&[u8]] = &[
-        b"a",
-        b"ab",
-        b"abc",
-        b"b",
-        b"b\x00",
-        b"b\x00\x01",
-        b"b\x01",
-        b"longer-than-a-machine-word",
-        b"longer-than-a-machine-word!",
-        b"\x00",
-        b"\x00\x00",
-        b"\x01",
-        b"",
-        b"zz",
-    ];
-    for (i, r) in raw.iter().enumerate() {
-        let k = Bytes::from(*r);
-        assert_eq!(tree.insert(k.clone(), i as u64), model.insert(k, i as u64));
-    }
-    let got: Vec<(Bytes, u64)> = tree.range(Bound::Unbounded, Bound::Unbounded).collect();
-    let want: Vec<(Bytes, u64)> = model.iter().map(|(k, v)| (k.clone(), *v)).collect();
-    assert_eq!(got, want, "full stream in raw lexicographic order");
-    // Sub-range with exclusive bounds across the prefix family.
-    let got: Vec<Bytes> = tree
-        .range(
-            Bound::Excluded(Bytes::from("a")),
-            Bound::Included(Bytes::from(&b"b\x00"[..])),
-        )
-        .map(|(k, _)| k)
-        .collect();
-    let want: Vec<Bytes> = model
-        .range((
-            Bound::Excluded(Bytes::from("a")),
-            Bound::Included(Bytes::from(&b"b\x00"[..])),
-        ))
-        .map(|(k, _)| k.clone())
-        .collect();
-    assert_eq!(got, want);
-    // Point ops keep working after the scans (slot ownership intact).
-    assert_eq!(tree.remove(Bytes::from("ab")), Some(1));
-    assert_eq!(tree.lookup(Bytes::from("ab")), None);
-    assert_eq!(tree.check_invariants(), model.len() - 1);
-}
-
-/// Key strategy pinning the inline/pointer slot boundary: lengths
-/// clustered at 6/7/8 bytes (the last inline length and the first heap
-/// length), bytes biased toward the `0x00`/`0x01` escape values, and
-/// the empty key.
-fn boundary_key() -> impl Strategy<Value = Vec<u8>> {
-    fn escape_byte() -> impl Strategy<Value = u8> {
-        prop_oneof![
-            2 => Just(0x00u8),
-            2 => Just(0x01u8),
-            1 => Just(0xFFu8),
-            3 => any::<u8>(),
-        ]
-    }
-    prop_oneof![
-        1 => Just(Vec::new()),
-        6 => proptest::collection::vec(escape_byte(), 6..9),
-        3 => proptest::collection::vec(escape_byte(), 0..13),
-    ]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Differential over the inline/pointer boundary: a key set dense in
-    /// 6/7/8-byte keys through the `Bytes` slots (inline words + prefix
-    /// truncation on one side of the boundary, heap blobs on the other)
-    /// must match the `BTreeMap` model — lookups, full ordered streams,
-    /// and removals alike.
-    #[test]
-    fn inline_and_pointer_representations_agree(
-        raw_list in proptest::collection::vec(boundary_key(), 0..100),
-    ) {
-        let fast: BPlusTree<OptLock, OptiQL, 4, 4, Bytes> = BPlusTree::new();
-        let mut model: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
-        for (i, r) in raw_list.iter().enumerate() {
-            let v = i as u64;
-            prop_assert_eq!(fast.insert(Bytes::from(&r[..]), v), model.insert(r.clone(), v));
-        }
-        for r in &raw_list {
-            prop_assert_eq!(fast.lookup(Bytes::from(&r[..])), model.get(r).copied());
-        }
-        let want: Vec<(Vec<u8>, u64)> = model.iter().map(|(k, v)| (k.clone(), *v)).collect();
-        let got_fast: Vec<(Vec<u8>, u64)> = fast
-            .range(Bound::Unbounded, Bound::Unbounded)
-            .map(|(k, v)| (k.as_bytes().to_vec(), v))
-            .collect();
-        prop_assert_eq!(&got_fast, &want, "stream order");
-        // Remove every other key.
-        for r in raw_list.iter().step_by(2) {
-            prop_assert_eq!(fast.remove(Bytes::from(&r[..])), model.remove(r));
-        }
-        prop_assert_eq!(fast.check_invariants(), model.len());
-        prop_assert_eq!(fast.len(), model.len());
     }
 }
 

@@ -20,15 +20,14 @@
 
 use std::ops::Bound;
 
-use optiql_index_api::{ConcurrentIndex, IndexKey, IndexStats, RangeIter};
+use optiql_index_api::{ConcurrentIndex, IndexStats, RangeItem, RangeIter};
 
 pub use optiql::chaos::{configure, disable, enabled, register_thread};
 
 /// Operation-level chaos wrapper: jitters the calling thread before and
 /// after every forwarded operation (when chaos is enabled — see
-/// [`configure`]). Transparent otherwise. Key-generic: the jitter class
-/// derives from the key's [`IndexKey::route_hint`], so byte-string runs
-/// get the same seed-stable perturbation schedule as integer ones.
+/// [`configure`]). Transparent otherwise. The jitter class derives from
+/// the key, so the perturbation schedule is seed-stable.
 pub struct ChaosIndex<I> {
     inner: I,
 }
@@ -53,37 +52,32 @@ impl<I> ChaosIndex<I> {
     }
 }
 
-#[inline]
-fn bound_hint<K: IndexKey>(b: &Bound<K>) -> u64 {
-    match b {
-        Bound::Included(k) | Bound::Excluded(k) => k.route_hint(),
-        Bound::Unbounded => 0,
+impl<I: ConcurrentIndex> ConcurrentIndex for ChaosIndex<I> {
+    fn insert(&self, k: u64, v: u64) -> Option<u64> {
+        self.around(k.wrapping_add(1), |i| i.insert(k, v))
     }
-}
-
-impl<K: IndexKey, I: ConcurrentIndex<K>> ConcurrentIndex<K> for ChaosIndex<I> {
-    fn insert(&self, k: K, v: u64) -> Option<u64> {
-        self.around(k.route_hint().wrapping_add(1), |i| i.insert(k, v))
+    fn update(&self, k: u64, v: u64) -> Option<u64> {
+        self.around(k.wrapping_add(2), |i| i.update(k, v))
     }
-    fn update(&self, k: K, v: u64) -> Option<u64> {
-        self.around(k.route_hint().wrapping_add(2), |i| i.update(k, v))
+    fn lookup(&self, k: u64) -> Option<u64> {
+        self.around(k.wrapping_add(3), |i| i.lookup(k))
     }
-    fn lookup(&self, k: K) -> Option<u64> {
-        self.around(k.route_hint().wrapping_add(3), |i| i.lookup(k))
+    fn remove(&self, k: u64) -> Option<u64> {
+        self.around(k.wrapping_add(4), |i| i.remove(k))
     }
-    fn remove(&self, k: K) -> Option<u64> {
-        self.around(k.route_hint().wrapping_add(4), |i| i.remove(k))
-    }
-    fn scan_chunk(&self, from: Option<&K>, limit: usize, out: &mut Vec<(K, u64)>) -> Option<K> {
-        let class = from.map_or(0, K::route_hint).wrapping_add(5);
+    fn scan_chunk(&self, from: Option<u64>, limit: usize, out: &mut Vec<RangeItem>) -> Option<u64> {
+        let class = from.unwrap_or(0).wrapping_add(5);
         self.around(class, |i| i.scan_chunk(from, limit, out))
     }
     /// Streaming chaos: jitter when the iterator is opened, then once per
     /// yielded entry — stretching the windows *between* per-chunk
     /// revalidations, which is exactly where a scan races structural
     /// changes.
-    fn range(&self, start: Bound<K>, end: Bound<K>) -> RangeIter<'_, K> {
-        let class = bound_hint(&start).wrapping_add(6);
+    fn range(&self, start: Bound<u64>, end: Bound<u64>) -> RangeIter<'_> {
+        let class = match start {
+            Bound::Included(k) | Bound::Excluded(k) => k.wrapping_add(6),
+            Bound::Unbounded => 6,
+        };
         optiql::chaos::jitter(class);
         let inner = self.inner.range(start, end);
         RangeIter::new(inner.inspect(move |_| optiql::chaos::jitter(class ^ 0x5555_5555_5555_5555)))
@@ -97,10 +91,10 @@ impl<K: IndexKey, I: ConcurrentIndex<K>> ConcurrentIndex<K> for ChaosIndex<I> {
     fn reclaim_handle(&self) -> Option<optiql_index_api::ReclaimHandle> {
         self.inner.reclaim_handle()
     }
-    fn multi_lookup(&self, keys: &[K]) -> Vec<Option<u64>> {
+    fn multi_lookup(&self, keys: &[u64]) -> Vec<Option<u64>> {
         self.around(keys.len() as u64, |i| i.multi_lookup(keys))
     }
-    fn multi_insert(&self, pairs: &[(K, u64)]) -> Vec<Option<u64>> {
+    fn multi_insert(&self, pairs: &[(u64, u64)]) -> Vec<Option<u64>> {
         self.around(pairs.len() as u64, |i| i.multi_insert(pairs))
     }
 }

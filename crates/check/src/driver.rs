@@ -13,9 +13,7 @@
 //! * streaming-scan cells (`stream-*`) whose scan arm drives the lazy
 //!   [`ConcurrentIndex::range`] iterator instead of `scan_count`, so
 //!   per-leaf/per-chunk OLC revalidation races structural churn under
-//!   the same seeded perturbation — including two byte-keyed cells
-//!   (`stream-keyed-*`) that drop live iterators over [`Bytes`] trees
-//!   whose keys straddle the inline/pointer slot boundary,
+//!   the same seeded perturbation,
 //! * crash-replay cells (`crash-*`): phase one runs through a
 //!   wal-logged wrapper and is stopped at a seeded tick (with a
 //!   checkpoint-by-scan fired mid-churn at half that tick), the wal is
@@ -35,7 +33,7 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 
-use optiql_index_api::{Bytes, ConcurrentIndex};
+use optiql_index_api::ConcurrentIndex;
 use optiql_wal::{DurableIndex, FsyncPolicy, Wal, WalConfig};
 
 use crate::chaos::ChaosIndex;
@@ -134,97 +132,6 @@ fn mk_optreg<L: optiql::IndexLock>() -> Arc<dyn ConcurrentIndex> {
 fn mk_lockreg<L: optiql::ExclusiveLock>() -> Arc<dyn ConcurrentIndex> {
     Arc::new(LockRegister::<L>::new(REGISTER_CAP))
 }
-/// Order-preserving injection of the checker's `u64` keyspace into byte
-/// strings, shaped to land on both sides of the inline/pointer slot
-/// boundary: `[len][big-endian bytes, leading zeros trimmed]` is 1–3
-/// bytes for the small chaos keyspaces (inline-eligible), and every
-/// third key grows a long tail that forces a heap pointer slot. The
-/// length byte keeps numeric order (fewer bytes ⇒ smaller value) and
-/// makes the short forms prefix-free, so appending the tail preserves
-/// strict order too.
-fn byte_key(k: u64) -> Bytes {
-    const TAIL: &[u8] = b"-0123456789abcdef";
-    let be = k.to_be_bytes();
-    let skip = (k.leading_zeros() / 8) as usize;
-    let n = 8 - skip.min(8);
-    let mut buf = [0u8; 9 + TAIL.len()];
-    buf[0] = n as u8;
-    buf[1..1 + n].copy_from_slice(&be[8 - n..]);
-    let mut len = 1 + n;
-    if k % 3 == 0 {
-        buf[len..len + TAIL.len()].copy_from_slice(TAIL);
-        len += TAIL.len();
-    }
-    Bytes::from(&buf[..len])
-}
-
-/// Invert [`byte_key`] (the tail, when present, is simply ignored).
-fn decode_byte_key(b: &Bytes) -> u64 {
-    let raw = b.as_bytes();
-    let n = raw[0] as usize;
-    raw[1..1 + n].iter().fold(0u64, |v, &x| v << 8 | x as u64)
-}
-
-/// `u64`-keyed view of a byte-keyed index through [`byte_key`]: the
-/// recorder and checker keep speaking integers while every operation
-/// underneath exercises the byte-key fast path (inline slots, prefix
-/// truncation, escape-coded radix digits) against the same scripts and
-/// chaos schedules as the integer cells.
-struct ByteKeyed<I>(I);
-
-impl<I: ConcurrentIndex<Bytes>> ConcurrentIndex for ByteKeyed<I> {
-    fn insert(&self, k: u64, v: u64) -> Option<u64> {
-        self.0.insert(byte_key(k), v)
-    }
-    fn update(&self, k: u64, v: u64) -> Option<u64> {
-        self.0.update(byte_key(k), v)
-    }
-    fn lookup(&self, k: u64) -> Option<u64> {
-        self.0.lookup(byte_key(k))
-    }
-    fn remove(&self, k: u64) -> Option<u64> {
-        self.0.remove(byte_key(k))
-    }
-    fn scan_chunk(
-        &self,
-        from: Option<&u64>,
-        limit: usize,
-        out: &mut Vec<(u64, u64)>,
-    ) -> Option<u64> {
-        let mut chunk = Vec::new();
-        let from = from.map(|&k| byte_key(k));
-        let resume = self.0.scan_chunk(from.as_ref(), limit, &mut chunk);
-        out.clear();
-        out.extend(chunk.iter().map(|(k, v)| (decode_byte_key(k), *v)));
-        resume.as_ref().map(decode_byte_key)
-    }
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-    fn index_stats(&self) -> optiql::olc::IndexStats {
-        self.0.index_stats()
-    }
-    fn multi_lookup(&self, keys: &[u64]) -> Vec<Option<u64>> {
-        let keys: Vec<Bytes> = keys.iter().map(|&k| byte_key(k)).collect();
-        self.0.multi_lookup(&keys)
-    }
-    fn multi_insert(&self, pairs: &[(u64, u64)]) -> Vec<Option<u64>> {
-        let pairs: Vec<(Bytes, u64)> = pairs.iter().map(|&(k, v)| (byte_key(k), v)).collect();
-        self.0.multi_insert(&pairs)
-    }
-}
-
-type TinyTreeBytes = optiql_btree::BPlusTree<optiql::OptLock, optiql::OptiQL, 4, 4, Bytes>;
-
-fn mk_keyed_btree() -> Arc<dyn ConcurrentIndex> {
-    Arc::new(ByteKeyed(TinyTreeBytes::new()))
-}
-fn mk_keyed_art() -> Arc<dyn ConcurrentIndex> {
-    Arc::new(ByteKeyed(
-        optiql_art::ArtTree::<optiql::OptiQL, Bytes>::new(),
-    ))
-}
-
 // 4-key blocks: the default block granularity (64Ki keys, sized for
 // bench keyspaces) would drop the checker's whole 128-key space into one
 // shard; 2 block bits stripe it as 32 blocks over all four shards.
@@ -394,27 +301,12 @@ pub fn targets() -> Vec<Target> {
             false,
             true
         ),
-        // Byte-key streaming cells: the same iterator lifecycle (opened,
-        // partially drained, dropped mid-stream) over [`Bytes`]-keyed
-        // trees, so prefix-truncation maintenance and inline/pointer slot
-        // reclamation race live iterators under chaos.
-        t!(
-            "stream-keyed-btree",
-            "stream",
-            1,
-            mk_keyed_btree,
-            false,
-            true
-        ),
-        t!("stream-keyed-art", "stream", 1, mk_keyed_art, false, true),
         // Crash-replay cells: phase one is wal-logged and stopped at a
         // seeded tick with a checkpoint racing the churn; recovery
         // replays into a fresh instance, phase two and a full-keyspace
         // sweep extend the same history, and the checker certifies the
-        // stitched pre-crash + post-recovery run. Both trees, the
-        // sharded facade (wal shards mirror index shards), and the
-        // byte-keyed tree (recovery re-enters keys through the
-        // `from_encoded` path the server uses).
+        // stitched pre-crash + post-recovery run. Both trees and the
+        // sharded facade (wal shards mirror index shards).
         t!(
             "crash-btree-optiql",
             "crash",
@@ -438,15 +330,6 @@ pub fn targets() -> Vec<Target> {
             "crash",
             1,
             mk_sharded_btree,
-            false,
-            false,
-            true
-        ),
-        t!(
-            "crash-keyed-btree",
-            "crash",
-            1,
-            mk_keyed_btree,
             false,
             false,
             true
@@ -809,8 +692,7 @@ fn run_crash_target(t: &Target, seed: u64, cfg: &CheckConfig) -> Result<RunRepor
                 }
                 let now = recorder.now();
                 if !ckpt_done && now >= ckpt_tick {
-                    wal.checkpoint::<u64, _>(&*raw)
-                        .expect("checkpoint under churn");
+                    wal.checkpoint(&*raw).expect("checkpoint under churn");
                     ckpt_done = true;
                 }
                 if now >= crash_tick {
@@ -838,8 +720,7 @@ fn run_crash_target(t: &Target, seed: u64, cfg: &CheckConfig) -> Result<RunRepor
         "op-boundary crash left a torn frame: wal append is buggy"
     );
     let fresh = t.build();
-    wal2.recover_into::<u64, _>(&*fresh)
-        .expect("recover crash cell");
+    wal2.recover_into(&*fresh).expect("recover crash cell");
     drop(wal2);
 
     // Phase two: fresh workers (new recorder threads, new chaos slots,
@@ -1005,10 +886,9 @@ mod tests {
                 t.name
             );
         }
-        // Streaming-scan cells: both trees, both pessimistic baselines,
-        // both sharded fan-outs, and the byte-keyed pair; every one
-        // named for what it does.
-        assert_eq!(ts.iter().filter(|t| t.group == "stream").count(), 8);
+        // Streaming-scan cells: both trees, both pessimistic baselines
+        // and both sharded fan-outs; every one named for what it does.
+        assert_eq!(ts.iter().filter(|t| t.group == "stream").count(), 6);
         for t in &ts {
             assert_eq!(
                 t.stream_scans,
@@ -1020,10 +900,8 @@ mod tests {
                 assert!(t.name.starts_with("stream-"));
             }
         }
-        // Crash-replay cells: both trees, the sharded facade, and the
-        // byte-keyed recovery path — and the whole matrix clears the
-        // 50-cell bar the recovery tier calls for.
-        assert_eq!(ts.iter().filter(|t| t.group == "crash").count(), 4);
+        // Crash-replay cells: both trees and the sharded facade.
+        assert_eq!(ts.iter().filter(|t| t.group == "crash").count(), 3);
         for t in &ts {
             assert_eq!(
                 t.crash,
@@ -1035,26 +913,7 @@ mod tests {
                 assert!(t.name.starts_with("crash-"));
             }
         }
-        assert!(ts.len() >= 50, "chaos matrix shrank below 50 cells");
-    }
-
-    #[test]
-    fn byte_key_injection_is_order_preserving_and_invertible() {
-        let mut prev = byte_key(0);
-        assert_eq!(decode_byte_key(&prev), 0);
-        for k in 1..2_000u64 {
-            let b = byte_key(k);
-            assert!(prev < b, "order broken at {k}");
-            assert_eq!(decode_byte_key(&b), k);
-            prev = b;
-        }
-        for ks in [255, 256, 65_535, 65_536, u32::MAX as u64, u64::MAX].windows(2) {
-            assert!(byte_key(ks[0]) < byte_key(ks[1]));
-        }
-        // Both slot representations appear: short keys inline, the
-        // tailed ones spill to heap pointer slots.
-        assert!(byte_key(1).as_bytes().len() <= 7);
-        assert!(byte_key(3).as_bytes().len() > 7);
+        assert_eq!(ts.len(), 49, "the chaos matrix has 49 cells");
     }
 
     #[test]

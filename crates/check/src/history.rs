@@ -173,7 +173,7 @@ impl<I: ConcurrentIndex> ConcurrentIndex for ThreadRecorder<I> {
     /// Not recorded (not a per-key register op); still forwarded.
     fn scan_chunk(
         &self,
-        from: Option<&u64>,
+        from: Option<u64>,
         limit: usize,
         out: &mut Vec<(u64, u64)>,
     ) -> Option<u64> {

@@ -65,11 +65,11 @@ macro_rules! register_common {
         /// An unlocked relaxed sweep: registers exist to check per-key
         /// lock protocols, not scan protocols (the dedicated bounds tests
         /// cover those), so a scan is one pass over the array.
-        fn entries_from(&self, from: Option<&u64>) -> impl Iterator<Item = (u64, u64)> + '_ {
+        fn entries_from(&self, from: Option<u64>) -> impl Iterator<Item = (u64, u64)> + '_ {
             self.slots
                 .iter()
                 .enumerate()
-                .skip(from.map_or(0, |&k| k as usize))
+                .skip(from.map_or(0, |k| k as usize))
                 .filter(|(_, s)| s.present.load(Ordering::Relaxed))
                 .map(|(k, s)| (k as u64, s.value.load(Ordering::Relaxed)))
         }
@@ -139,7 +139,7 @@ impl<L: ExclusiveLock> ConcurrentIndex for LockRegister<L> {
     }
     fn scan_chunk(
         &self,
-        from: Option<&u64>,
+        from: Option<u64>,
         limit: usize,
         out: &mut Vec<(u64, u64)>,
     ) -> Option<u64> {
@@ -218,7 +218,7 @@ impl<L: IndexLock> ConcurrentIndex for OptRegister<L> {
     }
     fn scan_chunk(
         &self,
-        from: Option<&u64>,
+        from: Option<u64>,
         limit: usize,
         out: &mut Vec<(u64, u64)>,
     ) -> Option<u64> {

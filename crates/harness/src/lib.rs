@@ -41,10 +41,7 @@ pub use latency::Histogram;
 pub use micro::{cs_work, run_exclusive, run_mixed, Contention, MicroConfig, MicroResult};
 pub use optiql::stats;
 pub use report::{BenchJson, JsonValue, LatencySummary};
-pub use workload::{
-    preload, preload_keyed, run, run_keyed, user_key, ConcurrentIndex, Mix, ScanMode,
-    WorkloadConfig, WorkloadResult,
-};
+pub use workload::{preload, run, ConcurrentIndex, Mix, ScanMode, WorkloadConfig, WorkloadResult};
 
 /// Environment-variable knobs for the bench binaries.
 pub mod env {

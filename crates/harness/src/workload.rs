@@ -5,12 +5,6 @@
 //! (lookup / update / insert / remove / scan) with keys drawn from a
 //! configurable distribution, reporting throughput and sampled
 //! per-operation latency.
-//!
-//! The driver is key-generic through [`run_keyed`]: any `Fn(u64) -> K`
-//! maps the sampled key *indices* into the index's key type, so the same
-//! mixes, distributions and scan modes run against byte-string indexes
-//! (see [`user_key`] for the YCSB `user########` convention) as against
-//! `u64` ones. [`run`] is the `u64` specialization.
 
 use std::ops::Bound;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -23,8 +17,6 @@ use rand::{Rng, SeedableRng};
 use crate::dist::{KeyDist, KeySpace};
 use crate::latency::Histogram;
 use crate::pin::pin_thread;
-
-use optiql_index_api::{Bytes, IndexKey};
 
 // The index interface lives in `optiql-index-api` (both trees implement it
 // there); re-exported so existing `optiql_harness::ConcurrentIndex` /
@@ -46,12 +38,7 @@ pub enum ScanMode {
 impl ScanMode {
     /// Run one scan of up to `len` entries from `start`; returns the
     /// number of entries it saw.
-    pub fn scan<K: IndexKey, I: ConcurrentIndex<K> + ?Sized>(
-        self,
-        index: &I,
-        start: K,
-        len: usize,
-    ) -> u64 {
+    pub fn scan<I: ConcurrentIndex + ?Sized>(self, index: &I, start: u64, len: usize) -> u64 {
         match self {
             ScanMode::Stream => {
                 // Lazy consumption: entries are folded as they stream,
@@ -71,25 +58,6 @@ impl ScanMode {
             ScanMode::Count => index.scan_count(start, len) as u64,
         }
     }
-}
-
-/// The YCSB string-key convention: `user` + zero-padded decimal index.
-/// Lexicographic order equals numeric order, so scan semantics carry
-/// over from the `u64` workloads unchanged.
-pub fn user_key(i: u64) -> Bytes {
-    let mut buf = [0u8; 24];
-    buf[..4].copy_from_slice(b"user");
-    let digits = format_digits(i, &mut buf[4..]);
-    Bytes::from(&buf[..4 + digits])
-}
-
-/// Write `i` as exactly 16 zero-padded decimal digits; returns 16.
-fn format_digits(mut i: u64, out: &mut [u8]) -> usize {
-    for d in (0..16).rev() {
-        out[d] = b'0' + (i % 10) as u8;
-        i /= 10;
-    }
-    16
 }
 
 /// Operation mix in percent (sums to 100).
@@ -269,37 +237,13 @@ pub fn preload<I: ConcurrentIndex>(index: &I, cfg: &WorkloadConfig) {
     }
 }
 
-/// Pre-load through an arbitrary key mapping: key = `keyfn(i)`,
-/// value = `i + 1` for indices `0..preload`.
-pub fn preload_keyed<K: IndexKey, I: ConcurrentIndex<K>>(
-    index: &I,
-    cfg: &WorkloadConfig,
-    keyfn: impl Fn(u64) -> K,
-) {
-    for i in 0..cfg.preload {
-        index.insert(keyfn(i), i.wrapping_add(1));
-    }
-}
-
 /// Run the measured phase. Returns aggregate counts and, when sampling is
-/// enabled, a latency histogram (nanoseconds) per run.
+/// enabled, a latency histogram (nanoseconds) per run. Sampled key
+/// indices go through the key-space mapping; an inserted key's value is
+/// its index + 1.
 pub fn run<I: ConcurrentIndex>(index: &I, cfg: &WorkloadConfig) -> (WorkloadResult, Histogram) {
-    run_keyed(index, cfg, |i| cfg.keyspace.key(i))
-}
-
-/// Run the measured phase against an index keyed by any [`IndexKey`]:
-/// `keyfn` maps each sampled key *index* (pre-`KeySpace` mapping is the
-/// caller's choice) to a key. Stored values are `index + 1` /
-/// random-on-update, exactly as in [`run`] over a dense keyspace.
-pub fn run_keyed<K, I, F>(index: &I, cfg: &WorkloadConfig, keyfn: F) -> (WorkloadResult, Histogram)
-where
-    K: IndexKey,
-    I: ConcurrentIndex<K>,
-    F: Fn(u64) -> K + Sync,
-{
     let stop = Arc::new(AtomicBool::new(false));
     let barrier = Arc::new(Barrier::new(cfg.threads + 1));
-    let keyfn = &keyfn;
 
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..cfg.threads)
@@ -318,7 +262,7 @@ where
                     let mut next_insert =
                         cfg.preload + tid as u64 * (u64::MAX / 1024 / cfg.threads as u64);
                     let mut op_counter = 0u32;
-                    let mut batch_buf: Vec<K> = Vec::with_capacity(cfg.batch.max(1));
+                    let mut batch_buf: Vec<u64> = Vec::with_capacity(cfg.batch.max(1));
                     barrier.wait();
                     while !stop.load(Ordering::Relaxed) {
                         let die = rng.random_range(0..100);
@@ -331,36 +275,36 @@ where
                             if cfg.batch > 1 {
                                 batch_buf.clear();
                                 for _ in 0..cfg.batch {
-                                    batch_buf.push(keyfn(sampler.sample(&mut rng)));
+                                    batch_buf.push(cfg.keyspace.key(sampler.sample(&mut rng)));
                                 }
                                 let res = index.multi_lookup(&batch_buf);
                                 out.lookup_hits +=
                                     res.iter().filter(|r| r.is_some()).count() as u64;
                                 out.lookups += cfg.batch as u64;
                             } else {
-                                let k = keyfn(sampler.sample(&mut rng));
+                                let k = cfg.keyspace.key(sampler.sample(&mut rng));
                                 if index.lookup(k).is_some() {
                                     out.lookup_hits += 1;
                                 }
                                 out.lookups += 1;
                             }
                         } else if die < cfg.mix.lookup + cfg.mix.update {
-                            let k = keyfn(sampler.sample(&mut rng));
+                            let k = cfg.keyspace.key(sampler.sample(&mut rng));
                             index.update(k, rng.random());
                             out.updates += 1;
                         } else if die < cfg.mix.lookup + cfg.mix.update + cfg.mix.insert {
                             let i = next_insert;
                             next_insert += 1;
-                            index.insert(keyfn(i), i.wrapping_add(1));
+                            index.insert(cfg.keyspace.key(i), i.wrapping_add(1));
                             out.inserts += 1;
                         } else if die
                             < cfg.mix.lookup + cfg.mix.update + cfg.mix.insert + cfg.mix.remove
                         {
-                            let k = keyfn(sampler.sample(&mut rng));
+                            let k = cfg.keyspace.key(sampler.sample(&mut rng));
                             index.remove(k);
                             out.removes += 1;
                         } else {
-                            let k = keyfn(sampler.sample(&mut rng));
+                            let k = cfg.keyspace.key(sampler.sample(&mut rng));
                             let len = rng.random_range(0..cfg.scan_max.max(1)) as usize + 1;
                             out.scanned_entries += cfg.scan_mode.scan(index, k, len);
                             out.scans += 1;
@@ -525,48 +469,6 @@ mod tests {
         let (r, _) = run(&art, &cfg);
         assert!(r.scans > 0 && r.scanned_entries > 0);
         art.check_invariants();
-    }
-
-    #[test]
-    fn user_key_is_order_preserving_and_stable() {
-        // "user" + 16 zero-padded decimal digits: index order == byte order.
-        assert_eq!(user_key(0).as_bytes(), b"user0000000000000000");
-        assert_eq!(user_key(42).as_bytes(), b"user0000000000000042");
-        let mut prev = user_key(0);
-        for i in 1..2_000u64 {
-            let k = user_key(i * 7 + i % 3);
-            if i * 7 + i % 3 > 0 {
-                assert!(user_key(i * 7 + i % 3 - 1) < k);
-            }
-            let _ = &prev;
-            prev = k;
-        }
-    }
-
-    #[test]
-    fn string_key_ycsb_c_runs_on_art() {
-        // The byte-string acceptance workload: YCSB-C (100% reads) over
-        // "userNNN…" keys on the ART. Every lookup must hit.
-        let art: optiql_art::ArtTree<optiql::OptiQL, Bytes> = optiql_art::ArtTree::new();
-        let cfg = quick_cfg(Mix::READ_ONLY);
-        preload_keyed(&art, &cfg, user_key);
-        assert_eq!(art.len(), 10_000);
-        let (r, _) = run_keyed(&art, &cfg, user_key);
-        assert!(r.lookups > 0);
-        assert_eq!(r.lookups, r.lookup_hits, "dense user-key preload: all hits");
-        art.check_invariants();
-    }
-
-    #[test]
-    fn string_key_ycsb_e_streams_scans_on_btree() {
-        let tree: optiql_btree::BPlusTree<optiql::OptLock, optiql::OptiQL, 16, 16, Bytes> =
-            optiql_btree::BPlusTree::new();
-        let mut cfg = quick_cfg(Mix::YCSB_E);
-        cfg.scan_max = 50;
-        preload_keyed(&tree, &cfg, user_key);
-        let (r, _) = run_keyed(&tree, &cfg, user_key);
-        assert!(r.scans > 0 && r.scanned_entries > 0);
-        assert!(r.inserts > 0);
     }
 
     #[test]

@@ -1,16 +1,13 @@
 //! # optiql-index-api — the index-agnostic concurrent-index surface
 //!
 //! Both paper indexes (`optiql-btree`, `optiql-art`) expose the same
-//! key → `u64` interface; this crate owns that interface so everything
+//! `u64` → `u64` interface; this crate owns that interface so everything
 //! above the trees — the benchmark harness, the sharded facade, examples,
 //! tests — is written once against [`ConcurrentIndex`] and runs unmodified
 //! over any index (or composition of indexes).
 //!
-//! The trait is generic over the key type through [`IndexKey`], with
-//! `u64` as the default parameter (so `dyn ConcurrentIndex` and every
-//! pre-existing `I: ConcurrentIndex` bound still mean the fixed-width
-//! integer index) and [`Bytes`] as the variable-length byte-string key
-//! real workloads use. Range access has **one primitive an index writes**,
+//! Keys are `u64`, as on the wire and in the paper's evaluation (DESIGN
+//! §9). Range access has **one primitive an index writes**,
 //! [`ConcurrentIndex::scan_chunk`]: copy out a bounded run of entries (a
 //! B+-tree leaf, an ART subtree slice) under a validated optimistic read
 //! and name the key to resume from. The two things callers do with a
@@ -23,9 +20,9 @@
 //!
 //! ```text
 //! optiql (core: locks + olc protocol)
-//!    └── optiql-index-api (this crate: the trait + key abstraction)
+//!    └── optiql-index-api (this crate: the trait)
 //!           ├── optiql-btree, optiql-art (indexes implement it)
-//!           ├── optiql-sharded (facade: ShardedIndex<I: ConcurrentIndex<K>>)
+//!           ├── optiql-sharded (facade: ShardedIndex<I: ConcurrentIndex>)
 //!           └── optiql-harness / optiql-bench (consumers)
 //! ```
 //!
@@ -37,21 +34,14 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod key;
-
 use std::ops::Bound;
 
-pub use key::{bslot, Bytes, IndexKey};
 pub use optiql::counters::Counters;
 pub use optiql::olc::IndexStats;
 pub use optiql_reclaim::Handle as ReclaimHandle;
 
 /// One entry a range iterator yields.
-pub type RangeItem<K> = (K, u64);
-
-/// The boxed iterator behind [`RangeIter`] (a named alias so generic
-/// signatures stay readable).
-pub type BoxedRangeIter<'a, K> = Box<dyn Iterator<Item = RangeItem<K>> + Send + 'a>;
+pub type RangeItem = (u64, u64);
 
 /// A streaming range scan over an index, in ascending key order.
 ///
@@ -64,13 +54,13 @@ pub type BoxedRangeIter<'a, K> = Box<dyn Iterator<Item = RangeItem<K>> + Send + 
 /// lock-free traversal — every key present for the whole scan is
 /// yielded exactly once, keys inserted or removed concurrently may or
 /// may not appear, and no key is ever yielded twice.
-pub struct RangeIter<'a, K = u64> {
-    inner: BoxedRangeIter<'a, K>,
+pub struct RangeIter<'a> {
+    inner: Box<dyn Iterator<Item = RangeItem> + Send + 'a>,
 }
 
-impl<'a, K: 'a> RangeIter<'a, K> {
+impl<'a> RangeIter<'a> {
     /// Wrap a concrete iterator.
-    pub fn new(inner: impl Iterator<Item = RangeItem<K>> + Send + 'a) -> Self {
+    pub fn new(inner: impl Iterator<Item = RangeItem> + Send + 'a) -> Self {
         RangeIter {
             inner: Box::new(inner),
         }
@@ -84,11 +74,11 @@ impl<'a, K: 'a> RangeIter<'a, K> {
     }
 }
 
-impl<K> Iterator for RangeIter<'_, K> {
-    type Item = RangeItem<K>;
+impl Iterator for RangeIter<'_> {
+    type Item = RangeItem;
 
     #[inline]
-    fn next(&mut self) -> Option<RangeItem<K>> {
+    fn next(&mut self) -> Option<RangeItem> {
         self.inner.next()
     }
 }
@@ -96,7 +86,7 @@ impl<K> Iterator for RangeIter<'_, K> {
 /// True when the interval described by `start`/`end` can contain a key
 /// (`false` lets implementations return [`RangeIter::empty`] without
 /// descending — and keeps `BTreeMap::range`'s bound panics unreachable).
-pub fn bounds_nonempty<K: Ord>(start: &Bound<K>, end: &Bound<K>) -> bool {
+pub fn bounds_nonempty(start: &Bound<u64>, end: &Bound<u64>) -> bool {
     match (start, end) {
         (Bound::Unbounded, _) | (_, Bound::Unbounded) => true,
         (Bound::Included(s), Bound::Included(e)) => s <= e,
@@ -108,7 +98,7 @@ pub fn bounds_nonempty<K: Ord>(start: &Bound<K>, end: &Bound<K>) -> bool {
 
 /// True when `k` satisfies the lower bound `start`.
 #[inline]
-pub fn key_above_start<K: Ord>(k: &K, start: &Bound<K>) -> bool {
+pub fn key_above_start(k: &u64, start: &Bound<u64>) -> bool {
     match start {
         Bound::Unbounded => true,
         Bound::Included(s) => k >= s,
@@ -118,7 +108,7 @@ pub fn key_above_start<K: Ord>(k: &K, start: &Bound<K>) -> bool {
 
 /// True when `k` satisfies the upper bound `end`.
 #[inline]
-pub fn key_below_end<K: Ord>(k: &K, end: &Bound<K>) -> bool {
+pub fn key_below_end(k: &u64, end: &Bound<u64>) -> bool {
     match end {
         Bound::Unbounded => true,
         Bound::Included(e) => k <= e,
@@ -130,11 +120,11 @@ pub fn key_below_end<K: Ord>(k: &K, end: &Bound<K>) -> bool {
 /// entries in key order (a model, a register array, a merge of streams):
 /// the chunk is the next `limit` entries of `ascending`, the resume key
 /// the one after them.
-pub fn chunk_of<K>(
-    mut ascending: impl Iterator<Item = (K, u64)>,
+pub fn chunk_of(
+    mut ascending: impl Iterator<Item = RangeItem>,
     limit: usize,
-    out: &mut Vec<(K, u64)>,
-) -> Option<K> {
+    out: &mut Vec<RangeItem>,
+) -> Option<u64> {
     out.clear();
     out.extend(ascending.by_ref().take(limit));
     ascending.next().map(|(k, _)| k)
@@ -155,30 +145,28 @@ const COUNT_CHUNK: usize = 4 * SCAN_CHUNK;
 /// The iterator behind the provided [`ConcurrentIndex::range`]: drains
 /// one chunk, then asks the index for the next at the resume key. One
 /// buffer serves the whole scan.
-struct Chunks<'a, K, I: ?Sized> {
+struct Chunks<'a, I: ?Sized> {
     index: &'a I,
     /// The current chunk, **descending**: `pop` hands entries out in key
     /// order without shifting, and the next fill reuses the allocation.
-    chunk: Vec<(K, u64)>,
+    chunk: Vec<RangeItem>,
     /// `Some(from)` — another chunk may follow, read at `from` (`None`:
     /// the smallest key); `None` — the scan ends when `chunk` drains.
-    next: Option<Option<K>>,
-    start: Bound<K>,
-    end: Bound<K>,
+    next: Option<Option<u64>>,
+    start: Bound<u64>,
+    end: Bound<u64>,
 }
 
-impl<K: IndexKey, I: ConcurrentIndex<K> + ?Sized> Iterator for Chunks<'_, K, I> {
-    type Item = (K, u64);
+impl<I: ConcurrentIndex + ?Sized> Iterator for Chunks<'_, I> {
+    type Item = RangeItem;
 
-    fn next(&mut self) -> Option<(K, u64)> {
+    fn next(&mut self) -> Option<RangeItem> {
         loop {
             if let Some(entry) = self.chunk.pop() {
                 return Some(entry);
             }
             let from = self.next.take()?;
-            let resume = self
-                .index
-                .scan_chunk(from.as_ref(), SCAN_CHUNK, &mut self.chunk);
+            let resume = self.index.scan_chunk(from, SCAN_CHUNK, &mut self.chunk);
             // Keys ascend, so the end bound cuts a suffix of one chunk and
             // ends the scan there; so does a resume key already past it.
             let keep = self
@@ -198,11 +186,8 @@ impl<K: IndexKey, I: ConcurrentIndex<K> + ?Sized> Iterator for Chunks<'_, K, I> 
     }
 }
 
-/// A concurrent ordered index from keys `K` to `u64` values: the
-/// interface both paper indexes (and any facade over them) expose. The
-/// default key type is `u64`, so `ConcurrentIndex` written without a
-/// parameter — including every pre-generic call site and trait object —
-/// is the fixed-width integer index.
+/// A concurrent ordered index from `u64` keys to `u64` values: the
+/// interface both paper indexes (and any facade over them) expose.
 ///
 /// All methods take `&self`: implementations synchronize internally (the
 /// whole point of the lock protocols underneath). [`scan_chunk`] is
@@ -215,19 +200,19 @@ impl<K: IndexKey, I: ConcurrentIndex<K> + ?Sized> Iterator for Chunks<'_, K, I> 
 /// [`scan_chunk`]: ConcurrentIndex::scan_chunk
 /// [`range`]: ConcurrentIndex::range
 /// [`scan_count`]: ConcurrentIndex::scan_count
-pub trait ConcurrentIndex<K: IndexKey = u64>: Send + Sync {
+pub trait ConcurrentIndex: Send + Sync {
     /// Insert or overwrite a key; returns the previous value if present.
-    fn insert(&self, k: K, v: u64) -> Option<u64>;
+    fn insert(&self, k: u64, v: u64) -> Option<u64>;
 
     /// Update an existing key; returns the previous value, `None` if the
     /// key is absent (no insert happens).
-    fn update(&self, k: K, v: u64) -> Option<u64>;
+    fn update(&self, k: u64, v: u64) -> Option<u64>;
 
     /// Point lookup.
-    fn lookup(&self, k: K) -> Option<u64>;
+    fn lookup(&self, k: u64) -> Option<u64>;
 
     /// Remove a key; returns the removed value.
-    fn remove(&self, k: K) -> Option<u64>;
+    fn remove(&self, k: u64) -> Option<u64>;
 
     /// The range primitive: replace the contents of `out` with up to
     /// `limit` entries whose keys are ≥ `from` (`None`: from the smallest
@@ -250,16 +235,16 @@ pub trait ConcurrentIndex<K: IndexKey = u64>: Send + Sync {
     /// Across chunks the scan is a lock-free traversal (see
     /// [`RangeIter`]). One chunk is one descent and counts as one
     /// operation in [`index_stats`](ConcurrentIndex::index_stats).
-    fn scan_chunk(&self, from: Option<&K>, limit: usize, out: &mut Vec<(K, u64)>) -> Option<K>;
+    fn scan_chunk(&self, from: Option<u64>, limit: usize, out: &mut Vec<RangeItem>) -> Option<u64>;
 
     /// Range scan: number of entries with keys ≥ `start`, up to `limit`
     /// (YCSB-E style). Holds one chunk, whatever `limit` is.
-    fn scan_count(&self, start: K, limit: usize) -> usize {
+    fn scan_count(&self, start: u64, limit: usize) -> usize {
         let mut chunk = Vec::new();
         let mut from = start;
         let mut n = 0;
         while n < limit {
-            let next = self.scan_chunk(Some(&from), (limit - n).min(COUNT_CHUNK), &mut chunk);
+            let next = self.scan_chunk(Some(from), (limit - n).min(COUNT_CHUNK), &mut chunk);
             n += chunk.len();
             match next {
                 Some(k) => from = k,
@@ -274,12 +259,12 @@ pub trait ConcurrentIndex<K: IndexKey = u64>: Send + Sync {
     /// [`RangeIter`] for the concurrency contract. A wrapper forwards
     /// this only when it changes the stream or sits above an index that
     /// overrides it.
-    fn range(&self, start: Bound<K>, end: Bound<K>) -> RangeIter<'_, K> {
+    fn range(&self, start: Bound<u64>, end: Bound<u64>) -> RangeIter<'_> {
         if !bounds_nonempty(&start, &end) {
             return RangeIter::empty();
         }
-        let first = match &start {
-            Bound::Included(s) | Bound::Excluded(s) => Some(s.clone()),
+        let first = match start {
+            Bound::Included(s) | Bound::Excluded(s) => Some(s),
             Bound::Unbounded => None,
         };
         RangeIter::new(Chunks {
@@ -314,8 +299,8 @@ pub trait ConcurrentIndex<K: IndexKey = u64>: Send + Sync {
     /// descent that interleaves ~8 lookups round-robin, prefetching each
     /// op's next node before switching to the others, so one batch keeps
     /// several cache misses outstanding (memory-level parallelism).
-    fn multi_lookup(&self, keys: &[K]) -> Vec<Option<u64>> {
-        keys.iter().map(|k| self.lookup(k.clone())).collect()
+    fn multi_lookup(&self, keys: &[u64]) -> Vec<Option<u64>> {
+        keys.iter().map(|&k| self.lookup(k)).collect()
     }
 
     /// Batched inserts, equivalent to applying `pairs` **in order**:
@@ -325,11 +310,8 @@ pub trait ConcurrentIndex<K: IndexKey = u64>: Send + Sync {
     ///
     /// Default is a scalar loop; pipelined overrides must preserve the
     /// in-order semantics.
-    fn multi_insert(&self, pairs: &[(K, u64)]) -> Vec<Option<u64>> {
-        pairs
-            .iter()
-            .map(|(k, v)| self.insert(k.clone(), *v))
-            .collect()
+    fn multi_insert(&self, pairs: &[(u64, u64)]) -> Vec<Option<u64>> {
+        pairs.iter().map(|&(k, v)| self.insert(k, v)).collect()
     }
 
     /// The epoch-reclamation domain guarding this index's node frees, if
@@ -355,37 +337,36 @@ pub trait ConcurrentIndex<K: IndexKey = u64>: Send + Sync {
 ///
 /// ```ignore
 /// optiql_index_api::impl_concurrent_index! {
-///     impl [K: IndexKey, L: optiql::IndexLock] ConcurrentIndex<K>
-///         for crate::ArtTree<L, K>
+///     impl [L: optiql::IndexLock] for crate::ArtTree<L>
 /// }
 /// ```
 #[macro_export]
 macro_rules! impl_concurrent_index {
-    (impl [$($generics:tt)*] ConcurrentIndex<$k:ty> for $ty:ty) => {
-        impl<$($generics)*> $crate::ConcurrentIndex<$k> for $ty {
+    (impl [$($generics:tt)*] for $ty:ty) => {
+        impl<$($generics)*> $crate::ConcurrentIndex for $ty {
             #[inline]
-            fn insert(&self, k: $k, v: u64) -> Option<u64> {
+            fn insert(&self, k: u64, v: u64) -> Option<u64> {
                 <$ty>::insert(self, k, v)
             }
             #[inline]
-            fn update(&self, k: $k, v: u64) -> Option<u64> {
+            fn update(&self, k: u64, v: u64) -> Option<u64> {
                 <$ty>::update(self, k, v)
             }
             #[inline]
-            fn lookup(&self, k: $k) -> Option<u64> {
+            fn lookup(&self, k: u64) -> Option<u64> {
                 <$ty>::lookup(self, k)
             }
             #[inline]
-            fn remove(&self, k: $k) -> Option<u64> {
+            fn remove(&self, k: u64) -> Option<u64> {
                 <$ty>::remove(self, k)
             }
             #[inline]
             fn scan_chunk(
                 &self,
-                from: Option<&$k>,
+                from: Option<u64>,
                 limit: usize,
-                out: &mut Vec<($k, u64)>,
-            ) -> Option<$k> {
+                out: &mut Vec<$crate::RangeItem>,
+            ) -> Option<u64> {
                 <$ty>::scan_chunk(self, from, limit, out)
             }
             #[inline]
@@ -397,11 +378,11 @@ macro_rules! impl_concurrent_index {
                 <$ty>::index_stats(self)
             }
             #[inline]
-            fn multi_lookup(&self, keys: &[$k]) -> Vec<Option<u64>> {
+            fn multi_lookup(&self, keys: &[u64]) -> Vec<Option<u64>> {
                 <$ty>::multi_lookup(self, keys)
             }
             #[inline]
-            fn multi_insert(&self, pairs: &[($k, u64)]) -> Vec<Option<u64>> {
+            fn multi_insert(&self, pairs: &[(u64, u64)]) -> Vec<Option<u64>> {
                 <$ty>::multi_insert(self, pairs)
             }
             #[inline]
@@ -419,34 +400,34 @@ macro_rules! impl_concurrent_index {
 macro_rules! impl_deref_index {
     ($(#[$meta:meta])* impl [$($generics:tt)*] for $ty:ty) => {
         $(#[$meta])*
-        impl<$($generics)*> ConcurrentIndex<K> for $ty {
+        impl<$($generics)*> ConcurrentIndex for $ty {
             #[inline]
-            fn insert(&self, k: K, v: u64) -> Option<u64> {
+            fn insert(&self, k: u64, v: u64) -> Option<u64> {
                 (**self).insert(k, v)
             }
             #[inline]
-            fn update(&self, k: K, v: u64) -> Option<u64> {
+            fn update(&self, k: u64, v: u64) -> Option<u64> {
                 (**self).update(k, v)
             }
             #[inline]
-            fn lookup(&self, k: K) -> Option<u64> {
+            fn lookup(&self, k: u64) -> Option<u64> {
                 (**self).lookup(k)
             }
             #[inline]
-            fn remove(&self, k: K) -> Option<u64> {
+            fn remove(&self, k: u64) -> Option<u64> {
                 (**self).remove(k)
             }
             #[inline]
             fn scan_chunk(
                 &self,
-                from: Option<&K>,
+                from: Option<u64>,
                 limit: usize,
-                out: &mut Vec<(K, u64)>,
-            ) -> Option<K> {
+                out: &mut Vec<RangeItem>,
+            ) -> Option<u64> {
                 (**self).scan_chunk(from, limit, out)
             }
             #[inline]
-            fn range(&self, start: Bound<K>, end: Bound<K>) -> RangeIter<'_, K> {
+            fn range(&self, start: Bound<u64>, end: Bound<u64>) -> RangeIter<'_> {
                 (**self).range(start, end)
             }
             #[inline]
@@ -462,11 +443,11 @@ macro_rules! impl_deref_index {
                 (**self).index_stats()
             }
             #[inline]
-            fn multi_lookup(&self, keys: &[K]) -> Vec<Option<u64>> {
+            fn multi_lookup(&self, keys: &[u64]) -> Vec<Option<u64>> {
                 (**self).multi_lookup(keys)
             }
             #[inline]
-            fn multi_insert(&self, pairs: &[(K, u64)]) -> Vec<Option<u64>> {
+            fn multi_insert(&self, pairs: &[(u64, u64)]) -> Vec<Option<u64>> {
                 (**self).multi_insert(pairs)
             }
             #[inline]
@@ -479,103 +460,91 @@ macro_rules! impl_deref_index {
 
 impl_deref_index! {
     /// A shared reference to an index is an index.
-    impl ['a, K: IndexKey, T: ConcurrentIndex<K> + ?Sized] for &'a T
+    impl ['a, T: ConcurrentIndex + ?Sized] for &'a T
 }
 impl_deref_index! {
     /// An `Arc` of an index (including `Arc<dyn ConcurrentIndex>`) is an
     /// index.
-    impl [K: IndexKey, T: ConcurrentIndex<K> + ?Sized] for std::sync::Arc<T>
+    impl [T: ConcurrentIndex + ?Sized] for std::sync::Arc<T>
 }
 impl_deref_index! {
     /// A box of an index is an index.
-    impl [K: IndexKey, T: ConcurrentIndex<K> + ?Sized] for Box<T>
+    impl [T: ConcurrentIndex + ?Sized] for Box<T>
 }
 
 /// Reference implementation for models and tests: a mutex-protected
 /// `BTreeMap`. Sequentially consistent, obviously correct, slow — exactly
 /// what a differential test wants on the other side of the diff.
 pub mod model {
-    use super::{bounds_nonempty, chunk_of, ConcurrentIndex, IndexKey};
+    use super::{bounds_nonempty, chunk_of, ConcurrentIndex, RangeItem};
     use std::collections::BTreeMap;
     use std::ops::Bound;
     use std::sync::Mutex;
 
-    /// `Mutex<BTreeMap>` as a [`ConcurrentIndex`], generic over the same
-    /// key types as the real indexes.
-    #[derive(Debug)]
-    pub struct ModelIndex<K: IndexKey = u64> {
-        map: Mutex<BTreeMap<K, u64>>,
+    /// `Mutex<BTreeMap>` as a [`ConcurrentIndex`].
+    #[derive(Debug, Default)]
+    pub struct ModelIndex {
+        map: Mutex<BTreeMap<u64, u64>>,
     }
 
-    impl<K: IndexKey> Default for ModelIndex<K> {
-        fn default() -> Self {
-            ModelIndex {
-                map: Mutex::new(BTreeMap::new()),
-            }
-        }
-    }
-
-    impl<K: IndexKey> ModelIndex<K> {
+    impl ModelIndex {
         /// An empty model.
         pub fn new() -> Self {
             Self::default()
         }
 
         /// Entries with keys ≥ `start`, up to `limit`, in key order.
-        pub fn scan(&self, start: K, limit: usize) -> Vec<(K, u64)> {
-            self.map
-                .lock()
-                .unwrap()
-                .range(start..)
+        pub fn scan(&self, start: u64, limit: usize) -> Vec<RangeItem> {
+            let map = self.map.lock().unwrap();
+            map.range(start..)
                 .take(limit)
-                .map(|(k, v)| (k.clone(), *v))
+                .map(|(&k, &v)| (k, v))
                 .collect()
         }
 
         /// Atomic snapshot of the entries within `start..end`, in key
         /// order (the model-side answer a real index's `range` is diffed
         /// against).
-        pub fn scan_bounds(&self, start: Bound<K>, end: Bound<K>) -> Vec<(K, u64)> {
+        pub fn scan_bounds(&self, start: Bound<u64>, end: Bound<u64>) -> Vec<RangeItem> {
             if !bounds_nonempty(&start, &end) {
                 return Vec::new();
             }
-            self.map
-                .lock()
-                .unwrap()
-                .range((start, end))
-                .map(|(k, v)| (k.clone(), *v))
-                .collect()
+            let map = self.map.lock().unwrap();
+            map.range((start, end)).map(|(&k, &v)| (k, v)).collect()
         }
     }
 
-    impl<K: IndexKey> ConcurrentIndex<K> for ModelIndex<K> {
-        fn insert(&self, k: K, v: u64) -> Option<u64> {
+    impl ConcurrentIndex for ModelIndex {
+        fn insert(&self, k: u64, v: u64) -> Option<u64> {
             self.map.lock().unwrap().insert(k, v)
         }
-        fn update(&self, k: K, v: u64) -> Option<u64> {
+        fn update(&self, k: u64, v: u64) -> Option<u64> {
             let mut m = self.map.lock().unwrap();
             m.get_mut(&k).map(|slot| std::mem::replace(slot, v))
         }
-        fn lookup(&self, k: K) -> Option<u64> {
+        fn lookup(&self, k: u64) -> Option<u64> {
             self.map.lock().unwrap().get(&k).copied()
         }
-        fn remove(&self, k: K) -> Option<u64> {
+        fn remove(&self, k: u64) -> Option<u64> {
             self.map.lock().unwrap().remove(&k)
         }
         /// Exactly `limit` entries while that many remain, resuming at
         /// the next key in the map: the contract at its tightest.
-        fn scan_chunk(&self, from: Option<&K>, limit: usize, out: &mut Vec<(K, u64)>) -> Option<K> {
-            let lower = from.map_or(Bound::Unbounded, Bound::Included);
+        fn scan_chunk(
+            &self,
+            from: Option<u64>,
+            limit: usize,
+            out: &mut Vec<RangeItem>,
+        ) -> Option<u64> {
             let map = self.map.lock().unwrap();
-            let rest = map.range::<K, _>((lower, Bound::Unbounded));
-            chunk_of(rest.map(|(k, v)| (k.clone(), *v)), limit, out)
+            let rest = map.range(from.unwrap_or(0)..);
+            chunk_of(rest.map(|(&k, &v)| (k, v)), limit, out)
         }
         fn len(&self) -> usize {
             self.map.lock().unwrap().len()
         }
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::model::ModelIndex;
@@ -664,36 +633,11 @@ mod tests {
     }
 
     #[test]
-    fn model_index_works_over_byte_keys() {
-        let m: ModelIndex<Bytes> = ModelIndex::new();
-        m.insert(Bytes::from("b"), 2);
-        m.insert(Bytes::from("a"), 1);
-        m.insert(Bytes::from(&b"a\x00"[..]), 15);
-        let keys: Vec<Bytes> = m
-            .range(Bound::Unbounded, Bound::Unbounded)
-            .map(|(k, _)| k)
-            .collect();
-        assert_eq!(
-            keys,
-            vec![
-                Bytes::from("a"),
-                Bytes::from(&b"a\x00"[..]),
-                Bytes::from("b")
-            ]
-        );
-        assert_eq!(m.scan_count(Bytes::from("a\x00"), 10), 2);
-        assert_eq!(
-            m.multi_lookup(&[Bytes::from("b"), Bytes::from("c")]),
-            vec![Some(2), None]
-        );
-    }
-
-    #[test]
     fn bound_helpers_agree_with_btreemap() {
         assert!(bounds_nonempty(&Bound::Included(1), &Bound::Included(1)));
         assert!(!bounds_nonempty(&Bound::Excluded(1), &Bound::Excluded(1)));
         assert!(!bounds_nonempty(&Bound::Included(2), &Bound::Included(1)));
-        assert!(bounds_nonempty::<u64>(&Bound::Unbounded, &Bound::Unbounded));
+        assert!(bounds_nonempty(&Bound::Unbounded, &Bound::Unbounded));
         assert!(key_above_start(&5, &Bound::Excluded(4)));
         assert!(!key_above_start(&4, &Bound::Excluded(4)));
         assert!(key_below_end(&5, &Bound::Included(5)));

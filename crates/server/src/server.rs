@@ -343,7 +343,7 @@ pub fn start(cfg: &ServerConfig) -> std::io::Result<ServerHandle> {
                 router: backend.router,
                 policy: cfg.fsync,
             })?);
-            let report = wal.recover_into::<u64, _>(&*backend.index)?;
+            let report = wal.recover_into(&*backend.index)?;
             let durable: Arc<dyn ConcurrentIndex> = Arc::new(DurableIndex::new(
                 Arc::clone(&backend.index),
                 Arc::clone(&wal),

@@ -48,12 +48,6 @@
 //! is the facade's only range code: `scan_chunk` is a slice of it, and
 //! `scan_count` is the trait's count loop over those slices — exact by
 //! construction, and `limit` + shards work rather than shards × `limit`.
-//!
-//! The facade is key-generic like everything above it: routing uses
-//! [`IndexKey::route_hint`] (the key itself for `u64`; for byte strings
-//! the precomputed inline/sort word — a field load, no byte shuffling on
-//! the routing path), so a `ShardedIndex<ArtTree<L, Bytes>>` works
-//! exactly like the integer one.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -68,7 +62,7 @@ use std::ops::Bound;
 
 use crossbeam_utils::CachePadded;
 use optiql_index_api::{
-    bounds_nonempty, chunk_of, ConcurrentIndex, IndexKey, IndexStats, RangeIter,
+    bounds_nonempty, chunk_of, ConcurrentIndex, IndexStats, RangeItem, RangeIter,
 };
 
 /// Default shard count: enough to split hot leaves apart without
@@ -148,13 +142,10 @@ impl<I> ShardedIndex<I> {
         &self.shards[i]
     }
 
-    /// The shard owning a generic key: routing happens on the key's
-    /// [`IndexKey::route_hint`], so for `u64` this is exactly
-    /// [`shard_of`](Self::shard_of) and for byte strings the hint's
-    /// leading raw bytes keep lexicographic neighbours in one block.
+    /// The shard owning `key`.
     #[inline]
-    fn shard<K: IndexKey>(&self, key: &K) -> &I {
-        &self.shards[self.router.route(key.route_hint())]
+    fn shard(&self, key: u64) -> &I {
+        &self.shards[self.router.route(key)]
     }
 
     /// Visit every shard (maintenance hooks: reclamation flushes,
@@ -172,19 +163,19 @@ impl<I> ShardedIndex<I> {
 /// globally unique and no tie-break is needed; each `next` is a linear
 /// scan over at most `N` peeked heads — `N` is small (≤ 64) and the
 /// per-shard iterators do the heavy (chunked, validated) lifting.
-struct MergeRange<'a, K> {
-    heads: Vec<std::iter::Peekable<RangeIter<'a, K>>>,
+struct MergeRange<'a> {
+    heads: Vec<std::iter::Peekable<RangeIter<'a>>>,
 }
 
-impl<K: Ord + Clone> Iterator for MergeRange<'_, K> {
-    type Item = (K, u64);
+impl Iterator for MergeRange<'_> {
+    type Item = RangeItem;
 
-    fn next(&mut self) -> Option<(K, u64)> {
-        let mut best: Option<(usize, K)> = None;
+    fn next(&mut self) -> Option<RangeItem> {
+        let mut best: Option<(usize, u64)> = None;
         for (i, head) in self.heads.iter_mut().enumerate() {
-            if let Some((k, _)) = head.peek() {
-                if best.as_ref().map_or(true, |(_, bk)| k < bk) {
-                    best = Some((i, k.clone()));
+            if let Some(&(k, _)) = head.peek() {
+                if best.map_or(true, |(_, bk)| k < bk) {
+                    best = Some((i, k));
                 }
             }
         }
@@ -192,42 +183,42 @@ impl<K: Ord + Clone> Iterator for MergeRange<'_, K> {
     }
 }
 
-impl<K: IndexKey, I: ConcurrentIndex<K>> ConcurrentIndex<K> for ShardedIndex<I> {
+impl<I: ConcurrentIndex> ConcurrentIndex for ShardedIndex<I> {
     #[inline]
-    fn insert(&self, k: K, v: u64) -> Option<u64> {
-        self.shard(&k).insert(k, v)
+    fn insert(&self, k: u64, v: u64) -> Option<u64> {
+        self.shard(k).insert(k, v)
     }
     #[inline]
-    fn update(&self, k: K, v: u64) -> Option<u64> {
-        self.shard(&k).update(k, v)
+    fn update(&self, k: u64, v: u64) -> Option<u64> {
+        self.shard(k).update(k, v)
     }
     #[inline]
-    fn lookup(&self, k: K) -> Option<u64> {
-        self.shard(&k).lookup(k)
+    fn lookup(&self, k: u64) -> Option<u64> {
+        self.shard(k).lookup(k)
     }
     #[inline]
-    fn remove(&self, k: K) -> Option<u64> {
-        self.shard(&k).remove(k)
+    fn remove(&self, k: u64) -> Option<u64> {
+        self.shard(k).remove(k)
     }
     /// The next `limit` entries of the merged stream, and the entry after
     /// them as the resume key. Each shard's share is its own validated
     /// chunks; the slice as a whole is as atomic as the merge, i.e. not.
-    fn scan_chunk(&self, from: Option<&K>, limit: usize, out: &mut Vec<(K, u64)>) -> Option<K> {
-        let start = from.map_or(Bound::Unbounded, |k| Bound::Included(k.clone()));
+    fn scan_chunk(&self, from: Option<u64>, limit: usize, out: &mut Vec<RangeItem>) -> Option<u64> {
+        let start = from.map_or(Bound::Unbounded, Bound::Included);
         chunk_of(self.range(start, Bound::Unbounded), limit, out)
     }
     /// Open one streaming iterator per shard over the same bounds and
     /// k-way-merge the heads, restoring the global ascending key order
     /// that routing scattered. Each per-shard iterator keeps its own
     /// OLC revalidation protocol; the merge holds no locks.
-    fn range(&self, start: Bound<K>, end: Bound<K>) -> RangeIter<'_, K> {
+    fn range(&self, start: Bound<u64>, end: Bound<u64>) -> RangeIter<'_> {
         if !bounds_nonempty(&start, &end) {
             return RangeIter::empty();
         }
         let heads = self
             .shards
             .iter()
-            .map(|s| s.range(start.clone(), end.clone()).peekable())
+            .map(|s| s.range(start, end).peekable())
             .collect();
         RangeIter::new(MergeRange { heads })
     }
@@ -243,19 +234,18 @@ impl<K: IndexKey, I: ConcurrentIndex<K>> ConcurrentIndex<K> for ShardedIndex<I> 
     }
     /// One [`Router::fan_out`]: each touched shard's pipelined engine sees
     /// a dense sub-batch, and the answers come back in batch order.
-    fn multi_lookup(&self, keys: &[K]) -> Vec<Option<u64>> {
-        self.router.fan_out(keys, K::route_hint, |s, sub| {
-            self.shards[s].multi_lookup(sub)
-        })
+    fn multi_lookup(&self, keys: &[u64]) -> Vec<Option<u64>> {
+        self.router
+            .fan_out(keys, |&k| k, |s, sub| self.shards[s].multi_lookup(sub))
     }
     /// As [`multi_lookup`](ConcurrentIndex::multi_lookup), for inserts.
     /// Order within each shard's sub-batch follows batch order, and equal
     /// keys always route to the same shard, so the in-order semantics of
     /// duplicate keys are preserved across the split.
-    fn multi_insert(&self, pairs: &[(K, u64)]) -> Vec<Option<u64>> {
+    fn multi_insert(&self, pairs: &[(u64, u64)]) -> Vec<Option<u64>> {
         self.router.fan_out(
             pairs,
-            |(k, _)| k.route_hint(),
+            |&(k, _)| k,
             |s, sub| self.shards[s].multi_insert(sub),
         )
     }
@@ -436,33 +426,6 @@ mod tests {
         // Degenerate and empty bounds.
         assert_eq!(s.range(Bound::Excluded(5), Bound::Included(5)).count(), 0);
         assert_eq!(s.range(Bound::Included(2_000), Bound::Unbounded).count(), 0);
-    }
-
-    #[test]
-    fn byte_keys_route_and_merge() {
-        use optiql_index_api::Bytes;
-        let s: ShardedIndex<ModelIndex<Bytes>> = ShardedIndex::new(4);
-        let keys: Vec<Bytes> = (0..200u32)
-            .map(|i| Bytes::from(format!("user{i:04}").as_bytes()))
-            .collect();
-        for (i, k) in keys.iter().enumerate() {
-            assert_eq!(s.insert(k.clone(), i as u64), None);
-        }
-        assert_eq!(s.len(), 200);
-        assert_eq!(s.lookup(Bytes::from("user0042")), Some(42));
-        // Merged stream comes back in lexicographic order regardless of
-        // which shard owns which key.
-        let got: Vec<Bytes> = s
-            .range(Bound::Included(Bytes::from("user0100")), Bound::Unbounded)
-            .map(|(k, _)| k)
-            .collect();
-        let want: Vec<Bytes> = (100..200u32)
-            .map(|i| Bytes::from(format!("user{i:04}").as_bytes()))
-            .collect();
-        assert_eq!(got, want);
-        assert_eq!(s.scan_count(Bytes::from("user0150"), 1_000), 50);
-        let got = s.multi_lookup(&[Bytes::from("user0007"), Bytes::from("nope")]);
-        assert_eq!(got, vec![Some(7), None]);
     }
 
     #[test]

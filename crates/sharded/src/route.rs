@@ -102,8 +102,8 @@ impl Router {
 
     /// Split a batch over the shards its items route to, run every
     /// touched shard's sub-batch, and hand the answers back in batch
-    /// order. `hint` is an item's route hint; `run(s, sub)` executes the
-    /// items owned by shard `s` and returns one answer per item of `sub`.
+    /// order. `key` is an item's key; `run(s, sub)` executes the items
+    /// owned by shard `s` and returns one answer per item of `sub`.
     ///
     /// One counting pass buckets the batch into flat buffers (count →
     /// prefix sum → ordered scatter), so batch order is preserved inside
@@ -115,18 +115,18 @@ impl Router {
     pub fn fan_out<T: Clone, R: Clone + Default>(
         &self,
         items: &[T],
-        hint: impl Fn(&T) -> u64,
+        key: impl Fn(&T) -> u64,
         mut run: impl FnMut(usize, &[T]) -> Vec<R>,
     ) -> Vec<R> {
         if self.shards == 1 {
             return run(0, items);
         }
         if let [one] = items {
-            return run(self.route(hint(one)), items);
+            return run(self.route(key(one)), items);
         }
         let mut offsets = vec![0usize; self.shards + 1];
         for t in items {
-            offsets[self.route(hint(t)) + 1] += 1;
+            offsets[self.route(key(t)) + 1] += 1;
         }
         for s in 0..self.shards {
             offsets[s + 1] += offsets[s];
@@ -134,7 +134,7 @@ impl Router {
         let mut cursor = offsets.clone();
         let mut positions = vec![0usize; items.len()];
         for (i, t) in items.iter().enumerate() {
-            let c = &mut cursor[self.route(hint(t))];
+            let c = &mut cursor[self.route(key(t))];
             positions[*c] = i;
             *c += 1;
         }

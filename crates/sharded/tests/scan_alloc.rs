@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use optiql::{OptLock, OptiQL};
 use optiql_art::ArtTree;
 use optiql_btree::{BPlusTree, DEFAULT_IC, DEFAULT_LC};
-use optiql_index_api::{Bytes, ConcurrentIndex, IndexKey};
+use optiql_index_api::ConcurrentIndex;
 use optiql_sharded::ShardedIndex;
 
 struct Counting;
@@ -41,38 +41,27 @@ const KEYS: u64 = 200_000;
 /// The parent's count built one `Vec` of every entry: ≥ 3 MB here.
 const BOUND: usize = 64 << 10;
 
-fn count_holds_one_chunk<K: IndexKey>(
-    name: &str,
-    index: &impl ConcurrentIndex<K>,
-    key: fn(u64) -> K,
-) {
+fn count_holds_one_chunk(name: &str, index: &impl ConcurrentIndex) {
     for k in 0..KEYS {
-        index.insert(key(k), k);
+        index.insert(k, k);
     }
     // First use of a thread's epoch slot and scratch buffers is not the
     // scan's footprint.
-    assert_eq!(index.scan_count(key(0), 1), 1);
-    let first = key(0);
+    assert_eq!(index.scan_count(0, 1), 1);
     let baseline = LIVE.load(Ordering::Relaxed);
     PEAK.store(baseline, Ordering::Relaxed);
-    let n = index.scan_count(first, usize::MAX);
+    let n = index.scan_count(0, usize::MAX);
     let peak = PEAK.load(Ordering::Relaxed) - baseline;
     assert_eq!(n, KEYS as usize, "{name}: every key counted");
     assert!(peak < BOUND, "{name}: counting {n} keys held {peak} bytes");
 }
 
-fn user_key(k: u64) -> Bytes {
-    Bytes::from(format!("user{k:016}").as_bytes())
-}
-
 #[test]
 fn scan_count_peak_allocation_is_independent_of_the_result() {
-    type Tree<K> = BPlusTree<OptLock, OptiQL, DEFAULT_IC, DEFAULT_LC, K>;
-    count_holds_one_chunk("btree", &Tree::<u64>::new(), |k| k);
-    count_holds_one_chunk("art", &ArtTree::<OptiQL>::new(), |k| k);
-    count_holds_one_chunk("btree-bytes", &Tree::<Bytes>::new(), user_key);
-    count_holds_one_chunk("art-bytes", &ArtTree::<OptiQL, Bytes>::new(), user_key);
+    type Tree = BPlusTree<OptLock, OptiQL, DEFAULT_IC, DEFAULT_LC>;
+    count_holds_one_chunk("btree", &Tree::new());
+    count_holds_one_chunk("art", &ArtTree::<OptiQL>::new());
     // 256-key blocks: every shard owns a share of any run of keys.
-    let sharded = ShardedIndex::<Tree<u64>>::with_block_bits(4, 8);
-    count_holds_one_chunk("sharded4-btree", &sharded, |k| k);
+    let sharded = ShardedIndex::<Tree>::with_block_bits(4, 8);
+    count_holds_one_chunk("sharded4-btree", &sharded);
 }

@@ -24,7 +24,7 @@ use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::ops::Bound;
 
-use optiql_index_api::{ConcurrentIndex, IndexKey};
+use optiql_index_api::ConcurrentIndex;
 
 use crate::record::{frame_ckpt_begin, frame_ckpt_end, frame_ckpt_entry};
 use crate::Wal;
@@ -91,10 +91,9 @@ impl ShardWriter {
 }
 
 /// See [`Wal::checkpoint`].
-pub fn checkpoint<K, I>(wal: &Wal, index: &I) -> std::io::Result<CheckpointReport>
+pub fn checkpoint<I>(wal: &Wal, index: &I) -> std::io::Result<CheckpointReport>
 where
-    K: IndexKey,
-    I: ConcurrentIndex<K> + ?Sized,
+    I: ConcurrentIndex + ?Sized,
 {
     // Capture every shard's replay horizon BEFORE the scan starts: a
     // mutation the scan misses must log at or after this LSN.
@@ -122,12 +121,9 @@ where
         })
         .collect::<std::io::Result<_>>()?;
 
-    let mut keybuf = Vec::new();
     for (k, v) in index.range(Bound::Unbounded, Bound::Unbounded) {
-        let w = &mut writers[wal.router().route(k.route_hint())];
-        keybuf.clear();
-        k.encode_into(&mut keybuf);
-        frame_ckpt_entry(&mut w.buf, &keybuf, v);
+        let w = &mut writers[wal.router().route(k)];
+        frame_ckpt_entry(&mut w.buf, k, v);
         w.entries += 1;
         if w.buf.len() >= FLUSH_AT {
             w.drain()?;

@@ -1,15 +1,14 @@
 //! [`DurableIndex`]: any [`ConcurrentIndex`] plus the redo-logging
 //! discipline.
 //!
-//! Every successful mutation routes to a wal shard by the key's
-//! `route_hint()` through [`Wal::router`] — the index's own `Router`
-//! value, handed over in `WalConfig` — so a wal shard's append mutex only
-//! serializes writers that already serialize on the index shard
-//! underneath. The mutation is applied *inside*
-//! [`LogShard::append_with`], making apply order equal log order per
-//! shard (the recovery invariant). Scalar ops share one `logged` helper;
-//! a batch is one `Router::fan_out`, the function the sharded facade
-//! splits its own batches with.
+//! Every successful mutation routes to a wal shard by its key through
+//! [`Wal::router`] — the index's own `Router` value, handed over in
+//! `WalConfig` — so a wal shard's append mutex only serializes writers
+//! that already serialize on the index shard underneath. The mutation is
+//! applied *inside* [`LogShard::append_with`], making apply order equal
+//! log order per shard (the recovery invariant). Scalar ops share one
+//! `logged` helper; a batch is one `Router::fan_out`, the function the
+//! sharded facade splits its own batches with.
 //!
 //! Conditional logging: `update` and `remove` log nothing when they
 //! didn't change anything (key absent), so replaying the log can never
@@ -27,35 +26,25 @@
 //!
 //! [`LogShard::append_with`]: crate::shard::LogShard::append_with
 
-use std::marker::PhantomData;
 use std::ops::Bound;
 use std::sync::Arc;
 
-use optiql_index_api::{ConcurrentIndex, IndexKey, IndexStats, RangeIter, ReclaimHandle};
+use optiql_index_api::{ConcurrentIndex, IndexStats, RangeItem, RangeIter, ReclaimHandle};
 
 use crate::shard::Txn;
 use crate::{FsyncPolicy, Wal};
 
 /// A write-ahead-logged wrapper around an index. See the module docs.
-pub struct DurableIndex<I, K: IndexKey = u64> {
+pub struct DurableIndex<I> {
     inner: I,
     wal: Arc<Wal>,
-    _k: PhantomData<fn(K) -> K>,
 }
 
-impl<I, K> DurableIndex<I, K>
-where
-    K: IndexKey,
-    I: ConcurrentIndex<K>,
-{
+impl<I: ConcurrentIndex> DurableIndex<I> {
     /// Wrap `inner` (already recovered — see [`Wal::recover_into`])
     /// with the logging discipline of `wal`.
     pub fn new(inner: I, wal: Arc<Wal>) -> Self {
-        DurableIndex {
-            inner,
-            wal,
-            _k: PhantomData,
-        }
+        DurableIndex { inner, wal }
     }
 
     /// The wrapped index.
@@ -78,7 +67,7 @@ where
     /// Checkpoint the wrapped index through the wal (bounding future
     /// replay). Scans `inner` directly — checkpointing never logs.
     pub fn checkpoint(&self) -> std::io::Result<crate::CheckpointReport> {
-        self.wal.checkpoint::<K, _>(&self.inner)
+        self.wal.checkpoint(&self.inner)
     }
 
     #[inline]
@@ -86,15 +75,14 @@ where
         matches!(self.wal.policy(), FsyncPolicy::Always)
     }
 
-    /// One logged scalar mutation. `apply` gets the key, the owning
-    /// log's open append and the key's encoding: it applies the mutation
-    /// to `inner` *inside* the append (apply order = log order) and
-    /// stages a record only for what it changed. Under `Always` the
-    /// record is synced before the answer is returned.
-    fn logged<R>(&self, k: K, apply: impl FnOnce(K, &mut Txn<'_>, &[u8]) -> R) -> R {
-        let enc = k.encode();
-        let shard = self.wal.shard(self.wal.router().route(k.route_hint()));
-        let (res, last) = shard.append_with(|txn| apply(k, txn, enc.as_ref()));
+    /// One logged scalar mutation of `k`. `apply` gets the owning log's
+    /// open append: it applies the mutation to `inner` *inside* the
+    /// append (apply order = log order) and stages a record only for
+    /// what it changed. Under `Always` the record is synced before the
+    /// answer is returned.
+    fn logged<R>(&self, k: u64, apply: impl FnOnce(&mut Txn<'_>) -> R) -> R {
+        let shard = self.wal.shard(self.wal.router().route(k));
+        let (res, last) = shard.append_with(apply);
         if self.always() {
             shard.ensure_durable(last); // no-op when nothing was staged
         }
@@ -102,49 +90,45 @@ where
     }
 }
 
-impl<I, K> ConcurrentIndex<K> for DurableIndex<I, K>
-where
-    K: IndexKey,
-    I: ConcurrentIndex<K>,
-{
-    fn insert(&self, k: K, v: u64) -> Option<u64> {
-        self.logged(k, |k, txn, enc| {
+impl<I: ConcurrentIndex> ConcurrentIndex for DurableIndex<I> {
+    fn insert(&self, k: u64, v: u64) -> Option<u64> {
+        self.logged(k, |txn| {
             let old = self.inner.insert(k, v);
-            txn.set(enc, v);
+            txn.set(k, v);
             old
         })
     }
 
-    fn update(&self, k: K, v: u64) -> Option<u64> {
-        self.logged(k, |k, txn, enc| {
+    fn update(&self, k: u64, v: u64) -> Option<u64> {
+        self.logged(k, |txn| {
             let old = self.inner.update(k, v);
             if old.is_some() {
-                txn.set(enc, v);
+                txn.set(k, v);
             }
             old
         })
     }
 
-    fn lookup(&self, k: K) -> Option<u64> {
+    fn lookup(&self, k: u64) -> Option<u64> {
         self.inner.lookup(k)
     }
 
-    fn remove(&self, k: K) -> Option<u64> {
-        self.logged(k, |k, txn, enc| {
+    fn remove(&self, k: u64) -> Option<u64> {
+        self.logged(k, |txn| {
             let old = self.inner.remove(k);
             if old.is_some() {
-                txn.del(enc);
+                txn.del(k);
             }
             old
         })
     }
 
-    fn scan_chunk(&self, from: Option<&K>, limit: usize, out: &mut Vec<(K, u64)>) -> Option<K> {
+    fn scan_chunk(&self, from: Option<u64>, limit: usize, out: &mut Vec<RangeItem>) -> Option<u64> {
         self.inner.scan_chunk(from, limit, out)
     }
 
     /// Forwarded, not inherited: `inner` may be a facade with its own.
-    fn range(&self, start: Bound<K>, end: Bound<K>) -> RangeIter<'_, K> {
+    fn range(&self, start: Bound<u64>, end: Bound<u64>) -> RangeIter<'_> {
         self.inner.range(start, end)
     }
 
@@ -156,37 +140,31 @@ where
         self.inner.index_stats()
     }
 
-    fn multi_lookup(&self, keys: &[K]) -> Vec<Option<u64>> {
+    fn multi_lookup(&self, keys: &[u64]) -> Vec<Option<u64>> {
         self.inner.multi_lookup(keys)
     }
 
     /// Batched insert with batched logging: one [`Router::fan_out`] over
     /// the wal's router, one `append_with` per touched log. Relative
     /// order is preserved inside each log's sub-batch, so per-key
-    /// operation order is unchanged (equal keys share a route hint, hence
-    /// a log) — all the in-order duplicate-visibility contract depends on
-    /// — and log order equals apply order within each log.
+    /// operation order is unchanged (equal keys share a log) — all the
+    /// in-order duplicate-visibility contract depends on — and log order
+    /// equals apply order within each log.
     ///
     /// [`Router::fan_out`]: optiql_sharded::Router::fan_out
-    fn multi_insert(&self, pairs: &[(K, u64)]) -> Vec<Option<u64>> {
+    fn multi_insert(&self, pairs: &[(u64, u64)]) -> Vec<Option<u64>> {
         if self.always() {
             // Per-op durability: the scalar loop, one fsync per element.
-            return pairs
-                .iter()
-                .map(|(k, v)| self.insert(k.clone(), *v))
-                .collect();
+            return pairs.iter().map(|&(k, v)| self.insert(k, v)).collect();
         }
-        let mut keybuf = Vec::new();
         self.wal.router().fan_out(
             pairs,
-            |(k, _)| k.route_hint(),
+            |&(k, _)| k,
             |log, sub| {
                 let append = |txn: &mut Txn<'_>| {
                     let res = self.inner.multi_insert(sub);
-                    for (k, v) in sub {
-                        keybuf.clear();
-                        k.encode_into(&mut keybuf);
-                        txn.set(&keybuf, *v);
+                    for &(k, v) in sub {
+                        txn.set(k, v);
                     }
                     res
                 };
@@ -228,7 +206,7 @@ mod tests {
     fn recovered(dir: &PathBuf) -> (ModelIndex, crate::RecoveryReport) {
         let wal = Wal::open(WalConfig::new(dir)).unwrap();
         let fresh = ModelIndex::new();
-        let rep = wal.recover_into::<u64, _>(&fresh).unwrap();
+        let rep = wal.recover_into(&fresh).unwrap();
         (fresh, rep)
     }
 

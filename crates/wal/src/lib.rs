@@ -45,7 +45,7 @@ use std::io::{ErrorKind, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use optiql_index_api::{ConcurrentIndex, IndexKey};
+use optiql_index_api::ConcurrentIndex;
 use optiql_sharded::{Router, DEFAULT_BLOCK_BITS};
 
 pub mod checkpoint;
@@ -326,12 +326,10 @@ impl Wal {
     /// Rebuild index state: per shard, load the newest valid checkpoint
     /// (if any) and replay the log tail. `index` must be *empty* and
     /// must **not** be a [`DurableIndex`] over this wal (recovery must
-    /// not re-log). Shards recover in parallel. `K` must match the key
-    /// type that produced the log.
-    pub fn recover_into<K, I>(&self, index: &I) -> std::io::Result<RecoveryReport>
+    /// not re-log). Shards recover in parallel.
+    pub fn recover_into<I>(&self, index: &I) -> std::io::Result<RecoveryReport>
     where
-        K: IndexKey,
-        I: ConcurrentIndex<K> + ?Sized,
+        I: ConcurrentIndex + ?Sized,
     {
         recover::recover_into(self, index)
     }
@@ -339,10 +337,9 @@ impl Wal {
     /// Checkpoint-by-scan: stream the live index into per-shard
     /// checkpoint sidecars, bounding future replay to the log tail.
     /// Safe under concurrent writers (see `checkpoint` module docs).
-    pub fn checkpoint<K, I>(&self, index: &I) -> std::io::Result<CheckpointReport>
+    pub fn checkpoint<I>(&self, index: &I) -> std::io::Result<CheckpointReport>
     where
-        K: IndexKey,
-        I: ConcurrentIndex<K> + ?Sized,
+        I: ConcurrentIndex + ?Sized,
     {
         checkpoint::checkpoint(self, index)
     }
@@ -381,8 +378,8 @@ mod tests {
             let wal = Wal::open(WalConfig::new(&dir)).unwrap();
             let shard = wal.shard(0);
             let ((), last) = shard.append_with(|txn| {
-                txn.set(&1u64.to_be_bytes(), 10);
-                txn.set(&2u64.to_be_bytes(), 20);
+                txn.set(1, 10);
+                txn.set(2, 20);
             });
             shard.ensure_durable(last);
         }
@@ -392,7 +389,7 @@ mod tests {
             assert!(wal.mount_report()[0].torn.is_none());
             // New appends continue the dense LSN sequence.
             let ((), last) = wal.shard(0).append_with(|txn| {
-                txn.del(&1u64.to_be_bytes());
+                txn.del(1);
             });
             assert_eq!(last, 3);
         }
@@ -405,7 +402,7 @@ mod tests {
         {
             let wal = Wal::open(WalConfig::new(&dir)).unwrap();
             wal.shard(0).append_with(|txn| {
-                txn.set(&1u64.to_be_bytes(), 10);
+                txn.set(1, 10);
             });
             wal.commit_dirty();
         }
@@ -425,7 +422,7 @@ mod tests {
             assert!(m.torn.is_some(), "torn tail must be reported");
             // Recovery sees exactly the valid prefix.
             let model = ModelIndex::new();
-            let rep = wal.recover_into::<u64, _>(&model).unwrap();
+            let rep = wal.recover_into(&model).unwrap();
             assert_eq!(rep.applied(), 1);
             assert_eq!(model.lookup(1), Some(10));
             wal.close().unwrap();

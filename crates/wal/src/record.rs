@@ -7,43 +7,41 @@
 //! payload := tag:u8 | body
 //! ```
 //!
-//! Keys inside record bodies are stored in their [`IndexKey`] digit-string
-//! encoding (the order-preserving, prefix-free form the ART descends and
-//! the sharded router hashes — for `u64` the 8 big-endian bytes, for
-//! `Bytes` the escape encoding), with an explicit `u16` length prefix so
-//! the codec never needs to know the key type to reframe a file.
+//! A key inside a record body is its 8 big-endian bytes behind a `u16`
+//! length that is always 8. The length field is what logs written when
+//! the index also took byte-string keys carry, and it stays so those
+//! bytes still read: a SET is 35 bytes on disk either way.
 //!
 //! Redo records carry an LSN; checkpoint records don't (a checkpoint file
 //! carries one `start_lsn` in its header — see `checkpoint.rs`):
 //!
 //! ```text
-//! Set       := 0x01 | lsn:u64le | klen:u16le | key | value:u64le
-//! Del       := 0x02 | lsn:u64le | klen:u16le | key
+//! Set       := 0x01 | lsn:u64le | klen:u16le = 8 | key:u64be | value:u64le
+//! Del       := 0x02 | lsn:u64le | klen:u16le = 8 | key:u64be
 //! CkptBegin := 0x10 | start_lsn:u64le
-//! CkptEntry := 0x11 | klen:u16le | key | value:u64le
+//! CkptEntry := 0x11 | klen:u16le = 8 | key:u64be | value:u64le
 //! CkptEnd   := 0x12 | entries:u64le
 //! ```
 //!
 //! Decoding is *torn-tail tolerant by construction*: [`FrameCursor`]
 //! yields records until the first frame that cannot be fully validated
 //! (short header, absurd length, truncated payload, CRC mismatch, or a
-//! malformed body behind a valid CRC) and then reports the byte offset
-//! where the valid prefix ends — that offset is where recovery truncates.
-//!
-//! [`IndexKey`]: optiql_index_api::IndexKey
+//! malformed body behind a valid CRC — a `klen` other than 8 among them)
+//! and then reports the byte offset where the valid prefix ends — that
+//! offset is where recovery truncates.
 
 use crate::crc::crc32;
 
 /// Frame header size: `len:u32 + crc:u32`.
 pub const FRAME_HEADER: usize = 8;
 
-/// Upper bound on a single payload. Keys are at most `u16` encoded bytes
-/// plus fixed fields, so anything near this is corruption; the bound
-/// keeps a torn length word from looking like a 4 GiB allocation.
+/// Upper bound on a single payload. Every record is a few dozen bytes,
+/// so anything near this is corruption; the bound keeps a torn length
+/// word from looking like a 4 GiB allocation.
 pub const MAX_PAYLOAD: usize = 1 << 20;
 
-/// Largest encoded key a record can carry.
-pub const MAX_KEY: usize = u16::MAX as usize;
+/// The `klen` every key carries: a key is a `u64`.
+const KEY_LEN: u16 = 8;
 
 const TAG_SET: u8 = 0x01;
 const TAG_DEL: u8 = 0x02;
@@ -58,8 +56,8 @@ pub enum Record {
     Set {
         /// Per-shard log sequence number (1-based, dense).
         lsn: u64,
-        /// The key's digit-string encoding.
-        key: Vec<u8>,
+        /// The key written.
+        key: u64,
         /// The value written.
         value: u64,
     },
@@ -67,8 +65,8 @@ pub enum Record {
     Del {
         /// Per-shard log sequence number (1-based, dense).
         lsn: u64,
-        /// The key's digit-string encoding.
-        key: Vec<u8>,
+        /// The key removed.
+        key: u64,
     },
     /// Checkpoint header: replay log records with `lsn >= start_lsn` on
     /// top of the checkpoint's entries.
@@ -78,8 +76,8 @@ pub enum Record {
     },
     /// One checkpointed key/value pair.
     CkptEntry {
-        /// The key's digit-string encoding.
-        key: Vec<u8>,
+        /// The checkpointed key.
+        key: u64,
         /// The checkpointed value.
         value: u64,
     },
@@ -103,10 +101,10 @@ impl Record {
     /// Append this record as a complete frame.
     pub fn encode_frame(&self, out: &mut Vec<u8>) {
         match self {
-            Record::Set { lsn, key, value } => frame_set(out, *lsn, key, *value),
-            Record::Del { lsn, key } => frame_del(out, *lsn, key),
+            Record::Set { lsn, key, value } => frame_set(out, *lsn, *key, *value),
+            Record::Del { lsn, key } => frame_del(out, *lsn, *key),
             Record::CkptBegin { start_lsn } => frame_ckpt_begin(out, *start_lsn),
-            Record::CkptEntry { key, value } => frame_ckpt_entry(out, key, *value),
+            Record::CkptEntry { key, value } => frame_ckpt_entry(out, *key, *value),
             Record::CkptEnd { entries } => frame_ckpt_end(out, *entries),
         }
     }
@@ -131,14 +129,13 @@ fn seal_frame(out: &mut [u8], payload_at: usize) {
 }
 
 #[inline]
-fn push_key(out: &mut Vec<u8>, key: &[u8]) {
-    assert!(key.len() <= MAX_KEY, "encoded key exceeds {MAX_KEY} bytes");
-    out.extend_from_slice(&(key.len() as u16).to_le_bytes());
-    out.extend_from_slice(key);
+fn push_key(out: &mut Vec<u8>, key: u64) {
+    out.extend_from_slice(&KEY_LEN.to_le_bytes());
+    out.extend_from_slice(&key.to_be_bytes());
 }
 
 /// Append a `Set` frame without materializing a [`Record`].
-pub fn frame_set(out: &mut Vec<u8>, lsn: u64, key: &[u8], value: u64) {
+pub fn frame_set(out: &mut Vec<u8>, lsn: u64, key: u64, value: u64) {
     let p = open_frame(out);
     out.push(TAG_SET);
     out.extend_from_slice(&lsn.to_le_bytes());
@@ -148,7 +145,7 @@ pub fn frame_set(out: &mut Vec<u8>, lsn: u64, key: &[u8], value: u64) {
 }
 
 /// Append a `Del` frame without materializing a [`Record`].
-pub fn frame_del(out: &mut Vec<u8>, lsn: u64, key: &[u8]) {
+pub fn frame_del(out: &mut Vec<u8>, lsn: u64, key: u64) {
     let p = open_frame(out);
     out.push(TAG_DEL);
     out.extend_from_slice(&lsn.to_le_bytes());
@@ -165,7 +162,7 @@ pub fn frame_ckpt_begin(out: &mut Vec<u8>, start_lsn: u64) {
 }
 
 /// Append a `CkptEntry` frame.
-pub fn frame_ckpt_entry(out: &mut Vec<u8>, key: &[u8], value: u64) {
+pub fn frame_ckpt_entry(out: &mut Vec<u8>, key: u64, value: u64) {
     let p = open_frame(out);
     out.push(TAG_CKPT_ENTRY);
     push_key(out, key);
@@ -282,14 +279,16 @@ impl<'a> Body<'a> {
         Ok(v)
     }
 
-    fn key(&mut self) -> Result<Vec<u8>, String> {
-        let n = self.u16()? as usize;
-        if self.0.len() < n {
-            return Err(format!("key length {n} exceeds body"));
+    fn key(&mut self) -> Result<u64, String> {
+        let n = self.u16()?;
+        if n != KEY_LEN {
+            return Err(format!("key length {n}, not {KEY_LEN}"));
         }
-        let k = self.0[..n].to_vec();
-        self.0 = &self.0[n..];
-        Ok(k)
+        let Some((k, rest)) = self.0.split_first_chunk::<8>() else {
+            return Err("short key".into());
+        };
+        self.0 = rest;
+        Ok(u64::from_be_bytes(*k))
     }
 
     fn finish(self) -> Result<(), String> {
@@ -336,23 +335,17 @@ mod tests {
         vec![
             Record::Set {
                 lsn: 1,
-                key: 42u64.to_be_bytes().to_vec(),
+                key: 42,
                 value: 1000,
             },
-            Record::Del {
-                lsn: 2,
-                key: vec![],
-            },
+            Record::Del { lsn: 2, key: 0 },
             Record::Set {
                 lsn: 3,
-                key: vec![0xFF; 300],
+                key: u64::MAX,
                 value: u64::MAX,
             },
             Record::CkptBegin { start_lsn: 4 },
-            Record::CkptEntry {
-                key: b"user0001".to_vec(),
-                value: 7,
-            },
+            Record::CkptEntry { key: 7, value: 7 },
             Record::CkptEnd { entries: 1 },
         ]
     }
@@ -418,10 +411,11 @@ mod tests {
         let mut buf = Vec::new();
         Record::Set {
             lsn: 9,
-            key: b"k".to_vec(),
+            key: 0x6b,
             value: 3,
         }
         .encode_frame(&mut buf);
+        assert_eq!(buf.len(), 35, "a SET is 35 bytes on disk");
         for i in FRAME_HEADER..buf.len() {
             let mut evil = buf.clone();
             evil[i] ^= 0x40;

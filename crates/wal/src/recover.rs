@@ -37,7 +37,7 @@
 
 use std::io::Read;
 
-use optiql_index_api::{ConcurrentIndex, IndexKey};
+use optiql_index_api::ConcurrentIndex;
 
 use crate::record::{FrameCursor, Record, TornTail};
 use crate::Wal;
@@ -163,7 +163,7 @@ impl std::fmt::Display for RecoveryReport {
 /// A fully validated checkpoint image.
 struct LoadedCkpt {
     start_lsn: u64,
-    entries: Vec<(Vec<u8>, u64)>,
+    entries: Vec<(u64, u64)>,
 }
 
 /// Read and validate `shard-<i>.ckpt`. `Ok(None)` when the file does not
@@ -196,10 +196,9 @@ fn load_ckpt(path: &std::path::Path) -> std::io::Result<Result<Option<LoadedCkpt
     }
 }
 
-fn recover_shard<K, I>(wal: &Wal, shard: usize, index: &I) -> std::io::Result<ShardRecovery>
+fn recover_shard<I>(wal: &Wal, shard: usize, index: &I) -> std::io::Result<ShardRecovery>
 where
-    K: IndexKey,
-    I: ConcurrentIndex<K> + ?Sized,
+    I: ConcurrentIndex + ?Sized,
 {
     let mut rep = ShardRecovery {
         shard,
@@ -215,8 +214,8 @@ where
     match load_ckpt(&crate::ckpt_path(wal.dir(), shard))? {
         Ok(Some(ckpt)) => {
             rep.checkpoint_start_lsn = ckpt.start_lsn;
-            for (key, value) in &ckpt.entries {
-                index.insert(K::from_encoded(key), *value);
+            for &(key, value) in &ckpt.entries {
+                index.insert(key, value);
             }
             rep.checkpoint_entries = ckpt.entries.len() as u64;
         }
@@ -234,10 +233,10 @@ where
         rep.replayed += 1;
         match rec {
             Record::Set { key, value, .. } => {
-                index.insert(K::from_encoded(&key), value);
+                index.insert(key, value);
             }
             Record::Del { key, .. } => {
-                index.remove(K::from_encoded(&key));
+                index.remove(key);
             }
             _ => unreachable!("scan_log visits redo records only"),
         }
@@ -248,10 +247,9 @@ where
 }
 
 /// See [`Wal::recover_into`].
-pub fn recover_into<K, I>(wal: &Wal, index: &I) -> std::io::Result<RecoveryReport>
+pub fn recover_into<I>(wal: &Wal, index: &I) -> std::io::Result<RecoveryReport>
 where
-    K: IndexKey,
-    I: ConcurrentIndex<K> + ?Sized,
+    I: ConcurrentIndex + ?Sized,
 {
     let n = wal.shard_count();
     if n == 1 {

@@ -15,7 +15,7 @@
 //! enforces that the cheap way: the caller applies the mutation to the
 //! index *inside* the append closure, so the shard's append mutex
 //! serializes apply+log as one unit for everything routed to this shard
-//! (same key → same route hint → same shard). Different shards never
+//! (same key → same route → same shard). Different shards never
 //! contend, preserving the cross-shard concurrency the router buys.
 //! (DESIGN §10 discusses the finer-grained alternative — stamping LSNs
 //! under the OptiQL x-lock — and why it isn't needed at this node count.)
@@ -92,20 +92,20 @@ pub struct Txn<'a> {
 
 impl Txn<'_> {
     /// Stage a `Set key := value` redo record; returns its LSN.
-    pub fn set(&mut self, key_enc: &[u8], value: u64) -> u64 {
+    pub fn set(&mut self, key: u64, value: u64) -> u64 {
         let lsn = *self.next_lsn;
         *self.next_lsn += 1;
         self.records += 1;
-        crate::record::frame_set(self.buf, lsn, key_enc, value);
+        crate::record::frame_set(self.buf, lsn, key, value);
         lsn
     }
 
     /// Stage a `Del key` redo record; returns its LSN.
-    pub fn del(&mut self, key_enc: &[u8]) -> u64 {
+    pub fn del(&mut self, key: u64) -> u64 {
         let lsn = *self.next_lsn;
         *self.next_lsn += 1;
         self.records += 1;
-        crate::record::frame_del(self.buf, lsn, key_enc);
+        crate::record::frame_del(self.buf, lsn, key);
         lsn
     }
 }
@@ -316,9 +316,9 @@ mod tests {
         let dir = tempdir("dense");
         let shard = scratch_shard(&dir);
         let ((), last) = shard.append_with(|txn| {
-            assert_eq!(txn.set(&7u64.to_be_bytes(), 70), 1);
-            assert_eq!(txn.set(&8u64.to_be_bytes(), 80), 2);
-            txn.del(&7u64.to_be_bytes());
+            assert_eq!(txn.set(7, 70), 1);
+            assert_eq!(txn.set(8, 80), 2);
+            txn.del(7);
         });
         assert_eq!(last, 3);
         assert_eq!(shard.appended_lsn(), 3);
@@ -340,7 +340,7 @@ mod tests {
         while let Some(r) = cur.next_frame().unwrap() {
             lsns.push(r.lsn().unwrap());
             if let Record::Del { key, .. } = r {
-                assert_eq!(key, 7u64.to_be_bytes());
+                assert_eq!(key, 7);
             }
         }
         assert_eq!(lsns, vec![1, 2, 3]);
@@ -380,7 +380,7 @@ mod tests {
             );
         }
         let ((), last) = shard.append_with(|txn| {
-            txn.set(&7u64.to_be_bytes(), 70);
+            txn.set(7, 70);
         });
         shard.ensure_durable(last);
         let s = crate::WalStatsSnapshot::of(&shard.stats);
@@ -401,9 +401,9 @@ mod tests {
                 let shard = Arc::clone(&shard);
                 s.spawn(move || {
                     for i in 0..per {
-                        let k = ((t as u64) << 32 | i as u64).to_be_bytes();
+                        let k = (t as u64) << 32 | i as u64;
                         let ((), lsn) = shard.append_with(|txn| {
-                            txn.set(&k, i as u64);
+                            txn.set(k, i as u64);
                         });
                         shard.ensure_durable(lsn);
                     }

@@ -114,7 +114,7 @@ fn checkpoint_under_churn_recovers_exactly() {
     })
     .unwrap();
     let fresh: BTreeOptiQL = BTreeOptiQL::new();
-    let report = wal2.recover_into::<u64, _>(&fresh).expect("recover");
+    let report = wal2.recover_into(&fresh).expect("recover");
     assert!(
         report.shards.iter().all(|s| s.checkpoint_entries > 0),
         "every shard should have loaded its checkpoint: {report}"

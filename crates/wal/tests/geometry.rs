@@ -88,7 +88,7 @@ fn assert_refused(dir: &Path, router: Router, written: &str) {
 fn assert_recovers_everything(dir: &Path, router: Router) -> Wal {
     let wal = open(dir, router).expect("the recorded geometry opens");
     let fresh = ModelIndex::new();
-    wal.recover_into::<u64, _>(&fresh).expect("recover");
+    wal.recover_into(&fresh).expect("recover");
     assert_eq!(fresh.len(), KEYS as usize);
     for k in 0..KEYS {
         assert_eq!(fresh.lookup(k), Some(k + 1), "key {k}");

@@ -14,25 +14,21 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use optiql_index_api::model::ModelIndex;
-use optiql_index_api::{ConcurrentIndex, IndexKey};
+use optiql_index_api::ConcurrentIndex;
 use optiql_sharded::Router;
 use optiql_wal::record::{self, FrameCursor, Record, FRAME_HEADER};
 use optiql_wal::{DurableIndex, FsyncPolicy, RecoveryReport, Wal, WalConfig};
 
-fn key_strategy() -> impl Strategy<Value = Vec<u8>> {
-    prop::collection::vec(any::<u8>(), 0..32)
-}
-
 fn record_strategy() -> impl Strategy<Value = Record> {
     prop_oneof![
-        (any::<u64>(), key_strategy(), any::<u64>()).prop_map(|(lsn, key, value)| Record::Set {
+        (any::<u64>(), any::<u64>(), any::<u64>()).prop_map(|(lsn, key, value)| Record::Set {
             lsn,
             key,
             value
         }),
-        (any::<u64>(), key_strategy()).prop_map(|(lsn, key)| Record::Del { lsn, key }),
+        (any::<u64>(), any::<u64>()).prop_map(|(lsn, key)| Record::Del { lsn, key }),
         any::<u64>().prop_map(|start_lsn| Record::CkptBegin { start_lsn }),
-        (key_strategy(), any::<u64>()).prop_map(|(key, value)| Record::CkptEntry { key, value }),
+        (any::<u64>(), any::<u64>()).prop_map(|(key, value)| Record::CkptEntry { key, value }),
         any::<u64>().prop_map(|entries| Record::CkptEnd { entries }),
     ]
 }
@@ -167,10 +163,10 @@ fn oracle_of(buf: &[u8]) -> BTreeMap<u64, u64> {
     while let Ok(Some(rec)) = cur.next_frame() {
         match rec {
             Record::Set { key, value, .. } => {
-                m.insert(u64::from_encoded(&key), value);
+                m.insert(key, value);
             }
             Record::Del { key, .. } => {
-                m.remove(&u64::from_encoded(&key));
+                m.remove(&key);
             }
             _ => {}
         }
@@ -188,7 +184,7 @@ fn open(dir: &std::path::Path) -> Wal {
 
 fn recovered_state(wal: &Wal) -> (BTreeMap<u64, u64>, RecoveryReport) {
     let fresh = ModelIndex::new();
-    let rep = wal.recover_into::<u64, _>(&fresh).expect("recover");
+    let rep = wal.recover_into(&fresh).expect("recover");
     (
         fresh.range(Bound::Unbounded, Bound::Unbounded).collect(),
         rep,
@@ -278,7 +274,7 @@ fn mount_after_a_crash_appends_at_the_end_of_the_log_not_of_the_file() {
         // The region the crashed process prepared is still good.
         assert_eq!(wal.stats().extends, 0);
         let ix = DurableIndex::new(ModelIndex::new(), Arc::clone(&wal));
-        wal.recover_into::<u64, _>(ix.inner()).unwrap();
+        wal.recover_into(ix.inner()).unwrap();
         for k in 100..150u64 {
             ix.insert(k, k + 1);
         }
@@ -300,7 +296,7 @@ fn a_partial_frame_in_the_prepared_region_is_torn_and_scrubbed() {
     let log_path = dir.join("shard-0.log");
     // A crash mid-append: the head of frame 11 reached the disk.
     let mut frame = Vec::new();
-    record::frame_set(&mut frame, 11, &10u64.to_be_bytes(), 11);
+    record::frame_set(&mut frame, 11, 10, 11);
     {
         use std::os::unix::fs::FileExt;
         let f = std::fs::OpenOptions::new()
@@ -316,8 +312,7 @@ fn a_partial_frame_in_the_prepared_region_is_torn_and_scrubbed() {
     let (got, _) = recovered_state(&wal);
     assert_eq!(got, (0..10u64).map(|k| (k, k + 1)).collect());
     // The next append overwrites where the partial frame was.
-    wal.shard(0)
-        .append_with(|txn| txn.set(&10u64.to_be_bytes(), 11));
+    wal.shard(0).append_with(|txn| txn.set(10, 11));
     let (got, rep) = recovered_state(&wal);
     assert_eq!(rep.shards[0].torn, None);
     assert_eq!(got, (0..11u64).map(|k| (k, k + 1)).collect());
@@ -423,8 +418,8 @@ fn corrupt_checkpoint_falls_back_to_full_log_replay() {
         })
         .unwrap();
         let staging = ModelIndex::new();
-        wal.recover_into::<u64, _>(&staging).unwrap();
-        let ck = wal.checkpoint::<u64, _>(&staging).unwrap();
+        wal.recover_into(&staging).unwrap();
+        let ck = wal.checkpoint(&staging).unwrap();
         assert!(ck.entries() > 0, "checkpoint should have content");
     }
     let ckpt_path = dir.join("shard-0.ckpt");
@@ -435,7 +430,7 @@ fn corrupt_checkpoint_falls_back_to_full_log_replay() {
 
     let wal = open(&dir);
     let fresh = ModelIndex::new();
-    let rep = wal.recover_into::<u64, _>(&fresh).expect("recover");
+    let rep = wal.recover_into(&fresh).expect("recover");
     assert!(
         rep.any_checkpoint_invalid(),
         "corrupt checkpoint must be flagged"
@@ -461,7 +456,7 @@ fn empty_and_header_only_logs_recover_to_nothing() {
     .unwrap();
     assert!(wal.mount_report()[0].torn.is_some());
     let fresh = ModelIndex::new();
-    let rep = wal.recover_into::<u64, _>(&fresh).unwrap();
+    let rep = wal.recover_into(&fresh).unwrap();
     assert_eq!(rep.applied(), 0);
     assert!(fresh.is_empty());
     let _ = std::fs::remove_dir_all(&dir);
@@ -473,7 +468,7 @@ fn seal_frame_then_flip_any_header_byte_is_detected_or_truncates() {
     // record: either the frame is rejected or (flipping a len byte to a
     // larger value) the stream ends early.
     let mut buf = Vec::new();
-    record::frame_set(&mut buf, 42, &7u64.to_be_bytes(), 4242);
+    record::frame_set(&mut buf, 42, 7, 4242);
     let original = {
         let (recs, _) = decode_prefix(&buf);
         recs
