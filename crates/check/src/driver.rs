@@ -88,11 +88,6 @@ pub struct Target {
     pub group: &'static str,
     /// Batch size for `multi_*` issue; 1 means scalar ops.
     pub batch: usize,
-    /// Pin each worker to a shard's core (best-effort, via
-    /// [`optiql_sharded::ShardAffinity`]) before it runs its script —
-    /// the placement the affine bench driver uses. On a single-core host
-    /// the pin degrades to a no-op; the target still runs.
-    pub pin_workers: bool,
     /// Drive the scan arm through the streaming `range` iterator instead
     /// of `scan_count`: the iterator is opened, partially drained, and
     /// dropped mid-stream half the time — the lifecycle a server-side
@@ -156,20 +151,16 @@ fn mk_sharded_art() -> Arc<dyn ConcurrentIndex> {
 pub fn targets() -> Vec<Target> {
     macro_rules! t {
         ($name:literal, $group:literal, $batch:expr, $make:expr) => {
-            t!($name, $group, $batch, $make, false, false)
+            t!($name, $group, $batch, $make, false)
         };
-        ($name:literal, $group:literal, $batch:expr, $make:expr, $pin:expr) => {
-            t!($name, $group, $batch, $make, $pin, false)
+        ($name:literal, $group:literal, $batch:expr, $make:expr, $stream:expr) => {
+            t!($name, $group, $batch, $make, $stream, false)
         };
-        ($name:literal, $group:literal, $batch:expr, $make:expr, $pin:expr, $stream:expr) => {
-            t!($name, $group, $batch, $make, $pin, $stream, false)
-        };
-        ($name:literal, $group:literal, $batch:expr, $make:expr, $pin:expr, $stream:expr, $crash:expr) => {
+        ($name:literal, $group:literal, $batch:expr, $make:expr, $stream:expr, $crash:expr) => {
             Target {
                 name: $name,
                 group: $group,
                 batch: $batch,
-                pin_workers: $pin,
                 stream_scans: $stream,
                 crash: $crash,
                 make: $make,
@@ -236,71 +227,31 @@ pub fn targets() -> Vec<Target> {
             1,
             mk_lockreg::<TicketLockSplit>
         ),
-        // The sharded facade over both trees, and the same trees with
-        // workers pinned shard-affine (the bench driver's placement):
-        // chaos perturbation must not surface schedules that core
-        // pinning alone can hide, and vice versa.
+        // The sharded facade over both trees.
         t!("sharded-btree-optiql", "sharded", 1, mk_sharded_btree),
         t!("sharded-art-optiql", "sharded", 1, mk_sharded_art),
-        t!("sharded-btree-affine", "sharded", 1, mk_sharded_btree, true),
-        t!("sharded-art-affine", "sharded", 1, mk_sharded_art, true),
-        // Batched multi_* paths (group prefetch pipeline).
+        // Batched multi_* paths (group prefetch pipeline), plain and
+        // split by the facade's router over each tree.
         t!("batched-btree-optiql", "batched", 8, mk_btree::<OptiQL>),
         t!("batched-art-optiql", "batched", 8, mk_art::<OptiQL>),
         t!("batched-sharded-btree", "batched", 8, mk_sharded_btree),
-        t!("batched-sharded-affine", "batched", 8, mk_sharded_art, true),
+        t!("batched-sharded-art", "batched", 8, mk_sharded_art),
         // Streaming-scan cells: the scan arm opens the lazy range
         // iterator (partially drained, sometimes dropped mid-stream)
         // against the same mutation script, on both trees, their
         // pessimistic baselines, and the merged sharded fan-out.
-        t!(
-            "stream-btree-optiql",
-            "stream",
-            1,
-            mk_btree::<OptiQL>,
-            false,
-            true
-        ),
+        t!("stream-btree-optiql", "stream", 1, mk_btree::<OptiQL>, true),
         t!(
             "stream-btree-mcs-rw",
             "stream",
             1,
             mk_btree_pess::<McsRwLock>,
-            false,
             true
         ),
-        t!(
-            "stream-art-optiql",
-            "stream",
-            1,
-            mk_art::<OptiQL>,
-            false,
-            true
-        ),
-        t!(
-            "stream-art-mcs-rw",
-            "stream",
-            1,
-            mk_art::<McsRwLock>,
-            false,
-            true
-        ),
-        t!(
-            "stream-sharded-btree",
-            "stream",
-            1,
-            mk_sharded_btree,
-            false,
-            true
-        ),
-        t!(
-            "stream-sharded-art",
-            "stream",
-            1,
-            mk_sharded_art,
-            false,
-            true
-        ),
+        t!("stream-art-optiql", "stream", 1, mk_art::<OptiQL>, true),
+        t!("stream-art-mcs-rw", "stream", 1, mk_art::<McsRwLock>, true),
+        t!("stream-sharded-btree", "stream", 1, mk_sharded_btree, true),
+        t!("stream-sharded-art", "stream", 1, mk_sharded_art, true),
         // Crash-replay cells: phase one is wal-logged and stopped at a
         // seeded tick with a checkpoint racing the churn; recovery
         // replays into a fresh instance, phase two and a full-keyspace
@@ -313,7 +264,6 @@ pub fn targets() -> Vec<Target> {
             1,
             mk_btree::<OptiQL>,
             false,
-            false,
             true
         ),
         t!(
@@ -322,7 +272,6 @@ pub fn targets() -> Vec<Target> {
             1,
             mk_art::<OptiQL>,
             false,
-            false,
             true
         ),
         t!(
@@ -330,7 +279,6 @@ pub fn targets() -> Vec<Target> {
             "crash",
             1,
             mk_sharded_btree,
-            false,
             false,
             true
         ),
@@ -560,18 +508,9 @@ pub fn run_target(t: &Target, seed: u64, cfg: &CheckConfig) -> Result<RunReport,
                 let recorder = Arc::clone(&recorder);
                 let barrier = Arc::clone(&barrier);
                 let batch = t.batch;
-                let pin_workers = t.pin_workers;
                 let stream = t.stream_scans;
                 s.spawn(move || {
                     crate::chaos::register_thread(slot as u64);
-                    if pin_workers {
-                        // Same placement the affine bench driver uses:
-                        // worker -> first owned shard -> that shard's
-                        // core. Best effort; single-core hosts skip it.
-                        let aff = optiql_sharded::ShardAffinity::probe(4);
-                        let owned = aff.shards_of_worker(slot, cfg.threads);
-                        aff.pin_to_shard(owned[0]);
-                    }
                     let tr = ThreadRecorder::new(chaosed, recorder, slot as u32);
                     barrier.wait();
                     run_script(&tr, slot, seed, batch, stream, cfg, None);
@@ -874,18 +813,10 @@ mod tests {
         assert_eq!(ts.iter().filter(|t| t.group == "art").count(), 9);
         assert_eq!(ts.iter().filter(|t| t.group == "optreg").count(), 9);
         assert_eq!(ts.iter().filter(|t| t.group == "lockreg").count(), 5);
-        // Facade coverage: plain + affine over both trees, and the
-        // batched paths including one sharded-affine cell.
-        assert_eq!(ts.iter().filter(|t| t.group == "sharded").count(), 4);
+        // Facade coverage: the facade over both trees, and the batched
+        // paths plain and sharded over both trees.
+        assert_eq!(ts.iter().filter(|t| t.group == "sharded").count(), 2);
         assert_eq!(ts.iter().filter(|t| t.group == "batched").count(), 4);
-        assert_eq!(ts.iter().filter(|t| t.pin_workers).count(), 3);
-        for t in ts.iter().filter(|t| t.pin_workers) {
-            assert!(
-                t.name.contains("affine"),
-                "pinned target {} must say so in its name",
-                t.name
-            );
-        }
         // Streaming-scan cells: both trees, both pessimistic baselines
         // and both sharded fan-outs; every one named for what it does.
         assert_eq!(ts.iter().filter(|t| t.group == "stream").count(), 6);
@@ -913,7 +844,7 @@ mod tests {
                 assert!(t.name.starts_with("crash-"));
             }
         }
-        assert_eq!(ts.len(), 49, "the chaos matrix has 49 cells");
+        assert_eq!(ts.len(), 47, "the chaos matrix has 47 cells");
     }
 
     #[test]
@@ -951,7 +882,6 @@ mod tests {
             name: "model",
             group: "sharded",
             batch: 1,
-            pin_workers: false,
             stream_scans: true,
             crash: false,
             make: || Arc::new(optiql_index_api::model::ModelIndex::new()),

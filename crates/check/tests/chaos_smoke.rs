@@ -79,19 +79,15 @@ fn clustered_keys_linearize_on_both_trees() {
     }
 }
 
-/// The sharded-affine targets: workers pinned to their shard's core
-/// (degrading to unpinned on single-core hosts) while the chaos layer
-/// perturbs schedules — the bench driver's placement must not hide or
-/// introduce linearizability violations, under both key shapes (uniform
+/// The sharded facade over both trees under both key shapes: uniform
 /// dense, and the clustered radix-4 spread that keeps ART prefixes
-/// churning).
+/// churning inside each shard. Tier-1's only clustered sharded cells.
 #[test]
-fn sharded_affine_targets_linearize_under_chaos() {
+fn sharded_targets_linearize_under_both_key_shapes() {
     let _serial = serial();
     let all = targets();
-    for name in ["sharded-btree-affine", "sharded-art-affine"] {
+    for name in ["sharded-btree-optiql", "sharded-art-optiql"] {
         let t = all.iter().find(|t| t.name == name).unwrap();
-        assert!(t.pin_workers, "{name} must request worker pinning");
         for clustered in [false, true] {
             let cfg = CheckConfig {
                 clustered,

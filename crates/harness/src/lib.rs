@@ -9,9 +9,6 @@
 //!   Table 1);
 //! * [`workload`] — a PiBench-style index workload driver (Figures 1,
 //!   9–13);
-//! * [`affine`] — a thread-per-core driver for the sharded facade
-//!   (workers own shards, pin to cores, and amortize reclaim pins over
-//!   operation groups; extension, not in the paper);
 //! * [`pin`] — best-effort thread pinning;
 //! * [`report`] — machine-readable `BENCH_<name>.json` reports shared by
 //!   every bench target, so PRs can diff performance mechanically;
@@ -27,7 +24,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod affine;
 pub mod dist;
 pub mod latency;
 pub mod micro;
@@ -35,7 +31,6 @@ pub mod pin;
 pub mod report;
 pub mod workload;
 
-pub use affine::{run_affine, AffineReport};
 pub use dist::{KeyDist, KeySpace, Sampler};
 pub use latency::Histogram;
 pub use micro::{cs_work, run_exclusive, run_mixed, Contention, MicroConfig, MicroResult};

@@ -1,22 +1,19 @@
 //! Thread pinning (paper §7.1: "threads are pinned to hardware
 //! hyperthreads to avoid migrations by the OS scheduler").
 //!
-//! The affinity call itself is `optiql_sharded::affinity::pin_to_core`
-//! (Linux only; a no-op elsewhere, and here when the host has a single
-//! CPU). Benchmarks call it best-effort.
+//! [`pin_thread`] is `optiql_sharded::affinity::pin_thread`, the one
+//! placement function of the workspace: thread `i` goes to the
+//! `(i % num_cpus())`-th CPU of its affinity mask (Linux only; a no-op
+//! elsewhere, and here when the host has a single CPU). Benchmarks call
+//! it best-effort.
+
+pub use optiql_sharded::affinity::pin_thread;
 
 /// Number of logical CPUs visible to this process.
 pub fn num_cpus() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Pin the calling thread to `core % num_cpus()`. Returns `true` when the
-/// affinity call succeeded.
-pub fn pin_thread(core: usize) -> bool {
-    let ncpu = num_cpus();
-    ncpu > 1 && optiql_sharded::affinity::pin_to_core(core % ncpu)
 }
 
 #[cfg(test)]

@@ -106,8 +106,9 @@ impl BenchJson {
 /// [`Histogram`](crate::latency::Histogram) percentiles every BENCH JSON
 /// carries when latency was sampled (p50/p95/p99/p999, nanoseconds).
 ///
-/// One type, one field order, one naming scheme — so `BENCH_server.json`
-/// and `BENCH_sharded_mt.json` rows are mechanically comparable.
+/// One type, one field order, one naming scheme — so `BENCH_server.json`,
+/// `BENCH_wal.json` and `BENCH_hotpath.json` rows are mechanically
+/// comparable.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencySummary {
     /// Median latency in nanoseconds.

@@ -315,16 +315,16 @@ pub trait ConcurrentIndex: Send + Sync {
     }
 
     /// The epoch-reclamation domain guarding this index's node frees, if
-    /// it has exactly one. A composing layer (sharded facade, batched
-    /// workload driver) holds one pin across a whole operation group so
-    /// the per-operation pins inside become nested depth increments —
-    /// no epoch publication, no store→load fence — amortizing the pin
-    /// cost over the group.
+    /// it has exactly one. Its callers are in `benchmark/`:
+    /// `benchmark/src/embed.rs` samples the domain's backlog while
+    /// threads run, and `benchmark/src/ledger.rs` holds one pin across a
+    /// replayed burst, so the per-operation pins inside become nested
+    /// depth increments — no epoch publication, no store→load fence.
     ///
     /// `None` (the default) means "no single domain": either the index
     /// does not reclaim memory at all (e.g. the model), or it spans
     /// several domains (e.g. a sharded facade with per-shard domains),
-    /// in which case callers amortize per shard instead.
+    /// in which case callers take each shard's handle instead.
     fn reclaim_handle(&self) -> Option<ReclaimHandle> {
         None
     }

@@ -1,17 +1,18 @@
-//! Regression: group-amortized pinning must keep garbage bounded.
+//! Regression: a pin held across a group of operations and dropped at
+//! the group's end must keep garbage bounded.
 //!
-//! The affine workload driver holds one guard per owned shard and
-//! refreshes it every operation group (`GROUP_OPS`) instead of pinning
-//! per operation. Two collector properties make that pattern safe, and
-//! this test pins both down with the reclaim stats:
+//! A caller may pin a domain once around a group of operations, so that
+//! the pins inside are nested depth increments, and re-pin at the next
+//! group. Two collector properties make that pattern safe, and this test
+//! pins both down with the reclaim stats:
 //!
-//! 1. Between groups the worker holds *no* pin, so even if it parks
-//!    indefinitely between batches its slot is idle and every other
+//! 1. Between groups the thread holds *no* pin, so even if it parks
+//!    indefinitely between groups its slot is idle and every other
 //!    participant can advance the epoch and reclaim freely. A
 //!    registered-but-idle thread must never hold reclamation back —
 //!    only a *pinned* one may.
 //! 2. Because the pin is refreshed at every group boundary, the epoch
-//!    keeps moving past the worker's own bags, so its backlog stays
+//!    keeps moving past the thread's own bags, so its backlog stays
 //!    bounded by the refresh cadence — it must not grow with the number
 //!    of groups. Holding one pin across groups (the pattern the refresh
 //!    replaces) strands every retirement for as long as the pin lives.
@@ -21,7 +22,9 @@ use std::sync::{mpsc, Arc};
 
 use optiql_reclaim::Collector;
 
-const RETIRES_PER_GROUP: usize = 32; // mirrors harness GROUP_OPS
+/// Retirements made under one group pin. It only sets the scale: every
+/// bound below is a multiple of it.
+const RETIRES_PER_GROUP: usize = 32;
 
 /// Drain a domain from a quiescent thread. A few rounds are legitimate
 /// (bags seal one epoch behind the frontier); more means something is
@@ -56,8 +59,8 @@ fn parked_unpinned_worker_does_not_block_reclamation() {
         let handle = collector.handle();
         std::thread::spawn(move || {
             for group in 0..GROUPS {
-                // One group: a held pin amortized over the batch, as the
-                // affine driver does, then released at the boundary.
+                // One group: a held pin amortized over the batch, then
+                // released at the boundary.
                 let guard = handle.pin();
                 for _ in 0..RETIRES_PER_GROUP {
                     guard.defer(|| ());

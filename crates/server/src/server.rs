@@ -41,7 +41,7 @@ use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use optiql_index_api::{ConcurrentIndex, Counters};
-use optiql_sharded::{Router, ShardAffinity, ShardedIndex, DEFAULT_BLOCK_BITS};
+use optiql_sharded::{affinity::pin_thread, Router, ShardedIndex, DEFAULT_BLOCK_BITS};
 use optiql_wal::{DurableIndex, FsyncPolicy, RecoveryReport, Wal, WalConfig, WalStatsSnapshot};
 
 use crate::proto::{FrameDecoder, Request, Response, SCAN_PART_MAX};
@@ -397,7 +397,6 @@ pub fn start(cfg: &ServerConfig) -> std::io::Result<ServerHandle> {
     };
     let stop = Arc::new(AtomicBool::new(false));
     let stats = Arc::new(ServerCounters::new());
-    let worker_affinity = ShardAffinity::probe(workers);
 
     let mut threads = Vec::with_capacity(workers + 1);
     let mut senders = Vec::with_capacity(workers);
@@ -418,12 +417,11 @@ pub fn start(cfg: &ServerConfig) -> std::io::Result<ServerHandle> {
             stop: Arc::clone(&stop),
             stats: Arc::clone(&stats),
         };
-        let affinity = worker_affinity.clone();
         threads.push(
             std::thread::Builder::new()
                 .name(format!("optiql-worker-{tid}"))
                 .spawn(move || {
-                    affinity.pin_to_shard(tid);
+                    pin_thread(tid);
                     w.run();
                 })?,
         );

@@ -1,155 +1,108 @@
-//! Opt-in shard → core affinity for thread-per-core serving.
+//! Thread placement: the one `sched_setaffinity` call in the workspace
+//! (paper §7.1: "threads are pinned to hardware hyperthreads to avoid
+//! migrations by the OS scheduler").
 //!
-//! A sharded index scales best when each worker thread owns a subset of
-//! the shards and stays on one core: the owned shards' hot nodes live in
-//! that core's cache, the owned reclamation domains are the only ones the
-//! thread pins, and the OS never migrates the working set. This module
-//! provides the topology half of that contract:
-//!
-//! * [`ShardAffinity::probe`] asks the host how many logical CPUs this
-//!   process may use (`available_parallelism`, which respects cpusets and
-//!   container quotas) and lays shards out round-robin over them. When
-//!   the probe fails or reports a single CPU, everything degrades to a
-//!   deliberate no-op — single-core CI and non-Linux hosts run the same
-//!   code paths, just unpinned.
-//! * [`ShardAffinity::pin_to_shard`] pins the calling thread to the core
-//!   a shard was placed on (Linux `sched_setaffinity`; best-effort).
-//! * [`ShardAffinity::shards_of_worker`] deals shards out to a worker
-//!   group round-robin, so worker `t` of `T` owns shards `{s : s ≡ t
-//!   (mod T)}` — the layout the harness's affine workload mode and the
-//!   planned network server both use.
+//! [`pin_thread`] places thread `i` on the `(i % n)`-th CPU this thread
+//! may run on, where `n` is `available_parallelism` (which respects
+//! cpusets and container quotas). Under a cpuset such as `{2, 3}` that is
+//! CPU 2 or 3, not CPU *index* 0 or 1. With one CPU, or off Linux, it is
+//! a deliberate no-op, so single-core hosts run the same code unpinned.
 
-/// Shard-to-core placement for one sharded index.
-#[derive(Debug, Clone)]
-pub struct ShardAffinity {
-    /// Logical CPUs available to this process (≥ 1).
-    cores: usize,
-    /// Shard → core, round-robin over `cores`.
-    map: Vec<usize>,
-}
-
-impl ShardAffinity {
-    /// Probe the host topology and place `shards` shards round-robin
-    /// over the available cores. Never fails: a failed or degenerate
-    /// probe yields a single-core placement whose pinning calls are
-    /// no-ops.
-    pub fn probe(shards: usize) -> ShardAffinity {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        ShardAffinity {
-            cores,
-            map: (0..shards.max(1)).map(|s| s % cores).collect(),
-        }
+/// Pin the calling thread to the `(i % n)`-th CPU of its own affinity
+/// mask, `n` being `available_parallelism`. Best-effort: `false` (and
+/// nothing changed) with one CPU, off Linux, or if a call is refused —
+/// callers proceed unpinned.
+#[cfg(target_os = "linux")]
+pub fn pin_thread(i: usize) -> bool {
+    let n = std::thread::available_parallelism().map_or(1, |n| n.get());
+    if n <= 1 {
+        return false;
     }
-
-    /// Logical CPUs the probe found (≥ 1).
-    pub fn cores(&self) -> usize {
-        self.cores
-    }
-
-    /// Number of shards placed.
-    pub fn shards(&self) -> usize {
-        self.map.len()
-    }
-
-    /// The core shard `shard` is placed on.
-    pub fn core_of(&self, shard: usize) -> usize {
-        self.map[shard % self.map.len()]
-    }
-
-    /// True when pinning can do anything at all on this host: more than
-    /// one core, and a platform with an affinity syscall.
-    pub fn can_pin(&self) -> bool {
-        cfg!(target_os = "linux") && self.cores > 1
-    }
-
-    /// Pin the calling thread to the core shard `shard` is placed on.
-    /// Best-effort: returns `false` (and changes nothing) on single-core
-    /// hosts, non-Linux platforms, or if the affinity call is refused —
-    /// callers proceed unpinned.
-    pub fn pin_to_shard(&self, shard: usize) -> bool {
-        if !self.can_pin() {
+    let size = std::mem::size_of::<libc::cpu_set_t>();
+    // SAFETY: both sets are zeroed, correctly sized `cpu_set_t`s that
+    // live for the whole call; pid 0 addresses the calling thread.
+    unsafe {
+        let mut allowed: libc::cpu_set_t = std::mem::zeroed();
+        if libc::sched_getaffinity(0, size, &mut allowed) != 0 {
             return false;
         }
-        pin_to_core(self.core_of(shard))
-    }
-
-    /// The shards worker `worker` of a `workers`-thread group owns:
-    /// round-robin, `{s : s ≡ worker (mod workers)}`. Every shard is
-    /// owned by exactly one worker; with more workers than shards the
-    /// excess workers share ownership by wrapping around.
-    pub fn shards_of_worker(&self, worker: usize, workers: usize) -> Vec<usize> {
-        let workers = workers.max(1);
-        let n = self.map.len();
-        if workers > n {
-            return vec![worker % n];
-        }
-        (0..n).filter(|s| s % workers == worker % workers).collect()
-    }
-}
-
-/// Pin the calling thread to logical CPU `core`; `false` if the call is
-/// refused, and always on a platform without an affinity syscall.
-#[cfg(target_os = "linux")]
-pub fn pin_to_core(core: usize) -> bool {
-    unsafe {
+        let Some(cpu) = cpu_of(&allowed, i, n) else {
+            return false;
+        };
         let mut set: libc::cpu_set_t = std::mem::zeroed();
-        libc::CPU_SET(core, &mut set);
-        libc::sched_setaffinity(0, std::mem::size_of::<libc::cpu_set_t>(), &set) == 0
+        libc::CPU_SET(cpu, &mut set);
+        libc::sched_setaffinity(0, size, &set) == 0
     }
 }
 
-/// Pin the calling thread to logical CPU `core`: not on this platform.
+/// Pin the calling thread: not on this platform.
 #[cfg(not(target_os = "linux"))]
-pub fn pin_to_core(_core: usize) -> bool {
+pub fn pin_thread(_i: usize) -> bool {
     false
+}
+
+/// The CPU thread `i` is placed on: the `(i % n)`-th CPU set in
+/// `allowed`, or `None` if `allowed` holds fewer than `n` CPUs.
+#[cfg(target_os = "linux")]
+fn cpu_of(allowed: &libc::cpu_set_t, i: usize, n: usize) -> Option<usize> {
+    (0..libc::CPU_SETSIZE as usize)
+        // SAFETY: `CPU_ISSET` only reads the set; `unsafe` is the libc
+        // crate's signature, not a precondition.
+        .filter(|&cpu| unsafe { libc::CPU_ISSET(cpu, allowed) })
+        .nth(i % n)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    #[cfg(target_os = "linux")]
     #[test]
-    fn probe_never_fails() {
-        let a = ShardAffinity::probe(8);
-        assert!(a.cores() >= 1);
-        assert_eq!(a.shards(), 8);
-        for s in 0..8 {
-            assert!(a.core_of(s) < a.cores());
-        }
-    }
-
-    #[test]
-    fn zero_shards_degrades_to_one() {
-        let a = ShardAffinity::probe(0);
-        assert_eq!(a.shards(), 1);
-        assert_eq!(a.core_of(0), 0);
-    }
-
-    #[test]
-    fn workers_partition_the_shards() {
-        let a = ShardAffinity::probe(8);
-        for workers in [1usize, 2, 3, 4, 8] {
-            let mut owned: Vec<usize> = (0..workers)
-                .flat_map(|w| a.shards_of_worker(w, workers))
-                .collect();
-            owned.sort_unstable();
-            assert_eq!(owned, (0..8).collect::<Vec<_>>(), "workers={workers}");
-        }
-        // More workers than shards: wrap around, stay in range.
-        for w in 0..16 {
-            let s = a.shards_of_worker(w, 16);
-            assert_eq!(s.len(), 1);
-            assert!(s[0] < 8);
-        }
+    fn threads_land_on_the_allowed_cpus_in_order() {
+        let mask = |cpus: &[usize]| {
+            // SAFETY: a zeroed `cpu_set_t` is the empty set, and
+            // `CPU_SET` only sets one bit of it.
+            unsafe {
+                let mut set: libc::cpu_set_t = std::mem::zeroed();
+                for &c in cpus {
+                    libc::CPU_SET(c, &mut set);
+                }
+                set
+            }
+        };
+        // (allowed CPUs, where threads 0..4 land). Under `{2, 3}`, CPU
+        // *index* `i % n` would be 0 or 1, which the kernel refuses.
+        let cases: [(&[usize], [usize; 4]); 4] = [
+            (&[0, 1], [0, 1, 0, 1]),
+            (&[2, 3], [2, 3, 2, 3]),
+            (&[0, 2], [0, 2, 0, 2]),
+            (&[5], [5, 5, 5, 5]),
+        ];
+        let wrong: Vec<_> = cases
+            .iter()
+            .filter_map(|&(cpus, want)| {
+                let allowed = mask(cpus);
+                let got: Vec<_> = (0..4).map(|i| cpu_of(&allowed, i, cpus.len())).collect();
+                (got != want.map(Some)).then_some((cpus, got))
+            })
+            .collect();
+        assert!(
+            wrong.is_empty(),
+            "(allowed, placed) off the mask: {wrong:?}"
+        );
+        // `available_parallelism` can be below the mask's size (a CPU
+        // quota), never above it; above, there is nothing to pin to.
+        assert_eq!(cpu_of(&mask(&[0, 1, 2, 3]), 3, 2), Some(1));
+        assert_eq!(cpu_of(&mask(&[4]), 0, 2), Some(4));
+        assert_eq!(cpu_of(&mask(&[4]), 1, 2), None);
     }
 
     #[test]
     fn pinning_is_best_effort() {
-        let a = ShardAffinity::probe(4);
-        // Must not crash whatever the host; success implies pinnability.
-        let pinned = a.pin_to_shard(0);
-        assert!(!pinned || a.can_pin());
+        // Must not crash whatever the host; one CPU never pins. (`n` is
+        // read first: a pinned thread's own mask has one CPU.)
+        let n = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let pinned = pin_thread(0);
+        assert!(!pinned || (cfg!(target_os = "linux") && n > 1));
     }
 }

@@ -23,15 +23,16 @@
 //!   out of the composition: retirement in one shard never delays
 //!   reclamation in another. The facade itself never pins: each tree's
 //!   `multi_*` engine pins its own domain once per (sub-)batch, and a
-//!   driver that wants one pin per burst (the affine driver) takes the
-//!   shards' handles ([`ConcurrentIndex::reclaim_handle`]) and pins them
-//!   itself;
-//! * opt-in [`ShardAffinity`] places shards on cores (topology probed,
-//!   gracefully degrading) so thread-per-core drivers can pin workers to
-//!   the shards they own;
+//!   caller that wants one pin per burst takes the shards' handles
+//!   ([`ConcurrentIndex::reclaim_handle`], via [`ShardedIndex::for_each_shard`])
+//!   and pins them itself;
 //! * the facade implements [`ConcurrentIndex`] itself, so every
 //!   benchmark, workload driver and test runs unmodified over `plain`
 //!   and `sharded(N)` variants.
+//!
+//! [`affinity::pin_thread`] lives here too: the workspace's one
+//! thread-placement function, which the server's workers and the
+//! harness's drivers call. The facade itself places nothing.
 //!
 //! Point operations touch exactly one shard. `multi_lookup` /
 //! `multi_insert` **partition-then-pipeline**, and the partition is not
@@ -55,7 +56,6 @@
 pub mod affinity;
 mod route;
 
-pub use affinity::ShardAffinity;
 pub use route::{Router, DEFAULT_BLOCK_BITS};
 
 use std::ops::Bound;
@@ -124,22 +124,10 @@ impl<I> ShardedIndex<I> {
         self.router
     }
 
-    /// Probe the host topology and place this facade's shards on cores
-    /// (round-robin). See [`ShardAffinity`].
-    pub fn affinity(&self) -> ShardAffinity {
-        ShardAffinity::probe(self.shards.len())
-    }
-
     /// The shard number `key` maps to.
     #[inline]
     pub fn shard_of(&self, key: u64) -> usize {
         self.router.route(key)
-    }
-
-    /// Direct access to shard `i` (affine drivers address the shards
-    /// they own; panics when out of range).
-    pub fn shard_at(&self, i: usize) -> &I {
-        &self.shards[i]
     }
 
     /// The shard owning `key`.
