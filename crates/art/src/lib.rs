@@ -7,6 +7,11 @@
 //! **contention expansion** — materializing lazily-expanded leaves under
 //! contention so updates can acquire the queue-based lock directly.
 //!
+//! A key's leaf (16 bytes of key and value) is a slot of its tree's slab,
+//! 64 KiB chunks the tree shares with the deferred frees of its removed
+//! keys, not an allocation of its own; inner nodes are allocated one by
+//! one.
+//!
 //! ```
 //! use optiql_art::ArtOptiQL;
 //!
@@ -23,6 +28,7 @@
 
 pub mod multi;
 pub mod node;
+mod slab;
 pub mod tree;
 
 pub use tree::{ArtStats, ArtTree, DEFAULT_EXPANSION_THRESHOLD, DEFAULT_SAMPLE_INV};

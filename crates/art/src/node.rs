@@ -10,9 +10,12 @@
 //! preserving); a full key is 8 bytes, so a compressed prefix is at most 7
 //! bytes and packs into a single atomic word.
 
+use std::ptr::NonNull;
 use std::sync::atomic::{AtomicPtr, AtomicU16, AtomicU32, AtomicU64, AtomicU8, Ordering};
 
 use optiql::IndexLock;
+
+use crate::slab::{Slab, Slot};
 
 const R: Ordering = Ordering::Relaxed;
 
@@ -42,7 +45,8 @@ pub enum NodeType {
 
 /// Single-entry leaf: the full key plus the payload ("TID"). Reached via a
 /// tagged pointer; the key is immutable, the value is an atomic cell so
-/// in-place updates need no reallocation.
+/// in-place updates need no reallocation. It lives in a slot of its
+/// tree's slab, never in a `Box` of its own.
 #[repr(C, align(8))]
 pub struct KvLeaf {
     /// The complete key (lazy expansion means inner nodes may not spell
@@ -51,13 +55,22 @@ pub struct KvLeaf {
     val: AtomicU64,
 }
 
+const _: () = assert!(
+    std::mem::size_of::<KvLeaf>() == std::mem::size_of::<Slot>()
+        && std::mem::align_of::<KvLeaf>() <= std::mem::align_of::<Slot>()
+);
+
 impl KvLeaf {
-    /// Allocate a leaf, returning its *tagged* child pointer.
-    pub fn alloc<L: IndexLock>(key: u64, val: u64) -> *mut ArtNode<L> {
-        let p = Box::into_raw(Box::new(KvLeaf {
-            key,
-            val: AtomicU64::new(val),
-        }));
+    /// Allocate a leaf from `slab`, returning its *tagged* child pointer.
+    pub(crate) fn alloc<L: IndexLock>(slab: &Slab, key: u64, val: u64) -> *mut ArtNode<L> {
+        let p = slab.alloc().cast::<KvLeaf>().as_ptr();
+        // SAFETY: a fresh slot, sized and aligned for a leaf (asserted above).
+        unsafe {
+            p.write(KvLeaf {
+                key,
+                val: AtomicU64::new(val),
+            })
+        };
         ((p as usize) | 1) as *mut ArtNode<L>
     }
 
@@ -85,18 +98,19 @@ pub fn is_kv<L: IndexLock>(p: *mut ArtNode<L>) -> bool {
 /// Untag a KV leaf pointer.
 ///
 /// # Safety
-/// `p` must be a tagged pointer produced by [`KvLeaf::alloc`], still
-/// live or epoch-retired.
+/// `p` must be a tagged pointer to a leaf the tree allocated, still live
+/// or epoch-retired.
 #[inline]
 pub unsafe fn as_kv<'a, L: IndexLock>(p: *mut ArtNode<L>) -> &'a KvLeaf {
     debug_assert!(is_kv(p));
     unsafe { &*(((p as usize) & !1) as *const KvLeaf) }
 }
 
-/// Raw (untagged) KV pointer for retirement.
+/// The slot of a tagged KV leaf pointer, for its free into the slab.
 #[inline]
-pub fn kv_raw<L: IndexLock>(p: *mut ArtNode<L>) -> *mut KvLeaf {
-    ((p as usize) & !1) as *mut KvLeaf
+pub(crate) fn kv_slot<L: IndexLock>(p: *mut ArtNode<L>) -> NonNull<Slot> {
+    debug_assert!(is_kv(p));
+    NonNull::new(((p as usize) & !1) as *mut Slot).expect("a KV pointer is non-null")
 }
 
 /// Branchless SSE2 probe of a `Node16` key array: compare all 16 bytes
@@ -643,14 +657,20 @@ mod tests {
 
     #[test]
     fn kv_tagging_roundtrip() {
-        let p = KvLeaf::alloc::<OptLock>(0xDEADu64, 42);
+        let slab = Slab::new();
+        let p = KvLeaf::alloc::<OptLock>(&slab, 0xDEADu64, 42);
         assert!(is_kv(p));
         let kv: &KvLeaf = unsafe { as_kv(p) };
         assert_eq!(kv.key, 0xDEAD);
         assert_eq!(kv.value(), 42);
         assert_eq!(kv.set_value(43), 42);
         assert_eq!(kv.value(), 43);
-        drop(unsafe { Box::from_raw(kv_raw::<OptLock>(p)) });
+        let slot = kv_slot::<OptLock>(p);
+        // SAFETY: the leaf came from `slab`, is freed once, and `kv` is
+        // not read again.
+        unsafe { slab.free(slot) };
+        // The freed slot is the next leaf's.
+        assert_eq!(kv_slot(KvLeaf::alloc::<OptLock>(&slab, 1, 2)), slot);
     }
 
     #[test]

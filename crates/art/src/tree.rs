@@ -48,6 +48,7 @@
 //! most 7 digits, which one node header packs (`alloc_n4`).
 
 use std::cell::Cell;
+use std::ptr::NonNull;
 
 use optiql::counters::Counters;
 use optiql::olc::{IndexStats, OptimisticGuard, RestartLoop, Step, INDEX_LANES, OPS};
@@ -55,7 +56,8 @@ use optiql::stats::Event;
 use optiql::{IndexLock, WriteStrategy, WriteToken};
 use optiql_reclaim::{Collector, Guard};
 
-use crate::node::{as_kv, is_kv, key_bytes, kv_raw, ArtNode, KvLeaf, NodeType};
+use crate::node::{as_kv, is_kv, key_bytes, kv_slot, ArtNode, KvLeaf, NodeType};
+use crate::slab::{Slab, Slot};
 
 /// Default contention-expansion threshold (paper: 1024).
 pub const DEFAULT_EXPANSION_THRESHOLD: u32 = 1024;
@@ -207,6 +209,8 @@ fn collapsible<L: IndexLock>(node: &ArtNode<L>) -> bool {
 pub struct ArtTree<L: IndexLock> {
     root: *mut ArtNode<L>,
     pub(crate) collector: Collector,
+    /// Where every KV leaf lives (see [`crate::slab`]).
+    slab: Slab,
     /// Every count the tree keeps, on cache lines of its own: no
     /// operation's accounting touches the line `root` is read from.
     pub(crate) counters: Counters<LANES>,
@@ -244,6 +248,7 @@ impl<L: IndexLock> ArtTree<L> {
         ArtTree {
             root: ArtNode::alloc(NodeType::N256),
             collector: Collector::new(),
+            slab: Slab::new(),
             counters: Counters::new(),
             expansion_threshold: threshold,
             sample_inv,
@@ -303,11 +308,16 @@ impl<L: IndexLock> ArtTree<L> {
         g.defer(move || unsafe { ArtNode::<L>::free(addr as *mut ArtNode<L>) });
     }
 
-    /// Retire a KV leaf through the epoch collector.
+    /// Retire a KV leaf through the epoch collector: its slot goes back
+    /// to the slab, which the deferred free keeps alive, since it may run
+    /// after the tree is gone.
     fn retire_kv(&self, g: &Guard, p: *mut ArtNode<L>) {
-        debug_assert!(is_kv(p));
-        let raw = kv_raw(p) as usize;
-        g.defer(move || unsafe { drop(Box::from_raw(raw as *mut KvLeaf)) });
+        let (slab, addr) = (self.slab.clone(), kv_slot(p).as_ptr() as usize);
+        // SAFETY: the leaf was unlinked under its parent's exclusive lock,
+        // so it is retired once; it is freed after every reader pinned
+        // before the unlink has left, into the slab it came from, which
+        // the closure's handle keeps allocated. `addr` is non-null.
+        g.defer(move || unsafe { slab.free(NonNull::new_unchecked(addr as *mut Slot)) });
     }
 
     // --- the descent step and its scalar drivers ----------------------------
@@ -530,7 +540,7 @@ impl<L: IndexLock> ArtTree<L> {
             let Some(t) = Self::acquire(node, ng, None, false) else {
                 return Ok(Step::Restart);
             };
-            node.insert_child(byte, KvLeaf::alloc::<L>(key, val));
+            node.insert_child(byte, KvLeaf::alloc(&self.slab, key, val));
             node.lock.x_unlock(t);
             return Ok(Step::Done(None));
         }
@@ -739,7 +749,7 @@ impl<L: IndexLock> ArtTree<L> {
             p.lock.x_unlock(pt);
             return false;
         };
-        let leaf = KvLeaf::alloc::<L>(key, val);
+        let leaf = KvLeaf::alloc(&self.slab, key, val);
         match smo.kind {
             SmoKind::SplitPrefix { matched, depth } => {
                 self.split_prefix(p, pb, smo.node, matched, digit(kb, depth + matched), leaf)
@@ -812,7 +822,7 @@ impl<L: IndexLock> ArtTree<L> {
         val: u64,
     ) {
         self.counters.add(LAZY_EXPANSIONS, 1);
-        let leaf = KvLeaf::alloc::<L>(key, val);
+        let leaf = KvLeaf::alloc(&self.slab, key, val);
         let mut kids = [(okb[fork], old), (kb[fork], leaf)];
         kids.sort_by_key(|&(b, _)| b);
         node.replace_child(byte, alloc_n4::<L>(&kb[depth..fork], &kids));
@@ -1064,16 +1074,18 @@ impl<L: IndexLock> ArtTree<L> {
     }
 }
 
+/// Frees the inner nodes; the leaves go with the slab's chunks, once the
+/// last deferred free holding the slab has run.
 impl<L: IndexLock> Drop for ArtTree<L> {
     fn drop(&mut self) {
         fn free<L: IndexLock>(p: *mut ArtNode<L>) {
-            if is_kv(p) {
-                drop(unsafe { Box::from_raw(kv_raw(p)) });
-                return;
-            }
             let n = unsafe { &*p };
             let mut kids = Vec::new();
-            n.for_each_child(|_, c| kids.push(c));
+            n.for_each_child(|_, c| {
+                if !is_kv(c) {
+                    kids.push(c)
+                }
+            });
             for c in kids {
                 free(c);
             }

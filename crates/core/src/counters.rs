@@ -42,6 +42,16 @@ fn deal_stripe() -> usize {
     s
 }
 
+/// The calling thread's stripe, `0..STRIPES`, dealt on first use. Other
+/// per-thread striped state (the ART leaf slab) indexes by it too, so a
+/// thread touches the same stripe of every striped structure.
+#[inline(always)]
+pub fn stripe() -> usize {
+    let s = STRIPE.get();
+    let s = if s == UNASSIGNED { deal_stripe() } else { s };
+    s & (STRIPES - 1)
+}
+
 /// `N` counters, striped so that concurrent adders do not share a line.
 pub struct Counters<const N: usize> {
     stripes: [CachePadded<[AtomicU64; N]>; STRIPES],
@@ -58,11 +68,7 @@ impl<const N: usize> Counters<N> {
     /// Add `n` to `lane` on the calling thread's stripe (wrapping).
     #[inline(always)]
     pub fn add(&self, lane: usize, n: u64) {
-        let mut s = STRIPE.get();
-        if s == UNASSIGNED {
-            s = deal_stripe();
-        }
-        self.stripes[s & (STRIPES - 1)][lane].fetch_add(n, Ordering::Relaxed);
+        self.stripes[stripe()][lane].fetch_add(n, Ordering::Relaxed);
     }
 
     /// Subtract `n` from `lane`: a wrapping add of `-n`, so a stripe may
