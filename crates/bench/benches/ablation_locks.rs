@@ -12,8 +12,9 @@ use optiql::{
     ExclusiveLock, IndexLock, McsLock, OptLock, OptLockBackoff, OptiCLH, OptiQL, OptiQLNor,
     TicketLock, TicketLockSplit, TtsBackoff, TtsLock,
 };
-use optiql_bench::{banner, header, mops, r2, row_extra};
-use optiql_harness::{env, run_exclusive, run_mixed, Contention, MicroConfig};
+use optiql_bench::{
+    banner, env, header, mops, r2, row_extra, run_exclusive, run_mixed, Contention, MicroConfig,
+};
 
 fn fairness_point<L: ExclusiveLock>(threads: usize) {
     let cfg = MicroConfig::new(threads, Contention::Extreme, env::duration());

@@ -17,8 +17,11 @@
 
 use std::time::Instant;
 
-use optiql_bench::{banner, header, mops, r2, row_extra};
-use optiql_harness::{env, preload, run, ConcurrentIndex, KeyDist, Mix, WorkloadConfig};
+use optiql::stats::{self, Event};
+use optiql_bench::{
+    banner, env, header, mops, preload, r2, row_extra, run, KeyDist, KeySpace, Mix, WorkloadConfig,
+};
+use optiql_index_api::ConcurrentIndex;
 use optiql_sharded::ShardedIndex;
 
 const BATCHES: [usize; 5] = [1, 4, 8, 16, 32];
@@ -27,10 +30,7 @@ const BATCHES: [usize; 5] = [1, 4, 8, 16, 32];
 /// returns Mops/s per point.
 fn lookup_sweep<I: ConcurrentIndex>(index: &I, series: &str, keys: u64) {
     let threads = *env::thread_counts().last().unwrap();
-    preload(
-        index,
-        &WorkloadConfig::new(1, Mix::BALANCED, KeyDist::Uniform, keys),
-    );
+    preload(index, keys, KeySpace::Dense);
     let mut base = 0.0f64;
     for batch in BATCHES {
         let mut cfg = WorkloadConfig::new(threads, Mix::YCSB_C, KeyDist::Uniform, keys);
@@ -90,20 +90,19 @@ fn insert_sweep<I: ConcurrentIndex>(make: impl Fn() -> I, series: &str, keys: u6
     }
 }
 
-/// With the `stats` feature on, print the batch-engine event counters
+/// With `optiql/stats` on, print the batch-engine event counters
 /// accumulated so far (batches issued, in-batch restarts, pipeline
 /// rounds) as a comment row.
 fn batch_event_note(series: &str) {
-    if optiql_harness::stats::ENABLED {
-        use optiql_harness::stats::Event;
-        let s = optiql_harness::stats::snapshot();
+    if stats::ENABLED {
+        let s = stats::snapshot();
         println!(
             "# {series}: batch_issued={} batch_op_restart={} batch_prefetch_round={}",
             s.get(Event::BatchIssued),
             s.get(Event::BatchOpRestart),
             s.get(Event::BatchPrefetchRound),
         );
-        optiql_harness::stats::reset();
+        stats::reset();
     }
 }
 

@@ -6,52 +6,7 @@
 //! contention; under high contention OptLock's throughput collapses as
 //! threads are added while OptiQL plateaus.
 
-use optiql::IndexLock;
-use optiql_bench::{banner, header, mops, r2, row};
-use optiql_btree::{BTreeOptLock, BTreeOptiQL};
-use optiql_harness::{env, preload, run, KeyDist, Mix, WorkloadConfig};
-
-fn sweep<I: optiql_harness::ConcurrentIndex>(
-    index: &I,
-    lock_name: &str,
-    panel: &str,
-    dist: KeyDist,
-    threads: &[usize],
-    keys: u64,
-) {
-    for &t in threads {
-        let mut cfg = WorkloadConfig::new(t, Mix::UPDATE_ONLY, dist.clone(), keys);
-        cfg.duration = env::duration();
-        cfg.sample_every = 0;
-        let (r, _) = run(index, &cfg);
-        row(
-            "fig01",
-            &format!("{panel}/{lock_name}"),
-            t,
-            r2(mops(r.throughput())),
-        );
-    }
-}
-
-fn run_config<IL: IndexLock, LL: IndexLock>(lock_name: &str, threads: &[usize], keys: u64) {
-    let tree: optiql_btree::BPlusTree<
-        IL,
-        LL,
-        { optiql_btree::DEFAULT_IC },
-        { optiql_btree::DEFAULT_LC },
-    > = optiql_btree::BPlusTree::new();
-    let cfg = WorkloadConfig::new(1, Mix::UPDATE_ONLY, KeyDist::Uniform, keys);
-    preload(&tree, &cfg);
-    sweep(&tree, lock_name, "low", KeyDist::Uniform, threads, keys);
-    sweep(
-        &tree,
-        lock_name,
-        "high",
-        KeyDist::self_similar_02(),
-        threads,
-        keys,
-    );
-}
+use optiql_bench::{banner, env, header, mops, only, r2, row, KeyDist, Mix, Sweep, BTREE_LOCKS};
 
 fn main() {
     banner(
@@ -61,9 +16,26 @@ fn main() {
     header(&["figure", "panel/lock", "threads", "Mops/s"]);
     let threads = env::thread_counts();
     let keys = env::preload_keys();
-    // Type aliases pin the lock configurations the figure compares.
-    let _ = BTreeOptLock::<15, 15>::new; // documentation anchor
-    let _ = BTreeOptiQL::<15, 15>::new;
-    run_config::<optiql::OptLock, optiql::OptLock>("OptLock", &threads, keys);
-    run_config::<optiql::OptLock, optiql::OptiQL>("OptiQL", &threads, keys);
+    let row = |p: &optiql_bench::Point<'_>| {
+        let series = format!("{}/{}", p.mix, p.lock);
+        row("fig01", &series, p.threads, r2(mops(p.result.throughput())));
+    };
+    // The panel is the mix's label: both panels are update-only.
+    let low = Sweep::new(
+        &[("low", Mix::UPDATE_ONLY)],
+        KeyDist::Uniform,
+        keys,
+        &threads,
+        row,
+    );
+    let high = Sweep::new(
+        &[("high", Mix::UPDATE_ONLY)],
+        KeyDist::self_similar_02(),
+        keys,
+        &threads,
+        row,
+    );
+    let locks = only(&BTREE_LOCKS, &["OptLock", "OptiQL"]);
+    low.over("B+-tree", &locks);
+    high.over("B+-tree", &locks);
 }

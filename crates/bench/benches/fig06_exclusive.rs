@@ -10,8 +10,7 @@
 use optiql::{
     ExclusiveLock, McsLock, McsRwLock, OptLock, OptiCLH, OptiQL, OptiQLNor, PthreadRwLock, TtsLock,
 };
-use optiql_bench::{banner, header, mops, r2, row};
-use optiql_harness::{env, run_exclusive, Contention, MicroConfig};
+use optiql_bench::{banner, env, header, mops, r2, row, run_exclusive, Contention, MicroConfig};
 
 fn sweep<L: ExclusiveLock>(contention: Contention, threads: &[usize]) {
     for &t in threads {

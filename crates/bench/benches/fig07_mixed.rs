@@ -9,8 +9,7 @@
 //! ones.
 
 use optiql::{IndexLock, McsRwLock, OptLock, OptiQL, OptiQLNor, PthreadRwLock};
-use optiql_bench::{banner, header, mops, r2, row};
-use optiql_harness::{env, run_mixed, Contention, MicroConfig};
+use optiql_bench::{banner, env, header, mops, r2, row, run_mixed, Contention, MicroConfig};
 
 const RATIOS: [(u32, &str); 5] = [
     (0, "0/100"),

@@ -8,8 +8,7 @@
 //! (CS ≤ 50) — the reader-admission window is too short for long reads.
 
 use optiql::{IndexLock, OptLock, OptiQL, OptiQLNor};
-use optiql_bench::{banner, header, mops, r2, row};
-use optiql_harness::{env, run_mixed, Contention, MicroConfig};
+use optiql_bench::{banner, env, header, mops, r2, row, run_mixed, Contention, MicroConfig};
 
 const CS_LENGTHS: [u32; 5] = [5, 50, 100, 150, 200];
 

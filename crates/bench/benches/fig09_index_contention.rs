@@ -9,55 +9,20 @@
 //! of OptiQL-NOR whenever reads are present; the two-atomic overhead shows
 //! only marginally in update-only.
 
-use optiql::IndexLock;
-use optiql_bench::{banner, header, mops, r2, row_extra};
-use optiql_harness::{env, preload, run, ConcurrentIndex, KeyDist, Mix, WorkloadConfig};
+use optiql_bench::{
+    banner, env, header, mops, r2, row_extra, KeyDist, Mix, Point, Sweep, ART_LOCKS, BTREE_LOCKS,
+};
 
-fn sweep<I: ConcurrentIndex>(
-    index: &I,
-    index_name: &str,
-    lock_name: &str,
-    threads: &[usize],
-    keys: u64,
-) {
-    for (mix_name, mix) in Mix::paper_suite() {
-        for &t in threads {
-            let mut cfg = WorkloadConfig::new(t, mix, KeyDist::self_similar_02(), keys);
-            cfg.duration = env::duration();
-            cfg.sample_every = 0;
-            let before = index.index_stats();
-            let (r, _) = run(index, &cfg);
-            // Unified restart accounting from the shared OLC protocol:
-            // the same restarts/op column for both index structures.
-            let d = index.index_stats().since(&before);
-            row_extra(
-                "fig09",
-                &format!("{index_name}/{mix_name}/{lock_name}"),
-                t,
-                r2(mops(r.throughput())),
-                format!("{:.4}", d.restarts_per_op()),
-            );
-        }
-    }
-}
-
-fn btree_config<IL: IndexLock, LL: IndexLock>(name: &str, threads: &[usize], keys: u64) {
-    let tree: optiql_btree::BPlusTree<
-        IL,
-        LL,
-        { optiql_btree::DEFAULT_IC },
-        { optiql_btree::DEFAULT_LC },
-    > = optiql_btree::BPlusTree::new();
-    let cfg = WorkloadConfig::new(1, Mix::UPDATE_ONLY, KeyDist::Uniform, keys);
-    preload(&tree, &cfg);
-    sweep(&tree, "B+-tree", name, threads, keys);
-}
-
-fn art_config<L: IndexLock>(name: &str, threads: &[usize], keys: u64) {
-    let art: optiql_art::ArtTree<L> = optiql_art::ArtTree::new();
-    let cfg = WorkloadConfig::new(1, Mix::UPDATE_ONLY, KeyDist::Uniform, keys);
-    preload(&art, &cfg);
-    sweep(&art, "ART", name, threads, keys);
+/// Throughput, then the restarts/op of the shared OLC protocol: the same
+/// column for both index structures.
+fn row(p: &Point<'_>) {
+    row_extra(
+        "fig09",
+        &format!("{}/{}/{}", p.index, p.mix, p.lock),
+        p.threads,
+        r2(mops(p.result.throughput())),
+        format!("{:.4}", p.stats.restarts_per_op()),
+    );
 }
 
 fn main() {
@@ -73,17 +38,14 @@ fn main() {
         "restarts/op",
     ]);
     let threads = env::thread_counts();
-    let keys = env::preload_keys();
-
-    btree_config::<optiql::OptLock, optiql::OptLock>("OptLock", &threads, keys);
-    btree_config::<optiql::OptLock, optiql::OptiQLNor>("OptiQL-NOR", &threads, keys);
-    btree_config::<optiql::OptLock, optiql::OptiQL>("OptiQL", &threads, keys);
-    btree_config::<optiql::PthreadRwLock, optiql::PthreadRwLock>("pthread", &threads, keys);
-    btree_config::<optiql::McsRwLock, optiql::McsRwLock>("MCS-RW", &threads, keys);
-
-    art_config::<optiql::OptLock>("OptLock", &threads, keys);
-    art_config::<optiql::OptiQLNor>("OptiQL-NOR", &threads, keys);
-    art_config::<optiql::OptiQL>("OptiQL", &threads, keys);
-    art_config::<optiql::PthreadRwLock>("pthread", &threads, keys);
-    art_config::<optiql::McsRwLock>("MCS-RW", &threads, keys);
+    let mixes = Mix::paper_suite();
+    let s = Sweep::new(
+        &mixes,
+        KeyDist::self_similar_02(),
+        env::preload_keys(),
+        &threads,
+        row,
+    );
+    s.over("B+-tree", &BTREE_LOCKS);
+    s.over("ART", &ART_LOCKS);
 }

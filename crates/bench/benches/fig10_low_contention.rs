@@ -5,69 +5,24 @@
 //! OptiQL-NOR — perform the same (queueing adds nothing when uncontended);
 //! the pessimistic locks trail because readers pay atomic writes.
 
-use optiql::IndexLock;
-use optiql_bench::{banner, header, mops, r2, row};
-use optiql_harness::{env, preload, run, ConcurrentIndex, KeyDist, Mix, WorkloadConfig};
-
-fn sweep<I: ConcurrentIndex>(
-    index: &I,
-    index_name: &str,
-    lock_name: &str,
-    threads: &[usize],
-    keys: u64,
-) {
-    for &t in threads {
-        let mut cfg = WorkloadConfig::new(t, Mix::BALANCED, KeyDist::Uniform, keys);
-        cfg.duration = env::duration();
-        cfg.sample_every = 0;
-        let (r, _) = run(index, &cfg);
-        row(
-            "fig10",
-            &format!("{index_name}/{lock_name}"),
-            t,
-            r2(mops(r.throughput())),
-        );
-    }
-}
-
-fn btree_config<IL: IndexLock, LL: IndexLock>(name: &str, threads: &[usize], keys: u64) {
-    let tree: optiql_btree::BPlusTree<
-        IL,
-        LL,
-        { optiql_btree::DEFAULT_IC },
-        { optiql_btree::DEFAULT_LC },
-    > = optiql_btree::BPlusTree::new();
-    preload(
-        &tree,
-        &WorkloadConfig::new(1, Mix::BALANCED, KeyDist::Uniform, keys),
-    );
-    sweep(&tree, "B+-tree", name, threads, keys);
-}
-
-fn art_config<L: IndexLock>(name: &str, threads: &[usize], keys: u64) {
-    let art: optiql_art::ArtTree<L> = optiql_art::ArtTree::new();
-    preload(
-        &art,
-        &WorkloadConfig::new(1, Mix::BALANCED, KeyDist::Uniform, keys),
-    );
-    sweep(&art, "ART", name, threads, keys);
-}
+use optiql_bench::{
+    banner, env, header, mops, r2, row, KeyDist, Mix, Point, Sweep, ART_LOCKS, BTREE_LOCKS,
+};
 
 fn main() {
     banner("fig10", "Balanced workload, uniform keys (low contention)");
     header(&["figure", "index/lock", "threads", "Mops/s"]);
     let threads = env::thread_counts();
-    let keys = env::preload_keys();
-
-    btree_config::<optiql::OptLock, optiql::OptLock>("OptLock", &threads, keys);
-    btree_config::<optiql::OptLock, optiql::OptiQLNor>("OptiQL-NOR", &threads, keys);
-    btree_config::<optiql::OptLock, optiql::OptiQL>("OptiQL", &threads, keys);
-    btree_config::<optiql::PthreadRwLock, optiql::PthreadRwLock>("pthread", &threads, keys);
-    btree_config::<optiql::McsRwLock, optiql::McsRwLock>("MCS-RW", &threads, keys);
-
-    art_config::<optiql::OptLock>("OptLock", &threads, keys);
-    art_config::<optiql::OptiQLNor>("OptiQL-NOR", &threads, keys);
-    art_config::<optiql::OptiQL>("OptiQL", &threads, keys);
-    art_config::<optiql::PthreadRwLock>("pthread", &threads, keys);
-    art_config::<optiql::McsRwLock>("MCS-RW", &threads, keys);
+    let s = Sweep::new(
+        &[("Balanced", Mix::BALANCED)],
+        KeyDist::Uniform,
+        env::preload_keys(),
+        &threads,
+        |p: &Point<'_>| {
+            let series = format!("{}/{}", p.index, p.lock);
+            row("fig10", &series, p.threads, r2(mops(p.result.throughput())));
+        },
+    );
+    s.over("B+-tree", &BTREE_LOCKS);
+    s.over("ART", &ART_LOCKS);
 }

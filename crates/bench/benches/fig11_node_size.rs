@@ -9,47 +9,17 @@
 //! to ~30% extra with larger nodes by holding the reader-admission window
 //! open during the in-leaf search.
 
-use optiql_bench::{banner, header, mops, r2, row};
-use optiql_harness::{env, preload, run, KeyDist, Mix, WorkloadConfig};
+use optiql::{OptLock, OptiQL, OptiQLAor, OptiQLNor};
+use optiql_bench::{banner, env, header, mops, r2, row, sweep, KeyDist, Mix, Point, Sweep};
+use optiql_btree::BPlusTree;
 
-const MIXES: [(&str, Mix); 3] = [
-    ("Read-heavy", Mix::READ_HEAVY),
-    ("Balanced", Mix::BALANCED),
-    ("Write-heavy", Mix::WRITE_HEAVY),
-];
-
-macro_rules! size_point {
-    ($size_label:expr, $ic:expr, $lc:expr, $threads:expr, $keys:expr) => {{
-        run_size::<optiql::OptLock, $ic, $lc>("OptLock", $size_label, $threads, $keys);
-        run_size::<optiql::OptiQLNor, $ic, $lc>("OptiQL-NOR", $size_label, $threads, $keys);
-        run_size::<optiql::OptiQL, $ic, $lc>("OptiQL", $size_label, $threads, $keys);
-        run_size::<optiql::OptiQLAor, $ic, $lc>("OptiQL-AOR", $size_label, $threads, $keys);
-    }};
-}
-
-fn run_size<LL: optiql::IndexLock, const IC: usize, const LC: usize>(
-    lock_name: &str,
-    size_label: &str,
-    threads: usize,
-    keys: u64,
-) {
-    let tree: optiql_btree::BPlusTree<optiql::OptLock, LL, IC, LC> = optiql_btree::BPlusTree::new();
-    preload(
-        &tree,
-        &WorkloadConfig::new(1, Mix::BALANCED, KeyDist::Uniform, keys),
-    );
-    for (mix_name, mix) in MIXES {
-        let mut cfg = WorkloadConfig::new(threads, mix, KeyDist::self_similar_02(), keys);
-        cfg.duration = env::duration();
-        cfg.sample_every = 0;
-        let (r, _) = run(&tree, &cfg);
-        row(
-            "fig11",
-            &format!("{mix_name}/{lock_name}"),
-            size_label,
-            r2(mops(r.throughput())),
-        );
-    }
+/// The four leaf locks at one node size (inner nodes use OptLock); the
+/// size label stands in the sweep's index slot and becomes the row's x.
+fn size<const IC: usize, const LC: usize>(s: &Sweep<'_>, label: &str) {
+    sweep::<BPlusTree<OptLock, OptLock, IC, LC>>(s, label, "OptLock");
+    sweep::<BPlusTree<OptLock, OptiQLNor, IC, LC>>(s, label, "OptiQL-NOR");
+    sweep::<BPlusTree<OptLock, OptiQL, IC, LC>>(s, label, "OptiQL");
+    sweep::<BPlusTree<OptLock, OptiQLAor, IC, LC>>(s, label, "OptiQL-AOR");
 }
 
 fn main() {
@@ -58,16 +28,29 @@ fn main() {
         "B+-tree throughput vs node size (skewed, fixed threads)",
     );
     header(&["figure", "workload/lock", "node_size", "Mops/s"]);
-    let threads = *env::thread_counts().last().unwrap();
+    let threads = [*env::thread_counts().last().unwrap()];
+    let mixes = [
+        ("Read-heavy", Mix::READ_HEAVY),
+        ("Balanced", Mix::BALANCED),
+        ("Write-heavy", Mix::WRITE_HEAVY),
+    ];
     // Node-size sweeps multiply the key count by constant-size nodes; keep
     // the preload smaller so the 16 KB point stays memory-friendly.
-    let keys = env::preload_keys().min(1_000_000);
-
-    size_point!("256", 16, 15, threads, keys);
-    size_point!("512", 32, 31, threads, keys);
-    size_point!("1K", 64, 63, threads, keys);
-    size_point!("2K", 128, 127, threads, keys);
-    size_point!("4K", 256, 255, threads, keys);
-    size_point!("8K", 512, 511, threads, keys);
-    size_point!("16K", 1024, 1023, threads, keys);
+    let s = Sweep::new(
+        &mixes,
+        KeyDist::self_similar_02(),
+        env::preload_keys().min(1_000_000),
+        &threads,
+        |p: &Point<'_>| {
+            let series = format!("{}/{}", p.mix, p.lock);
+            row("fig11", &series, p.index, r2(mops(p.result.throughput())));
+        },
+    );
+    size::<16, 15>(&s, "256");
+    size::<32, 31>(&s, "512");
+    size::<64, 63>(&s, "1K");
+    size::<128, 127>(&s, "2K");
+    size::<256, 255>(&s, "4K");
+    size::<512, 511>(&s, "8K");
+    size::<1024, 1023>(&s, "16K");
 }

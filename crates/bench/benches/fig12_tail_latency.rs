@@ -7,88 +7,39 @@
 //! flat thanks to FIFO queuing; OptiQL-NOR spikes on the balanced
 //! workload where its starved readers retry many times.
 
-use optiql::IndexLock;
-use optiql_bench::{banner, header};
-use optiql_harness::{env, preload, run, ConcurrentIndex, KeyDist, Mix, WorkloadConfig};
+use optiql::stats::Event;
+use optiql_bench::{
+    banner, env, header, only, row, KeyDist, Mix, Point, Sweep, ART_LOCKS, BTREE_LOCKS,
+};
 
-const WORKLOADS: [(&str, Mix); 3] = [
-    ("Read-only", Mix::READ_ONLY),
-    ("Balanced", Mix::BALANCED),
-    ("Update-only", Mix::UPDATE_ONLY),
-];
-
-fn sweep<I: ConcurrentIndex>(
-    index: &I,
-    index_name: &str,
-    lock_name: &str,
-    thread_points: &[usize],
-    keys: u64,
-) {
-    for &t in thread_points {
-        for (mix_name, mix) in WORKLOADS {
-            let mut cfg = WorkloadConfig::new(t, mix, KeyDist::self_similar_02(), keys);
-            cfg.duration = env::duration();
-            cfg.sample_every = 16; // dense sampling for stable tails
-            optiql_harness::stats::reset();
-            let before = index.index_stats();
-            let (_, hist) = run(index, &cfg);
-            for (pct, ns) in hist.paper_percentiles() {
-                println!(
-                    "fig12\t{index_name}/{mix_name}/{t}t/{lock_name}\t{pct}\t{:.2}",
-                    ns as f64 / 1_000.0 // µs, as in the paper's y-axis
-                );
-            }
-            // Tail latency correlates with traversal restarts (rejected or
-            // invalidated readers retry from the root). The unified
-            // protocol accounting is always on — one consistent restart
-            // line for both index structures.
-            let d = index.index_stats().since(&before);
-            println!(
-                "# {index_name}/{mix_name}/{t}t/{lock_name}: ops={} restarts={} \
-                 restarts/op={:.4} yields={}",
-                d.ops,
-                d.restarts,
-                d.restarts_per_op(),
-                d.escalations,
-            );
-            // Lock-layer event detail when the cfg-gated counters are in.
-            if optiql_harness::stats::ENABLED {
-                use optiql_harness::stats::Event;
-                let s = optiql_harness::stats::snapshot();
-                println!(
-                    "# {index_name}/{mix_name}/{t}t/{lock_name}: restarts={} \
-                     read_reject={} validate_fail={} opread_admit={}",
-                    s.get(Event::IndexRestartBtree) + s.get(Event::IndexRestartArt),
-                    s.get(Event::ReadReject),
-                    s.get(Event::ReadValidateFail),
-                    s.get(Event::OpReadAdmit),
-                );
-            }
-        }
+/// Seven percentile rows, then the run's restart accounting as comment
+/// lines: tail latency correlates with traversal restarts (rejected or
+/// invalidated readers retry from the root).
+fn rows(p: &Point<'_>) {
+    let series = format!("{}/{}/{}t/{}", p.index, p.mix, p.threads, p.lock);
+    for (pct, ns) in p.hist.paper_percentiles() {
+        // µs, as in the paper's y-axis.
+        row("fig12", &series, pct, format!("{:.2}", ns as f64 / 1_000.0));
     }
-}
-
-fn btree_config<IL: IndexLock, LL: IndexLock>(name: &str, points: &[usize], keys: u64) {
-    let tree: optiql_btree::BPlusTree<
-        IL,
-        LL,
-        { optiql_btree::DEFAULT_IC },
-        { optiql_btree::DEFAULT_LC },
-    > = optiql_btree::BPlusTree::new();
-    preload(
-        &tree,
-        &WorkloadConfig::new(1, Mix::BALANCED, KeyDist::Uniform, keys),
+    let d = &p.stats;
+    println!(
+        "# {series}: ops={} restarts={} restarts/op={:.4} yields={}",
+        d.ops,
+        d.restarts,
+        d.restarts_per_op(),
+        d.escalations,
     );
-    sweep(&tree, "B+-tree", name, points, keys);
-}
-
-fn art_config<L: IndexLock>(name: &str, points: &[usize], keys: u64) {
-    let art: optiql_art::ArtTree<L> = optiql_art::ArtTree::new();
-    preload(
-        &art,
-        &WorkloadConfig::new(1, Mix::BALANCED, KeyDist::Uniform, keys),
-    );
-    sweep(&art, "ART", name, points, keys);
+    // Lock-layer event detail when the build enables `optiql/stats`.
+    if optiql::stats::ENABLED {
+        let s = &p.events;
+        println!(
+            "# {series}: restarts={} read_reject={} validate_fail={} opread_admit={}",
+            s.get(Event::IndexRestartBtree) + s.get(Event::IndexRestartArt),
+            s.get(Event::ReadReject),
+            s.get(Event::ReadValidateFail),
+            s.get(Event::OpReadAdmit),
+        );
+    }
 }
 
 fn main() {
@@ -105,13 +56,20 @@ fn main() {
     } else {
         all.clone()
     };
-    let keys = env::preload_keys();
-
-    btree_config::<optiql::OptLock, optiql::OptLock>("OptLock", &points, keys);
-    btree_config::<optiql::OptLock, optiql::OptiQLNor>("OptiQL-NOR", &points, keys);
-    btree_config::<optiql::OptLock, optiql::OptiQL>("OptiQL", &points, keys);
-
-    art_config::<optiql::OptLock>("OptLock", &points, keys);
-    art_config::<optiql::OptiQLNor>("OptiQL-NOR", &points, keys);
-    art_config::<optiql::OptiQL>("OptiQL", &points, keys);
+    let mixes = [
+        ("Read-only", Mix::READ_ONLY),
+        ("Balanced", Mix::BALANCED),
+        ("Update-only", Mix::UPDATE_ONLY),
+    ];
+    let mut s = Sweep::new(
+        &mixes,
+        KeyDist::self_similar_02(),
+        env::preload_keys(),
+        &points,
+        rows,
+    );
+    s.sample_every = 16; // dense sampling for stable tails
+    let locks = ["OptLock", "OptiQL-NOR", "OptiQL"];
+    s.over("B+-tree", &only(&BTREE_LOCKS, &locks));
+    s.over("ART", &only(&ART_LOCKS, &locks));
 }

@@ -7,40 +7,9 @@
 //! OptiQL-NOR use contention expansion (§6.2) to materialize hot
 //! last-level nodes and local-spin, avoiding the collapse.
 
-use optiql::IndexLock;
-use optiql_bench::{banner, header, mops, r2, row};
-use optiql_harness::{env, preload, run, ConcurrentIndex, KeyDist, KeySpace, Mix, WorkloadConfig};
-
-const MIXES: [(&str, Mix); 2] = [
-    ("Read-heavy", Mix::READ_HEAVY),
-    ("Write-heavy", Mix::WRITE_HEAVY),
-];
-
-fn sweep<I: ConcurrentIndex>(index: &I, lock_name: &str, threads: &[usize], keys: u64) {
-    for (mix_name, mix) in MIXES {
-        for &t in threads {
-            let mut cfg = WorkloadConfig::new(t, mix, KeyDist::self_similar_02(), keys);
-            cfg.keyspace = KeySpace::Sparse;
-            cfg.duration = env::duration();
-            cfg.sample_every = 0;
-            let (r, _) = run(index, &cfg);
-            row(
-                "fig13",
-                &format!("{mix_name}/{lock_name}"),
-                t,
-                r2(mops(r.throughput())),
-            );
-        }
-    }
-}
-
-fn art_config<L: IndexLock>(name: &str, threads: &[usize], keys: u64) {
-    let art: optiql_art::ArtTree<L> = optiql_art::ArtTree::new();
-    let mut cfg = WorkloadConfig::new(1, Mix::BALANCED, KeyDist::Uniform, keys);
-    cfg.keyspace = KeySpace::Sparse;
-    preload(&art, &cfg);
-    sweep(&art, name, threads, keys);
-}
+use optiql_bench::{
+    banner, env, header, mops, r2, row, KeyDist, KeySpace, Mix, Point, Sweep, ART_LOCKS,
+};
 
 fn main() {
     banner(
@@ -49,11 +18,20 @@ fn main() {
     );
     header(&["figure", "workload/lock", "threads", "Mops/s"]);
     let threads = env::thread_counts();
-    let keys = env::preload_keys();
-
-    art_config::<optiql::OptLock>("OptLock", &threads, keys);
-    art_config::<optiql::OptiQLNor>("OptiQL-NOR", &threads, keys);
-    art_config::<optiql::OptiQL>("OptiQL", &threads, keys);
-    art_config::<optiql::PthreadRwLock>("pthread", &threads, keys);
-    art_config::<optiql::McsRwLock>("MCS-RW", &threads, keys);
+    let mixes = [
+        ("Read-heavy", Mix::READ_HEAVY),
+        ("Write-heavy", Mix::WRITE_HEAVY),
+    ];
+    let mut s = Sweep::new(
+        &mixes,
+        KeyDist::self_similar_02(),
+        env::preload_keys(),
+        &threads,
+        |p: &Point<'_>| {
+            let series = format!("{}/{}", p.mix, p.lock);
+            row("fig13", &series, p.threads, r2(mops(p.result.throughput())));
+        },
+    );
+    s.keyspace = KeySpace::Sparse;
+    s.over("ART", &ART_LOCKS);
 }

@@ -14,26 +14,40 @@
 //!   at the matching leaf capacities;
 //! * `x_lock` — uncontended exclusive acquire/release cycle for every
 //!   lock in the crate (the ledger tracks the OptiQL row's trend as
-//!   `core.optiql_xlock_ns`; the comparison across locks lives here).
+//!   `core.optiql_xlock_ns`; the comparison across locks lives here);
+//! * `r_cycle` — uncontended reader admission + validation for the five
+//!   reader-capable locks of the paper's index figures;
+//! * `upgrade` — uncontended read → upgrade → exclusive release for the
+//!   three optimistic locks;
+//! * `index_op` — single-thread OptiQL B+-tree and ART lookup/update on a
+//!   100 k-key tree, stepping through the keys by 7.
+//!
+//! The last four groups quantify §5.4: OptiQL's uncontended writer
+//! release pays a CAS, opportunistic read adds two atomics per handover,
+//! and the reader path costs exactly as much as a centralized optimistic
+//! lock.
 //!
 //! Rows go to stdout and to `results/BENCH_hotpath.json` in the shape
 //! every bench shares: `series` is `<group>/<config>`, `x` the thread
 //! count, `value` Mops/s, `extra` mean ns per op, then percentiles. A run
 //! replaces the file; every row carries `OPTIQL_BENCH_REV` (see
-//! [`optiql_harness::report`]).
+//! [`optiql_bench::report`]).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use optiql::{
-    qnode, ExclusiveLock, McsLock, McsRwLock, OptLock, OptLockBackoff, OptiCLH, OptiCLHNor, OptiQL,
-    OptiQLAor, OptiQLNor, PthreadRwLock, TicketLock, TicketLockSplit, TtsBackoff, TtsLock,
+    qnode, ExclusiveLock, IndexLock, McsLock, McsRwLock, OptLock, OptLockBackoff, OptiCLH,
+    OptiCLHNor, OptiQL, OptiQLAor, OptiQLNor, PthreadRwLock, TicketLock, TicketLockSplit,
+    TtsBackoff, TtsLock,
 };
-use optiql_bench::{banner, header, mops, r2, row_latency};
+use optiql_art::ArtOptiQL;
+use optiql_bench::{banner, env, header, mops, r2, row_latency, Histogram, LatencySummary};
 use optiql_btree::node::{as_inner, as_leaf, Inner, Leaf};
-use optiql_harness::report::LatencySummary;
-use optiql_harness::Histogram;
+use optiql_btree::BTreeOptiQL;
+use optiql_index_api::ConcurrentIndex;
+use optiql_sharded::affinity::pin_thread;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use std::hint::black_box;
 
@@ -82,7 +96,7 @@ fn time_threads(threads: usize, dur: Duration, f: impl Fn(usize) + Sync) -> Time
         for t in 0..threads {
             let (stop, merged, f) = (&stop, &merged, &f);
             s.spawn(move || {
-                optiql_harness::pin::pin_thread(t);
+                pin_thread(t);
                 for _ in 0..BATCH {
                     f(t);
                 }
@@ -235,8 +249,52 @@ fn bench_x_lock<L: ExclusiveLock>(dur: Duration) {
     emit("x_lock", L::NAME, 1, &t);
 }
 
+// --- group: uncontended reader cycle and upgrade --------------------------
+
+fn bench_r_cycle<L: IndexLock>(dur: Duration) {
+    let lock = L::default();
+    let t = time_loop(dur, || {
+        let v = lock.r_lock().unwrap();
+        black_box(&lock);
+        black_box(lock.r_unlock(v));
+    });
+    emit("r_cycle", L::NAME, 1, &t);
+}
+
+fn bench_upgrade<L: IndexLock>(dur: Duration) {
+    let lock = L::default();
+    let t = time_loop(dur, || {
+        let v = lock.r_lock().unwrap();
+        let tok = lock.try_upgrade(v).unwrap();
+        lock.x_unlock(tok);
+    });
+    emit("upgrade", L::NAME, 1, &t);
+}
+
+// --- group: single-thread index point ops ---------------------------------
+
+const INDEX_KEYS: u64 = 100_000;
+
+fn bench_index_op<I: ConcurrentIndex + Default>(dur: Duration, name: &str) {
+    let index = I::default();
+    for k in 0..INDEX_KEYS {
+        index.insert(k, k);
+    }
+    let mut k = 0u64;
+    let t = time_loop(dur, || {
+        k = (k + 7) % INDEX_KEYS;
+        black_box(index.lookup(black_box(k)));
+    });
+    emit("index_op", &format!("{name}_lookup"), 1, &t);
+    let t = time_loop(dur, || {
+        k = (k + 7) % INDEX_KEYS;
+        black_box(index.update(black_box(k), 1));
+    });
+    emit("index_op", &format!("{name}_update"), 1, &t);
+}
+
 fn main() {
-    let dur = optiql_harness::env::duration();
+    let dur = env::duration();
     banner("hotpath", "substrate fast-path microbenchmarks");
     header(&[
         "figure",
@@ -270,4 +328,17 @@ fn main() {
     bench_x_lock::<OptiCLH>(dur);
     bench_x_lock::<OptiCLHNor>(dur);
     bench_x_lock::<PthreadRwLock>(dur);
+
+    bench_r_cycle::<OptLock>(dur);
+    bench_r_cycle::<OptiQLNor>(dur);
+    bench_r_cycle::<OptiQL>(dur);
+    bench_r_cycle::<McsRwLock>(dur);
+    bench_r_cycle::<PthreadRwLock>(dur);
+
+    bench_upgrade::<OptLock>(dur);
+    bench_upgrade::<OptiQLNor>(dur);
+    bench_upgrade::<OptiQL>(dur);
+
+    bench_index_op::<BTreeOptiQL>(dur, "btree_optiql");
+    bench_index_op::<ArtOptiQL>(dur, "art_optiql");
 }

@@ -12,8 +12,11 @@
 //! comparability: point-lookup throughput must not regress because the
 //! index grew a range API.
 
-use optiql_bench::{banner, header, mops, r2, row_extra};
-use optiql_harness::{env, preload, run, ConcurrentIndex, KeyDist, Mix, ScanMode, WorkloadConfig};
+use optiql_bench::{
+    banner, env, header, mops, preload, r2, row_extra, run, KeyDist, KeySpace, Mix, ScanMode,
+    WorkloadConfig,
+};
+use optiql_index_api::ConcurrentIndex;
 use optiql_sharded::ShardedIndex;
 
 const SCAN_MAX: u32 = 100;
@@ -27,8 +30,11 @@ fn ycsb_e_cfg(keys: u64) -> WorkloadConfig {
     cfg
 }
 
-/// YCSB-E in both scan modes plus the YCSB-C anchor row, `u64` keys.
+/// Preload `index`, then YCSB-E in both scan modes plus the YCSB-C anchor
+/// row, `u64` keys. The `count` pass runs after `stream` on the same
+/// tree, so its inserts land past the keys `stream` inserted.
 fn sweep_u64<I: ConcurrentIndex>(index: &I, name: &str, keys: u64) {
+    preload(index, keys, KeySpace::Dense);
     for (mode_name, mode) in [("stream", ScanMode::Stream), ("count", ScanMode::Count)] {
         let mut cfg = ycsb_e_cfg(keys);
         cfg.scan_mode = mode;
@@ -60,22 +66,17 @@ fn main() {
     );
     header(&["figure", "index/mode", "workload/keys", "Mops/s", "extra"]);
     let keys = env::preload_keys().min(2_000_000);
-    let load = WorkloadConfig::new(1, Mix::BALANCED, KeyDist::Uniform, keys);
 
     let tree: optiql_btree::BTreeOptiQL = optiql_btree::BTreeOptiQL::new();
-    preload(&tree, &load);
     sweep_u64(&tree, "B+-tree", keys);
 
     let art: optiql_art::ArtOptiQL = optiql_art::ArtOptiQL::new();
-    preload(&art, &load);
     sweep_u64(&art, "ART", keys);
 
     let shards = optiql_sharded::DEFAULT_SHARDS;
     let sharded_tree: ShardedIndex<optiql_btree::BTreeOptiQL> = ShardedIndex::new(shards);
-    preload(&sharded_tree, &load);
     sweep_u64(&sharded_tree, &format!("sharded{shards}-B+-tree"), keys);
 
     let sharded_art: ShardedIndex<optiql_art::ArtOptiQL> = ShardedIndex::new(shards);
-    preload(&sharded_art, &load);
     sweep_u64(&sharded_art, &format!("sharded{shards}-ART"), keys);
 }

@@ -5,17 +5,18 @@
 //! queue keeps the word locked through handover), while OptiQL's
 //! opportunistic read admits a substantial fraction (~26–32%).
 //!
-//! Built with `--features stats`, each row is followed by a second row of
-//! *counter-derived* success rates (from `optiql::stats`) plus the raw
-//! event totals — the measured admissions/validations of the lock layer
-//! itself, which should track the harness-side rates closely. The stats
-//! build also reports how many admitted readers came in through the
-//! opportunistic-read handover window (`opread_admit`), the direct
-//! mechanism behind OptiQL's advantage.
+//! One row per lock and read/write ratio: the driver's read success rate
+//! in percent. Built with `--features optiql/stats`, each row is followed
+//! by a `<lock>/counters` row with the *counter-derived* rate (from
+//! `optiql::stats`) — the measured admissions/validations of the lock
+//! layer itself, which should track the driver's rate closely — and a
+//! comment line with the raw event totals, including how many admitted
+//! readers came in through the opportunistic-read handover window
+//! (`opread_admit`), the direct mechanism behind OptiQL's advantage.
 
+use optiql::stats::{self, Event};
 use optiql::{IndexLock, OptLock, OptiQL, OptiQLNor};
-use optiql_bench::{banner, header, r2};
-use optiql_harness::{env, run_mixed, Contention, MicroConfig};
+use optiql_bench::{banner, env, header, r2, row, run_mixed, Contention, MicroConfig};
 
 const RATIOS: [(u32, &str); 4] = [
     (20, "20%/80%"),
@@ -24,64 +25,30 @@ const RATIOS: [(u32, &str); 4] = [
     (90, "90%/10%"),
 ];
 
-struct RatioPoint {
-    /// Harness-side read success rate (percent).
-    harness_pct: f64,
-    /// Counter-derived read success rate (percent); only meaningful when
-    /// `optiql_harness::stats::ENABLED`.
-    #[cfg_attr(not(feature = "stats"), allow(dead_code))]
-    counter_pct: f64,
-    /// Interval snapshot for the run (all-zero without `stats`).
-    #[cfg_attr(not(feature = "stats"), allow(dead_code))]
-    events: optiql_harness::stats::Snapshot,
-}
-
-fn success_rates<L: IndexLock>(threads: usize) -> Vec<RatioPoint> {
-    RATIOS
-        .iter()
-        .map(|&(read_pct, _)| {
-            let cfg = MicroConfig {
-                threads,
-                contention: Contention::High,
-                read_pct,
-                cs_len: 50,
-                duration: env::duration(),
-            };
-            optiql_harness::stats::reset();
-            let r = run_mixed::<L>(&cfg);
-            let events = optiql_harness::stats::snapshot();
-            RatioPoint {
-                harness_pct: r.read_success_rate() * 100.0,
-                counter_pct: events.reader_success_rate() * 100.0,
-                events,
-            }
-        })
-        .collect()
-}
-
-fn fmt(points: &[RatioPoint], f: impl Fn(&RatioPoint) -> f64) -> String {
-    points
-        .iter()
-        .map(|p| format!("{}%", r2(f(p))))
-        .collect::<Vec<_>>()
-        .join("\t")
-}
-
-fn report(lock: &str, points: &[RatioPoint]) {
-    println!("{lock}\t{}", fmt(points, |p| p.harness_pct));
-    #[cfg(feature = "stats")]
-    {
-        use optiql_harness::stats::Event;
-        println!("{lock} (counters)\t{}", fmt(points, |p| p.counter_pct));
-        for (p, (_, ratio)) in points.iter().zip(RATIOS) {
+fn success_rates<L: IndexLock>(lock: &str, threads: usize) {
+    for (read_pct, ratio) in RATIOS {
+        let cfg = MicroConfig {
+            threads,
+            contention: Contention::High,
+            read_pct,
+            cs_len: 50,
+            duration: env::duration(),
+        };
+        stats::reset();
+        let r = run_mixed::<L>(&cfg);
+        let events = stats::snapshot();
+        row("table1", lock, ratio, r2(r.read_success_rate() * 100.0));
+        if stats::ENABLED {
+            let counted = r2(events.reader_success_rate() * 100.0);
+            row("table1", &format!("{lock}/counters"), ratio, counted);
             println!(
                 "# {lock} {ratio}: admit={} opread_admit={} reject={} \
                  validate_ok={} validate_fail={}",
-                p.events.get(Event::ReadAdmit),
-                p.events.get(Event::OpReadAdmit),
-                p.events.get(Event::ReadReject),
-                p.events.get(Event::ReadValidateOk),
-                p.events.get(Event::ReadValidateFail),
+                events.get(Event::ReadAdmit),
+                events.get(Event::OpReadAdmit),
+                events.get(Event::ReadReject),
+                events.get(Event::ReadValidateOk),
+                events.get(Event::ReadValidateFail),
             );
         }
     }
@@ -92,12 +59,9 @@ fn main() {
         "table1",
         "Reader success rate under high contention (percent)",
     );
-    if optiql_harness::stats::ENABLED {
-        println!("# stats feature on: counter-derived rates follow each row");
-    }
-    header(&["lock", "20%/80%", "50%/50%", "80%/20%", "90%/10%"]);
+    header(&["figure", "lock", "read/write", "success %"]);
     let threads = *env::thread_counts().last().unwrap();
-    report("OptiQL-NOR", &success_rates::<OptiQLNor>(threads));
-    report("OptiQL", &success_rates::<OptiQL>(threads));
-    report("OptLock", &success_rates::<OptLock>(threads));
+    success_rates::<OptiQLNor>("OptiQL-NOR", threads);
+    success_rates::<OptiQL>("OptiQL", threads);
+    success_rates::<OptLock>("OptLock", threads);
 }

@@ -29,9 +29,7 @@
 
 use std::collections::HashMap;
 
-use optiql_bench::{banner, closed_loop, header, mops, r2, row_latency};
-use optiql_harness::env;
-use optiql_harness::report::LatencySummary;
+use optiql_bench::{banner, closed_loop, env, header, mops, r2, row_latency, LatencySummary};
 use optiql_server::server::{start, BackendKind, ServerConfig};
 use optiql_server::FsyncPolicy;
 

@@ -2,54 +2,17 @@
 //! matrix. Not a paper figure, but the de-facto standard way downstream
 //! users will evaluate these indexes; YCSB-E additionally exercises the
 //! range-scan paths (B+-tree leaf scans, ART ordered DFS).
+//!
+//! The six mixes run in order on one tree per configuration, so YCSB-E's
+//! inserts land past the keys YCSB-D inserted.
 
-use optiql::IndexLock;
-use optiql_bench::{banner, header, mops, r2, row_extra};
-use optiql_harness::{env, preload, run, ConcurrentIndex, KeyDist, Mix, WorkloadConfig};
-use optiql_sharded::ShardedIndex;
-
-fn sweep<I: ConcurrentIndex>(index: &I, index_name: &str, lock_name: &str, keys: u64) {
-    let threads = *env::thread_counts().last().unwrap();
-    for (name, mix) in Mix::ycsb_suite() {
-        let mut cfg = WorkloadConfig::new(threads, mix, KeyDist::Zipfian { theta: 0.99 }, keys);
-        cfg.duration = env::duration();
-        cfg.sample_every = 0;
-        // OPTIQL_BENCH_BATCH > 1 routes the lookup share of every mix
-        // through the pipelined multi_lookup path.
-        cfg.batch = env::batch_size();
-        let (r, _) = run(index, &cfg);
-        row_extra(
-            "ycsb",
-            &format!("{index_name}/{lock_name}"),
-            name,
-            r2(mops(r.throughput())),
-            r.scanned_entries,
-        );
-    }
-}
-
-fn btree_config<IL: IndexLock, LL: IndexLock>(name: &str, keys: u64) {
-    let tree: optiql_btree::BPlusTree<
-        IL,
-        LL,
-        { optiql_btree::DEFAULT_IC },
-        { optiql_btree::DEFAULT_LC },
-    > = optiql_btree::BPlusTree::new();
-    preload(
-        &tree,
-        &WorkloadConfig::new(1, Mix::BALANCED, KeyDist::Uniform, keys),
-    );
-    sweep(&tree, "B+-tree", name, keys);
-}
-
-fn art_config<L: IndexLock>(name: &str, keys: u64) {
-    let art: optiql_art::ArtTree<L> = optiql_art::ArtTree::new();
-    preload(
-        &art,
-        &WorkloadConfig::new(1, Mix::BALANCED, KeyDist::Uniform, keys),
-    );
-    sweep(&art, "ART", name, keys);
-}
+use optiql::{OptLock, OptiCLH};
+use optiql_bench::{
+    banner, env, header, mops, only, preload, r2, row_extra, sweep, KeyDist, Mix, Point, Sweep,
+    ART_LOCKS, BTREE_LOCKS,
+};
+use optiql_btree::{BPlusTree, BTreeOptiQL, DEFAULT_IC, DEFAULT_LC};
+use optiql_sharded::{ShardedIndex, DEFAULT_SHARDS};
 
 fn main() {
     banner("ycsb", "YCSB A-F, Zipfian(0.99), max threads");
@@ -60,29 +23,44 @@ fn main() {
         "Mops/s",
         "scanned_entries",
     ]);
-    let keys = env::preload_keys().min(2_000_000);
+    let threads = [*env::thread_counts().last().unwrap()];
+    let mixes = Mix::ycsb_suite();
+    let mut s = Sweep::new(
+        &mixes,
+        KeyDist::Zipfian { theta: 0.99 },
+        env::preload_keys().min(2_000_000),
+        &threads,
+        |p: &Point<'_>| {
+            row_extra(
+                "ycsb",
+                &format!("{}/{}", p.index, p.lock),
+                p.mix,
+                r2(mops(p.result.throughput())),
+                p.result.scanned_entries,
+            );
+        },
+    );
+    // OPTIQL_BENCH_BATCH > 1 routes the lookup share of every mix through
+    // the pipelined multi_lookup path.
+    s.batch = env::batch_size();
 
-    btree_config::<optiql::OptLock, optiql::OptLock>("OptLock", keys);
-    btree_config::<optiql::OptLock, optiql::OptiQL>("OptiQL", keys);
-    btree_config::<optiql::OptLock, optiql::OptiCLH>("OptiCLH", keys);
-
-    art_config::<optiql::OptLock>("OptLock", keys);
-    art_config::<optiql::OptiQL>("OptiQL", keys);
+    let locks = ["OptLock", "OptiQL"];
+    let mut btree = only(&BTREE_LOCKS, &locks);
+    btree.push((
+        "OptiCLH",
+        sweep::<BPlusTree<OptLock, OptiCLH, DEFAULT_IC, DEFAULT_LC>>,
+    ));
+    s.over("B+-tree", &btree);
+    s.over("ART", &only(&ART_LOCKS, &locks));
 
     // The same OptiQL trees behind the hash-partitioned facade: every
     // workload (including YCSB-E's fan-out scans) runs unmodified.
-    let shards = optiql_sharded::DEFAULT_SHARDS;
-    let tree: ShardedIndex<optiql_btree::BTreeOptiQL> = ShardedIndex::new(shards);
-    preload(
-        &tree,
-        &WorkloadConfig::new(1, Mix::BALANCED, KeyDist::Uniform, keys),
-    );
-    sweep(&tree, "B+-tree", &format!("OptiQL/sharded{shards}"), keys);
-
-    let art: ShardedIndex<optiql_art::ArtOptiQL> = ShardedIndex::new(shards);
-    preload(
-        &art,
-        &WorkloadConfig::new(1, Mix::BALANCED, KeyDist::Uniform, keys),
-    );
-    sweep(&art, "ART", &format!("OptiQL/sharded{shards}"), keys);
+    let lock = format!("OptiQL/sharded{DEFAULT_SHARDS}");
+    let tree: ShardedIndex<BTreeOptiQL> = ShardedIndex::new(DEFAULT_SHARDS);
+    preload(&tree, s.keys, s.keyspace);
+    s.points(&tree, "B+-tree", &lock);
+    drop(tree);
+    let art: ShardedIndex<optiql_art::ArtOptiQL> = ShardedIndex::new(DEFAULT_SHARDS);
+    preload(&art, s.keys, s.keyspace);
+    s.points(&art, "ART", &lock);
 }

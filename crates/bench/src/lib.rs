@@ -1,16 +1,33 @@
-//! # optiql-bench — shared plumbing for the figure/table bench targets
+//! # optiql-bench — the evaluation layer of the OptiQL reproduction
 //!
-//! Every `benches/figNN_*.rs` target is a `harness = false` binary that
-//! prints the same rows/series the paper's corresponding figure or table
+//! Everything needed to regenerate the paper's evaluation:
+//!
+//! * [`dist`] — uniform, self-similar (Gray et al.) and Zipfian key
+//!   distributions plus dense/sparse key-space mappings;
+//! * [`latency`] — log-bucketed histograms up to p99.999 (Figure 12);
+//! * [`micro`] — the §7.1 lock microbenchmark driver (Figures 6–8,
+//!   Table 1);
+//! * [`workload`] — the PiBench-style index workload driver and the one
+//!   index [`Sweep`] every index figure (1, 9–13, YCSB) runs, with each
+//!   tree's lock configurations listed once ([`BTREE_LOCKS`],
+//!   [`ART_LOCKS`]);
+//! * [`report`] — machine-readable `BENCH_<name>.json` reports shared by
+//!   every bench target, so PRs can diff performance mechanically;
+//! * [`mod@env`] — environment-variable knobs that let the bench binaries
+//!   scale to the host.
+//!
+//! Every `benches/*.rs` target is a `harness = false` binary that prints
+//! the same rows/series the paper's corresponding figure or table
 //! reports, in a uniform tab-separated format:
 //!
 //! ```text
 //! figNN <TAB> <series> <TAB> <x> <TAB> <value> [<TAB> extra…]
 //! ```
 //!
-//! Output scale is controlled by the environment knobs in
-//! [`optiql_harness::env`]; see EXPERIMENTS.md for the mapping from each
-//! target to the paper's figure.
+//! and mirrors each row into `BENCH_<fig>.json`; see EXPERIMENTS.md for
+//! the mapping from each target to the paper's figure. Lock-event
+//! counters (`optiql::stats`) record only when the build enables
+//! `optiql/stats`.
 //!
 //! The two targets that measure a served index (`server`, `wal`) drive it
 //! with [`closed_loop`], over the server crate's own [`Client`].
@@ -18,16 +35,101 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod dist;
+pub mod latency;
+pub mod micro;
+pub mod report;
+pub mod workload;
+
 use std::fmt::Display;
 use std::io;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use optiql_harness::report::{BenchJson, JsonValue, LatencySummary};
-use optiql_harness::Histogram;
+pub use dist::{KeyDist, KeySpace, Sampler};
+pub use latency::Histogram;
+pub use micro::{cs_work, run_exclusive, run_mixed, Contention, MicroConfig, MicroResult};
+pub use report::{BenchJson, JsonValue, LatencySummary};
+pub use workload::{
+    only, preload, run, sweep, Mix, Point, ScanMode, Sweep, SweepFn, WorkloadConfig,
+    WorkloadResult, ART_LOCKS, BTREE_LOCKS,
+};
+
 use optiql_server::{Client, Request, Response};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+
+/// Number of logical CPUs visible to this process.
+pub fn num_cpus() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
+/// Environment-variable knobs for the bench binaries.
+pub mod env {
+    use std::time::Duration;
+
+    fn var_u64(name: &str) -> Option<u64> {
+        std::env::var(name).ok()?.trim().parse().ok()
+    }
+
+    /// True when `OPTIQL_BENCH_FULL=1`: longer runs, more thread points.
+    pub fn full() -> bool {
+        var_u64("OPTIQL_BENCH_FULL") == Some(1)
+    }
+
+    /// Thread counts to sweep. Default: powers of two up to
+    /// `max(4, 2 × cores)` (the paper sweeps 1..80 on its 40-core box);
+    /// override with `OPTIQL_BENCH_THREADS="1,2,4,8"`.
+    pub fn thread_counts() -> Vec<usize> {
+        if let Ok(s) = std::env::var("OPTIQL_BENCH_THREADS") {
+            let v: Vec<usize> = s
+                .split(',')
+                .filter_map(|t| t.trim().parse().ok())
+                .filter(|&n| n > 0)
+                .collect();
+            if !v.is_empty() {
+                return v;
+            }
+        }
+        let cap = (2 * crate::num_cpus()).max(4);
+        let mut v = vec![1];
+        let mut t = 2;
+        while t <= cap {
+            v.push(t);
+            t *= 2;
+        }
+        v
+    }
+
+    /// Per-point measurement duration. Default 300 ms, 2 s with
+    /// `OPTIQL_BENCH_FULL=1` (paper: 10 s × 20 runs); override with
+    /// `OPTIQL_BENCH_MILLIS` (minimum 10).
+    pub fn duration() -> Duration {
+        if let Some(ms) = var_u64("OPTIQL_BENCH_MILLIS") {
+            return Duration::from_millis(ms.max(10));
+        }
+        if full() {
+            Duration::from_secs(2)
+        } else {
+            Duration::from_millis(300)
+        }
+    }
+
+    /// Preloaded record count for index benches. Default 1M (paper: 100M);
+    /// override with `OPTIQL_BENCH_KEYS`.
+    pub fn preload_keys() -> u64 {
+        var_u64("OPTIQL_BENCH_KEYS").unwrap_or(if full() { 10_000_000 } else { 1_000_000 })
+    }
+
+    /// Lookups per batched call for the YCSB workload benches. Default 1
+    /// (scalar); override with `OPTIQL_BENCH_BATCH` to route the lookup
+    /// share of the mix through `multi_lookup`.
+    pub fn batch_size() -> usize {
+        var_u64("OPTIQL_BENCH_BATCH").unwrap_or(1).max(1) as usize
+    }
+}
 
 /// JSON report mirroring the rows printed by [`row`]/[`row_extra`].
 /// Initialized by [`banner`] from the figure name, so every bench target
@@ -37,15 +139,15 @@ static JSON: Mutex<Option<BenchJson>> = Mutex::new(None);
 /// Print a run banner with the active scaling knobs and open the
 /// machine-readable `BENCH_<fig>.json` report for this target.
 pub fn banner(fig: &str, title: &str) {
-    let threads = optiql_harness::env::thread_counts();
-    let dur = optiql_harness::env::duration();
+    let threads = env::thread_counts();
+    let dur = env::duration();
     println!("# ===================================================================");
     println!("# {fig}: {title}");
     println!(
         "# host_cpus={} threads={threads:?} secs_per_point={:.2} full={}",
-        optiql_harness::pin::num_cpus(),
+        num_cpus(),
         dur.as_secs_f64(),
-        optiql_harness::env::full(),
+        env::full(),
     );
     println!("# ===================================================================");
     *JSON.lock().unwrap() = Some(BenchJson::new(fig));
@@ -252,6 +354,23 @@ pub fn closed_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn thread_counts_start_at_one() {
+        let v = env::thread_counts();
+        assert_eq!(v[0], 1);
+        assert!(v.iter().all(|&n| n >= 1));
+    }
+
+    #[test]
+    fn duration_is_positive() {
+        assert!(env::duration().as_millis() > 0);
+    }
+
+    #[test]
+    fn num_cpus_is_positive() {
+        assert!(num_cpus() >= 1);
+    }
     use optiql_server::{start, BackendKind, ServerConfig, ServerHandle};
 
     fn serve(preload: u64) -> ServerHandle {

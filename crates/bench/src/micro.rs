@@ -21,7 +21,7 @@ use rand::{Rng, SeedableRng};
 
 use optiql::{ExclusiveLock, IndexLock};
 
-use crate::pin::pin_thread;
+use optiql_sharded::affinity::pin_thread;
 
 /// Contention levels used throughout the paper's Figures 6–8.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

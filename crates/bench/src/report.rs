@@ -75,7 +75,7 @@ impl BenchJson {
         let tail = format!(
             "\"rev\":{},\"host_cpus\":{}}}\n",
             json_str(&rev),
-            crate::pin::num_cpus()
+            crate::num_cpus()
         );
         BenchJson { file, tail }
     }
@@ -224,7 +224,7 @@ mod tests {
         assert_eq!(lines.len(), 1);
         assert!(lines[0].starts_with("{\"bench\":\"fig\",\"series\":\"c\\\"x\",\"x\":8,"));
         assert!(lines[0].contains("\"value\":2.25,\"p99_ns\":null,\"rev\":\""));
-        assert!(lines[0].ends_with(&format!("\"host_cpus\":{}}}", crate::pin::num_cpus())));
+        assert!(lines[0].ends_with(&format!("\"host_cpus\":{}}}", crate::num_cpus())));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -5,6 +5,11 @@
 //! (lookup / update / insert / remove / scan) with keys drawn from a
 //! configurable distribution, reporting throughput and sampled
 //! per-operation latency.
+//!
+//! [`Sweep`] is the one index sweep the figure targets share: a figure
+//! states its mixes, key distribution, key space, key count, thread
+//! points and the row each point prints, and runs it over the lock
+//! configurations of [`BTREE_LOCKS`] and [`ART_LOCKS`].
 
 use std::ops::Bound;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -14,14 +19,15 @@ use std::time::{Duration, Instant};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::dist::{KeyDist, KeySpace};
-use crate::latency::Histogram;
-use crate::pin::pin_thread;
+use optiql::{McsRwLock, OptLock, OptiQL, OptiQLNor, PthreadRwLock};
+use optiql_art::ArtTree;
+use optiql_btree::{BPlusTree, DEFAULT_IC, DEFAULT_LC};
+use optiql_index_api::{ConcurrentIndex, IndexStats};
+use optiql_sharded::affinity::pin_thread;
 
-// The index interface lives in `optiql-index-api` (both trees implement it
-// there); re-exported so existing `optiql_harness::ConcurrentIndex` /
-// `workload::ConcurrentIndex` imports keep working.
-pub use optiql_index_api::ConcurrentIndex;
+use crate::dist::{KeyDist, KeySpace};
+use crate::env;
+use crate::latency::Histogram;
 
 /// How the scan share of a mix executes: the index's two range drivers,
 /// which the server exposes as SCAN (0x07) and SCAN_COUNT (0x05).
@@ -228,11 +234,11 @@ impl WorkloadResult {
     }
 }
 
-/// Pre-load `cfg.preload` records: key indices `0..preload` through the
-/// key-space mapping, value = key + 1.
-pub fn preload<I: ConcurrentIndex>(index: &I, cfg: &WorkloadConfig) {
-    for i in 0..cfg.preload {
-        let k = cfg.keyspace.key(i);
+/// Pre-load `keys` records: key indices `0..keys` through `keyspace`,
+/// value = key + 1.
+pub fn preload<I: ConcurrentIndex>(index: &I, keys: u64, keyspace: KeySpace) {
+    for i in 0..keys {
+        let k = keyspace.key(i);
         index.insert(k, k.wrapping_add(1));
     }
 }
@@ -241,7 +247,15 @@ pub fn preload<I: ConcurrentIndex>(index: &I, cfg: &WorkloadConfig) {
 /// enabled, a latency histogram (nanoseconds) per run. Sampled key
 /// indices go through the key-space mapping; an inserted key's value is
 /// its index + 1.
+///
+/// Inserts take fresh key indices, disjoint per thread, starting at the
+/// index's `len()` when the run begins: right after a preload that is
+/// `preload`, and a second run on the same index inserts past the first
+/// one's keys instead of overwriting them. (Removes draw from
+/// `0..preload`, so after a run that removed keys the start falls short
+/// by that many and the first inserts overwrite.)
 pub fn run<I: ConcurrentIndex>(index: &I, cfg: &WorkloadConfig) -> (WorkloadResult, Histogram) {
+    let first_insert = index.len() as u64;
     let stop = Arc::new(AtomicBool::new(false));
     let barrier = Arc::new(Barrier::new(cfg.threads + 1));
 
@@ -258,9 +272,9 @@ pub fn run<I: ConcurrentIndex>(index: &I, cfg: &WorkloadConfig) -> (WorkloadResu
                     let mut hist = Histogram::new();
                     let mut out = WorkloadResult::default();
                     // Fresh keys for inserts: disjoint per thread, beyond
-                    // the preloaded range.
+                    // every key the index holds.
                     let mut next_insert =
-                        cfg.preload + tid as u64 * (u64::MAX / 1024 / cfg.threads as u64);
+                        first_insert + tid as u64 * (u64::MAX / 1024 / cfg.threads as u64);
                     let mut op_counter = 0u32;
                     let mut batch_buf: Vec<u64> = Vec::with_capacity(cfg.batch.max(1));
                     barrier.wait();
@@ -344,6 +358,147 @@ pub fn run<I: ConcurrentIndex>(index: &I, cfg: &WorkloadConfig) -> (WorkloadResu
     })
 }
 
+/// One point of a [`Sweep`]: everything its row may print.
+pub struct Point<'a> {
+    /// The index label the sweep ran under (`"B+-tree"`, `"ART"`, a
+    /// node size, …).
+    pub index: &'a str,
+    /// The lock configuration's label.
+    pub lock: &'a str,
+    /// The mix's label.
+    pub mix: &'a str,
+    /// Worker threads.
+    pub threads: usize,
+    /// Counts and throughput of the run.
+    pub result: WorkloadResult,
+    /// Sampled latency (empty unless the sweep samples).
+    pub hist: Histogram,
+    /// The index's restart accounting over the run.
+    pub stats: IndexStats,
+    /// Lock-event counters over the run (all zero unless the build
+    /// enables `optiql/stats`).
+    pub events: optiql::stats::Snapshot,
+}
+
+/// One figure's index sweep: what the figure varies, and the row each
+/// point prints. Every point runs for `env::duration()`; the mixes are the
+/// outer loop, the thread points the inner one.
+pub struct Sweep<'a> {
+    /// Labelled operation mixes.
+    pub mixes: &'a [(&'a str, Mix)],
+    /// Key distribution of every run.
+    pub dist: KeyDist,
+    /// Key space of the preload and of every run.
+    pub keyspace: KeySpace,
+    /// Preloaded records.
+    pub keys: u64,
+    /// Worker-thread points.
+    pub threads: &'a [usize],
+    /// Sample one operation's latency every `n` (0: no sampling).
+    pub sample_every: u32,
+    /// Lookups per batched call (1: scalar lookups).
+    pub batch: usize,
+    /// Prints one point's row.
+    pub row: fn(&Point<'_>),
+}
+
+impl<'a> Sweep<'a> {
+    /// A sweep over dense keys, without latency sampling, with scalar
+    /// lookups.
+    pub fn new(
+        mixes: &'a [(&'a str, Mix)],
+        dist: KeyDist,
+        keys: u64,
+        threads: &'a [usize],
+        row: fn(&Point<'_>),
+    ) -> Self {
+        Sweep {
+            mixes,
+            dist,
+            keyspace: KeySpace::Dense,
+            keys,
+            threads,
+            sample_every: 0,
+            batch: 1,
+            row,
+        }
+    }
+
+    /// Run the sweep on a fresh index per lock configuration of `locks`.
+    pub fn over(&self, index: &str, locks: &[(&str, SweepFn)]) {
+        for (lock, f) in locks {
+            f(self, index, lock);
+        }
+    }
+
+    /// Run every point on `tree`, already preloaded with the sweep's keys.
+    pub fn points<I: ConcurrentIndex>(&self, tree: &I, index: &str, lock: &str) {
+        for &(mix_name, mix) in self.mixes {
+            for &threads in self.threads {
+                let mut cfg = WorkloadConfig::new(threads, mix, self.dist.clone(), self.keys);
+                cfg.keyspace = self.keyspace;
+                cfg.duration = env::duration();
+                cfg.sample_every = self.sample_every;
+                cfg.batch = self.batch;
+                let (stats, events) = (tree.index_stats(), optiql::stats::snapshot());
+                let (result, hist) = run(tree, &cfg);
+                (self.row)(&Point {
+                    index,
+                    lock,
+                    mix: mix_name,
+                    threads,
+                    result,
+                    hist,
+                    stats: tree.index_stats().since(&stats),
+                    events: optiql::stats::snapshot().since(&events),
+                });
+            }
+        }
+    }
+}
+
+/// Build an `I`, preload it with the sweep's keys and run every point on
+/// it. A lock list holds this function instantiated per tree type, so
+/// every measured loop is monomorphised.
+pub fn sweep<I: ConcurrentIndex + Default>(s: &Sweep<'_>, index: &str, lock: &str) {
+    let tree = I::default();
+    preload(&tree, s.keys, s.keyspace);
+    s.points(&tree, index, lock);
+}
+
+/// [`sweep`] for one tree type: `(sweep, index label, lock label)`.
+pub type SweepFn = fn(&Sweep<'_>, &str, &str);
+
+type BTree<IL, LL> = BPlusTree<IL, LL, DEFAULT_IC, DEFAULT_LC>;
+
+/// The paper's five B+-tree lock configurations, as `(inner, leaf)`
+/// pairs: the OptiQL variants queue at the leaves only (§6.1).
+pub const BTREE_LOCKS: [(&str, SweepFn); 5] = [
+    ("OptLock", sweep::<BTree<OptLock, OptLock>>),
+    ("OptiQL-NOR", sweep::<BTree<OptLock, OptiQLNor>>),
+    ("OptiQL", sweep::<BTree<OptLock, OptiQL>>),
+    ("pthread", sweep::<BTree<PthreadRwLock, PthreadRwLock>>),
+    ("MCS-RW", sweep::<BTree<McsRwLock, McsRwLock>>),
+];
+
+/// The paper's five ART locks (one lock type for every node).
+pub const ART_LOCKS: [(&str, SweepFn); 5] = [
+    ("OptLock", sweep::<ArtTree<OptLock>>),
+    ("OptiQL-NOR", sweep::<ArtTree<OptiQLNor>>),
+    ("OptiQL", sweep::<ArtTree<OptiQL>>),
+    ("pthread", sweep::<ArtTree<PthreadRwLock>>),
+    ("MCS-RW", sweep::<ArtTree<McsRwLock>>),
+];
+
+/// The configurations of `locks` named in `names`, in `locks`' order.
+pub fn only(locks: &[(&'static str, SweepFn)], names: &[&str]) -> Vec<(&'static str, SweepFn)> {
+    locks
+        .iter()
+        .copied()
+        .filter(|(name, _)| names.contains(name))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -360,7 +515,7 @@ mod tests {
     fn preload_populates_every_key() {
         let tree: BTreeOptiQL = BTreeOptiQL::new();
         let cfg = quick_cfg(Mix::READ_ONLY);
-        preload(&tree, &cfg);
+        preload(&tree, cfg.preload, cfg.keyspace);
         assert_eq!(tree.len(), 10_000);
         assert_eq!(tree.lookup(0), Some(1));
         assert_eq!(tree.lookup(9_999), Some(10_000));
@@ -370,7 +525,7 @@ mod tests {
     fn read_only_workload_hits_every_lookup() {
         let tree: BTreeOptiQL = BTreeOptiQL::new();
         let cfg = quick_cfg(Mix::READ_ONLY);
-        preload(&tree, &cfg);
+        preload(&tree, cfg.preload, cfg.keyspace);
         let (r, hist) = run(&tree, &cfg);
         assert!(r.lookups > 0);
         assert_eq!(r.lookups, r.lookup_hits, "dense preload: all hits");
@@ -383,7 +538,7 @@ mod tests {
     fn balanced_workload_mixes_ops() {
         let tree: BTreeOptLock = BTreeOptLock::new();
         let cfg = quick_cfg(Mix::BALANCED);
-        preload(&tree, &cfg);
+        preload(&tree, cfg.preload, cfg.keyspace);
         let (r, _) = run(&tree, &cfg);
         assert!(r.lookups > 0);
         assert!(r.updates > 0);
@@ -395,7 +550,7 @@ mod tests {
     fn insert_heavy_grows_art() {
         let art: ArtOptiQL = ArtOptiQL::new();
         let cfg = quick_cfg(Mix::INSERT_HEAVY);
-        preload(&art, &cfg);
+        preload(&art, cfg.preload, cfg.keyspace);
         let before = art.len();
         let (r, _) = run(&art, &cfg);
         assert!(r.inserts > 0);
@@ -408,7 +563,7 @@ mod tests {
         let art: ArtOptiQL = ArtOptiQL::new();
         let mut cfg = quick_cfg(Mix::WRITE_HEAVY);
         cfg.dist = KeyDist::self_similar_02();
-        preload(&art, &cfg);
+        preload(&art, cfg.preload, cfg.keyspace);
         let (r, _) = run(&art, &cfg);
         assert!(r.updates > 0);
         art.check_invariants();
@@ -419,7 +574,7 @@ mod tests {
         let tree: BTreeOptiQL = BTreeOptiQL::new();
         let mut cfg = quick_cfg(Mix::READ_ONLY);
         cfg.batch = 8;
-        preload(&tree, &cfg);
+        preload(&tree, cfg.preload, cfg.keyspace);
         let (r, _) = run(&tree, &cfg);
         assert!(r.lookups > 0);
         assert_eq!(r.lookups % 8, 0, "lookups counted in whole batches");
@@ -431,11 +586,27 @@ mod tests {
         let art: ArtOptiQL = ArtOptiQL::new();
         let mut cfg = quick_cfg(Mix::READ_HEAVY);
         cfg.batch = 16;
-        preload(&art, &cfg);
+        preload(&art, cfg.preload, cfg.keyspace);
         let (r, _) = run(&art, &cfg);
         assert!(r.lookups > 0 && r.updates > 0);
         assert_eq!(r.lookups, r.lookup_hits);
         art.check_invariants();
+    }
+
+    /// Each run's inserts are fresh keys: a second run on the same tree
+    /// grows it by exactly its own insert count instead of overwriting
+    /// the first run's keys.
+    #[test]
+    fn a_second_run_inserts_past_the_first_runs_keys() {
+        let tree: BTreeOptiQL = BTreeOptiQL::new();
+        let cfg = quick_cfg(Mix::YCSB_D);
+        preload(&tree, cfg.preload, cfg.keyspace);
+        for _ in 0..2 {
+            let before = tree.len() as u64;
+            let (r, _) = run(&tree, &cfg);
+            assert!(r.inserts > 0);
+            assert_eq!(tree.len() as u64 - before, r.inserts);
+        }
     }
 
     #[test]
@@ -454,7 +625,7 @@ mod tests {
     fn ycsb_e_drives_range_scans() {
         let tree: BTreeOptiQL = BTreeOptiQL::new();
         let cfg = quick_cfg(Mix::YCSB_E);
-        preload(&tree, &cfg);
+        preload(&tree, cfg.preload, cfg.keyspace);
         let (r, _) = run(&tree, &cfg);
         assert!(r.scans > 0, "YCSB-E must issue scans");
         assert!(r.scanned_entries > 0);
@@ -465,7 +636,7 @@ mod tests {
     fn ycsb_e_scans_on_art_too() {
         let art: ArtOptiQL = ArtOptiQL::new();
         let cfg = quick_cfg(Mix::YCSB_E);
-        preload(&art, &cfg);
+        preload(&art, cfg.preload, cfg.keyspace);
         let (r, _) = run(&art, &cfg);
         assert!(r.scans > 0 && r.scanned_entries > 0);
         art.check_invariants();
@@ -480,7 +651,7 @@ mod tests {
             let mut cfg = quick_cfg(Mix::with_scan(0, 0, 0, 0, 100));
             cfg.scan_mode = mode;
             cfg.scan_max = 10;
-            preload(&tree, &cfg);
+            preload(&tree, cfg.preload, cfg.keyspace);
             let (r, _) = run(&tree, &cfg);
             assert!(r.scans > 0, "{mode:?} issued no scans");
             // Scan lengths are uniform in 1..=10 and every start has at

@@ -8,7 +8,7 @@
 //! generator passes a chi-square smoke test. Fixed seeds keep every check
 //! deterministic.
 
-use optiql_harness::dist::KeyDist;
+use optiql_bench::dist::KeyDist;
 use rand::{rngs::SmallRng, SeedableRng};
 
 fn draw_histogram(dist: &KeyDist, n: u64, draws: usize, seed: u64) -> Vec<u64> {

@@ -6,8 +6,8 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use optiql_harness::latency::Histogram;
-use optiql_harness::{KeyDist, KeySpace};
+use optiql_bench::latency::Histogram;
+use optiql_bench::{KeyDist, KeySpace};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]

@@ -2,7 +2,7 @@
 //!
 //! Both paper indexes (`optiql-btree`, `optiql-art`) expose the same
 //! `u64` → `u64` interface; this crate owns that interface so everything
-//! above the trees — the benchmark harness, the sharded facade, examples,
+//! above the trees — the evaluation crate, the sharded facade, examples,
 //! tests — is written once against [`ConcurrentIndex`] and runs unmodified
 //! over any index (or composition of indexes).
 //!
@@ -23,13 +23,13 @@
 //!    └── optiql-index-api (this crate: the trait)
 //!           ├── optiql-btree, optiql-art (indexes implement it)
 //!           ├── optiql-sharded (facade: ShardedIndex<I: ConcurrentIndex>)
-//!           └── optiql-harness / optiql-bench (consumers)
+//!           └── optiql-bench (consumer: workload drivers + bench targets)
 //! ```
 //!
 //! Index crates implement the trait with [`impl_concurrent_index!`], which
 //! delegates every required method to the inherent method of the same
 //! name — keeping the two impl blocks from drifting apart, as the previous
-//! hand-rolled copies in the harness did.
+//! hand-rolled copies in the benchmark driver did.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

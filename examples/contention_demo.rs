@@ -5,8 +5,9 @@
 //! Run with: `cargo run --release --example contention_demo`
 //! (On a many-core machine, also try OPTIQL_BENCH_THREADS=1,10,20,40,80.)
 
+use optiql_bench::{env, preload, run, KeyDist, KeySpace, Mix, WorkloadConfig};
 use optiql_btree::{BTreeOptLock, BTreeOptiQL};
-use optiql_harness::{env, preload, run, ConcurrentIndex, KeyDist, Mix, WorkloadConfig};
+use optiql_index_api::ConcurrentIndex;
 
 fn measure<I: ConcurrentIndex>(index: &I, dist: KeyDist, threads: usize, keys: u64) -> f64 {
     let mut cfg = WorkloadConfig::new(threads, Mix::UPDATE_ONLY, dist, keys);
@@ -22,9 +23,8 @@ fn main() {
 
     let optlock: BTreeOptLock = BTreeOptLock::new();
     let optiql: BTreeOptiQL = BTreeOptiQL::new();
-    let cfg = WorkloadConfig::new(1, Mix::UPDATE_ONLY, KeyDist::Uniform, keys);
-    preload(&optlock, &cfg);
-    preload(&optiql, &cfg);
+    preload(&optlock, keys, KeySpace::Dense);
+    preload(&optiql, keys, KeySpace::Dense);
 
     println!("B+-tree, update-only, {keys} keys (Mops/s)");
     println!();

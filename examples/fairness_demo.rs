@@ -10,7 +10,7 @@
 use std::time::Duration;
 
 use optiql::{ExclusiveLock, McsLock, OptLock, OptLockBackoff, OptiQL, TtsBackoff, TtsLock};
-use optiql_harness::{run_exclusive, Contention, MicroConfig};
+use optiql_bench::{run_exclusive, Contention, MicroConfig};
 
 fn fairness<L: ExclusiveLock>(threads: usize) -> (f64, u64) {
     let cfg = MicroConfig {

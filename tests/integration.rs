@@ -4,8 +4,9 @@
 use std::time::Duration;
 
 use optiql_art::{ArtMcsRw, ArtOptLock, ArtOptiQL, ArtOptiQLNor};
+use optiql_bench::{preload, run, KeyDist, KeySpace, Mix, WorkloadConfig};
 use optiql_btree::{BTreeMcsRw, BTreeOptLock, BTreeOptiQL, BTreeOptiQLAor, BTreeOptiQLNor};
-use optiql_harness::{preload, run, ConcurrentIndex, KeyDist, KeySpace, Mix, WorkloadConfig};
+use optiql_index_api::ConcurrentIndex;
 
 fn quick(mix: Mix, dist: KeyDist, keys: u64) -> WorkloadConfig {
     let mut cfg = WorkloadConfig::new(3, mix, dist, keys);
@@ -40,7 +41,7 @@ fn btree_all_configs_survive_workload_suite() {
         ($ty:ty) => {{
             let tree: $ty = <$ty>::new();
             let cfg = quick(Mix::READ_ONLY, KeyDist::Uniform, 20_000);
-            preload(&tree, &cfg);
+            preload(&tree, cfg.preload, cfg.keyspace);
             drive(&tree, || tree.check_invariants());
         }};
     }
@@ -57,7 +58,7 @@ fn art_all_configs_survive_workload_suite() {
         ($ty:ty) => {{
             let art: $ty = <$ty>::new();
             let cfg = quick(Mix::READ_ONLY, KeyDist::Uniform, 20_000);
-            preload(&art, &cfg);
+            preload(&art, cfg.preload, cfg.keyspace);
             drive(&art, || art.check_invariants());
         }};
     }
@@ -74,7 +75,7 @@ fn art_sparse_keyspace_with_contention_expansion() {
     let art: optiql_art::ArtTree<optiql::OptiQL> = optiql_art::ArtTree::with_expansion(16, 1);
     let mut cfg = quick(Mix::WRITE_HEAVY, KeyDist::self_similar_02(), 10_000);
     cfg.keyspace = KeySpace::Sparse;
-    preload(&art, &cfg);
+    preload(&art, cfg.preload, cfg.keyspace);
     let before = art.check_invariants();
     assert_eq!(before, 10_000);
     let (r, _) = run(&art, &cfg);
