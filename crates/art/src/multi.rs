@@ -19,8 +19,9 @@
 //! driver, against cache-warm nodes. Each turn re-derives its key's radix
 //! digits on the stack (a byte swap).
 
-use optiql::olc::{run_grouped, Step};
+use optiql::olc::{run_grouped, Step, OPS};
 use optiql::IndexLock;
+use optiql_reclaim::Guard;
 
 use crate::node::{key_bytes, prefetch_child};
 use crate::tree::{ArtTree, Edge, WriteOp, LANES, SIZE};
@@ -44,9 +45,38 @@ impl<L: IndexLock> ArtTree<L> {
 
     /// Batched inserts, equivalent to applying `pairs` in order (a
     /// duplicate key later in the batch observes the earlier write).
+    ///
+    /// A dense batch — most keys share every digit but the last with the
+    /// key before them, as in an ascending preload or a checkpoint's
+    /// replay — runs the scalar driver under the batch's one pin: its
+    /// path stays cache-hot, so a pipeline has no misses to overlap. A
+    /// spread-out batch, sorted or not, keeps the pipeline, which on 1 M
+    /// sorted uniform keys is 1.4–1.6× the scalar loop.
     pub fn multi_insert(&self, pairs: &[(u64, u64)]) -> Vec<Option<u64>> {
         let g = self.collector.pin();
-        let out = run_grouped::<L, _, _, LANES>(
+        let dense = pairs
+            .windows(2)
+            .filter(|w| w[0].0 >> 8 == w[1].0 >> 8)
+            .count();
+        let out = if 2 * dense >= pairs.len() {
+            self.counters.add(OPS, pairs.len() as u64);
+            pairs
+                .iter()
+                .map(|&(key, val)| self.insert_impl(key, &key_bytes(key), val))
+                .collect()
+        } else {
+            self.multi_insert_grouped(pairs, &g)
+        };
+        let added = out.iter().filter(|r| r.is_none()).count();
+        if added > 0 {
+            self.counters.add(SIZE, added as u64);
+        }
+        out
+    }
+
+    /// The pipelined insert of a spread-out batch.
+    fn multi_insert_grouped(&self, pairs: &[(u64, u64)], g: &Guard) -> Vec<Option<u64>> {
+        run_grouped::<L, _, _, LANES>(
             &self.counters,
             pairs.len(),
             |e, i| pairs[e].0 == pairs[i].0,
@@ -59,7 +89,7 @@ impl<L: IndexLock> ArtTree<L> {
                     // locks only), so hand over — and for the same reason
                     // the link the step leaves in `up` for a remove's
                     // collapse can simply be dropped.
-                    self.write_step(key, &kb, WriteOp::Insert(val), &mut None, e, &g)
+                    self.write_step(key, &kb, WriteOp::Insert(val), &mut None, e, g)
                         .unwrap_or_else(|_smo| Step::Done(self.insert_impl(key, &kb, val)))
                 })
             },
@@ -67,12 +97,7 @@ impl<L: IndexLock> ArtTree<L> {
                 let (key, val) = pairs[i];
                 self.insert_impl(key, &key_bytes(key), val)
             },
-        );
-        let added = out.iter().filter(|r| r.is_none()).count();
-        if added > 0 {
-            self.counters.add(SIZE, added as u64);
-        }
-        out
+        )
     }
 
     /// One turn of a parked descent: `step` over its edge, then prefetch

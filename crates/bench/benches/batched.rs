@@ -11,9 +11,12 @@
 //! since it only hides misses that actually occur; run with a large
 //! `OPTIQL_BENCH_KEYS` to push the tree past the last-level cache.
 //!
-//! A second series times `multi_insert` bulk-loading a fresh tree, where
-//! the same pipeline overlaps the descent misses ahead of each leaf
-//! write.
+//! Two more series time `multi_insert` bulk-loading a fresh tree:
+//! `insert` feeds dense ascending keys, which a B+-tree takes one descent
+//! per leaf (DESIGN §5.1); `insert-sorted-sparse` feeds uniform keys with
+//! each batch sorted, whose leaf runs end after one pair, so the batch
+//! keeps the pipeline that overlaps the descent misses ahead of each
+//! leaf write.
 
 use std::time::Instant;
 
@@ -57,19 +60,36 @@ fn lookup_sweep<I: ConcurrentIndex>(index: &I, series: &str, keys: u64) {
 }
 
 /// Bulk-load `keys` fresh pairs through `multi_insert` in chunks of
-/// `batch` (`1` = the scalar `insert` loop) into a tree built by `make`.
-fn insert_sweep<I: ConcurrentIndex>(make: impl Fn() -> I, series: &str, keys: u64) {
-    let pairs: Vec<(u64, u64)> = (0..keys).map(|k| (k, k.wrapping_add(1))).collect();
+/// `batch` (`1` = the scalar `insert` loop) into a tree built by `make`:
+/// keys `0..keys` ascending (`Dense`), or their `Sparse` images with each
+/// chunk sorted before the clock starts.
+fn insert_sweep<I: ConcurrentIndex>(
+    make: impl Fn() -> I,
+    series: &str,
+    keys: u64,
+    space: KeySpace,
+) {
+    let pairs: Vec<(u64, u64)> = (0..keys)
+        .map(|k| (space.key(k), k.wrapping_add(1)))
+        .collect();
+    let op = match space {
+        KeySpace::Dense => "insert",
+        KeySpace::Sparse => "insert-sorted-sparse",
+    };
     let mut base = 0.0f64;
     for batch in BATCHES {
+        let mut load = pairs.clone();
+        for chunk in load.chunks_mut(batch) {
+            chunk.sort_unstable();
+        }
         let index = make();
         let t0 = Instant::now();
         if batch == 1 {
-            for &(k, v) in &pairs {
+            for &(k, v) in &load {
                 index.insert(k, v);
             }
         } else {
-            for chunk in pairs.chunks(batch) {
+            for chunk in load.chunks(batch) {
                 index.multi_insert(chunk);
             }
         }
@@ -82,7 +102,7 @@ fn insert_sweep<I: ConcurrentIndex>(make: impl Fn() -> I, series: &str, keys: u6
         let speedup = if base > 0.0 { m / base } else { 0.0 };
         row_extra(
             "batched",
-            &format!("{series}/insert"),
+            &format!("{series}/{op}"),
             batch,
             r2(m),
             format!("{}x", r2(speedup)),
@@ -137,10 +157,18 @@ fn main() {
 
     // Bulk-load series: smaller key count (each point rebuilds the tree).
     let load_keys = keys.min(2_000_000);
-    insert_sweep(
-        || -> optiql_btree::BTreeOptiQL { optiql_btree::BTreeOptiQL::new() },
-        "B+-tree/OptiQL/plain",
-        load_keys,
-    );
-    insert_sweep(optiql_art::ArtOptiQL::new, "ART/OptiQL/plain", load_keys);
+    for space in [KeySpace::Dense, KeySpace::Sparse] {
+        insert_sweep(
+            || -> optiql_btree::BTreeOptiQL { optiql_btree::BTreeOptiQL::new() },
+            "B+-tree/OptiQL/plain",
+            load_keys,
+            space,
+        );
+        insert_sweep(
+            optiql_art::ArtOptiQL::new,
+            "ART/OptiQL/plain",
+            load_keys,
+            space,
+        );
+    }
 }

@@ -18,15 +18,21 @@
 //! scheduler completes through the scalar driver, which by then runs
 //! against cache-warm nodes.
 //!
+//! An ascending insert batch has no misses to overlap: its keys land in
+//! the leaf the key before them wrote. `multi_insert` runs such a batch
+//! on the scalar driver instead, one descent per leaf (see
+//! [`crate::tree`]'s `Run`), and keeps the pipeline for the part of a
+//! sorted batch that is spread out.
+//!
 //! Per-op fixed costs are amortized across the batch: one reclamation-epoch
 //! pin, and one add each to the ops and restarts lanes of the tree's
 //! counters.
 
-use optiql::olc::{run_grouped, Step};
+use optiql::olc::{run_grouped, Step, OPS};
 use optiql::IndexLock;
 
 use crate::node::prefetch_node_rest;
-use crate::tree::{BPlusTree, Edge, Stepped, WriteOp, LANES, SIZE};
+use crate::tree::{BPlusTree, Edge, Run, Stepped, WriteOp, LANES, SIZE};
 
 impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> BPlusTree<IL, LL, IC, LC> {
     /// Batched point lookups; `result[i] == lookup(keys[i])`, order
@@ -49,23 +55,60 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> BPlusTree<I
 
     /// Batched inserts, equivalent to applying `pairs` in order (a
     /// duplicate key later in the batch observes the earlier write).
+    ///
+    /// A strictly ascending batch descends once per leaf: the scalar
+    /// driver carries the rest of the batch down as a [`Run`], and the
+    /// leaf takes every pair that lands in it. When a leaf takes nothing
+    /// more than the pair that found it, the keys are spread out and the
+    /// rest of the batch goes to the pipeline.
     pub fn multi_insert(&self, pairs: &[(u64, u64)]) -> Vec<Option<u64>> {
         let g = self.collector.pin();
-        let out = run_grouped::<LL, _, _, LANES>(
-            &self.counters,
-            pairs.len(),
-            |e, i| pairs[e].0 == pairs[i].0,
-            |i, parked| {
-                let (key, val) = pairs[i];
-                self.turn(parked, |e| {
-                    // A full inner node is the scalar driver's to split;
-                    // nothing is held (optimistic reads only), so hand over.
-                    self.write_step(key, WriteOp::Insert(val), e, &g)
+        let mut out = Vec::new();
+        let mut at = 0;
+        if pairs.windows(2).all(|w| w[0].0 < w[1].0) {
+            out.resize(pairs.len(), None);
+            while let Some(&(key, val)) = pairs.get(at) {
+                let (first, rest) = out[at..].split_first_mut().expect("at < len");
+                let mut run = Run::new(&pairs[at + 1..], rest);
+                *first = self.write(key, WriteOp::Insert(val), Some(&mut run));
+                at += 1 + run.taken;
+                if run.taken == 0 {
+                    break;
+                }
+            }
+            self.counters.add(OPS, at as u64);
+            out.truncate(at);
+        }
+        let rest = &pairs[at..];
+        if !rest.is_empty() {
+            let grouped = run_grouped::<LL, _, _, LANES>(
+                &self.counters,
+                rest.len(),
+                |e, i| rest[e].0 == rest[i].0,
+                |i, parked| {
+                    let (key, val) = rest[i];
+                    self.turn(parked, |e| {
+                        // A full inner node is the scalar driver's to split;
+                        // nothing is held (optimistic reads only), so hand over.
+                        self.write_step(
+                            key,
+                            WriteOp::Insert(val),
+                            e,
+                            |n| n.find_child(key),
+                            None,
+                            &g,
+                        )
                         .unwrap_or_else(|_full| Step::Done(self.insert_impl(key, val)))
-                })
-            },
-            |i| self.insert_impl(pairs[i].0, pairs[i].1),
-        );
+                    })
+                },
+                |i| self.insert_impl(rest[i].0, rest[i].1),
+            );
+            if out.is_empty() {
+                out = grouped;
+            } else {
+                out.extend(grouped);
+            }
+        }
         let added = out.iter().filter(|r| r.is_none()).count();
         if added > 0 {
             self.counters.add(SIZE, added as u64);

@@ -21,7 +21,9 @@
 //! same step to `optiql::olc::run_grouped`, which parks its `Edge` between
 //! turns after a prefetch (see [`crate::multi`]). A full inner node met by
 //! an insert is a step outcome (`FullInner`) carried out by the scalar
-//! driver.
+//! driver. The scalar write driver also takes a run: a strictly ascending
+//! `multi_insert` descends once per leaf, and the leaf takes every pair
+//! of the run below the fence its descent recorded (`Run`).
 //!
 //! How the write step takes the leaf is the one thing a lock changes
 //! (paper §6.1). It lives in one function, `acquire_leaf`, which
@@ -132,6 +134,62 @@ pub(crate) enum WriteOp {
     Insert(u64),
     Update(u64),
     Remove,
+}
+
+/// The rest of a strictly ascending insert run, carried down by the
+/// descent of the pair before it (DESIGN §5.1, *One descent, two
+/// drivers*): the leaf that descent reaches, held once, takes every
+/// following pair below the run's fence that fits.
+///
+/// Why the fence holds: a leaf's key range shrinks only when the leaf
+/// splits or is merged into its left neighbour; both take its lock and
+/// write its parent, which `acquire_leaf` validates once the leaf is
+/// held. Until the leaf is released its range can only grow (an empty
+/// neighbour unlinked into it).
+pub(crate) struct Run<'a> {
+    /// The pairs after the descending one; `pairs[..taken]` are applied.
+    pairs: &'a [(u64, u64)],
+    /// Their answers, position for position.
+    out: &'a mut [Option<u64>],
+    /// How many of `pairs` the leaf took.
+    pub(crate) taken: usize,
+    /// Tightest upper separator on the descent path (`None`: the
+    /// rightmost leaf), recorded by the descent's `pick`.
+    fence: Option<u64>,
+}
+
+impl<'a> Run<'a> {
+    /// A run over `pairs`, strictly ascending, answering into `out`.
+    pub(crate) fn new(pairs: &'a [(u64, u64)], out: &'a mut [Option<u64>]) -> Self {
+        Run {
+            pairs,
+            out,
+            taken: 0,
+            fence: None,
+        }
+    }
+
+    /// Insert the next pairs into `leaf` (held exclusively; its keys end
+    /// below `fence`) while they land in it and fit: the leaf has room or
+    /// holds the key already. Returns the first pair that lands but does
+    /// not fit, left for the caller to split for.
+    fn fill<LL: IndexLock, const LC: usize>(
+        &mut self,
+        leaf: &Leaf<LL, LC>,
+        fence: Option<u64>,
+    ) -> Option<(u64, u64)> {
+        while let Some(&(key, val)) = self.pairs.get(self.taken) {
+            if fence.is_some_and(|f| key >= f) {
+                return None;
+            }
+            if leaf.is_full() && leaf.search(key).is_none() {
+                return Some((key, val));
+            }
+            self.out[self.taken] = leaf.insert(key, val);
+            self.taken += 1;
+        }
+        None
+    }
 }
 
 /// Drop a parent guard on a path that does not validate it: free for
@@ -362,22 +420,25 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> BPlusTree<I
     }
 
     /// The write step: as [`read_step`](Self::read_step) through inner
-    /// nodes, Algorithm 4 plus the write itself at the leaf. An insert
-    /// that meets a full inner node returns it as `Err`: splitting it is
-    /// the scalar driver's job ([`split_full`](Self::split_full)). Only an
-    /// insert writes above the leaf, so only an insert enters inner nodes
-    /// with write intent.
+    /// nodes (choosing the next child via `pick`), Algorithm 4 plus the
+    /// write itself at the leaf, which also takes what of `run` lands
+    /// there. An insert that meets a full inner node returns it as `Err`:
+    /// splitting it is the scalar driver's job
+    /// ([`split_full`](Self::split_full)). Only an insert writes above the
+    /// leaf, so only an insert enters inner nodes with write intent.
     #[inline(always)]
     pub(crate) fn write_step<'t>(
         &'t self,
         key: u64,
         op: WriteOp,
         edge: Edge<'t, IL, IC>,
+        pick: impl FnOnce(&Inner<IL, IC>) -> *mut NodeBase,
+        run: Option<&mut Run<'_>>,
         g: &Guard,
     ) -> Result<Stepped<'t, IL, IC, Option<u64>>, FullInner<'t, IL, IC>> {
         let Edge { parent, child } = edge;
         if unsafe { is_leaf(child) } {
-            return Ok(self.write_leaf(key, op, parent, child, g));
+            return Ok(self.write_leaf(key, op, parent, child, run, g));
         }
         let inner = unsafe { as_inner::<IL, IC>(child) };
         let intent = matches!(op, WriteOp::Insert(_));
@@ -401,7 +462,7 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> BPlusTree<I
             });
         }
         abandon(parent);
-        Ok(Self::choose(inner, ig, |n| n.find_child(key)))
+        Ok(Self::choose(inner, ig, pick))
     }
 
     /// Paper Algorithm 4 — the one place a leaf is acquired for writing.
@@ -453,8 +514,9 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> BPlusTree<I
         }
     }
 
-    /// Leaf half of the write step: acquire, apply, and run the SMO the
-    /// write calls for against the still-open parent guard.
+    /// Leaf half of the write step: acquire, apply, take along what of
+    /// `run` lands here, and run the SMO the write calls for against the
+    /// still-open parent guard.
     #[inline(always)]
     fn write_leaf(
         &self,
@@ -462,6 +524,7 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> BPlusTree<I
         op: WriteOp,
         parent: Option<InnerRef<'_, IL, IC>>,
         ptr: *mut NodeBase,
+        run: Option<&mut Run<'_>>,
         g: &Guard,
     ) -> Stepped<'_, IL, IC, Option<u64>> {
         let leaf = unsafe { as_leaf::<LL, LC>(ptr) };
@@ -475,19 +538,28 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> BPlusTree<I
             WriteOp::Insert(val)
                 if leaf.is_full() && searched.unwrap_or_else(|| leaf.search(key)).is_none() =>
             {
-                // Split needs the parent exclusively too.
-                let Some(held) = upgrade(parent) else {
-                    leaf.lock.x_unlock(t);
-                    return Step::Restart;
+                return match self.split_insert(parent, ptr, leaf, t, (key, val), run) {
+                    Some(old) => Step::Done(old),
+                    None => Step::Restart,
                 };
-                let old = self.split_leaf_insert(held.map(|(p, _)| p), ptr, leaf, key, val);
-                leaf.lock.x_unlock(t);
-                if let Some((p, pt)) = held {
-                    p.lock.x_unlock(pt);
-                }
-                return Step::Done(old);
             }
-            WriteOp::Insert(val) => leaf.insert(key, val),
+            WriteOp::Insert(val) => {
+                let old = leaf.insert(key, val);
+                // The run met this leaf full: split it for the pair that
+                // did not fit. A lost upgrade ends the run before that pair.
+                if let Some(run) = run {
+                    if let Some(pair) = run.fill(leaf, run.fence) {
+                        let at = run.taken;
+                        run.taken += 1;
+                        match self.split_insert(parent, ptr, leaf, t, pair, Some(&mut *run)) {
+                            Some(first) => run.out[at] = first,
+                            None => run.taken = at,
+                        }
+                        return Step::Done(old);
+                    }
+                }
+                old
+            }
             // The search ran while readers were admitted and missed.
             _ if searched == Some(None) => None,
             WriteOp::Update(val) => leaf.update(key, val),
@@ -525,18 +597,47 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> BPlusTree<I
         }
     }
 
-    /// Scalar write driver behind `insert`, `update` and `remove`: the
-    /// batch of one, and the one place full inner nodes are split.
+    /// Scalar write driver behind `insert`, `update`, `remove` and an
+    /// ascending `multi_insert`: the batch of one, and the one place full
+    /// inner nodes are split. A scalar write is a run of one (`run` is
+    /// `None`) and chooses children with `find_child`; an insert with a
+    /// [`Run`] behind it also records the run's fence on the way down,
+    /// and the leaf it reaches takes the run's next pairs along.
     #[inline(always)]
-    fn write(&self, key: u64, op: WriteOp) -> Option<u64> {
+    pub(crate) fn write(
+        &self,
+        key: u64,
+        op: WriteOp,
+        mut run: Option<&mut Run<'_>>,
+    ) -> Option<u64> {
         let g = self.collector.pin();
+        let fenced = run.is_some();
         let mut rs = self.restart_loop();
         'restart: loop {
             rs.pause();
+            if let Some(r) = run.as_deref_mut() {
+                r.fence = None;
+            }
             let mut edge = self.root_edge();
             loop {
-                match self.write_step(key, op, edge, &g) {
-                    Ok(Step::Next(next)) => edge = next,
+                // Tightest upper separator on the path, as in `scan_chunk`:
+                // kept only once its node validated.
+                let mut seen = None;
+                let pick = |n: &Inner<IL, IC>| {
+                    if !fenced {
+                        return n.find_child(key);
+                    }
+                    let (child, up) = n.find_child_from(Some(key));
+                    seen = up;
+                    child
+                };
+                match self.write_step(key, op, edge, pick, run.as_deref_mut(), &g) {
+                    Ok(Step::Next(next)) => {
+                        if let Some(r) = run.as_deref_mut() {
+                            r.fence = seen.or(r.fence);
+                        }
+                        edge = next;
+                    }
                     Ok(Step::Done(old)) => return old,
                     Ok(Step::Restart) => continue 'restart,
                     Err(full) => {
@@ -551,7 +652,7 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> BPlusTree<I
     /// Insert body without op or size accounting (shared with the batched
     /// driver's fallback).
     pub(crate) fn insert_impl(&self, key: u64, val: u64) -> Option<u64> {
-        self.write(key, WriteOp::Insert(val))
+        self.write(key, WriteOp::Insert(val), None)
     }
 
     /// Point lookup.
@@ -564,13 +665,13 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> BPlusTree<I
     /// `None` if the key is absent.
     pub fn update(&self, key: u64, val: u64) -> Option<u64> {
         self.counters.add(OPS, 1);
-        self.write(key, WriteOp::Update(val))
+        self.write(key, WriteOp::Update(val), None)
     }
 
     /// Remove a key; returns the removed value.
     pub fn remove(&self, key: u64) -> Option<u64> {
         self.counters.add(OPS, 1);
-        let old = self.write(key, WriteOp::Remove);
+        let old = self.write(key, WriteOp::Remove, None);
         if old.is_some() {
             self.counters.sub(SIZE, 1);
         }
@@ -614,10 +715,36 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> BPlusTree<I
         }
     }
 
+    /// Split full `leaf`, held through `t`, for absent `(key, val)`: take
+    /// the parent exclusively too, split and insert, release both. `None`:
+    /// the upgrade lost a race, the leaf is released and nothing written.
+    #[inline(always)]
+    fn split_insert(
+        &self,
+        parent: Option<InnerRef<'_, IL, IC>>,
+        ptr: *mut NodeBase,
+        leaf: &Leaf<LL, LC>,
+        t: WriteToken,
+        (key, val): (u64, u64),
+        run: Option<&mut Run<'_>>,
+    ) -> Option<Option<u64>> {
+        let Some(held) = upgrade(parent) else {
+            leaf.lock.x_unlock(t);
+            return None;
+        };
+        let old = self.split_leaf_insert(held.map(|(p, _)| p), ptr, leaf, key, val, run);
+        leaf.lock.x_unlock(t);
+        if let Some((p, pt)) = held {
+            p.lock.x_unlock(pt);
+        }
+        Some(old)
+    }
+
     /// The one leaf split-and-insert: split full `leaf` (held exclusively,
     /// as is `parent`; `None` when the leaf is the root) where absent
-    /// `key` lands, put the entry into the proper half, then publish the
-    /// new sibling.
+    /// `key` lands, put the entry into the proper half, fill that half
+    /// from `run`, then publish the new sibling. Both halves are private
+    /// until then: the left one is held, the right one unreachable.
     fn split_leaf_insert(
         &self,
         parent: Option<&Inner<IL, IC>>,
@@ -625,14 +752,19 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> BPlusTree<I
         leaf: &Leaf<LL, LC>,
         key: u64,
         val: u64,
+        run: Option<&mut Run<'_>>,
     ) -> Option<u64> {
         let (sep, right) = leaf.split(key);
-        let half = if key >= sep {
-            unsafe { as_leaf::<LL, LC>(right) }
+        let (half, fence) = if key >= sep {
+            (unsafe { as_leaf::<LL, LC>(right) }, None)
         } else {
-            leaf
+            (leaf, Some(sep))
         };
         let old = half.insert(key, val);
+        if let Some(run) = run {
+            // What does not fit waits for the run's next descent.
+            let _ = run.fill(half, fence.or(run.fence));
+        }
         self.install_split(parent, ptr, sep, right, LEAF_SPLITS);
         old
     }

@@ -169,6 +169,105 @@ where
     }
 }
 
+/// Sorted `multi_insert` runs (one descent per leaf) race removes, whose
+/// merges and unlinks move the fences a run carries, plus updates and
+/// scans. Keys by `k % 4`, one thread each: classes 0 (batches
+/// bottom-up) and 1 (top-down) are loaded by runs and removed again,
+/// class 2 is removed and re-inserted one key at a time, for `ROUNDS`
+/// rounds, each ending loaded; class 3 lives in the lower half only, so
+/// upper leaves empty out, and is updated and scanned. Exact contents at
+/// the end.
+fn sorted_runs_race_removes<T>(tree: Arc<T>)
+where
+    T: Tree + Send + Sync + 'static,
+{
+    const N: u64 = 8_000;
+    const ROUNDS: u64 = 4;
+    let class = |c: u64| (0..N).filter(move |k| k % 4 == c);
+    for k in class(2).chain(class(3).filter(|&k| k < N / 2)) {
+        assert_eq!(tree.insert(k, k), None);
+    }
+    let runs: Vec<_> = (0..2u64)
+        .map(|c| {
+            let t = Arc::clone(&tree);
+            std::thread::spawn(move || {
+                let keys: Vec<u64> = class(c).collect();
+                let mut batches: Vec<&[u64]> = keys.chunks(64).collect();
+                if c == 1 {
+                    batches.reverse();
+                }
+                for round in 0..ROUNDS {
+                    for b in &batches {
+                        let pairs: Vec<(u64, u64)> = b.iter().map(|&k| (k, k + 1)).collect();
+                        assert!(t.multi_insert(&pairs).iter().all(Option::is_none));
+                    }
+                    if round + 1 < ROUNDS {
+                        for &k in &keys {
+                            assert_eq!(t.remove(k), Some(k + 1), "remove {k}");
+                        }
+                    }
+                }
+            })
+        })
+        .collect();
+    let churn = {
+        let t = Arc::clone(&tree);
+        std::thread::spawn(move || {
+            for _ in 0..ROUNDS {
+                for k in class(2) {
+                    assert_eq!(t.remove(k), Some(k), "remove {k}");
+                }
+                for k in class(2) {
+                    assert_eq!(t.insert(k, k), None, "insert {k}");
+                }
+            }
+        })
+    };
+    let stop = Arc::new(AtomicBool::new(false));
+    let reader = {
+        let (t, stop) = (Arc::clone(&tree), Arc::clone(&stop));
+        std::thread::spawn(move || {
+            let mut rounds = 0u64;
+            while !stop.load(Ordering::Acquire) || rounds == 0 {
+                for k in (3..N / 2).step_by(4 * 13) {
+                    let old = t.update(k, k + 2);
+                    assert!(old == Some(k) || old == Some(k + 2), "update {k}: {old:?}");
+                }
+                let from = (rounds * 997) % N;
+                let got = t.scan(from, 200);
+                assert!(got.windows(2).all(|w| w[0].0 < w[1].0), "scan from {from}");
+                for (k, v) in got {
+                    let ok = match k % 4 {
+                        0 | 1 => v == k + 1,
+                        2 => v == k,
+                        _ => k < N / 2 && (v == k || v == k + 2),
+                    };
+                    assert!(ok && k >= from, "scan from {from}: ({k}, {v})");
+                }
+                rounds += 1;
+            }
+        })
+    };
+    for h in runs.into_iter().chain([churn]) {
+        h.join().unwrap();
+    }
+    stop.store(true, Ordering::Release);
+    reader.join().unwrap();
+    let live = 3 * (N / 4) + N / 8;
+    assert_eq!(tree.len(), live as usize);
+    assert_eq!(tree.check(), live as usize);
+    for k in 0..N {
+        let got = tree.lookup(k);
+        let ok = match k % 4 {
+            0 | 1 => got == Some(k + 1),
+            2 => got == Some(k),
+            _ if k >= N / 2 => got.is_none(),
+            _ => got == Some(k) || got == Some(k + 2),
+        };
+        assert!(ok, "key {k}: {got:?}");
+    }
+}
+
 macro_rules! stress {
     ($name:ident, $body:ident) => {
         mod $name {
@@ -201,6 +300,7 @@ stress!(disjoint, disjoint_inserts);
 stress!(hotset, contended_update_chain);
 stress!(read_write, read_while_inserting);
 stress!(churn, insert_remove_churn);
+stress!(sorted_runs, sorted_runs_race_removes);
 
 trait Tree {
     fn insert(&self, k: u64, v: u64) -> Option<u64>;
@@ -209,6 +309,8 @@ trait Tree {
     fn remove(&self, k: u64) -> Option<u64>;
     fn len(&self) -> usize;
     fn check(&self) -> usize;
+    fn multi_insert(&self, pairs: &[(u64, u64)]) -> Vec<Option<u64>>;
+    fn scan(&self, from: u64, n: usize) -> Vec<(u64, u64)>;
 }
 
 impl<IL, LL, const IC: usize, const LC: usize> Tree for optiql_btree::BPlusTree<IL, LL, IC, LC>
@@ -233,5 +335,14 @@ where
     }
     fn check(&self) -> usize {
         self.check_invariants()
+    }
+    fn multi_insert(&self, pairs: &[(u64, u64)]) -> Vec<Option<u64>> {
+        optiql_btree::BPlusTree::multi_insert(self, pairs)
+    }
+    fn scan(&self, from: u64, n: usize) -> Vec<(u64, u64)> {
+        use optiql_index_api::ConcurrentIndex;
+        self.range(std::ops::Bound::Included(from), std::ops::Bound::Unbounded)
+            .take(n)
+            .collect()
     }
 }

@@ -11,7 +11,7 @@
 //! split changed (ISSUE 24); the parent commit's value is beside each.
 
 use optiql::{IndexLock, OptLock, OptiQL};
-use optiql_btree::{BPlusTree, BTreeOptiQL};
+use optiql_btree::{BPlusTree, BTreeOptiQL, DEFAULT_IC, DEFAULT_LC};
 
 const N: u64 = 200_000;
 
@@ -81,6 +81,55 @@ fn ascending_load_through_multi_insert_leaves_full_leaves() {
     assert_eq!(t.check_invariants(), N as usize);
     let f = fill(&t);
     assert!(f >= 0.90, "batched ascending fill {f:.3}");
+}
+
+/// Load `0..n` ascending into a fresh tree, through the scalar loop or
+/// through `multi_insert` in chunks of `batch`; the tree's split counters
+/// `(leaf, inner, root)`.
+fn ascending_splits<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize>(
+    n: u64,
+    batch: Option<usize>,
+) -> (u64, u64, u64) {
+    let t = BPlusTree::<IL, LL, IC, LC>::new();
+    let pairs: Vec<(u64, u64)> = (0..n).map(|k| (k, k + 1)).collect();
+    match batch {
+        None => pairs
+            .iter()
+            .for_each(|&(k, v)| assert_eq!(t.insert(k, v), None)),
+        Some(b) => pairs
+            .chunks(b)
+            .for_each(|c| assert!(t.multi_insert(c).iter().all(Option::is_none))),
+    }
+    assert_eq!(t.check_invariants(), n as usize);
+    assert_eq!(t.len(), n as usize);
+    for k in [0, n / 2, n.saturating_sub(1), n] {
+        assert_eq!(t.lookup(k), (k < n).then_some(k + 1), "key {k}");
+    }
+    let s = t.stats();
+    (s.leaf_splits, s.inner_splits, s.root_splits)
+}
+
+/// Every load size at the edges of one leaf, and a large one, leaves the
+/// same splits through `multi_insert` (one descent per leaf) as through
+/// the scalar loop (one descent per key).
+fn runs_split_like_the_loop<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize>() {
+    let lc = LC as u64;
+    for n in [1, lc - 1, lc, lc + 1, N] {
+        let scalar = ascending_splits::<IL, LL, IC, LC>(n, None);
+        for batch in [2, 64, 256] {
+            let runs = ascending_splits::<IL, LL, IC, LC>(n, Some(batch));
+            assert_eq!(
+                runs, scalar,
+                "n={n} batch={batch}: (leaf, inner, root) splits"
+            );
+        }
+    }
+}
+
+#[test]
+fn ascending_multi_insert_splits_exactly_like_the_insert_loop() {
+    runs_split_like_the_loop::<OptLock, OptiQL, DEFAULT_IC, DEFAULT_LC>();
+    runs_split_like_the_loop::<OptLock, OptiQL, 4, 4>();
 }
 
 #[test]

@@ -10,6 +10,9 @@
 //! * [`LockRegister`] under the five writer-only locks (MCS, TTS,
 //!   TTS-Backoff, Ticket, Ticket-Split),
 //! * the sharded facade, and the batched `multi_*` paths,
+//! * sorted-batch cells (`sorted-*`) whose script sorts and dedups each
+//!   insert batch, so the B+-tree's `multi_insert` takes its run driver
+//!   (one descent per leaf),
 //! * streaming-scan cells (`stream-*`) whose scan arm drives the lazy
 //!   [`ConcurrentIndex::range`] iterator instead of `scan_count`, so
 //!   per-leaf/per-chunk OLC revalidation races structural churn under
@@ -84,10 +87,15 @@ pub struct Target {
     /// Stable name, usable with the CLI's `--target` substring filter.
     pub name: &'static str,
     /// Coarse family: `btree`, `art`, `optreg`, `lockreg`, `sharded`,
-    /// `batched`.
+    /// `batched`, `sorted`, `stream`, `crash`.
     pub group: &'static str,
     /// Batch size for `multi_*` issue; 1 means scalar ops.
     pub batch: usize,
+    /// Sort each insert batch by key and drop repeated keys before
+    /// issuing it (the `sorted` group): a random batch ascends with
+    /// probability 1/`batch`!, so the batched cells never take the
+    /// B+-tree's run driver.
+    pub sorted: bool,
     /// Drive the scan arm through the streaming `range` iterator instead
     /// of `scan_count`: the iterator is opened, partially drained, and
     /// dropped mid-stream half the time — the lifecycle a server-side
@@ -161,6 +169,7 @@ pub fn targets() -> Vec<Target> {
                 name: $name,
                 group: $group,
                 batch: $batch,
+                sorted: $group == "sorted",
                 stream_scans: $stream,
                 crash: $crash,
                 make: $make,
@@ -236,6 +245,10 @@ pub fn targets() -> Vec<Target> {
         t!("batched-art-optiql", "batched", 8, mk_art::<OptiQL>),
         t!("batched-sharded-btree", "batched", 8, mk_sharded_btree),
         t!("batched-sharded-art", "batched", 8, mk_sharded_art),
+        // Sorted batches: the B+-tree's run driver, plain and behind the
+        // facade's router (a sub-batch of a sorted batch is sorted).
+        t!("sorted-btree-optiql", "sorted", 16, mk_btree::<OptiQL>),
+        t!("sorted-sharded-btree", "sorted", 16, mk_sharded_btree),
         // Streaming-scan cells: the scan arm opens the lazy range
         // iterator (partially drained, sometimes dropped mid-stream)
         // against the same mutation script, on both trees, their
@@ -374,10 +387,12 @@ fn splitmix(state: &mut u64) -> u64 {
 
 /// One worker's deterministic op script: ~40% lookups, ~30% inserts,
 /// ~15% updates, ~14% removes, ~1% scans, with `multi_*` buffering when
-/// `batch > 1`. Values are globally unique (`slot << 40 | op index`) so
-/// the checker can distinguish every write. With `stream` set, the scan
-/// arm opens the lazy `range` iterator instead of calling `scan_count`,
-/// draining 1–8 entries and dropping the iterator early half the time.
+/// `t.batch > 1` (insert batches sorted and deduplicated by key when
+/// `t.sorted`). Values are globally unique (`slot << 40 | op index`) so
+/// the checker can distinguish every write. With `t.stream_scans` set,
+/// the scan arm opens the lazy `range` iterator instead of calling
+/// `scan_count`, draining 1–8 entries and dropping the iterator early
+/// half the time.
 /// A set `stop` flag ends the script between ops — the crash driver's
 /// simulated power cut, always on an operation boundary so every
 /// recorded event also finished its wal append.
@@ -385,11 +400,19 @@ fn run_script<I: ConcurrentIndex>(
     ix: &I,
     slot: usize,
     seed: u64,
-    batch: usize,
-    stream: bool,
+    t: &Target,
     cfg: &CheckConfig,
     stop: Option<&AtomicBool>,
 ) {
+    let (batch, stream) = (t.batch, t.stream_scans);
+    let insert_batch = |inserts: &mut Vec<(u64, u64)>| {
+        if t.sorted {
+            inserts.sort_by_key(|p| p.0);
+            inserts.dedup_by_key(|p| p.0);
+        }
+        ix.multi_insert(inserts);
+        inserts.clear();
+    };
     let mut state =
         seed ^ (slot as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xD1B5_4A32_D192_ED03;
     let mut lookups: Vec<u64> = Vec::new();
@@ -422,8 +445,7 @@ fn run_script<I: ConcurrentIndex>(
                 if batch > 1 {
                     inserts.push((key, v));
                     if inserts.len() >= batch {
-                        ix.multi_insert(&inserts);
-                        inserts.clear();
+                        insert_batch(&mut inserts);
                     }
                 } else {
                     ix.insert(key, v);
@@ -462,7 +484,7 @@ fn run_script<I: ConcurrentIndex>(
         ix.multi_lookup(&lookups);
     }
     if !inserts.is_empty() {
-        ix.multi_insert(&inserts);
+        insert_batch(&mut inserts);
     }
 }
 
@@ -507,13 +529,11 @@ pub fn run_target(t: &Target, seed: u64, cfg: &CheckConfig) -> Result<RunReport,
                 let chaosed = Arc::clone(&chaosed);
                 let recorder = Arc::clone(&recorder);
                 let barrier = Arc::clone(&barrier);
-                let batch = t.batch;
-                let stream = t.stream_scans;
                 s.spawn(move || {
                     crate::chaos::register_thread(slot as u64);
                     let tr = ThreadRecorder::new(chaosed, recorder, slot as u32);
                     barrier.wait();
-                    run_script(&tr, slot, seed, batch, stream, cfg, None);
+                    run_script(&tr, slot, seed, t, cfg, None);
                     tr.into_log()
                 })
             })
@@ -610,13 +630,12 @@ fn run_crash_target(t: &Target, seed: u64, cfg: &CheckConfig) -> Result<RunRepor
                 let chaosed = Arc::clone(&chaosed);
                 let recorder = Arc::clone(&recorder);
                 let barrier = Arc::clone(&barrier);
-                let batch = t.batch;
                 let (stop, done) = (&stop, &done);
                 s.spawn(move || {
                     crate::chaos::register_thread(slot as u64);
                     let tr = ThreadRecorder::new(chaosed, recorder, slot as u32);
                     barrier.wait();
-                    run_script(&tr, slot, seed, batch, false, cfg, Some(stop));
+                    run_script(&tr, slot, seed, t, cfg, Some(stop));
                     done.fetch_add(1, Ordering::Release);
                     tr.into_log()
                 })
@@ -677,14 +696,13 @@ fn run_crash_target(t: &Target, seed: u64, cfg: &CheckConfig) -> Result<RunRepor
                 let chaosed2 = Arc::clone(&chaosed2);
                 let recorder = Arc::clone(&recorder);
                 let barrier2 = Arc::clone(&barrier2);
-                let batch = t.batch;
                 let cfg2 = &cfg2;
                 s.spawn(move || {
                     let slot = cfg2.threads + slot;
                     crate::chaos::register_thread(slot as u64);
                     let tr = ThreadRecorder::new(chaosed2, recorder, slot as u32);
                     barrier2.wait();
-                    run_script(&tr, slot, seed, batch, false, cfg2, None);
+                    run_script(&tr, slot, seed, t, cfg2, None);
                     tr.into_log()
                 })
             })
@@ -800,8 +818,11 @@ mod tests {
         assert_eq!(names.len(), ts.len(), "duplicate target name");
         for t in &ts {
             assert!(
-                ["btree", "art", "optreg", "lockreg", "sharded", "batched", "stream", "crash"]
-                    .contains(&t.group),
+                [
+                    "btree", "art", "optreg", "lockreg", "sharded", "batched", "sorted", "stream",
+                    "crash"
+                ]
+                .contains(&t.group),
                 "unknown group {} on {}",
                 t.group,
                 t.name
@@ -817,6 +838,11 @@ mod tests {
         // paths plain and sharded over both trees.
         assert_eq!(ts.iter().filter(|t| t.group == "sharded").count(), 2);
         assert_eq!(ts.iter().filter(|t| t.group == "batched").count(), 4);
+        // Sorted batches: the B+-tree's run driver, plain and sharded.
+        assert_eq!(ts.iter().filter(|t| t.group == "sorted").count(), 2);
+        for t in &ts {
+            assert_eq!(t.sorted, t.name.starts_with("sorted-"), "{}", t.name);
+        }
         // Streaming-scan cells: both trees, both pessimistic baselines
         // and both sharded fan-outs; every one named for what it does.
         assert_eq!(ts.iter().filter(|t| t.group == "stream").count(), 6);
@@ -844,7 +870,7 @@ mod tests {
                 assert!(t.name.starts_with("crash-"));
             }
         }
-        assert_eq!(ts.len(), 47, "the chaos matrix has 47 cells");
+        assert_eq!(ts.len(), 49, "the chaos matrix has 49 cells");
     }
 
     #[test]
@@ -858,6 +884,12 @@ mod tests {
             clustered: false,
             chaos: false,
         };
+        // Only the script's shape is read off the target: scalar ops.
+        let scalar = &targets()[0];
+        assert_eq!(
+            (scalar.batch, scalar.sorted, scalar.stream_scans),
+            (1, false, false)
+        );
         let run = || {
             let rec = Recorder::new();
             let tr = ThreadRecorder::new(
@@ -865,7 +897,7 @@ mod tests {
                 Arc::clone(&rec),
                 0,
             );
-            run_script(&tr, 0, 99, 1, false, &cfg, None);
+            run_script(&tr, 0, 99, scalar, &cfg, None);
             tr.into_log()
         };
         let (a, b) = (run(), run());
@@ -882,6 +914,7 @@ mod tests {
             name: "model",
             group: "sharded",
             batch: 1,
+            sorted: false,
             stream_scans: true,
             crash: false,
             make: || Arc::new(optiql_index_api::model::ModelIndex::new()),

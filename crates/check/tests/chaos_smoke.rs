@@ -37,6 +37,7 @@ fn representative_targets_linearize_under_chaos() {
         "lockreg-mcs",
         "sharded-btree-optiql",
         "batched-art-optiql",
+        "sorted-btree-optiql",
     ];
     let all = targets();
     let selected: Vec<_> = all

@@ -13,6 +13,8 @@
 //! covering fsync (per `--fsync`; default `group`). `--backend` and
 //! `--shards` are fixed for the life of a `--wal-dir`: started over logs
 //! written under another geometry, the server says so and exits 1.
+//! `--preload N` seeds keys `0..N` (value `key + 1`) into an empty store
+//! only: when recovery applied any record, it is skipped.
 //!
 //! Prints `listening on <addr>` once ready (scripts wait for that
 //! line), then serves until a client sends the SHUTDOWN opcode
@@ -27,6 +29,8 @@ fn usage() -> ! {
          \x20                    [--shards N] [--workers N] [--dispatch grouped|per-op]\n\
          \x20                    [--preload N] [--max-group N]\n\
          \x20                    [--wal-dir DIR] [--fsync always|group|none]\n\
+         \x20 --preload N seeds keys 0..N (value key + 1) into an empty store only:\n\
+         \x20 it is skipped when --wal-dir recovery applied any record\n\
          \x20 --dispatch per-op is the bench baseline (every run ended after one\n\
          \x20 request: one scalar operation each), not a serving mode"
     );

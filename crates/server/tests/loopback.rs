@@ -608,3 +608,48 @@ fn shutdown_trims_the_logs_under_a_living_wal_clone() {
     h.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_restart_with_preload_keeps_acknowledged_writes() {
+    // Preload seeds an empty store only. Restarted with the same
+    // `preload` over a log recovery applies, the dense keys must not
+    // overwrite what clients were told was written (nor be logged again).
+    let dir =
+        std::env::temp_dir().join(format!("optiql-loopback-repreload-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        backend: BackendKind::Btree,
+        workers: 1,
+        preload: 1000,
+        max_group: 64,
+        wal_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    };
+    let h = start(&cfg).expect("server start");
+    let mut c = connect(h.addr());
+    assert_eq!(
+        call(&mut c, Request::Set { key: 5, value: 77 }),
+        Response::Old(Some(6))
+    );
+    h.shutdown();
+
+    let h = start(&cfg).expect("restart");
+    assert_eq!(h.recovery().expect("wal is mounted").applied(), 1001);
+    let mut c = connect(h.addr());
+    assert_eq!(
+        get(&mut c, 5),
+        Some(77),
+        "the preload reverted an acked SET"
+    );
+    assert_eq!(get(&mut c, 999), Some(1000));
+    let wal = std::sync::Arc::clone(h.wal().expect("wal is mounted"));
+    h.shutdown();
+    assert_eq!(
+        wal.stats().records,
+        0,
+        "the restart logged the preload again"
+    );
+    drop(wal);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -41,7 +41,7 @@
 //! call (one counting pass into flat buffers, batch order preserved
 //! within each shard, each touched shard's software-pipelined engine run
 //! over a dense sub-batch, results scattered back to their original
-//! positions). The write-ahead log splits its batches with the same
+//! positions; a batch that routes to one shard goes over as is). The write-ahead log splits its batches with the same
 //! function over the same `Router` value. `range` restores the global
 //! key order routing destroyed: every shard opens its own streaming
 //! iterator over the same bounds and the facade k-way-merges the heads,

@@ -110,8 +110,10 @@ impl Router {
     /// each sub-batch — equal keys share a shard, which keeps the
     /// in-order semantics of in-batch duplicates intact across the
     /// split. Untouched shards are skipped. A batch that needs no
-    /// splitting (one shard, or one item) goes to `run` as the caller's
-    /// own slice: the buffers would cost more than the operation.
+    /// splitting (one shard, or every item routing where the first does:
+    /// one item, or an ascending run inside one block) goes to `run` as
+    /// the caller's own slice: the buffers would cost more than the
+    /// operation.
     pub fn fan_out<T: Clone, R: Clone + Default>(
         &self,
         items: &[T],
@@ -121,8 +123,11 @@ impl Router {
         if self.shards == 1 {
             return run(0, items);
         }
-        if let [one] = items {
-            return run(self.route(key(one)), items);
+        if let Some((first, rest)) = items.split_first() {
+            let s = self.route(key(first));
+            if rest.iter().all(|t| self.route(key(t)) == s) {
+                return run(s, items);
+            }
         }
         let mut offsets = vec![0usize; self.shards + 1];
         for t in items {
@@ -224,6 +229,9 @@ mod tests {
         assert_eq!(calls(Router::new(8, 0), &wide[..1]), (1, true), "one item");
         assert_eq!(calls(Router::new(1, 0), &wide), (1, true), "one shard");
         assert_eq!(calls(Router::new(1, 0), &[]), (1, true), "one shard, empty");
+        let block: Vec<u64> = (0..256u64).map(|k| (7 << DEFAULT_BLOCK_BITS) + k).collect();
+        let one_block = Router::new(8, DEFAULT_BLOCK_BITS);
+        assert_eq!(calls(one_block, &block), (1, true), "one block");
         let (n, own) = calls(Router::new(8, 0), &wide);
         assert!(n > 1 && !own, "32 scattered keys must split: {n} calls");
     }

@@ -44,6 +44,19 @@ fn batch_strategy() -> impl Strategy<Value = Vec<Round>> {
     prop::collection::vec((pairs, keys), 1..6)
 }
 
+/// The same rounds with every key moved to a last-level node of its own
+/// (`k << 8`): an ART batch of 0..192 keys is dense, and takes the scalar
+/// driver, where these keep the pipeline.
+fn spread(batches: &[Round]) -> Vec<Round> {
+    batches
+        .iter()
+        .map(|(pairs, keys)| {
+            let pairs = pairs.iter().map(|&(k, v)| (k << 8, v)).collect();
+            (pairs, keys.iter().map(|&k| k << 8).collect())
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -57,8 +70,8 @@ proptest! {
 
     #[test]
     fn art_multi_matches_model(batches in batch_strategy()) {
-        let t = ArtOptiQL::new();
-        check_batches(&t, &batches);
+        check_batches(&ArtOptiQL::new(), &batches);
+        check_batches(&ArtOptiQL::new(), &spread(&batches));
     }
 
     // The sharded facade partitions each batch by shard and scatters the
@@ -74,6 +87,8 @@ proptest! {
     fn sharded_art_multi_matches_model(batches in batch_strategy()) {
         let s: ShardedIndex<ArtOptiQL> = ShardedIndex::with_block_bits(4, 2);
         check_batches(&s, &batches);
+        let s: ShardedIndex<ArtOptiQL> = ShardedIndex::with_block_bits(4, 10);
+        check_batches(&s, &spread(&batches));
     }
 }
 

@@ -267,6 +267,36 @@ mod tests {
     }
 
     #[test]
+    fn batched_replay_keeps_log_order_around_dels() {
+        // Replay hands runs of SETs to `multi_insert`: runs longer than one
+        // replay batch, a key rewritten inside a run and across runs, and
+        // DELs that must land between the SETs around them.
+        let dir = tempdir("replay-order");
+        let mut want = std::collections::BTreeMap::new();
+        let records = {
+            let ix = mount(&dir, FsyncPolicy::Group);
+            for i in 1..=1000u64 {
+                let key = i % 7;
+                if i % 97 == 0 {
+                    assert_eq!(ix.remove(key), want.remove(&key));
+                } else {
+                    assert_eq!(ix.insert(key, i), want.insert(key, i));
+                }
+            }
+            // A DEL as a key's last record, behind a SET of it in the run.
+            assert_eq!(ix.remove(3), want.remove(&3));
+            ix.commit();
+            ix.wal().stats().records
+        };
+        let (fresh, rep) = recovered(&dir);
+        assert_eq!(rep.shards[0].replayed, records);
+        for key in 0..7 {
+            assert_eq!(fresh.lookup(key), want.get(&key).copied(), "key {key}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn always_policy_fsyncs_per_mutation() {
         let dir = tempdir("always");
         let ix = mount(&dir, FsyncPolicy::Always);

@@ -8,12 +8,15 @@
 //!    less (a crash mid-checkpoint leaves a `.tmp`, never a partial
 //!    `.ckpt`, but torn bytes can still happen) rejects the whole file:
 //!    the shard falls back to full log replay and the report flags it.
-//! 2. Apply the checkpoint entries (plain inserts into an empty index).
+//! 2. Apply the checkpoint entries (ascending chunks through
+//!    `multi_insert` into an empty index).
 //! 3. Replay the log in file order up to its end (below), applying
 //!    `Set`→`insert` and `Del`→`remove` for records with
 //!    `lsn >= start_lsn`; older records are already reflected in the
-//!    checkpoint and are skipped. Replay is last-writer-wins, so
-//!    re-running recovery is harmless.
+//!    checkpoint and are skipped. Runs of consecutive `Set`s are batched
+//!    into one `multi_insert`, which is defined to apply in order, and
+//!    every `Del` flushes the run before it. Replay is last-writer-wins,
+//!    so re-running recovery is harmless.
 //!
 //! **Where a log ends.** A log file is longer than its log: the shard
 //! writes into a zero-filled region prepared ahead of its cursor
@@ -41,6 +44,10 @@ use optiql_index_api::ConcurrentIndex;
 
 use crate::record::{FrameCursor, Record, TornTail};
 use crate::Wal;
+
+/// Most records one replay `multi_insert` is handed: the server's
+/// default `max_group`.
+const REPLAY_BATCH: usize = 256;
 
 /// Where [`scan_log`] found the end of a log image.
 pub(crate) struct LogEnd {
@@ -214,8 +221,10 @@ where
     match load_ckpt(&crate::ckpt_path(wal.dir(), shard))? {
         Ok(Some(ckpt)) => {
             rep.checkpoint_start_lsn = ckpt.start_lsn;
-            for &(key, value) in &ckpt.entries {
-                index.insert(key, value);
+            // A checkpoint is a scan: ascending, so a B+-tree takes each
+            // chunk one descent per leaf.
+            for chunk in ckpt.entries.chunks(REPLAY_BATCH) {
+                index.multi_insert(chunk);
             }
             rep.checkpoint_entries = ckpt.entries.len() as u64;
         }
@@ -225,6 +234,16 @@ where
 
     let mut bytes = Vec::new();
     std::fs::File::open(crate::log_path(wal.dir(), shard))?.read_to_end(&mut bytes)?;
+    // Consecutive SETs go in as one `multi_insert`, which applies a batch
+    // in order (a repeated key ends at its last write); a DEL flushes
+    // them first, so log order is apply order.
+    let mut sets: Vec<(u64, u64)> = Vec::with_capacity(REPLAY_BATCH);
+    let flush = |sets: &mut Vec<(u64, u64)>| {
+        if !sets.is_empty() {
+            index.multi_insert(sets);
+            sets.clear();
+        }
+    };
     let end = scan_log(&bytes, |lsn, rec| {
         if lsn < rep.checkpoint_start_lsn {
             rep.skipped += 1;
@@ -233,14 +252,19 @@ where
         rep.replayed += 1;
         match rec {
             Record::Set { key, value, .. } => {
-                index.insert(key, value);
+                sets.push((key, value));
+                if sets.len() == REPLAY_BATCH {
+                    flush(&mut sets);
+                }
             }
             Record::Del { key, .. } => {
+                flush(&mut sets);
                 index.remove(key);
             }
             _ => unreachable!("scan_log visits redo records only"),
         }
     });
+    flush(&mut sets);
     rep.last_lsn = end.last_lsn;
     rep.torn = end.torn;
     Ok(rep)
