@@ -5,12 +5,10 @@
 //!    Reported: throughput *and* max/min per-thread acquisition ratio.
 //! 2. **Opportunistic read** (§5.3): OptiQL vs OptiQL-NOR reader success
 //!    under a write-heavy mix.
-//! 3. **Queue discipline** (§8 future work): MCS-based OptiQL vs CLH-based
-//!    OptiCLH — same word layout, different handover mechanics.
 
 use optiql::{
-    ExclusiveLock, IndexLock, McsLock, OptLock, OptLockBackoff, OptiCLH, OptiQL, OptiQLNor,
-    TicketLock, TicketLockSplit, TtsBackoff, TtsLock,
+    ExclusiveLock, IndexLock, McsLock, OptLock, OptLockBackoff, OptiQL, OptiQLNor, TtsBackoff,
+    TtsLock,
 };
 use optiql_bench::{
     banner, env, header, mops, r2, row_extra, run_exclusive, run_mixed, Contention, MicroConfig,
@@ -59,37 +57,12 @@ fn main() {
     fairness_point::<TtsBackoff>(threads);
     fairness_point::<OptLock>(threads);
     fairness_point::<OptLockBackoff>(threads);
-    fairness_point::<TicketLock>(threads);
-    fairness_point::<TicketLockSplit>(threads);
     fairness_point::<McsLock>(threads);
     fairness_point::<OptiQL>(threads);
-    fairness_point::<OptiCLH>(threads);
 
     // 2. Opportunistic read on/off across read ratios.
     for read_pct in [20, 50, 80] {
         opread_point::<OptiQLNor>(threads, read_pct);
         opread_point::<OptiQL>(threads, read_pct);
-    }
-
-    // 3. MCS-based vs CLH-based queue discipline.
-    for contention in [Contention::Extreme, Contention::Medium] {
-        for (name, tput) in [
-            ("OptiQL", {
-                let cfg = MicroConfig::new(threads, contention, env::duration());
-                run_exclusive::<OptiQL>(&cfg).throughput()
-            }),
-            ("OptiCLH", {
-                let cfg = MicroConfig::new(threads, contention, env::duration());
-                run_exclusive::<OptiCLH>(&cfg).throughput()
-            }),
-        ] {
-            row_extra(
-                "ablation",
-                "queue-discipline",
-                format!("{}/{}", contention.label(), name),
-                r2(mops(tput)),
-                "",
-            );
-        }
     }
 }

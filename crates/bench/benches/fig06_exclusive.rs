@@ -8,7 +8,7 @@
 //! contention all locks scale similarly.
 
 use optiql::{
-    ExclusiveLock, McsLock, McsRwLock, OptLock, OptiCLH, OptiQL, OptiQLNor, PthreadRwLock, TtsLock,
+    ExclusiveLock, McsLock, McsRwLock, OptLock, OptiQL, OptiQLNor, PthreadRwLock, TtsLock,
 };
 use optiql_bench::{banner, env, header, mops, r2, row, run_exclusive, Contention, MicroConfig};
 
@@ -37,6 +37,5 @@ fn main() {
         sweep::<McsRwLock>(contention, &threads);
         sweep::<TtsLock>(contention, &threads);
         sweep::<McsLock>(contention, &threads);
-        sweep::<OptiCLH>(contention, &threads); // extension: future-work CLH variant
     }
 }

@@ -38,9 +38,8 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use optiql::{
-    qnode, ExclusiveLock, IndexLock, McsLock, McsRwLock, OptLock, OptLockBackoff, OptiCLH,
-    OptiCLHNor, OptiQL, OptiQLAor, OptiQLNor, PthreadRwLock, TicketLock, TicketLockSplit,
-    TtsBackoff, TtsLock,
+    qnode, ExclusiveLock, IndexLock, McsLock, McsRwLock, OptLock, OptLockBackoff, OptiQL,
+    OptiQLAor, OptiQLNor, PthreadRwLock, TtsBackoff, TtsLock,
 };
 use optiql_art::ArtOptiQL;
 use optiql_bench::{banner, env, header, mops, r2, row_latency, Histogram, LatencySummary};
@@ -316,8 +315,6 @@ fn main() {
 
     bench_x_lock::<TtsLock>(dur);
     bench_x_lock::<TtsBackoff>(dur);
-    bench_x_lock::<TicketLock>(dur);
-    bench_x_lock::<TicketLockSplit>(dur);
     bench_x_lock::<McsLock>(dur);
     bench_x_lock::<McsRwLock>(dur);
     bench_x_lock::<OptLock>(dur);
@@ -325,8 +322,6 @@ fn main() {
     bench_x_lock::<OptiQL>(dur);
     bench_x_lock::<OptiQLNor>(dur);
     bench_x_lock::<OptiQLAor>(dur);
-    bench_x_lock::<OptiCLH>(dur);
-    bench_x_lock::<OptiCLHNor>(dur);
     bench_x_lock::<PthreadRwLock>(dur);
 
     bench_r_cycle::<OptLock>(dur);

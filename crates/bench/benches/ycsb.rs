@@ -6,12 +6,11 @@
 //! The six mixes run in order on one tree per configuration, so YCSB-E's
 //! inserts land past the keys YCSB-D inserted.
 
-use optiql::{OptLock, OptiCLH};
 use optiql_bench::{
-    banner, env, header, mops, only, preload, r2, row_extra, sweep, KeyDist, Mix, Point, Sweep,
-    ART_LOCKS, BTREE_LOCKS,
+    banner, env, header, mops, only, preload, r2, row_extra, KeyDist, Mix, Point, Sweep, ART_LOCKS,
+    BTREE_LOCKS,
 };
-use optiql_btree::{BPlusTree, BTreeOptiQL, DEFAULT_IC, DEFAULT_LC};
+use optiql_btree::BTreeOptiQL;
 use optiql_sharded::{ShardedIndex, DEFAULT_SHARDS};
 
 fn main() {
@@ -45,12 +44,7 @@ fn main() {
     s.batch = env::batch_size();
 
     let locks = ["OptLock", "OptiQL"];
-    let mut btree = only(&BTREE_LOCKS, &locks);
-    btree.push((
-        "OptiCLH",
-        sweep::<BPlusTree<OptLock, OptiCLH, DEFAULT_IC, DEFAULT_LC>>,
-    ));
-    s.over("B+-tree", &btree);
+    s.over("B+-tree", &only(&BTREE_LOCKS, &locks));
     s.over("ART", &only(&ART_LOCKS, &locks));
 
     // The same OptiQL trees behind the hash-partitioned facade: every

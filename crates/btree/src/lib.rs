@@ -33,7 +33,7 @@ pub mod tree;
 
 pub use tree::{BPlusTree, TreeStats};
 
-use optiql::{McsRwLock, OptLock, OptiCLH, OptiQL, OptiQLAor, OptiQLNor, PthreadRwLock};
+use optiql::{McsRwLock, OptLock, OptiQL, OptiQLAor, OptiQLNor, PthreadRwLock};
 
 optiql_index_api::impl_concurrent_index! {
     impl [IL: optiql::IndexLock, LL: optiql::IndexLock, const IC: usize, const LC: usize]
@@ -94,11 +94,6 @@ pub type BTreeOptiQLNor<const IC: usize = DEFAULT_IC, const LC: usize = DEFAULT_
 /// As [`BTreeOptiQL`] with adjustable opportunistic read ("OptiQL-AOR").
 pub type BTreeOptiQLAor<const IC: usize = DEFAULT_IC, const LC: usize = DEFAULT_LC> =
     BPlusTree<OptLock, OptiQLAor, IC, LC>;
-
-/// B+-tree with OptiCLH leaves (extension: the paper's future-work CLH
-/// variant adapted with optimistic + opportunistic reads).
-pub type BTreeOptiClh<const IC: usize = DEFAULT_IC, const LC: usize = DEFAULT_LC> =
-    BPlusTree<OptLock, OptiCLH, IC, LC>;
 
 /// B+-tree with the fair queue-based reader-writer MCS lock (pessimistic).
 pub type BTreeMcsRw<const IC: usize = DEFAULT_IC, const LC: usize = DEFAULT_LC> =

@@ -3,8 +3,7 @@
 use std::ops::Bound;
 
 use optiql_btree::{
-    BTreeMcsRw, BTreeOptLock, BTreeOptiClh, BTreeOptiQL, BTreeOptiQLAor, BTreeOptiQLNor,
-    BTreePthread,
+    BTreeMcsRw, BTreeOptLock, BTreeOptiQL, BTreeOptiQLAor, BTreeOptiQLNor, BTreePthread,
 };
 
 macro_rules! for_each_config {
@@ -26,10 +25,6 @@ macro_rules! for_each_config {
             #[test]
             fn optiql_aor() {
                 $body(&BTreeOptiQLAor::<15, 15>::new());
-            }
-            #[test]
-            fn opticlh() {
-                $body(&BTreeOptiClh::<15, 15>::new());
             }
             #[test]
             fn mcs_rw() {

@@ -3,12 +3,12 @@
 //! A [`Target`] is a named constructor for some [`ConcurrentIndex`]
 //! under test. [`targets`] enumerates the full matrix:
 //!
-//! * both trees (tiny-node B+-tree and ART) under each of the nine
+//! * both trees (tiny-node B+-tree and ART) under each of the seven
 //!   [`IndexLock`](optiql::IndexLock) implementations,
-//! * [`OptRegister`] under the same nine (isolating the lock protocol
+//! * [`OptRegister`] under the same seven (isolating the lock protocol
 //!   from tree structure),
-//! * [`LockRegister`] under the five writer-only locks (MCS, TTS,
-//!   TTS-Backoff, Ticket, Ticket-Split),
+//! * [`LockRegister`] under the three writer-only locks (MCS, TTS,
+//!   TTS-Backoff),
 //! * the sharded facade, and the batched `multi_*` paths,
 //! * sorted-batch cells (`sorted-*`) whose script sorts and dedups each
 //!   insert batch, so the B+-tree's `multi_insert` takes its run driver
@@ -190,18 +190,14 @@ pub fn targets() -> Vec<Target> {
         t!("btree-optiql", "btree", 1, mk_btree::<OptiQL>),
         t!("btree-optiql-nor", "btree", 1, mk_btree::<OptiQLNor>),
         t!("btree-optiql-aor", "btree", 1, mk_btree::<OptiQLAor>),
-        t!("btree-opticlh", "btree", 1, mk_btree::<OptiCLH>),
-        t!("btree-opticlh-nor", "btree", 1, mk_btree::<OptiCLHNor>),
         t!("btree-mcs-rw", "btree", 1, mk_btree_pess::<McsRwLock>),
         t!("btree-pthread", "btree", 1, mk_btree_pess::<PthreadRwLock>),
-        // ART under all nine index locks.
+        // ART under all seven index locks.
         t!("art-optlock", "art", 1, mk_art::<OptLock>),
         t!("art-optlock-backoff", "art", 1, mk_art::<OptLockBackoff>),
         t!("art-optiql", "art", 1, mk_art::<OptiQL>),
         t!("art-optiql-nor", "art", 1, mk_art::<OptiQLNor>),
         t!("art-optiql-aor", "art", 1, mk_art::<OptiQLAor>),
-        t!("art-opticlh", "art", 1, mk_art::<OptiCLH>),
-        t!("art-opticlh-nor", "art", 1, mk_art::<OptiCLHNor>),
         t!("art-mcs-rw", "art", 1, mk_art::<McsRwLock>),
         t!("art-pthread", "art", 1, mk_art::<PthreadRwLock>),
         // Register arrays: the lock protocol in isolation.
@@ -215,8 +211,6 @@ pub fn targets() -> Vec<Target> {
         t!("optreg-optiql", "optreg", 1, mk_optreg::<OptiQL>),
         t!("optreg-optiql-nor", "optreg", 1, mk_optreg::<OptiQLNor>),
         t!("optreg-optiql-aor", "optreg", 1, mk_optreg::<OptiQLAor>),
-        t!("optreg-opticlh", "optreg", 1, mk_optreg::<OptiCLH>),
-        t!("optreg-opticlh-nor", "optreg", 1, mk_optreg::<OptiCLHNor>),
         t!("optreg-mcs-rw", "optreg", 1, mk_optreg::<McsRwLock>),
         t!("optreg-pthread", "optreg", 1, mk_optreg::<PthreadRwLock>),
         // Writer-only locks, reachable by no index: register arrays make
@@ -228,13 +222,6 @@ pub fn targets() -> Vec<Target> {
             "lockreg",
             1,
             mk_lockreg::<TtsBackoff>
-        ),
-        t!("lockreg-ticket", "lockreg", 1, mk_lockreg::<TicketLock>),
-        t!(
-            "lockreg-ticket-split",
-            "lockreg",
-            1,
-            mk_lockreg::<TicketLockSplit>
         ),
         // The sharded facade over both trees.
         t!("sharded-btree-optiql", "sharded", 1, mk_sharded_btree),
@@ -829,11 +816,11 @@ mod tests {
             );
             assert!(t.batch >= 1);
         }
-        // "All ten locks": 9 index locks + 5 writer-only locks appear.
-        assert_eq!(ts.iter().filter(|t| t.group == "btree").count(), 9);
-        assert_eq!(ts.iter().filter(|t| t.group == "art").count(), 9);
-        assert_eq!(ts.iter().filter(|t| t.group == "optreg").count(), 9);
-        assert_eq!(ts.iter().filter(|t| t.group == "lockreg").count(), 5);
+        // Every lock: 7 index locks + 3 writer-only locks appear.
+        assert_eq!(ts.iter().filter(|t| t.group == "btree").count(), 7);
+        assert_eq!(ts.iter().filter(|t| t.group == "art").count(), 7);
+        assert_eq!(ts.iter().filter(|t| t.group == "optreg").count(), 7);
+        assert_eq!(ts.iter().filter(|t| t.group == "lockreg").count(), 3);
         // Facade coverage: the facade over both trees, and the batched
         // paths plain and sharded over both trees.
         assert_eq!(ts.iter().filter(|t| t.group == "sharded").count(), 2);
@@ -870,7 +857,7 @@ mod tests {
                 assert!(t.name.starts_with("crash-"));
             }
         }
-        assert_eq!(ts.len(), 49, "the chaos matrix has 49 cells");
+        assert_eq!(ts.len(), 41, "the chaos matrix has 41 cells");
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! Lock-protected register arrays: the smallest structure that turns
 //! *any* lock in the workspace into a checkable [`ConcurrentIndex`].
 //!
-//! The trees only exercise the nine [`IndexLock`] implementations; the
-//! writer-only locks (MCS, TTS, TTS-Backoff, Ticket, Ticket-Split) have
-//! no index to live in. [`LockRegister`] gives every [`ExclusiveLock`] a
-//! home — one lock + one `(present, value)` cell per key — so the
-//! linearizability driver sweeps the entire lock family, not just the
-//! index-capable subset.
+//! The trees only exercise the seven [`IndexLock`] implementations; the
+//! writer-only locks (MCS, TTS, TTS-Backoff) have no index to live in.
+//! [`LockRegister`] gives every [`ExclusiveLock`] a home — one lock + one
+//! `(present, value)` cell per key — so the linearizability driver sweeps
+//! the entire lock family, not just the index-capable subset.
 //!
 //! [`OptRegister`] is the same array for [`IndexLock`] types, but read
 //! with the paper's protocol: optimistic `r_lock`/`r_unlock` lookups

@@ -89,7 +89,7 @@ type Tiny = BPlusTree<OptLock, OptiQL, 4, 4>;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Every cell of the chaos matrix — all nine index locks on both
+    /// Every cell of the chaos matrix — all seven index locks on both
     /// trees, both register arrays, the sharded facades — plus the
     /// wrappers the sweep stacks on top of them.
     #[test]

@@ -15,12 +15,13 @@
 //! The crate also contains every baseline lock from the paper's evaluation
 //! (centralized optimistic "OptLock", TTS, MCS, a fair queue-based
 //! reader-writer MCS packed into 8 bytes, a pthread-style pessimistic
-//! rwlock, ticket locks and backoff variants), the queue-node pool with
-//! compact ID ↔ pointer translation, the unified [`traits::IndexLock`]
-//! interface that the companion index crates (`optiql-btree`, `optiql-art`)
-//! build their lock-coupling protocols on, and the shared OLC restart
-//! protocol ([`olc`]: restart pacing, optimistic read guards, unified
-//! per-index accounting) those crates drive their `'restart:` loops with.
+//! rwlock, and the backoff variants of OptLock and TTS), the queue-node
+//! pool with compact ID ↔ pointer translation, the unified
+//! [`traits::IndexLock`] interface that the companion index crates
+//! (`optiql-btree`, `optiql-art`) build their lock-coupling protocols on,
+//! and the shared OLC restart protocol ([`olc`]: restart pacing,
+//! optimistic read guards, unified per-index accounting) those crates
+//! drive their `'restart:` loops with.
 //!
 //! ## Quick start
 //!
@@ -66,9 +67,7 @@
 
 pub mod backoff;
 pub mod chaos;
-pub mod clh;
 pub mod counters;
-pub mod guard;
 pub mod mcs;
 pub mod mcs_rw;
 pub mod olc;
@@ -78,20 +77,16 @@ pub mod pthread;
 pub mod qnode;
 pub mod spin;
 pub mod stats;
-pub mod ticket;
 pub mod traits;
 pub mod tts;
 pub mod word;
 
-pub use crate::clh::{OptiCLH, OptiCLHNor, OptiClhCore};
 pub use crate::counters::Counters;
-pub use crate::guard::{read_critical, try_read_critical, XGuard};
 pub use crate::mcs::McsLock;
 pub use crate::mcs_rw::McsRwLock;
 pub use crate::olc::{IndexStats, OptimisticGuard, RestartLoop};
 pub use crate::optiql::{OptiQL, OptiQLAor, OptiQLCore, OptiQLNor};
 pub use crate::optlock::{OptLock, OptLockBackoff};
 pub use crate::pthread::PthreadRwLock;
-pub use crate::ticket::{TicketLock, TicketLockSplit};
 pub use crate::traits::{ExclusiveLock, IndexLock, WriteStrategy, WriteToken};
 pub use crate::tts::{TtsBackoff, TtsLock};

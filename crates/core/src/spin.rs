@@ -38,54 +38,4 @@ impl Spinner {
             thread::yield_now();
         }
     }
-
-    /// Number of steps taken so far (capped at the yield threshold for the
-    /// spin-hint phase; continues to count across yields).
-    #[inline]
-    pub fn steps(&self) -> u32 {
-        self.spins
-    }
-}
-
-/// Spin until `cond` returns true.
-#[inline]
-pub fn spin_until(mut cond: impl FnMut() -> bool) {
-    let mut s = Spinner::new();
-    while !cond() {
-        s.spin();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-
-    #[test]
-    fn spin_until_returns_when_condition_already_true() {
-        spin_until(|| true);
-    }
-
-    #[test]
-    fn spin_until_observes_flag_set_by_other_thread() {
-        let flag = Arc::new(AtomicBool::new(false));
-        let f2 = Arc::clone(&flag);
-        let h = std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(10));
-            f2.store(true, Ordering::Release);
-        });
-        spin_until(|| flag.load(Ordering::Acquire));
-        h.join().unwrap();
-        assert!(flag.load(Ordering::Relaxed));
-    }
-
-    #[test]
-    fn spinner_counts_steps() {
-        let mut s = Spinner::new();
-        for _ in 0..10 {
-            s.spin();
-        }
-        assert_eq!(s.steps(), 10);
-    }
 }

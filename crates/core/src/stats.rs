@@ -32,7 +32,7 @@ pub enum Event {
     /// An exclusive acquisition completed (fast path or queued).
     ExAcquire = 0,
     /// An exclusive acquisition had to wait behind another holder
-    /// (queued in MCS/CLH terms, spun in TTS/OptLock terms).
+    /// (queued in MCS terms, spun in TTS/OptLock terms).
     ExQueueWait,
     /// An exclusive release handed the lock directly to a queued
     /// successor instead of freeing the word.

@@ -1,73 +1,14 @@
-//! RAII guard drop paths and the adjustable-opportunistic-read (AOR)
-//! window lifecycle (§7.4), driven deterministically with barriers.
-//!
-//! The in-crate guard tests cover the happy paths; these integration
-//! tests pin down the corner cases the index write protocols rely on:
-//! early drops, drop-after-upgrade, and the AOR window staying open
-//! until `x_finish_adjustable` — including the abort path where a writer
-//! unlocks without ever finishing.
+//! The adjustable-opportunistic-read (AOR) window lifecycle (§7.4),
+//! driven deterministically with barriers: the window stays open until
+//! `x_finish_adjustable` — including the abort path where a writer
+//! unlocks without ever finishing — and the uncontended fast path opens
+//! none.
 
 use std::sync::{Arc, Barrier, Mutex};
 
 use optiql::stats::{self, Event};
 use optiql::word::{is_locked, is_opread};
-use optiql::{ExclusiveLock, IndexLock, OptLock, OptiQL, OptiQLAor, OptiQLNor, XGuard};
-
-#[test]
-fn early_drop_releases_before_scope_end() {
-    let l = OptiQL::new();
-    let g = XGuard::lock(&l);
-    assert!(l.is_locked_ex());
-    drop(g);
-    // Still inside the scope: the lock must already be free and usable.
-    assert!(!l.is_locked_ex());
-    let v = l.r_lock().expect("released by early drop");
-    assert!(l.r_unlock(v));
-}
-
-#[test]
-fn explicit_unlock_then_drop_releases_once() {
-    // `unlock` consumes the token; the subsequent implicit drop must not
-    // release again (a double x_unlock would corrupt the version).
-    let l = OptiQL::new();
-    let v0 = l.r_lock().unwrap();
-    XGuard::lock(&l).unlock();
-    let v1 = l.r_lock().unwrap();
-    assert_eq!(v1, v0 + 1, "exactly one release round");
-}
-
-#[test]
-fn dropped_upgrade_guard_releases() {
-    let l = OptLock::new();
-    let v = l.r_lock().unwrap();
-    {
-        let _g = XGuard::upgrade(&l, v).expect("fresh snapshot upgrades");
-        assert!(l.is_locked_ex());
-    }
-    assert!(!l.is_locked_ex());
-    // The write round bumped the version, so the old snapshot is stale.
-    assert!(!l.recheck(v));
-}
-
-#[test]
-fn guard_composes_with_every_lock_drop_path() {
-    fn check<L: IndexLock>() {
-        let l = L::default();
-        {
-            let _g = XGuard::lock(&l);
-        }
-        // Dropped guard left the lock fully usable.
-        let v = l.r_lock().expect("free after guard drop");
-        assert!(l.r_unlock(v));
-    }
-    check::<OptiQL>();
-    check::<OptiQLNor>();
-    check::<OptiQLAor>();
-    check::<OptLock>();
-    check::<optiql::OptiCLH>();
-    check::<optiql::McsRwLock>();
-    check::<optiql::PthreadRwLock>();
-}
+use optiql::{ExclusiveLock, IndexLock, OptiQL};
 
 #[test]
 fn aor_fast_path_token_needs_no_window_close() {
