@@ -52,7 +52,6 @@ use std::ptr::NonNull;
 
 use optiql::counters::Counters;
 use optiql::olc::{IndexStats, OptimisticGuard, RestartLoop, Step, INDEX_LANES, OPS};
-use optiql::stats::Event;
 use optiql::{IndexLock, WriteStrategy, WriteToken};
 use optiql_reclaim::{Collector, Guard};
 
@@ -298,7 +297,7 @@ impl<L: IndexLock> ArtTree<L> {
 
     #[inline]
     fn restart_loop(&self) -> RestartLoop<'_, LANES> {
-        RestartLoop::new(&self.counters, Event::IndexRestartArt)
+        RestartLoop::new(&self.counters)
     }
 
     /// Retire an inner node through the epoch collector.

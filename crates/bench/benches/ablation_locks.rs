@@ -2,7 +2,8 @@
 //!
 //! 1. **Backoff vs queueing** (§1.1): exponential backoff eases collapse on
 //!    centralized locks but sacrifices fairness; the queue gives both.
-//!    Reported: throughput *and* max/min per-thread acquisition ratio.
+//!    Reported: throughput *and* max/min per-thread acquisition ratio,
+//!    each the median of five runs, with the ratio's range.
 //! 2. **Opportunistic read** (§5.3): OptiQL vs OptiQL-NOR reader success
 //!    under a write-heavy mix.
 
@@ -14,15 +15,33 @@ use optiql_bench::{
     banner, env, header, mops, r2, row_extra, run_exclusive, run_mixed, Contention, MicroConfig,
 };
 
+/// Runs per backoff-vs-queue point. One short run's max/min ratio can
+/// move by 2x from run to run on a shared host, so the row gives the
+/// median of several with their range.
+const FAIRNESS_RUNS: usize = 5;
+
 fn fairness_point<L: ExclusiveLock>(threads: usize) {
     let cfg = MicroConfig::new(threads, Contention::Extreme, env::duration());
-    let r = run_exclusive::<L>(&cfg);
+    let (mut rate, mut fair): (Vec<f64>, Vec<f64>) = (0..FAIRNESS_RUNS)
+        .map(|_| {
+            let r = run_exclusive::<L>(&cfg);
+            (mops(r.throughput()), r.fairness_ratio())
+        })
+        .unzip();
+    rate.sort_by(f64::total_cmp);
+    fair.sort_by(f64::total_cmp);
+    let mid = FAIRNESS_RUNS / 2;
     row_extra(
         "ablation",
         "backoff-vs-queue",
         L::NAME,
-        r2(mops(r.throughput())),
-        format!("fairness={:.2}", r.fairness_ratio()),
+        r2(rate[mid]),
+        format!(
+            "fairness={:.2} ({:.2}-{:.2})",
+            fair[mid],
+            fair[0],
+            fair[FAIRNESS_RUNS - 1]
+        ),
     );
 }
 

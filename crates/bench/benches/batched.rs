@@ -20,7 +20,6 @@
 
 use std::time::Instant;
 
-use optiql::stats::{self, Event};
 use optiql_bench::{
     banner, env, header, mops, preload, r2, row_extra, run, KeyDist, KeySpace, Mix, WorkloadConfig,
 };
@@ -56,7 +55,6 @@ fn lookup_sweep<I: ConcurrentIndex>(index: &I, series: &str, keys: u64) {
             format!("{}x r/op={:.4}", r2(speedup), d.restarts_per_op()),
         );
     }
-    batch_event_note(series);
 }
 
 /// Bulk-load `keys` fresh pairs through `multi_insert` in chunks of
@@ -107,22 +105,6 @@ fn insert_sweep<I: ConcurrentIndex>(
             r2(m),
             format!("{}x", r2(speedup)),
         );
-    }
-}
-
-/// With `optiql/stats` on, print the batch-engine event counters
-/// accumulated so far (batches issued, in-batch restarts, pipeline
-/// rounds) as a comment row.
-fn batch_event_note(series: &str) {
-    if stats::ENABLED {
-        let s = stats::snapshot();
-        println!(
-            "# {series}: batch_issued={} batch_op_restart={} batch_prefetch_round={}",
-            s.get(Event::BatchIssued),
-            s.get(Event::BatchOpRestart),
-            s.get(Event::BatchPrefetchRound),
-        );
-        stats::reset();
     }
 }
 

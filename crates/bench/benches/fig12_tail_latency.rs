@@ -7,14 +7,14 @@
 //! flat thanks to FIFO queuing; OptiQL-NOR spikes on the balanced
 //! workload where its starved readers retry many times.
 
-use optiql::stats::Event;
 use optiql_bench::{
     banner, env, header, only, row, KeyDist, Mix, Point, Sweep, ART_LOCKS, BTREE_LOCKS,
 };
 
-/// Seven percentile rows, then the run's restart accounting as comment
-/// lines: tail latency correlates with traversal restarts (rejected or
-/// invalidated readers retry from the root).
+/// Seven percentile rows, then the run's restart accounting and the lock
+/// layer's slow-path events as comment lines: tail latency correlates with
+/// traversal restarts (rejected or invalidated readers retry from the
+/// root) and with queueing.
 fn rows(p: &Point<'_>) {
     let series = format!("{}/{}/{}t/{}", p.index, p.mix, p.threads, p.lock);
     for (pct, ns) in p.hist.paper_percentiles() {
@@ -29,17 +29,11 @@ fn rows(p: &Point<'_>) {
         d.restarts_per_op(),
         d.escalations,
     );
-    // Lock-layer event detail when the build enables `optiql/stats`.
-    if optiql::stats::ENABLED {
-        let s = &p.events;
-        println!(
-            "# {series}: restarts={} read_reject={} validate_fail={} opread_admit={}",
-            s.get(Event::IndexRestartBtree) + s.get(Event::IndexRestartArt),
-            s.get(Event::ReadReject),
-            s.get(Event::ReadValidateFail),
-            s.get(Event::OpReadAdmit),
-        );
-    }
+    let e = &p.events;
+    println!(
+        "# {series}: queue_waits={} handovers={} read_rejects={} validate_fails={} opread_admits={}",
+        e.queue_waits, e.handovers, e.read_rejects, e.validate_fails, e.opread_admits,
+    );
 }
 
 fn main() {

@@ -6,15 +6,15 @@
 //! opportunistic read admits a substantial fraction (~26–32%).
 //!
 //! One row per lock and read/write ratio: the driver's read success rate
-//! in percent. Built with `--features optiql/stats`, each row is followed
-//! by a `<lock>/counters` row with the *counter-derived* rate (from
-//! `optiql::stats`) — the measured admissions/validations of the lock
-//! layer itself, which should track the driver's rate closely — and a
-//! comment line with the raw event totals, including how many admitted
-//! readers came in through the opportunistic-read handover window
-//! (`opread_admit`), the direct mechanism behind OptiQL's advantage.
+//! in percent, followed by a `<lock>/counters` row with the
+//! *counter-derived* rate — one minus the lock layer's own rejections and
+//! failed validations (`optiql::stats`) over the driver's read attempts,
+//! which should match the driver's rate — and a comment line with the
+//! lock's slow-path event totals, including how many admitted readers came
+//! in through the opportunistic-read handover window (`opread_admit`), the
+//! direct mechanism behind OptiQL's advantage.
 
-use optiql::stats::{self, Event};
+use optiql::stats;
 use optiql::{IndexLock, OptLock, OptiQL, OptiQLNor};
 use optiql_bench::{banner, env, header, r2, row, run_mixed, Contention, MicroConfig};
 
@@ -34,23 +34,18 @@ fn success_rates<L: IndexLock>(lock: &str, threads: usize) {
             cs_len: 50,
             duration: env::duration(),
         };
-        stats::reset();
+        let before = stats::snapshot();
         let r = run_mixed::<L>(&cfg);
-        let events = stats::snapshot();
+        let events = stats::snapshot().since(&before);
         row("table1", lock, ratio, r2(r.read_success_rate() * 100.0));
-        if stats::ENABLED {
-            let counted = r2(events.reader_success_rate() * 100.0);
-            row("table1", &format!("{lock}/counters"), ratio, counted);
-            println!(
-                "# {lock} {ratio}: admit={} opread_admit={} reject={} \
-                 validate_ok={} validate_fail={}",
-                events.get(Event::ReadAdmit),
-                events.get(Event::OpReadAdmit),
-                events.get(Event::ReadReject),
-                events.get(Event::ReadValidateOk),
-                events.get(Event::ReadValidateFail),
-            );
-        }
+        let counted = events.reader_success(r.reads_ok + r.reads_failed);
+        row(
+            "table1",
+            &format!("{lock}/counters"),
+            ratio,
+            r2(counted * 100.0),
+        );
+        println!("# {lock} {ratio}: {events}");
     }
 }
 

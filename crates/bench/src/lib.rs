@@ -25,9 +25,8 @@
 //! ```
 //!
 //! and mirrors each row into `BENCH_<fig>.json`; see EXPERIMENTS.md for
-//! the mapping from each target to the paper's figure. Lock-event
-//! counters (`optiql::stats`) record only when the build enables
-//! `optiql/stats`.
+//! the mapping from each target to the paper's figure. The lock layer's
+//! slow-path event counts (`optiql::stats`) are read from every build.
 //!
 //! The two targets that measure a served index (`server`, `wal`) drive it
 //! with [`closed_loop`], over the server crate's own [`Client`].

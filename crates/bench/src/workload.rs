@@ -375,8 +375,7 @@ pub struct Point<'a> {
     pub hist: Histogram,
     /// The index's restart accounting over the run.
     pub stats: IndexStats,
-    /// Lock-event counters over the run (all zero unless the build
-    /// enables `optiql/stats`).
+    /// The lock layer's slow-path event counts over the run.
     pub events: optiql::stats::Snapshot,
 }
 

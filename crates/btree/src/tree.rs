@@ -66,7 +66,6 @@ use std::sync::atomic::{AtomicPtr, Ordering};
 
 use optiql::counters::Counters;
 use optiql::olc::{IndexStats, OptimisticGuard, RestartLoop, Step, INDEX_LANES, OPS};
-use optiql::stats::Event;
 use optiql::{IndexLock, WriteStrategy, WriteToken};
 use optiql_reclaim::{Collector, Guard};
 
@@ -323,7 +322,7 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> BPlusTree<I
 
     #[inline]
     pub(crate) fn restart_loop(&self) -> RestartLoop<'_, LANES> {
-        RestartLoop::new(&self.counters, Event::IndexRestartBtree)
+        RestartLoop::new(&self.counters)
     }
 
     // --- the descent step and its scalar drivers ----------------------------

@@ -131,8 +131,7 @@ mod imp {
             | Event::OpReadWindowClose
             | Event::ReadValidateFail
             | Event::UpgradeFail
-            | Event::IndexRestartBtree
-            | Event::IndexRestartArt
+            | Event::IndexRestart
             | Event::BatchPrefetchRound
             | Event::BatchOpRestart => 4,
             // Acquisition / admission steady state.

@@ -53,14 +53,14 @@
 //! stores, and validation discards every inconsistent snapshot. The index
 //! crates in this workspace follow exactly this pattern.
 //!
-//! ## Observability (`stats` feature)
+//! ## Observability
 //!
 //! Every lock records admission, validation, queueing, handover and
-//! upgrade events through [`stats`]. In default builds the recording
-//! sites compile to no-ops; building with `--features stats` turns them
-//! into relaxed adds on the calling thread's stripe of one [`Counters`]
-//! block, readable via
-//! [`stats::snapshot`] / resettable via [`stats::reset`].
+//! upgrade events through [`stats`]. The slow-path ones (queue waits,
+//! handovers, window closes, `OPREAD` admissions, rejections, failed
+//! validations and upgrades) are relaxed adds on the calling thread's
+//! stripe of one [`Counters`] block in every build, readable via
+//! [`stats::snapshot`]; the fast-path ones cost nothing.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -10,9 +10,8 @@
 //!   escalation ladder: a free first attempt, a short spin burst, a
 //!   truncated-exponential [`Backoff`](crate::backoff::Backoff) window,
 //!   and finally `thread::yield_now` so oversubscribed hosts make
-//!   progress. Each counted restart feeds the cfg-gated
-//!   [`stats`](crate::stats) event taxonomy *and* the owning index's
-//!   [`Counters`] block.
+//!   progress. Each counted restart feeds the owning index's
+//!   [`Counters`] block and is an [`Event::IndexRestart`] chaos site.
 //! * [`OptimisticGuard`] — an RAII-free (plain-value) read guard pairing
 //!   an [`IndexLock`] with the version snapshot taken at `r_lock`,
 //!   encapsulating the validate / recheck / abandon discipline that the
@@ -140,27 +139,22 @@ impl IndexStats {
 /// Create one per operation, call [`pause`](RestartLoop::pause) at the
 /// top of the `'restart:` loop, and the ladder takes care of the rest:
 /// the first pause is free, subsequent pauses spin, back off, and
-/// finally yield, while feeding both the owning index's [`Counters`]
-/// block and the cfg-gated [`stats`](crate::stats) event given at
-/// construction.
+/// finally yield, while feeding the owning index's [`Counters`] block.
 pub struct RestartLoop<'a, const N: usize> {
     attempts: u32,
     backoff: Backoff,
     stats: &'a Counters<N>,
-    event: Event,
 }
 
 impl<'a, const N: usize> RestartLoop<'a, N> {
     /// A fresh loop reporting restarts to the [`RESTARTS`] and
-    /// [`ESCALATIONS`] lanes of `stats` and recording `event` (e.g.
-    /// [`Event::IndexRestartBtree`]) per counted restart.
-    pub fn new(stats: &'a Counters<N>, event: Event) -> Self {
+    /// [`ESCALATIONS`] lanes of `stats`.
+    pub fn new(stats: &'a Counters<N>) -> Self {
         const { assert!(N >= INDEX_LANES) };
         RestartLoop {
             attempts: 0,
             backoff: Backoff::new(BACKOFF_MIN, BACKOFF_MAX),
             stats,
-            event,
         }
     }
 
@@ -227,7 +221,7 @@ impl<'a, const N: usize> RestartLoop<'a, N> {
     #[inline]
     fn count_restart(&self) {
         self.stats.add(RESTARTS, 1);
-        crate::stats::record(self.event);
+        crate::stats::record(Event::IndexRestart);
     }
 }
 
@@ -474,7 +468,7 @@ mod tests {
     #[test]
     fn ladder_escalates_free_spin_backoff_yield() {
         let stats = Counters::<INDEX_LANES>::new();
-        let mut rs = RestartLoop::new(&stats, Event::IndexRestartBtree);
+        let mut rs = RestartLoop::new(&stats);
         assert_eq!(rs.phase(), RestartPhase::Free);
         rs.pause(); // first try: free
         assert_eq!(rs.phase(), RestartPhase::Free);

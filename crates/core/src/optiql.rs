@@ -83,16 +83,16 @@ impl<const OPPORTUNISTIC: bool, const AOR: bool> OptiQLCore<OPPORTUNISTIC, AOR> 
     // ---------------------------------------------------------------
 
     /// `acquire_sh`: snapshot the word; `None` when a writer holds the lock
-    /// and opportunistic read is off.
+    /// and opportunistic read is off. A free word is tested first, so the
+    /// common case is one branch.
     #[inline]
     pub fn acquire_sh(&self) -> Option<u64> {
         let v = self.word.load(Ordering::Acquire);
-        if readable(v) {
-            record(if is_locked(v) {
-                Event::OpReadAdmit
-            } else {
-                Event::ReadAdmit
-            });
+        if !is_locked(v) {
+            record(Event::ReadAdmit);
+            Some(v)
+        } else if readable(v) {
+            record(Event::OpReadAdmit);
             Some(v)
         } else {
             record(Event::ReadReject);
@@ -136,18 +136,25 @@ impl<const OPPORTUNISTIC: bool, const AOR: bool> OptiQLCore<OPPORTUNISTIC, AOR> 
             record(Event::ExAcquire);
             false
         } else {
-            // Queue behind the predecessor and spin locally (Alg 3 l.7-9).
-            record(Event::ExQueueWait);
-            let pred = qnode::to_ptr(word_id(prev));
-            pred.next
-                .store(qn as *const QNode as *mut QNode, Ordering::Release);
-            let mut s = Spinner::new();
-            while qn.version.load(Ordering::Acquire) == INVALID_VERSION {
-                s.spin();
-            }
-            record(Event::ExAcquire);
+            Self::wait_for_grant(word_id(prev), qn);
             true
         }
+    }
+
+    /// Queue behind the predecessor `pred` and spin locally until it hands
+    /// the lock over (Alg 3 l.7-9). Kept out of line so that the free-word
+    /// path of [`Self::acquire_ex_with`] stays small enough to inline.
+    #[inline(never)]
+    fn wait_for_grant(pred: u16, qn: &QNode) {
+        record(Event::ExQueueWait);
+        qnode::to_ptr(pred)
+            .next
+            .store(qn as *const QNode as *mut QNode, Ordering::Release);
+        let mut s = Spinner::new();
+        while qn.version.load(Ordering::Acquire) == INVALID_VERSION {
+            s.spin();
+        }
+        record(Event::ExAcquire);
     }
 
     /// Close the opportunistic-read window after a queued handover
@@ -181,6 +188,14 @@ impl<const OPPORTUNISTIC: bool, const AOR: bool> OptiQLCore<OPPORTUNISTIC, AOR> 
                 return;
             }
         }
+        self.hand_over(qn, my_version);
+    }
+
+    /// Release to the successor that has swapped itself in behind `qn`
+    /// (Alg 3 l.17-23). Out of line for the same reason as
+    /// [`Self::wait_for_grant`]: the uncontended release stays one CAS.
+    #[inline(never)]
+    fn hand_over(&self, qn: &QNode, my_version: u64) {
         if OPPORTUNISTIC {
             // Handover window: data is consistent until the successor is
             // granted. Publish OPREAD + our version so readers can sneak
@@ -210,19 +225,16 @@ impl<const OPPORTUNISTIC: bool, const AOR: bool> OptiQLCore<OPPORTUNISTIC, AOR> 
     /// success the word carries the provided queue node so later writers
     /// still queue behind us.
     pub fn try_upgrade_with(&self, v: u64, id: u16, qn: &QNode) -> bool {
-        if v & crate::word::STATUS_MASK != 0 {
-            // Never upgrade from an opportunistic-read snapshot: the word's
-            // queue-node field belongs to the writer queue and swapping it
-            // out would orphan the queued successor.
-            record(Event::UpgradeFail);
-            return false;
-        }
-        qn.reset();
-        qn.version.store(bump_version(v), Ordering::Relaxed);
-        let ok = self
-            .word
-            .compare_exchange(v, locked_word(id), Ordering::Acquire, Ordering::Relaxed)
-            .is_ok();
+        // Never upgrade from an opportunistic-read snapshot: the word's
+        // queue-node field belongs to the writer queue and swapping it out
+        // would orphan the queued successor.
+        let ok = v & crate::word::STATUS_MASK == 0 && {
+            qn.reset();
+            qn.version.store(bump_version(v), Ordering::Relaxed);
+            self.word
+                .compare_exchange(v, locked_word(id), Ordering::Acquire, Ordering::Relaxed)
+                .is_ok()
+        };
         record(if ok {
             Event::UpgradeOk
         } else {

@@ -6,14 +6,25 @@
 
 use std::sync::{Arc, Barrier, Mutex};
 
-use optiql::stats::{self, Event};
+use optiql::stats;
 use optiql::word::{is_locked, is_opread};
 use optiql::{ExclusiveLock, IndexLock, OptiQL};
+
+/// Every test here counts window closes in the process-wide lock-event
+/// lanes, so they must not overlap.
+static QUEUED: Mutex<()> = Mutex::new(());
+
+/// The test's window closes since `before`.
+fn closes_since(before: u64) -> u64 {
+    stats::snapshot().window_closes - before
+}
 
 #[test]
 fn aor_fast_path_token_needs_no_window_close() {
     // Uncontended x_lock_adjustable takes the fast path: no handover
     // happened, so there is no window and x_finish_adjustable is a no-op.
+    let _serial = QUEUED.lock().unwrap();
+    let closes = stats::snapshot().window_closes;
     let l = OptiQL::new();
     let t = l.x_lock_adjustable();
     assert!(l.is_locked_ex());
@@ -26,20 +37,17 @@ fn aor_fast_path_token_needs_no_window_close() {
     l.x_unlock(t);
     assert!(!l.is_locked_ex());
     assert_eq!(l.r_lock().unwrap(), 1);
+    assert_eq!(closes_since(closes), 0, "no handover, no window to close");
 }
-
-/// The two queued-handover tests below count window closes in the
-/// process-wide `stats` registry (when it is compiled in), so they must
-/// not overlap.
-static QUEUED: Mutex<()> = Mutex::new(());
 
 /// A queued AOR acquisition closes its window exactly once — at finish,
 /// or at unlock when it never finished — never at both.
 fn assert_one_window_close(before: u64) {
-    if stats::ENABLED {
-        let closes = stats::snapshot().get(Event::OpReadWindowClose) - before;
-        assert_eq!(closes, 1, "one queued write, one window close");
-    }
+    assert_eq!(
+        closes_since(before),
+        1,
+        "one queued write, one window close"
+    );
 }
 
 /// Queued AOR path, barrier-sequenced: the granted writer's window must
@@ -48,7 +56,7 @@ fn assert_one_window_close(before: u64) {
 #[test]
 fn aor_window_stays_open_until_finish() {
     let _serial = QUEUED.lock().unwrap();
-    let closes = stats::snapshot().get(Event::OpReadWindowClose);
+    let closes = stats::snapshot().window_closes;
     let l = Arc::new(OptiQL::new());
     let id1 = optiql::qnode::alloc();
     let qn1 = optiql::qnode::to_ptr(id1);
@@ -114,7 +122,7 @@ fn aor_abort_path_unlock_without_finish_closes_window() {
     // cannot validate against the stale handover state. Single-threaded
     // fast path cannot open a window, so enact the queued state manually.
     let _serial = QUEUED.lock().unwrap();
-    let closes = stats::snapshot().get(Event::OpReadWindowClose);
+    let closes = stats::snapshot().window_closes;
     let l = Arc::new(OptiQL::new());
     let id1 = optiql::qnode::alloc();
     let qn1 = optiql::qnode::to_ptr(id1);

@@ -17,7 +17,7 @@
 use proptest::prelude::*;
 
 use optiql::olc::{RestartPhase, BACKOFF_BUDGET, FREE_ATTEMPTS, INDEX_LANES, SPIN_BUDGET};
-use optiql::{stats::Event, Counters, IndexStats, RestartLoop};
+use optiql::{Counters, IndexStats, RestartLoop};
 
 #[derive(Debug, Clone, Copy)]
 enum Cmd {
@@ -59,7 +59,7 @@ proptest! {
     #[test]
     fn ladder_matches_shadow_model(cmds in proptest::collection::vec(cmd_strategy(), 1..200)) {
         let stats = Counters::<INDEX_LANES>::new();
-        let mut rs = RestartLoop::new(&stats, Event::IndexRestartBtree);
+        let mut rs = RestartLoop::new(&stats);
 
         let mut attempts: u32 = 0; // since last reset
         let mut restarts: u64 = 0; // cumulative, never reset
@@ -127,7 +127,7 @@ proptest! {
 #[test]
 fn reset_restores_fresh_loop_pacing() {
     let stats = Counters::<INDEX_LANES>::new();
-    let mut rs = RestartLoop::new(&stats, Event::IndexRestartBtree);
+    let mut rs = RestartLoop::new(&stats);
     for _ in 0..16 {
         rs.pause();
     }

@@ -34,36 +34,6 @@ fn exhaustion_is_detected_not_corrupted() {
 }
 
 #[test]
-fn exhaustion_is_counted_when_stats_enabled() {
-    let _serial = POOL_TESTS.lock().unwrap();
-    optiql::stats::reset();
-    let mut held = Vec::new();
-    while let Some(id) = qnode::try_alloc() {
-        held.push(id);
-    }
-    // The failed attempt above is the only exhaustion event; confirm a few
-    // more are counted too.
-    assert!(qnode::try_alloc().is_none());
-    assert!(qnode::try_alloc().is_none());
-    let s = optiql::stats::snapshot();
-    if optiql::stats::ENABLED {
-        assert!(
-            s.get(optiql::stats::Event::QnodeExhausted) >= 3,
-            "every dry allocation attempt must be counted"
-        );
-    } else {
-        assert_eq!(
-            s,
-            optiql::stats::Snapshot::default(),
-            "no-op without the feature"
-        );
-    }
-    for id in held {
-        qnode::free(id);
-    }
-}
-
-#[test]
 fn ids_are_recycled_under_the_1024_cap_across_threads() {
     // Far more lock acquisitions than pool slots: 8 threads × 4 locks ×
     // thousands of rounds all run inside a 1024-ID budget. Every ID handed
