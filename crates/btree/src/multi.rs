@@ -9,8 +9,10 @@
 //! `BPlusTree::write_step` — the same functions the scalar entry points
 //! loop on) to the shared group scheduler, [`optiql::olc::run_grouped`]:
 //! each turn advances one operation by exactly one tree level and ends
-//! right after issuing a prefetch for the node it will enter next, so a
-//! group keeps up to `GROUP` misses outstanding instead of one.
+//! right after choosing the node it will enter next. Choosing a child
+//! prefetches every line of it (`Inner::find_child`), on this path and
+//! the scalar one alike, so a group keeps up to `GROUP` nodes in flight
+//! instead of one.
 //!
 //! Only the schedule differs from the scalar path, so correctness is the
 //! scalar argument. What the pipeline does not do itself — full inner
@@ -31,7 +33,6 @@
 use optiql::olc::{run_grouped, Step, OPS};
 use optiql::IndexLock;
 
-use crate::node::prefetch_node_rest;
 use crate::tree::{BPlusTree, Edge, Run, Stepped, WriteOp, LANES, SIZE};
 
 impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> BPlusTree<IL, LL, IC, LC> {
@@ -116,21 +117,18 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> BPlusTree<I
         out
     }
 
-    /// One turn of a parked descent: `step` over its edge, then prefetch
-    /// the node the new edge leads to. The step's choice of child fetched
-    /// that node's first two lines; a parked descent has a whole round
-    /// before it touches the node, so it can afford the rest too.
+    /// One turn of a descent: `step` over its parked edge, or over the
+    /// root edge when it starts. The step ends by choosing a child, which
+    /// prefetches that node whole, so a parked descent finds every line of
+    /// its next node in flight when its turn comes round.
     #[inline]
     fn turn<'t, R>(
         &'t self,
         parked: Option<Edge<'t, IL, IC>>,
         step: impl FnOnce(Edge<'t, IL, IC>) -> Stepped<'t, IL, IC, R>,
     ) -> Stepped<'t, IL, IC, R> {
-        // The root is always cache-hot.
-        let step = step(parked.unwrap_or_else(|| self.root_edge()));
-        if let Step::Next(edge) = &step {
-            prefetch_node_rest(edge.child);
-        }
-        step
+        // No step chose the root, so nothing prefetched it: it is always
+        // cache-hot.
+        step(parked.unwrap_or_else(|| self.root_edge()))
     }
 }

@@ -22,7 +22,9 @@
 
 use std::sync::atomic::{AtomicPtr, AtomicU16, AtomicU64, Ordering};
 
-use optiql::IndexLock;
+use optiql::{IndexLock, OptLock};
+
+use crate::DEFAULT_IC;
 
 /// Every node cell is read and written `Relaxed`: version validation, not
 /// memory ordering, is what makes a snapshot consistent.
@@ -75,47 +77,52 @@ fn sorted_prefix_len(keys: &[AtomicU64], n: usize, pred: impl Fn(u64) -> bool) -
     idx
 }
 
-/// Hint the CPU to pull the first two lines of a node into cache. Issued on
-/// the traversal path between choosing a child and validating the parent's
-/// version, so the fetch overlaps the validation instead of stalling the
-/// descent.
+/// Cache-line size the prefetch arithmetic assumes (x86-64).
+const LINE: usize = 64;
+
+/// Most bytes of a node a descent prefetches: the span of an `S256` inner
+/// node, the largest node of the default preset (280 bytes). A larger
+/// preset (`S512` up, Figure 11) binary-searches its keys and touches a
+/// few of its lines, so fetching it whole would pull in kilobytes the
+/// search never reads.
+const PREFETCH_MAX: usize = size_of::<Inner<OptLock, DEFAULT_IC>>();
+
+/// Byte offsets, from a node's first byte, at which [`prefetch_node`]
+/// issues a prefetch: one every line's width while inside the node, then
+/// the node's last byte, `bytes` capped at [`PREFETCH_MAX`]. `Box` aligns
+/// a node to 16 bytes, not to a line, so the same node spans five lines
+/// at one address and six at another (a 280-byte inner node at a 48-byte
+/// line offset ends in its sixth line): the stride covers every line but
+/// the last, and the last byte covers that one wherever the node starts.
+/// `bytes` is a `size_of`, so the offsets fold to constants.
 #[inline(always)]
-pub(crate) fn prefetch_node(p: *const NodeBase) {
-    #[cfg(target_arch = "x86_64")]
-    // Safety: prefetch is a pure hint and is architecturally defined to
-    // never fault, whatever the address points at.
-    unsafe {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        _mm_prefetch::<_MM_HINT_T0>(p as *const i8);
-        _mm_prefetch::<_MM_HINT_T0>((p as *const i8).wrapping_add(64));
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = p;
+fn prefetch_offsets(bytes: usize) -> impl Iterator<Item = usize> {
+    let bytes = bytes.min(PREFETCH_MAX);
+    (0..bytes.div_ceil(LINE) + 1).map(move |i| (i * LINE).min(bytes - 1))
 }
 
-/// Prefetch the *tail* of a node: lines 2 to 4, which with the two of
-/// [`prefetch_node`] are the 320 bytes that hold a default node whole (a
-/// leaf is 264 bytes, an inner node 280: 24 of header on top of the
-/// slots; whether `p` is one or the other is not known before it
-/// arrives). `Box` aligns a node to 16 bytes, not to a line, so a 264-byte
-/// leaf still spans five lines and all five prefetches stay. The batched
-/// engine has a whole pipeline round between choosing a child and
-/// touching it, so it can afford to pull the entire node — key array
-/// tails and the value/child array up to the last slot, which dense nodes
-/// do occupy — not just the header two lines fetched on the
-/// latency-sensitive scalar path.
+/// Prefetch every line of the node at `p` (the first `bytes` of it, see
+/// [`prefetch_offsets`]). A descent step issues it where it chooses a
+/// child, before it validates the parent's version: the child's lines
+/// arrive together while the parent validates, so the child's key scan
+/// and its value or child read do not wait on one miss after another.
+/// The child's kind is not known before it arrives; callers pass their
+/// own inner node's size, which a leaf of the same preset does not
+/// exceed.
 #[inline(always)]
-pub(crate) fn prefetch_node_rest(p: *const NodeBase) {
+fn prefetch_node(p: *const NodeBase, bytes: usize) {
     #[cfg(target_arch = "x86_64")]
-    // Safety: as above — prefetch never faults.
-    unsafe {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        _mm_prefetch::<_MM_HINT_T0>((p as *const i8).wrapping_add(128));
-        _mm_prefetch::<_MM_HINT_T0>((p as *const i8).wrapping_add(192));
-        _mm_prefetch::<_MM_HINT_T0>((p as *const i8).wrapping_add(256));
+    use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+    for off in prefetch_offsets(bytes) {
+        #[cfg(target_arch = "x86_64")]
+        // Safety: prefetch is a pure hint and is architecturally defined
+        // to never fault, whatever the address points at.
+        unsafe {
+            _mm_prefetch::<_MM_HINT_T0>((p as *const i8).wrapping_add(off))
+        };
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = (p, off);
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = p;
 }
 
 /// Common first-field header of every node; enables leaf/inner dispatch
@@ -234,12 +241,12 @@ impl<IL: IndexLock, const IC: usize> Inner<IL, IC> {
         sorted_prefix_len(&self.keys, self.count(), |k| k <= key)
     }
 
-    /// Child pointer covering `key`. The child is prefetched so its
+    /// Child pointer covering `key`. The child is prefetched whole so its
     /// fetch overlaps the caller's version validation of this node.
     #[inline]
     pub fn find_child(&self, key: u64) -> *mut NodeBase {
         let child = self.children[self.child_index(key)].load(R);
-        prefetch_node(child);
+        prefetch_node(child, size_of::<Self>());
         child
     }
 
@@ -253,7 +260,7 @@ impl<IL: IndexLock, const IC: usize> Inner<IL, IC> {
         let upper = (idx < self.count()).then(|| self.key_at(idx));
         let child = self.children[idx].load(R);
         // Warm the child while the caller validates this node's version.
-        prefetch_node(child);
+        prefetch_node(child, size_of::<Self>());
         (child, upper)
     }
 
@@ -495,7 +502,6 @@ impl<LL: IndexLock, const LC: usize> Leaf<LL, LC> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use optiql::OptLock;
 
     type L = Leaf<OptLock, 8>;
     type I = Inner<OptLock, 8>;
@@ -768,9 +774,8 @@ mod tests {
 
     #[test]
     fn s256_nodes_are_264_and_280_bytes() {
-        use crate::{DEFAULT_IC, DEFAULT_LC};
+        use crate::DEFAULT_LC;
         use optiql::OptiQL;
-        use std::mem::size_of;
         // 24 bytes of header (tag, lock, count) on top of the slots: the
         // "256-byte" preset names the slot arrays, not the node.
         assert_eq!((DEFAULT_IC, DEFAULT_LC), (16, 15));
@@ -778,6 +783,62 @@ mod tests {
         assert_eq!(size_of::<Leaf<OptLock, DEFAULT_LC>>(), 264);
         assert_eq!(size_of::<Inner<OptLock, DEFAULT_IC>>(), 24 + 16 * 16);
         assert_eq!(size_of::<Inner<OptLock, DEFAULT_IC>>(), 280);
+    }
+
+    /// Line numbers `prefetch_node` fetches for `bytes` at `addr`.
+    fn fetched_lines(addr: usize, bytes: usize) -> Vec<usize> {
+        prefetch_offsets(bytes)
+            .map(|off| (addr + off) / LINE)
+            .collect()
+    }
+
+    #[test]
+    fn prefetched_lines_hold_an_s256_node_whole_at_every_offset() {
+        use crate::DEFAULT_LC;
+        use optiql::OptiQL;
+        // Both kinds of default node, at every 8-byte offset into a line:
+        // every byte lies in a prefetched line, and no line lies outside
+        // the node.
+        let s256 = [
+            size_of::<Leaf<OptiQL, DEFAULT_LC>>(),
+            size_of::<Inner<OptLock, DEFAULT_IC>>(),
+        ];
+        for bytes in s256 {
+            for off in (0..LINE).step_by(8) {
+                let addr = (1 << 20) + off;
+                let lines = fetched_lines(addr, bytes);
+                for byte in addr..addr + bytes {
+                    assert!(
+                        lines.contains(&(byte / LINE)),
+                        "{bytes} B at +{off}: byte {byte}"
+                    );
+                }
+                assert!(lines
+                    .iter()
+                    .all(|&l| (addr / LINE..=(addr + bytes - 1) / LINE).contains(&l)));
+            }
+        }
+        // The sixth line: a 280-byte inner node at a 48-byte offset.
+        assert!(fetched_lines(LINE + 48, 280).contains(&6));
+    }
+
+    #[test]
+    fn a_large_preset_prefetches_no_more_than_the_cap() {
+        use crate::node_size::{S16K, S1K};
+        let cap = prefetch_offsets(PREFETCH_MAX).count();
+        assert_eq!(cap, 6, "five strides and the last byte of 280");
+        for bytes in [
+            size_of::<Leaf<OptLock, { S1K.1 }>>(),
+            size_of::<Inner<OptLock, { S1K.0 }>>(),
+            size_of::<Inner<OptLock, { S16K.0 }>>(),
+        ] {
+            assert!(bytes > PREFETCH_MAX);
+            assert_eq!(prefetch_offsets(bytes).count(), cap, "{bytes} B");
+            assert!(
+                prefetch_offsets(bytes).all(|off| off < PREFETCH_MAX),
+                "{bytes} B"
+            );
+        }
     }
 
     #[test]
