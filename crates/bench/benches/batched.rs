@@ -17,6 +17,10 @@
 //! each batch sorted, whose leaf runs end after one pair, so the batch
 //! keeps the pipeline that overlaps the descent misses ahead of each
 //! leaf write.
+//!
+//! Every point runs [`RUNS`] times; a row gives the median throughput,
+//! its speedup over the median scalar point, and the runs' min–max, so
+//! two revisions' rows can be told apart from run-to-run spread.
 
 use std::time::Instant;
 
@@ -28,8 +32,37 @@ use optiql_sharded::ShardedIndex;
 
 const BATCHES: [usize; 5] = [1, 4, 8, 16, 32];
 
-/// Uniform YCSB-C through the workload driver at each batch size;
-/// returns Mops/s per point.
+/// Runs per point. One 0.3 s run of a pipelined point moves by up to
+/// ±30 % between runs on a shared host, so a row gives the median of
+/// several with their range.
+const RUNS: usize = 5;
+
+/// One row from a point's [`RUNS`] runs (Mops/s): their median, its
+/// speedup over the scalar point's median `base` (the scalar point is its
+/// own base), any `tail`, and the runs' min–max.
+fn batch_row(series: &str, batch: usize, mut runs: Vec<f64>, base: &mut f64, tail: &str) {
+    runs.sort_by(f64::total_cmp);
+    let median = runs[RUNS / 2];
+    if batch == 1 {
+        *base = median;
+    }
+    let speedup = if *base > 0.0 { median / *base } else { 0.0 };
+    row_extra(
+        "batched",
+        series,
+        batch,
+        r2(median),
+        format!(
+            "{}x{tail} ({:.2}-{:.2})",
+            r2(speedup),
+            runs[0],
+            runs[RUNS - 1]
+        ),
+    );
+}
+
+/// Uniform YCSB-C through the workload driver at each batch size, each
+/// point [`RUNS`] times over the same preloaded index.
 fn lookup_sweep<I: ConcurrentIndex>(index: &I, series: &str, keys: u64) {
     let threads = *env::thread_counts().last().unwrap();
     preload(index, keys, KeySpace::Dense);
@@ -40,25 +73,18 @@ fn lookup_sweep<I: ConcurrentIndex>(index: &I, series: &str, keys: u64) {
         cfg.sample_every = 0;
         cfg.batch = batch;
         let before = index.index_stats();
-        let (r, _) = run(index, &cfg);
+        let runs = (0..RUNS)
+            .map(|_| mops(run(index, &cfg).0.throughput()))
+            .collect();
         let d = index.index_stats().since(&before);
-        let m = mops(r.throughput());
-        if batch == 1 {
-            base = m;
-        }
-        let speedup = if base > 0.0 { m / base } else { 0.0 };
-        row_extra(
-            "batched",
-            &format!("{series}/lookup"),
-            batch,
-            r2(m),
-            format!("{}x r/op={:.4}", r2(speedup), d.restarts_per_op()),
-        );
+        let tail = format!(" r/op={:.4}", d.restarts_per_op());
+        batch_row(&format!("{series}/lookup"), batch, runs, &mut base, &tail);
     }
 }
 
 /// Bulk-load `keys` fresh pairs through `multi_insert` in chunks of
-/// `batch` (`1` = the scalar `insert` loop) into a tree built by `make`:
+/// `batch` (`1` = the scalar `insert` loop) into a tree built by `make`,
+/// [`RUNS`] fresh trees per point:
 /// keys `0..keys` ascending (`Dense`), or their `Sparse` images with each
 /// chunk sorted before the clock starts.
 fn insert_sweep<I: ConcurrentIndex>(
@@ -80,31 +106,25 @@ fn insert_sweep<I: ConcurrentIndex>(
         for chunk in load.chunks_mut(batch) {
             chunk.sort_unstable();
         }
-        let index = make();
-        let t0 = Instant::now();
-        if batch == 1 {
-            for &(k, v) in &load {
-                index.insert(k, v);
-            }
-        } else {
-            for chunk in load.chunks(batch) {
-                index.multi_insert(chunk);
-            }
-        }
-        let secs = t0.elapsed().as_secs_f64();
-        assert_eq!(index.len() as u64, keys, "bulk load must insert every key");
-        let m = mops(keys as f64 / secs);
-        if batch == 1 {
-            base = m;
-        }
-        let speedup = if base > 0.0 { m / base } else { 0.0 };
-        row_extra(
-            "batched",
-            &format!("{series}/{op}"),
-            batch,
-            r2(m),
-            format!("{}x", r2(speedup)),
-        );
+        let runs = (0..RUNS)
+            .map(|_| {
+                let index = make();
+                let t0 = Instant::now();
+                if batch == 1 {
+                    for &(k, v) in &load {
+                        index.insert(k, v);
+                    }
+                } else {
+                    for chunk in load.chunks(batch) {
+                        index.multi_insert(chunk);
+                    }
+                }
+                let secs = t0.elapsed().as_secs_f64();
+                assert_eq!(index.len() as u64, keys, "bulk load must insert every key");
+                mops(keys as f64 / secs)
+            })
+            .collect();
+        batch_row(&format!("{series}/{op}"), batch, runs, &mut base, "");
     }
 }
 
@@ -118,7 +138,7 @@ fn main() {
         "index/variant/op",
         "batch",
         "Mops/s",
-        "speedup restarts/op",
+        "speedup restarts/op (min-max)",
     ]);
     let keys = env::preload_keys();
     let shards = optiql_sharded::DEFAULT_SHARDS;

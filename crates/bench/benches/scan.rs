@@ -1,20 +1,17 @@
 //! Streaming-scan bench (YCSB-E shape): 95% range scans of uniform
 //! length 1..=100 starting at Zipfian(0.99)-sampled keys, 5% inserts.
 //!
-//! Two axes, both landing in `BENCH_scan.json`:
-//!
-//! * **index** — B+-tree, ART, and both behind the sharded facade (the
-//!   facade's k-way merge iterator is what YCSB-E actually measures);
-//! * **scan mode** — the two drivers of `scan_chunk`: `stream` (the lazy
-//!   `range` iterator) and `count` (`scan_count`).
+//! One axis lands in `BENCH_scan.json`: the **index** — B+-tree, ART,
+//! and both behind the sharded facade (the facade's k-way merge iterator
+//! is what YCSB-E actually measures). Each scan streams the lazy `range`
+//! iterator (the `stream` row).
 //!
 //! A `YCSB-C/u64` point row per index anchors cross-revision
 //! comparability: point-lookup throughput must not regress because the
 //! index grew a range API.
 
 use optiql_bench::{
-    banner, env, header, mops, preload, r2, row_extra, run, KeyDist, KeySpace, Mix, ScanMode,
-    WorkloadConfig,
+    banner, env, header, mops, preload, r2, row_extra, run, KeyDist, KeySpace, Mix, WorkloadConfig,
 };
 use optiql_index_api::ConcurrentIndex;
 use optiql_sharded::ShardedIndex;
@@ -30,23 +27,17 @@ fn ycsb_e_cfg(keys: u64) -> WorkloadConfig {
     cfg
 }
 
-/// Preload `index`, then YCSB-E in both scan modes plus the YCSB-C anchor
-/// row, `u64` keys. The `count` pass runs after `stream` on the same
-/// tree, so its inserts land past the keys `stream` inserted.
+/// Preload `index`, then YCSB-E plus the YCSB-C anchor row, `u64` keys.
 fn sweep_u64<I: ConcurrentIndex>(index: &I, name: &str, keys: u64) {
     preload(index, keys, KeySpace::Dense);
-    for (mode_name, mode) in [("stream", ScanMode::Stream), ("count", ScanMode::Count)] {
-        let mut cfg = ycsb_e_cfg(keys);
-        cfg.scan_mode = mode;
-        let (r, _) = run(index, &cfg);
-        row_extra(
-            "scan",
-            &format!("{name}/{mode_name}"),
-            "YCSB-E/u64",
-            r2(mops(r.throughput())),
-            r.scanned_entries,
-        );
-    }
+    let (r, _) = run(index, &ycsb_e_cfg(keys));
+    row_extra(
+        "scan",
+        &format!("{name}/stream"),
+        "YCSB-E/u64",
+        r2(mops(r.throughput())),
+        r.scanned_entries,
+    );
     let mut cfg = ycsb_e_cfg(keys);
     cfg.mix = Mix::YCSB_C;
     let (r, _) = run(index, &cfg);
@@ -62,7 +53,7 @@ fn sweep_u64<I: ConcurrentIndex>(index: &I, name: &str, keys: u64) {
 fn main() {
     banner(
         "scan",
-        "YCSB-E scans 1..=100, Zipfian(0.99) starts, stream vs count",
+        "YCSB-E scans 1..=100, Zipfian(0.99) starts, streamed",
     );
     header(&["figure", "index/mode", "workload/keys", "Mops/s", "extra"]);
     let keys = env::preload_keys().min(2_000_000);

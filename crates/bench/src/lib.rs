@@ -50,8 +50,8 @@ pub use latency::Histogram;
 pub use micro::{cs_work, run_exclusive, run_mixed, Contention, MicroConfig, MicroResult};
 pub use report::{BenchJson, JsonValue, LatencySummary};
 pub use workload::{
-    only, preload, run, sweep, Mix, Point, ScanMode, Sweep, SweepFn, WorkloadConfig,
-    WorkloadResult, ART_LOCKS, BTREE_LOCKS,
+    only, preload, run, sweep, Mix, Point, Sweep, SweepFn, WorkloadConfig, WorkloadResult,
+    ART_LOCKS, BTREE_LOCKS,
 };
 
 use optiql_server::{Client, Request, Response};

@@ -29,43 +29,6 @@ use crate::dist::{KeyDist, KeySpace};
 use crate::env;
 use crate::latency::Histogram;
 
-/// How the scan share of a mix executes: the index's two range drivers,
-/// which the server exposes as SCAN (0x07) and SCAN_COUNT (0x05).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScanMode {
-    /// Consume the streaming `range` iterator entry by entry without
-    /// materializing — the scan path YCSB-E measures.
-    #[default]
-    Stream,
-    /// `scan_count` only — touches the same leaves but returns a count.
-    Count,
-}
-
-impl ScanMode {
-    /// Run one scan of up to `len` entries from `start`; returns the
-    /// number of entries it saw.
-    pub fn scan<I: ConcurrentIndex + ?Sized>(self, index: &I, start: u64, len: usize) -> u64 {
-        match self {
-            ScanMode::Stream => {
-                // Lazy consumption: entries are folded as they stream,
-                // nothing is collected.
-                let mut n = 0u64;
-                let mut acc = 0u64;
-                for (_, v) in index
-                    .range(Bound::Included(start), Bound::Unbounded)
-                    .take(len)
-                {
-                    n += 1;
-                    acc ^= v;
-                }
-                std::hint::black_box(acc);
-                n
-            }
-            ScanMode::Count => index.scan_count(start, len) as u64,
-        }
-    }
-}
-
 /// Operation mix in percent (sums to 100).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Mix {
@@ -173,8 +136,6 @@ pub struct WorkloadConfig {
     /// Only the lookup share of the mix is batched — write ops stay
     /// scalar.
     pub batch: usize,
-    /// How the scan share executes (streaming by default).
-    pub scan_mode: ScanMode,
     /// Scan lengths are drawn uniformly from `1..=scan_max` per scan
     /// (YCSB-E's short-scan shape).
     pub scan_max: u32,
@@ -193,7 +154,6 @@ impl WorkloadConfig {
             preload,
             sample_every: 64,
             batch: 1,
-            scan_mode: ScanMode::Stream,
             scan_max: 100,
         }
     }
@@ -320,7 +280,17 @@ pub fn run<I: ConcurrentIndex>(index: &I, cfg: &WorkloadConfig) -> (WorkloadResu
                         } else {
                             let k = cfg.keyspace.key(sampler.sample(&mut rng));
                             let len = rng.random_range(0..cfg.scan_max.max(1)) as usize + 1;
-                            out.scanned_entries += cfg.scan_mode.scan(index, k, len);
+                            // Lazy consumption, the scan path YCSB-E
+                            // measures: entries are folded as they
+                            // stream, nothing is collected.
+                            let mut acc = 0u64;
+                            for (_, v) in
+                                index.range(Bound::Included(k), Bound::Unbounded).take(len)
+                            {
+                                out.scanned_entries += 1;
+                                acc ^= v;
+                            }
+                            std::hint::black_box(acc);
                             out.scans += 1;
                         }
                         if let Some(t0) = t0 {
@@ -642,26 +612,23 @@ mod tests {
     }
 
     #[test]
-    fn scan_modes_agree_on_quiescent_counts() {
-        // Same config, no writers: Stream and Count must both report
-        // full-length scans over a dense preload.
-        for mode in [ScanMode::Stream, ScanMode::Count] {
-            let tree: BTreeOptiQL = BTreeOptiQL::new();
-            let mut cfg = quick_cfg(Mix::with_scan(0, 0, 0, 0, 100));
-            cfg.scan_mode = mode;
-            cfg.scan_max = 10;
-            preload(&tree, cfg.preload, cfg.keyspace);
-            let (r, _) = run(&tree, &cfg);
-            assert!(r.scans > 0, "{mode:?} issued no scans");
-            // Scan lengths are uniform in 1..=10 and every start has at
-            // least 10 successors in a dense 10k preload, so the mean
-            // entries-per-scan must be strictly above 1.
-            assert!(
-                r.scanned_entries > r.scans,
-                "{mode:?}: {} entries over {} scans",
-                r.scanned_entries,
-                r.scans
-            );
-        }
+    fn quiescent_scans_stream_more_than_one_entry() {
+        // No writers: the streaming scans must report full-length scans
+        // over a dense preload.
+        let tree: BTreeOptiQL = BTreeOptiQL::new();
+        let mut cfg = quick_cfg(Mix::with_scan(0, 0, 0, 0, 100));
+        cfg.scan_max = 10;
+        preload(&tree, cfg.preload, cfg.keyspace);
+        let (r, _) = run(&tree, &cfg);
+        assert!(r.scans > 0, "no scans issued");
+        // Scan lengths are uniform in 1..=10 and every start has at
+        // least 10 successors in a dense 10k preload, so the mean
+        // entries-per-scan must be strictly above 1.
+        assert!(
+            r.scanned_entries > r.scans,
+            "{} entries over {} scans",
+            r.scanned_entries,
+            r.scans
+        );
     }
 }

@@ -55,8 +55,8 @@
 //! [`BPlusTree::scan_chunk`] is the tree's one scan function: descend to
 //! the leaf covering the cursor under optimistic reads, snapshot its
 //! matching entries, validate, and report the tightest upper separator on
-//! the path as the next cursor. `ConcurrentIndex::range` and `scan_count`
-//! are drivers of it, written once in `optiql-index-api`. Continuation is
+//! the path as the next cursor. `ConcurrentIndex::range` is its driver,
+//! written once in `optiql-index-api`. Continuation is
 //! loss- and duplicate-free because a leaf's keys are strictly below the
 //! separator above it: restarting the descent at the separator
 //! (inclusive) lands on the next leaf's first key, whatever splits or

@@ -114,7 +114,7 @@ mod tests {
         assert_eq!(c.update(1, 11), Some(10));
         assert_eq!(c.multi_insert(&[(2, 20), (2, 21)]), vec![None, Some(20)]);
         assert_eq!(c.multi_lookup(&[1, 2, 3]), vec![Some(11), Some(21), None]);
-        assert_eq!(c.scan_count(0, 10), 2);
+        assert_eq!(c.range(Bound::Unbounded, Bound::Unbounded).count(), 2);
         assert_eq!(c.remove(2), Some(21));
         assert_eq!(c.len(), 1);
         disable();

@@ -13,10 +13,6 @@
 //! * sorted-batch cells (`sorted-*`) whose script sorts and dedups each
 //!   insert batch, so the B+-tree's `multi_insert` takes its run driver
 //!   (one descent per leaf),
-//! * streaming-scan cells (`stream-*`) whose scan arm drives the lazy
-//!   [`ConcurrentIndex::range`] iterator instead of `scan_count`, so
-//!   per-leaf/per-chunk OLC revalidation races structural churn under
-//!   the same seeded perturbation,
 //! * crash-replay cells (`crash-*`): phase one runs through a
 //!   wal-logged wrapper and is stopped at a seeded tick (with a
 //!   checkpoint-by-scan fired mid-churn at half that tick), the wal is
@@ -87,7 +83,7 @@ pub struct Target {
     /// Stable name, usable with the CLI's `--target` substring filter.
     pub name: &'static str,
     /// Coarse family: `btree`, `art`, `optreg`, `lockreg`, `sharded`,
-    /// `batched`, `sorted`, `stream`, `crash`.
+    /// `batched`, `sorted`, `crash`.
     pub group: &'static str,
     /// Batch size for `multi_*` issue; 1 means scalar ops.
     pub batch: usize,
@@ -96,11 +92,6 @@ pub struct Target {
     /// probability 1/`batch`!, so the batched cells never take the
     /// B+-tree's run driver.
     pub sorted: bool,
-    /// Drive the scan arm through the streaming `range` iterator instead
-    /// of `scan_count`: the iterator is opened, partially drained, and
-    /// dropped mid-stream half the time — the lifecycle a server-side
-    /// paginated SCAN produces.
-    pub stream_scans: bool,
     /// Run the crash-replay schedule (see [`run_crash_target`]): log
     /// phase one through a wal, stop it at a seeded tick, recover into a
     /// fresh instance, and check the stitched two-phase history.
@@ -159,19 +150,12 @@ fn mk_sharded_art() -> Arc<dyn ConcurrentIndex> {
 pub fn targets() -> Vec<Target> {
     macro_rules! t {
         ($name:literal, $group:literal, $batch:expr, $make:expr) => {
-            t!($name, $group, $batch, $make, false)
-        };
-        ($name:literal, $group:literal, $batch:expr, $make:expr, $stream:expr) => {
-            t!($name, $group, $batch, $make, $stream, false)
-        };
-        ($name:literal, $group:literal, $batch:expr, $make:expr, $stream:expr, $crash:expr) => {
             Target {
                 name: $name,
                 group: $group,
                 batch: $batch,
                 sorted: $group == "sorted",
-                stream_scans: $stream,
-                crash: $crash,
+                crash: $group == "crash",
                 make: $make,
             }
         };
@@ -236,52 +220,15 @@ pub fn targets() -> Vec<Target> {
         // facade's router (a sub-batch of a sorted batch is sorted).
         t!("sorted-btree-optiql", "sorted", 16, mk_btree::<OptiQL>),
         t!("sorted-sharded-btree", "sorted", 16, mk_sharded_btree),
-        // Streaming-scan cells: the scan arm opens the lazy range
-        // iterator (partially drained, sometimes dropped mid-stream)
-        // against the same mutation script, on both trees, their
-        // pessimistic baselines, and the merged sharded fan-out.
-        t!("stream-btree-optiql", "stream", 1, mk_btree::<OptiQL>, true),
-        t!(
-            "stream-btree-mcs-rw",
-            "stream",
-            1,
-            mk_btree_pess::<McsRwLock>,
-            true
-        ),
-        t!("stream-art-optiql", "stream", 1, mk_art::<OptiQL>, true),
-        t!("stream-art-mcs-rw", "stream", 1, mk_art::<McsRwLock>, true),
-        t!("stream-sharded-btree", "stream", 1, mk_sharded_btree, true),
-        t!("stream-sharded-art", "stream", 1, mk_sharded_art, true),
         // Crash-replay cells: phase one is wal-logged and stopped at a
         // seeded tick with a checkpoint racing the churn; recovery
         // replays into a fresh instance, phase two and a full-keyspace
         // sweep extend the same history, and the checker certifies the
         // stitched pre-crash + post-recovery run. Both trees and the
         // sharded facade (wal shards mirror index shards).
-        t!(
-            "crash-btree-optiql",
-            "crash",
-            1,
-            mk_btree::<OptiQL>,
-            false,
-            true
-        ),
-        t!(
-            "crash-art-optiql",
-            "crash",
-            1,
-            mk_art::<OptiQL>,
-            false,
-            true
-        ),
-        t!(
-            "crash-sharded-btree",
-            "crash",
-            1,
-            mk_sharded_btree,
-            false,
-            true
-        ),
+        t!("crash-btree-optiql", "crash", 1, mk_btree::<OptiQL>),
+        t!("crash-art-optiql", "crash", 1, mk_art::<OptiQL>),
+        t!("crash-sharded-btree", "crash", 1, mk_sharded_btree),
     ]
 }
 
@@ -376,9 +323,8 @@ fn splitmix(state: &mut u64) -> u64 {
 /// ~15% updates, ~14% removes, ~1% scans, with `multi_*` buffering when
 /// `t.batch > 1` (insert batches sorted and deduplicated by key when
 /// `t.sorted`). Values are globally unique (`slot << 40 | op index`) so
-/// the checker can distinguish every write. With `t.stream_scans` set,
-/// the scan arm opens the lazy `range` iterator instead of calling
-/// `scan_count`, draining 1–8 entries and dropping the iterator early
+/// the checker can distinguish every write. The scan arm opens the lazy
+/// `range` iterator, drains 1–8 entries and drops the iterator early
 /// half the time.
 /// A set `stop` flag ends the script between ops — the crash driver's
 /// simulated power cut, always on an operation boundary so every
@@ -391,7 +337,7 @@ fn run_script<I: ConcurrentIndex>(
     cfg: &CheckConfig,
     stop: Option<&AtomicBool>,
 ) {
-    let (batch, stream) = (t.batch, t.stream_scans);
+    let batch = t.batch;
     let insert_batch = |inserts: &mut Vec<(u64, u64)>| {
         if t.sorted {
             inserts.sort_by_key(|p| p.0);
@@ -445,24 +391,21 @@ fn run_script<I: ConcurrentIndex>(
                 ix.remove(key);
             }
             _ => {
-                // Unrecorded; exercises range traversal concurrently
-                // with structural modifications, and perturbs timing.
-                if stream {
-                    let take = (r >> 8) as usize % 8 + 1;
-                    let start = if r & 1 << 16 == 0 {
-                        std::ops::Bound::Included(key)
-                    } else {
-                        std::ops::Bound::Excluded(key)
-                    };
-                    // `take` cuts the stream short half the time on
-                    // average: dropping a live iterator mid-leaf is the
-                    // paginated-SCAN lifecycle and must leave no state
-                    // behind (no held locks, no leaked pins).
-                    for kv in ix.range(start, std::ops::Bound::Unbounded).take(take) {
-                        std::hint::black_box(kv);
-                    }
+                // Unrecorded; exercises per-chunk OLC revalidation
+                // concurrently with structural modifications, and
+                // perturbs timing.
+                let take = (r >> 8) as usize % 8 + 1;
+                let start = if r & 1 << 16 == 0 {
+                    std::ops::Bound::Included(key)
                 } else {
-                    ix.scan_count(key, 8);
+                    std::ops::Bound::Excluded(key)
+                };
+                // `take` cuts the stream short half the time on average:
+                // dropping a live iterator mid-leaf is the paginated-SCAN
+                // lifecycle and must leave no state behind (no held
+                // locks, no leaked pins).
+                for kv in ix.range(start, std::ops::Bound::Unbounded).take(take) {
+                    std::hint::black_box(kv);
                 }
             }
         }
@@ -805,11 +748,8 @@ mod tests {
         assert_eq!(names.len(), ts.len(), "duplicate target name");
         for t in &ts {
             assert!(
-                [
-                    "btree", "art", "optreg", "lockreg", "sharded", "batched", "sorted", "stream",
-                    "crash"
-                ]
-                .contains(&t.group),
+                ["btree", "art", "optreg", "lockreg", "sharded", "batched", "sorted", "crash"]
+                    .contains(&t.group),
                 "unknown group {} on {}",
                 t.group,
                 t.name
@@ -830,34 +770,12 @@ mod tests {
         for t in &ts {
             assert_eq!(t.sorted, t.name.starts_with("sorted-"), "{}", t.name);
         }
-        // Streaming-scan cells: both trees, both pessimistic baselines
-        // and both sharded fan-outs; every one named for what it does.
-        assert_eq!(ts.iter().filter(|t| t.group == "stream").count(), 6);
-        for t in &ts {
-            assert_eq!(
-                t.stream_scans,
-                t.group == "stream",
-                "stream_scans out of sync with group on {}",
-                t.name
-            );
-            if t.stream_scans {
-                assert!(t.name.starts_with("stream-"));
-            }
-        }
         // Crash-replay cells: both trees and the sharded facade.
         assert_eq!(ts.iter().filter(|t| t.group == "crash").count(), 3);
         for t in &ts {
-            assert_eq!(
-                t.crash,
-                t.group == "crash",
-                "crash out of sync with group on {}",
-                t.name
-            );
-            if t.crash {
-                assert!(t.name.starts_with("crash-"));
-            }
+            assert_eq!(t.crash, t.name.starts_with("crash-"), "{}", t.name);
         }
-        assert_eq!(ts.len(), 41, "the chaos matrix has 41 cells");
+        assert_eq!(ts.len(), 35, "the chaos matrix has 35 cells");
     }
 
     #[test]
@@ -874,7 +792,7 @@ mod tests {
         // Only the script's shape is read off the target: scalar ops.
         let scalar = &targets()[0];
         assert_eq!(
-            (scalar.batch, scalar.sorted, scalar.stream_scans),
+            (scalar.batch, scalar.sorted, scalar.crash),
             (1, false, false)
         );
         let run = || {
@@ -902,7 +820,6 @@ mod tests {
             group: "sharded",
             batch: 1,
             sorted: false,
-            stream_scans: true,
             crash: false,
             make: || Arc::new(optiql_index_api::model::ModelIndex::new()),
         };

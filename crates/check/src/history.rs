@@ -19,7 +19,7 @@
 //!   checking cheap — the Wing–Gong search runs per key over dozens of
 //!   events, never over the full run.
 //!
-//! `scan_count` and `len` are deliberately *not* recorded: they are not
+//! Range scans and `len` are deliberately *not* recorded: they are not
 //! per-key register operations, so the checker cannot judge them (the
 //! dedicated scan-bounds tests cover them instead). They still execute —
 //! and still perturb the schedule — when a workload issues them.

@@ -241,8 +241,12 @@ mod tests {
         assert_eq!(r.update(4, 40), None, "update never inserts");
         assert_eq!(r.lookup(3), Some(31));
         assert_eq!(r.len(), 1);
-        assert_eq!(r.scan_count(0, 10), 1);
-        assert_eq!(r.scan_count(4, 10), 0);
+        let count = |start| {
+            r.range(std::ops::Bound::Included(start), std::ops::Bound::Unbounded)
+                .count()
+        };
+        assert_eq!(count(0), 1);
+        assert_eq!(count(4), 0);
         assert_eq!(r.remove(3), Some(31));
         assert_eq!(r.remove(3), None);
     }

@@ -1,11 +1,13 @@
-//! `scan_count` under concurrent structural modification.
+//! Counted range scans under concurrent structural modification.
 //!
 //! Scans here are not serializable snapshots ("every returned pair
 //! existed at some point during the scan"), but they still owe hard
 //! bounds. With a *stable* key set that no writer ever touches and a
 //! disjoint *volatile* set that writers continuously insert and remove
 //! — every volatile flip forcing splits, collapses and merges through
-//! the tiny-node trees — any `scan_count(start, limit)` must satisfy,
+//! the tiny-node trees — any `count(start, limit)`, the number of
+//! entries `range(start..)` yields before `take(limit)` stops it, must
+//! satisfy,
 //! against a [`ModelIndex`] holding exactly the stable keys:
 //!
 //! * **lower**: at least `min(stable >= start, limit)` — stable keys can
@@ -15,6 +17,7 @@
 //! * **upper**: at most `min(stable + |volatile|, limit)` — nothing is
 //!   ever double-counted and only those keys ever exist.
 
+use std::ops::Bound;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -32,6 +35,14 @@ fn splitmix(state: &mut u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// Entries with keys ≥ `start`, up to `limit`, as one streaming scan.
+fn count(index: &impl ConcurrentIndex, start: u64, limit: usize) -> usize {
+    index
+        .range(Bound::Included(start), Bound::Unbounded)
+        .take(limit)
+        .count()
 }
 
 fn scan_bounds_hold<I: ConcurrentIndex + Send + Sync + 'static>(index: I, label: &str) {
@@ -73,13 +84,13 @@ fn scan_bounds_hold<I: ConcurrentIndex + Send + Sync + 'static>(index: I, label:
         } else {
             1 + (r >> 8) as usize % 20
         };
-        let got = index.scan_count(start, limit);
-        let stable_ge = model.scan_count(start, usize::MAX);
+        let got = count(&index, start, limit);
+        let stable_ge = count(&model, start, usize::MAX);
         let lower = stable_ge.min(limit);
         let upper = (stable_ge + VOLATILE as usize).min(limit);
         assert!(
             got >= lower && got <= upper,
-            "{label} round {round}: scan_count({start}, {limit}) = {got}, \
+            "{label} round {round}: count({start}, {limit}) = {got}, \
              expected within [{lower}, {upper}] (stable>={stable_ge})"
         );
     }
@@ -91,7 +102,7 @@ fn scan_bounds_hold<I: ConcurrentIndex + Send + Sync + 'static>(index: I, label:
 
     // Quiesced double-check: volatile churn stopped, so the scan must
     // count every stable key exactly (bounded only by live volatiles).
-    let total = index.scan_count(0, usize::MAX);
+    let total = count(&index, 0, usize::MAX);
     assert!(total >= STABLE as usize && total <= (STABLE + VOLATILE) as usize);
 }
 
@@ -137,7 +148,7 @@ fn pessimistic_art_scan_releases_its_locks() {
                 t.insert(k, k);
             }
             for k in 0u64..128 {
-                t.scan_count(k, 8);
+                count(&t, k, 8);
             }
             for k in 0u64..128 {
                 t.remove(k);

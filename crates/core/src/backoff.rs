@@ -53,12 +53,6 @@ impl Backoff {
     pub fn window(&self) -> u32 {
         self.current
     }
-
-    /// Reset to the initial window.
-    #[inline]
-    pub fn reset(&mut self) {
-        self.current = DEFAULT_MIN;
-    }
 }
 
 #[cfg(test)]
@@ -74,16 +68,5 @@ mod tests {
             seen.push(b.window());
         }
         assert_eq!(seen, vec![4, 8, 16, 32, 64, 64, 64, 64, 64]);
-    }
-
-    #[test]
-    fn reset_restores_initial_window() {
-        let mut b = Backoff::default();
-        for _ in 0..20 {
-            b.wait();
-        }
-        assert_eq!(b.window(), DEFAULT_MAX);
-        b.reset();
-        assert_eq!(b.window(), DEFAULT_MIN);
     }
 }

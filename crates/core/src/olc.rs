@@ -6,11 +6,10 @@
 //! back to the scheduler — is index-independent policy, so it lives here
 //! instead of being re-implemented per tree:
 //!
-//! * [`RestartLoop`] — a bounded restart budget with a three-step
-//!   escalation ladder: a free first attempt, a short spin burst, a
-//!   truncated-exponential [`Backoff`](crate::backoff::Backoff) window,
-//!   and finally `thread::yield_now` so oversubscribed hosts make
-//!   progress. Each counted restart feeds the owning index's
+//! * [`RestartLoop`] — a four-rung escalation ladder: a free first
+//!   attempt, two short spin bursts ([`SPIN_HINTS`]), and then
+//!   `thread::yield_now` on every later attempt so oversubscribed hosts
+//!   make progress. Each counted restart feeds the owning index's
 //!   [`Counters`] block and is an [`Event::IndexRestart`] chaos site.
 //! * [`OptimisticGuard`] — an RAII-free (plain-value) read guard pairing
 //!   an [`IndexLock`] with the version snapshot taken at `r_lock`,
@@ -29,7 +28,6 @@
 //!   step's state between turns so a group keeps [`GROUP`] cache misses in
 //!   flight.
 
-use crate::backoff::Backoff;
 use crate::counters::Counters;
 use crate::stats::Event;
 use crate::traits::{IndexLock, WriteToken};
@@ -40,37 +38,13 @@ use crate::traits::{IndexLock, WriteToken};
 /// pressure.
 pub const GROUP: usize = 8;
 /// Pipelined restarts per operation before [`run_grouped`] completes it
-/// on the scalar path (which has the full free→spin→backoff→yield ladder).
+/// on the scalar path (which has the full free→spin→yield ladder).
 pub const PIPELINE_ATTEMPTS: u32 = 3;
 
-/// Pauses (attempts) that are free: the operation's first try never
-/// waits or counts as a restart.
-pub const FREE_ATTEMPTS: u32 = 1;
-/// Last pause served by the short spin burst ([`SPIN_HINTS`] hints).
-pub const SPIN_BUDGET: u32 = 2;
-/// Last pause served by the exponential [`Backoff`] window; beyond this
-/// the loop escalates to `thread::yield_now`.
-pub const BACKOFF_BUDGET: u32 = 3;
-/// Spin-loop hints issued per pause during the spin phase.
-pub const SPIN_HINTS: u32 = 4;
-/// Initial backoff window (spin-loop hints) for the backoff phase.
-pub const BACKOFF_MIN: u32 = 8;
-/// Backoff truncation cap.
-pub const BACKOFF_MAX: u32 = 1024;
-
-/// Which rung of the escalation ladder the most recent
-/// [`RestartLoop::pause`] executed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RestartPhase {
-    /// No wait: either no pause has happened yet, or the free first try.
-    Free,
-    /// Short fixed spin burst.
-    Spin,
-    /// Truncated exponential backoff window.
-    Backoff,
-    /// Scheduler yield (the restart budget below is exhausted).
-    Yield,
-}
+/// Spin-loop hints the second and third attempts of a [`RestartLoop`]
+/// wait before they start; the first attempt is free and every later
+/// one yields.
+pub const SPIN_HINTS: [u32; 2] = [4, 8];
 
 /// Lane of an index's [`Counters`] block: completed operations (all
 /// kinds), one add per public entry point, one per batch for `multi_*`.
@@ -138,11 +112,11 @@ impl IndexStats {
 ///
 /// Create one per operation, call [`pause`](RestartLoop::pause) at the
 /// top of the `'restart:` loop, and the ladder takes care of the rest:
-/// the first pause is free, subsequent pauses spin, back off, and
-/// finally yield, while feeding the owning index's [`Counters`] block.
+/// the first pause is free, the next two spin [`SPIN_HINTS`] hints, and
+/// every later one yields, while feeding the owning index's
+/// [`Counters`] block.
 pub struct RestartLoop<'a, const N: usize> {
     attempts: u32,
-    backoff: Backoff,
     stats: &'a Counters<N>,
 }
 
@@ -151,70 +125,28 @@ impl<'a, const N: usize> RestartLoop<'a, N> {
     /// [`ESCALATIONS`] lanes of `stats`.
     pub fn new(stats: &'a Counters<N>) -> Self {
         const { assert!(N >= INDEX_LANES) };
-        RestartLoop {
-            attempts: 0,
-            backoff: Backoff::new(BACKOFF_MIN, BACKOFF_MAX),
-            stats,
-        }
-    }
-
-    /// Pauses taken so far (equals traversal attempts started).
-    #[inline]
-    pub fn attempts(&self) -> u32 {
-        self.attempts
-    }
-
-    /// Ladder rung the most recent [`pause`](RestartLoop::pause) executed
-    /// ([`RestartPhase::Free`] before the first).
-    #[inline]
-    pub fn phase(&self) -> RestartPhase {
-        if self.attempts <= FREE_ATTEMPTS {
-            RestartPhase::Free
-        } else if self.attempts <= SPIN_BUDGET {
-            RestartPhase::Spin
-        } else if self.attempts <= BACKOFF_BUDGET {
-            RestartPhase::Backoff
-        } else {
-            RestartPhase::Yield
-        }
-    }
-
-    /// Return to the bottom of the ladder: attempts to zero, backoff
-    /// window back to [`BACKOFF_MIN`].
-    ///
-    /// Call after a traversal attempt *succeeds* when reusing one loop
-    /// across successive sub-operations (e.g. a range scan visiting many
-    /// leaves): contention that stalled an earlier sub-operation says
-    /// nothing about the next one, and without the reset a long scan
-    /// that ate its budget early would yield on every later leaf.
-    #[inline]
-    pub fn reset(&mut self) {
-        self.attempts = 0;
-        self.backoff = Backoff::new(BACKOFF_MIN, BACKOFF_MAX);
+        RestartLoop { attempts: 0, stats }
     }
 
     /// Wait according to the escalation ladder; counts a restart on every
-    /// pause after the first.
+    /// pause after the first, and an escalation on every yield.
     #[inline]
     pub fn pause(&mut self) {
-        self.attempts += 1;
-        match self.phase() {
-            RestartPhase::Free => {}
-            RestartPhase::Spin => {
-                self.count_restart();
-                for _ in 0..SPIN_HINTS {
-                    std::hint::spin_loop();
-                }
-            }
-            RestartPhase::Backoff => {
-                self.count_restart();
-                self.backoff.wait();
-            }
-            RestartPhase::Yield => {
+        self.attempts = self.attempts.saturating_add(1);
+        let hints = match self.attempts {
+            1 => return,
+            2 => SPIN_HINTS[0],
+            3 => SPIN_HINTS[1],
+            _ => {
                 self.count_restart();
                 self.stats.add(ESCALATIONS, 1);
                 std::thread::yield_now();
+                return;
             }
+        };
+        self.count_restart();
+        for _ in 0..hints {
+            std::hint::spin_loop();
         }
     }
 
@@ -469,35 +401,34 @@ mod tests {
     fn ladder_escalates_free_spin_backoff_yield() {
         let stats = Counters::<INDEX_LANES>::new();
         let mut rs = RestartLoop::new(&stats);
-        assert_eq!(rs.phase(), RestartPhase::Free);
-        rs.pause(); // first try: free
-        assert_eq!(rs.phase(), RestartPhase::Free);
-        assert_eq!(
-            IndexStats::of(&stats.sum()).restarts,
-            0,
-            "first attempt is free"
-        );
+        let lanes = || {
+            let s = IndexStats::of(&stats.sum());
+            (s.restarts, s.escalations)
+        };
         rs.pause();
-        assert_eq!(rs.phase(), RestartPhase::Spin);
+        assert_eq!(lanes(), (0, 0), "first attempt is free");
         rs.pause();
-        assert_eq!(rs.phase(), RestartPhase::Backoff);
+        assert_eq!(lanes(), (1, 0), "second attempt spins");
         rs.pause();
-        assert_eq!(rs.phase(), RestartPhase::Yield);
+        assert_eq!(lanes(), (2, 0), "third attempt spins longer");
         rs.pause();
-        assert_eq!(rs.phase(), RestartPhase::Yield, "yield is terminal");
-        let s = IndexStats::of(&stats.sum());
-        assert_eq!(rs.attempts(), 5);
-        assert_eq!(s.restarts, 4, "every pause after the first counts");
-        assert_eq!(s.escalations, 2, "two pauses yielded");
+        assert_eq!(lanes(), (3, 1), "fourth attempt yields");
+        rs.pause();
+        assert_eq!(lanes(), (4, 2), "yield is terminal");
     }
 
     #[test]
     fn restart_budget_constants_are_ordered() {
-        const {
-            assert!(FREE_ATTEMPTS < SPIN_BUDGET);
-            assert!(SPIN_BUDGET < BACKOFF_BUDGET);
-            assert!(BACKOFF_MIN <= BACKOFF_MAX);
-        }
+        // Each spin rung waits at least as long as the one below it.
+        const { assert!(0 < SPIN_HINTS[0] && SPIN_HINTS[0] <= SPIN_HINTS[1]) }
+    }
+
+    #[test]
+    fn a_restart_loop_is_an_attempt_count_and_a_reference() {
+        assert_eq!(
+            std::mem::size_of::<RestartLoop<'_, INDEX_LANES>>(),
+            std::mem::size_of::<(u32, &Counters<INDEX_LANES>)>()
+        );
     }
 
     #[test]

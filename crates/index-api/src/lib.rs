@@ -10,11 +10,10 @@
 //! §9). Range access has **one primitive an index writes**,
 //! [`ConcurrentIndex::scan_chunk`]: copy out a bounded run of entries (a
 //! B+-tree leaf, an ART subtree slice) under a validated optimistic read
-//! and name the key to resume from. The two things callers do with a
-//! range — stream it ([`ConcurrentIndex::range`]) and count it
-//! ([`ConcurrentIndex::scan_count`]) — are drivers of that primitive,
-//! written once here, so a scan never holds a lock while its consumer
-//! runs and a version conflict costs one chunk's re-read.
+//! and name the key to resume from. Callers read a range through one
+//! driver of that primitive, [`ConcurrentIndex::range`], written once
+//! here, so a scan never holds a lock while its consumer runs and a
+//! version conflict costs one chunk's re-read.
 //!
 //! The workspace layering is strictly one-directional:
 //!
@@ -136,12 +135,6 @@ pub fn chunk_of(
 /// little, and a default-sized B+-tree leaf is never cut.
 const SCAN_CHUNK: usize = 64;
 
-/// Entries a count asks for at a time. It knows exactly how many it still
-/// needs, so a larger chunk never over-reads (and a facade that re-opens
-/// its shards per chunk does so once per typical scan); the cap is what
-/// keeps a counting scan at a few KiB whatever its `limit`.
-const COUNT_CHUNK: usize = 4 * SCAN_CHUNK;
-
 /// The iterator behind the provided [`ConcurrentIndex::range`]: drains
 /// one chunk, then asks the index for the next at the resume key. One
 /// buffer serves the whole scan.
@@ -194,12 +187,11 @@ impl<I: ConcurrentIndex + ?Sized> Iterator for Chunks<'_, I> {
 /// **required** — an index without range support must say so explicitly
 /// instead of silently reporting zero, which previously made YCSB-E
 /// numbers look plausible while scanning nothing — and it is the only
-/// range code an index writes: [`range`] and [`scan_count`] are its two
-/// drivers, provided here.
+/// range code an index writes: [`range`], provided here, is its one
+/// driver.
 ///
 /// [`scan_chunk`]: ConcurrentIndex::scan_chunk
 /// [`range`]: ConcurrentIndex::range
-/// [`scan_count`]: ConcurrentIndex::scan_count
 pub trait ConcurrentIndex: Send + Sync {
     /// Insert or overwrite a key; returns the previous value if present.
     fn insert(&self, k: u64, v: u64) -> Option<u64>;
@@ -236,23 +228,6 @@ pub trait ConcurrentIndex: Send + Sync {
     /// [`RangeIter`]). One chunk is one descent and counts as one
     /// operation in [`index_stats`](ConcurrentIndex::index_stats).
     fn scan_chunk(&self, from: Option<u64>, limit: usize, out: &mut Vec<RangeItem>) -> Option<u64>;
-
-    /// Range scan: number of entries with keys ≥ `start`, up to `limit`
-    /// (YCSB-E style). Holds one chunk, whatever `limit` is.
-    fn scan_count(&self, start: u64, limit: usize) -> usize {
-        let mut chunk = Vec::new();
-        let mut from = start;
-        let mut n = 0;
-        while n < limit {
-            let next = self.scan_chunk(Some(from), (limit - n).min(COUNT_CHUNK), &mut chunk);
-            n += chunk.len();
-            match next {
-                Some(k) => from = k,
-                None => break,
-            }
-        }
-        n
-    }
 
     /// Stream the entries whose keys fall within `start..end`, in
     /// ascending key order, without materializing the result set. See
@@ -333,7 +308,7 @@ pub trait ConcurrentIndex: Send + Sync {
 /// Implement [`ConcurrentIndex`] for an index type by delegating to its
 /// inherent methods (`insert`, `update`, `lookup`, `remove`,
 /// `scan_chunk`, `len`, `index_stats`, `multi_*`, `reclaim_handle`).
-/// `range` and `scan_count` are the trait's provided drivers.
+/// `range` is the trait's provided driver.
 ///
 /// ```ignore
 /// optiql_index_api::impl_concurrent_index! {
@@ -561,8 +536,13 @@ mod tests {
         assert_eq!(m.len(), 1);
         m.insert(5, 50);
         m.insert(3, 30);
-        assert_eq!(m.scan_count(2, 10), 2);
-        assert_eq!(m.scan_count(0, 2), 2, "limit caps the count");
+        let count = |start, limit| {
+            m.range(Bound::Included(start), Bound::Unbounded)
+                .take(limit)
+                .count()
+        };
+        assert_eq!(count(2, 10), 2);
+        assert_eq!(count(0, 2), 2, "take caps the count");
         assert_eq!(m.remove(1), Some(11));
         assert_eq!(m.remove(1), None);
         assert_eq!(m.index_stats(), IndexStats::default());
@@ -607,7 +587,7 @@ mod tests {
             boxed.multi_insert(&[(2, 20), (2, 21)]),
             vec![None, Some(20)]
         );
-        assert_eq!(boxed.scan_count(0, 10), 1);
+        assert_eq!(boxed.range(Bound::Unbounded, Bound::Unbounded).count(), 1);
     }
 
     #[test]

@@ -14,7 +14,6 @@
 //!   SET        0x02 | key:u64 | value:u64
 //!   DEL        0x03 | key:u64
 //!   MGET       0x04 | count:u32 | key:u64 × count
-//!   SCAN_COUNT 0x05 | start:u64 | limit:u32        (limit ≤ MAX_SCAN)
 //!   SHUTDOWN   0x06 | (empty)
 //!   SCAN       0x07 | start:u64 | count:u32
 //!
@@ -22,7 +21,6 @@
 //!   VALUE      0x81 | found:u8 | value:u64          (GET)
 //!   OLD        0x82 | had:u8 | old:u64              (SET, DEL)
 //!   MVALUES    0x84 | count:u32 | (found:u8 | value:u64) × count
-//!   COUNT      0x85 | count:u64                     (SCAN_COUNT)
 //!   OK         0x86 | (empty)                       (SHUTDOWN ack)
 //!   SCAN_PART  0x87 | count:u32 | (key:u64 | value:u64) × count   (SCAN)
 //!   SCAN_END   0x88 | total:u32                     (SCAN terminator)
@@ -59,11 +57,10 @@ pub const MAX_FRAME: usize = 4 + 8 * MAX_MGET as usize + 16;
 /// server allocate unboundedly.
 pub const MAX_MGET: u32 = 64 * 1024;
 
-/// Upper bound on entries one SCAN may request and one SCAN_COUNT may
-/// count. A SCAN's reply streams in [`SCAN_PART_MAX`]-entry frames and a
-/// count holds one chunk, so this bounds the time one frame can keep a
-/// worker (and every other connection it serves) busy, not any single
-/// allocation.
+/// Upper bound on entries one SCAN may request. A SCAN's reply streams
+/// in [`SCAN_PART_MAX`]-entry frames, so this bounds the time one frame
+/// can keep a worker (and every other connection it serves) busy, not
+/// any single allocation.
 pub const MAX_SCAN: u32 = 64 * 1024;
 
 /// Most entries one SCAN_PART frame may carry (2 KiB of payload): the
@@ -80,9 +77,6 @@ pub mod op {
     pub const DEL: u8 = 0x03;
     /// Batched point lookups.
     pub const MGET: u8 = 0x04;
-    /// Count entries with key ≥ start, capped at limit (itself capped
-    /// at [`super::MAX_SCAN`], like SCAN's count).
-    pub const SCAN_COUNT: u8 = 0x05;
     /// Ask the server to shut down cleanly (acked with OK).
     pub const SHUTDOWN: u8 = 0x06;
     /// Stream up to count entries with key ≥ start (SCAN_PART × n,
@@ -98,8 +92,6 @@ pub mod resp {
     pub const OLD: u8 = 0x82;
     /// MGET results.
     pub const MVALUES: u8 = 0x84;
-    /// SCAN_COUNT result.
-    pub const COUNT: u8 = 0x85;
     /// Success without payload.
     pub const OK: u8 = 0x86;
     /// One bounded chunk of a SCAN stream (≤ [`super::SCAN_PART_MAX`]
@@ -137,13 +129,6 @@ pub enum Request {
         /// Keys to look up, in response order.
         keys: Vec<u64>,
     },
-    /// Count entries with key ≥ `start`, up to `limit`.
-    ScanCount {
-        /// Inclusive lower bound.
-        start: u64,
-        /// Result cap (≤ [`MAX_SCAN`]).
-        limit: u32,
-    },
     /// Clean server shutdown.
     Shutdown,
     /// Stream up to `count` entries with key ≥ `start` as bounded
@@ -165,8 +150,6 @@ pub enum Response {
     Old(Option<u64>),
     /// MGET results, positionally matching the request's keys.
     MValues(Vec<Option<u64>>),
-    /// SCAN_COUNT result.
-    Count(u64),
     /// Success without payload.
     Ok,
     /// One bounded chunk of a SCAN stream: ≤ [`SCAN_PART_MAX`]
@@ -196,8 +179,8 @@ pub enum ProtoError {
     Truncated,
     /// Body longer than the opcode's fixed layout allows.
     TrailingBytes,
-    /// A count field (MGET keys, SCAN entries, SCAN_COUNT limit,
-    /// SCAN_PART entries) exceeds its opcode's bound or disagrees with
+    /// A count field (MGET keys, SCAN entries, SCAN_PART entries)
+    /// exceeds its opcode's bound or disagrees with
     /// the body length.
     BadCount(u32),
     /// ERR payload is not UTF-8.
@@ -260,10 +243,6 @@ impl Request {
                     put_u64(b, *k);
                 }
             }),
-            Request::ScanCount { start, limit } => frame(out, op::SCAN_COUNT, |b| {
-                put_u64(b, *start);
-                put_u32(b, *limit);
-            }),
             Request::Shutdown => frame(out, op::SHUTDOWN, |_| {}),
             Request::Scan { start, count } => frame(out, op::SCAN, |b| {
                 put_u64(b, *start);
@@ -292,7 +271,6 @@ impl Response {
                     put_u64(b, v.unwrap_or(0));
                 }
             }),
-            Response::Count(n) => frame(out, resp::COUNT, |b| put_u64(b, *n)),
             Response::Ok => frame(out, resp::OK, |_| {}),
             Response::ScanPart(entries) => {
                 assert!(
@@ -391,20 +369,13 @@ impl Request {
                 Request::MGet { keys }
             }
             op::SHUTDOWN => Request::Shutdown,
-            op::SCAN_COUNT | op::SCAN => {
+            op::SCAN => {
                 let start = b.u64()?;
                 let count = b.u32()?;
                 if count > MAX_SCAN {
                     return Err(ProtoError::BadCount(count));
                 }
-                if opcode == op::SCAN {
-                    Request::Scan { start, count }
-                } else {
-                    Request::ScanCount {
-                        start,
-                        limit: count,
-                    }
-                }
+                Request::Scan { start, count }
             }
             other => return Err(ProtoError::BadOpcode(other)),
         };
@@ -433,7 +404,6 @@ impl Response {
                 }
                 Response::MValues(vs)
             }
-            resp::COUNT => Response::Count(b.u64()?),
             resp::OK => Response::Ok,
             resp::SCAN_PART => {
                 let count = b.u32()?;
@@ -565,10 +535,6 @@ mod tests {
                 keys: vec![1, 2, 3, u64::MAX],
             },
             Request::MGet { keys: vec![] },
-            Request::ScanCount {
-                start: 10,
-                limit: 100,
-            },
             Request::Shutdown,
             Request::Scan {
                 start: 3,
@@ -597,7 +563,6 @@ mod tests {
             Response::Old(None),
             Response::MValues(vec![Some(1), None, Some(3)]),
             Response::MValues(vec![]),
-            Response::Count(12345),
             Response::Ok,
             Response::ScanPart(vec![(1, 2), (3, 4), (u64::MAX, 0)]),
             Response::ScanPart(vec![]),
@@ -653,12 +618,21 @@ mod tests {
 
     #[test]
     fn structural_garbage_is_rejected() {
-        // Unknown opcode (0x08–0x0A were once reserved for CAS/INCR/TTL).
-        for opcode in [0x77, 0x08, 0x09, 0x0A] {
+        // Unknown opcode (0x05 once counted a scan; 0x08–0x0A were once
+        // reserved for CAS/INCR/TTL).
+        for opcode in [0x77, 0x05, 0x08, 0x09, 0x0A] {
             let mut dec = FrameDecoder::new();
             dec.feed(&3u32.to_le_bytes());
             dec.feed(&[opcode, 0, 0]);
             assert_eq!(dec.next_request(), Err(ProtoError::BadOpcode(opcode)));
+        }
+        // The response decoder likewise (0x85 was COUNT).
+        for opcode in [0x83, 0x85, 0x89] {
+            let mut dec = FrameDecoder::new();
+            dec.feed(&9u32.to_le_bytes());
+            dec.feed(&[opcode]);
+            dec.feed(&7u64.to_le_bytes());
+            assert_eq!(dec.next_response(), Err(ProtoError::BadOpcode(opcode)));
         }
 
         // Truncated body.
@@ -690,17 +664,6 @@ mod tests {
         dec.feed(&[op::SCAN]);
         dec.feed(&0u64.to_le_bytes());
         dec.feed(&(MAX_SCAN + 1).to_le_bytes());
-        assert_eq!(dec.next_request(), Err(ProtoError::BadCount(MAX_SCAN + 1)));
-
-        // SCAN_COUNT is bounded like SCAN.
-        let mut dec = FrameDecoder::new();
-        let mut wire = Vec::new();
-        Request::ScanCount {
-            start: 0,
-            limit: MAX_SCAN + 1,
-        }
-        .encode(&mut wire);
-        dec.feed(&wire);
         assert_eq!(dec.next_request(), Err(ProtoError::BadCount(MAX_SCAN + 1)));
 
         // Truncated SCAN body (count field cut short).

@@ -735,12 +735,6 @@ impl Worker {
                 Response::MValues(vs).encode(out);
                 (keys.len(), grouped)
             }
-            Request::ScanCount { start, limit } => {
-                self.finish(run, out);
-                let n = self.index.scan_count(start, limit as usize);
-                Response::Count(n as u64).encode(out);
-                (1, false)
-            }
             Request::Shutdown => {
                 self.finish(run, out);
                 Response::Ok.encode(out);

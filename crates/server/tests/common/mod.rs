@@ -33,6 +33,32 @@ pub fn get(c: &mut Client, key: u64) -> Option<u64> {
     }
 }
 
+/// Drain one whole SCAN reply: parts until SCAN_END, asserting every
+/// part respects the frame bound and keys ascend across the stream.
+pub fn recv_scan(c: &mut Client) -> (Vec<(u64, u64)>, u32) {
+    let mut entries: Vec<(u64, u64)> = Vec::new();
+    loop {
+        match c.recv().unwrap().expect("scan stream ended early") {
+            Response::ScanPart(part) => {
+                assert!(
+                    part.len() <= optiql_server::proto::SCAN_PART_MAX,
+                    "oversized part: {}",
+                    part.len()
+                );
+                assert!(!part.is_empty(), "server must not emit empty parts");
+                entries.extend(part);
+            }
+            Response::ScanEnd { total } => {
+                for w in entries.windows(2) {
+                    assert!(w[0].0 < w[1].0, "scan stream must ascend");
+                }
+                return (entries, total);
+            }
+            other => panic!("expected SCAN_PART/SCAN_END, got {other:?}"),
+        }
+    }
+}
+
 /// Scripted pass over every data opcode against a preloaded server
 /// (preload: key k → k + 1 for k in 0..n). Leaves the index as it found
 /// it.
@@ -40,7 +66,10 @@ pub fn exercise_all_ops(addr: SocketAddr, preload: u64) {
     let c = &mut connect(addr);
     let set = |c: &mut Client, key, value| call(c, Request::Set { key, value });
     let del = |c: &mut Client, key| call(c, Request::Del { key });
-    let count = |c: &mut Client, start, limit| call(c, Request::ScanCount { start, limit });
+    let count = |c: &mut Client, start, count| {
+        c.send(&[Request::Scan { start, count }]).expect("send");
+        recv_scan(c).1
+    };
 
     let fresh = preload + 9;
     assert_eq!(get(c, 3), Some(4));
@@ -52,17 +81,17 @@ pub fn exercise_all_ops(addr: SocketAddr, preload: u64) {
         call(c, Request::MGet { keys }),
         Response::MValues(vec![Some(1), Some(78), None, Some(2)])
     );
-    assert_eq!(count(c, 0, 5), Response::Count(5));
+    assert_eq!(count(c, 0, 5), 5);
     assert_eq!(del(c, fresh), Response::Old(Some(78)));
     assert_eq!(get(c, fresh), None);
 
     // The top of the key space, far above any preload: eight fresh keys,
-    // and a SCAN_COUNT that runs out of keys before it runs out of limit.
+    // and a SCAN that runs out of keys before it runs out of count.
     let top = u64::MAX - 1024;
     for i in 0..8 {
         assert_eq!(set(c, top + i, 100 + i), Response::Old(None));
     }
-    assert_eq!(count(c, top, 1000), Response::Count(8));
+    assert_eq!(count(c, top, 1000), 8);
     for i in 0..8 {
         assert_eq!(del(c, top + i), Response::Old(Some(100 + i)));
     }

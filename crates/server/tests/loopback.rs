@@ -6,10 +6,9 @@
 
 mod common;
 
-use common::{call, connect, exercise_all_ops, get};
+use common::{call, connect, exercise_all_ops, get, recv_scan};
 use optiql_server::proto::{Request, Response, MAX_SCAN};
 use optiql_server::server::{start, BackendKind, Dispatch, ServerConfig, ServerHandle};
-use optiql_server::Client;
 
 fn serve(backend: BackendKind, dispatch: Dispatch, preload: u64) -> ServerHandle {
     start(&ServerConfig {
@@ -185,11 +184,6 @@ impl Model {
                 want.push(Response::MValues(vs));
                 keys.len() as u64
             }
-            Request::ScanCount { start, limit } => {
-                let n = self.map.range(start..).take(*limit as usize).count();
-                want.push(Response::Count(n as u64));
-                1
-            }
             Request::Scan { start, count } => {
                 let entries: Vec<(u64, u64)> = (self.map.range(start..))
                     .take(*count as usize)
@@ -212,8 +206,8 @@ impl Model {
 /// runs at 3–9 and 20–25 and the SET runs at 12–18 and 26–33 each
 /// straddle a slice boundary (8, 16, 24, 32); a GET run follows a SET run
 /// directly (at 3, reading the key just written twice) and a SET run a
-/// GET run (at 26), the other runs are cut by DEL, MGET, SCAN_COUNT and
-/// SCAN; two SET runs write one key twice.
+/// GET run (at 26), the other runs are cut by DEL, MGET and two SCANs;
+/// two SET runs write one key twice.
 fn mixed_burst(base: u64, burst: u64) -> Vec<Request> {
     let mut x = base ^ burst;
     let mut key = move || {
@@ -239,9 +233,9 @@ fn mixed_burst(base: u64, burst: u64) -> Vec<Request> {
         key: if i % 3 == 0 { twice } else { key() },
         value: burst * 100 + i,
     }));
-    reqs.push(Request::ScanCount {
+    reqs.push(Request::Scan {
         start: base + 5,
-        limit: 10,
+        count: 10,
     });
     reqs.extend((20..=25).map(|_| Request::Get { key: key() }));
     reqs.extend((26..=33).map(|i| Request::Set {
@@ -339,18 +333,23 @@ fn garbage_bytes_close_only_that_connection() {
     assert_eq!(get(&mut good, 1), Some(2));
 
     // Hostile connections: structural garbage (valid length prefix,
-    // unknown opcode) — 0x99, and the once-reserved CAS/INCR/TTL space
-    // 0x08–0x0A, which is unknown like any other now. The server must
-    // answer ERR, then close.
-    for opcode in [0x99, 0x08, 0x09, 0x0A] {
+    // unknown opcode) — 0x99, the retired scan-count opcode 0x05 and the
+    // once-reserved CAS/INCR/TTL space 0x08–0x0A, which are unknown like
+    // any other now. The server must answer ERR, then close, and the
+    // neighbouring connection proceed.
+    for (i, opcode) in [0x99, 0x05, 0x08, 0x09, 0x0A].into_iter().enumerate() {
         let mut bad = connect(h.addr());
         bad.send_raw(&3u32.to_le_bytes()).unwrap();
         bad.send_raw(&[opcode, 0xAA, 0xBB]).unwrap();
         match bad.recv().unwrap() {
-            Some(Response::Error(msg)) => assert!(msg.contains("opcode"), "got: {msg}"),
+            Some(Response::Error(msg)) => {
+                let want = format!("unknown opcode {opcode:#04x}");
+                assert!(msg.contains(&want), "got: {msg}");
+            }
             other => panic!("expected ERR frame for {opcode:#04x}, got {other:?}"),
         }
         assert_eq!(bad.recv().unwrap(), None, "connection must close after ERR");
+        assert_eq!(get(&mut good, i as u64), Some(i as u64 + 1));
     }
 
     // A second hostile connection: an oversized length prefix.
@@ -362,14 +361,14 @@ fn garbage_bytes_close_only_that_connection() {
     }
     assert_eq!(huge.recv().unwrap(), None);
 
-    // A third: a well-formed SCAN_COUNT frame whose limit is over
-    // MAX_SCAN. One such frame would otherwise keep the worker — and
-    // every connection it serves — busy for the whole index.
+    // A third: a well-formed SCAN frame whose count is over MAX_SCAN.
+    // One such frame would otherwise keep the worker — and every
+    // connection it serves — busy for the whole index.
     let mut greedy = connect(h.addr());
     let mut frame = Vec::new();
-    Request::ScanCount {
+    Request::Scan {
         start: 0,
-        limit: MAX_SCAN + 1,
+        count: MAX_SCAN + 1,
     }
     .encode(&mut frame);
     greedy.send_raw(&frame).unwrap();
@@ -386,7 +385,7 @@ fn garbage_bytes_close_only_that_connection() {
     assert_eq!(get(&mut fresh, 3), Some(4));
 
     let stats = h.shutdown();
-    assert_eq!(stats.proto_errors, 6);
+    assert_eq!(stats.proto_errors, 7);
 }
 
 /// A frame is executed where it is decoded, so what a burst's bad frame
@@ -436,32 +435,6 @@ fn err_follows_the_replies_it_arrived_behind() {
         );
         assert_eq!(stats.proto_errors, 1);
         assert_eq!(stats.requests, 4, "{dispatch:?}: two GETs, SET, SHUTDOWN");
-    }
-}
-
-/// Drain one whole SCAN reply: parts until SCAN_END, asserting every
-/// part respects the frame bound and keys ascend across the stream.
-fn recv_scan(c: &mut Client) -> (Vec<(u64, u64)>, u32) {
-    let mut entries: Vec<(u64, u64)> = Vec::new();
-    loop {
-        match c.recv().unwrap().expect("scan stream ended early") {
-            Response::ScanPart(part) => {
-                assert!(
-                    part.len() <= optiql_server::proto::SCAN_PART_MAX,
-                    "oversized part: {}",
-                    part.len()
-                );
-                assert!(!part.is_empty(), "server must not emit empty parts");
-                entries.extend(part);
-            }
-            Response::ScanEnd { total } => {
-                for w in entries.windows(2) {
-                    assert!(w[0].0 < w[1].0, "scan stream must ascend");
-                }
-                return (entries, total);
-            }
-            other => panic!("expected SCAN_PART/SCAN_END, got {other:?}"),
-        }
     }
 }
 

@@ -15,7 +15,6 @@ fn any_request() -> impl Strategy<Value = Request> {
         (any::<u64>(), any::<u64>()).prop_map(|(key, value)| Request::Set { key, value }),
         any::<u64>().prop_map(|key| Request::Del { key }),
         prop::collection::vec(any::<u64>(), 0..40).prop_map(|keys| Request::MGet { keys }),
-        (any::<u64>(), 0..=MAX_SCAN).prop_map(|(start, limit)| Request::ScanCount { start, limit }),
         Just(Request::Shutdown),
         (any::<u64>(), 0..=MAX_SCAN).prop_map(|(start, count)| Request::Scan { start, count }),
     ]
@@ -30,7 +29,6 @@ fn any_response() -> impl Strategy<Value = Response> {
         opt_u64().prop_map(Response::Value),
         opt_u64().prop_map(Response::Old),
         prop::collection::vec(opt_u64(), 0..40).prop_map(Response::MValues),
-        any::<u64>().prop_map(Response::Count),
         Just(Response::Ok),
         prop::collection::vec((any::<u64>(), any::<u64>()), 0..SCAN_PART_MAX + 1)
             .prop_map(Response::ScanPart),

@@ -1,10 +1,12 @@
-//! `scan_count` holds one chunk, whatever its `limit`: SCAN_COUNT (opcode
-//! 0x05) carries an uncapped `limit`, so a count that materialised its
-//! result would let one small frame allocate 16 bytes per key in the
-//! index. Counted with a `#[global_allocator]`, which is why this is its
-//! own test binary with a single test: the counters are process-wide.
+//! A streaming `range` holds one chunk, whatever its length: a scan that
+//! materialised its result would let one small request (a SCAN frame of
+//! up to `MAX_SCAN` entries, a YCSB-E scan) allocate 16 bytes per entry
+//! it reads. Counted with a `#[global_allocator]`, which is why this is
+//! its own test binary with a single test: the counters are
+//! process-wide.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::ops::Bound;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use optiql::{OptLock, OptiQL};
@@ -38,8 +40,15 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOC: Counting = Counting;
 
 const KEYS: u64 = 200_000;
-/// The parent's count built one `Vec` of every entry: ≥ 3 MB here.
+/// Collecting every entry would hold ≥ 3 MB here.
 const BOUND: usize = 64 << 10;
+
+fn count(index: &impl ConcurrentIndex, limit: usize) -> usize {
+    index
+        .range(Bound::Included(0), Bound::Unbounded)
+        .take(limit)
+        .count()
+}
 
 fn count_holds_one_chunk(name: &str, index: &impl ConcurrentIndex) {
     for k in 0..KEYS {
@@ -47,10 +56,10 @@ fn count_holds_one_chunk(name: &str, index: &impl ConcurrentIndex) {
     }
     // First use of a thread's epoch slot and scratch buffers is not the
     // scan's footprint.
-    assert_eq!(index.scan_count(0, 1), 1);
+    assert_eq!(count(index, 1), 1);
     let baseline = LIVE.load(Ordering::Relaxed);
     PEAK.store(baseline, Ordering::Relaxed);
-    let n = index.scan_count(0, usize::MAX);
+    let n = count(index, usize::MAX);
     let peak = PEAK.load(Ordering::Relaxed) - baseline;
     assert_eq!(n, KEYS as usize, "{name}: every key counted");
     assert!(peak < BOUND, "{name}: counting {n} keys held {peak} bytes");

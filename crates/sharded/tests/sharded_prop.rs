@@ -7,6 +7,7 @@
 //! key sets through the shards and verifies the final state.
 
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
 use proptest::prelude::*;
 
@@ -21,7 +22,15 @@ enum Op {
     Update(u64, u64),
     Remove(u64),
     Lookup(u64),
-    ScanCount(u64, usize),
+    Count(u64, usize),
+}
+
+/// Entries with keys ≥ `start`, up to `limit`, as one streaming scan.
+fn count(index: &impl ConcurrentIndex, start: u64, limit: usize) -> usize {
+    index
+        .range(Bound::Included(start), Bound::Unbounded)
+        .take(limit)
+        .count()
 }
 
 fn op_strategy(key_space: u64) -> impl Strategy<Value = Op> {
@@ -30,7 +39,7 @@ fn op_strategy(key_space: u64) -> impl Strategy<Value = Op> {
         (0..key_space, any::<u64>()).prop_map(|(k, v)| Op::Update(k, v)),
         (0..key_space).prop_map(Op::Remove),
         (0..key_space).prop_map(Op::Lookup),
-        (0..key_space, 0..96usize).prop_map(|(k, n)| Op::ScanCount(k, n)),
+        (0..key_space, 0..96usize).prop_map(|(k, n)| Op::Count(k, n)),
     ]
 }
 
@@ -51,11 +60,11 @@ fn run_model<I: ConcurrentIndex>(sharded: &ShardedIndex<I>, ops: &[Op]) {
             Op::Lookup(k) => {
                 assert_eq!(sharded.lookup(k), model.get(&k).copied(), "lookup {k}");
             }
-            Op::ScanCount(k, n) => {
+            Op::Count(k, n) => {
                 // Hash partitioning destroys global order but not counts:
-                // the merged scan_count must equal the model's.
+                // the merged stream's count must equal the model's.
                 let expect = model.range(k..).take(n).count();
-                assert_eq!(sharded.scan_count(k, n), expect, "scan_count {k} {n}");
+                assert_eq!(count(sharded, k, n), expect, "count {k} {n}");
             }
         }
     }
@@ -130,7 +139,7 @@ proptest! {
     }
 }
 
-/// `scan_count` fan-out vs the model while the trees churn through
+/// A counted `range` fan-out vs the model while the trees churn through
 /// splits and collapses. Writers alternately grow and shrink their
 /// ranges (forcing structure changes in every shard); between phases the
 /// threads quiesce and the merged fan-out count must equal a model
@@ -174,15 +183,15 @@ fn scan_count_fanout_matches_model_under_churn() {
         ] {
             let want = model.range(start..).take(limit).count();
             assert_eq!(
-                s.scan_count(start, limit),
+                count(&s, start, limit),
                 want,
-                "phase {phase}: scan_count({start}, {limit})"
+                "phase {phase}: count({start}, {limit})"
             );
         }
     }
 }
 
-/// A count reads the merged stream: about `limit` / leaf chunks plus one
+/// A counted `range` reads the merged stream: about `limit` / leaf chunks plus one
 /// per shard each time the merge is opened — not every shard scanned to
 /// `limit`, which is what a per-shard fan-out costs (8 shards × 1 000
 /// entries over leaves of ≤ 14 is above 570 chunks even with full
@@ -197,7 +206,7 @@ fn scan_count_does_limit_plus_shards_work() {
         s.insert(k, k);
     }
     let before = s.index_stats().ops;
-    assert_eq!(s.scan_count(3, 1_000), 1_000);
+    assert_eq!(count(&s, 3, 1_000), 1_000);
     let chunks = s.index_stats().ops - before;
     assert!(chunks < 400, "counting 1 000 keys took {chunks} chunks");
 }
@@ -240,7 +249,7 @@ fn concurrent_disjoint_writers_and_readers() {
                 if let Some(v) = s.lookup(k) {
                     assert_eq!(v, k + 1, "reader saw torn value for {k}");
                 }
-                let _ = s.scan_count(k, 16);
+                count(&s, k, 16);
                 probes += 1;
             }
         });

@@ -2,6 +2,8 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
+use std::ops::Bound;
+
 use optiql::{ExclusiveLock, IndexLock, OptiQL};
 use optiql_art::ArtOptiQL;
 use optiql_btree::BTreeOptiQL;
@@ -47,7 +49,8 @@ fn main() {
     }
     assert_eq!(tree.lookup(721), Some(1442));
     assert_eq!(tree.update(721, 7), Some(1442));
-    assert_eq!(tree.scan_count(990, 5), 5);
+    let scanned = tree.range(Bound::Included(990), Bound::Unbounded).take(5);
+    assert_eq!(scanned.count(), 5);
     assert_eq!(tree.remove(721), Some(7));
     println!("b+-tree: {} keys after CRUD", tree.len());
 

@@ -8,6 +8,8 @@
 //!
 //! Run with: `cargo run --release --example sharded_demo`
 
+use std::ops::Bound;
+
 use optiql_art::ArtOptiQL;
 use optiql_btree::BTreeOptiQL;
 use optiql_index_api::ConcurrentIndex;
@@ -26,7 +28,8 @@ fn exercise<I: ConcurrentIndex>(index: &I, label: &str) {
     });
     assert_eq!(index.len(), 100_000);
     assert_eq!(index.lookup(42 * 4 + 1), Some(1));
-    assert_eq!(index.scan_count(0, 500), 500);
+    let scanned = index.range(Bound::Unbounded, Bound::Unbounded).take(500);
+    assert_eq!(scanned.count(), 500);
     let stats = index.index_stats();
     println!(
         "{label:<28} {} keys, {} ops, {} restarts",
