@@ -28,7 +28,6 @@
 
 pub mod multi;
 pub mod node;
-mod slab;
 pub mod tree;
 
 pub use tree::{ArtStats, ArtTree, DEFAULT_EXPANSION_THRESHOLD, DEFAULT_SAMPLE_INV};

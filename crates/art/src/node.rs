@@ -13,9 +13,8 @@
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicPtr, AtomicU16, AtomicU32, AtomicU64, AtomicU8, Ordering};
 
+use optiql::slab::Slab;
 use optiql::IndexLock;
-
-use crate::slab::{Slab, Slot};
 
 const R: Ordering = Ordering::Relaxed;
 
@@ -46,8 +45,9 @@ pub enum NodeType {
 /// Single-entry leaf: the full key plus the payload ("TID"). Reached via a
 /// tagged pointer; the key is immutable, the value is an atomic cell so
 /// in-place updates need no reallocation. It lives in a slot of its
-/// tree's slab, never in a `Box` of its own.
-#[repr(C, align(8))]
+/// tree's slab, never in a `Box` of its own; 16-aligned, so no leaf
+/// straddles a cache line.
+#[repr(C, align(16))]
 pub struct KvLeaf {
     /// The complete key (lazy expansion means inner nodes may not spell
     /// out every byte; the leaf is the source of truth).
@@ -55,16 +55,13 @@ pub struct KvLeaf {
     val: AtomicU64,
 }
 
-const _: () = assert!(
-    std::mem::size_of::<KvLeaf>() == std::mem::size_of::<Slot>()
-        && std::mem::align_of::<KvLeaf>() <= std::mem::align_of::<Slot>()
-);
+const _: () = assert!(std::mem::size_of::<KvLeaf>() == 16);
 
 impl KvLeaf {
     /// Allocate a leaf from `slab`, returning its *tagged* child pointer.
-    pub(crate) fn alloc<L: IndexLock>(slab: &Slab, key: u64, val: u64) -> *mut ArtNode<L> {
-        let p = slab.alloc().cast::<KvLeaf>().as_ptr();
-        // SAFETY: a fresh slot, sized and aligned for a leaf (asserted above).
+    pub(crate) fn alloc<L: IndexLock>(slab: &Slab<KvLeaf>, key: u64, val: u64) -> *mut ArtNode<L> {
+        let p = slab.alloc().as_ptr();
+        // SAFETY: a fresh slot of the slab, sized and aligned for a leaf.
         unsafe {
             p.write(KvLeaf {
                 key,
@@ -108,9 +105,9 @@ pub unsafe fn as_kv<'a, L: IndexLock>(p: *mut ArtNode<L>) -> &'a KvLeaf {
 
 /// The slot of a tagged KV leaf pointer, for its free into the slab.
 #[inline]
-pub(crate) fn kv_slot<L: IndexLock>(p: *mut ArtNode<L>) -> NonNull<Slot> {
+pub(crate) fn kv_slot<L: IndexLock>(p: *mut ArtNode<L>) -> NonNull<KvLeaf> {
     debug_assert!(is_kv(p));
-    NonNull::new(((p as usize) & !1) as *mut Slot).expect("a KV pointer is non-null")
+    NonNull::new(((p as usize) & !1) as *mut KvLeaf).expect("a KV pointer is non-null")
 }
 
 /// Branchless SSE2 probe of a `Node16` key array: compare all 16 bytes

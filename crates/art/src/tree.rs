@@ -52,11 +52,11 @@ use std::ptr::NonNull;
 
 use optiql::counters::Counters;
 use optiql::olc::{IndexStats, OptimisticGuard, RestartLoop, Step, INDEX_LANES, OPS};
+use optiql::slab::Slab;
 use optiql::{IndexLock, WriteStrategy, WriteToken};
 use optiql_reclaim::{Collector, Guard};
 
 use crate::node::{as_kv, is_kv, key_bytes, kv_slot, ArtNode, KvLeaf, NodeType};
-use crate::slab::{Slab, Slot};
 
 /// Default contention-expansion threshold (paper: 1024).
 pub const DEFAULT_EXPANSION_THRESHOLD: u32 = 1024;
@@ -208,8 +208,8 @@ fn collapsible<L: IndexLock>(node: &ArtNode<L>) -> bool {
 pub struct ArtTree<L: IndexLock> {
     root: *mut ArtNode<L>,
     pub(crate) collector: Collector,
-    /// Where every KV leaf lives (see [`crate::slab`]).
-    slab: Slab,
+    /// Where every KV leaf lives (see [`optiql::slab`]).
+    slab: Slab<KvLeaf>,
     /// Every count the tree keeps, on cache lines of its own: no
     /// operation's accounting touches the line `root` is read from.
     pub(crate) counters: Counters<LANES>,
@@ -316,7 +316,7 @@ impl<L: IndexLock> ArtTree<L> {
         // so it is retired once; it is freed after every reader pinned
         // before the unlink has left, into the slab it came from, which
         // the closure's handle keeps allocated. `addr` is non-null.
-        g.defer(move || unsafe { slab.free(NonNull::new_unchecked(addr as *mut Slot)) });
+        g.defer(move || unsafe { slab.free(NonNull::new_unchecked(addr as *mut KvLeaf)) });
     }
 
     // --- the descent step and its scalar drivers ----------------------------

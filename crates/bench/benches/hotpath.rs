@@ -37,6 +37,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use optiql::slab::Slab;
 use optiql::{
     qnode, ExclusiveLock, IndexLock, McsLock, McsRwLock, OptLock, OptLockBackoff, OptiQL,
     OptiQLAor, OptiQLNor, PthreadRwLock, TtsBackoff, TtsLock,
@@ -194,7 +195,8 @@ fn bench_qnode(dur: Duration) {
 fn bench_node_search<const IC: usize>(dur: Duration) {
     // A full inner node of IC-1 separators routing to one shared dummy
     // child, searched with uniformly random keys over the covered range.
-    let child = Leaf::<OptLock, 4>::alloc();
+    let children = Slab::new();
+    let child = Leaf::<OptLock, 4>::alloc(&children);
     let ip = Inner::<OptLock, IC>::alloc();
     // Safety: `ip` was just allocated by `Inner::<OptLock, IC>::alloc`.
     let inner = unsafe { as_inner::<OptLock, IC>(ip) };
@@ -215,7 +217,8 @@ fn bench_node_search<const IC: usize>(dur: Duration) {
     emit("node_search", &format!("child_index_{IC}"), 1, &t);
 
     // Matching leaf: LC = IC entries, lower_bound over the same keys.
-    let lp = Leaf::<OptLock, IC>::alloc();
+    let leaves = Slab::new();
+    let lp = Leaf::<OptLock, IC>::alloc(&leaves);
     // Safety: `lp` was just allocated by `Leaf::<OptLock, IC>::alloc`.
     let leaf = unsafe { as_leaf::<OptLock, IC>(lp) };
     for k in 0..IC as u64 {
@@ -227,13 +230,10 @@ fn bench_node_search<const IC: usize>(dur: Duration) {
     });
     emit("node_search", &format!("lower_bound_{IC}"), 1, &t);
 
-    // Safety: pointers originate from the matching `alloc` calls above and
-    // are dropped exactly once, after their last use.
-    unsafe {
-        drop(Box::from_raw(lp as *mut Leaf<OptLock, IC>));
-        drop(Box::from_raw(ip as *mut Inner<OptLock, IC>));
-        drop(Box::from_raw(child as *mut Leaf<OptLock, 4>));
-    }
+    // Safety: `ip` originates from the matching `alloc` call above and is
+    // dropped exactly once, after its last use; the leaves go with their
+    // slabs.
+    unsafe { drop(Box::from_raw(ip as *mut Inner<OptLock, IC>)) };
 }
 
 // --- group: uncontended exclusive acquire ---------------------------------

@@ -42,10 +42,13 @@ optiql_index_api::impl_concurrent_index! {
 
 /// Capacity presets named after nominal node sizes (paper §7.4 sweeps
 /// 256 B – 16 KB). An entry is 16 bytes (8-byte key + 8-byte value /
-/// child pointer) and the preset allows one entry's worth of header, but
-/// the header a node really has is 24 bytes (tag, lock, count): an
-/// `S256` leaf is 264 bytes (24 + 15 × 16), an `S256` inner node 280
-/// (24 + 16 × 16) — pinned by `node::tests::s256_nodes_are_264_and_280_bytes`.
+/// child pointer) and the preset allows one entry's worth of header,
+/// which is the header a node has: 16 bytes (tag and count in one word,
+/// the lock in the next). A leaf of every preset is exactly its nominal
+/// size on whole lines (an `S256` leaf is 16 + 15 × 16 = 256 bytes);
+/// an inner node holds one child more (`S256`: 16 + 16 × 16 = 272) —
+/// pinned by `node::tests::s256_nodes_are_256_and_272_bytes` and
+/// `every_preset_leaf_is_its_nominal_size_on_whole_lines`.
 pub mod node_size {
     /// Inner-node child capacity for a nominal node size.
     pub const fn inner_cap(bytes: usize) -> usize {
@@ -57,7 +60,7 @@ pub mod node_size {
     }
 
     /// Nominal 256-byte nodes (default; 16 children / 15 entries, the
-    /// paper's "fanout of 14"; 280 / 264 bytes with the header).
+    /// paper's "fanout of 14"; 272 / 256 bytes with the header).
     pub const S256: (usize, usize) = (inner_cap(256), leaf_cap(256));
     /// 512-byte nodes.
     pub const S512: (usize, usize) = (inner_cap(512), leaf_cap(512));

@@ -59,9 +59,9 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> BPlusTree<I
     ///
     /// A strictly ascending batch descends once per leaf: the scalar
     /// driver carries the rest of the batch down as a [`Run`], and the
-    /// leaf takes every pair that lands in it. When a leaf takes nothing
-    /// more than the pair that found it, the keys are spread out and the
-    /// rest of the batch goes to the pipeline.
+    /// leaf takes every pair that lands in it. When the pair after the
+    /// one that found a leaf lies beyond that leaf, the keys are spread
+    /// out and the rest of the batch goes to the pipeline.
     pub fn multi_insert(&self, pairs: &[(u64, u64)]) -> Vec<Option<u64>> {
         let g = self.collector.pin();
         let mut out = Vec::new();
@@ -73,7 +73,7 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> BPlusTree<I
                 let mut run = Run::new(&pairs[at + 1..], rest);
                 *first = self.write(key, WriteOp::Insert(val), Some(&mut run));
                 at += 1 + run.taken;
-                if run.taken == 0 {
+                if run.taken == 0 && run.fenced_out {
                     break;
                 }
             }

@@ -19,9 +19,17 @@
 //! * `NodeBase::leaf` is immutable after construction, so a traversal may
 //!   read it through a not-yet-validated pointer (the pointee is kept
 //!   alive by epoch reclamation).
+//! * A node's header is 16 bytes: the leaf tag and `count` share the first
+//!   word, the 8-byte lock is the second. A leaf is `repr(C, align(64))`
+//!   and a slot of its tree's [`Slab`], so a leaf of every
+//!   [`node_size`](crate::node_size) preset is exactly its nominal size
+//!   on whole cache lines (`S256`: 16 + 15 × 16 = 256 bytes, four
+//!   lines). An inner node is a `Box` of 16 + 16 × `IC` bytes (272 at
+//!   `S256`).
 
 use std::sync::atomic::{AtomicPtr, AtomicU16, AtomicU64, Ordering};
 
+use optiql::slab::Slab;
 use optiql::{IndexLock, OptLock};
 
 use crate::DEFAULT_IC;
@@ -81,7 +89,7 @@ fn sorted_prefix_len(keys: &[AtomicU64], n: usize, pred: impl Fn(u64) -> bool) -
 const LINE: usize = 64;
 
 /// Most bytes of a node a descent prefetches: the span of an `S256` inner
-/// node, the largest node of the default preset (280 bytes). A larger
+/// node, the largest node of the default preset (272 bytes). A larger
 /// preset (`S512` up, Figure 11) binary-searches its keys and touches a
 /// few of its lines, so fetching it whole would pull in kilobytes the
 /// search never reads.
@@ -89,12 +97,13 @@ const PREFETCH_MAX: usize = size_of::<Inner<OptLock, DEFAULT_IC>>();
 
 /// Byte offsets, from a node's first byte, at which [`prefetch_node`]
 /// issues a prefetch: one every line's width while inside the node, then
-/// the node's last byte, `bytes` capped at [`PREFETCH_MAX`]. `Box` aligns
-/// a node to 16 bytes, not to a line, so the same node spans five lines
-/// at one address and six at another (a 280-byte inner node at a 48-byte
-/// line offset ends in its sixth line): the stride covers every line but
-/// the last, and the last byte covers that one wherever the node starts.
-/// `bytes` is a `size_of`, so the offsets fold to constants.
+/// the node's last byte, `bytes` capped at [`PREFETCH_MAX`]. An inner
+/// node's type aligns it to 8 bytes, not to a line, so the same node
+/// spans five lines at one address and six at another (a 272-byte inner
+/// node at a 56-byte line offset ends in its sixth line): the stride
+/// covers every line but the last, and the last byte covers that one
+/// wherever the node starts. `bytes` is a `size_of`, so the offsets fold
+/// to constants.
 #[inline(always)]
 fn prefetch_offsets(bytes: usize) -> impl Iterator<Item = usize> {
     let bytes = bytes.min(PREFETCH_MAX);
@@ -108,7 +117,11 @@ fn prefetch_offsets(bytes: usize) -> impl Iterator<Item = usize> {
 /// and its value or child read do not wait on one miss after another.
 /// The child's kind is not known before it arrives; callers pass their
 /// own inner node's size, which a leaf of the same preset does not
-/// exceed.
+/// exceed. A leaf child is four aligned lines at `S256`, so of the six
+/// prefetches for a 272-byte inner node the two past its 256th byte
+/// land in one line of the next slot of the slab: one line too many
+/// per leaf, which no descent step knows how to avoid without the
+/// child's level.
 #[inline(always)]
 fn prefetch_node(p: *const NodeBase, bytes: usize) {
     #[cfg(target_arch = "x86_64")]
@@ -140,21 +153,22 @@ pub struct NodeBase {
 pub struct Inner<IL: IndexLock, const IC: usize> {
     /// Common header (leaf tag).
     pub base: NodeBase,
+    count: AtomicU16,
     /// Inner-node lock.
     pub lock: IL,
-    count: AtomicU16,
     keys: [AtomicU64; IC],
     children: [AtomicPtr<NodeBase>; IC],
 }
 
-/// Leaf node: `lock` is the *leaf* lock type `LL`.
-#[repr(C)]
+/// Leaf node: `lock` is the *leaf* lock type `LL`. Line-aligned, so a
+/// leaf of a nominal size never touches a line beyond it.
+#[repr(C, align(64))]
 pub struct Leaf<LL: IndexLock, const LC: usize> {
     /// Common header (leaf tag).
     pub base: NodeBase,
+    count: AtomicU16,
     /// Leaf lock (where index contention concentrates).
     pub lock: LL,
-    count: AtomicU16,
     keys: [AtomicU64; LC],
     vals: [AtomicU64; LC],
 }
@@ -200,8 +214,8 @@ impl<IL: IndexLock, const IC: usize> Inner<IL, IC> {
     pub fn alloc() -> *mut NodeBase {
         let node = Box::new(Inner::<IL, IC> {
             base: NodeBase { leaf: false },
-            lock: IL::default(),
             count: AtomicU16::new(0),
+            lock: IL::default(),
             keys: [const { AtomicU64::new(0) }; IC],
             children: [const { AtomicPtr::new(std::ptr::null_mut()) }; IC],
         });
@@ -345,16 +359,22 @@ impl<LL: IndexLock, const LC: usize> Leaf<LL, LC> {
     /// Maximum number of entries.
     pub const MAX_ENTRIES: usize = LC;
 
-    /// Allocate an empty leaf and leak it to a raw pointer.
-    pub fn alloc() -> *mut NodeBase {
-        let node = Box::new(Leaf::<LL, LC> {
-            base: NodeBase { leaf: true },
-            lock: LL::default(),
-            count: AtomicU16::new(0),
-            keys: [const { AtomicU64::new(0) }; LC],
-            vals: [const { AtomicU64::new(0) }; LC],
-        });
-        Box::into_raw(node) as *mut NodeBase
+    /// Allocate an empty leaf in a slot of `slab`.
+    pub fn alloc(slab: &Slab<Self>) -> *mut NodeBase {
+        // The slab releases its chunks without dropping what they hold.
+        const { assert!(!std::mem::needs_drop::<Self>(), "a leaf needs no drop") };
+        let p = slab.alloc().as_ptr();
+        // SAFETY: a fresh slot of the slab, sized and aligned for a leaf.
+        unsafe {
+            p.write(Leaf {
+                base: NodeBase { leaf: true },
+                count: AtomicU16::new(0),
+                lock: LL::default(),
+                keys: [const { AtomicU64::new(0) }; LC],
+                vals: [const { AtomicU64::new(0) }; LC],
+            })
+        };
+        p as *mut NodeBase
     }
 
     /// Entry count, clamped to capacity (see [`Inner::count`]).
@@ -446,19 +466,22 @@ impl<LL: IndexLock, const LC: usize> Leaf<LL, LC> {
         Some(old)
     }
 
-    /// Split where the pending insert of `key` lands (exclusive access).
-    /// A key sorting after every entry leaves this leaf `n - 1` entries
-    /// and starts the right one with the last, so an ascending stream
-    /// leaves full leaves behind, not half-empty ones; any other key
-    /// splits in half. Either way the right leaf is not empty. Returns
-    /// `(separator, right node)`: the separator is the smallest key of
-    /// the new right leaf.
-    pub fn split(&self, key: u64) -> (u64, *mut NodeBase) {
+    /// Split where the pending insert of `key` lands (exclusive access),
+    /// taking the new right leaf from `slab`. A key sorting after every
+    /// entry leaves this leaf as it is, full, and the right leaf empty,
+    /// with `key` as the separator: the caller inserts `key` there before
+    /// it publishes the sibling, so the separator is still the right
+    /// leaf's smallest key, and an ascending stream leaves full leaves
+    /// behind. Any other key splits in half. Returns `(separator, right
+    /// node)`.
+    pub fn split(&self, key: u64, slab: &Slab<Self>) -> (u64, *mut NodeBase) {
         let n = self.count.load(R) as usize;
         debug_assert!(n >= 2);
-        let behind_last = self.lower_bound(key) == n;
-        let mid = if behind_last { n - 1 } else { n / 2 };
-        let right_ptr = Self::alloc();
+        let right_ptr = Self::alloc(slab);
+        if self.lower_bound(key) == n {
+            return (key, right_ptr);
+        }
+        let mid = n / 2;
         let right = unsafe { as_leaf::<LL, LC>(right_ptr) };
         for i in mid..n {
             right.keys[i - mid].store(self.keys[i].load(R), R);
@@ -506,13 +529,10 @@ mod tests {
     type L = Leaf<OptLock, 8>;
     type I = Inner<OptLock, 8>;
 
-    fn leaf<'a>() -> (&'a L, *mut NodeBase) {
-        let p = L::alloc();
+    /// A fresh leaf from `slab`; the slab's chunks go when it drops.
+    fn leaf<'a>(slab: &Slab<L>) -> (&'a L, *mut NodeBase) {
+        let p = L::alloc(slab);
         (unsafe { as_leaf::<OptLock, 8>(p) }, p)
-    }
-
-    fn free_leaf(p: *mut NodeBase) {
-        drop(unsafe { Box::from_raw(p as *mut L) });
     }
 
     fn free_inner(p: *mut NodeBase) {
@@ -521,7 +541,8 @@ mod tests {
 
     #[test]
     fn leaf_insert_sorted_and_lookup() {
-        let (l, p) = leaf();
+        let slab = Slab::new();
+        let (l, _) = leaf(&slab);
         for k in [5u64, 1, 9, 3] {
             assert!(l.insert(k, k * 10).is_none());
         }
@@ -530,22 +551,22 @@ mod tests {
         assert_eq!(keys, vec![1, 3, 5, 9]);
         assert_eq!(l.lookup(5), Some(50));
         assert_eq!(l.lookup(4), None);
-        free_leaf(p);
     }
 
     #[test]
     fn leaf_insert_duplicate_overwrites() {
-        let (l, p) = leaf();
+        let slab = Slab::new();
+        let (l, _) = leaf(&slab);
         assert!(l.insert(7, 1).is_none());
         assert_eq!(l.insert(7, 2), Some(1));
         assert_eq!(l.count(), 1);
         assert_eq!(l.lookup(7), Some(2));
-        free_leaf(p);
     }
 
     #[test]
     fn leaf_update_and_remove() {
-        let (l, p) = leaf();
+        let slab = Slab::new();
+        let (l, _) = leaf(&slab);
         l.insert(1, 10);
         l.insert(2, 20);
         l.insert(3, 30);
@@ -556,18 +577,18 @@ mod tests {
         assert_eq!(l.count(), 2);
         assert_eq!(l.lookup(1), Some(10));
         assert_eq!(l.lookup(3), Some(30));
-        free_leaf(p);
     }
 
     #[test]
     fn leaf_split_moves_upper_half() {
-        let (l, p) = leaf();
+        let slab = Slab::new();
+        let (l, _) = leaf(&slab);
         for k in 0..8u64 {
             l.insert(2 * k, k);
         }
         assert!(l.is_full());
         // The pending key lands inside the leaf: split in half.
-        let (sep, rp) = l.split(5);
+        let (sep, rp) = l.split(5, &slab);
         let r = unsafe { as_leaf::<OptLock, 8>(rp) };
         assert_eq!(sep, 8);
         assert_eq!(l.count(), 4);
@@ -575,31 +596,30 @@ mod tests {
         assert_eq!(l.lookup(6), Some(3));
         assert_eq!(l.lookup(8), None);
         assert_eq!(r.lookup(8), Some(4));
-        free_leaf(p);
-        free_leaf(rp);
     }
 
     #[test]
-    fn leaf_split_for_an_appended_key_moves_only_the_last_entry() {
-        let (l, p) = leaf();
+    fn leaf_split_for_an_appended_key_moves_nothing() {
+        let slab = Slab::new();
+        let (l, _) = leaf(&slab);
         for k in 0..8u64 {
             l.insert(k, k);
         }
-        let (sep, rp) = l.split(8);
+        let (sep, rp) = l.split(8, &slab);
         let r = unsafe { as_leaf::<OptLock, 8>(rp) };
-        assert_eq!(sep, 7, "the separator is still the right leaf's first key");
-        assert_eq!((l.count(), r.count()), (7, 1));
-        assert_eq!(l.lookup(6), Some(6));
-        assert_eq!(l.lookup(7), None);
-        assert_eq!(r.lookup(7), Some(7));
-        free_leaf(p);
-        free_leaf(rp);
+        assert_eq!(sep, 8, "the pending key is the separator");
+        assert_eq!((l.count(), r.count()), (8, 0), "the full leaf stays full");
+        assert_eq!(l.lookup(7), Some(7));
+        // The caller's insert makes the separator the right leaf's first key.
+        assert_eq!(r.insert(8, 8), None);
+        assert_eq!(r.key_at(0), sep);
     }
 
     #[test]
     fn leaf_absorb_concatenates() {
-        let (l, p) = leaf();
-        let (r, rp) = leaf();
+        let slab = Slab::new();
+        let (l, _) = leaf(&slab);
+        let (r, _) = leaf(&slab);
         l.insert(1, 1);
         l.insert(2, 2);
         r.insert(10, 10);
@@ -607,13 +627,12 @@ mod tests {
         l.absorb(r);
         assert_eq!(l.count(), 4);
         assert_eq!(l.lookup(11), Some(11));
-        free_leaf(p);
-        free_leaf(rp);
     }
 
     #[test]
     fn leaf_collect_from_respects_bounds() {
-        let (l, p) = leaf();
+        let slab = Slab::new();
+        let (l, _) = leaf(&slab);
         for k in [2u64, 4, 6, 8] {
             l.insert(k, k);
         }
@@ -624,14 +643,14 @@ mod tests {
         out.clear();
         assert_eq!(l.collect_from(None, 8, &mut out), None);
         assert_eq!(out.len(), 4, "None = no lower bound");
-        free_leaf(p);
     }
 
     #[test]
     fn inner_child_routing() {
+        let slab = Slab::new();
         let ip = I::alloc();
         let inner = unsafe { as_inner::<OptLock, 8>(ip) };
-        let (c0, c1, c2) = (L::alloc(), L::alloc(), L::alloc());
+        let (c0, c1, c2) = (L::alloc(&slab), L::alloc(&slab), L::alloc(&slab));
         inner.init_root(10, c0, c1);
         inner.insert_child(20, c2);
         assert_eq!(inner.count(), 2);
@@ -645,17 +664,15 @@ mod tests {
         assert_eq!(inner.find_child_from(Some(15)).0, inner.find_child(15));
         assert_eq!(inner.find_child_from(Some(15)).1, Some(20));
         assert_eq!(inner.find_child_from(Some(99)).1, None, "rightmost");
-        free_leaf(c0);
-        free_leaf(c1);
-        free_leaf(c2);
         free_inner(ip);
     }
 
     #[test]
     fn inner_split_pushes_middle_separator_up() {
+        let slab = Slab::new();
         let ip = I::alloc();
         let inner = unsafe { as_inner::<OptLock, 8>(ip) };
-        let kids: Vec<*mut NodeBase> = (0..8).map(|_| L::alloc()).collect();
+        let kids: Vec<*mut NodeBase> = (0..8).map(|_| L::alloc(&slab)).collect();
         inner.init_root(10, kids[0], kids[1]);
         for (i, &sep) in [20u64, 30, 40, 50, 60].iter().enumerate() {
             inner.insert_child(sep, kids[i + 2]);
@@ -674,18 +691,16 @@ mod tests {
         for i in 0..right.count() {
             assert!(right.key_at(i) > sep);
         }
-        for k in kids {
-            free_leaf(k);
-        }
         free_inner(ip);
         free_inner(rp);
     }
 
     #[test]
     fn inner_split_through_the_last_child_keeps_all_but_two_children() {
+        let slab = Slab::new();
         let ip = I::alloc();
         let inner = unsafe { as_inner::<OptLock, 8>(ip) };
-        let kids: Vec<*mut NodeBase> = (0..8).map(|_| L::alloc()).collect();
+        let kids: Vec<*mut NodeBase> = (0..8).map(|_| L::alloc(&slab)).collect();
         inner.init_root(10, kids[0], kids[1]);
         for (i, &sep) in [20u64, 30, 40, 50, 60, 70].iter().enumerate() {
             inner.insert_child(sep, kids[i + 2]);
@@ -698,18 +713,16 @@ mod tests {
         assert_eq!(inner.find_child(55), kids[5]);
         assert_eq!(right.find_child(65), kids[6]);
         assert_eq!(right.find_child(75), kids[7]);
-        for k in kids {
-            free_leaf(k);
-        }
         free_inner(ip);
         free_inner(rp);
     }
 
     #[test]
     fn inner_remove_child_closes_gaps() {
+        let slab = Slab::new();
         let ip = I::alloc();
         let inner = unsafe { as_inner::<OptLock, 8>(ip) };
-        let (c0, c1, c2) = (L::alloc(), L::alloc(), L::alloc());
+        let (c0, c1, c2) = (L::alloc(&slab), L::alloc(&slab), L::alloc(&slab));
         inner.init_root(10, c0, c1);
         inner.insert_child(20, c2);
         // Remove middle child c1 (covers [10,20)): separator 10 goes away.
@@ -723,9 +736,6 @@ mod tests {
         inner.remove_child(0);
         assert_eq!(inner.count(), 0);
         assert_eq!(inner.find_child(0), c2);
-        free_leaf(c0);
-        free_leaf(c1);
-        free_leaf(c2);
         free_inner(ip);
     }
 
@@ -735,7 +745,8 @@ mod tests {
         // linear scan and the monobound binary search are checked against a
         // naive reference.
         fn check<const C: usize>() {
-            let lp = Leaf::<OptLock, C>::alloc();
+            let slab = Slab::new();
+            let lp = Leaf::<OptLock, C>::alloc(&slab);
             let l = unsafe { as_leaf::<OptLock, C>(lp) };
             for i in 0..C as u64 {
                 l.insert(i * 2 + 1, i);
@@ -746,11 +757,11 @@ mod tests {
                     .unwrap_or(l.count());
                 assert_eq!(l.lower_bound(probe), expect, "C={C} probe={probe}");
             }
-            drop(unsafe { Box::from_raw(lp as *mut Leaf<OptLock, C>) });
 
             let ip = Inner::<OptLock, C>::alloc();
             let inner = unsafe { as_inner::<OptLock, C>(ip) };
-            let kid = Leaf::<OptLock, 4>::alloc();
+            let kids = Slab::new();
+            let kid = Leaf::<OptLock, 4>::alloc(&kids);
             inner.init_root(2, kid, kid);
             for i in 1..(C - 1) as u64 {
                 inner.insert_child((i + 1) * 2, kid);
@@ -761,7 +772,6 @@ mod tests {
                     .unwrap_or(inner.count());
                 assert_eq!(inner.child_index(probe), expect, "C={C} probe={probe}");
             }
-            drop(unsafe { Box::from_raw(kid as *mut Leaf<OptLock, 4>) });
             drop(unsafe { Box::from_raw(ip as *mut Inner<OptLock, C>) });
         }
         check::<4>();
@@ -773,16 +783,40 @@ mod tests {
     }
 
     #[test]
-    fn s256_nodes_are_264_and_280_bytes() {
+    fn s256_nodes_are_256_and_272_bytes() {
         use crate::DEFAULT_LC;
         use optiql::OptiQL;
-        // 24 bytes of header (tag, lock, count) on top of the slots: the
-        // "256-byte" preset names the slot arrays, not the node.
+        // 16 bytes of header (tag and count in one word, the lock in the
+        // next) on top of the slots.
         assert_eq!((DEFAULT_IC, DEFAULT_LC), (16, 15));
-        assert_eq!(size_of::<Leaf<OptiQL, DEFAULT_LC>>(), 24 + 15 * 16);
-        assert_eq!(size_of::<Leaf<OptLock, DEFAULT_LC>>(), 264);
-        assert_eq!(size_of::<Inner<OptLock, DEFAULT_IC>>(), 24 + 16 * 16);
-        assert_eq!(size_of::<Inner<OptLock, DEFAULT_IC>>(), 280);
+        assert_eq!(size_of::<Leaf<OptiQL, DEFAULT_LC>>(), 16 + 15 * 16);
+        assert_eq!(size_of::<Leaf<OptLock, DEFAULT_LC>>(), 256);
+        assert_eq!(size_of::<Inner<OptLock, DEFAULT_IC>>(), 16 + 16 * 16);
+        assert_eq!(size_of::<Inner<OptLock, DEFAULT_IC>>(), 272);
+    }
+
+    #[test]
+    fn every_preset_leaf_is_its_nominal_size_on_whole_lines() {
+        use crate::node_size::*;
+        use optiql::{McsRwLock, OptiQL, PthreadRwLock};
+        fn lines<LL: IndexLock, const LC: usize>(nominal: usize) {
+            assert_eq!(size_of::<Leaf<LL, LC>>(), nominal, "{nominal} B preset");
+            assert_eq!(align_of::<Leaf<LL, LC>>(), LINE, "{nominal} B preset");
+        }
+        lines::<OptiQL, { S256.1 }>(256);
+        lines::<OptLock, { S256.1 }>(256);
+        lines::<McsRwLock, { S256.1 }>(256);
+        lines::<PthreadRwLock, { S256.1 }>(256);
+        lines::<OptiQL, { S512.1 }>(512);
+        lines::<OptiQL, { S1K.1 }>(1024);
+        lines::<OptiQL, { S2K.1 }>(2048);
+        lines::<OptiQL, { S4K.1 }>(4096);
+        lines::<OptiQL, { S8K.1 }>(8192);
+        lines::<OptiQL, { S16K.1 }>(16384);
+        // A leaf from the slab starts on a line.
+        let slab = Slab::new();
+        let p = Leaf::<OptiQL, { S256.1 }>::alloc(&slab);
+        assert_eq!(p as usize % LINE, 0);
     }
 
     /// Line numbers `prefetch_node` fetches for `bytes` at `addr`.
@@ -818,15 +852,20 @@ mod tests {
                     .all(|&l| (addr / LINE..=(addr + bytes - 1) / LINE).contains(&l)));
             }
         }
-        // The sixth line: a 280-byte inner node at a 48-byte offset.
-        assert!(fetched_lines(LINE + 48, 280).contains(&6));
+        // The sixth line: a 272-byte inner node at a 56-byte offset.
+        assert!(fetched_lines(LINE + 56, 272).contains(&6));
+        // A line-aligned leaf is four lines; the inner node's span fetches
+        // the first line of the slot after it too.
+        let leaf = size_of::<Leaf<OptiQL, DEFAULT_LC>>();
+        assert_eq!(fetched_lines(LINE, leaf), [1, 2, 3, 4, 4]);
+        assert_eq!(fetched_lines(LINE, PREFETCH_MAX), [1, 2, 3, 4, 5, 5]);
     }
 
     #[test]
     fn a_large_preset_prefetches_no_more_than_the_cap() {
         use crate::node_size::{S16K, S1K};
         let cap = prefetch_offsets(PREFETCH_MAX).count();
-        assert_eq!(cap, 6, "five strides and the last byte of 280");
+        assert_eq!(cap, 6, "five strides and the last byte of 272");
         for bytes in [
             size_of::<Leaf<OptLock, { S1K.1 }>>(),
             size_of::<Inner<OptLock, { S1K.0 }>>(),
@@ -843,10 +882,10 @@ mod tests {
 
     #[test]
     fn lower_bound_on_empty_leaf() {
-        let (l, p) = leaf();
+        let slab = Slab::new();
+        let (l, _) = leaf(&slab);
         assert_eq!(l.lower_bound(42), 0);
         assert_eq!(l.search(42), None);
         assert_eq!(l.lookup(42), None);
-        free_leaf(p);
     }
 }

@@ -62,10 +62,12 @@
 //! (inclusive) lands on the next leaf's first key, whatever splits or
 //! merges happened in between.
 
+use std::ptr::NonNull;
 use std::sync::atomic::{AtomicPtr, Ordering};
 
 use optiql::counters::Counters;
 use optiql::olc::{IndexStats, OptimisticGuard, RestartLoop, Step, INDEX_LANES, OPS};
+use optiql::slab::Slab;
 use optiql::{IndexLock, WriteStrategy, WriteToken};
 use optiql_reclaim::{Collector, Guard};
 
@@ -152,6 +154,9 @@ pub(crate) struct Run<'a> {
     out: &'a mut [Option<u64>],
     /// How many of `pairs` the leaf took.
     pub(crate) taken: usize,
+    /// The last fill stopped at a pair beyond its leaf's fence: the pairs
+    /// are spread over leaves, not packed into one.
+    pub(crate) fenced_out: bool,
     /// Tightest upper separator on the descent path (`None`: the
     /// rightmost leaf), recorded by the descent's `pick`.
     fence: Option<u64>,
@@ -164,6 +169,7 @@ impl<'a> Run<'a> {
             pairs,
             out,
             taken: 0,
+            fenced_out: false,
             fence: None,
         }
     }
@@ -179,6 +185,7 @@ impl<'a> Run<'a> {
     ) -> Option<(u64, u64)> {
         while let Some(&(key, val)) = self.pairs.get(self.taken) {
             if fence.is_some_and(|f| key >= f) {
+                self.fenced_out = true;
                 return None;
             }
             if leaf.is_full() && leaf.search(key).is_none() {
@@ -224,6 +231,9 @@ fn upgrade<'t, IL: IndexLock, const IC: usize>(
 pub struct BPlusTree<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> {
     pub(crate) root: AtomicPtr<NodeBase>,
     pub(crate) collector: Collector,
+    /// Where every leaf lives (see [`optiql::slab`]); inner nodes are
+    /// `Box`es.
+    leaves: Slab<Leaf<LL, LC>>,
     /// Every count the tree keeps, on cache lines of its own: no
     /// operation's accounting touches the line `root` is read from.
     pub(crate) counters: Counters<LANES>,
@@ -269,9 +279,11 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> BPlusTree<I
         };
         assert!(LC >= 2, "leaf capacity must be at least 2");
         assert!(IC >= 4, "inner capacity must be at least 4");
+        let leaves = Slab::new();
         BPlusTree {
-            root: AtomicPtr::new(Leaf::<LL, LC>::alloc()),
+            root: AtomicPtr::new(Leaf::alloc(&leaves)),
             collector: Collector::new(),
+            leaves,
             counters: Counters::new(),
             _locks: std::marker::PhantomData,
         }
@@ -323,6 +335,18 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> BPlusTree<I
     #[inline]
     pub(crate) fn restart_loop(&self) -> RestartLoop<'_, LANES> {
         RestartLoop::new(&self.counters)
+    }
+
+    /// Retire an unlinked leaf through the epoch collector: its slot goes
+    /// back to the slab, which the deferred free keeps alive, since it may
+    /// run after the tree is gone.
+    fn retire_leaf(&self, g: &Guard, p: *mut NodeBase) {
+        let (leaves, addr) = (self.leaves.clone(), p as usize);
+        // SAFETY: the leaf was unlinked under its parent's exclusive lock,
+        // so it is retired once; it is freed after every reader pinned
+        // before the unlink has left, into the slab it came from, which
+        // the closure's handle keeps allocated. `addr` is non-null.
+        g.defer(move || unsafe { leaves.free(NonNull::new_unchecked(addr as *mut Leaf<LL, LC>)) });
     }
 
     // --- the descent step and its scalar drivers ----------------------------
@@ -744,6 +768,11 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> BPlusTree<I
     /// `key` lands, put the entry into the proper half, fill that half
     /// from `run`, then publish the new sibling. Both halves are private
     /// until then: the left one is held, the right one unreachable.
+    ///
+    /// A split that fills `parent` takes nothing from `run`: the insert
+    /// loop would split that parent at its next key, so the run's next
+    /// pair gets a descent of its own, which does the same, and both
+    /// drivers leave the same nodes behind.
     fn split_leaf_insert(
         &self,
         parent: Option<&Inner<IL, IC>>,
@@ -753,14 +782,15 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> BPlusTree<I
         val: u64,
         run: Option<&mut Run<'_>>,
     ) -> Option<u64> {
-        let (sep, right) = leaf.split(key);
+        let (sep, right) = leaf.split(key, &self.leaves);
         let (half, fence) = if key >= sep {
             (unsafe { as_leaf::<LL, LC>(right) }, None)
         } else {
             (leaf, Some(sep))
         };
         let old = half.insert(key, val);
-        if let Some(run) = run {
+        let fills_parent = parent.is_some_and(|p| p.count() + 1 >= Inner::<IL, IC>::MAX_KEYS);
+        if let Some(run) = run.filter(|_| !fills_parent) {
             // What does not fit waits for the run's next descent.
             let _ = run.fill(half, fence.or(run.fence));
         }
@@ -820,7 +850,7 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> BPlusTree<I
             // Unlink the empty leaf entirely.
             self.counters.add(LEAF_UNLINKS, 1);
             parent.remove_child(idx);
-            unsafe { g.retire_ptr(leaf_ptr as *mut Leaf<LL, LC>) };
+            self.retire_leaf(g, leaf_ptr);
             // The caller still unlocks through its token; the node stays
             // alive until the epoch advances past every reader & the holder.
             parent.lock.x_unlock(pt);
@@ -837,7 +867,7 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> BPlusTree<I
                 leaf.absorb(sib);
                 parent.remove_child(idx + 1);
                 sib.lock.x_unlock(st);
-                unsafe { g.retire_ptr(sib_ptr as *mut Leaf<LL, LC>) };
+                self.retire_leaf(g, sib_ptr);
             } else {
                 sib.lock.x_unlock(st);
             }
@@ -986,24 +1016,25 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> BPlusTree<I
     }
 }
 
+/// Frees the inner nodes; the leaves go with the slab's chunks, once the
+/// last deferred free holding the slab has run.
 impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> Drop
     for BPlusTree<IL, LL, IC, LC>
 {
     fn drop(&mut self) {
-        fn free<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize>(p: *mut NodeBase) {
+        fn free<IL: IndexLock, const IC: usize>(p: *mut NodeBase) {
             unsafe {
                 if is_leaf(p) {
-                    drop(Box::from_raw(p as *mut Leaf<LL, LC>));
-                } else {
-                    let inner = as_inner::<IL, IC>(p);
-                    for i in 0..=inner.count() {
-                        free::<IL, LL, IC, LC>(inner.child(i));
-                    }
-                    drop(Box::from_raw(p as *mut Inner<IL, IC>));
+                    return;
                 }
+                let inner = as_inner::<IL, IC>(p);
+                for i in 0..=inner.count() {
+                    free::<IL, IC>(inner.child(i));
+                }
+                drop(Box::from_raw(p as *mut Inner<IL, IC>));
             }
         }
-        free::<IL, LL, IC, LC>(self.root.load(Ordering::Acquire));
+        free::<IL, IC>(self.root.load(Ordering::Acquire));
         self.collector.flush();
     }
 }

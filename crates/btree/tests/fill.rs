@@ -35,6 +35,36 @@ fn fill<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize>(
     t.len() as f64 / (leaves * LC as u64) as f64
 }
 
+/// Entries of every leaf, left to right: one `scan_chunk` per leaf, each
+/// resuming at the separator the one before returned, which a load-only
+/// tree keeps equal to the next leaf's smallest key.
+fn leaf_sizes<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize>(
+    t: &BPlusTree<IL, LL, IC, LC>,
+) -> Vec<usize> {
+    let (mut sizes, mut out, mut from) = (Vec::new(), Vec::new(), None);
+    loop {
+        let next = t.scan_chunk(from, usize::MAX, &mut out);
+        sizes.push(out.len());
+        match next {
+            Some(k) => from = Some(k),
+            None => return sizes,
+        }
+    }
+}
+
+/// Every leaf but the last holds exactly `LC` entries.
+fn assert_full_but_the_last<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize>(
+    t: &BPlusTree<IL, LL, IC, LC>,
+) {
+    let sizes = leaf_sizes(t);
+    assert_eq!(sizes.iter().sum::<usize>(), t.len());
+    let (last, rest) = sizes.split_last().expect("a tree has a leaf");
+    assert!((1..=LC).contains(last), "last leaf {last}");
+    if let Some(i) = rest.iter().position(|&n| n != LC) {
+        panic!("leaf {i} of {} holds {} of {LC}", sizes.len(), rest[i]);
+    }
+}
+
 /// Children per inner child slot (every node but the root is a child).
 fn inner_fill<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize>(
     t: &BPlusTree<IL, LL, IC, LC>,
@@ -54,14 +84,17 @@ fn mix(mut x: u64) -> u64 {
 
 #[test]
 fn ascending_load_leaves_full_leaves() {
-    // Parent: 0.47 (every leaf 7 of 15).
+    // Every leaf 15 of 15: a key behind a full leaf's last entry starts an
+    // empty right leaf (fill 0.93 when the split moved the last entry
+    // along, 0.47 when it cut in half).
     let t: BTreeOptiQL = BTreeOptiQL::new();
     for k in 0..N {
         assert_eq!(t.insert(k, k), None);
     }
     assert_eq!(t.check_invariants(), N as usize);
+    assert_full_but_the_last(&t);
     let f = fill(&t);
-    assert!(f >= 0.90, "ascending fill {f:.3}");
+    assert!(f >= 0.99, "ascending fill {f:.3}");
     // Inner nodes keep 14 of 16 children (parent: 8 — fill 0.50, six
     // levels): the same keys now sit under five.
     let fi = inner_fill(&t);
@@ -79,8 +112,9 @@ fn ascending_load_through_multi_insert_leaves_full_leaves() {
         assert!(t.multi_insert(batch).iter().all(Option::is_none));
     }
     assert_eq!(t.check_invariants(), N as usize);
+    assert_full_but_the_last(&t);
     let f = fill(&t);
-    assert!(f >= 0.90, "batched ascending fill {f:.3}");
+    assert!(f >= 0.99, "batched ascending fill {f:.3}");
 }
 
 /// Load `0..n` ascending into a fresh tree, through the scalar loop or
@@ -142,7 +176,7 @@ fn interleaved_ascending_streams_are_no_worse_than_split_in_half() {
     // of the stream above it (they started in one leaf), a split in half
     // hands those to the right leaf together with the tail, and the
     // number of tail keys in that leaf is the same after every split. So
-    // three streams keep the parent's 7 of 15 and one gets 14 of 15
+    // three streams keep the parent's 7 of 15 and one gets 15 of 15
     // (parent: 0.467 overall). Cutting at the insert position anywhere in
     // the upper half would free them (0.93 here) and costs random loads a
     // seventh of their fill (0.70 -> 0.60); EXPERIMENTS *Dense nodes* has
@@ -191,16 +225,17 @@ fn uniform_random_load_pays_at_most_a_few_points_of_fill() {
 
 #[test]
 fn tiny_nodes_walk_the_edges_of_both_cuts() {
-    // Capacity 4: a full leaf has 4 entries (keeps 3, hands over 1), a
-    // full inner node 3 separators (`n - 2` and `n / 2` coincide at 1:
-    // the right node still gets a separator and two children).
+    // Capacity 4: a full leaf has 4 entries (keeps all 4, the right leaf
+    // starts with the pending key), a full inner node 3 separators (`n -
+    // 2` and `n / 2` coincide at 1: the right node still gets a
+    // separator and two children).
     type Tiny = BPlusTree<OptLock, OptiQL, 4, 4>;
     let asc = Tiny::new();
     for k in 0..5_000u64 {
         asc.insert(k, k + 1);
     }
     assert_eq!(asc.check_invariants(), 5_000);
-    assert!(fill(&asc) >= 0.74, "3 of 4: {:.3}", fill(&asc));
+    assert_full_but_the_last(&asc);
     let rnd = Tiny::new();
     for i in 0..5_000u64 {
         rnd.insert(mix(i), i + 1);
@@ -210,10 +245,12 @@ fn tiny_nodes_walk_the_edges_of_both_cuts() {
         assert_eq!(asc.lookup(i), Some(i + 1));
         assert_eq!(rnd.lookup(mix(i)), Some(i + 1));
     }
-    // The smallest legal capacities: the cuts degenerate to "in half".
+    // The smallest legal capacities: the inner cut degenerates to "in
+    // half", and a leaf keeps both its entries.
     let min: BPlusTree<OptLock, OptLock, 4, 2> = BPlusTree::new();
     for k in 0..2_000u64 {
         min.insert(k, k);
     }
     assert_eq!(min.check_invariants(), 2_000);
+    assert_full_but_the_last(&min);
 }

@@ -123,22 +123,17 @@ fn contended_upgrades_restart_on_optlock() {
 /// half-empty sibling per overwrite, and dense leaves would have drifted
 /// back to half-full under pure SETs).
 fn overwrites_split_nothing<IL: IndexLock, LL: IndexLock>() {
-    // One full root leaf (full whatever the split rule), then a loaded
-    // tree: an ascending load leaves every leaf but the last one key short
-    // of full, and one odd key per leaf fills it to the brim.
-    for n in [DEFAULT_LC as u64, 30_000] {
+    // One full root leaf, then a loaded tree: an ascending load leaves
+    // every leaf full, the last one too when `n` is a multiple of the
+    // leaf capacity.
+    for n in [DEFAULT_LC as u64, 2_000 * DEFAULT_LC as u64] {
         let t: BPlusTree<IL, LL, DEFAULT_IC, DEFAULT_LC> = BPlusTree::new();
         for k in 0..n {
             t.insert(2 * k, k);
         }
-        if n > DEFAULT_LC as u64 {
-            for k in (0..n).step_by(DEFAULT_LC - 1) {
-                t.insert(2 * k + 1, k);
-            }
-        }
         let (loaded, len) = (t.stats(), t.len());
         let leaves = loaded.leaf_splits as usize + 1 + loaded.root_splits.min(1) as usize;
-        assert!(len >= leaves * DEFAULT_LC * 99 / 100, "leaves not full");
+        assert_eq!(len, leaves * DEFAULT_LC, "leaves not full");
         for k in 0..n {
             assert_eq!(t.insert(2 * k, k + 1), Some(k), "insert over {k}");
         }

@@ -43,8 +43,8 @@ fn deal_stripe() -> usize {
 }
 
 /// The calling thread's stripe, `0..STRIPES`, dealt on first use. Other
-/// per-thread striped state (the ART leaf slab) indexes by it too, so a
-/// thread touches the same stripe of every striped structure.
+/// per-thread striped state (the node [`crate::slab`]) indexes by it
+/// too, so a thread touches the same stripe of every striped structure.
 #[inline(always)]
 pub fn stripe() -> usize {
     let s = STRIPE.get();

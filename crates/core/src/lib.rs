@@ -19,9 +19,10 @@
 //! pool with compact ID ↔ pointer translation, the unified
 //! [`traits::IndexLock`] interface that the companion index crates
 //! (`optiql-btree`, `optiql-art`) build their lock-coupling protocols on,
-//! and the shared OLC restart protocol ([`olc`]: restart pacing,
+//! the shared OLC restart protocol ([`olc`]: restart pacing,
 //! optimistic read guards, unified per-index accounting) those crates
-//! drive their `'restart:` loops with.
+//! drive their `'restart:` loops with, and the striped node allocator
+//! ([`slab`]) their leaves live in.
 //!
 //! ## Quick start
 //!
@@ -75,6 +76,7 @@ pub mod optiql;
 pub mod optlock;
 pub mod pthread;
 pub mod qnode;
+pub mod slab;
 pub mod spin;
 pub mod stats;
 pub mod traits;

@@ -252,6 +252,24 @@ impl Request {
     }
 }
 
+/// Append one SCAN_PART frame of `entries` (≤ [`SCAN_PART_MAX`]), the
+/// frame [`Response::ScanPart`] encodes, from a slice: a streaming
+/// SCAN refills one part buffer instead of handing a `Vec` per part over.
+pub fn encode_scan_part(entries: &[(u64, u64)], out: &mut Vec<u8>) {
+    assert!(
+        entries.len() <= SCAN_PART_MAX,
+        "SCAN_PART overflow: {} entries",
+        entries.len()
+    );
+    frame(out, resp::SCAN_PART, |b| {
+        put_u32(b, entries.len() as u32);
+        for (k, v) in entries {
+            put_u64(b, *k);
+            put_u64(b, *v);
+        }
+    })
+}
+
 impl Response {
     /// Append this response as one wire frame.
     pub fn encode(&self, out: &mut Vec<u8>) {
@@ -272,20 +290,7 @@ impl Response {
                 }
             }),
             Response::Ok => frame(out, resp::OK, |_| {}),
-            Response::ScanPart(entries) => {
-                assert!(
-                    entries.len() <= SCAN_PART_MAX,
-                    "SCAN_PART overflow: {} entries",
-                    entries.len()
-                );
-                frame(out, resp::SCAN_PART, |b| {
-                    put_u32(b, entries.len() as u32);
-                    for (k, v) in entries {
-                        put_u64(b, *k);
-                        put_u64(b, *v);
-                    }
-                })
-            }
+            Response::ScanPart(entries) => encode_scan_part(entries, out),
             Response::ScanEnd { total } => frame(out, resp::SCAN_END, |b| put_u32(b, *total)),
             Response::Error(msg) => frame(out, resp::ERR, |b| b.extend_from_slice(msg.as_bytes())),
         }

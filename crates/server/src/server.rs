@@ -44,7 +44,7 @@ use optiql_index_api::{ConcurrentIndex, Counters};
 use optiql_sharded::{affinity::pin_thread, Router, ShardedIndex, DEFAULT_BLOCK_BITS};
 use optiql_wal::{DurableIndex, FsyncPolicy, RecoveryReport, Wal, WalConfig, WalStatsSnapshot};
 
-use crate::proto::{FrameDecoder, Request, Response, SCAN_PART_MAX};
+use crate::proto::{encode_scan_part, FrameDecoder, Request, Response, SCAN_PART_MAX};
 
 /// Which index the server serves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -745,9 +745,10 @@ impl Worker {
             Request::Scan { start, count } => {
                 self.finish(run, out);
                 // Stream straight off the lazy range iterator: each
-                // SCAN_PART is encoded (and its buffer retired) before
-                // the next chunk of leaves is even visited, so a 64Ki
-                // scan costs one part's allocation, not the scan's.
+                // SCAN_PART is encoded from the one part buffer, which is
+                // then cleared, before the next chunk of leaves is even
+                // visited, so a 64Ki scan costs one part's allocation,
+                // not the scan's or one per part.
                 let mut total = 0u32;
                 let mut part: Vec<(u64, u64)> =
                     Vec::with_capacity(SCAN_PART_MAX.min(count as usize));
@@ -759,12 +760,13 @@ impl Worker {
                     part.push(kv);
                     if part.len() == SCAN_PART_MAX {
                         total += part.len() as u32;
-                        Response::ScanPart(std::mem::take(&mut part)).encode(out);
+                        encode_scan_part(&part, out);
+                        part.clear();
                     }
                 }
                 total += part.len() as u32;
                 if !part.is_empty() {
-                    Response::ScanPart(part).encode(out);
+                    encode_scan_part(&part, out);
                 }
                 Response::ScanEnd { total }.encode(out);
                 (total.max(1) as usize, false)

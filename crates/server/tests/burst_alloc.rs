@@ -1,7 +1,9 @@
 //! A steady-state burst is executed where it is decoded, so it is staged
 //! nowhere: no payload copy per frame, no request queue, no per-burst
 //! run vectors, no pin set. What is left is what the index hands back —
-//! one result `Vec` per `multi_*` call. Counted with a
+//! one result `Vec` per `multi_*` call — and, for a SCAN, one part
+//! buffer the server refills for every SCAN_PART and the `Vec` the
+//! client decodes each part into. Counted with a
 //! `#[global_allocator]` over the whole process (server threads, the
 //! client and this test's loop), which is why this is its own test
 //! binary with a single test: the counter is process-wide.
@@ -11,6 +13,7 @@ mod common;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use optiql_server::proto::SCAN_PART_MAX;
 use optiql_server::{start, BackendKind, Client, Request, Response, ServerConfig};
 
 struct Counting;
@@ -40,8 +43,9 @@ const WARM_UP: u64 = 50;
 const BURSTS: u64 = 200;
 
 /// Heap allocations per burst, process-wide, over `BURSTS` closed-loop
-/// round trips of `burst` (one reply frame per request) after `WARM_UP`
-/// of them have sized every buffer on the path.
+/// round trips of `burst` (one reply frame per request, a SCAN's parts
+/// before its SCAN_END) after `WARM_UP` of them have sized every buffer
+/// on the path.
 fn allocations_per_burst(c: &mut Client, burst: &[Request]) -> f64 {
     let mut counted = 0;
     for i in 0..WARM_UP + BURSTS {
@@ -50,10 +54,15 @@ fn allocations_per_burst(c: &mut Client, burst: &[Request]) -> f64 {
         }
         c.send(burst).unwrap();
         for _ in burst {
-            assert!(!matches!(
-                c.recv().unwrap(),
-                None | Some(Response::Error(_))
-            ));
+            loop {
+                match c.recv().unwrap() {
+                    Some(Response::ScanPart(_)) => {}
+                    reply => {
+                        assert!(!matches!(reply, None | Some(Response::Error(_))));
+                        break;
+                    }
+                }
+            }
         }
     }
     (ALLOCS.load(Ordering::Relaxed) - counted) as f64 / BURSTS as f64
@@ -94,8 +103,23 @@ fn a_steady_state_burst_allocates_only_what_the_index_returns() {
         .collect();
     let per_mixed_burst = allocations_per_burst(&mut c, &mixed);
 
+    // One 1 024-entry SCAN: eight SCAN_PART frames, a decoded `Vec` each
+    // on the client, one part buffer and the range's chunk buffer on the
+    // server. A part buffer handed to each frame regrew 4 → 128 for
+    // every part (53 allocations).
+    let scan = [Request::Scan {
+        start: 0,
+        count: 1024,
+    }];
+    let per_scan = allocations_per_burst(&mut c, &scan);
+    let parts = (1024 / SCAN_PART_MAX) as f64;
+
     h.shutdown();
-    println!("allocations per burst: 32 GETs {per_get_burst}, mixed {per_mixed_burst}");
+    println!(
+        "allocations per burst: 32 GETs {per_get_burst}, mixed {per_mixed_burst}, \
+         1 024-entry SCAN {per_scan}"
+    );
     assert!(per_get_burst <= 2.0, "32-GET burst: {per_get_burst}");
     assert!(per_mixed_burst <= 16.0, "mixed burst: {per_mixed_burst}");
+    assert!(per_scan <= parts + 4.0, "1 024-entry SCAN: {per_scan}");
 }
