@@ -7,10 +7,10 @@
 //! **contention expansion** — materializing lazily-expanded leaves under
 //! contention so updates can acquire the queue-based lock directly.
 //!
-//! A key's leaf (16 bytes of key and value) is a slot of its tree's slab,
-//! 64 KiB chunks the tree shares with the deferred frees of its removed
-//! keys, not an allocation of its own; inner nodes are allocated one by
-//! one.
+//! Every node is a slot of one of its tree's slabs (64 KiB chunks, one
+//! slab per node kind): a key's leaf is 16 bytes of key and value, not an
+//! allocation of its own, and a node a remove or a growth unlinks goes
+//! straight back to its slab, so no operation pins an epoch.
 //!
 //! ```
 //! use optiql_art::ArtOptiQL;

@@ -21,7 +21,6 @@
 
 use optiql::olc::{run_grouped, Step, OPS};
 use optiql::IndexLock;
-use optiql_reclaim::Guard;
 
 use crate::node::{key_bytes, prefetch_child};
 use crate::tree::{ArtTree, Edge, WriteOp, LANES, SIZE};
@@ -30,7 +29,6 @@ impl<L: IndexLock> ArtTree<L> {
     /// Batched point lookups; `result[i] == lookup(keys[i])`, order
     /// preserved. Pipelines `GROUP` descents with interleaved prefetch.
     pub fn multi_lookup(&self, keys: &[u64]) -> Vec<Option<u64>> {
-        let _g = self.collector.pin();
         run_grouped::<L, _, _, LANES>(
             &self.counters,
             keys.len(),
@@ -48,12 +46,11 @@ impl<L: IndexLock> ArtTree<L> {
     ///
     /// A dense batch — most keys share every digit but the last with the
     /// key before them, as in an ascending preload or a checkpoint's
-    /// replay — runs the scalar driver under the batch's one pin: its
-    /// path stays cache-hot, so a pipeline has no misses to overlap. A
+    /// replay — runs the scalar driver: its path stays cache-hot, so a
+    /// pipeline has no misses to overlap. A
     /// spread-out batch, sorted or not, keeps the pipeline, which on 1 M
     /// sorted uniform keys is 1.4–1.6× the scalar loop.
     pub fn multi_insert(&self, pairs: &[(u64, u64)]) -> Vec<Option<u64>> {
-        let g = self.collector.pin();
         let dense = pairs
             .windows(2)
             .filter(|w| w[0].0 >> 8 == w[1].0 >> 8)
@@ -65,7 +62,7 @@ impl<L: IndexLock> ArtTree<L> {
                 .map(|&(key, val)| self.insert_impl(key, &key_bytes(key), val))
                 .collect()
         } else {
-            self.multi_insert_grouped(pairs, &g)
+            self.multi_insert_grouped(pairs)
         };
         let added = out.iter().filter(|r| r.is_none()).count();
         if added > 0 {
@@ -75,7 +72,7 @@ impl<L: IndexLock> ArtTree<L> {
     }
 
     /// The pipelined insert of a spread-out batch.
-    fn multi_insert_grouped(&self, pairs: &[(u64, u64)], g: &Guard) -> Vec<Option<u64>> {
+    fn multi_insert_grouped(&self, pairs: &[(u64, u64)]) -> Vec<Option<u64>> {
         run_grouped::<L, _, _, LANES>(
             &self.counters,
             pairs.len(),
@@ -89,7 +86,7 @@ impl<L: IndexLock> ArtTree<L> {
                     // locks only), so hand over — and for the same reason
                     // the link the step leaves in `up` for a remove's
                     // collapse can simply be dropped.
-                    self.write_step(key, &kb, WriteOp::Insert(val), &mut None, e, g)
+                    self.write_step(key, &kb, WriteOp::Insert(val), &mut None, e)
                         .unwrap_or_else(|_smo| Step::Done(self.insert_impl(key, &kb, val)))
                 })
             },

@@ -9,11 +9,21 @@
 //! Keys are fixed-width `u64`s traversed in big-endian byte order (order
 //! preserving); a full key is 8 bytes, so a compressed prefix is at most 7
 //! bytes and packs into a single atomic word.
+//!
+//! Every node is a slot of one of its tree's [`Slabs`] — one per inner
+//! kind, one for KV leaves — and stays a node of that kind until the tree
+//! drops ([`Slot`]). A node's kind tag is written once, when its slot is
+//! carved, so a descent may read it through a pointer it has not
+//! validated, even one to a node freed since. A free inner node links
+//! through its `prefix` word and a free KV leaf through its value, and a
+//! recycled inner node is emptied under its own lock, whose version
+//! therefore never goes back: a reader in a node that was freed and
+//! reused fails validation.
 
-use std::ptr::NonNull;
+use std::ptr::{self, NonNull};
 use std::sync::atomic::{AtomicPtr, AtomicU16, AtomicU32, AtomicU64, AtomicU8, Ordering};
 
-use optiql::slab::Slab;
+use optiql::slab::{Slab, Slot};
 use optiql::IndexLock;
 
 const R: Ordering = Ordering::Relaxed;
@@ -27,8 +37,8 @@ pub fn key_bytes(k: u64) -> [u8; KEY_LEN] {
     k.to_be_bytes()
 }
 
-/// Node kinds; immutable per allocation (a node changes size by being
-/// replaced, never in place).
+/// Node kinds; fixed per slot (a node changes size by being replaced,
+/// never in place).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum NodeType {
@@ -43,32 +53,42 @@ pub enum NodeType {
 }
 
 /// Single-entry leaf: the full key plus the payload ("TID"). Reached via a
-/// tagged pointer; the key is immutable, the value is an atomic cell so
-/// in-place updates need no reallocation. It lives in a slot of its
-/// tree's slab, never in a `Box` of its own; 16-aligned, so no leaf
+/// tagged pointer; the key is written before the leaf is published, the
+/// value is an atomic cell so in-place updates need no reallocation. Both
+/// are atomics because a reader may load them from a leaf freed and reused
+/// since it read the pointer (its parent's validation then fails). A slot
+/// of its tree's slab, never a `Box` of its own; 16-aligned, so no leaf
 /// straddles a cache line.
 #[repr(C, align(16))]
 pub struct KvLeaf {
     /// The complete key (lazy expansion means inner nodes may not spell
     /// out every byte; the leaf is the source of truth).
-    pub key: u64,
+    key: AtomicU64,
     val: AtomicU64,
 }
 
 const _: () = assert!(std::mem::size_of::<KvLeaf>() == 16);
 
+// SAFETY: a free leaf links through its value, a payload a reader returns
+// but never follows; it has no tag or lock of its own, and needs no drop.
+unsafe impl Slot for KvLeaf {
+    fn fresh() -> Self {
+        KvLeaf {
+            key: AtomicU64::new(0),
+            val: AtomicU64::new(0),
+        }
+    }
+
+    fn link(&self) -> &AtomicU64 {
+        &self.val
+    }
+}
+
 impl KvLeaf {
-    /// Allocate a leaf from `slab`, returning its *tagged* child pointer.
-    pub(crate) fn alloc<L: IndexLock>(slab: &Slab<KvLeaf>, key: u64, val: u64) -> *mut ArtNode<L> {
-        let p = slab.alloc().as_ptr();
-        // SAFETY: a fresh slot of the slab, sized and aligned for a leaf.
-        unsafe {
-            p.write(KvLeaf {
-                key,
-                val: AtomicU64::new(val),
-            })
-        };
-        ((p as usize) | 1) as *mut ArtNode<L>
+    /// The complete key.
+    #[inline]
+    pub fn key(&self) -> u64 {
+        self.key.load(R)
     }
 
     /// Current value.
@@ -95,19 +115,11 @@ pub fn is_kv<L: IndexLock>(p: *mut ArtNode<L>) -> bool {
 /// Untag a KV leaf pointer.
 ///
 /// # Safety
-/// `p` must be a tagged pointer to a leaf the tree allocated, still live
-/// or epoch-retired.
+/// `p` must be a tagged pointer to a slot of the tree's KV leaf slab.
 #[inline]
 pub unsafe fn as_kv<'a, L: IndexLock>(p: *mut ArtNode<L>) -> &'a KvLeaf {
     debug_assert!(is_kv(p));
     unsafe { &*(((p as usize) & !1) as *const KvLeaf) }
-}
-
-/// The slot of a tagged KV leaf pointer, for its free into the slab.
-#[inline]
-pub(crate) fn kv_slot<L: IndexLock>(p: *mut ArtNode<L>) -> NonNull<KvLeaf> {
-    debug_assert!(is_kv(p));
-    NonNull::new(((p as usize) & !1) as *mut KvLeaf).expect("a KV pointer is non-null")
 }
 
 /// Branchless SSE2 probe of a `Node16` key array: compare all 16 bytes
@@ -164,7 +176,7 @@ pub(crate) fn prefetch_child<L: IndexLock>(p: *mut ArtNode<L>) {
 /// Common header of every inner ART node.
 #[repr(C)]
 pub struct ArtNode<L: IndexLock> {
-    /// Node kind; immutable after construction.
+    /// Node kind; written once, when the slot is carved.
     typ: NodeType,
     /// Per-node lock (the paper uses the same lock type on *all* ART nodes,
     /// §6.2).
@@ -173,7 +185,7 @@ pub struct ArtNode<L: IndexLock> {
     /// Compressed-path length in bytes (0..=7).
     prefix_len: AtomicU8,
     /// Compressed-path bytes, packed big-endian: byte `i` lives at bits
-    /// `56 - 8 i`.
+    /// `56 - 8 i`. A free slot's free-list link.
     prefix: AtomicU64,
     /// Contention counter for contention expansion (§6.2), incremented
     /// probabilistically on upgrade-based exclusive acquisitions.
@@ -215,58 +227,145 @@ pub struct Node256<L: IndexLock> {
     children: [AtomicPtr<ArtNode<L>>; 256],
 }
 
-impl<L: IndexLock> ArtNode<L> {
-    fn new_header(typ: NodeType) -> ArtNode<L> {
-        ArtNode {
-            typ,
-            lock: L::default(),
-            count: AtomicU16::new(0),
-            prefix_len: AtomicU8::new(0),
-            prefix: AtomicU64::new(0),
-            contention: AtomicU32::new(0),
+/// The [`Slot`] of an inner node kind: carved with its kind tag, linked
+/// through its `prefix` word while free.
+macro_rules! inner_slot {
+    ($name:ident, $typ:expr, { $($field:ident: $init:expr),* }) => {
+        // SAFETY: a free slot links through `hdr.prefix`, path digits a
+        // reader compares but never follows; the kind tag, the lock and
+        // the children stay as they were. A node needs no drop (its lock
+        // is a word).
+        unsafe impl<L: IndexLock> Slot for $name<L> {
+            fn fresh() -> Self {
+                $name {
+                    hdr: ArtNode {
+                        typ: $typ,
+                        lock: L::default(),
+                        count: AtomicU16::new(0),
+                        prefix_len: AtomicU8::new(0),
+                        prefix: AtomicU64::new(0),
+                        contention: AtomicU32::new(0),
+                    },
+                    $($field: $init),*
+                }
+            }
+
+            fn link(&self) -> &AtomicU64 {
+                &self.hdr.prefix
+            }
         }
+    };
+}
+
+inner_slot!(Node4, NodeType::N4, {
+    keys: [const { AtomicU8::new(0) }; 4],
+    children: [const { AtomicPtr::new(ptr::null_mut()) }; 4]
+});
+inner_slot!(Node16, NodeType::N16, {
+    keys: [const { AtomicU8::new(0) }; 16],
+    children: [const { AtomicPtr::new(ptr::null_mut()) }; 16]
+});
+inner_slot!(Node48, NodeType::N48, {
+    index: [const { AtomicU8::new(0) }; 256],
+    children: [const { AtomicPtr::new(ptr::null_mut()) }; 48]
+});
+inner_slot!(Node256, NodeType::N256, {
+    children: [const { AtomicPtr::new(ptr::null_mut()) }; 256]
+});
+
+/// Where every node of one tree lives: a [`Slab`] per inner node kind and
+/// one for KV leaves. A node goes back the moment it is unlinked, and the
+/// chunks go when the tree drops.
+#[derive(Default)]
+pub struct Slabs<L: IndexLock> {
+    n4: Slab<Node4<L>>,
+    n16: Slab<Node16<L>>,
+    n48: Slab<Node48<L>>,
+    n256: Slab<Node256<L>>,
+    kv: Slab<KvLeaf>,
+}
+
+impl<L: IndexLock> Slabs<L> {
+    /// An empty inner node of kind `typ`, emptied under its own lock: a
+    /// recycled slot keeps its lock word, so its version only moves on and
+    /// a writer still queued on the slot's last life gets it in turn.
+    pub fn node(&self, typ: NodeType) -> *mut ArtNode<L> {
+        let p: NonNull<ArtNode<L>> = match typ {
+            NodeType::N4 => self.n4.alloc().cast(),
+            NodeType::N16 => self.n16.alloc().cast(),
+            NodeType::N48 => self.n48.alloc().cast(),
+            NodeType::N256 => self.n256.alloc().cast(),
+        };
+        // SAFETY: a slot of a node slab holds a node of its kind, whose
+        // header is its first field.
+        let n = unsafe { p.as_ref() };
+        let t = n.lock.x_lock();
+        n.count.store(0, R);
+        n.set_prefix(&[]);
+        n.reset_contention();
+        // The two kinds whose lookups do not stop at `count` clear their
+        // tables (a fresh slot's are clear already).
+        // SAFETY: as above, cast to the node's own kind.
+        let children: &[AtomicPtr<ArtNode<L>>] = match typ {
+            NodeType::N48 => {
+                let n48 = unsafe { &*(p.as_ptr() as *const Node48<L>) };
+                n48.index.iter().for_each(|i| i.store(0, R));
+                &n48.children
+            }
+            NodeType::N256 => &unsafe { &*(p.as_ptr() as *const Node256<L>) }.children,
+            NodeType::N4 | NodeType::N16 => &[],
+        };
+        for c in children {
+            c.store(ptr::null_mut(), R);
+        }
+        n.lock.x_unlock(t);
+        p.as_ptr()
     }
 
-    /// Allocate an inner node of the given type.
-    pub fn alloc(typ: NodeType) -> *mut ArtNode<L> {
-        match typ {
-            NodeType::N4 => Box::into_raw(Box::new(Node4::<L> {
-                hdr: Self::new_header(typ),
-                keys: [const { AtomicU8::new(0) }; 4],
-                children: [const { AtomicPtr::new(std::ptr::null_mut()) }; 4],
-            })) as *mut ArtNode<L>,
-            NodeType::N16 => Box::into_raw(Box::new(Node16::<L> {
-                hdr: Self::new_header(typ),
-                keys: [const { AtomicU8::new(0) }; 16],
-                children: [const { AtomicPtr::new(std::ptr::null_mut()) }; 16],
-            })) as *mut ArtNode<L>,
-            NodeType::N48 => Box::into_raw(Box::new(Node48::<L> {
-                hdr: Self::new_header(typ),
-                index: [const { AtomicU8::new(0) }; 256],
-                children: [const { AtomicPtr::new(std::ptr::null_mut()) }; 48],
-            })) as *mut ArtNode<L>,
-            NodeType::N256 => Box::into_raw(Box::new(Node256::<L> {
-                hdr: Self::new_header(typ),
-                children: [const { AtomicPtr::new(std::ptr::null_mut()) }; 256],
-            })) as *mut ArtNode<L>,
-        }
-    }
-
-    /// Free an inner node (single-threaded teardown or via EBR retirement).
+    /// Return an inner node to its kind's slab. The slot stays a node of
+    /// its kind: a reader still inside it fails validation once the node's
+    /// holder unlocks (DESIGN §5.1, *Every node in a slab*).
     ///
     /// # Safety
-    /// `p` must be an untagged inner node pointer, not referenced anymore.
-    pub unsafe fn free(p: *mut ArtNode<L>) {
+    /// `node` came from these slabs, no node links it any more (nothing new
+    /// can reach it), and it is freed once.
+    pub unsafe fn free_node(&self, node: &ArtNode<L>) {
+        let p = NonNull::from(node);
         unsafe {
-            match (*p).typ {
-                NodeType::N4 => drop(Box::from_raw(p as *mut Node4<L>)),
-                NodeType::N16 => drop(Box::from_raw(p as *mut Node16<L>)),
-                NodeType::N48 => drop(Box::from_raw(p as *mut Node48<L>)),
-                NodeType::N256 => drop(Box::from_raw(p as *mut Node256<L>)),
+            match node.typ {
+                NodeType::N4 => self.n4.free(p.cast()),
+                NodeType::N16 => self.n16.free(p.cast()),
+                NodeType::N48 => self.n48.free(p.cast()),
+                NodeType::N256 => self.n256.free(p.cast()),
             }
         }
     }
 
+    /// A KV leaf holding `key` and `val`, as its *tagged* child pointer.
+    /// Stale readers of a recycled slot are its old parent's, whose
+    /// validation fails, so the leaf needs no lock of its own.
+    pub fn kv(&self, key: u64, val: u64) -> *mut ArtNode<L> {
+        let p = self.kv.alloc();
+        // SAFETY: a slot of the KV slab holds a leaf.
+        let leaf = unsafe { p.as_ref() };
+        leaf.key.store(key, R);
+        leaf.val.store(val, R);
+        ((p.as_ptr() as usize) | 1) as *mut ArtNode<L>
+    }
+
+    /// Return a KV leaf to its slab.
+    ///
+    /// # Safety
+    /// `p` is a tagged pointer from [`kv`](Self::kv) on these slabs that no
+    /// node links any more, freed once.
+    pub unsafe fn free_kv(&self, p: *mut ArtNode<L>) {
+        debug_assert!(is_kv(p));
+        let slot = ((p as usize) & !1) as *mut KvLeaf;
+        unsafe { self.kv.free(NonNull::new_unchecked(slot)) }
+    }
+}
+
+impl<L: IndexLock> ArtNode<L> {
     /// Node kind.
     #[inline]
     pub fn node_type(&self) -> NodeType {
@@ -563,16 +662,17 @@ impl<L: IndexLock> ArtNode<L> {
         }
     }
 
-    /// Allocate the next-size-up node and copy prefix + children into it
-    /// (exclusive access on `self`; the new node is private to the caller).
-    pub fn grow(&self) -> *mut ArtNode<L> {
+    /// Allocate the next-size-up node from `slabs` and copy prefix +
+    /// children into it (exclusive access on `self`; the new node is
+    /// private to the caller).
+    pub fn grow(&self, slabs: &Slabs<L>) -> *mut ArtNode<L> {
         let next = match self.typ {
             NodeType::N4 => NodeType::N16,
             NodeType::N16 => NodeType::N48,
             NodeType::N48 => NodeType::N256,
             NodeType::N256 => unreachable!("Node256 cannot grow"),
         };
-        let bigger_ptr = Self::alloc(next);
+        let bigger_ptr = slabs.node(next);
         let bigger = unsafe { &*bigger_ptr };
         // Copy the compressed path.
         bigger.prefix.store(self.prefix.load(R), R);
@@ -637,14 +737,14 @@ impl<L: IndexLock> ArtNode<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use optiql::olc::OptimisticGuard;
     use optiql::OptLock;
 
     type N = ArtNode<OptLock>;
 
     fn with_node(typ: NodeType, f: impl FnOnce(&N)) {
-        let p = N::alloc(typ);
-        f(unsafe { &*p });
-        unsafe { N::free(p) };
+        let slabs = Slabs::default();
+        f(unsafe { &*slabs.node(typ) });
     }
 
     fn fake_child(i: usize) -> *mut N {
@@ -654,28 +754,49 @@ mod tests {
 
     #[test]
     fn kv_tagging_roundtrip() {
-        let slab = Slab::new();
-        let p = KvLeaf::alloc::<OptLock>(&slab, 0xDEADu64, 42);
+        let slabs = Slabs::<OptLock>::default();
+        let p = slabs.kv(0xDEADu64, 42);
         assert!(is_kv(p));
         let kv: &KvLeaf = unsafe { as_kv(p) };
-        assert_eq!(kv.key, 0xDEAD);
+        assert_eq!(kv.key(), 0xDEAD);
         assert_eq!(kv.value(), 42);
         assert_eq!(kv.set_value(43), 42);
         assert_eq!(kv.value(), 43);
-        let slot = kv_slot::<OptLock>(p);
-        // SAFETY: the leaf came from `slab`, is freed once, and `kv` is
-        // not read again.
-        unsafe { slab.free(slot) };
+        // SAFETY: the leaf came from `slabs` and is freed once.
+        unsafe { slabs.free_kv(p) };
         // The freed slot is the next leaf's.
-        assert_eq!(kv_slot(KvLeaf::alloc::<OptLock>(&slab, 1, 2)), slot);
+        let again = slabs.kv(1, 2);
+        assert_eq!(again, p);
+        assert_eq!((kv.key(), kv.value()), (1, 2));
     }
 
     #[test]
     fn inner_pointers_are_never_tagged() {
+        let slabs = Slabs::default();
         for typ in [NodeType::N4, NodeType::N16, NodeType::N48, NodeType::N256] {
-            let p = N::alloc(typ);
+            let p: *mut N = slabs.node(typ);
             assert!(!is_kv(p));
-            unsafe { N::free(p) };
+            assert_eq!(unsafe { &*p }.node_type(), typ);
+        }
+    }
+
+    /// A recycled slot comes back empty, with the lock word it was freed
+    /// with moved on by the emptying, and the big kinds' tables clear.
+    #[test]
+    fn a_recycled_node_is_empty_and_its_version_moved_on() {
+        let slabs = Slabs::default();
+        for typ in [NodeType::N4, NodeType::N16, NodeType::N48, NodeType::N256] {
+            let p: *mut N = slabs.node(typ);
+            let n = unsafe { &*p };
+            n.set_prefix(&[1, 2]);
+            n.insert_child(9, fake_child(9));
+            let v = OptimisticGuard::read(&n.lock).expect("unlocked");
+            // SAFETY: from `slabs`, linked nowhere, freed once.
+            unsafe { slabs.free_node(n) };
+            assert_eq!(slabs.node(typ), p, "the freed slot comes back");
+            assert!(!v.validate(), "{typ:?}: the old snapshot validated");
+            assert_eq!((n.node_type(), n.count(), n.prefix_len()), (typ, 0, 0));
+            assert!(n.find_child(9).is_null(), "{typ:?}");
         }
     }
 
@@ -719,14 +840,15 @@ mod tests {
 
     #[test]
     fn grow_preserves_children_and_prefix() {
-        let p = N::alloc(NodeType::N4);
-        let n = unsafe { &*p };
+        let slabs = Slabs::default();
+        let p = slabs.node(NodeType::N4);
+        let n: &N = unsafe { &*p };
         n.set_prefix(&[1, 2, 3]);
         for i in 0..4 {
             n.insert_child(i as u8 * 50, fake_child(i));
         }
         assert!(n.is_full());
-        let gp = n.grow();
+        let gp = n.grow(&slabs);
         let g = unsafe { &*gp };
         assert_eq!(g.node_type(), NodeType::N16);
         assert_eq!(g.count(), 4);
@@ -735,15 +857,12 @@ mod tests {
         for i in 0..4 {
             assert_eq!(g.find_child(i as u8 * 50), fake_child(i));
         }
-        unsafe {
-            N::free(p);
-            N::free(gp);
-        }
     }
 
     #[test]
     fn grow_chain_to_256() {
-        let mut p = N::alloc(NodeType::N4);
+        let slabs = Slabs::default();
+        let mut p: *mut N = slabs.node(NodeType::N4);
         let mut filled = 0usize;
         loop {
             let n = unsafe { &*p };
@@ -754,8 +873,9 @@ mod tests {
             if n.node_type() == NodeType::N256 {
                 break;
             }
-            let g = n.grow();
-            unsafe { N::free(p) };
+            let g = n.grow(&slabs);
+            // SAFETY: replaced by `g`, freed once.
+            unsafe { slabs.free_node(n) };
             p = g;
         }
         let n = unsafe { &*p };
@@ -763,7 +883,6 @@ mod tests {
         for i in 0..256 {
             assert_eq!(n.find_child(i as u8), fake_child(i));
         }
-        unsafe { N::free(p) };
     }
 
     #[test]

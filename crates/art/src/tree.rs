@@ -48,15 +48,13 @@
 //! most 7 digits, which one node header packs (`alloc_n4`).
 
 use std::cell::Cell;
-use std::ptr::NonNull;
 
 use optiql::counters::Counters;
 use optiql::olc::{IndexStats, OptimisticGuard, RestartLoop, Step, INDEX_LANES, OPS};
-use optiql::slab::Slab;
-use optiql::{IndexLock, WriteStrategy, WriteToken};
-use optiql_reclaim::{Collector, Guard};
+use optiql::stats::Event;
+use optiql::{chaos, IndexLock, WriteStrategy, WriteToken};
 
-use crate::node::{as_kv, is_kv, key_bytes, kv_slot, ArtNode, KvLeaf, NodeType};
+use crate::node::{as_kv, is_kv, key_bytes, ArtNode, NodeType, Slabs};
 
 /// Default contention-expansion threshold (paper: 1024).
 pub const DEFAULT_EXPANSION_THRESHOLD: u32 = 1024;
@@ -120,15 +118,17 @@ pub(crate) fn digit(kb: &[u8], depth: usize) -> u8 {
     *kb.get(depth).unwrap_or(&0)
 }
 
-/// Build a `Node4` whose compressed path is `path` and whose children are
-/// `kids` (ascending digits). A path is the digits between a node and a
-/// fork below it, inside one 8-digit key, so it always fits the 7 digits
-/// a header packs. The node is private to the caller until published.
+/// Build a `Node4` from `slabs` whose compressed path is `path` and whose
+/// children are `kids` (ascending digits). A path is the digits between a
+/// node and a fork below it, inside one 8-digit key, so it always fits the
+/// 7 digits a header packs. The node is private to the caller until
+/// published.
 pub(crate) fn alloc_n4<L: IndexLock>(
+    slabs: &Slabs<L>,
     path: &[u8],
     kids: &[(u8, *mut ArtNode<L>)],
 ) -> *mut ArtNode<L> {
-    let np = ArtNode::<L>::alloc(NodeType::N4);
+    let np = slabs.node(NodeType::N4);
     let n = unsafe { &*np };
     n.set_prefix(path);
     for &(b, c) in kids {
@@ -207,9 +207,9 @@ fn collapsible<L: IndexLock>(node: &ArtNode<L>) -> bool {
 /// Adaptive radix tree mapping `u64` keys to `u64` payloads.
 pub struct ArtTree<L: IndexLock> {
     root: *mut ArtNode<L>,
-    pub(crate) collector: Collector,
-    /// Where every KV leaf lives (see [`optiql::slab`]).
-    slab: Slab<KvLeaf>,
+    /// Where every node lives (see [`optiql::slab`]): an unlinked node
+    /// goes straight back, and the chunks go when the tree drops.
+    slabs: Slabs<L>,
     /// Every count the tree keeps, on cache lines of its own: no
     /// operation's accounting touches the line `root` is read from.
     pub(crate) counters: Counters<LANES>,
@@ -244,10 +244,10 @@ impl<L: IndexLock> ArtTree<L> {
     /// expansion happens once it exceeds `threshold`. `threshold = 0`
     /// disables expansion.
     pub fn with_expansion(threshold: u32, sample_inv: u32) -> Self {
+        let slabs = Slabs::default();
         ArtTree {
-            root: ArtNode::alloc(NodeType::N256),
-            collector: Collector::new(),
-            slab: Slab::new(),
+            root: slabs.node(NodeType::N256),
+            slabs,
             counters: Counters::new(),
             expansion_threshold: threshold,
             sample_inv,
@@ -262,19 +262,6 @@ impl<L: IndexLock> ArtTree<L> {
     /// True iff empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Drive deferred reclamation (quiescent points only).
-    pub fn flush_reclamation(&self) {
-        self.collector.flush();
-    }
-
-    /// A handle to this tree's epoch-reclamation domain. Outer layers pin
-    /// it once around an operation group so the per-operation pins inside
-    /// become cheap nested increments (see
-    /// [`ConcurrentIndex::reclaim_handle`](optiql_index_api::ConcurrentIndex::reclaim_handle)).
-    pub fn reclaim_handle(&self) -> Option<optiql_reclaim::Handle> {
-        Some(self.collector.handle())
     }
 
     /// Snapshot the structural-event counters.
@@ -298,25 +285,6 @@ impl<L: IndexLock> ArtTree<L> {
     #[inline]
     fn restart_loop(&self) -> RestartLoop<'_, LANES> {
         RestartLoop::new(&self.counters)
-    }
-
-    /// Retire an inner node through the epoch collector.
-    fn retire_inner(&self, g: &Guard, p: *mut ArtNode<L>) {
-        debug_assert!(!is_kv(p));
-        let addr = p as usize;
-        g.defer(move || unsafe { ArtNode::<L>::free(addr as *mut ArtNode<L>) });
-    }
-
-    /// Retire a KV leaf through the epoch collector: its slot goes back
-    /// to the slab, which the deferred free keeps alive, since it may run
-    /// after the tree is gone.
-    fn retire_kv(&self, g: &Guard, p: *mut ArtNode<L>) {
-        let (slab, addr) = (self.slab.clone(), kv_slot(p).as_ptr() as usize);
-        // SAFETY: the leaf was unlinked under its parent's exclusive lock,
-        // so it is retired once; it is freed after every reader pinned
-        // before the unlink has left, into the slab it came from, which
-        // the closure's handle keeps allocated. `addr` is non-null.
-        g.defer(move || unsafe { slab.free(NonNull::new_unchecked(addr as *mut KvLeaf)) });
     }
 
     // --- the descent step and its scalar drivers ----------------------------
@@ -351,10 +319,15 @@ impl<L: IndexLock> ArtTree<L> {
             child,
             mut depth,
         } = edge;
+        // Until its version (or, for a KV leaf, its key and value) is read,
+        // `child` may be unlinked, freed and reused; the parent validation
+        // after that read catches it (DESIGN §5.1, *Every node in a slab*).
+        // Chaos stretches the window.
+        chaos::perturb(Event::ReadAdmit);
         if is_kv(child) {
             let link = via.expect("the root is an inner node");
             let kv = unsafe { as_kv(child) };
-            let (hit, val) = (kv.key == key, kv.value());
+            let (hit, val) = (kv.key() == key, kv.value());
             return link.guard.done(hit.then_some(val));
         }
         let node = unsafe { &*child };
@@ -436,7 +409,6 @@ impl<L: IndexLock> ArtTree<L> {
         op: WriteOp,
         up: &mut Option<Link<'t, L>>,
         edge: Edge<'t, L>,
-        g: &Guard,
     ) -> Result<Step<Edge<'t, L>, Option<u64>>, Smo<'t, L>> {
         let Edge {
             via,
@@ -445,7 +417,7 @@ impl<L: IndexLock> ArtTree<L> {
         } = edge;
         if is_kv(child) {
             let link = via.expect("the root is an inner node");
-            return Ok(self.write_kv(key, kb, op, up.take(), link, child, depth, g));
+            return Ok(self.write_kv(key, kb, op, up.take(), link, child, depth));
         }
         // Only the node right above a KV leaf is ever folded into its
         // parent: two levels up has served.
@@ -499,7 +471,7 @@ impl<L: IndexLock> ArtTree<L> {
                 let mut old = None;
                 if !child.is_null() && is_kv(child) {
                     let kv = unsafe { as_kv(child) };
-                    if kv.key == key {
+                    if kv.key() == key {
                         t = node.lock.x_finish_adjustable(t);
                         old = Some(kv.set_value(val));
                     }
@@ -539,7 +511,7 @@ impl<L: IndexLock> ArtTree<L> {
             let Some(t) = Self::acquire(node, ng, None, false) else {
                 return Ok(Step::Restart);
             };
-            node.insert_child(byte, KvLeaf::alloc(&self.slab, key, val));
+            node.insert_child(byte, self.slabs.kv(key, val));
             node.lock.x_unlock(t);
             return Ok(Step::Done(None));
         }
@@ -569,17 +541,17 @@ impl<L: IndexLock> ArtTree<L> {
         link: Link<'t, L>,
         child: *mut ArtNode<L>,
         depth: usize,
-        g: &Guard,
     ) -> Step<Edge<'t, L>, Option<u64>> {
         let Link { node, guard, byte } = link;
         let kv = unsafe { as_kv(child) };
-        if kv.key != key {
+        let kv_key = kv.key();
+        if kv_key != key {
             release(up);
             let WriteOp::Insert(val) = op else {
                 return guard.done(None);
             };
             // Lazy-expansion split: needs only this node.
-            let okb = key_bytes(kv.key);
+            let okb = key_bytes(kv_key);
             let Some(fork) = fork_depth(&okb, kb, depth) else {
                 // Distinct keys that share the path down to `depth`
                 // diverge below it; equal digits there mean the parked
@@ -621,7 +593,8 @@ impl<L: IndexLock> ArtTree<L> {
             WriteOp::Remove => {
                 let old = kv.value();
                 node.remove_child(byte);
-                self.retire_kv(g, child);
+                // SAFETY: unlinked under the held node, so freed once.
+                unsafe { self.slabs.free_kv(child) };
                 old
             }
         };
@@ -633,7 +606,7 @@ impl<L: IndexLock> ArtTree<L> {
                 byte: pb,
             }) if matches!(op, WriteOp::Remove) && collapsible(node) => {
                 if let Some(pt) = pg.try_upgrade() {
-                    self.collapse(p, pb, node, g);
+                    self.collapse(p, pb, node);
                     p.lock.x_unlock(pt);
                 }
             }
@@ -648,7 +621,6 @@ impl<L: IndexLock> ArtTree<L> {
     /// per-op accounting (the batched driver's fallback accounts once per
     /// batch).
     pub(crate) fn lookup_impl(&self, key: u64, kb: &[u8]) -> Option<u64> {
-        let _g = self.collector.pin();
         let mut rs = self.restart_loop();
         'restart: loop {
             rs.pause();
@@ -668,18 +640,17 @@ impl<L: IndexLock> ArtTree<L> {
     /// carried out.
     #[inline(always)]
     fn write(&self, key: u64, kb: &[u8], op: WriteOp) -> Option<u64> {
-        let g = self.collector.pin();
         let mut rs = self.restart_loop();
         'restart: loop {
             rs.pause();
             let (mut up, mut edge) = (None, self.root_edge());
             loop {
-                match self.write_step(key, kb, op, &mut up, edge, &g) {
+                match self.write_step(key, kb, op, &mut up, edge) {
                     Ok(Step::Next(next)) => edge = next,
                     Ok(Step::Done(old)) => return old,
                     Ok(Step::Restart) => continue 'restart,
                     Err(smo) => match op {
-                        WriteOp::Insert(val) if self.restructure(smo, key, kb, val, &g) => {
+                        WriteOp::Insert(val) if self.restructure(smo, key, kb, val) => {
                             return None;
                         }
                         _ => continue 'restart,
@@ -734,7 +705,7 @@ impl<L: IndexLock> ArtTree<L> {
 
     /// Scalar-driver half of an insert's [`Smo`]: upgrade the two guards it
     /// carries (parent, then node) and restructure. `false`: restart.
-    fn restructure(&self, smo: Smo<'_, L>, key: u64, kb: &[u8], val: u64, g: &Guard) -> bool {
+    fn restructure(&self, smo: Smo<'_, L>, key: u64, kb: &[u8], val: u64) -> bool {
         let Link {
             node: p,
             guard: pg,
@@ -748,12 +719,12 @@ impl<L: IndexLock> ArtTree<L> {
             p.lock.x_unlock(pt);
             return false;
         };
-        let leaf = KvLeaf::alloc(&self.slab, key, val);
+        let leaf = self.slabs.kv(key, val);
         match smo.kind {
             SmoKind::SplitPrefix { matched, depth } => {
                 self.split_prefix(p, pb, smo.node, matched, digit(kb, depth + matched), leaf)
             }
-            SmoKind::Grow { byte } => self.grow_insert(p, pb, smo.node, byte, leaf, g),
+            SmoKind::Grow { byte } => self.grow_insert(p, pb, smo.node, byte, leaf),
         }
         smo.node.lock.x_unlock(nt);
         p.lock.x_unlock(pt);
@@ -777,7 +748,7 @@ impl<L: IndexLock> ArtTree<L> {
         let full: Vec<u8> = (0..node.prefix_len())
             .map(|i| node.prefix_byte(i))
             .collect();
-        let new4p = ArtNode::<L>::alloc(NodeType::N4);
+        let new4p = self.slabs.node(NodeType::N4);
         let new4 = unsafe { &*new4p };
         new4.set_prefix(&full[..matched]);
         new4.insert_child(full[matched], node as *const ArtNode<L> as *mut ArtNode<L>);
@@ -795,13 +766,13 @@ impl<L: IndexLock> ArtTree<L> {
         node: &ArtNode<L>,
         byte: u8,
         leaf: *mut ArtNode<L>,
-        g: &Guard,
     ) {
         self.counters.add(GROWS, 1);
-        let bigger = node.grow();
+        let bigger = node.grow(&self.slabs);
         unsafe { &*bigger }.insert_child(byte, leaf);
         p.replace_child(pb, bigger);
-        self.retire_inner(g, node as *const ArtNode<L> as *mut ArtNode<L>);
+        // SAFETY: unlinked under the held parent, so freed once.
+        unsafe { self.slabs.free_node(node) };
     }
 
     /// Lazy-expansion split: `old` (digits `okb`) sits under `byte` of
@@ -821,16 +792,16 @@ impl<L: IndexLock> ArtTree<L> {
         val: u64,
     ) {
         self.counters.add(LAZY_EXPANSIONS, 1);
-        let leaf = KvLeaf::alloc(&self.slab, key, val);
+        let leaf = self.slabs.kv(key, val);
         let mut kids = [(okb[fork], old), (kb[fork], leaf)];
         kids.sort_by_key(|&(b, _)| b);
-        node.replace_child(byte, alloc_n4::<L>(&kb[depth..fork], &kids));
+        node.replace_child(byte, alloc_n4(&self.slabs, &kb[depth..fork], &kids));
     }
 
     /// Fold [`collapsible`] `node` into its parent `p` (at `pb`): a lone KV
     /// child takes its place (undoing lazy expansion), a drained node is
     /// unlinked.
-    fn collapse(&self, p: &ArtNode<L>, pb: u8, node: &ArtNode<L>, g: &Guard) {
+    fn collapse(&self, p: &ArtNode<L>, pb: u8, node: &ArtNode<L>) {
         if node.count() == 1 {
             let (_, rc) = node.only_child();
             if !is_kv(rc) {
@@ -841,14 +812,15 @@ impl<L: IndexLock> ArtTree<L> {
             p.remove_child(pb);
         }
         self.counters.add(COLLAPSES, 1);
-        self.retire_inner(g, node as *const ArtNode<L> as *mut ArtNode<L>);
+        // SAFETY: unlinked under the held parent, so freed once.
+        unsafe { self.slabs.free_node(node) };
     }
 
     /// Replace a lazily-expanded leaf with a materialized last-level node
     /// (caller holds `node` exclusively; `child` is the KV at byte `b`,
     /// itself a digit at `depth`).
     fn materialize_leaf(&self, node: &ArtNode<L>, b: u8, child: *mut ArtNode<L>, depth: usize) {
-        let okb = key_bytes(unsafe { as_kv(child) }.key);
+        let okb = key_bytes(unsafe { as_kv(child) }.key());
         if depth + 1 >= okb.len() {
             // The leaf's final digit is already spelled out above it:
             // nothing left to materialize.
@@ -857,7 +829,7 @@ impl<L: IndexLock> ArtTree<L> {
         // The new node spans bytes (depth+1 .. len-1) as compressed path
         // and discriminates on the final byte.
         let last = okb.len() - 1;
-        let n4 = alloc_n4::<L>(&okb[depth + 1..last], &[(okb[last], child)]);
+        let n4 = alloc_n4(&self.slabs, &okb[depth + 1..last], &[(okb[last], child)]);
         node.replace_child(b, n4);
     }
 
@@ -881,7 +853,6 @@ impl<L: IndexLock> ArtTree<L> {
         out: &mut Vec<(u64, u64)>,
     ) -> Option<u64> {
         self.counters.add(OPS, 1);
-        let _g = self.collector.pin();
         let sb = from.map(key_bytes);
         let sb: &[u8] = sb.as_ref().map_or(&[], |b| b);
         // One entry past the chunk: the resume key.
@@ -923,7 +894,7 @@ impl<L: IndexLock> ArtTree<L> {
     ) -> bool {
         if is_kv(p) {
             let kv = unsafe { as_kv(p) };
-            let (k, v) = (kv.key, kv.value());
+            let (k, v) = (kv.key(), kv.value());
             // The pointer snapshot was validated by the caller; re-validate
             // the parent so the value read pairs with a live membership.
             if parent.is_some_and(|pg| !pg.recheck()) {
@@ -1026,9 +997,9 @@ impl<L: IndexLock> ArtTree<L> {
             if is_kv(p) {
                 let kv = unsafe { as_kv(p) };
                 assert!(
-                    key_bytes(kv.key).starts_with(path),
+                    key_bytes(kv.key()).starts_with(path),
                     "leaf key {:?} does not match its path {:?}",
-                    kv.key,
+                    kv.key(),
                     path
                 );
                 return 1;
@@ -1073,24 +1044,72 @@ impl<L: IndexLock> ArtTree<L> {
     }
 }
 
-/// Frees the inner nodes; the leaves go with the slab's chunks, once the
-/// last deferred free holding the slab has run.
-impl<L: IndexLock> Drop for ArtTree<L> {
-    fn drop(&mut self) {
-        fn free<L: IndexLock>(p: *mut ArtNode<L>) {
-            let n = unsafe { &*p };
-            let mut kids = Vec::new();
-            n.for_each_child(|_, c| {
-                if !is_kv(c) {
-                    kids.push(c)
-                }
-            });
-            for c in kids {
-                free(c);
-            }
-            unsafe { ArtNode::<L>::free(p) };
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ArtOptiQL;
+
+    /// A Node4 grown to a Node16 is freed, and the next Node4 takes its
+    /// slot back: a snapshot of the Node4's version taken in its first
+    /// life, before any write to it, no longer validates, because the
+    /// slot kept its lock word and the reuse moved it on. A slab that
+    /// reset the lock (or linked free slots through it) would hand back
+    /// the version the snapshot holds.
+    #[test]
+    fn a_snapshot_of_a_grown_node4_fails_in_its_reused_slot() {
+        let t = ArtOptiQL::new();
+        let root = unsafe { &*t.root };
+        // Two keys under root digit 0 expand into a fresh Node4 on the
+        // compressed path 0.0.0.0.0.1.
+        assert_eq!(t.insert(0x100, 0), None);
+        assert_eq!(t.insert(0x101, 1), None);
+        let n4p = root.find_child(0);
+        let n4 = unsafe { &*n4p };
+        assert_eq!(n4.node_type(), NodeType::N4);
+        let v = OptimisticGuard::read(&n4.lock).expect("unlocked");
+        // A fifth child grows it into a Node16 and frees it.
+        for k in 0x102..=0x104 {
+            assert_eq!(t.insert(k, k - 0x100), None);
         }
-        free(self.root);
-        self.collector.flush();
+        assert_eq!(t.stats().grows, 1);
+        assert_eq!(unsafe { &*root.find_child(0) }.node_type(), NodeType::N16);
+        // A key leaving the path at its fifth digit splits it under a new
+        // Node4: the freed slot.
+        assert_eq!(t.insert(0x1_0000, 9), None);
+        assert_eq!(root.find_child(0), n4p, "the freed slot was reused");
+        assert!(
+            !v.validate(),
+            "a snapshot from the slot's first life validated"
+        );
+        for k in 0x100..=0x104 {
+            assert_eq!(t.lookup(k), Some(k - 0x100));
+        }
+        assert_eq!(t.lookup(0x1_0000), Some(9));
+        assert_eq!(t.check_invariants(), 6);
+    }
+
+    /// A removed key's leaf goes back to the slab, and the next key's
+    /// leaf takes its slot: a snapshot of the parent that linked the old
+    /// leaf fails, the slot holds the new key, and the tree answers for
+    /// both.
+    #[test]
+    fn a_removed_kv_leaf_is_reused_and_its_parent_snapshot_fails() {
+        let t = ArtOptiQL::new();
+        for k in 0x200..0x204 {
+            assert_eq!(t.insert(k, k), None);
+        }
+        let parent = unsafe { &*(*t.root).find_child(0) };
+        let v = OptimisticGuard::read(&parent.lock).expect("unlocked");
+        let old = parent.find_child(1);
+        assert!(is_kv(old));
+        assert_eq!(t.remove(0x201), Some(0x201));
+        assert_eq!(t.insert(0x205, 5), None);
+        assert_eq!(parent.find_child(5), old, "the freed slot was reused");
+        let kv = unsafe { as_kv(old) };
+        assert_eq!((kv.key(), kv.value()), (0x205, 5));
+        assert!(!v.validate());
+        assert_eq!(t.lookup(0x201), None);
+        assert_eq!(t.lookup(0x205), Some(5));
+        assert_eq!(t.check_invariants(), 4);
     }
 }

@@ -1,15 +1,15 @@
-//! A removed key's slot is freed by the epoch collector, which may run
-//! after the tree is gone: here thread A removes keys and keeps their
-//! frees in its own garbage bag, the tree is dropped on thread B, and
-//! only then does A collect. The slab's chunks must stay allocated until
-//! A's frees have run — a free writes its link into the slot — and be
-//! released right after. Chunks are recognised by their 64 KiB size in a
-//! counting `#[global_allocator]`; this file holds one test, so the count
-//! is this test's.
+//! Dropping a tree releases every chunk of its slabs. Every node — KV
+//! leaves and the four inner kinds alike — is a slot of one of the tree's
+//! slabs, and a node a remove or a growth unlinks goes straight back to
+//! its slab, so nothing is left to free once the tree is gone, on
+//! whichever thread it drops. A dropped slab's chunks become the
+//! process's spares, so the proof that every chunk came back is that the
+//! same tree, built again, allocates none. Chunks are recognised by their
+//! 64 KiB size in a counting `#[global_allocator]`; this file holds one
+//! test, so the count is this test's.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
 
 use optiql_art::ArtOptiQL;
 
@@ -42,41 +42,41 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
-/// Fewer removes than the collector's per-thread collection threshold
-/// (64 deferred objects), so A's frees wait in its bag.
-const REMOVED: u64 = 16;
+/// Grow last-level nodes through every kind (dense keys free a Node4, a
+/// Node16 and a Node48 on the way to each Node256), leave Node4s standing
+/// on long compressed paths (keys 2^40 apart), and remove keys, which
+/// frees KV leaves and collapses Node4s.
+fn build() -> ArtOptiQL {
+    let t = ArtOptiQL::new();
+    for k in 0..20_000u64 {
+        assert_eq!(t.insert(k, k), None);
+    }
+    for i in 1..64u64 {
+        assert_eq!(t.insert(i << 40, i), None);
+    }
+    for k in (0..20_000u64).step_by(3) {
+        assert_eq!(t.remove(k), Some(k));
+    }
+    for i in (1..64u64).step_by(2) {
+        assert_eq!(t.remove(i << 40), Some(i));
+    }
+    t
+}
 
 #[test]
-fn a_free_that_outlives_its_tree_finds_the_chunks_still_allocated() {
-    let t = ArtOptiQL::new();
-    for k in 0..1_000u64 {
-        t.insert(k, k);
-    }
-    assert!(CHUNKS_LIVE.load(Ordering::Relaxed) > 0);
-    let domain = t.reclaim_handle().expect("the tree has a collector");
-    let (removed_tx, removed_rx) = mpsc::channel();
-    let (dropped_tx, dropped_rx) = mpsc::channel();
-    let a = std::thread::spawn(move || {
-        for k in 0..REMOVED {
-            assert_eq!(t.remove(k), Some(k));
-        }
-        removed_tx.send(t).unwrap();
-        dropped_rx.recv().unwrap();
-        // The tree is gone; A's bag still holds its frees.
-        assert!(
-            CHUNKS_LIVE.load(Ordering::Relaxed) > 0,
-            "the chunks were released while frees were still pending"
-        );
-        domain.flush();
-    });
-    let t = removed_rx.recv().unwrap();
-    let b = std::thread::spawn(move || drop(t));
-    b.join().unwrap();
-    dropped_tx.send(()).unwrap();
-    a.join().unwrap();
+fn dropping_the_tree_releases_every_chunk() {
+    let t = build();
+    let carved = CHUNKS_LIVE.load(Ordering::Relaxed);
+    assert!(
+        carved >= 5,
+        "one chunk at least for each of the five node slabs"
+    );
+    std::thread::spawn(move || drop(t)).join().unwrap();
+    let again = build();
     assert_eq!(
         CHUNKS_LIVE.load(Ordering::Relaxed),
-        0,
-        "A's frees dropped the last slab handle"
+        carved,
+        "the same tree built again needed new chunks: a chunk outlived its tree"
     );
+    assert_eq!(again.check_invariants(), again.len());
 }

@@ -197,7 +197,8 @@ fn bench_node_search<const IC: usize>(dur: Duration) {
     // child, searched with uniformly random keys over the covered range.
     let children = Slab::new();
     let child = Leaf::<OptLock, 4>::alloc(&children);
-    let ip = Inner::<OptLock, IC>::alloc();
+    let inners = Slab::new();
+    let ip = Inner::<OptLock, IC>::alloc(&inners);
     // Safety: `ip` was just allocated by `Inner::<OptLock, IC>::alloc`.
     let inner = unsafe { as_inner::<OptLock, IC>(ip) };
     inner.init_root(8, child, child);
@@ -229,11 +230,6 @@ fn bench_node_search<const IC: usize>(dur: Duration) {
         black_box(leaf.lower_bound(black_box(keys[i])));
     });
     emit("node_search", &format!("lower_bound_{IC}"), 1, &t);
-
-    // Safety: `ip` originates from the matching `alloc` call above and is
-    // dropped exactly once, after its last use; the leaves go with their
-    // slabs.
-    unsafe { drop(Box::from_raw(ip as *mut Inner<OptLock, IC>)) };
 }
 
 // --- group: uncontended exclusive acquire ---------------------------------

@@ -26,9 +26,8 @@
 //! [`crate::tree`]'s `Run`), and keeps the pipeline for the part of a
 //! sorted batch that is spread out.
 //!
-//! Per-op fixed costs are amortized across the batch: one reclamation-epoch
-//! pin, and one add each to the ops and restarts lanes of the tree's
-//! counters.
+//! Per-op fixed costs are amortized across the batch: one add each to the
+//! ops and restarts lanes of the tree's counters.
 
 use optiql::olc::{run_grouped, Step, OPS};
 use optiql::IndexLock;
@@ -39,7 +38,6 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> BPlusTree<I
     /// Batched point lookups; `result[i] == lookup(keys[i])`, order
     /// preserved. Pipelines `GROUP` descents with interleaved prefetch.
     pub fn multi_lookup(&self, keys: &[u64]) -> Vec<Option<u64>> {
-        let _g = self.collector.pin();
         run_grouped::<LL, _, _, LANES>(
             &self.counters,
             keys.len(),
@@ -63,7 +61,6 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> BPlusTree<I
     /// one that found a leaf lies beyond that leaf, the keys are spread
     /// out and the rest of the batch goes to the pipeline.
     pub fn multi_insert(&self, pairs: &[(u64, u64)]) -> Vec<Option<u64>> {
-        let g = self.collector.pin();
         let mut out = Vec::new();
         let mut at = 0;
         if pairs.windows(2).all(|w| w[0].0 < w[1].0) {
@@ -91,15 +88,8 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> BPlusTree<I
                     self.turn(parked, |e| {
                         // A full inner node is the scalar driver's to split;
                         // nothing is held (optimistic reads only), so hand over.
-                        self.write_step(
-                            key,
-                            WriteOp::Insert(val),
-                            e,
-                            |n| n.find_child(key),
-                            None,
-                            &g,
-                        )
-                        .unwrap_or_else(|_full| Step::Done(self.insert_impl(key, val)))
+                        self.write_step(key, WriteOp::Insert(val), e, |n| n.find_child(key), None)
+                            .unwrap_or_else(|_full| Step::Done(self.insert_impl(key, val)))
                     })
                 },
                 |i| self.insert_impl(rest[i].0, rest[i].1),

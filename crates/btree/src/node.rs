@@ -16,20 +16,24 @@
 //!   children; capacity is `IC - 1` keys / `IC` children. `children[i]`
 //!   covers keys `< keys[i]`; `children[count]` covers the rest. Separator
 //!   `keys[i]` is the smallest key reachable through `children[i + 1]`.
-//! * `NodeBase::leaf` is immutable after construction, so a traversal may
-//!   read it through a not-yet-validated pointer (the pointee is kept
-//!   alive by epoch reclamation).
+//! * Every node is a slot of one of its tree's two [`Slab`]s, one for
+//!   inner nodes and one for leaves, and stays a node of that kind until
+//!   the tree drops ([`Slot`]). `NodeBase::leaf` is written once, when the
+//!   slot is carved, so a traversal may read it through a not-yet-validated
+//!   pointer, even one to a node freed since. A free slot links through
+//!   `keys[0]`, and a recycled node is emptied under its own lock, whose
+//!   version therefore never goes back: a reader in a node that was freed
+//!   and reused fails validation.
 //! * A node's header is 16 bytes: the leaf tag and `count` share the first
-//!   word, the 8-byte lock is the second. A leaf is `repr(C, align(64))`
-//!   and a slot of its tree's [`Slab`], so a leaf of every
-//!   [`node_size`](crate::node_size) preset is exactly its nominal size
-//!   on whole cache lines (`S256`: 16 + 15 × 16 = 256 bytes, four
-//!   lines). An inner node is a `Box` of 16 + 16 × `IC` bytes (272 at
+//!   word, the 8-byte lock is the second. A leaf is `repr(C, align(64))`,
+//!   so a leaf of every [`node_size`](crate::node_size) preset is exactly
+//!   its nominal size on whole cache lines (`S256`: 16 + 15 × 16 = 256
+//!   bytes, four lines). An inner node is 16 + 16 × `IC` bytes (272 at
 //!   `S256`).
 
 use std::sync::atomic::{AtomicPtr, AtomicU16, AtomicU64, Ordering};
 
-use optiql::slab::Slab;
+use optiql::slab::{Slab, Slot};
 use optiql::{IndexLock, OptLock};
 
 use crate::DEFAULT_IC;
@@ -142,7 +146,7 @@ fn prefetch_node(p: *const NodeBase, bytes: usize) {
 /// through a type-erased pointer (`repr(C)` prefix cast).
 #[repr(C)]
 pub struct NodeBase {
-    /// True iff this node is a leaf. Immutable after construction.
+    /// True iff this node is a leaf. Written once, when its slot is carved.
     pub leaf: bool,
 }
 
@@ -178,7 +182,7 @@ pub struct Leaf<LL: IndexLock, const LC: usize> {
 /// Read the immutable leaf tag of a (possibly not yet validated) node.
 ///
 /// # Safety
-/// `p` must point to a live or epoch-retired node of this tree.
+/// `p` must point to a slot of one of this tree's slabs.
 #[inline]
 pub unsafe fn is_leaf(p: *const NodeBase) -> bool {
     unsafe { (*p).leaf }
@@ -187,7 +191,7 @@ pub unsafe fn is_leaf(p: *const NodeBase) -> bool {
 /// Cast to an inner node reference.
 ///
 /// # Safety
-/// `p` must point to a live or epoch-retired `Inner<IL, IC>`.
+/// `p` must point to a slot of this tree's `Slab<Inner<IL, IC>>`.
 #[inline]
 pub unsafe fn as_inner<'a, IL: IndexLock, const IC: usize>(p: *mut NodeBase) -> &'a Inner<IL, IC> {
     debug_assert!(!unsafe { is_leaf(p) });
@@ -197,7 +201,7 @@ pub unsafe fn as_inner<'a, IL: IndexLock, const IC: usize>(p: *mut NodeBase) -> 
 /// Cast to a leaf node reference.
 ///
 /// # Safety
-/// `p` must point to a live or epoch-retired `Leaf<LL, LC>`.
+/// `p` must point to a slot of this tree's `Slab<Leaf<LL, LC>>`.
 #[inline]
 pub unsafe fn as_leaf<'a, LL: IndexLock, const LC: usize>(p: *mut NodeBase) -> &'a Leaf<LL, LC> {
     debug_assert!(unsafe { is_leaf(p) });
@@ -206,20 +210,39 @@ pub unsafe fn as_leaf<'a, LL: IndexLock, const LC: usize>(p: *mut NodeBase) -> &
 
 // --- inner node -----------------------------------------------------------
 
-impl<IL: IndexLock, const IC: usize> Inner<IL, IC> {
-    /// Maximum number of separator keys.
-    pub const MAX_KEYS: usize = IC - 1;
-
-    /// Allocate an empty inner node and leak it to a raw pointer.
-    pub fn alloc() -> *mut NodeBase {
-        let node = Box::new(Inner::<IL, IC> {
+// SAFETY: a free slot links through `keys[0]`, a separator a reader
+// compares but never follows; the tag word, the lock and the children
+// stay as they were. A node needs no drop (its lock is a word).
+unsafe impl<IL: IndexLock, const IC: usize> Slot for Inner<IL, IC> {
+    fn fresh() -> Self {
+        Inner {
             base: NodeBase { leaf: false },
             count: AtomicU16::new(0),
             lock: IL::default(),
             keys: [const { AtomicU64::new(0) }; IC],
             children: [const { AtomicPtr::new(std::ptr::null_mut()) }; IC],
-        });
-        Box::into_raw(node) as *mut NodeBase
+        }
+    }
+
+    fn link(&self) -> &AtomicU64 {
+        &self.keys[0]
+    }
+}
+
+impl<IL: IndexLock, const IC: usize> Inner<IL, IC> {
+    /// Maximum number of separator keys.
+    pub const MAX_KEYS: usize = IC - 1;
+
+    /// An empty inner node from `slab`, emptied under its own lock: a
+    /// recycled slot keeps its lock word, so its version only moves on and
+    /// a writer still queued on the slot's last life gets it in turn.
+    pub fn alloc(slab: &Slab<Self>) -> *mut NodeBase {
+        // SAFETY: a slot of the slab holds an inner node until it drops.
+        let node = unsafe { slab.alloc().as_ref() };
+        let t = node.lock.x_lock();
+        node.count.store(0, R);
+        node.lock.x_unlock(t);
+        node as *const Self as *mut NodeBase
     }
 
     /// Number of separator keys, clamped to capacity (a concurrent reader
@@ -305,19 +328,19 @@ impl<IL: IndexLock, const IC: usize> Inner<IL, IC> {
     }
 
     /// Split where the insert of `key` descends (holder of the exclusive
-    /// lock only). Through the last child the cut is the second-to-last
-    /// separator: this node keeps all but two children and the right node
-    /// starts with one separator and two children (never none), so an
-    /// ascending stream leaves full inner nodes behind; through any other
-    /// child the split is in half. Returns `(separator-to-push-up,
-    /// new-right-node)`.
-    pub fn split(&self, key: u64) -> (u64, *mut NodeBase) {
+    /// lock only), taking the new right node from `slab`. Through the last
+    /// child the cut is the second-to-last separator: this node keeps all
+    /// but two children and the right node starts with one separator and
+    /// two children (never none), so an ascending stream leaves full inner
+    /// nodes behind; through any other child the split is in half. Returns
+    /// `(separator-to-push-up, new-right-node)`.
+    pub fn split(&self, key: u64, slab: &Slab<Self>) -> (u64, *mut NodeBase) {
         let n = self.count.load(R) as usize;
         debug_assert!(n >= 3, "splitting a near-empty inner node");
         let via_last = self.child_index(key) == n;
         let mid = if via_last { n - 2 } else { n / 2 };
         let sep = self.key_at(mid);
-        let right_ptr = Self::alloc();
+        let right_ptr = Self::alloc(slab);
         let right = unsafe { as_inner::<IL, IC>(right_ptr) };
         let right_keys = n - mid - 1;
         for i in 0..right_keys {
@@ -355,26 +378,38 @@ impl<IL: IndexLock, const IC: usize> Inner<IL, IC> {
 
 // --- leaf node -------------------------------------------------------------
 
+// SAFETY: a free slot links through `keys[0]`, a key a reader compares
+// but never follows; the tag word and the lock stay as they were. A leaf
+// needs no drop (its lock is a word).
+unsafe impl<LL: IndexLock, const LC: usize> Slot for Leaf<LL, LC> {
+    fn fresh() -> Self {
+        Leaf {
+            base: NodeBase { leaf: true },
+            count: AtomicU16::new(0),
+            lock: LL::default(),
+            keys: [const { AtomicU64::new(0) }; LC],
+            vals: [const { AtomicU64::new(0) }; LC],
+        }
+    }
+
+    fn link(&self) -> &AtomicU64 {
+        &self.keys[0]
+    }
+}
+
 impl<LL: IndexLock, const LC: usize> Leaf<LL, LC> {
     /// Maximum number of entries.
     pub const MAX_ENTRIES: usize = LC;
 
-    /// Allocate an empty leaf in a slot of `slab`.
+    /// An empty leaf from `slab`, emptied under its own lock (see
+    /// [`Inner::alloc`]).
     pub fn alloc(slab: &Slab<Self>) -> *mut NodeBase {
-        // The slab releases its chunks without dropping what they hold.
-        const { assert!(!std::mem::needs_drop::<Self>(), "a leaf needs no drop") };
-        let p = slab.alloc().as_ptr();
-        // SAFETY: a fresh slot of the slab, sized and aligned for a leaf.
-        unsafe {
-            p.write(Leaf {
-                base: NodeBase { leaf: true },
-                count: AtomicU16::new(0),
-                lock: LL::default(),
-                keys: [const { AtomicU64::new(0) }; LC],
-                vals: [const { AtomicU64::new(0) }; LC],
-            })
-        };
-        p as *mut NodeBase
+        // SAFETY: a slot of the slab holds a leaf until it drops.
+        let leaf = unsafe { slab.alloc().as_ref() };
+        let t = leaf.lock.x_lock();
+        leaf.count.store(0, R);
+        leaf.lock.x_unlock(t);
+        leaf as *const Self as *mut NodeBase
     }
 
     /// Entry count, clamped to capacity (see [`Inner::count`]).
@@ -535,10 +570,6 @@ mod tests {
         (unsafe { as_leaf::<OptLock, 8>(p) }, p)
     }
 
-    fn free_inner(p: *mut NodeBase) {
-        drop(unsafe { Box::from_raw(p as *mut I) });
-    }
-
     #[test]
     fn leaf_insert_sorted_and_lookup() {
         let slab = Slab::new();
@@ -648,7 +679,8 @@ mod tests {
     #[test]
     fn inner_child_routing() {
         let slab = Slab::new();
-        let ip = I::alloc();
+        let inners = Slab::new();
+        let ip = I::alloc(&inners);
         let inner = unsafe { as_inner::<OptLock, 8>(ip) };
         let (c0, c1, c2) = (L::alloc(&slab), L::alloc(&slab), L::alloc(&slab));
         inner.init_root(10, c0, c1);
@@ -664,13 +696,13 @@ mod tests {
         assert_eq!(inner.find_child_from(Some(15)).0, inner.find_child(15));
         assert_eq!(inner.find_child_from(Some(15)).1, Some(20));
         assert_eq!(inner.find_child_from(Some(99)).1, None, "rightmost");
-        free_inner(ip);
     }
 
     #[test]
     fn inner_split_pushes_middle_separator_up() {
         let slab = Slab::new();
-        let ip = I::alloc();
+        let inners = Slab::new();
+        let ip = I::alloc(&inners);
         let inner = unsafe { as_inner::<OptLock, 8>(ip) };
         let kids: Vec<*mut NodeBase> = (0..8).map(|_| L::alloc(&slab)).collect();
         inner.init_root(10, kids[0], kids[1]);
@@ -680,7 +712,7 @@ mod tests {
         assert!(inner.is_full() || inner.count() == 6);
         let n = inner.count();
         // The insert descends through a middle child: split in half.
-        let (sep, rp) = inner.split(25);
+        let (sep, rp) = inner.split(25, &inners);
         let right = unsafe { as_inner::<OptLock, 8>(rp) };
         assert_eq!(sep, 40);
         assert_eq!(inner.count() + right.count() + 1, n);
@@ -691,14 +723,13 @@ mod tests {
         for i in 0..right.count() {
             assert!(right.key_at(i) > sep);
         }
-        free_inner(ip);
-        free_inner(rp);
     }
 
     #[test]
     fn inner_split_through_the_last_child_keeps_all_but_two_children() {
         let slab = Slab::new();
-        let ip = I::alloc();
+        let inners = Slab::new();
+        let ip = I::alloc(&inners);
         let inner = unsafe { as_inner::<OptLock, 8>(ip) };
         let kids: Vec<*mut NodeBase> = (0..8).map(|_| L::alloc(&slab)).collect();
         inner.init_root(10, kids[0], kids[1]);
@@ -706,21 +737,20 @@ mod tests {
             inner.insert_child(sep, kids[i + 2]);
         }
         assert!(inner.is_full());
-        let (sep, rp) = inner.split(75);
+        let (sep, rp) = inner.split(75, &inners);
         let right = unsafe { as_inner::<OptLock, 8>(rp) };
         assert_eq!(sep, 60);
         assert_eq!((inner.count(), right.count()), (5, 1));
         assert_eq!(inner.find_child(55), kids[5]);
         assert_eq!(right.find_child(65), kids[6]);
         assert_eq!(right.find_child(75), kids[7]);
-        free_inner(ip);
-        free_inner(rp);
     }
 
     #[test]
     fn inner_remove_child_closes_gaps() {
         let slab = Slab::new();
-        let ip = I::alloc();
+        let inners = Slab::new();
+        let ip = I::alloc(&inners);
         let inner = unsafe { as_inner::<OptLock, 8>(ip) };
         let (c0, c1, c2) = (L::alloc(&slab), L::alloc(&slab), L::alloc(&slab));
         inner.init_root(10, c0, c1);
@@ -736,7 +766,6 @@ mod tests {
         inner.remove_child(0);
         assert_eq!(inner.count(), 0);
         assert_eq!(inner.find_child(0), c2);
-        free_inner(ip);
     }
 
     #[test]
@@ -758,7 +787,8 @@ mod tests {
                 assert_eq!(l.lower_bound(probe), expect, "C={C} probe={probe}");
             }
 
-            let ip = Inner::<OptLock, C>::alloc();
+            let inners = Slab::new();
+            let ip = Inner::<OptLock, C>::alloc(&inners);
             let inner = unsafe { as_inner::<OptLock, C>(ip) };
             let kids = Slab::new();
             let kid = Leaf::<OptLock, 4>::alloc(&kids);
@@ -772,7 +802,6 @@ mod tests {
                     .unwrap_or(inner.count());
                 assert_eq!(inner.child_index(probe), expect, "C={C} probe={probe}");
             }
-            drop(unsafe { Box::from_raw(ip as *mut Inner<OptLock, C>) });
         }
         check::<4>();
         check::<8>();

@@ -68,8 +68,8 @@ use std::sync::atomic::{AtomicPtr, Ordering};
 use optiql::counters::Counters;
 use optiql::olc::{IndexStats, OptimisticGuard, RestartLoop, Step, INDEX_LANES, OPS};
 use optiql::slab::Slab;
-use optiql::{IndexLock, WriteStrategy, WriteToken};
-use optiql_reclaim::{Collector, Guard};
+use optiql::stats::Event;
+use optiql::{chaos, IndexLock, WriteStrategy, WriteToken};
 
 use crate::node::{as_inner, as_leaf, is_leaf, Inner, Leaf, NodeBase};
 
@@ -230,9 +230,9 @@ fn upgrade<'t, IL: IndexLock, const IC: usize>(
 /// [`crate::node_size`] for byte-size presets.
 pub struct BPlusTree<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> {
     pub(crate) root: AtomicPtr<NodeBase>,
-    pub(crate) collector: Collector,
-    /// Where every leaf lives (see [`optiql::slab`]); inner nodes are
-    /// `Box`es.
+    /// Where every node lives (see [`optiql::slab`]): an unlinked node
+    /// goes straight back, and the slabs' chunks go when the tree drops.
+    inners: Slab<Inner<IL, IC>>,
     leaves: Slab<Leaf<LL, LC>>,
     /// Every count the tree keeps, on cache lines of its own: no
     /// operation's accounting touches the line `root` is read from.
@@ -282,7 +282,7 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> BPlusTree<I
         let leaves = Slab::new();
         BPlusTree {
             root: AtomicPtr::new(Leaf::alloc(&leaves)),
-            collector: Collector::new(),
+            inners: Slab::new(),
             leaves,
             counters: Counters::new(),
             _locks: std::marker::PhantomData,
@@ -297,20 +297,6 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> BPlusTree<I
     /// True iff the tree holds no entries.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Drive deferred node reclamation forward (call from quiescent points;
-    /// tests and benchmarks use this between phases).
-    pub fn flush_reclamation(&self) {
-        self.collector.flush();
-    }
-
-    /// A handle to this tree's epoch-reclamation domain. Outer layers pin
-    /// it once around an operation group so the per-operation pins inside
-    /// become cheap nested increments (see
-    /// [`ConcurrentIndex::reclaim_handle`](optiql_index_api::ConcurrentIndex::reclaim_handle)).
-    pub fn reclaim_handle(&self) -> Option<optiql_reclaim::Handle> {
-        Some(self.collector.handle())
     }
 
     /// Snapshot the structural-event counters.
@@ -335,18 +321,6 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> BPlusTree<I
     #[inline]
     pub(crate) fn restart_loop(&self) -> RestartLoop<'_, LANES> {
         RestartLoop::new(&self.counters)
-    }
-
-    /// Retire an unlinked leaf through the epoch collector: its slot goes
-    /// back to the slab, which the deferred free keeps alive, since it may
-    /// run after the tree is gone.
-    fn retire_leaf(&self, g: &Guard, p: *mut NodeBase) {
-        let (leaves, addr) = (self.leaves.clone(), p as usize);
-        // SAFETY: the leaf was unlinked under its parent's exclusive lock,
-        // so it is retired once; it is freed after every reader pinned
-        // before the unlink has left, into the slab it came from, which
-        // the closure's handle keeps allocated. `addr` is non-null.
-        g.defer(move || unsafe { leaves.free(NonNull::new_unchecked(addr as *mut Leaf<LL, LC>)) });
     }
 
     // --- the descent step and its scalar drivers ----------------------------
@@ -417,6 +391,10 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> BPlusTree<I
         at_leaf: impl FnOnce(&Leaf<LL, LC>) -> R,
     ) -> Stepped<'t, IL, IC, R> {
         let Edge { parent, child } = edge;
+        // Until its version is read, `child` may be unlinked, freed and
+        // reused; the parent recheck after that read catches it (DESIGN
+        // §5.1, *Every node in a slab*). Chaos stretches the window.
+        chaos::perturb(Event::ReadAdmit);
         if unsafe { is_leaf(child) } {
             let leaf = unsafe { as_leaf::<LL, LC>(child) };
             let Some(lg) = OptimisticGuard::read(&leaf.lock) else {
@@ -457,11 +435,10 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> BPlusTree<I
         edge: Edge<'t, IL, IC>,
         pick: impl FnOnce(&Inner<IL, IC>) -> *mut NodeBase,
         run: Option<&mut Run<'_>>,
-        g: &Guard,
     ) -> Result<Stepped<'t, IL, IC, Option<u64>>, FullInner<'t, IL, IC>> {
         let Edge { parent, child } = edge;
         if unsafe { is_leaf(child) } {
-            return Ok(self.write_leaf(key, op, parent, child, run, g));
+            return Ok(self.write_leaf(key, op, parent, child, run));
         }
         let inner = unsafe { as_inner::<IL, IC>(child) };
         let intent = matches!(op, WriteOp::Insert(_));
@@ -548,7 +525,6 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> BPlusTree<I
         parent: Option<InnerRef<'_, IL, IC>>,
         ptr: *mut NodeBase,
         run: Option<&mut Run<'_>>,
-        g: &Guard,
     ) -> Stepped<'_, IL, IC, Option<u64>> {
         let leaf = unsafe { as_leaf::<LL, LC>(ptr) };
         let Some((t, searched)) = self.acquire_leaf(&parent, ptr, leaf, key) else {
@@ -592,7 +568,7 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> BPlusTree<I
             // Deletion SMOs: unlink an emptied leaf / merge an
             // under-quarter leaf into its right sibling.
             Some((p, pg)) if matches!(op, WriteOp::Remove) && old.is_some() => {
-                self.try_shrink(p, pg, ptr, leaf, g)
+                self.try_shrink(p, pg, ptr, leaf)
             }
             parent => abandon(parent),
         }
@@ -605,7 +581,6 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> BPlusTree<I
     /// per-op accounting (the batched driver's fallback accounts once per
     /// batch).
     pub(crate) fn lookup_impl(&self, key: u64) -> Option<u64> {
-        let _g = self.collector.pin();
         let mut rs = self.restart_loop();
         'restart: loop {
             rs.pause();
@@ -633,7 +608,6 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> BPlusTree<I
         op: WriteOp,
         mut run: Option<&mut Run<'_>>,
     ) -> Option<u64> {
-        let g = self.collector.pin();
         let fenced = run.is_some();
         let mut rs = self.restart_loop();
         'restart: loop {
@@ -654,7 +628,7 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> BPlusTree<I
                     seen = up;
                     child
                 };
-                match self.write_step(key, op, edge, pick, run.as_deref_mut(), &g) {
+                match self.write_step(key, op, edge, pick, run.as_deref_mut()) {
                     Ok(Step::Next(next)) => {
                         if let Some(r) = run.as_deref_mut() {
                             r.fence = seen.or(r.fence);
@@ -731,7 +705,7 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> BPlusTree<I
             }
             None => {
                 self.counters.add(ROOT_SPLITS, 1);
-                let new_root = Inner::<IL, IC>::alloc();
+                let new_root = Inner::alloc(&self.inners);
                 unsafe { as_inner::<IL, IC>(new_root) }.init_root(sep, left, right);
                 self.root.store(new_root, Ordering::Release);
             }
@@ -812,7 +786,7 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> BPlusTree<I
             return ig.abandon();
         };
         if let Some(t) = ig.try_upgrade() {
-            let (sep, right) = inner.split(key);
+            let (sep, right) = inner.split(key, &self.inners);
             self.install_split(held.map(|(p, _)| p), ptr, sep, right, INNER_SPLITS);
             inner.lock.x_unlock(t);
         }
@@ -831,7 +805,6 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> BPlusTree<I
         pg: OptimisticGuard<'_, IL>,
         leaf_ptr: *mut NodeBase,
         leaf: &Leaf<LL, LC>,
-        g: &Guard,
     ) {
         let n = leaf.count();
         if n >= LC / 4 && n != 0 {
@@ -850,9 +823,11 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> BPlusTree<I
             // Unlink the empty leaf entirely.
             self.counters.add(LEAF_UNLINKS, 1);
             parent.remove_child(idx);
-            self.retire_leaf(g, leaf_ptr);
-            // The caller still unlocks through its token; the node stays
-            // alive until the epoch advances past every reader & the holder.
+            // SAFETY: unlinked under the held parent, so freed once. The
+            // caller still unlocks it through its token, which moves its
+            // version past every reader inside it (DESIGN §5.1, *Every
+            // node in a slab*).
+            unsafe { self.leaves.free(NonNull::new_unchecked(leaf_ptr.cast())) };
             parent.lock.x_unlock(pt);
             return;
         }
@@ -867,17 +842,18 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> BPlusTree<I
                 leaf.absorb(sib);
                 parent.remove_child(idx + 1);
                 sib.lock.x_unlock(st);
-                self.retire_leaf(g, sib_ptr);
+                // SAFETY: unlinked under the held parent, so freed once.
+                unsafe { self.leaves.free(NonNull::new_unchecked(sib_ptr.cast())) };
             } else {
                 sib.lock.x_unlock(st);
             }
         }
         parent.lock.x_unlock(pt);
-        self.maybe_collapse_root(g);
+        self.maybe_collapse_root();
     }
 
     /// Replace an inner root that has no separator left with its only child.
-    fn maybe_collapse_root(&self, g: &Guard) {
+    fn maybe_collapse_root(&self) {
         let root = self.root.load(Ordering::Acquire);
         if unsafe { is_leaf(root) } {
             return;
@@ -897,7 +873,9 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> BPlusTree<I
         self.counters.add(ROOT_COLLAPSES, 1);
         self.root.store(inner.child(0), Ordering::Release);
         inner.lock.x_unlock(t);
-        unsafe { g.retire_ptr(root as *mut Inner<IL, IC>) };
+        // SAFETY: no longer the root, so unreachable, and freed once (the
+        // upgrade above succeeds for one thread).
+        unsafe { self.inners.free(NonNull::new_unchecked(root.cast())) };
     }
 
     // --- range scan -----------------------------------------------------------
@@ -917,7 +895,6 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> BPlusTree<I
         out: &mut Vec<(u64, u64)>,
     ) -> Option<u64> {
         self.counters.add(OPS, 1);
-        let _g = self.collector.pin();
         // Fresh ladder per chunk: a restart storm on one leaf must not
         // leave the loop escalated for the rest of the range.
         let mut rs = self.restart_loop();
@@ -1016,25 +993,81 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> BPlusTree<I
     }
 }
 
-/// Frees the inner nodes; the leaves go with the slab's chunks, once the
-/// last deferred free holding the slab has run.
-impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> Drop
-    for BPlusTree<IL, LL, IC, LC>
-{
-    fn drop(&mut self) {
-        fn free<IL: IndexLock, const IC: usize>(p: *mut NodeBase) {
-            unsafe {
-                if is_leaf(p) {
-                    return;
-                }
-                let inner = as_inner::<IL, IC>(p);
-                for i in 0..=inner.count() {
-                    free::<IL, IC>(inner.child(i));
-                }
-                drop(Box::from_raw(p as *mut Inner<IL, IC>));
-            }
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{BTreeOptiQL, DEFAULT_IC, DEFAULT_LC};
+    use optiql::{OptLock, OptiQL};
+
+    /// The `i`th child of the root, which must be an inner node.
+    fn root_child(t: &BTreeOptiQL, i: usize) -> *mut NodeBase {
+        let root = t.root.load(Ordering::Acquire);
+        unsafe { as_inner::<OptLock, DEFAULT_IC>(root) }.child(i)
+    }
+
+    fn leaf<'a>(p: *mut NodeBase) -> &'a Leaf<OptiQL, DEFAULT_LC> {
+        unsafe { as_leaf::<OptiQL, DEFAULT_LC>(p) }
+    }
+
+    /// A leaf is unlinked and freed, and the next split takes its slot
+    /// back: a snapshot of the leaf's version taken in its first life,
+    /// before any write to it, no longer validates, because the slot kept
+    /// its lock word and the reuse moved it on. A slab that reset the
+    /// lock (or linked free slots through it) would hand back the
+    /// version the snapshot holds.
+    #[test]
+    fn a_snapshot_of_a_freed_leaf_fails_in_its_reused_slot() {
+        let lc = DEFAULT_LC as u64;
+        let t = BTreeOptiQL::new();
+        // An ascending load splits the full root leaf for `lc`, which
+        // lands alone in a fresh right leaf.
+        for k in 0..=lc {
+            assert_eq!(t.insert(k, k), None);
         }
-        free::<IL, IC>(self.root.load(Ordering::Acquire));
-        self.collector.flush();
+        let right = root_child(&t, 1);
+        let v = OptimisticGuard::read(&leaf(right).lock).expect("unlocked");
+        assert_eq!(leaf(right).lookup(lc), Some(lc));
+        // Emptied, the right leaf is unlinked and freed on this thread.
+        assert_eq!(t.remove(lc), Some(lc));
+        assert_eq!(t.stats().leaf_unlinks, 1);
+        // The full left leaf splits for `lc` again, taking the slot back.
+        assert_eq!(t.insert(lc, 7), None);
+        assert_eq!(root_child(&t, 1), right, "the freed slot was reused");
+        assert!(
+            !v.validate(),
+            "a snapshot from the slot's first life validated"
+        );
+        for k in 0..lc {
+            assert_eq!(t.lookup(k), Some(k));
+        }
+        assert_eq!(t.lookup(lc), Some(7));
+        assert_eq!(t.check_invariants(), DEFAULT_LC + 1);
+    }
+
+    /// The same for a leaf merged into its left neighbour.
+    #[test]
+    fn a_snapshot_of_a_merged_leaf_fails_in_its_reused_slot() {
+        let lc = DEFAULT_LC as u64;
+        let t = BTreeOptiQL::new();
+        for k in 0..=lc {
+            assert_eq!(t.insert(k, k), None);
+        }
+        let right = root_child(&t, 1);
+        let v = OptimisticGuard::read(&leaf(right).lock).expect("unlocked");
+        // Drained below a quarter, the left leaf absorbs the right one.
+        for k in 0..lc - 2 {
+            assert_eq!(t.remove(k), Some(k));
+        }
+        assert_eq!(t.stats().leaf_merges, 1);
+        for k in 0..lc - 2 {
+            assert_eq!(t.insert(k, k + 1), None);
+        }
+        assert_eq!(root_child(&t, 1), right, "the freed slot was reused");
+        assert!(!v.validate());
+        for k in 0..=lc {
+            let want = if k < lc - 2 { k + 1 } else { k };
+            assert_eq!(t.lookup(k), Some(want), "key {k}");
+        }
+        assert_eq!(t.check_invariants(), DEFAULT_LC + 1);
     }
 }

@@ -2,11 +2,13 @@
 //! its tree's slab, and an ascending load leaves every leaf full, so the
 //! leaves request 256 / 15 ≈ 17.1 bytes per key, carved as 64 KiB
 //! chunks, and the inner nodes above them about 1.4 more: 18.8 in all.
-//! A leaf in a `Box` of its own, one entry short of full, requested
+//! Inner nodes are slots of a slab of their own too, whose one part-used
+//! chunk is requested whole (at most 64 KiB, 0.33 B/key at this size,
+//! 0.02 at 4 M keys; its untouched pages are never faulted in): 19.0
+//! here. A leaf in a `Box` of its own, one entry short of full, requested
 //! 264 / 14 ≈ 18.9 bytes per key before its inner nodes were counted,
-//! and 20.4 with them. Counted with a
-//! `#[global_allocator]` over the whole process; this file holds one
-//! test, so the count is its own.
+//! and 20.4 with them. Counted with a `#[global_allocator]` over the
+//! whole process; this file holds one test, so the count is its own.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -42,10 +44,10 @@ const KEYS: u64 = 200_000;
 #[test]
 fn an_ascending_load_requests_under_19_bytes_per_key() {
     // The process-wide state a first write sets up (the lock queue-node
-    // pool, this thread's epoch record) is not the tree's.
+    // pool) is not the tree's. The warm-up tree lives on: dropped, its
+    // chunk would be a spare the measured tree carves without asking.
     let warm: BTreeOptiQL = BTreeOptiQL::new();
     warm.insert(0, 0);
-    drop(warm);
     let before = LIVE.load(Ordering::Relaxed);
     let t: BTreeOptiQL = BTreeOptiQL::new();
     for k in 0..KEYS {
@@ -53,8 +55,12 @@ fn an_ascending_load_requests_under_19_bytes_per_key() {
     }
     let per_key = (LIVE.load(Ordering::Relaxed) - before) as f64 / KEYS as f64;
     assert_eq!(t.check_invariants(), KEYS as usize);
+    // The inner-node slab's part-used chunk on top of the 19 bytes the
+    // leaves' slab and `Box`ed inner nodes stayed under.
+    let bound = 19.0 + (64 << 10) as f64 / KEYS as f64;
     assert!(
-        (256.0 / 15.0..=19.0).contains(&per_key),
+        (256.0 / 15.0..=bound).contains(&per_key),
         "{per_key:.2} B/key requested for an ascending load of {KEYS}"
     );
+    drop(warm);
 }

@@ -88,9 +88,6 @@ impl<I: ConcurrentIndex> ConcurrentIndex for ChaosIndex<I> {
     fn index_stats(&self) -> IndexStats {
         self.inner.index_stats()
     }
-    fn reclaim_handle(&self) -> Option<optiql_index_api::ReclaimHandle> {
-        self.inner.reclaim_handle()
-    }
     fn multi_lookup(&self, keys: &[u64]) -> Vec<Option<u64>> {
         self.around(keys.len() as u64, |i| i.multi_lookup(keys))
     }

@@ -196,9 +196,6 @@ impl<I: ConcurrentIndex> ConcurrentIndex for ThreadRecorder<I> {
     fn index_stats(&self) -> optiql_index_api::IndexStats {
         self.inner.index_stats()
     }
-    fn reclaim_handle(&self) -> Option<optiql_index_api::ReclaimHandle> {
-        self.inner.reclaim_handle()
-    }
     /// Each constituent lookup is recorded with the whole batch's tick
     /// window: its linearization point provably lies inside the batch's
     /// execution, so the wider window is sound (never rejects a correct

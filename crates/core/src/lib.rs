@@ -22,7 +22,7 @@
 //! the shared OLC restart protocol ([`olc`]: restart pacing,
 //! optimistic read guards, unified per-index accounting) those crates
 //! drive their `'restart:` loops with, and the striped node allocator
-//! ([`slab`]) their leaves live in.
+//! ([`slab`]) their nodes live in.
 //!
 //! ## Quick start
 //!

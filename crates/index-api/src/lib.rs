@@ -290,16 +290,11 @@ pub trait ConcurrentIndex: Send + Sync {
     }
 
     /// The epoch-reclamation domain guarding this index's node frees, if
-    /// it has exactly one. Its callers are in `benchmark/`:
-    /// `benchmark/src/embed.rs` samples the domain's backlog while
-    /// threads run, and `benchmark/src/ledger.rs` holds one pin across a
-    /// replayed burst, so the per-operation pins inside become nested
-    /// depth increments — no epoch publication, no store→load fence.
-    ///
-    /// `None` (the default) means "no single domain": either the index
-    /// does not reclaim memory at all (e.g. the model), or it spans
-    /// several domains (e.g. a sharded facade with per-shard domains),
-    /// in which case callers take each shard's handle instead.
+    /// it has one. No index in this workspace has: both trees free an
+    /// unlinked node straight into its slab (`optiql::slab`), so every
+    /// index answers `None`. The method stays for the callers in
+    /// `benchmark/`, which sample a domain's backlog (`embed.rs`) and pin
+    /// one across a replayed burst (`ledger.rs`) when there is one.
     fn reclaim_handle(&self) -> Option<ReclaimHandle> {
         None
     }
@@ -307,7 +302,7 @@ pub trait ConcurrentIndex: Send + Sync {
 
 /// Implement [`ConcurrentIndex`] for an index type by delegating to its
 /// inherent methods (`insert`, `update`, `lookup`, `remove`,
-/// `scan_chunk`, `len`, `index_stats`, `multi_*`, `reclaim_handle`).
+/// `scan_chunk`, `len`, `index_stats`, `multi_*`).
 /// `range` is the trait's provided driver.
 ///
 /// ```ignore
@@ -359,10 +354,6 @@ macro_rules! impl_concurrent_index {
             #[inline]
             fn multi_insert(&self, pairs: &[(u64, u64)]) -> Vec<Option<u64>> {
                 <$ty>::multi_insert(self, pairs)
-            }
-            #[inline]
-            fn reclaim_handle(&self) -> Option<$crate::ReclaimHandle> {
-                <$ty>::reclaim_handle(self)
             }
         }
     };
@@ -424,10 +415,6 @@ macro_rules! impl_deref_index {
             #[inline]
             fn multi_insert(&self, pairs: &[(u64, u64)]) -> Vec<Option<u64>> {
                 (**self).multi_insert(pairs)
-            }
-            #[inline]
-            fn reclaim_handle(&self) -> Option<ReclaimHandle> {
-                (**self).reclaim_handle()
             }
         }
     };

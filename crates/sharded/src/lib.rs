@@ -2,7 +2,7 @@
 //!
 //! The paper makes a single index robust under contention; a serving
 //! system additionally partitions, so that independent key ranges never
-//! share lock words, allocator arenas, or reclamation epochs at all
+//! share lock words or node slabs at all
 //! (Larson et al., VLDB 2012, make the case for partitioned concurrency
 //! structures in main-memory engines). [`ShardedIndex`] is that
 //! partitioning step, expressed as a facade:
@@ -18,14 +18,9 @@
 //! * every shard is its own complete index behind
 //!   [`ConcurrentIndex`], wrapped in `CachePadded` so neighbouring
 //!   shards never false-share a cache line;
-//! * each shard owns its private epoch-reclamation domain — both tree
-//!   crates embed a `Collector` per instance, so per-shard domains fall
-//!   out of the composition: retirement in one shard never delays
-//!   reclamation in another. The facade itself never pins: each tree's
-//!   `multi_*` engine pins its own domain once per (sub-)batch, and a
-//!   caller that wants one pin per burst takes the shards' handles
-//!   ([`ConcurrentIndex::reclaim_handle`], via [`ShardedIndex::for_each_shard`])
-//!   and pins them itself;
+//! * each shard owns its nodes: both trees keep every node in slabs of
+//!   their own and free an unlinked node straight into them, so a shard
+//!   neither pins an epoch nor waits on another shard's readers to free;
 //! * the facade implements [`ConcurrentIndex`] itself, so every
 //!   benchmark, workload driver and test runs unmodified over `plain`
 //!   and `sharded(N)` variants.
@@ -70,7 +65,7 @@ use optiql_index_api::{
 pub const DEFAULT_SHARDS: usize = 8;
 
 /// A partitioned index facade: `N` cache-line-padded shards of `I`,
-/// each a fully independent index (locks, stats, reclaim domain), with a
+/// each a fully independent index (locks, stats, node slabs), with a
 /// locality-preserving block router deciding ownership.
 pub struct ShardedIndex<I> {
     shards: Box<[CachePadded<I>]>,
@@ -434,14 +429,5 @@ mod tests {
         let mut visited = 0;
         s.for_each_shard(|_, _| visited += 1);
         assert_eq!(visited, 4);
-    }
-
-    #[test]
-    fn facade_reports_no_single_reclaim_domain() {
-        let s: ShardedIndex<ModelIndex> = ShardedIndex::new(4);
-        assert!(
-            s.reclaim_handle().is_none(),
-            "a multi-domain facade must not pretend to have one domain"
-        );
     }
 }

@@ -29,7 +29,7 @@
 use std::ops::Bound;
 use std::sync::Arc;
 
-use optiql_index_api::{ConcurrentIndex, IndexStats, RangeItem, RangeIter, ReclaimHandle};
+use optiql_index_api::{ConcurrentIndex, IndexStats, RangeItem, RangeIter};
 
 use crate::shard::Txn;
 use crate::{FsyncPolicy, Wal};
@@ -171,10 +171,6 @@ impl<I: ConcurrentIndex> ConcurrentIndex for DurableIndex<I> {
                 self.wal.shard(log).append_with(append).0
             },
         )
-    }
-
-    fn reclaim_handle(&self) -> Option<ReclaimHandle> {
-        self.inner.reclaim_handle()
     }
 }
 

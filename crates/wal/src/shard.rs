@@ -64,6 +64,21 @@ struct Appender {
     buf: Vec<u8>,
 }
 
+/// Stop the process because shard `shard`'s log cannot take `op`: a redo
+/// log that cannot be written or synced is a durability promise that can
+/// no longer be kept. Prints the shard, the operation and the OS error,
+/// then exits with status 1 without unwinding. The caller still holds
+/// the append mutex or the fsync gate, so nothing of this shard is acked
+/// after the failure, and a failed fsync is never retried: the kernel
+/// reports a write-back error once, so a retry could pass over pages that
+/// were never written (DESIGN §10.3). A `panic!` there would poison the
+/// mutex instead and let the other threads run on.
+#[cold]
+fn fail_stop(shard: usize, op: &str, e: &std::io::Error) -> ! {
+    eprintln!("optiql-wal: shard {shard}: {op} failed: {e}");
+    std::process::exit(1)
+}
+
 /// A single shard's redo log.
 pub struct LogShard {
     path: PathBuf,
@@ -213,9 +228,8 @@ impl LogShard {
     /// Returns the closure's result and the last LSN this call appended
     /// (0 when the closure staged nothing — e.g. a no-op update).
     ///
-    /// I/O errors are fail-stop (panic): a redo log we cannot write to
-    /// is a durability contract we can no longer honor, and limping on
-    /// would hand out acks backed by nothing.
+    /// A failed write ends the process (`fail_stop`): limping on would
+    /// hand out acks backed by nothing.
     pub fn append_with<T>(&self, f: impl FnOnce(&mut Txn<'_>) -> T) -> (T, u64) {
         let mut inner = self.inner.lock().unwrap();
         let inner = &mut *inner;
@@ -232,10 +246,9 @@ impl LogShard {
         }
         let bytes = inner.buf.len() as u64;
         inner.extend_ahead(bytes, &self.stats);
-        inner
-            .file
-            .write_all(&inner.buf)
-            .unwrap_or_else(|e| panic!("wal shard {}: append failed: {e}", self.id));
+        if let Err(e) = inner.file.write_all(&inner.buf) {
+            fail_stop(self.id, "append", &e);
+        }
         inner.len += bytes;
         let last = inner.next_lsn - 1;
         self.appended.store(last, Ordering::Release);
@@ -249,7 +262,8 @@ impl LogShard {
     /// a new region. Not synced: a trim lost to a crash leaves a zero
     /// tail, which mount reads as a clean end anyway.
     pub(crate) fn close(&self) -> std::io::Result<()> {
-        // A poisoned mutex means an appender panicked on a failed write;
+        // A poisoned mutex means an append closure panicked while it
+        // applied its mutation (a failed write ends the process instead);
         // `len` still marks the last complete frame.
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         inner.file.set_len(inner.len)?;
@@ -270,9 +284,9 @@ impl LogShard {
         // Cover everything appended so far, not just `lsn` — followers
         // that queued behind us ride this fsync for free.
         let cover = self.appended.load(Ordering::Acquire);
-        self.sync_handle
-            .sync_data()
-            .unwrap_or_else(|e| panic!("wal shard {}: fsync failed: {e}", self.id));
+        if let Err(e) = self.sync_handle.sync_data() {
+            fail_stop(self.id, "fsync", &e);
+        }
         self.durable.store(cover, Ordering::Release);
         self.stats.add(FSYNCS, 1);
     }
@@ -387,6 +401,54 @@ mod tests {
         assert_eq!((s.extends, s.extend_failures), (1, 1), "{s:?}");
         assert_eq!(s.prealloc_bytes, EXTEND_CHUNK, "the one at mount");
         assert_eq!(std::fs::metadata(&shard.path).unwrap().len(), s.bytes);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Set in a child run of this test binary: the failing operation.
+    const FAIL_STOP_CHILD: &str = "OPTIQL_WAL_FAIL_STOP_CHILD";
+
+    /// A shard whose log cannot take an append or a commit `fdatasync`
+    /// ends the process with a non-zero status and one stderr line
+    /// naming the shard, the operation and the OS error. The test re-runs
+    /// its own binary; the child builds a shard over `/dev/full`, where a
+    /// write fails with ENOSPC and `fdatasync` with EINVAL (the fsync case
+    /// appends to a file in the directory the parent runs it in, and syncs
+    /// through `/dev/full`).
+    #[test]
+    fn a_failed_append_or_fsync_ends_the_process() {
+        if let Ok(op) = std::env::var(FAIL_STOP_CHILD) {
+            let dev_full = PathBuf::from("/dev/full");
+            let file = if op == "append" {
+                File::options().write(true).open(&dev_full).unwrap()
+            } else {
+                File::create("shard-3.log").unwrap()
+            };
+            let stats = Arc::new(WalCounters::new());
+            let shard = LogShard::new(3, dev_full, file, 0, 1, stats).unwrap();
+            let ((), last) = shard.append_with(|txn| {
+                txn.set(1, 1);
+            });
+            shard.ensure_durable(last);
+            // Still running: the parent sees a clean exit and fails.
+            return;
+        }
+        let test = "shard::tests::a_failed_append_or_fsync_ends_the_process";
+        let dir = tempdir("fail-stop");
+        for (op, error) in [
+            ("append", "No space left on device"),
+            ("fsync", "Invalid argument"),
+        ] {
+            let out = std::process::Command::new(std::env::current_exe().unwrap())
+                .args(["--exact", test, "--nocapture", "--test-threads=1"])
+                .env(FAIL_STOP_CHILD, op)
+                .current_dir(&dir)
+                .output()
+                .unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{op}: {stderr}");
+            let line = format!("optiql-wal: shard 3: {op} failed: {error}");
+            assert!(stderr.contains(&line), "{op}: {stderr}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

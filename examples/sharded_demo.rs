@@ -1,8 +1,8 @@
 //! Sharded facade demo: one trait, many compositions.
 //!
 //! `ShardedIndex<I>` hash-partitions any `ConcurrentIndex` over
-//! cache-line-padded shards, each with its own locks, stats and epoch
-//! reclamation domain — and is itself a `ConcurrentIndex`, so generic
+//! cache-line-padded shards, each with its own locks, stats and node
+//! slabs — and is itself a `ConcurrentIndex`, so generic
 //! code runs unmodified over plain trees, sharded trees, or even a
 //! sharded model index.
 //!

@@ -121,8 +121,8 @@ fn btree_and_art_agree_under_identical_history() {
 
 #[test]
 fn reclamation_keeps_memory_bounded_under_churn() {
-    // Insert/remove cycles retire nodes; flushing must drain the deferred
-    // queue (no unbounded growth).
+    // Insert/remove cycles unlink leaves, which go straight back to the
+    // tree's slab for the next round's splits (no deferred queue to drain).
     let tree: BTreeOptiQL = BTreeOptiQL::new();
     for round in 0..5u64 {
         for k in 0..5_000u64 {
@@ -131,7 +131,6 @@ fn reclamation_keeps_memory_bounded_under_churn() {
         for k in 0..5_000u64 {
             tree.remove(k * 7 + round);
         }
-        tree.flush_reclamation();
     }
     assert_eq!(tree.len(), 0);
     tree.check_invariants();
