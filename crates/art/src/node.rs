@@ -192,21 +192,42 @@ pub struct ArtNode<L: IndexLock> {
     contention: AtomicU32,
 }
 
-macro_rules! node_struct {
-    ($name:ident, $kids:expr) => {
-        /// Sorted-array ART node with a small fixed child capacity.
-        #[repr(C)]
-        pub struct $name<L: IndexLock> {
-            /// Common node header.
-            pub hdr: ArtNode<L>,
-            keys: [AtomicU8; $kids],
-            children: [AtomicPtr<ArtNode<L>>; $kids],
-        }
-    };
+/// Sorted-array node: up to `N` children, their key bytes kept in
+/// ascending order. ART's `Node4` and `Node16` are this one layout at two
+/// capacities.
+#[repr(C)]
+pub struct Sorted<L: IndexLock, const N: usize> {
+    /// Common node header.
+    pub hdr: ArtNode<L>,
+    keys: [AtomicU8; N],
+    children: [AtomicPtr<ArtNode<L>>; N],
 }
 
-node_struct!(Node4, 4);
-node_struct!(Node16, 16);
+/// Up to 4 children.
+pub type Node4<L> = Sorted<L, 4>;
+/// Up to 16 children, searched with one SSE2 compare on x86_64.
+pub type Node16<L> = Sorted<L, 16>;
+
+impl<L: IndexLock, const N: usize> Sorted<L, N> {
+    /// The kind tag of capacity `N`; any other capacity fails to compile.
+    const TYP: NodeType = match N {
+        4 => NodeType::N4,
+        16 => NodeType::N16,
+        _ => panic!("a sorted node holds 4 or 16 children"),
+    };
+
+    /// Live children (the header's count, clamped to `N` for a torn read).
+    #[inline]
+    fn len(&self) -> usize {
+        (self.hdr.count.load(R) as usize).min(N)
+    }
+
+    /// Index of key byte `b` among the live keys.
+    #[inline]
+    fn position(&self, b: u8) -> Option<usize> {
+        (0..self.len()).find(|&i| self.keys[i].load(R) == b)
+    }
+}
 
 /// 48-child node: a 256-entry table maps a key byte to `slot + 1`
 /// (0 = empty), children live in 48 slots.
@@ -230,14 +251,14 @@ pub struct Node256<L: IndexLock> {
 /// The [`Slot`] of an inner node kind: carved with its kind tag, linked
 /// through its `prefix` word while free.
 macro_rules! inner_slot {
-    ($name:ident, $typ:expr, { $($field:ident: $init:expr),* }) => {
+    ([$($g:tt)*] $ty:ty, $typ:expr, { $($field:ident: $init:expr),* }) => {
         // SAFETY: a free slot links through `hdr.prefix`, path digits a
         // reader compares but never follows; the kind tag, the lock and
         // the children stay as they were. A node needs no drop (its lock
         // is a word).
-        unsafe impl<L: IndexLock> Slot for $name<L> {
+        unsafe impl<L: IndexLock, $($g)*> Slot for $ty {
             fn fresh() -> Self {
-                $name {
+                Self {
                     hdr: ArtNode {
                         typ: $typ,
                         lock: L::default(),
@@ -257,21 +278,212 @@ macro_rules! inner_slot {
     };
 }
 
-inner_slot!(Node4, NodeType::N4, {
-    keys: [const { AtomicU8::new(0) }; 4],
-    children: [const { AtomicPtr::new(ptr::null_mut()) }; 4]
+inner_slot!([const N: usize] Sorted<L, N>, Self::TYP, {
+    keys: [const { AtomicU8::new(0) }; N],
+    children: [const { AtomicPtr::new(ptr::null_mut()) }; N]
 });
-inner_slot!(Node16, NodeType::N16, {
-    keys: [const { AtomicU8::new(0) }; 16],
-    children: [const { AtomicPtr::new(ptr::null_mut()) }; 16]
-});
-inner_slot!(Node48, NodeType::N48, {
+inner_slot!([] Node48<L>, NodeType::N48, {
     index: [const { AtomicU8::new(0) }; 256],
     children: [const { AtomicPtr::new(ptr::null_mut()) }; 48]
 });
-inner_slot!(Node256, NodeType::N256, {
+inner_slot!([] Node256<L>, NodeType::N256, {
     children: [const { AtomicPtr::new(ptr::null_mut()) }; 256]
 });
+
+/// The child operations of one node layout, written once per layout:
+/// sorted ([`Sorted`]), indexed ([`Node48`]) and direct ([`Node256`]).
+/// The header keeps the child count: these read it, and only
+/// `ArtNode::insert_child` and `remove_child` write it. The writers need
+/// the node's exclusive lock.
+trait Layout<L: IndexLock> {
+    /// Child for key byte `b`, or null.
+    fn find(&self, b: u8) -> *mut ArtNode<L>;
+    /// Add `child` under `b` (not full; `b` absent).
+    fn insert(&self, b: u8, child: *mut ArtNode<L>);
+    /// Swap `child` in under `b`: the previous child, or null if `b` is
+    /// absent.
+    fn replace(&self, b: u8, child: *mut ArtNode<L>) -> *mut ArtNode<L>;
+    /// Take `b`'s child out: the child, or null if `b` is absent.
+    fn remove(&self, b: u8) -> *mut ArtNode<L>;
+    /// Every `(byte, child)` pair in ascending byte order.
+    fn each(&self, f: impl FnMut(u8, *mut ArtNode<L>));
+    /// Empty the tables of a recycled slot whose lookups do not stop at
+    /// the count (a fresh slot's are empty already).
+    fn clear(&self);
+}
+
+impl<L: IndexLock, const N: usize> Layout<L> for Sorted<L, N> {
+    #[inline]
+    fn find(&self, b: u8) -> *mut ArtNode<L> {
+        #[cfg(target_arch = "x86_64")]
+        if N == 16 {
+            let keys = self.keys[..].try_into().expect("N == 16");
+            return match simd_find16(keys, b, self.len()) {
+                Some(i) => self.children[i].load(R),
+                None => ptr::null_mut(),
+            };
+        }
+        self.position(b)
+            .map_or(ptr::null_mut(), |i| self.children[i].load(R))
+    }
+
+    fn insert(&self, b: u8, child: *mut ArtNode<L>) {
+        // Keep keys sorted for deterministic iteration.
+        let cnt = self.len();
+        let mut pos = 0;
+        while pos < cnt && self.keys[pos].load(R) < b {
+            pos += 1;
+        }
+        for i in (pos..cnt).rev() {
+            self.keys[i + 1].store(self.keys[i].load(R), R);
+            self.children[i + 1].store(self.children[i].load(R), R);
+        }
+        self.keys[pos].store(b, R);
+        self.children[pos].store(child, R);
+    }
+
+    fn replace(&self, b: u8, child: *mut ArtNode<L>) -> *mut ArtNode<L> {
+        self.position(b)
+            .map_or(ptr::null_mut(), |i| self.children[i].swap(child, R))
+    }
+
+    fn remove(&self, b: u8) -> *mut ArtNode<L> {
+        let Some(i) = self.position(b) else {
+            return ptr::null_mut();
+        };
+        let old = self.children[i].load(R);
+        for j in i..self.len() - 1 {
+            self.keys[j].store(self.keys[j + 1].load(R), R);
+            self.children[j].store(self.children[j + 1].load(R), R);
+        }
+        old
+    }
+
+    fn each(&self, mut f: impl FnMut(u8, *mut ArtNode<L>)) {
+        for i in 0..self.len() {
+            f(self.keys[i].load(R), self.children[i].load(R));
+        }
+    }
+
+    fn clear(&self) {}
+}
+
+impl<L: IndexLock> Layout<L> for Node48<L> {
+    #[inline]
+    fn find(&self, b: u8) -> *mut ArtNode<L> {
+        match self.index[b as usize].load(R) {
+            0 => ptr::null_mut(),
+            slot => self.children[(slot - 1) as usize].load(R),
+        }
+    }
+
+    fn insert(&self, b: u8, child: *mut ArtNode<L>) {
+        let slot = (0..48)
+            .find(|&i| self.children[i].load(R).is_null())
+            .expect("Node48 full despite count");
+        self.children[slot].store(child, R);
+        self.index[b as usize].store((slot + 1) as u8, R);
+    }
+
+    fn replace(&self, b: u8, child: *mut ArtNode<L>) -> *mut ArtNode<L> {
+        match self.index[b as usize].load(R) {
+            0 => ptr::null_mut(),
+            slot => self.children[(slot - 1) as usize].swap(child, R),
+        }
+    }
+
+    fn remove(&self, b: u8) -> *mut ArtNode<L> {
+        let slot = self.index[b as usize].load(R);
+        if slot == 0 {
+            return ptr::null_mut();
+        }
+        let old = self.children[(slot - 1) as usize].swap(ptr::null_mut(), R);
+        self.index[b as usize].store(0, R);
+        old
+    }
+
+    fn each(&self, mut f: impl FnMut(u8, *mut ArtNode<L>)) {
+        for b in 0..256 {
+            let slot = self.index[b].load(R);
+            if slot != 0 {
+                f(b as u8, self.children[(slot - 1) as usize].load(R));
+            }
+        }
+    }
+
+    fn clear(&self) {
+        for i in &self.index {
+            i.store(0, R);
+        }
+        for c in &self.children {
+            c.store(ptr::null_mut(), R);
+        }
+    }
+}
+
+impl<L: IndexLock> Layout<L> for Node256<L> {
+    #[inline]
+    fn find(&self, b: u8) -> *mut ArtNode<L> {
+        self.children[b as usize].load(R)
+    }
+
+    fn insert(&self, b: u8, child: *mut ArtNode<L>) {
+        self.children[b as usize].store(child, R);
+    }
+
+    fn replace(&self, b: u8, child: *mut ArtNode<L>) -> *mut ArtNode<L> {
+        self.children[b as usize].swap(child, R)
+    }
+
+    fn remove(&self, b: u8) -> *mut ArtNode<L> {
+        self.children[b as usize].swap(ptr::null_mut(), R)
+    }
+
+    fn each(&self, mut f: impl FnMut(u8, *mut ArtNode<L>)) {
+        for b in 0..256 {
+            let c = self.children[b].load(R);
+            if !c.is_null() {
+                f(b as u8, c);
+            }
+        }
+    }
+
+    fn clear(&self) {
+        for c in &self.children {
+            c.store(ptr::null_mut(), R);
+        }
+    }
+}
+
+/// `$body` with `$n` bound to the node `$node` as the [`Layout`] of its
+/// kind: the one place a header becomes a node of its kind.
+macro_rules! with_layout {
+    ($node:expr, |$n:ident| $body:expr) => {{
+        let hdr: &ArtNode<L> = $node;
+        let p = hdr as *const ArtNode<L>;
+        // SAFETY: a node is a slot of its kind's slab, tagged with that
+        // kind when the slot was carved and never retagged, and the
+        // header is the first field of every kind's `repr(C)` layout.
+        match hdr.typ {
+            NodeType::N4 => {
+                let $n = unsafe { &*(p as *const Node4<L>) };
+                $body
+            }
+            NodeType::N16 => {
+                let $n = unsafe { &*(p as *const Node16<L>) };
+                $body
+            }
+            NodeType::N48 => {
+                let $n = unsafe { &*(p as *const Node48<L>) };
+                $body
+            }
+            NodeType::N256 => {
+                let $n = unsafe { &*(p as *const Node256<L>) };
+                $body
+            }
+        }
+    }};
+}
 
 /// Where every node of one tree lives: a [`Slab`] per inner node kind and
 /// one for KV leaves. A node goes back the moment it is unlinked, and the
@@ -303,21 +515,7 @@ impl<L: IndexLock> Slabs<L> {
         n.count.store(0, R);
         n.set_prefix(&[]);
         n.reset_contention();
-        // The two kinds whose lookups do not stop at `count` clear their
-        // tables (a fresh slot's are clear already).
-        // SAFETY: as above, cast to the node's own kind.
-        let children: &[AtomicPtr<ArtNode<L>>] = match typ {
-            NodeType::N48 => {
-                let n48 = unsafe { &*(p.as_ptr() as *const Node48<L>) };
-                n48.index.iter().for_each(|i| i.store(0, R));
-                &n48.children
-            }
-            NodeType::N256 => &unsafe { &*(p.as_ptr() as *const Node256<L>) }.children,
-            NodeType::N4 | NodeType::N16 => &[],
-        };
-        for c in children {
-            c.store(ptr::null_mut(), R);
-        }
+        with_layout!(n, |k| k.clear());
         n.lock.x_unlock(t);
         p.as_ptr()
     }
@@ -458,208 +656,34 @@ impl<L: IndexLock> ArtNode<L> {
 
     /// Child for key byte `b`, or null.
     pub fn find_child(&self, b: u8) -> *mut ArtNode<L> {
-        let self_ptr = self as *const ArtNode<L> as *mut ArtNode<L>;
-        unsafe {
-            match self.typ {
-                NodeType::N4 => {
-                    let n = &*(self_ptr as *const Node4<L>);
-                    let cnt = self.count().min(4);
-                    for i in 0..cnt {
-                        if n.keys[i].load(R) == b {
-                            return n.children[i].load(R);
-                        }
-                    }
-                    std::ptr::null_mut()
-                }
-                NodeType::N16 => {
-                    let n = &*(self_ptr as *const Node16<L>);
-                    let cnt = self.count().min(16);
-                    #[cfg(target_arch = "x86_64")]
-                    match simd_find16(&n.keys, b, cnt) {
-                        Some(i) => n.children[i].load(R),
-                        None => std::ptr::null_mut(),
-                    }
-                    #[cfg(not(target_arch = "x86_64"))]
-                    {
-                        for i in 0..cnt {
-                            if n.keys[i].load(R) == b {
-                                return n.children[i].load(R);
-                            }
-                        }
-                        std::ptr::null_mut()
-                    }
-                }
-                NodeType::N48 => {
-                    let n = &*(self_ptr as *const Node48<L>);
-                    let slot = n.index[b as usize].load(R);
-                    if slot == 0 {
-                        std::ptr::null_mut()
-                    } else {
-                        n.children[(slot - 1) as usize].load(R)
-                    }
-                }
-                NodeType::N256 => {
-                    let n = &*(self_ptr as *const Node256<L>);
-                    n.children[b as usize].load(R)
-                }
-            }
-        }
+        with_layout!(self, |n| n.find(b))
     }
 
     /// Add a child (exclusive access; must not be full; byte must be absent).
     pub fn insert_child(&self, b: u8, child: *mut ArtNode<L>) {
         debug_assert!(!self.is_full());
         debug_assert!(self.find_child(b).is_null());
-        let self_ptr = self as *const ArtNode<L> as *mut ArtNode<L>;
-        let cnt = self.count.load(R) as usize;
-        unsafe {
-            match self.typ {
-                NodeType::N4 => {
-                    let n = &*(self_ptr as *const Node4<L>);
-                    // Keep keys sorted for deterministic iteration.
-                    let mut pos = 0;
-                    while pos < cnt && n.keys[pos].load(R) < b {
-                        pos += 1;
-                    }
-                    let mut i = cnt;
-                    while i > pos {
-                        n.keys[i].store(n.keys[i - 1].load(R), R);
-                        n.children[i].store(n.children[i - 1].load(R), R);
-                        i -= 1;
-                    }
-                    n.keys[pos].store(b, R);
-                    n.children[pos].store(child, R);
-                }
-                NodeType::N16 => {
-                    let n = &*(self_ptr as *const Node16<L>);
-                    let mut pos = 0;
-                    while pos < cnt && n.keys[pos].load(R) < b {
-                        pos += 1;
-                    }
-                    let mut i = cnt;
-                    while i > pos {
-                        n.keys[i].store(n.keys[i - 1].load(R), R);
-                        n.children[i].store(n.children[i - 1].load(R), R);
-                        i -= 1;
-                    }
-                    n.keys[pos].store(b, R);
-                    n.children[pos].store(child, R);
-                }
-                NodeType::N48 => {
-                    let n = &*(self_ptr as *const Node48<L>);
-                    let slot = (0..48)
-                        .find(|&i| n.children[i].load(R).is_null())
-                        .expect("Node48 full despite count");
-                    n.children[slot].store(child, R);
-                    n.index[b as usize].store((slot + 1) as u8, R);
-                }
-                NodeType::N256 => {
-                    let n = &*(self_ptr as *const Node256<L>);
-                    n.children[b as usize].store(child, R);
-                }
-            }
-        }
-        self.count.store((cnt + 1) as u16, R);
+        let cnt = self.count.load(R);
+        with_layout!(self, |n| n.insert(b, child));
+        self.count.store(cnt + 1, R);
     }
 
     /// Replace the child at byte `b` (exclusive access; byte must exist).
     /// Returns the previous pointer.
     pub fn replace_child(&self, b: u8, child: *mut ArtNode<L>) -> *mut ArtNode<L> {
-        let self_ptr = self as *const ArtNode<L> as *mut ArtNode<L>;
-        unsafe {
-            match self.typ {
-                NodeType::N4 => {
-                    let n = &*(self_ptr as *const Node4<L>);
-                    for i in 0..self.count() {
-                        if n.keys[i].load(R) == b {
-                            return n.children[i].swap(child, R);
-                        }
-                    }
-                }
-                NodeType::N16 => {
-                    let n = &*(self_ptr as *const Node16<L>);
-                    for i in 0..self.count() {
-                        if n.keys[i].load(R) == b {
-                            return n.children[i].swap(child, R);
-                        }
-                    }
-                }
-                NodeType::N48 => {
-                    let n = &*(self_ptr as *const Node48<L>);
-                    let slot = n.index[b as usize].load(R);
-                    if slot != 0 {
-                        return n.children[(slot - 1) as usize].swap(child, R);
-                    }
-                }
-                NodeType::N256 => {
-                    let n = &*(self_ptr as *const Node256<L>);
-                    let old = n.children[b as usize].swap(child, R);
-                    debug_assert!(!old.is_null());
-                    return old;
-                }
-            }
-        }
-        panic!("replace_child: byte {b} not present");
+        let old = with_layout!(self, |n| n.replace(b, child));
+        assert!(!old.is_null(), "replace_child: byte {b} not present");
+        old
     }
 
     /// Remove the child at byte `b` (exclusive access). Returns the removed
     /// pointer, or null if absent.
     pub fn remove_child(&self, b: u8) -> *mut ArtNode<L> {
-        let self_ptr = self as *const ArtNode<L> as *mut ArtNode<L>;
-        let cnt = self.count.load(R) as usize;
-        unsafe {
-            match self.typ {
-                NodeType::N4 => {
-                    let n = &*(self_ptr as *const Node4<L>);
-                    for i in 0..cnt.min(4) {
-                        if n.keys[i].load(R) == b {
-                            let old = n.children[i].load(R);
-                            for j in i..cnt - 1 {
-                                n.keys[j].store(n.keys[j + 1].load(R), R);
-                                n.children[j].store(n.children[j + 1].load(R), R);
-                            }
-                            self.count.store((cnt - 1) as u16, R);
-                            return old;
-                        }
-                    }
-                    std::ptr::null_mut()
-                }
-                NodeType::N16 => {
-                    let n = &*(self_ptr as *const Node16<L>);
-                    for i in 0..cnt.min(16) {
-                        if n.keys[i].load(R) == b {
-                            let old = n.children[i].load(R);
-                            for j in i..cnt - 1 {
-                                n.keys[j].store(n.keys[j + 1].load(R), R);
-                                n.children[j].store(n.children[j + 1].load(R), R);
-                            }
-                            self.count.store((cnt - 1) as u16, R);
-                            return old;
-                        }
-                    }
-                    std::ptr::null_mut()
-                }
-                NodeType::N48 => {
-                    let n = &*(self_ptr as *const Node48<L>);
-                    let slot = n.index[b as usize].load(R);
-                    if slot == 0 {
-                        return std::ptr::null_mut();
-                    }
-                    let old = n.children[(slot - 1) as usize].swap(std::ptr::null_mut(), R);
-                    n.index[b as usize].store(0, R);
-                    self.count.store((cnt - 1) as u16, R);
-                    old
-                }
-                NodeType::N256 => {
-                    let n = &*(self_ptr as *const Node256<L>);
-                    let old = n.children[b as usize].swap(std::ptr::null_mut(), R);
-                    if !old.is_null() {
-                        self.count.store((cnt - 1) as u16, R);
-                    }
-                    old
-                }
-            }
+        let old = with_layout!(self, |n| n.remove(b));
+        if !old.is_null() {
+            self.count.store(self.count.load(R) - 1, R);
         }
+        old
     }
 
     /// Allocate the next-size-up node from `slabs` and copy prefix +
@@ -683,42 +707,8 @@ impl<L: IndexLock> ArtNode<L> {
     }
 
     /// Iterate `(byte, child)` pairs in ascending byte order.
-    pub fn for_each_child(&self, mut f: impl FnMut(u8, *mut ArtNode<L>)) {
-        let self_ptr = self as *const ArtNode<L> as *mut ArtNode<L>;
-        unsafe {
-            match self.typ {
-                NodeType::N4 => {
-                    let n = &*(self_ptr as *const Node4<L>);
-                    for i in 0..self.count() {
-                        f(n.keys[i].load(R), n.children[i].load(R));
-                    }
-                }
-                NodeType::N16 => {
-                    let n = &*(self_ptr as *const Node16<L>);
-                    for i in 0..self.count() {
-                        f(n.keys[i].load(R), n.children[i].load(R));
-                    }
-                }
-                NodeType::N48 => {
-                    let n = &*(self_ptr as *const Node48<L>);
-                    for b in 0..256 {
-                        let slot = n.index[b].load(R);
-                        if slot != 0 {
-                            f(b as u8, n.children[(slot - 1) as usize].load(R));
-                        }
-                    }
-                }
-                NodeType::N256 => {
-                    let n = &*(self_ptr as *const Node256<L>);
-                    for b in 0..256 {
-                        let c = n.children[b].load(R);
-                        if !c.is_null() {
-                            f(b as u8, c);
-                        }
-                    }
-                }
-            }
-        }
+    pub fn for_each_child(&self, f: impl FnMut(u8, *mut ArtNode<L>)) {
+        with_layout!(self, |n| n.each(f))
     }
 
     /// The single remaining child (exclusive access, count must be 1).
@@ -750,6 +740,40 @@ mod tests {
     fn fake_child(i: usize) -> *mut N {
         // Aligned, non-null, never dereferenced sentinel values.
         ((i + 1) * 16) as *mut N
+    }
+
+    /// Each kind's size, alignment and field offsets under the lock every
+    /// served ART uses: the sorted capacities share one layout and keep the
+    /// bytes `Node4` and `Node16` had as types of their own, so a tree's
+    /// bytes per key do not move.
+    #[test]
+    fn every_kind_keeps_its_size_and_offsets() {
+        use optiql::OptiQL;
+        use std::mem::{align_of, offset_of, size_of};
+        type S<const C: usize> = Sorted<OptiQL, C>;
+        assert_eq!(
+            (size_of::<ArtNode<OptiQL>>(), align_of::<ArtNode<OptiQL>>()),
+            (40, 8)
+        );
+        assert_eq!((size_of::<S<4>>(), align_of::<S<4>>()), (80, 8));
+        assert_eq!(
+            (offset_of!(S<4>, keys), offset_of!(S<4>, children)),
+            (40, 48)
+        );
+        assert_eq!((size_of::<S<16>>(), align_of::<S<16>>()), (184, 8));
+        assert_eq!(
+            (offset_of!(S<16>, keys), offset_of!(S<16>, children)),
+            (40, 56)
+        );
+        type N48 = Node48<OptiQL>;
+        assert_eq!((size_of::<N48>(), align_of::<N48>()), (680, 8));
+        assert_eq!(
+            (offset_of!(N48, index), offset_of!(N48, children)),
+            (40, 296)
+        );
+        type N256 = Node256<OptiQL>;
+        assert_eq!((size_of::<N256>(), align_of::<N256>()), (2088, 8));
+        assert_eq!(offset_of!(N256, children), 40);
     }
 
     #[test]

@@ -36,7 +36,7 @@ use optiql_index_api::ConcurrentIndex;
 use optiql_wal::{DurableIndex, FsyncPolicy, Wal, WalConfig};
 
 use crate::chaos::ChaosIndex;
-use crate::history::{Recorder, ThreadRecorder};
+use crate::history::{HistEvent, Recorder, ThreadRecorder};
 use crate::linearize::{check_logs, CheckSummary, Violation};
 use crate::register::{LockRegister, OptRegister};
 
@@ -448,33 +448,66 @@ pub fn run_target(t: &Target, seed: u64, cfg: &CheckConfig) -> Result<RunReport,
     };
     let cfg = &cfg;
 
-    let index = t.build();
-    let chaosed = Arc::new(ChaosIndex::new(index));
+    let chaosed = Arc::new(ChaosIndex::new(t.build()));
     let recorder = Recorder::new();
-    let barrier = Arc::new(Barrier::new(cfg.threads));
+    let logs = run_workers(&chaosed, &recorder, 0, seed, t, cfg, None);
+    crate::chaos::disable();
+    verdict(logs, &recorder, t, seed, cfg)
+}
 
-    let logs: Vec<_> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..cfg.threads)
+/// A thread beside the workers, handed the flag that stops them between
+/// ops and the count of workers done.
+type Controller<'a> = &'a (dyn Fn(&AtomicBool, &AtomicUsize) + Sync);
+
+/// Run `cfg.threads` workers through their scripts against `ix`, started
+/// together by one barrier, and return their logs in slot order. Worker
+/// `i` is chaos slot, script slot and recorder thread `first + i`; a
+/// `controller` runs on a thread of its own beside them.
+fn run_workers<I: ConcurrentIndex + Send + Sync>(
+    ix: &Arc<I>,
+    recorder: &Arc<Recorder>,
+    first: usize,
+    seed: u64,
+    t: &Target,
+    cfg: &CheckConfig,
+    controller: Option<Controller<'_>>,
+) -> Vec<Vec<HistEvent>> {
+    let stop = AtomicBool::new(false);
+    let done = AtomicUsize::new(0);
+    let barrier = Barrier::new(cfg.threads);
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (first..first + cfg.threads)
             .map(|slot| {
-                let chaosed = Arc::clone(&chaosed);
-                let recorder = Arc::clone(&recorder);
-                let barrier = Arc::clone(&barrier);
+                let (ix, recorder) = (Arc::clone(ix), Arc::clone(recorder));
+                let (barrier, stop, done) = (&barrier, &stop, &done);
                 s.spawn(move || {
                     crate::chaos::register_thread(slot as u64);
-                    let tr = ThreadRecorder::new(chaosed, recorder, slot as u32);
+                    let tr = ThreadRecorder::new(ix, recorder, slot as u32);
                     barrier.wait();
-                    run_script(&tr, slot, seed, t, cfg, None);
+                    run_script(&tr, slot, seed, t, cfg, controller.map(|_| stop));
+                    done.fetch_add(1, Ordering::Release);
                     tr.into_log()
                 })
             })
             .collect();
+        if let Some(controller) = controller {
+            s.spawn(|| controller(&stop, &done));
+        }
         handles
             .into_iter()
             .map(|h| h.join().expect("worker panicked"))
             .collect()
-    });
+    })
+}
 
-    crate::chaos::disable();
+/// The run's report, or the failure its recorded history shows.
+fn verdict(
+    logs: Vec<Vec<HistEvent>>,
+    recorder: &Recorder,
+    t: &Target,
+    seed: u64,
+    cfg: &CheckConfig,
+) -> Result<RunReport, Failure> {
     let ticks = recorder.now();
     match check_logs(logs) {
         Ok(summary) => Ok(RunReport { summary, ticks }),
@@ -543,8 +576,6 @@ fn run_crash_target(t: &Target, seed: u64, cfg: &CheckConfig) -> Result<RunRepor
     let ckpt_tick = crash_tick / 2;
 
     let recorder = Recorder::new();
-    let stop = AtomicBool::new(false);
-    let done = AtomicUsize::new(0);
 
     // Phase one: chaos over the wal-logged wrapper over the index.
     let wal = Arc::new(Wal::open(wal_cfg()).expect("open wal for crash cell"));
@@ -553,48 +584,26 @@ fn run_crash_target(t: &Target, seed: u64, cfg: &CheckConfig) -> Result<RunRepor
         Arc::clone(&raw),
         Arc::clone(&wal),
     )));
-    let barrier = Arc::new(Barrier::new(cfg.threads));
-    let mut logs: Vec<Vec<crate::history::HistEvent>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..cfg.threads)
-            .map(|slot| {
-                let chaosed = Arc::clone(&chaosed);
-                let recorder = Arc::clone(&recorder);
-                let barrier = Arc::clone(&barrier);
-                let (stop, done) = (&stop, &done);
-                s.spawn(move || {
-                    crate::chaos::register_thread(slot as u64);
-                    let tr = ThreadRecorder::new(chaosed, recorder, slot as u32);
-                    barrier.wait();
-                    run_script(&tr, slot, seed, t, cfg, Some(stop));
-                    done.fetch_add(1, Ordering::Release);
-                    tr.into_log()
-                })
-            })
-            .collect();
-        // The controller: checkpoint mid-churn, then pull the plug.
-        s.spawn(|| {
-            let mut ckpt_done = false;
-            loop {
-                if done.load(Ordering::Acquire) == cfg.threads {
-                    break;
-                }
-                let now = recorder.now();
-                if !ckpt_done && now >= ckpt_tick {
-                    wal.checkpoint(&*raw).expect("checkpoint under churn");
-                    ckpt_done = true;
-                }
-                if now >= crash_tick {
-                    stop.store(true, Ordering::Release);
-                    break;
-                }
-                std::thread::yield_now();
+    // The controller: checkpoint mid-churn, then pull the plug.
+    let controller = |stop: &AtomicBool, done: &AtomicUsize| {
+        let mut ckpt_done = false;
+        loop {
+            if done.load(Ordering::Acquire) == cfg.threads {
+                break;
             }
-        });
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    });
+            let now = recorder.now();
+            if !ckpt_done && now >= ckpt_tick {
+                wal.checkpoint(&*raw).expect("checkpoint under churn");
+                ckpt_done = true;
+            }
+            if now >= crash_tick {
+                stop.store(true, Ordering::Release);
+                break;
+            }
+            std::thread::yield_now();
+        }
+    };
+    let mut logs = run_workers(&chaosed, &recorder, 0, seed, t, cfg, Some(&controller));
     drop(chaosed);
     drop(raw);
     drop(wal);
@@ -619,29 +628,15 @@ fn run_crash_target(t: &Target, seed: u64, cfg: &CheckConfig) -> Result<RunRepor
         ..cfg.clone()
     };
     let chaosed2 = Arc::new(ChaosIndex::new(fresh));
-    let barrier2 = Arc::new(Barrier::new(cfg.threads));
-    logs.extend(std::thread::scope(|s| {
-        let handles: Vec<_> = (0..cfg.threads)
-            .map(|slot| {
-                let chaosed2 = Arc::clone(&chaosed2);
-                let recorder = Arc::clone(&recorder);
-                let barrier2 = Arc::clone(&barrier2);
-                let cfg2 = &cfg2;
-                s.spawn(move || {
-                    let slot = cfg2.threads + slot;
-                    crate::chaos::register_thread(slot as u64);
-                    let tr = ThreadRecorder::new(chaosed2, recorder, slot as u32);
-                    barrier2.wait();
-                    run_script(&tr, slot, seed, t, cfg2, None);
-                    tr.into_log()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect::<Vec<_>>()
-    }));
+    logs.extend(run_workers(
+        &chaosed2,
+        &recorder,
+        cfg.threads,
+        seed,
+        t,
+        &cfg2,
+        None,
+    ));
 
     // Final sweep: one recorded lookup per key, so *every* key's
     // recovered value must be explainable by the stitched history, not
@@ -659,16 +654,7 @@ fn run_crash_target(t: &Target, seed: u64, cfg: &CheckConfig) -> Result<RunRepor
 
     crate::chaos::disable();
     let _ = std::fs::remove_dir_all(&dir);
-    let ticks = recorder.now();
-    match check_logs(logs) {
-        Ok(summary) => Ok(RunReport { summary, ticks }),
-        Err(violation) => Err(Failure {
-            target: t.name,
-            seed,
-            cfg: cfg.clone(),
-            violation,
-        }),
-    }
+    verdict(logs, &recorder, t, seed, cfg)
 }
 
 /// Sweep `targets × seeds`. On a failure, the failing seed is re-run

@@ -88,7 +88,7 @@ pub use crate::mcs::McsLock;
 pub use crate::mcs_rw::McsRwLock;
 pub use crate::olc::{IndexStats, OptimisticGuard, RestartLoop};
 pub use crate::optiql::{OptiQL, OptiQLAor, OptiQLCore, OptiQLNor};
-pub use crate::optlock::{OptLock, OptLockBackoff};
+pub use crate::optlock::{OptLock, OptLockBackoff, OptLockCore};
 pub use crate::pthread::PthreadRwLock;
 pub use crate::traits::{ExclusiveLock, IndexLock, WriteStrategy, WriteToken};
-pub use crate::tts::{TtsBackoff, TtsLock};
+pub use crate::tts::{TtsBackoff, TtsCore, TtsLock};

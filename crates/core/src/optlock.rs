@@ -6,6 +6,8 @@
 //! without writing shared memory and validate afterwards; writers CAS the
 //! lock bit and bump the version on release. Fast under low contention,
 //! collapses under high contention (Figure 1) — the problem OptiQL solves.
+//! [`OptLockBackoff`] is the same lock with truncated exponential backoff
+//! between a writer's retries.
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
@@ -17,28 +19,37 @@ use crate::traits::{ExclusiveLock, IndexLock, WriteStrategy, WriteToken};
 /// Exclusive bit, most significant (paper: `1UL << 63`).
 pub const LOCKED: u64 = 1 << 63;
 
-/// Centralized optimistic lock.
+/// Shared implementation; `BACKOFF` selects how a writer that found the
+/// lock held waits before it retries.
 #[derive(Default)]
-pub struct OptLock {
+pub struct OptLockCore<const BACKOFF: bool> {
     word: AtomicU64,
 }
 
-impl OptLock {
+/// Centralized optimistic lock.
+pub type OptLock = OptLockCore<false>;
+/// OptLock with truncated exponential backoff on the writer path
+/// (ablation: eases collapse, sacrifices fairness — paper §1.1).
+pub type OptLockBackoff = OptLockCore<true>;
+
+impl<const BACKOFF: bool> OptLockCore<BACKOFF> {
     /// New, unlocked, version 0.
     pub const fn new() -> Self {
-        OptLock {
+        OptLockCore {
             word: AtomicU64::new(0),
         }
     }
+}
 
-    /// Current raw word (diagnostic).
-    #[inline]
-    pub fn raw(&self) -> u64 {
-        self.word.load(Ordering::Acquire)
-    }
+impl<const BACKOFF: bool> ExclusiveLock for OptLockCore<BACKOFF> {
+    const NAME: &'static str = if BACKOFF {
+        "OptLock-Backoff"
+    } else {
+        "OptLock"
+    };
 
     #[inline]
-    fn lock_slow_path(&self, backoff: bool) -> WriteToken {
+    fn x_lock(&self) -> WriteToken {
         let mut s = Spinner::new();
         let mut b = Backoff::default();
         let mut contended = false;
@@ -57,7 +68,7 @@ impl OptLock {
                 contended = true;
                 record(Event::ExQueueWait);
             }
-            if backoff {
+            if BACKOFF {
                 b.wait();
             } else {
                 s.spin();
@@ -66,7 +77,7 @@ impl OptLock {
     }
 
     #[inline]
-    fn unlock_impl(&self) {
+    fn x_unlock(&self, _t: WriteToken) {
         // Single writer: plain load + store is race-free on the version.
         // `(lock + 1) & ~LOCKED` — clears the lock bit and bumps the
         // version in one store, exactly as in Figure 2b.
@@ -75,9 +86,14 @@ impl OptLock {
         self.word
             .store(v.wrapping_add(1) & !LOCKED, Ordering::Release);
     }
+}
+
+impl<const BACKOFF: bool> IndexLock for OptLockCore<BACKOFF> {
+    const PESSIMISTIC: bool = false;
+    const STRATEGY: WriteStrategy = WriteStrategy::Upgrade;
 
     #[inline]
-    fn read_begin(&self) -> Option<u64> {
+    fn r_lock(&self) -> Option<u64> {
         let v = self.word.load(Ordering::Acquire);
         if v & LOCKED == 0 {
             record(Event::ReadAdmit);
@@ -89,7 +105,7 @@ impl OptLock {
     }
 
     #[inline]
-    fn read_validate(&self, v: u64) -> bool {
+    fn r_unlock(&self, v: u64) -> bool {
         // Seqlock idiom: order all data reads before the validation load.
         fence(Ordering::Acquire);
         let ok = self.word.load(Ordering::Relaxed) == v;
@@ -100,39 +116,10 @@ impl OptLock {
         });
         ok
     }
-}
-
-impl ExclusiveLock for OptLock {
-    const NAME: &'static str = "OptLock";
-
-    #[inline]
-    fn x_lock(&self) -> WriteToken {
-        self.lock_slow_path(false)
-    }
-
-    #[inline]
-    fn x_unlock(&self, _t: WriteToken) {
-        self.unlock_impl();
-    }
-}
-
-impl IndexLock for OptLock {
-    const PESSIMISTIC: bool = false;
-    const STRATEGY: WriteStrategy = WriteStrategy::Upgrade;
-
-    #[inline]
-    fn r_lock(&self) -> Option<u64> {
-        self.read_begin()
-    }
-
-    #[inline]
-    fn r_unlock(&self, v: u64) -> bool {
-        self.read_validate(v)
-    }
 
     #[inline]
     fn recheck(&self, v: u64) -> bool {
-        self.read_validate(v)
+        self.r_unlock(v)
     }
 
     #[inline]
@@ -154,66 +141,6 @@ impl IndexLock for OptLock {
     #[inline]
     fn is_locked_ex(&self) -> bool {
         self.word.load(Ordering::Relaxed) & LOCKED != 0
-    }
-}
-
-/// OptLock with truncated exponential backoff on the writer path
-/// (ablation: eases collapse, sacrifices fairness — paper §1.1).
-#[derive(Default)]
-pub struct OptLockBackoff {
-    inner: OptLock,
-}
-
-impl OptLockBackoff {
-    /// New, unlocked.
-    pub const fn new() -> Self {
-        OptLockBackoff {
-            inner: OptLock::new(),
-        }
-    }
-}
-
-impl ExclusiveLock for OptLockBackoff {
-    const NAME: &'static str = "OptLock-Backoff";
-
-    #[inline]
-    fn x_lock(&self) -> WriteToken {
-        self.inner.lock_slow_path(true)
-    }
-
-    #[inline]
-    fn x_unlock(&self, _t: WriteToken) {
-        self.inner.unlock_impl();
-    }
-}
-
-impl IndexLock for OptLockBackoff {
-    const PESSIMISTIC: bool = false;
-    const STRATEGY: WriteStrategy = WriteStrategy::Upgrade;
-
-    #[inline]
-    fn r_lock(&self) -> Option<u64> {
-        self.inner.read_begin()
-    }
-
-    #[inline]
-    fn r_unlock(&self, v: u64) -> bool {
-        self.inner.read_validate(v)
-    }
-
-    #[inline]
-    fn recheck(&self, v: u64) -> bool {
-        self.inner.read_validate(v)
-    }
-
-    #[inline]
-    fn try_upgrade(&self, v: u64) -> Option<WriteToken> {
-        self.inner.try_upgrade(v)
-    }
-
-    #[inline]
-    fn is_locked_ex(&self) -> bool {
-        self.inner.is_locked_ex()
     }
 }
 

@@ -3,7 +3,9 @@
 //! The classic centralized mutual-exclusion baseline: spin reading the lock
 //! word until it looks free, then CAS it to locked. No reader support, no
 //! fairness, collapses under contention — included as the reference point
-//! for Figure 6.
+//! for Figure 6. [`TtsBackoff`] is the same lock with truncated
+//! exponential backoff between retries (ablation baseline; trades
+//! fairness for less coherence traffic).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -15,43 +17,33 @@ use crate::traits::{ExclusiveLock, WriteToken};
 const UNLOCKED: u64 = 0;
 const LOCKED: u64 = 1;
 
-/// Classic TTS spinlock.
+/// Shared implementation; `BACKOFF` selects how a failed attempt waits.
 #[derive(Default)]
-pub struct TtsLock {
+pub struct TtsCore<const BACKOFF: bool> {
     word: AtomicU64,
 }
 
-impl TtsLock {
+/// Classic TTS spinlock.
+pub type TtsLock = TtsCore<false>;
+/// TTS with truncated exponential backoff between retries.
+pub type TtsBackoff = TtsCore<true>;
+
+impl<const BACKOFF: bool> TtsCore<BACKOFF> {
     /// New, unlocked.
     pub const fn new() -> Self {
-        TtsLock {
+        TtsCore {
             word: AtomicU64::new(UNLOCKED),
         }
     }
-
-    /// Try to acquire without blocking.
-    #[inline]
-    pub fn try_lock(&self) -> bool {
-        self.word.load(Ordering::Relaxed) == UNLOCKED
-            && self
-                .word
-                .compare_exchange(UNLOCKED, LOCKED, Ordering::Acquire, Ordering::Relaxed)
-                .is_ok()
-    }
-
-    /// True iff currently held.
-    #[inline]
-    pub fn is_locked(&self) -> bool {
-        self.word.load(Ordering::Relaxed) == LOCKED
-    }
 }
 
-impl ExclusiveLock for TtsLock {
-    const NAME: &'static str = "TTS";
+impl<const BACKOFF: bool> ExclusiveLock for TtsCore<BACKOFF> {
+    const NAME: &'static str = if BACKOFF { "TTS-Backoff" } else { "TTS" };
 
     #[inline]
     fn x_lock(&self) -> WriteToken {
         let mut s = Spinner::new();
+        let mut b = Backoff::default();
         let mut contended = false;
         loop {
             // Test: spin on a (cacheable) read first.
@@ -68,54 +60,11 @@ impl ExclusiveLock for TtsLock {
                 contended = true;
                 record(Event::ExQueueWait);
             }
-            s.spin();
-        }
-    }
-
-    #[inline]
-    fn x_unlock(&self, _t: WriteToken) {
-        self.word.store(UNLOCKED, Ordering::Release);
-    }
-}
-
-/// TTS with truncated exponential backoff between retries (ablation
-/// baseline; trades fairness for less coherence traffic).
-#[derive(Default)]
-pub struct TtsBackoff {
-    word: AtomicU64,
-}
-
-impl TtsBackoff {
-    /// New, unlocked.
-    pub const fn new() -> Self {
-        TtsBackoff {
-            word: AtomicU64::new(UNLOCKED),
-        }
-    }
-}
-
-impl ExclusiveLock for TtsBackoff {
-    const NAME: &'static str = "TTS-Backoff";
-
-    #[inline]
-    fn x_lock(&self) -> WriteToken {
-        let mut b = Backoff::default();
-        let mut contended = false;
-        loop {
-            if self.word.load(Ordering::Relaxed) == UNLOCKED
-                && self
-                    .word
-                    .compare_exchange_weak(UNLOCKED, LOCKED, Ordering::Acquire, Ordering::Relaxed)
-                    .is_ok()
-            {
-                record(Event::ExAcquire);
-                return WriteToken::empty();
+            if BACKOFF {
+                b.wait();
+            } else {
+                s.spin();
             }
-            if !contended {
-                contended = true;
-                record(Event::ExQueueWait);
-            }
-            b.wait();
         }
     }
 
@@ -132,21 +81,10 @@ mod tests {
     #[test]
     fn lock_unlock_cycle() {
         let l = TtsLock::new();
-        assert!(!l.is_locked());
         let t = l.x_lock();
-        assert!(l.is_locked());
+        assert_eq!(l.word.load(Ordering::Relaxed), LOCKED);
         l.x_unlock(t);
-        assert!(!l.is_locked());
-    }
-
-    #[test]
-    fn try_lock_fails_while_held() {
-        let l = TtsLock::new();
-        let t = l.x_lock();
-        assert!(!l.try_lock());
-        l.x_unlock(t);
-        assert!(l.try_lock());
-        l.x_unlock(WriteToken::empty());
+        assert_eq!(l.word.load(Ordering::Relaxed), UNLOCKED);
     }
 
     #[test]

@@ -79,6 +79,40 @@ fn all_locks_provide_mutual_exclusion() {
     exclusion::<optiql::TtsBackoff>();
 }
 
+/// Every lock's name is the series key of its rows in the committed
+/// `BENCH_fig06/07/08/ablation/hotpath` reports: a lock written as a const
+/// parameter of a shared core must keep the name it had as a type.
+#[test]
+fn every_lock_keeps_its_series_name() {
+    let names = [
+        optiql::TtsLock::NAME,
+        optiql::TtsBackoff::NAME,
+        OptLock::NAME,
+        OptLockBackoff::NAME,
+        OptiQL::NAME,
+        OptiQLNor::NAME,
+        OptiQLAor::NAME,
+        optiql::McsLock::NAME,
+        McsRwLock::NAME,
+        PthreadRwLock::NAME,
+    ];
+    assert_eq!(
+        names,
+        [
+            "TTS",
+            "TTS-Backoff",
+            "OptLock",
+            "OptLock-Backoff",
+            "OptiQL",
+            "OptiQL-NOR",
+            "OptiQL-AOR",
+            "MCS",
+            "MCS-RW",
+            "pthread",
+        ]
+    );
+}
+
 #[test]
 fn mcs_rw_readers_chain_behind_a_blocked_reader() {
     // Scenario from the M&S fair-RW algorithm: W holds; R1 queues (blocked);
