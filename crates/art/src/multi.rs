@@ -16,13 +16,13 @@
 //! What the pipeline does not do itself — prefix splits and node growth
 //! (both need the parent exclusively), operations that keep failing
 //! validation, repeated keys — the scheduler completes through the scalar
-//! driver, against cache-warm nodes. Each turn re-derives its key's radix
-//! digits on the stack (a byte swap).
+//! driver, against cache-warm nodes. A turn needs only its key: every
+//! radix digit is a shift of it.
 
 use optiql::olc::{run_grouped, Step, OPS};
 use optiql::IndexLock;
 
-use crate::node::{key_bytes, prefetch_child};
+use crate::node::prefetch_child;
 use crate::tree::{ArtTree, Edge, WriteOp, LANES, SIZE};
 
 impl<L: IndexLock> ArtTree<L> {
@@ -35,9 +35,9 @@ impl<L: IndexLock> ArtTree<L> {
             |_, _| false,
             |i, parked| {
                 let key = keys[i];
-                self.turn(parked, |e| self.read_step(key, &key_bytes(key), e))
+                self.turn(parked, |e| self.read_step(key, e))
             },
-            |i| self.lookup_impl(keys[i], &key_bytes(keys[i])),
+            |i| self.lookup_impl(keys[i]),
         )
     }
 
@@ -59,7 +59,7 @@ impl<L: IndexLock> ArtTree<L> {
             self.counters.add(OPS, pairs.len() as u64);
             pairs
                 .iter()
-                .map(|&(key, val)| self.insert_impl(key, &key_bytes(key), val))
+                .map(|&(key, val)| self.insert_impl(key, val))
                 .collect()
         } else {
             self.multi_insert_grouped(pairs)
@@ -79,20 +79,19 @@ impl<L: IndexLock> ArtTree<L> {
             |e, i| pairs[e].0 == pairs[i].0,
             |i, parked| {
                 let (key, val) = pairs[i];
-                let kb = key_bytes(key);
                 self.turn(parked, |e| {
                     // Restructuring above a node is the scalar driver's
                     // job; nothing is held (the pipeline runs optimistic
                     // locks only), so hand over — and for the same reason
                     // the link the step leaves in `up` for a remove's
                     // collapse can simply be dropped.
-                    self.write_step(key, &kb, WriteOp::Insert(val), &mut None, e)
-                        .unwrap_or_else(|_smo| Step::Done(self.insert_impl(key, &kb, val)))
+                    self.write_step(key, WriteOp::Insert(val), &mut None, e)
+                        .unwrap_or_else(|_smo| Step::Done(self.insert_impl(key, val)))
                 })
             },
             |i| {
                 let (key, val) = pairs[i];
-                self.insert_impl(key, &key_bytes(key), val)
+                self.insert_impl(key, val)
             },
         )
     }

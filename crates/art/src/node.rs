@@ -6,9 +6,11 @@
 //! `Relaxed` ordering so optimistic readers are race-free; inconsistent
 //! snapshots are rejected by lock-version validation.
 //!
-//! Keys are fixed-width `u64`s traversed in big-endian byte order (order
-//! preserving); a full key is 8 bytes, so a compressed prefix is at most 7
-//! bytes and packs into a single atomic word.
+//! Keys are `u64`s whose radix digits are their 8 bytes, most significant
+//! first (order preserving), taken from the key by shifts ([`digit`]). A
+//! compressed path is at most 7 digits and packs into one atomic word in
+//! the same order, so matching it against a key is one `xor` of two
+//! words ([`ArtNode::prefix_match_len`]).
 //!
 //! Every node is a slot of one of its tree's [`Slabs`] — one per inner
 //! kind, one for KV leaves — and stays a node of that kind until the tree
@@ -20,6 +22,7 @@
 //! therefore never goes back: a reader in a node that was freed and
 //! reused fails validation.
 
+use std::cmp;
 use std::ptr::{self, NonNull};
 use std::sync::atomic::{AtomicPtr, AtomicU16, AtomicU32, AtomicU64, AtomicU8, Ordering};
 
@@ -28,13 +31,41 @@ use optiql::IndexLock;
 
 const R: Ordering = Ordering::Relaxed;
 
-/// Key length in bytes.
+/// Digits in a key.
 pub const KEY_LEN: usize = 8;
 
-/// Big-endian byte decomposition (order preserving).
+/// `key`'s digits from `depth` on, left-aligned: digit `depth` in the top
+/// byte, zeros where the key has run out. A torn optimistic snapshot can
+/// put `depth` past the key's end for a moment; the checked shift then
+/// yields 0 instead of overflowing, and validation rejects whatever was
+/// read.
 #[inline]
-pub fn key_bytes(k: u64) -> [u8; KEY_LEN] {
-    k.to_be_bytes()
+pub(crate) fn digits_from(key: u64, depth: usize) -> u64 {
+    key.checked_shl((depth as u32).saturating_mul(8))
+        .unwrap_or(0)
+}
+
+/// Digit `depth` of `key` (0 past its end).
+#[inline]
+pub(crate) fn digit(key: u64, depth: usize) -> u8 {
+    (digits_from(key, depth) >> 56) as u8
+}
+
+/// The mask of a word's top `n` digits.
+#[inline]
+pub(crate) fn top(n: usize) -> u64 {
+    !u64::MAX
+        .checked_shr((n as u32).saturating_mul(8))
+        .unwrap_or(0)
+}
+
+/// First digit position ≥ `from` where two keys differ. Distinct keys
+/// diverge inside their 8 digits; `None` means the digits agree from
+/// `from` on, i.e. the caller's view of the shared path was stale.
+#[inline]
+pub(crate) fn fork_depth(a: u64, b: u64, from: usize) -> Option<usize> {
+    let diff = digits_from(a ^ b, from);
+    (diff != 0).then(|| from + diff.leading_zeros() as usize / 8)
 }
 
 /// Node kinds; fixed per slot (a node changes size by being replaced,
@@ -182,10 +213,11 @@ pub struct ArtNode<L: IndexLock> {
     /// §6.2).
     pub lock: L,
     count: AtomicU16,
-    /// Compressed-path length in bytes (0..=7).
+    /// Compressed-path length in digits (0..=7).
     prefix_len: AtomicU8,
-    /// Compressed-path bytes, packed big-endian: byte `i` lives at bits
-    /// `56 - 8 i`. A free slot's free-list link.
+    /// Compressed-path digits, left-aligned as in [`digits_from`]: digit
+    /// `i` lives at bits `56 - 8 i`, and the bits past `prefix_len` are
+    /// zero. A free slot's free-list link.
     prefix: AtomicU64,
     /// Contention counter for contention expansion (§6.2), incremented
     /// probabilistically on upgrade-based exclusive acquisitions.
@@ -513,7 +545,7 @@ impl<L: IndexLock> Slabs<L> {
         let n = unsafe { p.as_ref() };
         let t = n.lock.x_lock();
         n.count.store(0, R);
-        n.set_prefix(&[]);
+        n.set_prefix(0, 0);
         n.reset_contention();
         with_layout!(n, |k| k.clear());
         n.lock.x_unlock(t);
@@ -593,45 +625,51 @@ impl<L: IndexLock> ArtNode<L> {
         self.count.load(R) as usize >= self.capacity()
     }
 
-    /// Compressed-path length (bytes).
+    /// Compressed-path length (digits).
     #[inline]
     pub fn prefix_len(&self) -> usize {
         (self.prefix_len.load(R) as usize).min(KEY_LEN - 1)
     }
 
-    /// Prefix byte `i`.
+    /// The compressed path, left-aligned as in [`digits_from`].
     #[inline]
-    pub fn prefix_byte(&self, i: usize) -> u8 {
-        debug_assert!(i < KEY_LEN);
-        ((self.prefix.load(R) >> (56 - 8 * i)) & 0xFF) as u8
+    pub fn prefix(&self) -> u64 {
+        self.prefix.load(R)
     }
 
-    /// Install a compressed path (exclusive access).
-    pub fn set_prefix(&self, bytes: &[u8]) {
-        debug_assert!(bytes.len() < KEY_LEN);
-        let mut packed = 0u64;
-        for (i, b) in bytes.iter().enumerate() {
-            packed |= (*b as u64) << (56 - 8 * i);
-        }
-        self.prefix.store(packed, R);
-        self.prefix_len.store(bytes.len() as u8, R);
+    /// Install the top `len` digits of `path` as the compressed path
+    /// (exclusive access).
+    pub fn set_prefix(&self, path: u64, len: usize) {
+        debug_assert!(len < KEY_LEN);
+        self.prefix.store(path & top(len), R);
+        self.prefix_len.store(len as u8, R);
     }
 
-    /// Compare the compressed path against `key[depth..]`. Returns the
-    /// number of matching bytes, which equals `prefix_len` on a full match;
-    /// an exhausted key (a torn read's stale depth) is a mismatch at the
-    /// point of exhaustion.
+    /// How many digits of the compressed path match `key` from `depth`
+    /// on: `prefix_len` on a full match. The key's end (a torn read's
+    /// stale depth) is a mismatch at that point.
     #[inline]
-    pub fn prefix_match_len(&self, key: &[u8], depth: usize) -> usize {
-        let plen = self.prefix_len();
-        let mut i = 0;
-        while i < plen && depth + i < key.len() {
-            if self.prefix_byte(i) != key[depth + i] {
-                break;
-            }
-            i += 1;
-        }
-        i
+    pub fn prefix_match_len(&self, key: u64, depth: usize) -> usize {
+        let same = (self.prefix() ^ digits_from(key, depth)).leading_zeros() as usize / 8;
+        same.min(self.prefix_len())
+            .min(KEY_LEN.saturating_sub(depth))
+    }
+
+    /// How the compressed path orders against `key`'s digits from `depth`
+    /// on, compared as two integers of `prefix_len` digits. A path running
+    /// past the key's end (a torn read's stale depth) sorts above it, as
+    /// a string above its own prefix, so it never compares equal.
+    #[inline]
+    pub fn prefix_cmp(&self, key: u64, depth: usize) -> cmp::Ordering {
+        let pl = self.prefix_len();
+        let keep = top(pl);
+        (self.prefix() & keep)
+            .cmp(&(digits_from(key, depth) & keep))
+            .then(if KEY_LEN.saturating_sub(depth) < pl {
+                cmp::Ordering::Greater
+            } else {
+                cmp::Ordering::Equal
+            })
     }
 
     /// Contention counter (for contention expansion, §6.2).
@@ -812,7 +850,7 @@ mod tests {
         for typ in [NodeType::N4, NodeType::N16, NodeType::N48, NodeType::N256] {
             let p: *mut N = slabs.node(typ);
             let n = unsafe { &*p };
-            n.set_prefix(&[1, 2]);
+            n.set_prefix(0x0102 << 48, 2);
             n.insert_child(9, fake_child(9));
             let v = OptimisticGuard::read(&n.lock).expect("unlocked");
             // SAFETY: from `slabs`, linked nowhere, freed once.
@@ -867,7 +905,7 @@ mod tests {
         let slabs = Slabs::default();
         let p = slabs.node(NodeType::N4);
         let n: &N = unsafe { &*p };
-        n.set_prefix(&[1, 2, 3]);
+        n.set_prefix(0x010203 << 40, 3);
         for i in 0..4 {
             n.insert_child(i as u8 * 50, fake_child(i));
         }
@@ -877,7 +915,7 @@ mod tests {
         assert_eq!(g.node_type(), NodeType::N16);
         assert_eq!(g.count(), 4);
         assert_eq!(g.prefix_len(), 3);
-        assert_eq!(g.prefix_byte(1), 2);
+        assert_eq!(g.prefix(), 0x010203 << 40);
         for i in 0..4 {
             assert_eq!(g.find_child(i as u8 * 50), fake_child(i));
         }
@@ -912,16 +950,73 @@ mod tests {
     #[test]
     fn prefix_match_detects_divergence() {
         with_node(NodeType::N4, |n| {
-            n.set_prefix(&[0xAA, 0xBB, 0xCC]);
+            n.set_prefix(0xAABBCC << 40, 3);
             assert_eq!(n.prefix_len(), 3);
-            let key = key_bytes(0xAABBCCDD_00000000);
-            assert_eq!(n.prefix_match_len(&key, 0), 3);
-            let bad = key_bytes(0xAABBFF00_00000000);
-            assert_eq!(n.prefix_match_len(&bad, 0), 2);
+            assert_eq!(n.prefix_match_len(0xAABBCCDD_00000000, 0), 3);
+            assert_eq!(n.prefix_match_len(0xAABBFF00_00000000, 0), 2);
             // Depth shifts the comparison window.
-            let shifted = key_bytes(0x00AABBCC_00000000);
-            assert_eq!(n.prefix_match_len(&shifted, 1), 3);
+            assert_eq!(n.prefix_match_len(0x00AABBCC_00000000, 1), 3);
         });
+    }
+
+    /// The integer digit helpers against the byte-string reference they
+    /// replace: the key's `to_be_bytes`, walked one byte at a time. Every
+    /// depth up to 15 is probed, as a torn snapshot may hold one past the
+    /// key's end; there the helpers must not panic, and a key that has
+    /// run out of digits matches no path.
+    #[test]
+    fn integer_digits_agree_with_the_byte_reference() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(0xD161);
+        let slabs = Slabs::<OptLock>::default();
+        let n = unsafe { &*slabs.node(NodeType::N4) };
+        for round in 0..20_000 {
+            let key: u64 = rng.random();
+            // Half the paths copy the key's digits at `depth`, so full
+            // and partial matches are as common as early mismatches.
+            let depth = rng.random_range(0..16usize);
+            let pl = rng.random_range(0..KEY_LEN);
+            let from_key = digits_from(key, depth);
+            let path = if round % 2 == 0 {
+                from_key ^ (rng.random::<u64>() >> rng.random_range(0..64u32))
+            } else {
+                rng.random()
+            };
+            n.set_prefix(path, pl);
+            let kb = key.to_be_bytes();
+            let pb = (path & top(pl)).to_be_bytes();
+            let at = |d: usize| kb.get(d).copied();
+
+            assert_eq!(
+                digit(key, depth),
+                at(depth).unwrap_or(0),
+                "{key:#x} @{depth}"
+            );
+            let matched = (0..pl)
+                .take_while(|&i| at(depth + i) == Some(pb[i]))
+                .count();
+            assert_eq!(n.prefix_match_len(key, depth), matched, "{key:#x} @{depth}");
+            // Past the key's end a path never compares equal: a key that
+            // is a strict prefix of it sorts below.
+            let order = (0..pl)
+                .map(|i| at(depth + i).map_or(cmp::Ordering::Greater, |b| pb[i].cmp(&b)))
+                .find(|o| o.is_ne())
+                .unwrap_or(cmp::Ordering::Equal);
+            assert_eq!(n.prefix_cmp(key, depth), order, "{key:#x} @{depth}");
+            if depth + pl > KEY_LEN && pl > 0 {
+                assert!(n.prefix_match_len(key, depth) < pl);
+                assert!(n.prefix_cmp(key, depth).is_ne());
+            }
+
+            let other = key ^ (rng.random::<u64>() >> rng.random_range(0..64u32));
+            let ob = other.to_be_bytes();
+            let fork = (depth..KEY_LEN).find(|&d| kb[d] != ob[d]);
+            assert_eq!(
+                fork_depth(key, other, depth),
+                fork,
+                "{key:#x}/{other:#x} @{depth}"
+            );
+        }
     }
 
     #[test]

@@ -39,9 +39,13 @@
 //!
 //! # Keys
 //!
-//! Keys are `u64`s and their radix digits are the 8 big-endian bytes
-//! (`key.to_be_bytes()`, order preserving). Every key has all 8 digits,
-//! so no key's digits are a prefix of another's: two distinct keys always
+//! Keys are `u64`s and their radix digits are the key's 8 bytes, most
+//! significant first (order preserving). A digit is a shift of the key,
+//! never a byte array: `digit(key, depth)` reads one, a node's compressed
+//! path is a packed word matched against the shifted key with one `xor`,
+//! two keys fork where their `xor`'s leading zeros end, and a scan bound
+//! orders against a path as two integers. Every key has all 8 digits, so
+//! no key's digits are a prefix of another's: two distinct keys always
 //! diverge at a digit position inside both, and a descent never runs off
 //! the end of its key while a sibling continues. A compressed path that
 //! lazy expansion or contention expansion spells out is therefore at
@@ -54,7 +58,9 @@ use optiql::olc::{IndexStats, OptimisticGuard, RestartLoop, Step, INDEX_LANES, O
 use optiql::stats::Event;
 use optiql::{chaos, IndexLock, WriteStrategy, WriteToken};
 
-use crate::node::{as_kv, is_kv, key_bytes, ArtNode, NodeType, Slabs};
+use crate::node::{
+    as_kv, digit, digits_from, fork_depth, is_kv, top, ArtNode, NodeType, Slabs, KEY_LEN,
+};
 
 /// Default contention-expansion threshold (paper: 1024).
 pub const DEFAULT_EXPANSION_THRESHOLD: u32 = 1024;
@@ -109,28 +115,20 @@ fn sample(denominator: u32) -> bool {
     })
 }
 
-/// Digit at `depth`, tolerating out-of-range reads: a torn optimistic
-/// snapshot can leave `depth` past the key's end for a moment; the zero
-/// fallback keeps the descent panic-free until validation rejects it.
-/// With a consistent tree, a descent never indexes past the 8 digits.
-#[inline]
-pub(crate) fn digit(kb: &[u8], depth: usize) -> u8 {
-    *kb.get(depth).unwrap_or(&0)
-}
-
-/// Build a `Node4` from `slabs` whose compressed path is `path` and whose
-/// children are `kids` (ascending digits). A path is the digits between a
-/// node and a fork below it, inside one 8-digit key, so it always fits the
-/// 7 digits a header packs. The node is private to the caller until
-/// published.
-pub(crate) fn alloc_n4<L: IndexLock>(
+/// Build a `Node4` from `slabs` whose compressed path is the top `len`
+/// digits of `path` and whose children are `kids`. A path is the digits
+/// between a node and a fork below it, inside one 8-digit key, so it
+/// always fits the 7 digits a header packs. The node is private to the
+/// caller until published.
+fn alloc_n4<L: IndexLock>(
     slabs: &Slabs<L>,
-    path: &[u8],
+    path: u64,
+    len: usize,
     kids: &[(u8, *mut ArtNode<L>)],
 ) -> *mut ArtNode<L> {
     let np = slabs.node(NodeType::N4);
     let n = unsafe { &*np };
-    n.set_prefix(path);
+    n.set_prefix(path, len);
     for &(b, c) in kids {
         n.insert_child(b, c);
     }
@@ -175,7 +173,7 @@ pub(crate) struct Smo<'t, L: IndexLock> {
 
 enum SmoKind {
     /// `node`'s compressed path (compared from `depth`) matches the key
-    /// for only `matched` bytes.
+    /// for only `matched` digits.
     SplitPrefix { matched: usize, depth: usize },
     /// `node` is full and has no child under `byte`.
     Grow { byte: u8 },
@@ -187,14 +185,6 @@ pub(crate) enum WriteOp {
     Insert(u64),
     Update(u64),
     Remove,
-}
-
-/// First digit position ≥ `from` where two keys' digits differ. Distinct
-/// keys diverge inside their 8 digits; `None` means the digits agree from
-/// `from` on, i.e. the caller's view of the shared path was stale.
-#[inline]
-fn fork_depth(a: &[u8], b: &[u8], from: usize) -> Option<usize> {
-    (from..a.len().min(b.len())).find(|&d| a[d] != b[d])
 }
 
 /// After a remove: a Node4 left with at most one child is worth folding
@@ -311,7 +301,6 @@ impl<L: IndexLock> ArtTree<L> {
     pub(crate) fn read_step<'t>(
         &'t self,
         key: u64,
-        kb: &[u8],
         edge: Edge<'t, L>,
     ) -> Step<Edge<'t, L>, Option<u64>> {
         let Edge {
@@ -341,12 +330,12 @@ impl<L: IndexLock> ArtTree<L> {
         }
         let pl = node.prefix_len();
         if pl > 0 {
-            if node.prefix_match_len(kb, depth) < pl {
+            if node.prefix_match_len(key, depth) < pl {
                 return g.done(None);
             }
             depth += pl;
         }
-        let byte = digit(kb, depth);
+        let byte = digit(key, depth);
         let child = node.find_child(byte);
         if !g.recheck() {
             g.abandon();
@@ -405,7 +394,6 @@ impl<L: IndexLock> ArtTree<L> {
     pub(crate) fn write_step<'t>(
         &'t self,
         key: u64,
-        kb: &[u8],
         op: WriteOp,
         up: &mut Option<Link<'t, L>>,
         edge: Edge<'t, L>,
@@ -417,7 +405,7 @@ impl<L: IndexLock> ArtTree<L> {
         } = edge;
         if is_kv(child) {
             let link = via.expect("the root is an inner node");
-            return Ok(self.write_kv(key, kb, op, up.take(), link, child, depth));
+            return Ok(self.write_kv(key, op, up.take(), link, child, depth));
         }
         // Only the node right above a KV leaf is ever folded into its
         // parent: two levels up has served.
@@ -440,7 +428,7 @@ impl<L: IndexLock> ArtTree<L> {
         }
         let pl = node.prefix_len();
         if pl > 0 {
-            let matched = node.prefix_match_len(kb, depth);
+            let matched = node.prefix_match_len(key, depth);
             if matched < pl {
                 let WriteOp::Insert(_) = op else {
                     release(via);
@@ -455,12 +443,12 @@ impl<L: IndexLock> ArtTree<L> {
             }
             depth += pl;
         }
-        let byte = digit(kb, depth);
+        let byte = digit(key, depth);
 
         if let WriteOp::Update(val) = op {
-            if Self::DIRECT && depth + 1 == kb.len() {
+            if Self::DIRECT && depth + 1 == KEY_LEN {
                 // Known last level: the remaining digit is the key's final
-                // byte, and every key has the same 8, so every child under
+                // one, and every key has the same 8, so every child under
                 // it is a leaf.
                 let t = Self::acquire(node, ng, via.as_ref(), true);
                 release(via);
@@ -531,11 +519,9 @@ impl<L: IndexLock> ArtTree<L> {
     /// `link.byte` of `link.node` (`depth` is the leaf's own), `up` the
     /// link above it.
     #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
     fn write_kv<'t>(
         &self,
         key: u64,
-        kb: &[u8],
         op: WriteOp,
         up: Option<Link<'t, L>>,
         link: Link<'t, L>,
@@ -551,8 +537,7 @@ impl<L: IndexLock> ArtTree<L> {
                 return guard.done(None);
             };
             // Lazy-expansion split: needs only this node.
-            let okb = key_bytes(kv_key);
-            let Some(fork) = fork_depth(&okb, kb, depth) else {
+            let Some(fork) = fork_depth(kv_key, key, depth) else {
                 // Distinct keys that share the path down to `depth`
                 // diverge below it; equal digits there mean the parked
                 // state went stale (the upgrade below would fail anyway).
@@ -562,7 +547,7 @@ impl<L: IndexLock> ArtTree<L> {
             let Some(t) = Self::acquire(node, guard, None, false) else {
                 return Step::Restart;
             };
-            self.expand_lazily(node, byte, child, &okb, kb, depth, fork, key, val);
+            self.expand_lazily(node, byte, child, kv_key, depth, fork, key, val);
             node.lock.x_unlock(t);
             return Step::Done(None);
         }
@@ -580,7 +565,7 @@ impl<L: IndexLock> ArtTree<L> {
                 // level so future updates can lock directly.
                 if Self::DIRECT
                     && self.expansion_threshold > 0
-                    && depth < kb.len()
+                    && depth < KEY_LEN
                     && sample(self.sample_inv)
                     && node.bump_contention() > self.expansion_threshold
                 {
@@ -620,13 +605,13 @@ impl<L: IndexLock> ArtTree<L> {
     /// one — re-enter the step at once instead of parking — without the
     /// per-op accounting (the batched driver's fallback accounts once per
     /// batch).
-    pub(crate) fn lookup_impl(&self, key: u64, kb: &[u8]) -> Option<u64> {
+    pub(crate) fn lookup_impl(&self, key: u64) -> Option<u64> {
         let mut rs = self.restart_loop();
         'restart: loop {
             rs.pause();
             let mut edge = self.root_edge();
             loop {
-                match self.read_step(key, kb, edge) {
+                match self.read_step(key, edge) {
                     Step::Next(next) => edge = next,
                     Step::Done(res) => return res,
                     Step::Restart => continue 'restart,
@@ -639,18 +624,18 @@ impl<L: IndexLock> ArtTree<L> {
     /// batch of one, and the one place the step's structural outcomes are
     /// carried out.
     #[inline(always)]
-    fn write(&self, key: u64, kb: &[u8], op: WriteOp) -> Option<u64> {
+    fn write(&self, key: u64, op: WriteOp) -> Option<u64> {
         let mut rs = self.restart_loop();
         'restart: loop {
             rs.pause();
             let (mut up, mut edge) = (None, self.root_edge());
             loop {
-                match self.write_step(key, kb, op, &mut up, edge) {
+                match self.write_step(key, op, &mut up, edge) {
                     Ok(Step::Next(next)) => edge = next,
                     Ok(Step::Done(old)) => return old,
                     Ok(Step::Restart) => continue 'restart,
                     Err(smo) => match op {
-                        WriteOp::Insert(val) if self.restructure(smo, key, kb, val) => {
+                        WriteOp::Insert(val) if self.restructure(smo, key, val) => {
                             return None;
                         }
                         _ => continue 'restart,
@@ -662,26 +647,26 @@ impl<L: IndexLock> ArtTree<L> {
 
     /// Insert body without op or size accounting (shared with the batched
     /// driver's fallback).
-    pub(crate) fn insert_impl(&self, key: u64, kb: &[u8], val: u64) -> Option<u64> {
-        self.write(key, kb, WriteOp::Insert(val))
+    pub(crate) fn insert_impl(&self, key: u64, val: u64) -> Option<u64> {
+        self.write(key, WriteOp::Insert(val))
     }
 
     /// Point lookup.
     pub fn lookup(&self, key: u64) -> Option<u64> {
         self.counters.add(OPS, 1);
-        self.lookup_impl(key, &key_bytes(key))
+        self.lookup_impl(key)
     }
 
     /// Replace the value of an existing key; `None` if absent.
     pub fn update(&self, key: u64, val: u64) -> Option<u64> {
         self.counters.add(OPS, 1);
-        self.write(key, &key_bytes(key), WriteOp::Update(val))
+        self.write(key, WriteOp::Update(val))
     }
 
     /// Insert or overwrite; returns the previous value if the key existed.
     pub fn insert(&self, key: u64, val: u64) -> Option<u64> {
         self.counters.add(OPS, 1);
-        let old = self.insert_impl(key, &key_bytes(key), val);
+        let old = self.insert_impl(key, val);
         if old.is_none() {
             self.counters.add(SIZE, 1);
         }
@@ -691,7 +676,7 @@ impl<L: IndexLock> ArtTree<L> {
     /// Remove a key; returns the removed value.
     pub fn remove(&self, key: u64) -> Option<u64> {
         self.counters.add(OPS, 1);
-        let old = self.write(key, &key_bytes(key), WriteOp::Remove);
+        let old = self.write(key, WriteOp::Remove);
         if old.is_some() {
             self.counters.sub(SIZE, 1);
         }
@@ -705,7 +690,7 @@ impl<L: IndexLock> ArtTree<L> {
 
     /// Scalar-driver half of an insert's [`Smo`]: upgrade the two guards it
     /// carries (parent, then node) and restructure. `false`: restart.
-    fn restructure(&self, smo: Smo<'_, L>, key: u64, kb: &[u8], val: u64) -> bool {
+    fn restructure(&self, smo: Smo<'_, L>, key: u64, val: u64) -> bool {
         let Link {
             node: p,
             guard: pg,
@@ -722,7 +707,7 @@ impl<L: IndexLock> ArtTree<L> {
         let leaf = self.slabs.kv(key, val);
         match smo.kind {
             SmoKind::SplitPrefix { matched, depth } => {
-                self.split_prefix(p, pb, smo.node, matched, digit(kb, depth + matched), leaf)
+                self.split_prefix(p, pb, smo.node, matched, digit(key, depth + matched), leaf)
             }
             SmoKind::Grow { byte } => self.grow_insert(p, pb, smo.node, byte, leaf),
         }
@@ -731,9 +716,10 @@ impl<L: IndexLock> ArtTree<L> {
         true
     }
 
-    /// Prefix mismatch after `matched` bytes: split `node`'s compressed
+    /// Prefix mismatch after `matched` digits: split `node`'s compressed
     /// path (Figure 5) under a fresh Node4 that takes its place at `pb` of
-    /// `p` and holds `node` plus `leaf` (under `byte`).
+    /// `p` and holds `node` (under the path's digit `matched`, the rest of
+    /// the path staying `node`'s) plus `leaf` (under `byte`).
     fn split_prefix(
         &self,
         p: &ArtNode<L>,
@@ -744,17 +730,12 @@ impl<L: IndexLock> ArtTree<L> {
         leaf: *mut ArtNode<L>,
     ) {
         self.counters.add(PREFIX_SPLITS, 1);
-        // Collect the old path bytes before overwriting.
-        let full: Vec<u8> = (0..node.prefix_len())
-            .map(|i| node.prefix_byte(i))
-            .collect();
-        let new4p = self.slabs.node(NodeType::N4);
-        let new4 = unsafe { &*new4p };
-        new4.set_prefix(&full[..matched]);
-        new4.insert_child(full[matched], node as *const ArtNode<L> as *mut ArtNode<L>);
-        new4.insert_child(byte, leaf);
-        node.set_prefix(&full[matched + 1..]);
-        p.replace_child(pb, new4p);
+        let (path, pl) = (node.prefix(), node.prefix_len());
+        let moved = std::ptr::from_ref(node).cast_mut();
+        let kids = [(digit(path, matched), moved), (byte, leaf)];
+        let new4 = alloc_n4(&self.slabs, path, matched, &kids);
+        node.set_prefix(digits_from(path, matched + 1), pl - matched - 1);
+        p.replace_child(pb, new4);
     }
 
     /// Replace full `node` at `pb` of `p` by the next node size with
@@ -775,27 +756,28 @@ impl<L: IndexLock> ArtTree<L> {
         unsafe { self.slabs.free_node(node) };
     }
 
-    /// Lazy-expansion split: `old` (digits `okb`) sits under `byte` of
-    /// `node` where `key` (digits `kb`) wants to go; push both below a
-    /// fresh `Node4` whose path is their shared digits `depth..fork`.
+    /// Lazy-expansion split: `old` (key `old_key`) sits under `byte` of
+    /// `node` where `key` wants to go; push both below a fresh `Node4`
+    /// whose path is their shared digits `depth..fork`.
     #[allow(clippy::too_many_arguments)]
     fn expand_lazily(
         &self,
         node: &ArtNode<L>,
         byte: u8,
         old: *mut ArtNode<L>,
-        okb: &[u8],
-        kb: &[u8],
+        old_key: u64,
         depth: usize,
         fork: usize,
         key: u64,
         val: u64,
     ) {
         self.counters.add(LAZY_EXPANSIONS, 1);
-        let leaf = self.slabs.kv(key, val);
-        let mut kids = [(okb[fork], old), (kb[fork], leaf)];
-        kids.sort_by_key(|&(b, _)| b);
-        node.replace_child(byte, alloc_n4(&self.slabs, &kb[depth..fork], &kids));
+        let kids = [
+            (digit(old_key, fork), old),
+            (digit(key, fork), self.slabs.kv(key, val)),
+        ];
+        let n4 = alloc_n4(&self.slabs, digits_from(key, depth), fork - depth, &kids);
+        node.replace_child(byte, n4);
     }
 
     /// Fold [`collapsible`] `node` into its parent `p` (at `pb`): a lone KV
@@ -820,16 +802,18 @@ impl<L: IndexLock> ArtTree<L> {
     /// (caller holds `node` exclusively; `child` is the KV at byte `b`,
     /// itself a digit at `depth`).
     fn materialize_leaf(&self, node: &ArtNode<L>, b: u8, child: *mut ArtNode<L>, depth: usize) {
-        let okb = key_bytes(unsafe { as_kv(child) }.key());
-        if depth + 1 >= okb.len() {
+        let key = unsafe { as_kv(child) }.key();
+        let last = KEY_LEN - 1;
+        if depth >= last {
             // The leaf's final digit is already spelled out above it:
             // nothing left to materialize.
             return;
         }
-        // The new node spans bytes (depth+1 .. len-1) as compressed path
-        // and discriminates on the final byte.
-        let last = okb.len() - 1;
-        let n4 = alloc_n4(&self.slabs, &okb[depth + 1..last], &[(okb[last], child)]);
+        // The new node spans digits `depth + 1 .. last` as compressed
+        // path and discriminates on the final digit.
+        let path = digits_from(key, depth + 1);
+        let kids = [(digit(key, last), child)];
+        let n4 = alloc_n4(&self.slabs, path, last - depth - 1, &kids);
         node.replace_child(b, n4);
     }
 
@@ -853,14 +837,13 @@ impl<L: IndexLock> ArtTree<L> {
         out: &mut Vec<(u64, u64)>,
     ) -> Option<u64> {
         self.counters.add(OPS, 1);
-        let sb = from.map(key_bytes);
-        let sb: &[u8] = sb.as_ref().map_or(&[], |b| b);
         // One entry past the chunk: the resume key.
         let want = limit.saturating_add(1);
         let mut rs = self.restart_loop();
         loop {
             out.clear();
-            if self.scan_node(self.root, from, sb, 0, from.is_some(), want, out, None) {
+            // No bound is the bound 0, below every key.
+            if self.scan_node(self.root, from.unwrap_or(0), 0, true, want, out, None) {
                 return if out.len() == want {
                     out.pop().map(|(k, _)| k)
                 } else {
@@ -884,8 +867,7 @@ impl<L: IndexLock> ArtTree<L> {
     fn scan_node(
         &self,
         p: *mut ArtNode<L>,
-        start: Option<u64>,
-        sb: &[u8],
+        start: u64,
         depth: usize,
         bounded: bool,
         limit: usize,
@@ -900,7 +882,7 @@ impl<L: IndexLock> ArtTree<L> {
             if parent.is_some_and(|pg| !pg.recheck()) {
                 return false;
             }
-            if !bounded || start.map_or(true, |s| k >= s) {
+            if !bounded || k >= start {
                 out.push((k, v));
             }
             return true;
@@ -913,7 +895,7 @@ impl<L: IndexLock> ArtTree<L> {
         // snapshotted, this node may have been relocated (prefix split or
         // growth) and `depth` is no longer its effective depth.
         let ok = parent.map_or(true, |pg| pg.recheck())
-            && self.scan_children(node, &ng, start, sb, depth, bounded, limit, out);
+            && self.scan_children(node, &ng, start, depth, bounded, limit, out);
         ng.abandon();
         ok
     }
@@ -924,32 +906,18 @@ impl<L: IndexLock> ArtTree<L> {
         &self,
         node: &ArtNode<L>,
         ng: &OptimisticGuard<'_, L>,
-        start: Option<u64>,
-        sb: &[u8],
+        start: u64,
         depth: usize,
         bounded: bool,
         limit: usize,
         out: &mut Vec<(u64, u64)>,
     ) -> bool {
         let pl = node.prefix_len();
-        let mut prefix_cmp = std::cmp::Ordering::Equal;
-        if bounded {
-            for i in 0..pl {
-                if depth + i >= sb.len() {
-                    // The start key is a strict prefix of this path:
-                    // every key below extends it, hence sorts above.
-                    prefix_cmp = std::cmp::Ordering::Greater;
-                    break;
-                }
-                match node.prefix_byte(i).cmp(&sb[depth + i]) {
-                    std::cmp::Ordering::Equal => continue,
-                    other => {
-                        prefix_cmp = other;
-                        break;
-                    }
-                }
-            }
-        }
+        let prefix_cmp = if bounded {
+            node.prefix_cmp(start, depth)
+        } else {
+            std::cmp::Ordering::Equal
+        };
         // Snapshot prefix + children under version validation.
         let mut kids = Vec::with_capacity(node.count());
         node.for_each_child(|b, c| kids.push((b, c)));
@@ -963,7 +931,7 @@ impl<L: IndexLock> ArtTree<L> {
         // Whole subtree > start: collect it unbounded.
         let bounded = bounded && prefix_cmp == std::cmp::Ordering::Equal;
         let next_depth = depth + pl;
-        let pivot = if bounded { digit(sb, next_depth) } else { 0 };
+        let pivot = if bounded { digit(start, next_depth) } else { 0 };
         for &(b, c) in &kids {
             if out.len() >= limit {
                 break;
@@ -975,7 +943,6 @@ impl<L: IndexLock> ArtTree<L> {
             if !self.scan_node(
                 c,
                 start,
-                sb,
                 next_depth + 1,
                 child_bounded,
                 limit,
@@ -993,14 +960,14 @@ impl<L: IndexLock> ArtTree<L> {
     /// Single-threaded structural check, including that no operation left
     /// a node locked; returns the entry count.
     pub fn check_invariants(&self) -> usize {
-        fn walk<L: IndexLock>(p: *mut ArtNode<L>, path: &mut Vec<u8>) -> usize {
+        // `path` holds the `len` digits above `p`, left-aligned.
+        fn walk<L: IndexLock>(p: *mut ArtNode<L>, path: u64, len: usize) -> usize {
             if is_kv(p) {
-                let kv = unsafe { as_kv(p) };
-                assert!(
-                    key_bytes(kv.key()).starts_with(path),
-                    "leaf key {:?} does not match its path {:?}",
-                    kv.key(),
-                    path
+                let key = unsafe { as_kv(p) }.key();
+                assert_eq!(
+                    (key ^ path) & top(len),
+                    0,
+                    "leaf key {key:#x} does not match its path {path:#x} ({len} digits)"
                 );
                 return 1;
             }
@@ -1013,9 +980,10 @@ impl<L: IndexLock> ArtTree<L> {
                 NodeType::N256 => n.count() <= 256,
             };
             assert!(cap_ok, "count exceeds node capacity");
-            for i in 0..n.prefix_len() {
-                path.push(n.prefix_byte(i));
-            }
+            let pl = n.prefix_len();
+            assert!(len + pl < KEY_LEN, "path runs past the key's last digit");
+            let path = path | n.prefix() >> (8 * len);
+            let len = len + pl;
             let mut total = 0;
             let mut kids = Vec::new();
             n.for_each_child(|b, c| kids.push((b, c)));
@@ -1030,17 +998,11 @@ impl<L: IndexLock> ArtTree<L> {
                     assert!(pb < b, "child bytes out of order");
                 }
                 prev = Some(b);
-                path.push(b);
-                total += walk(c, path);
-                path.pop();
-            }
-            for _ in 0..n.prefix_len() {
-                path.pop();
+                total += walk(c, path | (b as u64) << (56 - 8 * len), len + 1);
             }
             total
         }
-        let mut path = Vec::new();
-        walk(self.root, &mut path)
+        walk(self.root, 0, 0)
     }
 }
 

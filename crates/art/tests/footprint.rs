@@ -2,10 +2,12 @@
 //! the tree's slab and its inner nodes are slots of theirs, so inserting
 //! keys makes system allocations only for 64 KiB chunks, and keys
 //! re-inserted after a delete reuse the freed slots. Counted with a
-//! `#[global_allocator]` over the whole process, so the tests take turns
-//! on one mutex.
+//! `#[global_allocator]` on the measuring thread alone, so the test
+//! harness's own threads do not show; the tests take turns on one mutex,
+//! as chunks a dropped tree leaves are the whole process's spares.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
@@ -16,6 +18,12 @@ struct Counting;
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static CHUNKS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Set while this thread's allocations are counted (`const`, no
+    /// destructor: safe to read from inside the allocator).
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
 /// The slab's chunk size: an allocation this large is a chunk.
 const CHUNK_BYTES: usize = 64 << 10;
 
@@ -24,9 +32,11 @@ const CHUNK_BYTES: usize = 64 << 10;
 // their default bodies, which go through `alloc`, so growth is counted too.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        if layout.size() == CHUNK_BYTES {
-            CHUNKS.fetch_add(1, Ordering::Relaxed);
+        if COUNTING.try_with(Cell::get).unwrap_or(false) {
+            ALLOCS.fetch_add(1, Ordering::Relaxed);
+            if layout.size() == CHUNK_BYTES {
+                CHUNKS.fetch_add(1, Ordering::Relaxed);
+            }
         }
         // SAFETY: the caller's contract, passed through.
         unsafe { System.alloc(layout) }
@@ -44,13 +54,15 @@ static TURN: Mutex<()> = Mutex::new(());
 
 const KEYS: u64 = 100_000;
 
-/// `(allocations, chunks)` made while `f` runs.
+/// `(allocations, chunks)` this thread makes while `f` runs.
 fn counted(f: impl FnOnce()) -> (u64, u64) {
     let (a, c) = (
         ALLOCS.load(Ordering::Relaxed),
         CHUNKS.load(Ordering::Relaxed),
     );
+    COUNTING.with(|on| on.set(true));
     f();
+    COUNTING.with(|on| on.set(false));
     (
         ALLOCS.load(Ordering::Relaxed) - a,
         CHUNKS.load(Ordering::Relaxed) - c,
@@ -72,8 +84,8 @@ fn insert_all(t: &ArtOptiQL) {
 
 /// A node in a `Box` of its own would cost one allocation per key and
 /// per inner node. Every node is a slot of one of the tree's slabs, so
-/// the inserts allocate 64 KiB chunks and almost nothing else (a prefix
-/// split collects its path into a `Vec`): as many chunks as the 16-byte
+/// the inserts allocate 64 KiB chunks and almost nothing else: as many
+/// chunks as the 16-byte
 /// KV leaves fill, as many as the Node256s dense keys fill (one per 256
 /// keys, 31 to a chunk), and one for each smaller kind the last level
 /// grows through.
@@ -116,5 +128,43 @@ fn reinserted_keys_reuse_the_slots_their_removal_freed() {
         "{allocs} allocations to re-insert {KEYS} keys"
     );
     assert_eq!(t.check_invariants(), KEYS as usize);
+    keep(t);
+}
+
+/// A prefix split moves a compressed path's digits by shifting one word,
+/// so a sparse load whose keys keep cutting shared paths shorter
+/// allocates nothing but the chunks its nodes and leaves are carved from.
+/// Under each root digit, two keys that differ in their last digit hang
+/// below a `Node4` whose path is the six digits between; each further key
+/// leaves that path one digit earlier than the last, splitting it. (A
+/// split that collected the path's digits into a `Vec` made 1 536
+/// allocations here.)
+#[test]
+fn sparse_prefix_splits_allocate_nothing_but_chunks() {
+    let _turn = TURN.lock().unwrap_or_else(PoisonError::into_inner);
+    let keys: Vec<u64> = (0..256u64)
+        .flat_map(|g| {
+            let group = g << 56;
+            let cuts = (8..56).step_by(8).map(move |s| group | 1 << s);
+            [group | 1, group | 2].into_iter().chain(cuts)
+        })
+        .collect();
+    let t = ArtOptiQL::new();
+    let (allocs, chunks) = counted(|| {
+        for &k in &keys {
+            assert_eq!(t.insert(k, k), None);
+        }
+    });
+    assert_eq!(t.stats().prefix_splits, 6 * 256);
+    // Besides a chunk, a carve may grow its slab's list of chunks.
+    assert!(
+        allocs - chunks <= chunks,
+        "{allocs} allocations, {chunks} of them chunks, for {} inserts",
+        keys.len()
+    );
+    for &k in &keys {
+        assert_eq!(t.lookup(k), Some(k));
+    }
+    assert_eq!(t.check_invariants(), keys.len());
     keep(t);
 }

@@ -20,7 +20,10 @@
 //! * `upgrade` — uncontended read → upgrade → exclusive release for the
 //!   three optimistic locks;
 //! * `index_op` — single-thread OptiQL B+-tree and ART lookup/update on a
-//!   100 k-key tree, stepping through the keys by 7.
+//!   100 k-key tree, stepping through the keys by 7. One timed loop of
+//!   these moves by up to 2x between runs, so each row is the median of
+//!   [`RUNS`] loops, its `extra` the median's mean ns and the loops'
+//!   min–max Mops/s.
 //!
 //! The last four groups quantify §5.4: OptiQL's uncontended writer
 //! release pays a CAS, opportunistic read adds two atomics per handover,
@@ -270,22 +273,40 @@ fn bench_upgrade<L: IndexLock>(dur: Duration) {
 
 const INDEX_KEYS: u64 = 100_000;
 
+/// Timed loops per `index_op` row.
+const RUNS: usize = 5;
+
+/// One `index_op` row from [`RUNS`] timed loops of `f`: the median loop's
+/// throughput and percentiles, then its mean ns and the loops' min–max.
+fn index_row(config: &str, dur: Duration, mut f: impl FnMut()) {
+    let mut runs: Vec<Timed> = (0..RUNS).map(|_| time_loop(dur, &mut f)).collect();
+    runs.sort_by(|a, b| a.ops_per_sec.total_cmp(&b.ops_per_sec));
+    let t = &runs[RUNS / 2];
+    let (lo, hi) = (mops(runs[0].ops_per_sec), mops(runs[RUNS - 1].ops_per_sec));
+    row_latency(
+        "hotpath",
+        &format!("index_op/{config}"),
+        1,
+        r2(mops(t.ops_per_sec)),
+        format!("{} ({lo:.2}-{hi:.2})", r2(1e9 / t.ops_per_sec)),
+        LatencySummary::from_histogram(&t.hist).as_ref(),
+    );
+}
+
 fn bench_index_op<I: ConcurrentIndex + Default>(dur: Duration, name: &str) {
     let index = I::default();
     for k in 0..INDEX_KEYS {
         index.insert(k, k);
     }
     let mut k = 0u64;
-    let t = time_loop(dur, || {
+    index_row(&format!("{name}_lookup"), dur, || {
         k = (k + 7) % INDEX_KEYS;
         black_box(index.lookup(black_box(k)));
     });
-    emit("index_op", &format!("{name}_lookup"), 1, &t);
-    let t = time_loop(dur, || {
+    index_row(&format!("{name}_update"), dur, || {
         k = (k + 7) % INDEX_KEYS;
         black_box(index.update(black_box(k), 1));
     });
-    emit("index_op", &format!("{name}_update"), 1, &t);
 }
 
 fn main() {

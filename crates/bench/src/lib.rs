@@ -136,8 +136,18 @@ pub mod env {
 static JSON: Mutex<Option<BenchJson>> = Mutex::new(None);
 
 /// Print a run banner with the active scaling knobs and open the
-/// machine-readable `BENCH_<fig>.json` report for this target.
+/// machine-readable `BENCH_<fig>.json` report for this target. Exits
+/// with status 2 instead if the build carries the chaos hooks
+/// ([`optiql::chaos::COMPILED`]), whose flag loads at every lock event
+/// would be measured.
 pub fn banner(fig: &str, title: &str) {
+    if optiql::chaos::COMPILED {
+        eprintln!(
+            "{fig}: built with optiql's `chaos` feature, which `optiql-check` turns on \
+             when a command builds the whole workspace; run `cargo bench -p optiql-bench`"
+        );
+        std::process::exit(2);
+    }
     let threads = env::thread_counts();
     let dur = env::duration();
     println!("# ===================================================================");

@@ -273,7 +273,8 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> BPlusTree<I
     pub fn new() -> Self {
         const {
             assert!(
-                IL::PESSIMISTIC == LL::PESSIMISTIC,
+                matches!(IL::STRATEGY, WriteStrategy::Pessimistic)
+                    == matches!(LL::STRATEGY, WriteStrategy::Pessimistic),
                 "inner and leaf locks must agree on coupling style"
             )
         };

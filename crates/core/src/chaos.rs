@@ -16,7 +16,8 @@
 //!
 //! * **Zero cost when off.** Everything is gated behind the `chaos`
 //!   cargo feature; without it [`perturb`] compiles to nothing, so
-//!   production and benchmark builds are untouched.
+//!   production and benchmark builds are untouched. A bench binary
+//!   refuses to run when the feature was unified on ([`COMPILED`]).
 //! * **Deterministic per thread.** Each thread owns a SplitMix64 stream
 //!   seeded from `(global seed, thread slot)`; the decision sequence a
 //!   thread observes is a pure function of the seed, its slot, and its
@@ -184,6 +185,12 @@ mod imp {
         }
     }
 }
+
+/// True when this build has the `chaos` feature: every injection site then
+/// loads the enabled flag, even while injection is off. Cargo unifies the
+/// feature on for every crate a command builds next to `optiql-check`
+/// (`cargo bench --workspace`), so a measuring binary checks it.
+pub const COMPILED: bool = cfg!(feature = "chaos");
 
 /// Enable chaos injection with the given schedule seed. Bumps the
 /// configuration generation so every thread's decision stream reseeds.

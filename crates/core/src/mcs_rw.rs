@@ -393,7 +393,6 @@ impl ExclusiveLock for McsRwLock {
 }
 
 impl IndexLock for McsRwLock {
-    const PESSIMISTIC: bool = true;
     const STRATEGY: WriteStrategy = WriteStrategy::Pessimistic;
 
     /// Blocking shared acquire; the returned "version" smuggles the reader's

@@ -30,7 +30,7 @@
 
 use crate::counters::Counters;
 use crate::stats::Event;
-use crate::traits::{IndexLock, WriteToken};
+use crate::traits::{IndexLock, WriteStrategy, WriteToken};
 
 /// Operations interleaved per pipeline group of [`run_grouped`]. Eight
 /// in-flight misses is in the range today's cores can keep outstanding
@@ -183,6 +183,12 @@ enum Slot<S, R> {
     Done(R),
 }
 
+/// `L`'s reads hold real shared locks: its strategy, the one place a lock
+/// says so, is pessimistic coupling.
+const fn pessimistic<L: IndexLock>() -> bool {
+    matches!(L::STRATEGY, WriteStrategy::Pessimistic)
+}
+
 /// The batched driver: run operations `0..n` as groups of [`GROUP`]
 /// in-flight descents advanced round-robin, and return their results in
 /// input order.
@@ -211,7 +217,7 @@ pub fn run_grouped<L: IndexLock, S, R, const N: usize>(
 ) -> Vec<R> {
     crate::stats::record(Event::BatchIssued);
     stats.add(OPS, n as u64);
-    if L::PESSIMISTIC || n < 2 {
+    if pessimistic::<L>() || n < 2 {
         return (0..n).map(scalar).collect();
     }
     let mut out = Vec::with_capacity(n);
@@ -316,7 +322,7 @@ impl<'a, L: IndexLock> OptimisticGuard<'a, L> {
     /// is [`read`](OptimisticGuard::read).
     #[inline]
     pub fn read_for_write(lock: &'a L, exclusive: bool) -> Option<Self> {
-        if L::PESSIMISTIC && exclusive {
+        if pessimistic::<L>() && exclusive {
             let WriteToken(token) = lock.x_lock();
             debug_assert_eq!(token & HELD_EX, 0);
             let version = token | HELD_EX;
@@ -328,7 +334,7 @@ impl<'a, L: IndexLock> OptimisticGuard<'a, L> {
     /// The token of a pessimistic exclusive hold, if this is one.
     #[inline]
     fn held_ex(&self) -> Option<WriteToken> {
-        (L::PESSIMISTIC && self.version & HELD_EX != 0)
+        (pessimistic::<L>() && self.version & HELD_EX != 0)
             .then_some(WriteToken(self.version & !HELD_EX))
     }
 
@@ -367,7 +373,7 @@ impl<'a, L: IndexLock> OptimisticGuard<'a, L> {
     /// optimistic locks; releases the lock for pessimistic ones.
     #[inline]
     pub fn abandon(self) {
-        if L::PESSIMISTIC {
+        if pessimistic::<L>() {
             self.validate();
         }
     }
@@ -600,10 +606,10 @@ mod tests {
             lock.r_unlock(before);
             let g = OptimisticGuard::read_for_write(&lock, true).expect("free lock");
             assert!(g.recheck());
-            assert_eq!(lock.is_locked_ex(), L::PESSIMISTIC);
+            assert_eq!(lock.is_locked_ex(), pessimistic::<L>());
             end(way, g, &lock);
             assert!(!lock.is_locked_ex(), "exit {way} leaked its hold");
-            if !L::PESSIMISTIC && way < 3 {
+            if !pessimistic::<L>() && way < 3 {
                 assert_eq!(lock.r_lock(), Some(before), "exit {way} stored");
             }
             // Would deadlock on a leaked hold of either kind.
@@ -615,7 +621,7 @@ mod tests {
             let g = OptimisticGuard::read_for_write(&lock, false).expect("free lock");
             match g.try_upgrade() {
                 Some(t) => lock.x_unlock(t),
-                None => assert!(L::PESSIMISTIC),
+                None => assert!(pessimistic::<L>()),
             }
             assert!(!lock.is_locked_ex());
         }

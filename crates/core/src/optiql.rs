@@ -275,7 +275,6 @@ impl<const OPPORTUNISTIC: bool, const AOR: bool> ExclusiveLock for OptiQLCore<OP
 }
 
 impl<const OPPORTUNISTIC: bool, const AOR: bool> IndexLock for OptiQLCore<OPPORTUNISTIC, AOR> {
-    const PESSIMISTIC: bool = false;
     const STRATEGY: WriteStrategy = if AOR {
         WriteStrategy::DirectLockAor
     } else {

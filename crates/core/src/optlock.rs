@@ -89,7 +89,6 @@ impl<const BACKOFF: bool> ExclusiveLock for OptLockCore<BACKOFF> {
 }
 
 impl<const BACKOFF: bool> IndexLock for OptLockCore<BACKOFF> {
-    const PESSIMISTIC: bool = false;
     const STRATEGY: WriteStrategy = WriteStrategy::Upgrade;
 
     #[inline]

@@ -53,7 +53,6 @@ impl ExclusiveLock for PthreadRwLock {
 }
 
 impl IndexLock for PthreadRwLock {
-    const PESSIMISTIC: bool = true;
     const STRATEGY: WriteStrategy = WriteStrategy::Pessimistic;
 
     #[inline]

@@ -80,10 +80,9 @@ pub trait ExclusiveLock: Send + Sync + Default + 'static {
 /// Full index-locking interface: optimistic (or pessimistic-shared) readers,
 /// exclusive writers, and version upgrade.
 pub trait IndexLock: ExclusiveLock {
-    /// True when `r_lock` blocks and actually holds a shared lock.
-    const PESSIMISTIC: bool;
-
     /// Strategy the index write paths should use with this lock.
+    /// [`WriteStrategy::Pessimistic`] is the one mark of a lock whose
+    /// `r_lock` blocks and actually holds a shared lock.
     const STRATEGY: WriteStrategy;
 
     /// Begin a read (paper `acquire_sh`). Optimistic locks return a version

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use optiql::{
     ExclusiveLock, IndexLock, McsRwLock, OptLock, OptLockBackoff, OptiQL, OptiQLAor, OptiQLNor,
-    PthreadRwLock,
+    PthreadRwLock, WriteStrategy,
 };
 
 /// The common contract every IndexLock must satisfy single-threadedly.
@@ -25,7 +25,7 @@ fn contract<L: IndexLock>() {
     assert!(l.r_unlock(v2));
     // For optimistic locks the old snapshot must now fail; pessimistic
     // locks "validate" trivially (they re-acquire) — both are conforming.
-    if !L::PESSIMISTIC {
+    if !matches!(L::STRATEGY, WriteStrategy::Pessimistic) {
         assert!(!l.recheck(v), "stale snapshot must not recheck");
     }
 }
