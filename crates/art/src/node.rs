@@ -608,6 +608,13 @@ impl<L: IndexLock> ArtNode<L> {
         (self.count.load(R) as usize).min(self.capacity())
     }
 
+    /// Child count as the header holds it, unclamped: the structural
+    /// check must see a count that overflowed its kind.
+    #[inline]
+    pub fn raw_count(&self) -> usize {
+        self.count.load(R) as usize
+    }
+
     /// Capacity by node type.
     #[inline]
     pub fn capacity(&self) -> usize {
@@ -767,6 +774,14 @@ mod tests {
     use super::*;
     use optiql::olc::OptimisticGuard;
     use optiql::OptLock;
+
+    impl<L: IndexLock> ArtNode<L> {
+        /// Overwrite the header's count (tests corrupting a node on
+        /// purpose).
+        pub(crate) fn set_raw_count(&self, n: u16) {
+            self.count.store(n, R);
+        }
+    }
 
     type N = ArtNode<OptLock>;
 

@@ -973,13 +973,9 @@ impl<L: IndexLock> ArtTree<L> {
             }
             let n = unsafe { &*p };
             assert!(!n.lock.is_locked_ex(), "node left locked");
-            let cap_ok = match n.node_type() {
-                NodeType::N4 => n.count() <= 4,
-                NodeType::N16 => n.count() <= 16,
-                NodeType::N48 => n.count() <= 48,
-                NodeType::N256 => n.count() <= 256,
-            };
-            assert!(cap_ok, "count exceeds node capacity");
+            // The raw count: `count()` clamps to the capacity.
+            let count = n.raw_count();
+            assert!(count <= n.capacity(), "count exceeds node capacity");
             let pl = n.prefix_len();
             assert!(len + pl < KEY_LEN, "path runs past the key's last digit");
             let path = path | n.prefix() >> (8 * len);
@@ -987,11 +983,7 @@ impl<L: IndexLock> ArtTree<L> {
             let mut total = 0;
             let mut kids = Vec::new();
             n.for_each_child(|b, c| kids.push((b, c)));
-            assert_eq!(
-                kids.len(),
-                n.count(),
-                "child iteration disagrees with count"
-            );
+            assert_eq!(kids.len(), count, "child iteration disagrees with count");
             let mut prev: Option<u8> = None;
             for (b, c) in kids {
                 if let Some(pb) = prev {
@@ -1048,6 +1040,22 @@ mod tests {
         }
         assert_eq!(t.lookup(0x1_0000), Some(9));
         assert_eq!(t.check_invariants(), 6);
+    }
+
+    /// A Node4 whose header count overflowed its capacity fails the
+    /// structural walk, though every read clamps the count to 4.
+    #[test]
+    #[should_panic(expected = "count exceeds node capacity")]
+    fn check_invariants_sees_an_overflowed_count() {
+        let t = ArtOptiQL::new();
+        for k in 0x100..0x104 {
+            assert_eq!(t.insert(k, k), None);
+        }
+        let n4 = unsafe { &*(*t.root).find_child(0) };
+        assert_eq!(n4.node_type(), NodeType::N4);
+        assert_eq!(t.check_invariants(), 4);
+        n4.set_raw_count(5);
+        t.check_invariants();
     }
 
     /// A removed key's leaf goes back to the slab, and the next key's

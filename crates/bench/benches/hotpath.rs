@@ -19,6 +19,12 @@
 //!   reader-capable locks of the paper's index figures;
 //! * `upgrade` — uncontended read → upgrade → exclusive release for the
 //!   three optimistic locks;
+//! * `x_lock/OptiQL÷OptLock`, `r_cycle/OptiQL÷OptLock` — OptiQL's
+//!   throughput over OptLock's, both timed A B B A in one process, so the
+//!   binary's code placement and host drift fall on both alike: `value` is
+//!   the median of [`RATIO_ROUNDS`] rounds' ratios, `extra` their min–max.
+//!   Two builds' `x_lock/*` rows can differ by code placement alone; these
+//!   rows compare across builds;
 //! * `index_op` — single-thread OptiQL B+-tree and ART lookup/update on a
 //!   100 k-key tree, stepping through the keys by 7. One timed loop of
 //!   these moves by up to 2x between runs, so each row is the median of
@@ -237,26 +243,34 @@ fn bench_node_search<const IC: usize>(dur: Duration) {
 
 // --- group: uncontended exclusive acquire ---------------------------------
 
+/// One uncontended exclusive acquire/release cycle on `lock`.
+fn x_cycle<L: ExclusiveLock>(lock: &L) -> impl FnMut() + '_ {
+    move || {
+        let tok = lock.x_lock();
+        black_box(lock);
+        lock.x_unlock(tok);
+    }
+}
+
 fn bench_x_lock<L: ExclusiveLock>(dur: Duration) {
     let lock = L::default();
-    let t = time_loop(dur, || {
-        let tok = lock.x_lock();
-        black_box(&lock);
-        lock.x_unlock(tok);
-    });
-    emit("x_lock", L::NAME, 1, &t);
+    emit("x_lock", L::NAME, 1, &time_loop(dur, x_cycle(&lock)));
 }
 
 // --- group: uncontended reader cycle and upgrade --------------------------
 
+/// One uncontended reader admission + validation on `lock`.
+fn r_cycle<L: IndexLock>(lock: &L) -> impl FnMut() + '_ {
+    move || {
+        let v = lock.r_lock().unwrap();
+        black_box(lock);
+        black_box(lock.r_unlock(v));
+    }
+}
+
 fn bench_r_cycle<L: IndexLock>(dur: Duration) {
     let lock = L::default();
-    let t = time_loop(dur, || {
-        let v = lock.r_lock().unwrap();
-        black_box(&lock);
-        black_box(lock.r_unlock(v));
-    });
-    emit("r_cycle", L::NAME, 1, &t);
+    emit("r_cycle", L::NAME, 1, &time_loop(dur, r_cycle(&lock)));
 }
 
 fn bench_upgrade<L: IndexLock>(dur: Duration) {
@@ -267,6 +281,63 @@ fn bench_upgrade<L: IndexLock>(dur: Duration) {
         lock.x_unlock(tok);
     });
     emit("upgrade", L::NAME, 1, &t);
+}
+
+// --- in-process ratios -----------------------------------------------------
+
+/// A B B A rounds per ratio row.
+const RATIO_ROUNDS: usize = 5;
+
+/// `<group>/<a>÷<b>`: `fa`'s throughput over `fb`'s, each round timing
+/// `fa`, `fb`, `fb`, `fa` for a quarter of `dur` each.
+fn ratio_row(
+    group: &str,
+    a: &str,
+    b: &str,
+    dur: Duration,
+    mut fa: impl FnMut(),
+    mut fb: impl FnMut(),
+) {
+    let quarter = dur / 4;
+    let mut ratios: Vec<f64> = (0..RATIO_ROUNDS)
+        .map(|_| {
+            let a1 = time_loop(quarter, &mut fa).ops_per_sec;
+            let b1 = time_loop(quarter, &mut fb).ops_per_sec;
+            let b2 = time_loop(quarter, &mut fb).ops_per_sec;
+            let a2 = time_loop(quarter, &mut fa).ops_per_sec;
+            (a1 + a2) / (b1 + b2)
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    let (lo, hi) = (ratios[0], ratios[RATIO_ROUNDS - 1]);
+    row_latency(
+        "hotpath",
+        &format!("{group}/{a}÷{b}"),
+        1,
+        format!("{:.3}", ratios[RATIO_ROUNDS / 2]),
+        format!("({lo:.3}-{hi:.3})"),
+        None,
+    );
+}
+
+fn bench_ratios(dur: Duration) {
+    let (q, o) = (OptiQL::default(), OptLock::default());
+    ratio_row(
+        "x_lock",
+        OptiQL::NAME,
+        OptLock::NAME,
+        dur,
+        x_cycle(&q),
+        x_cycle(&o),
+    );
+    ratio_row(
+        "r_cycle",
+        OptiQL::NAME,
+        OptLock::NAME,
+        dur,
+        r_cycle(&q),
+        r_cycle(&o),
+    );
 }
 
 // --- group: single-thread index point ops ---------------------------------
@@ -350,6 +421,8 @@ fn main() {
     bench_upgrade::<OptLock>(dur);
     bench_upgrade::<OptiQLNor>(dur);
     bench_upgrade::<OptiQL>(dur);
+
+    bench_ratios(dur);
 
     bench_index_op::<BTreeOptiQL>(dur, "btree_optiql");
     bench_index_op::<ArtOptiQL>(dur, "art_optiql");

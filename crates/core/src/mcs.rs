@@ -39,13 +39,15 @@ impl McsLock {
         !self.tail.load(Ordering::Relaxed).is_null()
     }
 
-    /// Acquire with a caller-provided queue node (paper Algorithm 1 left).
+    /// Acquire with the caller-held queue node `id` (paper Algorithm 1
+    /// left).
     ///
     /// # Safety contract
-    /// `qn` must stay valid and untouched by the caller until the matching
-    /// [`Self::release_with`] returns; enforced here by taking nodes from
-    /// the pool in the [`ExclusiveLock`] impl.
-    pub fn acquire_with(&self, qn: &QNode) {
+    /// `id` must stay allocated and untouched by the caller until the
+    /// matching [`Self::release_with`] returns; enforced here by taking
+    /// nodes from the pool in the [`ExclusiveLock`] impl.
+    pub fn acquire_with(&self, id: u16) {
+        let qn = qnode::to_ptr(id);
         qn.reset();
         let me = qn as *const QNode as *mut QNode;
         let pred = self.tail.swap(me, Ordering::AcqRel);
@@ -63,8 +65,10 @@ impl McsLock {
         record(Event::ExAcquire);
     }
 
-    /// Release with the queue node used at acquire (Algorithm 1 right).
-    pub fn release_with(&self, qn: &QNode) {
+    /// Release with the queue node `id` used at acquire (Algorithm 1
+    /// right).
+    pub fn release_with(&self, id: u16) {
+        let qn = qnode::to_ptr(id);
         let me = qn as *const QNode as *mut QNode;
         if qn.next.load(Ordering::Acquire).is_null() {
             // Appears to have no successor: try to reset the tail.
@@ -94,14 +98,14 @@ impl ExclusiveLock for McsLock {
     #[inline]
     fn x_lock(&self) -> WriteToken {
         let id = qnode::alloc();
-        self.acquire_with(qnode::to_ptr(id));
+        self.acquire_with(id);
         WriteToken::from_qnode(id)
     }
 
     #[inline]
     fn x_unlock(&self, t: WriteToken) {
         let id = t.qnode_id();
-        self.release_with(qnode::to_ptr(id));
+        self.release_with(id);
         qnode::free(id);
     }
 }

@@ -228,6 +228,9 @@ impl McsRwLock {
     pub fn start_write(&self, id: u16) {
         let me = Slot::of(id);
         let qn = me.node();
+        // `reset` leaves `class` and `state` to us; both are stored before
+        // `swap_tail` publishes the node, and no other thread reads a node
+        // it has not reached through the word or a `next` link.
         qn.reset();
         qn.class.store(CLASS_WRITER, Ordering::Relaxed);
         qn.state.store(BLOCKED | SUCC_NONE, Ordering::Relaxed);
@@ -282,6 +285,7 @@ impl McsRwLock {
     pub fn start_read(&self, id: u16) {
         let me = Slot::of(id);
         let qn = me.node();
+        // As in `start_write`: `class` and `state` are ours to set.
         qn.reset();
         qn.class.store(CLASS_READER, Ordering::Relaxed);
         qn.state.store(BLOCKED | SUCC_NONE, Ordering::Relaxed);

@@ -118,12 +118,13 @@ impl<const OPPORTUNISTIC: bool, const AOR: bool> OptiQLCore<OPPORTUNISTIC, AOR> 
     // Writer protocol (paper Algorithm 3).
     // ---------------------------------------------------------------
 
-    /// `acquire_ex` with a caller-managed queue node. Returns `true` when
-    /// the acquisition went through the queue (i.e. a predecessor handed
-    /// the lock over), in which case the opportunistic-read window is open
-    /// until [`Self::close_opread_window`] runs; the wrapped trait impls
-    /// deal with this automatically.
-    pub fn acquire_ex_with(&self, id: u16, qn: &QNode) -> bool {
+    /// `acquire_ex` with the caller-held queue node `id`. Returns `true`
+    /// when the acquisition went through the queue (i.e. a predecessor
+    /// handed the lock over), in which case the opportunistic-read window is
+    /// open until [`Self::close_opread_window`] runs; the wrapped trait
+    /// impls deal with this automatically.
+    pub fn acquire_ex_with(&self, id: u16) -> bool {
+        let qn = qnode::to_ptr(id);
         qn.reset();
         // Record ourselves as the latest requester: locked bit on,
         // opportunistic read off, version bits zeroed (Alg 3 l.2).
@@ -167,8 +168,10 @@ impl<const OPPORTUNISTIC: bool, const AOR: bool> OptiQLCore<OPPORTUNISTIC, AOR> 
         record(Event::OpReadWindowClose);
     }
 
-    /// `release_ex` with the queue node used at acquire (Alg 3 l.13-23).
-    pub fn release_ex_with(&self, id: u16, qn: &QNode) {
+    /// `release_ex` with the queue node `id` used at acquire (Alg 3
+    /// l.13-23).
+    pub fn release_ex_with(&self, id: u16) {
+        let qn = qnode::to_ptr(id);
         let my_version = qn.version.load(Ordering::Relaxed);
         debug_assert_ne!(my_version, INVALID_VERSION);
         if qn.next.load(Ordering::Acquire).is_null() {
@@ -222,13 +225,14 @@ impl<const OPPORTUNISTIC: bool, const AOR: bool> OptiQLCore<OPPORTUNISTIC, AOR> 
     /// Upgrade a reader at snapshot `v` to a writer (§6.2, added for ART).
     ///
     /// Succeeds only when the word is completely free and unchanged; on
-    /// success the word carries the provided queue node so later writers
-    /// still queue behind us.
-    pub fn try_upgrade_with(&self, v: u64, id: u16, qn: &QNode) -> bool {
+    /// success the word carries the queue node `id` so later writers still
+    /// queue behind us.
+    pub fn try_upgrade_with(&self, v: u64, id: u16) -> bool {
         // Never upgrade from an opportunistic-read snapshot: the word's
         // queue-node field belongs to the writer queue and swapping it out
         // would orphan the queued successor.
         let ok = v & crate::word::STATUS_MASK == 0 && {
+            let qn = qnode::to_ptr(id);
             qn.reset();
             qn.version.store(bump_version(v), Ordering::Relaxed);
             self.word
@@ -254,7 +258,7 @@ impl<const OPPORTUNISTIC: bool, const AOR: bool> ExclusiveLock for OptiQLCore<OP
     #[inline]
     fn x_lock(&self) -> WriteToken {
         let id = qnode::alloc();
-        let queued = self.acquire_ex_with(id, qnode::to_ptr(id));
+        let queued = self.acquire_ex_with(id);
         if queued && OPPORTUNISTIC {
             self.close_opread_window();
         }
@@ -269,7 +273,7 @@ impl<const OPPORTUNISTIC: bool, const AOR: bool> ExclusiveLock for OptiQLCore<OP
             self.close_opread_window();
         }
         let id = t.qnode_id();
-        self.release_ex_with(id, qnode::to_ptr(id));
+        self.release_ex_with(id);
         qnode::free(id);
     }
 }
@@ -306,7 +310,7 @@ impl<const OPPORTUNISTIC: bool, const AOR: bool> IndexLock for OptiQLCore<OPPORT
     #[inline]
     fn try_upgrade(&self, v: u64) -> Option<WriteToken> {
         let id = qnode::alloc();
-        if self.try_upgrade_with(v, id, qnode::to_ptr(id)) {
+        if self.try_upgrade_with(v, id) {
             Some(WriteToken::from_qnode(id))
         } else {
             qnode::free(id);
@@ -323,7 +327,7 @@ impl<const OPPORTUNISTIC: bool, const AOR: bool> IndexLock for OptiQLCore<OPPORT
     fn x_lock_adjustable(&self) -> WriteToken {
         if OPPORTUNISTIC {
             let id = qnode::alloc();
-            let queued = self.acquire_ex_with(id, qnode::to_ptr(id));
+            let queued = self.acquire_ex_with(id);
             if queued {
                 WriteToken(id as u64 | AOR_PENDING)
             } else {
@@ -403,7 +407,7 @@ mod tests {
         let l = OptiQL::new();
         let fake = crate::word::LOCKED | OPREAD | 5;
         let id = qnode::alloc();
-        assert!(!l.try_upgrade_with(fake, id, qnode::to_ptr(id)));
+        assert!(!l.try_upgrade_with(fake, id));
         qnode::free(id);
     }
 
@@ -471,11 +475,10 @@ mod tests {
         let l = OptiQL::new();
         let id1 = qnode::alloc();
         let id2 = qnode::alloc();
-        let qn1 = qnode::to_ptr(id1);
         let qn2 = qnode::to_ptr(id2);
 
         // T1 acquires (fast path).
-        assert!(!l.acquire_ex_with(id1, qn1));
+        assert!(!l.acquire_ex_with(id1));
         // T2 swaps itself in manually (first half of acquire_ex_with).
         qn2.reset();
         let prev = l.word.swap(locked_word(id2), Ordering::AcqRel);
@@ -490,7 +493,7 @@ mod tests {
 
         // T1 releases: CAS fails (tail is id2), so it publishes the
         // opportunistic read window and grants T2.
-        l.release_ex_with(id1, qn1);
+        l.release_ex_with(id1);
 
         // The window is open: readers are admitted and can validate.
         let snap = l.acquire_sh().expect("opportunistic window admits readers");
@@ -508,7 +511,7 @@ mod tests {
         );
 
         // T2 releases normally (no successor).
-        l.release_ex_with(id2, qn2);
+        l.release_ex_with(id2);
         assert_eq!(l.acquire_sh().unwrap(), 2);
         qnode::free(id1);
         qnode::free(id2);
@@ -519,17 +522,16 @@ mod tests {
         let l = OptiQLNor::new();
         let id1 = qnode::alloc();
         let id2 = qnode::alloc();
-        let qn1 = qnode::to_ptr(id1);
         let qn2 = qnode::to_ptr(id2);
-        assert!(!l.acquire_ex_with(id1, qn1));
+        assert!(!l.acquire_ex_with(id1));
         qn2.reset();
         let prev = l.word.swap(locked_word(id2), Ordering::AcqRel);
         qnode::to_ptr(word_id(prev))
             .next
             .store(qn2 as *const QNode as *mut QNode, Ordering::Release);
-        l.release_ex_with(id1, qn1); // grants T2 without opening a window
+        l.release_ex_with(id1); // grants T2 without opening a window
         assert!(l.acquire_sh().is_none(), "NOR starves readers in handover");
-        l.release_ex_with(id2, qn2);
+        l.release_ex_with(id2);
         assert_eq!(l.acquire_sh().unwrap(), 2);
         qnode::free(id1);
         qnode::free(id2);
@@ -539,8 +541,7 @@ mod tests {
     fn aor_keeps_window_open_until_finish() {
         let l = OptiQL::new();
         let id1 = qnode::alloc();
-        let qn1 = qnode::to_ptr(id1);
-        assert!(!l.acquire_ex_with(id1, qn1));
+        assert!(!l.acquire_ex_with(id1));
 
         // A queued AOR acquirer on another thread.
         std::thread::scope(|s| {
@@ -556,7 +557,7 @@ mod tests {
             });
             // Give the AOR thread time to queue, then hand over.
             std::thread::sleep(std::time::Duration::from_millis(30));
-            l.release_ex_with(id1, qn1);
+            l.release_ex_with(id1);
             qnode::free(id1);
         });
         assert!(!l.is_locked_ex());

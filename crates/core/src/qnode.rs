@@ -7,13 +7,15 @@
 //! \[24\]), all queue nodes are pre-allocated in one contiguous static array so
 //! an ID is simply the array index; `to_ptr` is a single indexed load.
 //!
-//! Nodes are handed out through a **lock-free global free list** (a tagged
-//! Treiber stack over a side table of next-IDs) fronted by small fixed-size
-//! per-thread caches, so steady-state allocation is a branch and a couple of
-//! thread-local stores — no lock, no `RefCell` borrow flag, no heap. The
-//! per-thread cache is capped at twice the refill batch; surplus beyond the
-//! cap is spilled back to the global stack on release so one thread can
-//! never hoard the pool.
+//! Free IDs live in one global list, a `Mutex<Vec<u16>>`, fronted by a
+//! small fixed-size `Cell` cache per thread. The lock is off the fast path:
+//! an `alloc` or `free` the cache serves is a branch and a couple of
+//! thread-local stores (no lock, no `RefCell` borrow flag, no heap). The
+//! list is taken once per `LOCAL_BATCH` IDs, when a cache refills, spills
+//! or is torn down at thread exit, so a lock-free list would buy nothing
+//! the cache does not. A cache holds at most twice the refill batch;
+//! surplus beyond that is spilled back to the list on release, so one
+//! thread can never hoard the pool.
 //!
 //! Database workloads need very few live nodes per thread (at most two for
 //! B+-tree merges, see paper §6.1), so the 1024-node pool bounds hundreds of
@@ -21,7 +23,8 @@
 
 use std::cell::Cell;
 use std::ptr;
-use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::stats::{record, Event};
 use crate::word::{INVALID_VERSION, MAX_QNODES};
@@ -32,7 +35,8 @@ use crate::word::{INVALID_VERSION, MAX_QNODES};
 /// `version` field: the predecessor grants the lock by storing the (already
 /// incremented) version number, which the new holder later publishes on
 /// release. The two extra packed fields (`state`, `class`) are used only by
-/// the fair reader-writer MCS variant (`McsRwLock`), which shares this pool.
+/// the fair reader-writer MCS variant (`McsRwLock`), which shares this pool
+/// and writes both before it publishes the node.
 ///
 /// Cache-line aligned (two lines on x86 to defeat adjacent-line prefetching)
 /// so local spinning on one node never contends with its neighbours.
@@ -58,13 +62,12 @@ impl QNode {
         }
     }
 
-    /// Re-initialize before joining a queue.
+    /// Re-initialize the fields every queue lock reads before joining a
+    /// queue (MCS-RW sets `state` and `class` itself).
     #[inline]
     pub fn reset(&self) {
         self.next.store(ptr::null_mut(), Ordering::Relaxed);
         self.version.store(INVALID_VERSION, Ordering::Relaxed);
-        self.state.store(0, Ordering::Relaxed);
-        self.class.store(0, Ordering::Relaxed);
     }
 
     /// Successor pointer (Acquire).
@@ -80,96 +83,28 @@ impl QNode {
     }
 }
 
-/// "No node" sentinel in the stack head and the next-ID side table
-/// (`MAX_QNODES` is far below it, so it can never collide with a real ID).
-const NONE: u32 = 0xFFFF;
-
-/// Lock-free pool: a Treiber stack whose links live in a side table
-/// (`free_next`) instead of the nodes themselves, and whose head word packs
-/// `(tag << 16) | top_id`. The 48-bit tag is bumped on every successful
-/// push/pop, which defeats the classic ABA interleaving (pop reads `top` and
-/// its next, a concurrent pop+push cycle reinstates `top` with a *different*
-/// next, stale CAS would corrupt the list — but the tag no longer matches).
+/// The node array and the global free list.
 struct Pool {
     nodes: Box<[QNode]>,
-    /// `free_next[i]` = ID below `i` on the free stack, or [`NONE`].
-    /// Only meaningful while `i` is on the stack.
-    free_next: Box<[AtomicU32]>,
-    /// `(tag << 16) | top_id` — see struct docs.
-    head: AtomicU64,
-    /// Number of IDs on the global stack (exact when quiescent; excludes
-    /// per-thread caches).
-    free_len: AtomicUsize,
-}
-
-const fn pack(tag: u64, id: u32) -> u64 {
-    (tag << 16) | id as u64
+    /// IDs in no thread's hands or cache; the next to go out on top.
+    free: Mutex<Vec<u16>>,
 }
 
 impl Pool {
     fn new() -> Self {
         let mut nodes = Vec::with_capacity(MAX_QNODES);
         nodes.resize_with(MAX_QNODES, QNode::new);
-        // Initial stack: 0 on top, MAX_QNODES-1 at the bottom. Handing out
-        // low IDs first makes tests deterministic and keeps the hot nodes
-        // in a compact region.
-        let free_next: Vec<AtomicU32> = (0..MAX_QNODES)
-            .map(|i| {
-                AtomicU32::new(if i + 1 < MAX_QNODES {
-                    (i + 1) as u32
-                } else {
-                    NONE
-                })
-            })
-            .collect();
         Pool {
             nodes: nodes.into_boxed_slice(),
-            free_next: free_next.into_boxed_slice(),
-            head: AtomicU64::new(pack(0, 0)),
-            free_len: AtomicUsize::new(MAX_QNODES),
+            // 0 on top. Handing out low IDs first makes tests deterministic
+            // and keeps the hot nodes in a compact region. The capacity is
+            // every ID, so no push under the lock reallocates.
+            free: Mutex::new((0..MAX_QNODES as u16).rev().collect()),
         }
     }
 
-    fn push(&self, id: u16) {
-        let mut head = self.head.load(Ordering::Relaxed);
-        loop {
-            let (tag, top) = (head >> 16, (head & 0xFFFF) as u32);
-            self.free_next[id as usize].store(top, Ordering::Relaxed);
-            // Release publishes the `free_next` link to the next popper.
-            match self.head.compare_exchange_weak(
-                head,
-                pack(tag.wrapping_add(1), id as u32),
-                Ordering::Release,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(h) => head = h,
-            }
-        }
-        self.free_len.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn pop(&self) -> Option<u16> {
-        let mut head = self.head.load(Ordering::Acquire);
-        loop {
-            let (tag, top) = (head >> 16, (head & 0xFFFF) as u32);
-            if top == NONE {
-                return None;
-            }
-            let next = self.free_next[top as usize].load(Ordering::Relaxed);
-            match self.head.compare_exchange_weak(
-                head,
-                pack(tag.wrapping_add(1), next),
-                Ordering::Acquire,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => {
-                    self.free_len.fetch_sub(1, Ordering::Relaxed);
-                    return Some(top as u16);
-                }
-                Err(h) => head = h,
-            }
-        }
+    fn free_list(&self) -> MutexGuard<'_, Vec<u16>> {
+        self.free.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -183,7 +118,7 @@ fn pool() -> &'static Pool {
 const LOCAL_BATCH: usize = 8;
 
 /// Per-thread cache capacity: twice the refill batch. `free` spills a batch
-/// back to the global stack when the cache is full, so a thread parks at
+/// back to the global list when the cache is full, so a thread parks at
 /// most `CACHE_CAP` IDs.
 const CACHE_CAP: usize = 2 * LOCAL_BATCH;
 
@@ -197,10 +132,7 @@ struct LocalCache {
 
 impl Drop for LocalCache {
     fn drop(&mut self) {
-        let p = pool();
-        for i in 0..self.len.get() {
-            p.push(self.ids[i].get());
-        }
+        give_back(&self.ids[..self.len.get()]);
     }
 }
 
@@ -232,29 +164,25 @@ pub fn try_alloc() -> Option<u16> {
             refill(c)
         })
         // TLS already torn down (thread exit path): go straight to global.
-        .unwrap_or_else(|_| pool().pop());
+        .unwrap_or_else(|_| take_one());
     if got.is_none() {
         record(Event::QnodeExhausted);
     }
     got
 }
 
-/// Cache miss: pull a batch from the global stack, keep one.
+/// Cache miss: take up to a batch from the global list under one lock,
+/// keep one.
 #[cold]
 fn refill(c: &LocalCache) -> Option<u16> {
-    let p = pool();
-    let first = p.pop()?;
-    let mut len = 0;
-    while len < LOCAL_BATCH - 1 {
-        match p.pop() {
-            Some(id) => {
-                c.ids[len].set(id);
-                len += 1;
-            }
-            None => break,
-        }
+    let mut free = pool().free_list();
+    let first = free.pop()?;
+    let rest = free.len().saturating_sub(LOCAL_BATCH - 1);
+    let batch = free.drain(rest..);
+    c.len.set(batch.len());
+    for (slot, id) in c.ids.iter().zip(batch) {
+        slot.set(id);
     }
-    c.len.set(len);
     Some(first)
 }
 
@@ -289,26 +217,38 @@ pub fn free(id: u16) {
         })
         .is_ok();
     if !returned {
-        pool().push(id);
+        give_back(&[Cell::new(id)]);
     }
 }
 
-/// Cache overflow: return the oldest `LOCAL_BATCH` IDs to the global stack.
+/// Cache overflow: return the oldest `LOCAL_BATCH` IDs to the global list.
 #[cold]
 fn spill(c: &LocalCache) {
-    let p = pool();
-    for i in 0..LOCAL_BATCH {
-        p.push(c.ids[i].get());
-    }
+    give_back(&c.ids[..LOCAL_BATCH]);
     for i in LOCAL_BATCH..CACHE_CAP {
         c.ids[i - LOCAL_BATCH].set(c.ids[i].get());
     }
 }
 
+/// Return `ids` to the global list under one lock: a cache's spill or
+/// thread-exit drop, or one ID freed after its thread's cache is gone.
+/// Out of line like [`take_one`], so the lock's code stays off the inlined
+/// fast paths.
+#[cold]
+fn give_back(ids: &[Cell<u16>]) {
+    pool().free_list().extend(ids.iter().map(Cell::get));
+}
+
+/// One ID from the global list, for a thread whose cache is gone.
+#[cold]
+fn take_one() -> Option<u16> {
+    pool().free_list().pop()
+}
+
 /// Number of IDs currently on the global free list (diagnostic; excludes
 /// per-thread caches).
 pub fn global_free_len() -> usize {
-    pool().free_len.load(Ordering::Relaxed)
+    pool().free_list().len()
 }
 
 #[cfg(test)]
@@ -359,11 +299,9 @@ mod tests {
         let n = to_ptr(id);
         n.next.store(n as *const _ as *mut QNode, Ordering::Relaxed);
         n.version.store(7, Ordering::Relaxed);
-        n.state.store(3, Ordering::Relaxed);
         n.reset();
         assert!(n.next().is_null());
         assert_eq!(n.version(), INVALID_VERSION);
-        assert_eq!(n.state.load(Ordering::Relaxed), 0);
         free(id);
     }
 
@@ -405,7 +343,7 @@ mod tests {
     #[test]
     fn cache_spill_caps_thread_hoarding() {
         // Allocate and release more IDs than the cache holds; the surplus
-        // must land back on the global stack, bounded by CACHE_CAP. Run in
+        // must land back on the global list, bounded by CACHE_CAP. Run in
         // a dedicated thread so its cache starts empty and is torn down.
         let before = global_free_len();
         std::thread::spawn(|| {
@@ -414,12 +352,12 @@ mod tests {
                 free(id);
             }
             // Everything beyond the cache cap is already back on the
-            // global stack before this thread exits.
+            // global list before this thread exits.
             assert!(global_free_len() + CACHE_CAP + before_slack() >= MAX_QNODES);
         })
         .join()
         .unwrap();
-        poll_until("spilled ids return to the global stack", || {
+        poll_until("spilled ids return to the global list", || {
             global_free_len() + CACHE_CAP >= before
         });
     }
@@ -432,7 +370,7 @@ mod tests {
 
     #[test]
     fn concurrent_churn_loses_no_ids() {
-        // Hammer the Treiber stack from several threads, then verify the
+        // Hammer the locked free list from several threads, then verify the
         // global count recovers once every thread has exited (their cache
         // destructors return all parked IDs).
         let before = global_free_len();

@@ -59,8 +59,7 @@ fn aor_window_stays_open_until_finish() {
     let closes = stats::snapshot().window_closes;
     let l = Arc::new(OptiQL::new());
     let id1 = optiql::qnode::alloc();
-    let qn1 = optiql::qnode::to_ptr(id1);
-    assert!(!l.acquire_ex_with(id1, qn1));
+    assert!(!l.acquire_ex_with(id1));
 
     let granted = Arc::new(Barrier::new(2));
     let observed = Arc::new(Barrier::new(2));
@@ -93,7 +92,7 @@ fn aor_window_stays_open_until_finish() {
         }
         std::thread::yield_now();
     }
-    l.release_ex_with(id1, qn1);
+    l.release_ex_with(id1);
     optiql::qnode::free(id1);
 
     granted.wait();
@@ -125,8 +124,7 @@ fn aor_abort_path_unlock_without_finish_closes_window() {
     let closes = stats::snapshot().window_closes;
     let l = Arc::new(OptiQL::new());
     let id1 = optiql::qnode::alloc();
-    let qn1 = optiql::qnode::to_ptr(id1);
-    assert!(!l.acquire_ex_with(id1, qn1));
+    assert!(!l.acquire_ex_with(id1));
 
     let granted = Arc::new(Barrier::new(2));
     let t2 = {
@@ -146,7 +144,7 @@ fn aor_abort_path_unlock_without_finish_closes_window() {
         }
         std::thread::yield_now();
     }
-    l.release_ex_with(id1, qn1);
+    l.release_ex_with(id1);
     optiql::qnode::free(id1);
     granted.wait();
     t2.join().unwrap();

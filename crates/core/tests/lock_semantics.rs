@@ -235,9 +235,8 @@ fn run_handover<const OPPORTUNISTIC: bool>(
     use std::sync::Barrier;
 
     let id1 = optiql::qnode::alloc();
-    let qn1 = optiql::qnode::to_ptr(id1);
     // Step 0: main acquires on the fast path.
-    assert!(!l.acquire_ex_with(id1, qn1), "fast path while free");
+    assert!(!l.acquire_ex_with(id1), "fast path while free");
 
     // granted: T2 owns the lock. checked: main inspected the window.
     let granted = Arc::new(Barrier::new(2));
@@ -246,13 +245,12 @@ fn run_handover<const OPPORTUNISTIC: bool>(
         let (l, granted, checked) = (Arc::clone(l), Arc::clone(&granted), Arc::clone(&checked));
         std::thread::spawn(move || {
             let id2 = optiql::qnode::alloc();
-            let qn2 = optiql::qnode::to_ptr(id2);
             // Step 1: queue behind main; blocks until main releases.
-            assert!(l.acquire_ex_with(id2, qn2), "must queue behind holder");
+            assert!(l.acquire_ex_with(id2), "must queue behind holder");
             granted.wait(); // step 3 reached: we own the lock, window still open
             checked.wait(); // step 4 done: main has sampled the open window
             l.close_opread_window();
-            l.release_ex_with(id2, qn2);
+            l.release_ex_with(id2);
             optiql::qnode::free(id2);
         })
     };
@@ -268,7 +266,7 @@ fn run_handover<const OPPORTUNISTIC: bool>(
     }
     // While T2 is queued (pre-handover) no reader may enter.
     assert!(l.acquire_sh().is_none(), "locked, window closed: reject");
-    l.release_ex_with(id1, qn1);
+    l.release_ex_with(id1);
     optiql::qnode::free(id1);
 
     granted.wait();

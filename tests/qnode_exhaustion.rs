@@ -95,7 +95,77 @@ fn ids_are_recycled_under_the_1024_cap_across_threads() {
         all.len(),
         optiql::word::MAX_QNODES
     );
-    for id in all {
+    // Free from a joined thread so none stay in this thread's cache (see
+    // the racing-drain test).
+    std::thread::spawn(move || all.into_iter().for_each(qnode::free))
+        .join()
+        .unwrap();
+}
+
+#[test]
+fn a_racing_drain_hands_out_every_id_once_and_recovers() {
+    // Eight fresh threads empty the pool at once, each through its own
+    // cache and the one locked free list. Every ID must come out exactly
+    // once; with the pool dry `alloc` panics with the pool message, and a
+    // freed pool serves another thread again.
+    let _serial = POOL_TESTS.lock().unwrap();
+    use optiql::word::MAX_QNODES;
+    use std::collections::HashSet;
+    use std::sync::{Arc, Barrier};
+
+    const THREADS: usize = 8;
+    let start = Arc::new(Barrier::new(THREADS));
+    let hs: Vec<_> = (0..THREADS)
+        .map(|_| {
+            let start = Arc::clone(&start);
+            std::thread::spawn(move || {
+                start.wait();
+                let mut ids = Vec::new();
+                while let Some(id) = qnode::try_alloc() {
+                    ids.push(id);
+                }
+                ids
+            })
+        })
+        .collect();
+    let mut held: Vec<u16> = hs.into_iter().flat_map(|h| h.join().unwrap()).collect();
+    // This thread's own cache, and IDs an exited sibling test's thread is
+    // still returning from its cache destructor.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while held.len() < MAX_QNODES && std::time::Instant::now() < deadline {
+        match qnode::try_alloc() {
+            Some(id) => held.push(id),
+            None => std::thread::yield_now(),
+        }
+    }
+    let unique: HashSet<u16> = held.iter().copied().collect();
+    assert_eq!(unique.len(), held.len(), "an ID was handed out twice");
+    assert_eq!(held.len(), MAX_QNODES, "IDs missing after the drain");
+
+    for id in held.drain(..) {
         qnode::free(id);
     }
+    while let Some(id) = qnode::try_alloc() {
+        held.push(id);
+    }
+    assert_eq!(held.len(), MAX_QNODES, "freed IDs did not all come back");
+    let dry = std::panic::catch_unwind(qnode::alloc).expect_err("alloc on a dry pool");
+    let msg = dry
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| dry.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or_default();
+    assert!(
+        msg.contains("queue node pool exhausted"),
+        "unexpected panic: {msg}"
+    );
+    // Free from a joined thread, whose cache destructor has run by the
+    // time `join` returns: this thread's cache stays empty, so the next
+    // test here cannot see IDs come back after it has drained the pool.
+    std::thread::spawn(move || held.into_iter().for_each(qnode::free))
+        .join()
+        .unwrap();
+    std::thread::spawn(|| qnode::free(qnode::alloc()))
+        .join()
+        .expect("a freed pool serves another thread");
 }
