@@ -5,7 +5,11 @@
 //! single-entry leaves, optimistic lock coupling for traversal, an
 //! upgrade-based write path that keeps OptiQL's writer queue intact, and
 //! **contention expansion** — materializing lazily-expanded leaves under
-//! contention so updates can acquire the queue-based lock directly.
+//! contention so updates can acquire the queue-based lock directly. That
+//! direct acquisition is Algorithm 4 as the B+-tree's leaf write runs it,
+//! one function for both trees (`optiql::olc::lock_for_write`); with
+//! `OptiQLAor` it keeps readers admitted until the update has found its
+//! key, with every other lock it closes the window at the grant.
 //!
 //! Every node is a slot of one of its tree's slabs (64 KiB chunks, one
 //! slab per node kind): a key's leaf is 16 bytes of key and value, not an

@@ -16,16 +16,17 @@
 //! the node they reached — prefix split, node growth — are a step outcome
 //! (`Smo`) carried out by the scalar driver.
 //!
-//! How the write step takes a node adapts to `L::STRATEGY` in one
-//! function, `acquire`:
+//! How the write step takes a node adapts to `L::STRATEGY`:
 //!
 //! * Optimistic locks (`OptLock`, `OptiQL*`) use the **upgrade** interface:
 //!   a reader that located its target CASes the version it observed into an
-//!   exclusive acquisition. For OptiQL the upgrade leaves the queue intact,
-//!   so later writers still line up instead of hammering the word (§6.2).
+//!   exclusive acquisition (`OptimisticGuard::try_upgrade` at the call
+//!   site). For OptiQL the upgrade leaves the queue intact, so later
+//!   writers still line up instead of hammering the word (§6.2).
 //! * With a `DirectLock` strategy, updates that provably target the last
 //!   level (all key bytes consumed) acquire the lock directly — the
-//!   queue-based path of Algorithm 4.
+//!   queue-based path of Algorithm 4, `optiql::olc::lock_for_write`, which
+//!   the B+-tree's leaf write calls too.
 //! * **Contention expansion**: upgrade-acquired exclusive locks
 //!   probabilistically bump a per-node contention counter; past a threshold
 //!   the lazily-expanded leaf is materialized into a real last-level node so
@@ -54,9 +55,9 @@
 use std::cell::Cell;
 
 use optiql::counters::Counters;
-use optiql::olc::{IndexStats, OptimisticGuard, RestartLoop, Step, INDEX_LANES, OPS};
+use optiql::olc::{self, IndexStats, OptimisticGuard, RestartLoop, Step, INDEX_LANES, OPS};
 use optiql::stats::Event;
-use optiql::{chaos, IndexLock, WriteStrategy, WriteToken};
+use optiql::{chaos, IndexLock, WriteStrategy};
 
 use crate::node::{
     as_kv, digit, digits_from, fork_depth, is_kv, top, ArtNode, NodeType, Slabs, KEY_LEN,
@@ -218,11 +219,8 @@ impl<L: IndexLock> Default for ArtTree<L> {
 
 impl<L: IndexLock> ArtTree<L> {
     /// `L` queues its writers, so Algorithm 4's direct acquisition applies
-    /// (see [`acquire`](Self::acquire)).
-    const DIRECT: bool = matches!(
-        L::STRATEGY,
-        WriteStrategy::DirectLock | WriteStrategy::DirectLockAor
-    );
+    /// to an update at the last level.
+    const DIRECT: bool = matches!(L::STRATEGY, WriteStrategy::DirectLock);
 
     /// Create an empty tree with default contention-expansion parameters.
     pub fn new() -> Self {
@@ -355,31 +353,6 @@ impl<L: IndexLock> ArtTree<L> {
         })
     }
 
-    /// Paper Algorithm 4 as adapted to ART (§6.2) — the one place a node
-    /// is acquired for writing. With a queue-based lock and a node known
-    /// to be the last level (`direct`), lock it directly and validate the
-    /// `parent` guard afterwards; otherwise upgrade the guard `g`, which
-    /// for OptiQL leaves the writer queue intact and for an exclusive hold
-    /// is the token it already has. `None`: restart.
-    #[inline(always)]
-    fn acquire(
-        node: &ArtNode<L>,
-        g: OptimisticGuard<'_, L>,
-        parent: Option<&Link<'_, L>>,
-        direct: bool,
-    ) -> Option<WriteToken> {
-        if !direct {
-            return g.try_upgrade();
-        }
-        g.abandon();
-        let t = node.lock.x_lock_adjustable();
-        if parent.is_some_and(|p| !p.guard.recheck()) {
-            node.lock.x_unlock(t);
-            return None;
-        }
-        Some(t)
-    }
-
     /// The write step: as [`read_step`](Self::read_step) down to the node
     /// that holds (or would hold) the key, then the write itself. Every
     /// node is entered with write intent, so under a pessimistic lock the
@@ -449,21 +422,20 @@ impl<L: IndexLock> ArtTree<L> {
             if Self::DIRECT && depth + 1 == KEY_LEN {
                 // Known last level: the remaining digit is the key's final
                 // one, and every key has the same 8, so every child under
-                // it is a leaf.
-                let t = Self::acquire(node, ng, via.as_ref(), true);
+                // it is a leaf. Lock it directly, then validate the parent.
+                ng.abandon();
+                let placed = || via.as_ref().map_or(true, |link| link.guard.recheck());
+                let locate = || {
+                    let child = node.find_child(byte);
+                    let kv = (!child.is_null() && is_kv(child)).then(|| unsafe { as_kv(child) });
+                    kv.filter(|kv| kv.key() == key)
+                };
+                let locked = olc::lock_for_write(&node.lock, placed, locate);
                 release(via);
-                let Some(mut t) = t else {
+                let Some((t, kv)) = locked else {
                     return Ok(Step::Restart);
                 };
-                let child = node.find_child(byte);
-                let mut old = None;
-                if !child.is_null() && is_kv(child) {
-                    let kv = unsafe { as_kv(child) };
-                    if kv.key() == key {
-                        t = node.lock.x_finish_adjustable(t);
-                        old = Some(kv.set_value(val));
-                    }
-                }
+                let old = kv.map(|kv| kv.set_value(val));
                 node.lock.x_unlock(t);
                 return Ok(Step::Done(old));
             }
@@ -496,7 +468,7 @@ impl<L: IndexLock> ArtTree<L> {
                 });
             }
             release(via);
-            let Some(t) = Self::acquire(node, ng, None, false) else {
+            let Some(t) = ng.try_upgrade() else {
                 return Ok(Step::Restart);
             };
             node.insert_child(byte, self.slabs.kv(key, val));
@@ -544,14 +516,14 @@ impl<L: IndexLock> ArtTree<L> {
                 guard.abandon();
                 return Step::Restart;
             };
-            let Some(t) = Self::acquire(node, guard, None, false) else {
+            let Some(t) = guard.try_upgrade() else {
                 return Step::Restart;
             };
             self.expand_lazily(node, byte, child, kv_key, depth, fork, key, val);
             node.lock.x_unlock(t);
             return Step::Done(None);
         }
-        let Some(t) = Self::acquire(node, guard, None, false) else {
+        let Some(t) = guard.try_upgrade() else {
             release(up);
             return Step::Restart;
         };

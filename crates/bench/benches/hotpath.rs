@@ -49,7 +49,7 @@ use std::time::{Duration, Instant};
 use optiql::slab::Slab;
 use optiql::{
     qnode, ExclusiveLock, IndexLock, McsLock, McsRwLock, OptLock, OptLockBackoff, OptiQL,
-    OptiQLAor, OptiQLNor, PthreadRwLock, TtsBackoff, TtsLock,
+    OptiQLNor, PthreadRwLock, TtsBackoff, TtsLock,
 };
 use optiql_art::ArtOptiQL;
 use optiql_bench::{banner, env, header, mops, r2, row_latency, Histogram, LatencySummary};
@@ -409,7 +409,6 @@ fn main() {
     bench_x_lock::<OptLockBackoff>(dur);
     bench_x_lock::<OptiQL>(dur);
     bench_x_lock::<OptiQLNor>(dur);
-    bench_x_lock::<OptiQLAor>(dur);
     bench_x_lock::<PthreadRwLock>(dur);
 
     bench_r_cycle::<OptLock>(dur);

@@ -2,14 +2,16 @@
 //!
 //! The B+-tree the paper adapts in §6.1: small cache-friendly nodes, a lock
 //! embedded in every node header, optimistic lock coupling for traversals,
-//! and a write path chosen by the leaf lock's [`optiql::WriteStrategy`]:
+//! and a leaf write path chosen by the leaf lock's [`optiql::WriteStrategy`]
+//! inside `optiql::olc::lock_for_write` (Algorithm 4, one function for
+//! both trees):
 //!
 //! | Configuration | Inner lock | Leaf lock | Write path |
 //! |---|---|---|---|
 //! | [`BTreeOptLock`] | OptLock | OptLock | classic OLC upgrade |
 //! | [`BTreeOptiQL`] | OptLock | OptiQL | Algorithm 4 (direct leaf lock) |
 //! | [`BTreeOptiQLNor`] | OptLock | OptiQL-NOR | Algorithm 4 |
-//! | [`BTreeOptiQLAor`] | OptLock | OptiQL-AOR | Algorithm 4 + AOR |
+//! | [`BTreeOptiQLAor`] | OptLock | OptiQL-AOR | Algorithm 4; the lock admits readers until the slot is found |
 //! | [`BTreeMcsRw`] | MCS-RW | MCS-RW | pessimistic lock coupling |
 //! | [`BTreePthread`] | pthread | pthread | pessimistic lock coupling |
 //!

@@ -442,39 +442,36 @@ impl<LL: IndexLock, const LC: usize> Leaf<LL, LC> {
         sorted_prefix_len(&self.keys, self.count(), |k| k < key)
     }
 
-    /// Position of `key`, if present.
+    /// Where `key` is: `Ok` with its slot, or `Err` with the slot it
+    /// would be inserted at (as `slice::binary_search` answers).
     #[inline]
-    pub fn search(&self, key: u64) -> Option<usize> {
+    pub fn search(&self, key: u64) -> Result<usize, usize> {
         let idx = self.lower_bound(key);
-        (idx < self.count() && self.key_at(idx) == key).then_some(idx)
+        let hit = idx < self.count() && self.key_at(idx) == key;
+        hit.then_some(idx).ok_or(idx)
     }
 
     /// Value for `key`, if present (readers call this between `r_lock` and
     /// `r_unlock`; the result is meaningful only if validation passes).
     #[inline]
     pub fn lookup(&self, key: u64) -> Option<u64> {
-        self.search(key).map(|i| self.vals[i].load(R))
+        self.search(key).ok().map(|i| self.val(i))
     }
 
-    /// Store `val` at the slot of `key` (exclusive access). Returns the old
-    /// value, or `None` if the key is absent.
-    pub fn update(&self, key: u64, val: u64) -> Option<u64> {
-        let i = self.search(key)?;
-        let old = self.vals[i].load(R);
-        self.vals[i].store(val, R);
-        Some(old)
-    }
-
-    /// Insert or overwrite (exclusive access; must not be full unless the
-    /// key already exists). Returns the previous value if the key existed.
-    pub fn insert(&self, key: u64, val: u64) -> Option<u64> {
+    /// Write `(key, val)` where [`search`](Self::search) placed `key`
+    /// (exclusive access): overwrite its slot, or open the insertion point
+    /// (the leaf must not be full). Returns the previous value if the key
+    /// existed.
+    pub fn put(&self, pos: Result<usize, usize>, key: u64, val: u64) -> Option<u64> {
+        let pos = match pos {
+            Ok(i) => {
+                let old = self.val(i);
+                self.vals[i].store(val, R);
+                return Some(old);
+            }
+            Err(pos) => pos,
+        };
         let n = self.count.load(R) as usize;
-        let pos = self.lower_bound(key);
-        if pos < n && self.key_at(pos) == key {
-            let old = self.vals[pos].load(R);
-            self.vals[pos].store(val, R);
-            return Some(old);
-        }
         debug_assert!(n < LC, "insert into full leaf");
         let mut i = n;
         while i > pos {
@@ -488,17 +485,22 @@ impl<LL: IndexLock, const LC: usize> Leaf<LL, LC> {
         None
     }
 
-    /// Remove `key` (exclusive access). Returns the removed value.
-    pub fn remove(&self, key: u64) -> Option<u64> {
+    /// Insert or overwrite `key` (exclusive access; must not be full
+    /// unless the key already exists). Returns the previous value.
+    pub fn insert(&self, key: u64, val: u64) -> Option<u64> {
+        self.put(self.search(key), key, val)
+    }
+
+    /// Remove the entry at slot `i` (exclusive access); returns its value.
+    pub fn remove_at(&self, i: usize) -> u64 {
         let n = self.count.load(R) as usize;
-        let pos = self.search(key)?;
-        let old = self.vals[pos].load(R);
-        for i in pos..n - 1 {
-            self.keys[i].store(self.keys[i + 1].load(R), R);
-            self.vals[i].store(self.vals[i + 1].load(R), R);
+        let old = self.val(i);
+        for j in i..n - 1 {
+            self.keys[j].store(self.keys[j + 1].load(R), R);
+            self.vals[j].store(self.vals[j + 1].load(R), R);
         }
         self.count.store((n - 1) as u16, R);
-        Some(old)
+        old
     }
 
     /// Split where the pending insert of `key` lands (exclusive access),
@@ -594,18 +596,45 @@ mod tests {
         assert_eq!(l.lookup(7), Some(2));
     }
 
+    fn keys(l: &L) -> Vec<u64> {
+        (0..l.count()).map(|i| l.key_at(i)).collect()
+    }
+
+    #[test]
+    fn leaf_insert_opens_the_searched_position() {
+        let slab = Slab::new();
+        let (l, _) = leaf(&slab);
+        for k in [1u64, 3, 5] {
+            l.insert(k, k * 10);
+        }
+        // A present key answers its slot, an absent one where it would go.
+        assert_eq!(l.search(3), Ok(1));
+        assert_eq!(l.search(4), Err(2));
+        assert_eq!(l.search(9), Err(3));
+        // Middle, front and back.
+        assert_eq!(l.put(Err(2), 4, 40), None);
+        assert_eq!(l.put(Err(0), 0, 0), None);
+        assert_eq!(l.put(Err(5), 9, 90), None);
+        assert_eq!(keys(l), [0, 1, 3, 4, 5, 9]);
+        assert_eq!(l.lookup(4), Some(40));
+    }
+
     #[test]
     fn leaf_update_and_remove() {
         let slab = Slab::new();
         let (l, _) = leaf(&slab);
-        l.insert(1, 10);
-        l.insert(2, 20);
-        l.insert(3, 30);
-        assert_eq!(l.update(2, 21), Some(20));
-        assert_eq!(l.update(4, 40), None);
-        assert_eq!(l.remove(2), Some(21));
-        assert_eq!(l.remove(2), None);
-        assert_eq!(l.count(), 2);
+        for k in [1u64, 2, 3, 4] {
+            l.insert(k, k * 10);
+        }
+        // An update overwrites the slot it found and moves nothing.
+        assert_eq!(l.put(Ok(1), 2, 21), Some(20));
+        assert_eq!(keys(l), [1, 2, 3, 4]);
+        // A removal closes its slot: middle, then back.
+        assert_eq!(l.remove_at(1), 21);
+        assert_eq!(keys(l), [1, 3, 4]);
+        assert_eq!(l.remove_at(2), 40);
+        assert_eq!(keys(l), [1, 3]);
+        assert_eq!(l.search(2), Err(1));
         assert_eq!(l.lookup(1), Some(10));
         assert_eq!(l.lookup(3), Some(30));
     }
@@ -914,7 +943,7 @@ mod tests {
         let slab = Slab::new();
         let (l, _) = leaf(&slab);
         assert_eq!(l.lower_bound(42), 0);
-        assert_eq!(l.search(42), None);
+        assert_eq!(l.search(42), Err(0));
         assert_eq!(l.lookup(42), None);
     }
 }

@@ -26,22 +26,25 @@
 //! of the run below the fence its descent recorded (`Run`).
 //!
 //! How the write step takes the leaf is the one thing a lock changes
-//! (paper §6.1). It lives in one function, `acquire_leaf`, which
-//! dispatches on `LL::STRATEGY`, a [`WriteStrategy`]:
+//! (paper §6.1). The leaf write hands it to `optiql::olc::lock_for_write`,
+//! Algorithm 4 written once for both trees, which dispatches on
+//! `LL::STRATEGY`, a [`WriteStrategy`]:
 //!
-//! * `Upgrade` — classic OLC (Figure 2c): validate the leaf version, then
-//!   CAS-upgrade it; restart from the root on failure.
+//! * `Upgrade` — classic OLC (Figure 2c): read the leaf, validate the
+//!   parent, search, then CAS-upgrade; restart from the root on failure.
 //! * `DirectLock` — the paper's Algorithm 4: acquire the leaf lock
-//!   directly (blocking, FIFO-queued), then validate the parent; avoids
-//!   the retry-and-re-search of a failed upgrade.
-//! * `DirectLockAor` — Algorithm 4 plus adjustable opportunistic read:
-//!   readers keep being admitted while the writer locates its target slot
-//!   (§5.3, §7.4).
+//!   directly (blocking, FIFO-queued), then validate the parent and
+//!   search; avoids the retry-and-re-search of a failed upgrade. OptiQL-AOR
+//!   still admits readers while the writer searches (§5.3, §7.4): that is
+//!   the lock's adjustable acquire, not a strategy.
 //! * `Pessimistic` — traditional lock coupling: the same steps, whose
 //!   guards are then real holds. Updates and removes couple shared locks
 //!   down to an exclusive leaf; an insert, which may split any node on
 //!   its path, enters every node with write intent and so couples
 //!   exclusive locks top-down.
+//!
+//! Under every strategy the leaf is searched once, and the write takes
+//! the slot or insertion point that search found.
 //!
 //! Structural modifications are eager (BTreeOLC \[29\] style): a full node is
 //! split while descending, which guarantees the parent always has room for
@@ -66,7 +69,7 @@ use std::ptr::NonNull;
 use std::sync::atomic::{AtomicPtr, Ordering};
 
 use optiql::counters::Counters;
-use optiql::olc::{IndexStats, OptimisticGuard, RestartLoop, Step, INDEX_LANES, OPS};
+use optiql::olc::{self, IndexStats, OptimisticGuard, RestartLoop, Step, INDEX_LANES, OPS};
 use optiql::slab::Slab;
 use optiql::stats::Event;
 use optiql::{chaos, IndexLock, WriteStrategy, WriteToken};
@@ -144,7 +147,7 @@ pub(crate) enum WriteOp {
 ///
 /// Why the fence holds: a leaf's key range shrinks only when the leaf
 /// splits or is merged into its left neighbour; both take its lock and
-/// write its parent, which `acquire_leaf` validates once the leaf is
+/// write its parent, which the leaf write validates once the leaf is
 /// held. Until the leaf is released its range can only grow (an empty
 /// neighbour unlinked into it).
 pub(crate) struct Run<'a> {
@@ -188,10 +191,11 @@ impl<'a> Run<'a> {
                 self.fenced_out = true;
                 return None;
             }
-            if leaf.is_full() && leaf.search(key).is_none() {
+            let pos = leaf.search(key);
+            if leaf.is_full() && pos.is_err() {
                 return Some((key, val));
             }
-            self.out[self.taken] = leaf.insert(key, val);
+            self.out[self.taken] = leaf.put(pos, key, val);
             self.taken += 1;
         }
         None
@@ -466,58 +470,10 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> BPlusTree<I
         Ok(Self::choose(inner, ig, pick))
     }
 
-    /// Paper Algorithm 4 — the one place a leaf is acquired for writing.
-    /// `parent` is the open guard under which `leaf` was chosen (`None`:
-    /// it is the root). Returns the exclusive token plus the result of
-    /// searching `key`, when the strategy searched while readers were
-    /// still admitted; `None` means restart, with nothing held.
-    #[inline(always)]
-    fn acquire_leaf(
-        &self,
-        parent: &Option<InnerRef<'_, IL, IC>>,
-        ptr: *mut NodeBase,
-        leaf: &Leaf<LL, LC>,
-        key: u64,
-    ) -> Option<(WriteToken, Option<Option<usize>>)> {
-        match LL::STRATEGY {
-            // Original OLC: read the leaf version, validate the parent,
-            // search optimistically, then upgrade.
-            WriteStrategy::Upgrade => {
-                let lg = OptimisticGuard::read(&leaf.lock)?;
-                if !self.placed(parent, ptr) {
-                    return None;
-                }
-                let idx = leaf.search(key);
-                Some((lg.try_upgrade()?, Some(idx)))
-            }
-            // Lock the leaf directly (blocking, FIFO-queued), then validate
-            // the parent, whose release_sh is pure validation. A
-            // pessimistic parent is held, so the leaf cannot change
-            // identity and the same check trivially passes.
-            WriteStrategy::DirectLock | WriteStrategy::Pessimistic => {
-                let t = leaf.lock.x_lock();
-                if !self.placed(parent, ptr) {
-                    leaf.lock.x_unlock(t);
-                    return None;
-                }
-                Some((t, None))
-            }
-            // As above, but keep admitting readers while we search.
-            WriteStrategy::DirectLockAor => {
-                let t = leaf.lock.x_lock_adjustable();
-                if !self.placed(parent, ptr) {
-                    leaf.lock.x_unlock(t);
-                    return None;
-                }
-                let idx = leaf.search(key);
-                Some((leaf.lock.x_finish_adjustable(t), Some(idx)))
-            }
-        }
-    }
-
-    /// Leaf half of the write step: acquire, apply, take along what of
-    /// `run` lands here, and run the SMO the write calls for against the
-    /// still-open parent guard.
+    /// Leaf half of the write step: lock the leaf and find the key's slot
+    /// or insertion point (Algorithm 4, `olc::lock_for_write`), apply,
+    /// take along what of `run` lands here, and run the SMO the write
+    /// calls for against the still-open parent guard.
     #[inline(always)]
     fn write_leaf(
         &self,
@@ -528,23 +484,22 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> BPlusTree<I
         run: Option<&mut Run<'_>>,
     ) -> Stepped<'_, IL, IC, Option<u64>> {
         let leaf = unsafe { as_leaf::<LL, LC>(ptr) };
-        let Some((t, searched)) = self.acquire_leaf(&parent, ptr, leaf, key) else {
+        let placed = || self.placed(&parent, ptr);
+        let Some((t, pos)) = olc::lock_for_write(&leaf.lock, placed, || leaf.search(key)) else {
             abandon(parent);
             return Step::Restart;
         };
-        let old = match op {
+        let old = match (op, pos) {
             // Only an absent key needs room: an overwrite of a full leaf
             // stays in place (the arm below).
-            WriteOp::Insert(val)
-                if leaf.is_full() && searched.unwrap_or_else(|| leaf.search(key)).is_none() =>
-            {
+            (WriteOp::Insert(val), Err(_)) if leaf.is_full() => {
                 return match self.split_insert(parent, ptr, leaf, t, (key, val), run) {
                     Some(old) => Step::Done(old),
                     None => Step::Restart,
                 };
             }
-            WriteOp::Insert(val) => {
-                let old = leaf.insert(key, val);
+            (WriteOp::Insert(val), pos) => {
+                let old = leaf.put(pos, key, val);
                 // The run met this leaf full: split it for the pair that
                 // did not fit. A lost upgrade ends the run before that pair.
                 if let Some(run) = run {
@@ -560,10 +515,10 @@ impl<IL: IndexLock, LL: IndexLock, const IC: usize, const LC: usize> BPlusTree<I
                 }
                 old
             }
-            // The search ran while readers were admitted and missed.
-            _ if searched == Some(None) => None,
-            WriteOp::Update(val) => leaf.update(key, val),
-            WriteOp::Remove => leaf.remove(key),
+            (WriteOp::Update(val), Ok(i)) => leaf.put(Ok(i), key, val),
+            (WriteOp::Remove, Ok(i)) => Some(leaf.remove_at(i)),
+            // The key is absent: nothing to update or remove.
+            (_, Err(_)) => None,
         };
         match parent {
             // Deletion SMOs: unlink an emptied leaf / merge an

@@ -142,7 +142,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     // Sorted batches take the run driver (one descent per leaf): each
-    // write strategy's `acquire_leaf`, on tiny nodes so runs cross many
+    // write strategy's arm of `lock_for_write`, on tiny nodes so runs cross many
     // separators, overwrite, split and meet merged leaves.
     #[test]
     fn sorted_batches_match_model_upgrade(

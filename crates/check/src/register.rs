@@ -11,8 +11,8 @@
 //! with the paper's protocol: optimistic `r_lock`/`r_unlock` lookups
 //! (seqlock-style, validation discards torn reads) and writes through
 //! `x_lock_adjustable` … `x_finish_adjustable` — a direct miniature of
-//! Algorithm 4 including the AOR admission window, at a site where a
-//! torn or mis-fenced implementation shows up as a per-key
+//! Algorithm 4 including, under `OptiQLAor`, the AOR admission window, at
+//! a site where a torn or mis-fenced implementation shows up as a per-key
 //! linearizability violation.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -165,9 +165,9 @@ impl<L: IndexLock> OptRegister<L> {
 
     register_common!();
 
-    /// Write path (Algorithm 4 in miniature): acquire with the AOR
-    /// window open, "locate the target" (read the previous state), close
-    /// the window, then modify.
+    /// Write path (Algorithm 4 in miniature): acquire (with the AOR
+    /// window open under `OptiQLAor`), "locate the target" (read the
+    /// previous state), close the window, then modify.
     fn write(&self, k: u64, f: impl FnOnce(&Slot<L>, Option<u64>)) -> Option<u64> {
         let s = self.slot(k);
         let t = s.lock.x_lock_adjustable();

@@ -20,6 +20,8 @@
 //!   index's [`Counters`] block mean the same thing, so benchmarks print
 //!   one consistent restart column no matter which structure is
 //!   underneath. The lanes after them are the index's own.
+//! * [`lock_for_write`] — paper Algorithm 4, the one place an index
+//!   locks the node it writes, whichever [`WriteStrategy`] its lock has.
 //! * [`Step`] and its two drivers. Each tree writes its descent once, as
 //!   a resumable step function that moves one level and reports where it
 //!   stands; *who calls it* decides the schedule. A scalar entry point
@@ -270,6 +272,44 @@ pub fn run_grouped<L: IndexLock, S, R, const N: usize>(
     }
     stats.add(RESTARTS, restarts);
     out
+}
+
+/// Paper Algorithm 4 (§6.1–6.2): lock the node a write changes. `placed`
+/// says whether the node is still where the descent found it (its parent
+/// unchanged); `locate` finds the write's target in it. Returns the
+/// exclusive token and what `locate` found, or `None`, holding nothing,
+/// when the node moved.
+///
+/// * [`WriteStrategy::Upgrade`] — classic OLC (Figure 2c): read the node,
+///   check `placed`, run `locate` under the read, then upgrade, which
+///   fails if anything changed since the read.
+/// * Every other strategy locks first (queued for OptiQL, the last hold
+///   of the coupling for a pessimistic lock), then checks `placed`: a
+///   writer queued behind another is not sent back to the root because
+///   that writer changed the node, only because its parent changed.
+///   `locate` runs before [`IndexLock::x_finish_adjustable`]: under
+///   OptiQL-AOR readers are still admitted while it runs (§5.3).
+#[inline(always)]
+pub fn lock_for_write<L: IndexLock, T>(
+    lock: &L,
+    placed: impl FnOnce() -> bool,
+    locate: impl FnOnce() -> T,
+) -> Option<(WriteToken, T)> {
+    if let WriteStrategy::Upgrade = L::STRATEGY {
+        let v = lock.r_lock()?;
+        if !placed() {
+            return None;
+        }
+        let found = locate();
+        return Some((lock.try_upgrade(v)?, found));
+    }
+    let t = lock.x_lock_adjustable();
+    if !placed() {
+        lock.x_unlock(t);
+        return None;
+    }
+    let found = locate();
+    Some((lock.x_finish_adjustable(t), found))
 }
 
 /// A hold on one [`IndexLock`], of whichever kind the lock family and the
@@ -633,6 +673,31 @@ mod tests {
         write_intent_holds_are_released::<McsRwLock>();
         write_intent_holds_are_released::<OptLock>();
         write_intent_holds_are_released::<OptiQL>();
+    }
+
+    /// Algorithm 4 for every family: a node that moved is left free and
+    /// not searched, one still in place is searched once and held.
+    fn lock_for_write_holds_only_a_placed_node<L: IndexLock>() {
+        let lock = L::default();
+        let searched = std::cell::Cell::new(0);
+        let locate = || searched.set(searched.get() + 1);
+        assert!(lock_for_write(&lock, || false, locate).is_none());
+        assert!(!lock.is_locked_ex(), "{}: a moved node stays held", L::NAME);
+        assert_eq!(searched.get(), 0, "{}: a moved node was searched", L::NAME);
+        let (t, ()) = lock_for_write(&lock, || true, locate).expect("free lock");
+        assert!(lock.is_locked_ex());
+        assert_eq!(searched.get(), 1);
+        lock.x_unlock(t);
+        assert!(!lock.is_locked_ex());
+    }
+
+    #[test]
+    fn lock_for_write_takes_only_a_placed_node() {
+        lock_for_write_holds_only_a_placed_node::<PthreadRwLock>();
+        lock_for_write_holds_only_a_placed_node::<McsRwLock>();
+        lock_for_write_holds_only_a_placed_node::<OptLock>();
+        lock_for_write_holds_only_a_placed_node::<OptiQL>();
+        lock_for_write_holds_only_a_placed_node::<crate::OptiQLAor>();
     }
 
     /// The guard is what the batched driver parks: it must stay two words

@@ -21,11 +21,12 @@
 //!
 //! [`OptiQL`] enables opportunistic read; [`OptiQLNor`] (paper
 //! "OptiQL-NOR") disables it, saving two atomics per handover at the cost
-//! of starving readers whenever writers queue. Adjustable opportunistic
-//! read ("AOR", §5.3) is [`IndexLock::x_lock_adjustable`] /
-//! [`IndexLock::x_finish_adjustable`]: the caller may keep the
-//! reader-admission window open until it has located its write target.
-//! [`OptiQLAor`] is the same lock with that as its index write strategy.
+//! of starving readers whenever writers queue. [`OptiQLAor`] adds
+//! adjustable opportunistic read ("AOR", §5.3): its
+//! [`IndexLock::x_lock_adjustable`] leaves a queued handover's window open
+//! until [`IndexLock::x_finish_adjustable`], so readers keep being
+//! admitted while the writer locates its write target. On the other two
+//! the adjustable acquire is `x_lock`.
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
@@ -43,7 +44,7 @@ use crate::word::{
 const AOR_PENDING: u64 = 1 << 32;
 
 /// Shared implementation; `OPPORTUNISTIC` selects OptiQL vs OptiQL-NOR,
-/// `AOR` which [`WriteStrategy`] index write paths follow with it.
+/// `AOR` whether the adjustable acquire keeps the window open.
 pub struct OptiQLCore<const OPPORTUNISTIC: bool, const AOR: bool = false> {
     word: AtomicU64,
 }
@@ -52,9 +53,9 @@ pub struct OptiQLCore<const OPPORTUNISTIC: bool, const AOR: bool = false> {
 pub type OptiQL = OptiQLCore<true>;
 /// OptiQL without opportunistic read (paper "OptiQL-NOR").
 pub type OptiQLNor = OptiQLCore<false>;
-/// OptiQL with the adjustable-opportunistic-read *index strategy*
-/// ("OptiQL-AOR", §7.4): identical lock, but index write paths keep the
-/// reader-admission window open while they search for their target slot.
+/// OptiQL with adjustable opportunistic read ("OptiQL-AOR", §5.3/§7.4):
+/// a writer granted through the queue keeps the reader-admission window
+/// open until it has found its target slot.
 pub type OptiQLAor = OptiQLCore<true, true>;
 
 impl<const OPPORTUNISTIC: bool, const AOR: bool> Default for OptiQLCore<OPPORTUNISTIC, AOR> {
@@ -279,11 +280,7 @@ impl<const OPPORTUNISTIC: bool, const AOR: bool> ExclusiveLock for OptiQLCore<OP
 }
 
 impl<const OPPORTUNISTIC: bool, const AOR: bool> IndexLock for OptiQLCore<OPPORTUNISTIC, AOR> {
-    const STRATEGY: WriteStrategy = if AOR {
-        WriteStrategy::DirectLockAor
-    } else {
-        WriteStrategy::DirectLock
-    };
+    const STRATEGY: WriteStrategy = WriteStrategy::DirectLock;
 
     #[inline]
     fn r_lock(&self) -> Option<u64> {
@@ -325,7 +322,7 @@ impl<const OPPORTUNISTIC: bool, const AOR: bool> IndexLock for OptiQLCore<OPPORT
 
     #[inline]
     fn x_lock_adjustable(&self) -> WriteToken {
-        if OPPORTUNISTIC {
+        if OPPORTUNISTIC && AOR {
             let id = qnode::alloc();
             let queued = self.acquire_ex_with(id);
             if queued {
@@ -538,8 +535,32 @@ mod tests {
     }
 
     #[test]
-    fn aor_keeps_window_open_until_finish() {
+    fn plain_optiql_closes_the_window_at_the_grant() {
+        // AOR is OptiQL-AOR's alone: on plain OptiQL a queued adjustable
+        // acquire is `x_lock`, which closes the handover window before it
+        // returns.
         let l = OptiQL::new();
+        let id1 = qnode::alloc();
+        assert!(!l.acquire_ex_with(id1));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let t = l.x_lock_adjustable();
+                assert!(l.acquire_sh().is_none(), "window open after the grant");
+                l.x_unlock(l.x_finish_adjustable(t));
+            });
+            // Hand over once the writer has queued behind the hold.
+            while word_id(l.raw()) == id1 {
+                std::thread::yield_now();
+            }
+            l.release_ex_with(id1);
+        });
+        qnode::free(id1);
+        assert!(!l.is_locked_ex());
+    }
+
+    #[test]
+    fn aor_keeps_window_open_until_finish() {
+        let l = OptiQLAor::new();
         let id1 = qnode::alloc();
         assert!(!l.acquire_ex_with(id1));
 
@@ -567,7 +588,7 @@ mod tests {
     fn aor_abort_path_unlocks_cleanly() {
         // x_lock_adjustable followed by x_unlock without finish (the Alg 4
         // "parent changed, release before retry" path) must not wedge.
-        let l = Arc::new(OptiQL::new());
+        let l = Arc::new(OptiQLAor::new());
         let t0 = l.x_lock();
         let l2 = Arc::clone(&l);
         let h = std::thread::spawn(move || {

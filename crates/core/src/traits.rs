@@ -53,12 +53,10 @@ pub enum WriteStrategy {
     Upgrade,
     /// Paper Algorithm 4: acquire the lock directly (blocking, queued) at
     /// the leaf, then validate the parent; avoids the re-search after a
-    /// failed upgrade (OptiQL).
+    /// failed upgrade (OptiQL). Whether readers stay admitted while the
+    /// writer locates its slot (AOR) is the lock's own
+    /// [`IndexLock::x_lock_adjustable`].
     DirectLock,
-    /// As `DirectLock`, but with adjustable opportunistic read: keep
-    /// admitting readers until the writer has located its target slot
-    /// (OptiQL-AOR, §5.3/§7.4).
-    DirectLockAor,
     /// Pessimistic lock coupling: readers hold shared locks, writers hold
     /// exclusive locks during the descent (MCS-RW, pthread).
     Pessimistic,
@@ -113,9 +111,13 @@ pub trait IndexLock: ExclusiveLock {
     /// True iff currently held in exclusive mode (diagnostic).
     fn is_locked_ex(&self) -> bool;
 
-    /// Adjustable-opportunistic-read acquire (paper §5.3). Locks that do
-    /// not support AOR fall back to a plain exclusive acquire, so index
-    /// protocols can call this unconditionally.
+    /// Adjustable-opportunistic-read acquire (paper §5.3): OptiQL-AOR
+    /// leaves a queued handover's reader window open until
+    /// [`IndexLock::x_finish_adjustable`]. Every other lock falls back to
+    /// a plain exclusive acquire, so [`olc::lock_for_write`] calls this
+    /// unconditionally.
+    ///
+    /// [`olc::lock_for_write`]: crate::olc::lock_for_write
     #[inline]
     fn x_lock_adjustable(&self) -> WriteToken {
         self.x_lock()

@@ -1,14 +1,14 @@
-//! The adjustable-opportunistic-read (AOR) window lifecycle (§7.4),
-//! driven deterministically with barriers: the window stays open until
-//! `x_finish_adjustable` — including the abort path where a writer
-//! unlocks without ever finishing — and the uncontended fast path opens
-//! none.
+//! The adjustable-opportunistic-read (AOR) window lifecycle of
+//! `OptiQLAor` (§5.3, §7.4), driven deterministically with barriers: the
+//! window stays open until `x_finish_adjustable` — including the abort
+//! path where a writer unlocks without ever finishing — and the
+//! uncontended fast path opens none.
 
 use std::sync::{Arc, Barrier, Mutex};
 
 use optiql::stats;
 use optiql::word::{is_locked, is_opread};
-use optiql::{ExclusiveLock, IndexLock, OptiQL};
+use optiql::{ExclusiveLock, IndexLock, OptiQLAor};
 
 /// Every test here counts window closes in the process-wide lock-event
 /// lanes, so they must not overlap.
@@ -25,7 +25,7 @@ fn aor_fast_path_token_needs_no_window_close() {
     // happened, so there is no window and x_finish_adjustable is a no-op.
     let _serial = QUEUED.lock().unwrap();
     let closes = stats::snapshot().window_closes;
-    let l = OptiQL::new();
+    let l = OptiQLAor::new();
     let t = l.x_lock_adjustable();
     assert!(l.is_locked_ex());
     assert!(
@@ -57,7 +57,7 @@ fn assert_one_window_close(before: u64) {
 fn aor_window_stays_open_until_finish() {
     let _serial = QUEUED.lock().unwrap();
     let closes = stats::snapshot().window_closes;
-    let l = Arc::new(OptiQL::new());
+    let l = Arc::new(OptiQLAor::new());
     let id1 = optiql::qnode::alloc();
     assert!(!l.acquire_ex_with(id1));
 
@@ -122,7 +122,7 @@ fn aor_abort_path_unlock_without_finish_closes_window() {
     // fast path cannot open a window, so enact the queued state manually.
     let _serial = QUEUED.lock().unwrap();
     let closes = stats::snapshot().window_closes;
-    let l = Arc::new(OptiQL::new());
+    let l = Arc::new(OptiQLAor::new());
     let id1 = optiql::qnode::alloc();
     assert!(!l.acquire_ex_with(id1));
 

@@ -11,7 +11,7 @@ use std::sync::{Barrier, Mutex};
 
 use optiql::stats::{self, Snapshot};
 use optiql::word::word_id;
-use optiql::{ExclusiveLock, IndexLock, OptLock, OptiQL, OptiQLCore, OptiQLNor, WriteStrategy};
+use optiql::{ExclusiveLock, IndexLock, OptLock, OptiQL, OptiQLCore, OptiQLNor};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -60,11 +60,12 @@ fn one_thread_moves_only_reader_and_upgrade_lanes() {
 /// Two threads take `ROUNDS` turns each on one lock. A holder releases
 /// only once the other thread has queued behind it (the word names the
 /// other's queue node), so every acquisition after the first queues and
-/// every release but the last hands over. Returns the lanes' movement.
+/// every release but the last hands over. Each acquisition is the
+/// adjustable one, finished at once: on OptiQL-AOR the finish closes the
+/// window, on the others the grant already did. Returns the lanes'
+/// movement.
 fn take_turns<const OPPORTUNISTIC: bool, const AOR: bool>() -> Snapshot {
     let l = OptiQLCore::<OPPORTUNISTIC, AOR>::new();
-    let aor =
-        <OptiQLCore<OPPORTUNISTIC, AOR> as IndexLock>::STRATEGY == WriteStrategy::DirectLockAor;
     let held = AtomicU64::new(0);
     let first = Barrier::new(2);
     let before = stats::snapshot();
@@ -76,11 +77,7 @@ fn take_turns<const OPPORTUNISTIC: bool, const AOR: bool>() -> Snapshot {
                     if me == 1 && round == 0 {
                         first.wait(); // thread 0 holds the lock
                     }
-                    let t = if aor {
-                        l.x_finish_adjustable(l.x_lock_adjustable())
-                    } else {
-                        l.x_lock()
-                    };
+                    let t = l.x_finish_adjustable(l.x_lock_adjustable());
                     if me == 0 && round == 0 {
                         first.wait();
                     }

@@ -284,12 +284,6 @@ impl ServerHandle {
         self.wal.as_ref().map(|w| w.stats())
     }
 
-    /// True once the server has begun stopping (a client sent SHUTDOWN
-    /// or [`shutdown`](Self::shutdown) ran).
-    pub fn stopping(&self) -> bool {
-        self.stop.load(Ordering::Acquire)
-    }
-
     /// Request a stop and join every thread.
     pub fn shutdown(mut self) -> StatsSnapshot {
         self.stop.store(true, Ordering::Release);

@@ -77,7 +77,7 @@ impl<I: Default> ShardedIndex<I> {
     /// default block granularity. `shards` is rounded up to the next
     /// power of two (minimum 1).
     pub fn new(shards: usize) -> Self {
-        Self::with_shards(shards, |_| I::default())
+        Self::with_config(shards, DEFAULT_BLOCK_BITS, |_| I::default())
     }
 
     /// As [`new`](Self::new) with an explicit block granularity
@@ -89,17 +89,10 @@ impl<I: Default> ShardedIndex<I> {
 }
 
 impl<I> ShardedIndex<I> {
-    /// A facade over `shards` shards built by `make` (called with the
-    /// shard number), default block granularity. `shards` is rounded up
-    /// to the next power of two (minimum 1) so shard selection is a
-    /// shift, not a division.
-    pub fn with_shards(shards: usize, make: impl FnMut(usize) -> I) -> Self {
-        Self::with_config(shards, DEFAULT_BLOCK_BITS, make)
-    }
-
     /// The fully explicit constructor: shard count (rounded up to a
-    /// power of two, minimum 1), block granularity, and a per-shard
-    /// builder.
+    /// power of two, minimum 1, so shard selection is a shift, not a
+    /// division), block granularity, and a per-shard builder (called
+    /// with the shard number).
     pub fn with_config(shards: usize, block_bits: u32, mut make: impl FnMut(usize) -> I) -> Self {
         let n = shards.max(1).next_power_of_two();
         let shards: Box<[CachePadded<I>]> = (0..n).map(|i| CachePadded::new(make(i))).collect();

@@ -4,7 +4,7 @@
 
 use std::ops::Bound;
 
-use optiql::{ExclusiveLock, IndexLock, OptiQL};
+use optiql::{ExclusiveLock, IndexLock, OptiQL, OptiQLAor};
 use optiql_art::ArtOptiQL;
 use optiql_btree::BTreeOptiQL;
 use optiql_index_api::ConcurrentIndex;
@@ -33,13 +33,16 @@ fn main() {
     lock.x_unlock(token);
     println!("lock: upgrade OK");
 
-    // Adjustable opportunistic read (§5.3): keep admitting readers until
-    // the writer locates its target, then close the window.
-    let token = lock.x_lock_adjustable();
+    // Adjustable opportunistic read (§5.3) is OptiQL-AOR's: a writer
+    // granted through the queue keeps admitting readers until it has
+    // located its target, then closes the window. (On `OptiQL` the same
+    // calls are `x_lock`, which closes it at the grant.)
+    let aor = OptiQLAor::new();
+    let token = aor.x_lock_adjustable();
     // ... search for the write target while readers sneak in ...
-    let token = lock.x_finish_adjustable(token);
+    let token = aor.x_finish_adjustable(token);
     // ... modify ...
-    lock.x_unlock(token);
+    aor.x_unlock(token);
     println!("lock: adjustable opportunistic read OK");
 
     // --- 2. The B+-tree ------------------------------------------------------
